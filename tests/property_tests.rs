@@ -7,12 +7,15 @@
 //! * the functional executor is deterministic and respects its instruction
 //!   cap,
 //! * the timing simulator commits exactly the committed trace, under every
-//!   resize policy,
+//!   resize policy, and its counters satisfy the conservation identities
+//!   (`common::check_identities`),
 //! * the pseudo-issue-queue analysis never needs more entries than the block
 //!   has instructions, and narrower machines never need more entries,
 //! * the loop analysis never exceeds the queue capacity and the compiler
 //!   pass always emits structurally valid programs whose hints are within
 //!   range.
+
+mod common;
 
 use proptest::prelude::*;
 use sdiq::compiler::{analyse_block, analyse_loop_body, CompilerPass, PassConfig};
@@ -180,10 +183,11 @@ proptest! {
         program in arb_loop_program(),
     ) {
         let trace = Executor::new(&program).run(20_000).unwrap();
-        for policy in [
-            ResizePolicy::Fixed,
-            ResizePolicy::SoftwareHint,
-            ResizePolicy::Adaptive(sdiq::sim::AdaptiveConfig::iqrob64()),
+        let mut runs = Vec::new();
+        for (name, policy) in [
+            ("fixed", ResizePolicy::Fixed),
+            ("software_hint", ResizePolicy::SoftwareHint),
+            ("adaptive", ResizePolicy::Adaptive(sdiq::sim::AdaptiveConfig::iqrob64())),
         ] {
             let result = Simulator::new(SimConfig::hpca2005(), &program, &trace, policy)
                 .run()
@@ -198,6 +202,11 @@ proptest! {
             prop_assert_eq!(result.stats.committed_hints, hints);
             prop_assert!(result.stats.ipc() > 0.0);
             prop_assert!(result.stats.avg_iq_occupancy() <= 80.0);
+            let identities = common::check_identities(&result.stats, Some((&program, &trace)));
+            prop_assert!(identities.is_ok(), "{}: {:?}", name, identities);
+            runs.push((name, result.stats));
         }
+        let committed = common::check_equal_committed(runs.iter().map(|(n, s)| (*n, s)));
+        prop_assert!(committed.is_ok(), "{:?}", committed);
     }
 }
