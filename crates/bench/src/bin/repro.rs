@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! repro [--scale <f64>] [--jobs <n>] [--sweep <axis>=<v1,v2,...>]
-//!       [--backend compiled|interpreted]
 //!       [--benchmarks <b1,b2,...>] [--techniques <t1,t2,...>]
 //!       [--save <path>] [--load <path>]... [--checkpoint <path>]
 //!       [--shard <k>/<n>] [--shards <n>] [--workers <host:port,...>]
@@ -23,10 +22,8 @@
 //!
 //! With no selection flags, `--all` is assumed. `--scale` shrinks or grows
 //! every workload's outer loop (1.0 = the default reproduction scale).
-//! `--backend` picks the simulator backend: `compiled` (the default —
-//! cells are lowered once into cached execution plans) or `interpreted`
-//! (the original cycle loop, for debugging); the two are bit-identical,
-//! so the flag never changes results, only speed.
+//! Each cell's program and committed trace are lowered once into a cached
+//! execution plan, which every technique of that machine replays.
 //!
 //! The matrix runs on the job engine (`sdiq_core::Matrix`): `--jobs` fixes
 //! the worker-pool size (default: one worker per hardware thread), and
@@ -123,7 +120,7 @@
 use sdiq_compiler::CompilerPass;
 use sdiq_core::{
     experiments, persist, ArtifactCache, Backend, CompileKey, Experiment, MatrixSpec, PlanKey,
-    PlanSource, ProgramKey, SimBackend, SubprocessSpec, Suite, Technique,
+    PlanSource, ProgramKey, SubprocessSpec, Suite, Technique,
 };
 use sdiq_isa::{Executor, Program};
 use sdiq_sim::{ExecPlan, SimConfig};
@@ -169,8 +166,6 @@ struct Options {
     pipeline_window: Option<usize>,
     /// Shared secret for the HMAC connection handshake.
     auth_key: Option<String>,
-    /// Simulator backend override (`--backend compiled|interpreted`).
-    backend: Option<SimBackend>,
     /// Per-artifact static verification override (`--verify` /
     /// `--no-verify`); `None` keeps the cache default (on in debug
     /// builds, off in release).
@@ -312,16 +307,9 @@ fn parse_args() -> Options {
                 }
                 options.verify = Some(on);
             }
-            "--backend" => {
-                let value = required_value(&mut args, "--backend");
-                options.backend = Some(SimBackend::parse(&value).unwrap_or_else(|| {
-                    eprintln!("error: --backend wants `compiled` or `interpreted`, got `{value}`");
-                    std::process::exit(2);
-                }));
-            }
             "--help" | "-h" => {
                 println!(
-                    "repro [--scale <f>] [--jobs <n>] [--backend compiled|interpreted] \
+                    "repro [--scale <f>] [--jobs <n>] \
                      [--sweep iq|bank|scale=<v,..>] \
                      [--benchmarks <b,..>] [--techniques <t,..>] \
                      [--save <path>] [--load <path>]... [--checkpoint <path>] \
@@ -878,9 +866,6 @@ fn main() {
     let mut experiment = Experiment::paper();
     if let Some(scale) = options.scale {
         experiment.scale = scale;
-    }
-    if let Some(backend) = options.backend {
-        experiment.backend = backend;
     }
 
     let benchmarks = options

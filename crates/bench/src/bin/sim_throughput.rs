@@ -7,16 +7,12 @@
 //! Runs the gzip-analogue trace through the cycle-level simulator under each
 //! resize policy, measures simulated instructions per second of wall-clock
 //! time, and emits the result as JSON (stdout and, unless `--out -`, to
-//! `BENCH_sim_throughput.json`). The headline per-policy rows run the
-//! compiled `ExecPlan` backend (the production shape: the plan is lowered
-//! once outside the timed region, exactly as the engine's `ArtifactCache`
-//! amortises it across sweep variants and policies); a `policies_interpreted`
-//! block re-times the naive interpreter as the reference, and the two
-//! backends' `SimResult`s are asserted bit-identical before any number is
-//! reported. Unlike the Criterion bench this binary is cheap enough for CI,
-//! so the perf trajectory is tracked on every change: CI fails loudly if the
-//! smoke run regresses by an order of magnitude (below the per-backend
-//! floors).
+//! `BENCH_sim_throughput.json`). The per-policy rows replay an `ExecPlan`
+//! lowered once outside the timed region, exactly as the engine's
+//! `ArtifactCache` amortises it across sweep variants and policies. Unlike
+//! the Criterion bench this binary is cheap enough for CI, so the perf
+//! trajectory is tracked on every change: CI fails loudly if the smoke run
+//! regresses by an order of magnitude (below the throughput floor).
 //!
 //! When rewriting an existing output file this binary first parses it and
 //! carries the hand-curated `history` block (per-PR before/after records)
@@ -27,31 +23,21 @@
 use sdiq_compiler::{CompilerPass, PassConfig};
 use sdiq_core::persist::{self, Json};
 use sdiq_core::{
-    ArtifactCache, Backend, Experiment, Matrix, MatrixSpec, SubprocessSpec, Suite, Technique,
+    ArtifactCache, Backend, Experiment, Matrix, MatrixSpec, SubprocessSpec, Technique,
 };
 use sdiq_isa::Executor;
-use sdiq_sim::{
-    AdaptiveConfig, ExecPlan, PlanSimulator, ResizePolicy, SimConfig, SimResult, Simulator,
-};
+use sdiq_sim::{AdaptiveConfig, ExecPlan, PlanSimulator, ResizePolicy, SimConfig, SimResult};
 use sdiq_workloads::Benchmark;
 use std::collections::HashMap;
 use std::io::BufRead;
 use std::time::Instant;
 
-/// Floor for the compiled-backend headline rows, in simulated instructions
-/// per second of wall-clock time. The compiled `ExecPlan` path sustains
-/// 15–19M instructions/s in release builds on commodity hardware — roughly
-/// 2× the interpreter on the same machine; 3M keeps ~5× headroom for slow
-/// CI machines while still catching a silent fallback to the interpreter
-/// (which would land near the interpreted rate, not just under this floor)
-/// or an accidental reintroduction of per-cycle allocation into the plan
-/// loop.
-const MIN_COMPILED_INSTRUCTIONS_PER_SECOND: f64 = 3_000_000.0;
-
-/// Floor for the interpreted reference rows. The O(1)-per-event interpreter
-/// hot path sustains well over 10M instructions/s in release builds; 500k
-/// catches accidental reintroduction of O(capacity) per-cycle scans.
-const MIN_INTERPRETED_INSTRUCTIONS_PER_SECOND: f64 = 500_000.0;
+/// Floor for the per-policy rows, in simulated instructions per second of
+/// wall-clock time. Plan replay sustains 15–19M instructions/s in release
+/// builds on commodity hardware; 3M keeps ~5× headroom for slow CI
+/// machines while still catching an accidental reintroduction of per-cycle
+/// allocation or O(capacity) scans into the replay loop.
+const MIN_INSTRUCTIONS_PER_SECOND: f64 = 3_000_000.0;
 
 /// Ceiling for the binary-codec remote row's wall clock, as a multiple of
 /// the in-process engine's. With `bin1` frames, pipelined batches and the
@@ -159,36 +145,6 @@ fn parse_args() -> Options {
     options
 }
 
-/// The pre-engine matrix strategy, kept here as the measured baseline: one
-/// thread per benchmark, each column rebuilding its program and re-running
-/// the compiler pass for every technique.
-fn run_matrix_per_benchmark_threads(
-    experiment: &Experiment,
-    benchmarks: &[Benchmark],
-    techniques: &[Technique],
-) -> Suite {
-    let mut suite = Suite::default();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = benchmarks
-            .iter()
-            .map(|&benchmark| {
-                scope.spawn(move || {
-                    techniques
-                        .iter()
-                        .map(|&technique| (benchmark, experiment.run(benchmark, technique)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (benchmark, report) in handle.join().expect("benchmark worker panicked") {
-                suite.insert(benchmark, report);
-            }
-        }
-    });
-    suite
-}
-
 /// Starts one `repro serve` daemon on an ephemeral localhost port and
 /// blocks until it announces its bound address (the machine-readable
 /// `LISTENING <addr>` first stdout line).
@@ -214,7 +170,7 @@ fn spawn_serve_daemon(exe: &std::path::Path, jobs: usize) -> Option<(std::proces
 }
 
 /// One measured per-policy row: best wall seconds over the repeats plus the
-/// run's (bit-checked) result.
+/// run's result.
 struct TimedRow {
     wall_seconds_best: f64,
     result: SimResult,
@@ -318,70 +274,42 @@ fn main() {
     let hinted_plan = ExecPlan::build(sim_config, &hinted_program, &hinted_trace);
     let lower_hinted = lower_start.elapsed().as_secs_f64();
 
-    let mut compiled_rows: Vec<(String, Json)> = Vec::new();
-    let mut interpreted_rows: Vec<(String, Json)> = Vec::new();
-    let mut slowest_compiled = f64::INFINITY;
-    let mut slowest_interpreted = f64::INFINITY;
-    for (name, policy, program, trace, plan) in [
-        ("fixed", ResizePolicy::Fixed, &program, &trace, &plan),
+    let mut policy_rows: Vec<(String, Json)> = Vec::new();
+    let mut slowest = f64::INFINITY;
+    for (name, policy, trace, plan) in [
+        ("fixed", ResizePolicy::Fixed, &trace, &plan),
         (
             "software_hint",
             ResizePolicy::SoftwareHint,
-            &hinted_program,
             &hinted_trace,
             &hinted_plan,
         ),
         (
             "adaptive",
             ResizePolicy::Adaptive(AdaptiveConfig::iqrob64()),
-            &program,
             &trace,
             &plan,
         ),
     ] {
         let instructions = trace.len() as f64;
-        let interpreted = time_best(options.repeats, || {
-            Simulator::new(sim_config, program, trace, policy)
+        let row = time_best(options.repeats, || {
+            PlanSimulator::new(plan, policy)
                 .run()
                 .expect("simulation completes")
         });
-        let compiled = time_best(options.repeats, || {
-            PlanSimulator::new(plan, policy)
-                .run()
-                .expect("compiled simulation completes")
-        });
-        // The compiled backend is only a valid headline if it is the same
-        // simulator: every activity counter and the adaptive resize count
-        // must match the interpreter bit for bit.
-        assert_eq!(
-            compiled.result, interpreted.result,
-            "{name}: compiled backend must be bit-identical to the interpreter"
-        );
-        let compiled_rate = instructions / compiled.wall_seconds_best;
-        let interpreted_rate = instructions / interpreted.wall_seconds_best;
-        slowest_compiled = slowest_compiled.min(compiled_rate);
-        slowest_interpreted = slowest_interpreted.min(interpreted_rate);
+        let rate = instructions / row.wall_seconds_best;
+        slowest = slowest.min(rate);
         eprintln!(
-            "{name:>14}: {compiled_rate:>12.0} sim-instructions/s compiled  \
-             ({:.3}s best of {}, {} cycles, {:.2}x of interpreted {interpreted_rate:.0}/s)",
-            compiled.wall_seconds_best,
-            options.repeats,
-            compiled.result.stats.cycles,
-            interpreted.wall_seconds_best / compiled.wall_seconds_best,
+            "{name:>14}: {rate:>12.0} sim-instructions/s  ({:.3}s best of {}, {} cycles)",
+            row.wall_seconds_best, options.repeats, row.result.stats.cycles,
         );
-        compiled_rows.push((name.to_string(), policy_row_json(&compiled, instructions)));
-        interpreted_rows.push((
-            name.to_string(),
-            policy_row_json(&interpreted, instructions),
-        ));
+        policy_rows.push((name.to_string(), policy_row_json(&row, instructions)));
     }
 
-    // Matrix throughput: a reduced (benchmark × technique) matrix run under
-    // the old one-thread-per-benchmark strategy (which rebuilds the program
-    // and re-runs the compiler pass for every cell) and under the job
-    // engine with its shared artifact cache. The engine must produce the
-    // same activity counters; the wall-clock difference is what the cache
-    // and the balanced work queue buy.
+    // Matrix throughput: a reduced (benchmark × technique) matrix on the
+    // job engine with its shared artifact cache; the rows below re-run it
+    // with verification, tracing, shards and remote workers and compare
+    // their suites with this one.
     let matrix_benchmarks = [
         Benchmark::Gzip,
         Benchmark::Mcf,
@@ -397,14 +325,6 @@ fn main() {
         ..Experiment::paper()
     };
 
-    let legacy_start = Instant::now();
-    let legacy_suite = run_matrix_per_benchmark_threads(
-        &matrix_experiment,
-        &matrix_benchmarks,
-        &matrix_techniques,
-    );
-    let legacy_wall = legacy_start.elapsed().as_secs_f64();
-
     let engine_start = Instant::now();
     let engine_suite = Matrix::new(&matrix_experiment)
         .benchmarks(&matrix_benchmarks)
@@ -413,21 +333,10 @@ fn main() {
         .into_suite();
     let engine_wall = engine_start.elapsed().as_secs_f64();
 
-    for (&(benchmark, technique), engine_report) in engine_suite.iter() {
-        let legacy_report = legacy_suite
-            .get(benchmark, technique)
-            .expect("legacy matrix filled every cell");
-        assert_eq!(
-            engine_report.stats, legacy_report.stats,
-            "{benchmark}/{technique}: engine activity counters must match the legacy runner"
-        );
-    }
-
     let cells = matrix_benchmarks.len() * matrix_techniques.len();
     let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let speedup = legacy_wall / engine_wall.max(1e-9);
     eprintln!(
-        "{:>14}: {cells} cells  legacy {legacy_wall:.3}s  engine {engine_wall:.3}s  ({speedup:.2}x, {jobs} jobs)",
+        "{:>14}: {cells} cells  engine {engine_wall:.3}s  ({jobs} jobs)",
         "matrix"
     );
 
@@ -701,17 +610,13 @@ fn main() {
 
     let note = "Wall-clock throughput of the cycle-level simulator (per resize policy, \
                 gzip-analogue trace, best of N repeats; software_hint runs the \
-                compiler-annotated program). The headline 'policies' rows run the \
-                compiled ExecPlan backend with the plan lowered outside the timed \
-                region (the production shape: the engine's ArtifactCache builds one \
-                plan per (program, SimConfig) and shares it across policies, sweep \
-                variants and batches; 'plan_lowering' prices that one-time cost); \
-                'policies_interpreted' re-times the naive interpreter, and both \
-                backends' results are asserted bit-identical before timing is \
-                reported. Then a matrix row: a reduced benchmark x technique matrix \
-                under the legacy one-thread-per-benchmark runner vs the work-queue \
-                engine with the shared artifact cache (activity counters asserted \
-                bit-identical before timing is reported), plus a verified row \
+                compiler-annotated program). The 'policies' rows replay an ExecPlan \
+                lowered outside the timed region (the production shape: the \
+                engine's ArtifactCache builds one plan per (program, SimConfig) and \
+                shares it across policies, sweep variants and batches; \
+                'plan_lowering' prices that one-time cost). Then a matrix row: a \
+                reduced benchmark x technique matrix on the work-queue engine with \
+                the shared artifact cache, plus a verified row \
                 re-running the engine matrix with the sdiq-verify static suite \
                 forced on (once per artifact; suite asserted bit-identical and the \
                 wall bounded at 2% + fixed grace over the verify-off engine — the \
@@ -753,7 +658,6 @@ fn main() {
             "trace_instructions".to_string(),
             Json::of_usize(trace.len()),
         ),
-        ("backend".to_string(), Json::Str("compiled".to_string())),
         (
             "plan_lowering".to_string(),
             Json::Obj(vec![
@@ -767,11 +671,7 @@ fn main() {
                 ),
             ]),
         ),
-        ("policies".to_string(), Json::Obj(compiled_rows)),
-        (
-            "policies_interpreted".to_string(),
-            Json::Obj(interpreted_rows),
-        ),
+        ("policies".to_string(), Json::Obj(policy_rows)),
         (
             "matrix".to_string(),
             Json::Obj(vec![
@@ -786,14 +686,9 @@ fn main() {
                 ("cells".to_string(), Json::of_usize(cells)),
                 ("jobs".to_string(), Json::of_usize(jobs)),
                 (
-                    "legacy_wall_seconds".to_string(),
-                    Json::Num(format!("{legacy_wall:.6}")),
-                ),
-                (
                     "engine_wall_seconds".to_string(),
                     Json::Num(format!("{engine_wall:.6}")),
                 ),
-                ("speedup".to_string(), Json::Num(format!("{speedup:.3}"))),
                 (
                     "verified".to_string(),
                     Json::Obj(vec![
@@ -838,17 +733,10 @@ fn main() {
     }
 
     let mut failed = false;
-    if slowest_compiled < MIN_COMPILED_INSTRUCTIONS_PER_SECOND {
+    if slowest < MIN_INSTRUCTIONS_PER_SECOND {
         eprintln!(
-            "FAIL: slowest compiled policy simulates {slowest_compiled:.0} instructions/s, \
-             below the {MIN_COMPILED_INSTRUCTIONS_PER_SECOND:.0}/s floor"
-        );
-        failed = true;
-    }
-    if slowest_interpreted < MIN_INTERPRETED_INSTRUCTIONS_PER_SECOND {
-        eprintln!(
-            "FAIL: slowest interpreted policy simulates {slowest_interpreted:.0} instructions/s, \
-             below the {MIN_INTERPRETED_INSTRUCTIONS_PER_SECOND:.0}/s floor"
+            "FAIL: slowest policy simulates {slowest:.0} instructions/s, \
+             below the {MIN_INSTRUCTIONS_PER_SECOND:.0}/s floor"
         );
         failed = true;
     }

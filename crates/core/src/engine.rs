@@ -36,7 +36,7 @@
 //! saw the coordinator's command line.
 
 use crate::cache::{ArtifactCache, CompileKey, PlanKey, PlanSource, ProgramKey};
-use crate::runner::{Experiment, RunReport, SimBackend, Suite};
+use crate::runner::{Experiment, RunReport, Suite};
 use crate::technique::Technique;
 use sdiq_sim::SimConfig;
 use sdiq_workloads::Benchmark;
@@ -1251,10 +1251,10 @@ fn observed_cell(
 
 /// Runs one cell through the artifact cache: software techniques reuse the
 /// cached compiler-pass output, hardware techniques run the shared built
-/// program directly — no per-cell `Program` clone in either path. Under
-/// the compiled backend (the default) the cell's execution plan is also
-/// cached: the trace and lowering happen once per (source, SimConfig)
-/// shape and every technique/policy of that shape replays the shared plan.
+/// program directly — no per-cell `Program` clone in either path. The
+/// cell's execution plan is cached too: the trace and lowering happen once
+/// per (source, SimConfig) shape and every technique/policy of that shape
+/// replays the shared plan.
 fn run_cell(
     experiment: &Experiment,
     cache: &ArtifactCache,
@@ -1263,7 +1263,7 @@ fn run_cell(
     technique: Technique,
 ) -> RunReport {
     let program_key = ProgramKey::new(benchmark, variant.scale);
-    let source_and_compile =
+    let (source, artifact) =
         match technique.pass_config_for(variant.sim_config.widths, variant.sim_config.fu_counts) {
             Some(pass) => {
                 let compile_key = CompileKey {
@@ -1275,34 +1275,16 @@ fn run_cell(
             }
             None => (PlanSource::Program(program_key), None),
         };
-    match experiment.backend {
-        SimBackend::Compiled => {
-            let (source, artifact) = source_and_compile;
-            let plan = cache.planned(PlanKey {
-                source,
-                sim_config: variant.sim_config,
-                max_dynamic_instructions: experiment.max_dynamic_instructions,
-            });
-            let (compile, hint_noops) = match artifact {
-                Some(artifact) => (Some(artifact.stats.clone()), artifact.hint_noops_inserted),
-                None => (None, 0),
-            };
-            experiment.run_planned(&plan, technique, compile, hint_noops)
-        }
-        SimBackend::Interpreted => match source_and_compile {
-            (_, Some(artifact)) => experiment.run_prepared(
-                &artifact.program,
-                technique,
-                variant.sim_config,
-                Some(artifact.stats.clone()),
-                artifact.hint_noops_inserted,
-            ),
-            (_, None) => {
-                let program = cache.program(program_key);
-                experiment.run_prepared(&program, technique, variant.sim_config, None, 0)
-            }
-        },
-    }
+    let plan = cache.planned(PlanKey {
+        source,
+        sim_config: variant.sim_config,
+        max_dynamic_instructions: experiment.max_dynamic_instructions,
+    });
+    let (compile, hint_noops) = match artifact {
+        Some(artifact) => (Some(artifact.stats.clone()), artifact.hint_noops_inserted),
+        None => (None, 0),
+    };
+    experiment.run_planned(&plan, technique, compile, hint_noops)
 }
 
 /// The cache key of one cell: human-readable axes plus a fingerprint of

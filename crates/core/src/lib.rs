@@ -71,5 +71,5 @@ pub use experiments::{
     SweepRow, TechniqueSummary,
 };
 pub use persist::CheckpointWriter;
-pub use runner::{Comparison, Experiment, RunReport, SimBackend, Suite};
+pub use runner::{Comparison, Experiment, RunReport, Suite};
 pub use technique::{RegistryError, Technique, TechniqueRegistry, TechniqueSpec};

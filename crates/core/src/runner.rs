@@ -4,7 +4,7 @@ use crate::technique::Technique;
 use sdiq_compiler::{CompileStats, CompilerPass};
 use sdiq_isa::{Executor, Program};
 use sdiq_power::{EnergyModel, PowerBreakdown, PowerSavings};
-use sdiq_sim::{ActivityStats, ExecPlan, PlanSimulator, SimConfig, Simulator};
+use sdiq_sim::{ActivityStats, ExecPlan, PlanSimulator, SimConfig};
 use sdiq_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -85,44 +85,6 @@ pub struct Comparison {
     pub savings: PowerSavings,
 }
 
-/// Which simulator backend executes a cell. Both backends are
-/// bit-identical in cycles and [`ActivityStats`] (pinned by differential
-/// tests in `sdiq_sim::plan` and the cross-backend proptests), so the
-/// choice is purely a speed/debuggability trade-off and deliberately does
-/// **not** participate in cell keys or save-file fingerprints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum SimBackend {
-    /// Compile-then-execute: lower the cell once into an
-    /// [`sdiq_sim::ExecPlan`] (cacheable, shared across runs of the same
-    /// shape), then replay only the dynamic state. The default.
-    #[default]
-    Compiled,
-    /// The original interpreted cycle loop, re-deriving static program
-    /// structure every run. Kept as the debugging escape hatch
-    /// (`repro --backend interpreted`) and the oracle the compiled
-    /// backend is differentially tested against.
-    Interpreted,
-}
-
-impl SimBackend {
-    /// Parses a CLI argument value.
-    pub fn parse(value: &str) -> Option<Self> {
-        match value {
-            "compiled" => Some(SimBackend::Compiled),
-            "interpreted" => Some(SimBackend::Interpreted),
-            _ => None,
-        }
-    }
-
-    /// The CLI name of this backend.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SimBackend::Compiled => "compiled",
-            SimBackend::Interpreted => "interpreted",
-        }
-    }
-}
-
 /// Experiment configuration: machine model, energy model and workload scale.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Experiment {
@@ -136,9 +98,6 @@ pub struct Experiment {
     /// Hard cap on executed dynamic instructions per run (a safety net; the
     /// workloads terminate well below it).
     pub max_dynamic_instructions: u64,
-    /// Simulator backend (defaults to [`SimBackend::Compiled`]; not part
-    /// of cell keys or save-file fingerprints — see [`SimBackend`]).
-    pub backend: SimBackend,
 }
 
 impl Experiment {
@@ -149,7 +108,6 @@ impl Experiment {
             energy_model: EnergyModel::wattch_default(),
             scale: 1.0,
             max_dynamic_instructions: 2_000_000,
-            backend: SimBackend::Compiled,
         }
     }
 
@@ -198,11 +156,11 @@ impl Experiment {
         )
     }
 
-    /// Runs a program whose compiler pass (if any) has already happened —
-    /// the engine's entry point, fed from the artifact cache. `sim_config`
-    /// is taken explicitly so configuration sweeps can override the
-    /// experiment's machine per cell; everything downstream of the pass
-    /// (functional execution, timing simulation, power model) runs here.
+    /// Runs a program whose compiler pass (if any) has already happened.
+    /// `sim_config` is taken explicitly so a caller can override the
+    /// experiment's machine; the program is executed, its committed trace
+    /// lowered into an [`ExecPlan`], and the plan replayed by
+    /// [`Experiment::run_planned`].
     pub fn run_prepared(
         &self,
         program_to_run: &Program,
@@ -211,58 +169,19 @@ impl Experiment {
         compile: Option<CompileStats>,
         hint_noops_inserted: usize,
     ) -> RunReport {
-        // 1. Functional execution → committed trace.
         let trace = match Executor::new(program_to_run).run(self.max_dynamic_instructions) {
             Ok(trace) => trace,
             Err(fault) => panic!("workload must execute cleanly, faulted with {fault:?}"),
         };
-
-        // 2. Timing simulation (both backends are bit-identical; a one-shot
-        //    run builds its plan inline, the engine path caches plans in
-        //    the ArtifactCache and enters through `run_planned` instead).
-        let result = match self.backend {
-            SimBackend::Compiled => {
-                let plan = ExecPlan::build(sim_config, program_to_run, &trace);
-                PlanSimulator::new(&plan, technique.resize_policy()).run()
-            }
-            SimBackend::Interpreted => Simulator::new(
-                sim_config,
-                program_to_run,
-                &trace,
-                technique.resize_policy(),
-            )
-            .run(),
-        };
-        let result = match result {
-            Ok(result) => result,
-            Err(err) => panic!("simulation must complete over a committed trace: {err:?}"),
-        };
-
-        // 3. Power model.
-        let power = PowerBreakdown::from_stats(
-            &result.stats,
-            &self.energy_model,
-            technique.wakeup_scheme(),
-            technique.bank_gating(),
-        );
-
-        RunReport {
-            workload: program_to_run.name.clone(),
-            technique,
-            stats: result.stats,
-            power,
-            compile,
-            adaptive_resizes: result.adaptive_resizes,
-            hint_noops_inserted,
-        }
+        let plan = ExecPlan::build(sim_config, program_to_run, &trace);
+        self.run_planned(&plan, technique, compile, hint_noops_inserted)
     }
 
     /// Runs a cell whose static side is already fully lowered into an
-    /// [`ExecPlan`] — the compiled-backend fast path fed from
-    /// [`crate::ArtifactCache::planned`]. Functional execution, trace
-    /// construction and plan lowering are all skipped: only the dynamic
-    /// cycle replay and the power model run here. One plan serves every
-    /// technique/policy of its (program, SimConfig) shape.
+    /// [`ExecPlan`] — the engine enters here with plans from
+    /// [`crate::ArtifactCache::planned`]. Only the cycle replay and the
+    /// power model run: one plan serves every technique/policy of its
+    /// (program, SimConfig) shape.
     pub fn run_planned(
         &self,
         plan: &ExecPlan,
@@ -434,36 +353,6 @@ mod tests {
         assert!(suite
             .comparison(Benchmark::Mcf, Technique::Abella)
             .is_none());
-    }
-
-    /// The two backends are bit-identical through the whole pipeline:
-    /// the engine path (cached plans, cached compiles with zeroed
-    /// durations) must produce byte-equal suites either way.
-    #[test]
-    fn compiled_and_interpreted_backends_agree_bit_for_bit() {
-        let compiled = tiny_experiment();
-        let interpreted = Experiment {
-            backend: SimBackend::Interpreted,
-            ..tiny_experiment()
-        };
-        assert_eq!(compiled.backend, SimBackend::Compiled, "compiled default");
-        let benchmarks = [Benchmark::Gzip, Benchmark::Mcf];
-        let techniques = [Technique::Baseline, Technique::Noop, Technique::Abella];
-        let a = compiled.run_matrix(&benchmarks, &techniques);
-        let b = interpreted.run_matrix(&benchmarks, &techniques);
-        assert_eq!(a, b, "suites must be bit-identical across backends");
-    }
-
-    #[test]
-    fn sim_backend_parses_cli_names() {
-        assert_eq!(SimBackend::parse("compiled"), Some(SimBackend::Compiled));
-        assert_eq!(
-            SimBackend::parse("interpreted"),
-            Some(SimBackend::Interpreted)
-        );
-        assert_eq!(SimBackend::parse("warp"), None);
-        assert_eq!(SimBackend::Compiled.name(), "compiled");
-        assert_eq!(SimBackend::Interpreted.name(), "interpreted");
     }
 
     #[test]

@@ -53,8 +53,8 @@ pub struct IssueQueueConfig {
 }
 
 impl IssueQueueConfig {
-    /// Number of banks (the single source of truth, also used by
-    /// [`crate::issue_queue::IssueQueue::total_banks`]).
+    /// Number of banks (the single source of truth for the bank totals the
+    /// statistics and the power model use).
     pub fn banks(&self) -> usize {
         self.entries.div_ceil(self.bank_size)
     }

@@ -10,15 +10,17 @@
 //!   bimodal / 1K selector predictor with a 2048-entry 4-way BTB, 64 KB L1
 //!   caches, 512 KB L2, and the functional-unit pools and latencies of the
 //!   paper,
-//! * [`issue_queue::IssueQueue`] — the banked, non-collapsible queue with the
-//!   paper's `new_head` pointer and `max_new_range` dispatch limiting, plus
-//!   Folegnani-style wakeup gating accounting,
 //! * [`regfile::RenamedRegFile`] — renaming onto banked physical register
 //!   files with bank-level activity tracking,
 //! * [`resize`] — the resizing policies: fixed (baseline), software hints
 //!   (the paper's technique) and an adaptive hardware controller standing in
 //!   for Abella & González's IqRob comparator,
-//! * [`pipeline::Simulator`] — the trace-driven cycle loop producing the
+//! * [`plan`] — the cycle loop: [`plan::ExecPlan::build`] lowers a program
+//!   and its committed trace into a flat execution plan once per machine
+//!   configuration, and [`plan::PlanSimulator`] replays it under a resize
+//!   policy through the banked, non-collapsible issue queue with the
+//!   paper's `new_head` pointer, `max_new_range` dispatch limiting and
+//!   Folegnani-style wakeup gating, producing the
 //!   [`stats::ActivityStats`] that the power model consumes.
 //!
 //! # Example
@@ -27,7 +29,7 @@
 //! use sdiq_isa::builder::ProgramBuilder;
 //! use sdiq_isa::reg::int_reg;
 //! use sdiq_isa::Executor;
-//! use sdiq_sim::{ResizePolicy, SimConfig, Simulator};
+//! use sdiq_sim::{ExecPlan, PlanSimulator, ResizePolicy, SimConfig};
 //!
 //! let mut b = ProgramBuilder::new();
 //! let main = b.procedure("main");
@@ -51,17 +53,19 @@
 //! let program = b.finish(main).unwrap();
 //! let trace = Executor::new(&program).run(100_000).unwrap();
 //!
-//! let result = Simulator::new(SimConfig::hpca2005(), &program, &trace, ResizePolicy::Fixed)
-//!     .run()
-//!     .unwrap();
+//! let plan = ExecPlan::build(SimConfig::hpca2005(), &program, &trace);
+//! // One plan replays under any number of policies.
+//! let result = PlanSimulator::new(&plan, ResizePolicy::Fixed).run().unwrap();
 //! assert!(result.stats.ipc() > 0.0);
 //! ```
 
 pub mod branch;
 pub mod cache;
 pub mod config;
-pub mod issue_queue;
-pub mod pipeline;
+// Test-only: the issue queue's O(capacity) reference model and tests.
+mod issue_queue;
+// Test-only: behaviour tests of the cycle loop.
+mod pipeline;
 pub mod plan;
 mod plan_queue;
 pub mod regfile;
@@ -69,7 +73,6 @@ pub mod resize;
 pub mod stats;
 
 pub use config::{BranchPredictorConfig, CacheConfig, IssueQueueConfig, RegFileConfig, SimConfig};
-pub use pipeline::{SimError, SimResult, Simulator};
-pub use plan::{ExecPlan, InstRecord, PlanSimulator};
+pub use plan::{ExecPlan, InstRecord, PlanSimulator, SimError, SimResult};
 pub use resize::{AdaptiveConfig, AdaptiveController, ResizePolicy};
 pub use stats::ActivityStats;

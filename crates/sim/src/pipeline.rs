@@ -1,834 +1,20 @@
-//! The cycle-level out-of-order pipeline.
-//!
-//! The simulator is trace-driven: the functional executor
-//! ([`sdiq_isa::Executor`]) provides the committed dynamic instruction
-//! stream, and this model replays it through an 8-wide out-of-order pipeline
-//! with the Table 1 configuration, adding timing effects:
-//!
-//! * fetch through the I-cache with hybrid branch prediction and a BTB;
-//!   fetch stalls at a mispredicted branch until it resolves (plus a
-//!   redirect penalty), which is the standard trace-driven approximation of
-//!   wrong-path execution,
-//! * a multi-cycle decode pipeline feeding the fetch queue (§3.2),
-//! * dispatch with register renaming onto the banked physical register
-//!   files, special-NOOP stripping at the final decode stage (hints consume
-//!   a dispatch slot, §5.2.1), instruction-tag processing, and the
-//!   `new_head` / `max_new_range` dispatch limit,
-//! * wakeup/select issue from the banked non-collapsible issue queue with
-//!   per-class functional-unit arbitration,
-//! * execution latencies per Table 1 and a two-level data-cache hierarchy,
-//! * in-order commit from a 128-entry ROB.
-//!
-//! Every structure feeds the activity counters in [`crate::stats`], which the
-//! power model consumes.
-//!
-//! # Hot-path data structures: O(actual work) per cycle
-//!
-//! The cycle loop performs no per-cycle heap allocation and never scans a
-//! structure proportionally to its capacity:
-//!
-//! * **Ready list** — issue selection walks a persistent, age-ordered list
-//!   of *ready* entries, maintained at dispatch (entries ready on arrival)
-//!   and at wakeup (the issue queue's consumer index reports entries that
-//!   just became fully ready), instead of re-scanning and re-allocating a
-//!   candidate vector from the whole queue each cycle. Per-class
-//!   functional-unit arbitration uses a fixed [`FuClass::COUNT`]-sized
-//!   array rather than a hash map.
-//! * **In-flight ring** — instructions get sequential ids and commit in
-//!   order, so the in-flight table is a `VecDeque` ring indexed by
-//!   `id - inflight_base` (O(1), no hashing) that doubles as the ROB.
-//! * **Event calendar** — completion events live in a circular calendar
-//!   (wheel) of `Vec` buckets sized to the maximum execution latency;
-//!   scheduling and per-cycle harvesting are O(events), with bucket
-//!   capacity recycled cycle over cycle.
-
-use crate::branch::BranchPredictor;
-use crate::cache::CacheHierarchy;
-use crate::config::SimConfig;
-use crate::issue_queue::{IqEntry, IssueQueue};
-use crate::regfile::{PhysReg, RenamedRegFile};
-use crate::resize::{AdaptiveController, AdaptiveObservation, ResizePolicy};
-use crate::stats::ActivityStats;
-use sdiq_isa::{FuClass, Opcode, Program, RegClass, Trace};
-use std::collections::VecDeque;
-use std::fmt;
-
-/// Errors a simulation can report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SimError {
-    /// The pipeline stopped making progress (indicates a model bug; the
-    /// message carries diagnostic state).
-    Deadlock {
-        /// Cycle at which progress stopped.
-        cycle: u64,
-        /// Human-readable diagnostic.
-        detail: String,
-    },
-}
-
-impl fmt::Display for SimError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SimError::Deadlock { cycle, detail } => {
-                write!(f, "pipeline deadlock at cycle {cycle}: {detail}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SimError {}
-
-/// Result of a simulation run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimResult {
-    /// Activity counters for the run.
-    pub stats: ActivityStats,
-    /// Resize decisions taken by the adaptive controller (0 unless the
-    /// adaptive policy was used).
-    pub adaptive_resizes: u64,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum InstState {
-    InIssueQueue,
-    Executing,
-    Completed,
-}
-
-#[derive(Debug, Clone)]
-struct InFlight {
-    trace_idx: usize,
-    opcode: Opcode,
-    dest: Option<PhysReg>,
-    /// Previous mapping of the destination architectural register, released
-    /// at commit.
-    prev_dest: Option<PhysReg>,
-    srcs: [Option<PhysReg>; 2],
-    mem_addr: Option<u64>,
-    mispredicted: bool,
-    state: InstState,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct FetchedInst {
-    trace_idx: usize,
-    decode_ready: u64,
-    mispredicted: bool,
-}
-
-/// A resident, fully-ready issue-queue entry awaiting selection.
-#[derive(Debug, Clone, Copy)]
-struct ReadyCandidate {
-    id: u64,
-    slot: u32,
-    fu: FuClass,
-}
-
-/// Circular event calendar for completion events: bucket `cycle % len`
-/// holds the instruction ids completing at `cycle`. O(1) schedule, O(due
-/// events) harvest, bucket allocations recycled. Shared with the compiled
-/// backend ([`crate::plan`]), which runs the identical calendar over its
-/// pre-lowered instruction stream.
-#[derive(Debug)]
-pub(crate) struct EventWheel {
-    buckets: Vec<Vec<u64>>,
-    /// `buckets.len() - 1`; the length is a power of two, so `due & mask`
-    /// equals `due % len` without the hardware division.
-    mask: u64,
-    /// Spare bucket storage swapped in by [`EventWheel::take_due`] and
-    /// returned (cleared, capacity retained) by [`EventWheel::recycle`].
-    spare: Vec<u64>,
-}
-
-impl EventWheel {
-    /// A wheel able to schedule up to `max_latency` cycles ahead.
-    pub(crate) fn new(max_latency: u64) -> Self {
-        let len = (max_latency + 1).next_power_of_two() as usize;
-        EventWheel {
-            buckets: (0..len).map(|_| Vec::new()).collect(),
-            mask: len as u64 - 1,
-            spare: Vec::new(),
-        }
-    }
-
-    /// Schedules `id` to complete at `due` (seen from `now`).
-    pub(crate) fn schedule(&mut self, now: u64, due: u64, id: u64) {
-        debug_assert!(due > now, "completion must be in the future");
-        assert!(
-            (due - now) < self.buckets.len() as u64,
-            "latency {} exceeds the event calendar horizon {}",
-            due - now,
-            self.buckets.len()
-        );
-        let index = (due & self.mask) as usize;
-        self.buckets[index].push(id);
-    }
-
-    /// Takes the ids due at `cycle` (possibly empty). Return the `Vec` via
-    /// [`EventWheel::recycle`] to keep the steady state allocation-free.
-    pub(crate) fn take_due(&mut self, cycle: u64) -> Vec<u64> {
-        let index = (cycle & self.mask) as usize;
-        std::mem::replace(&mut self.buckets[index], std::mem::take(&mut self.spare))
-    }
-
-    /// Returns a bucket taken with [`EventWheel::take_due`].
-    pub(crate) fn recycle(&mut self, mut bucket: Vec<u64>) {
-        bucket.clear();
-        self.spare = bucket;
-    }
-}
-
-/// The longest possible completion latency under `config`: a load missing
-/// all the way to memory, or the slowest functional unit (fp divide); +4
-/// for the issue-cycle offsets. One source of truth for both backends'
-/// event calendars.
-pub(crate) fn max_completion_latency(config: &SimConfig) -> u64 {
-    u64::from(1 + config.l1d.hit_latency + config.l2.hit_latency + config.memory_latency).max(16)
-        + 4
-}
-
-/// The trace-driven out-of-order pipeline simulator.
-///
-/// Create one per run with [`Simulator::new`] and call [`Simulator::run`].
-#[derive(Debug)]
-pub struct Simulator<'a> {
-    config: SimConfig,
-    trace: &'a Trace,
-    /// Static instruction of each trace entry, resolved once at
-    /// construction: fetch and dispatch both consult the static side of
-    /// every dynamic instruction, and `Program::instruction` is three
-    /// indirections deep.
-    decoded: Vec<&'a sdiq_isa::Instruction>,
-    policy: ResizePolicy,
-
-    caches: CacheHierarchy,
-    bpred: BranchPredictor,
-    iq: IssueQueue,
-    int_rf: RenamedRegFile,
-    fp_rf: RenamedRegFile,
-    adaptive: Option<AdaptiveController>,
-
-    fetch_queue: VecDeque<FetchedInst>,
-    next_fetch: usize,
-    fetch_stalled_until: u64,
-    /// Trace index of the unresolved mispredicted branch blocking fetch.
-    fetch_blocked_by: Option<usize>,
-    last_fetched_line: Option<u64>,
-
-    /// In-flight ring: instruction `id` lives at `inflight[id -
-    /// inflight_base]`. Dispatch pushes at the back, in-order commit pops at
-    /// the front, so the ring *is* the ROB (`inflight.len()` = ROB
-    /// occupancy).
-    inflight: VecDeque<InFlight>,
-    inflight_base: u64,
-    rob_limit: usize,
-    next_id: u64,
-    completions: EventWheel,
-    /// Persistent age-ordered (= id-ordered) list of ready issue candidates.
-    ready: Vec<ReadyCandidate>,
-    /// Hint NOOPs stripped during the current dispatch step; they count
-    /// towards trace progress but not towards committed instructions.
-    strip_count_this_cycle: usize,
-
-    stats: ActivityStats,
-}
-
-impl<'a> Simulator<'a> {
-    /// Creates a simulator for `program` / `trace` under `config` and
-    /// `policy`. The trace must have been produced by executing exactly this
-    /// program (instruction locations are looked up in it).
-    pub fn new(
-        config: SimConfig,
-        program: &'a Program,
-        trace: &'a Trace,
-        policy: ResizePolicy,
-    ) -> Self {
-        let adaptive = match policy {
-            ResizePolicy::Adaptive(cfg) => Some(AdaptiveController::new(
-                cfg,
-                config.iq.entries,
-                config.widths.rob_capacity,
-            )),
-            _ => None,
-        };
-        let mut stats = ActivityStats {
-            iq_total_banks: config.iq.banks() as u64,
-            iq_total_entries: config.iq.entries as u64,
-            int_rf_total_banks: config.int_rf.banks() as u64,
-            fp_rf_total_banks: config.fp_rf.banks() as u64,
-            ..ActivityStats::default()
-        };
-        stats.cycles = 0;
-        let max_latency = max_completion_latency(&config);
-        // Resolve every dynamic instruction's static side once. Consecutive
-        // trace entries overwhelmingly share a basic block, so the block's
-        // instruction slice is looked up only on block changes.
-        let mut decoded: Vec<&'a sdiq_isa::Instruction> = Vec::with_capacity(trace.committed.len());
-        let mut cached_block: Option<(
-            sdiq_isa::ProcId,
-            sdiq_isa::BlockId,
-            &'a [sdiq_isa::Instruction],
-        )> = None;
-        for dyn_inst in &trace.committed {
-            let loc = dyn_inst.loc;
-            let instructions = match cached_block {
-                Some((proc, block, instructions)) if proc == loc.proc && block == loc.block => {
-                    instructions
-                }
-                _ => {
-                    let instructions = program
-                        .proc(loc.proc)
-                        .block(loc.block)
-                        .instructions
-                        .as_slice();
-                    cached_block = Some((loc.proc, loc.block, instructions));
-                    instructions
-                }
-            };
-            decoded.push(&instructions[loc.index]);
-        }
-        Simulator {
-            caches: CacheHierarchy::new(&config),
-            bpred: BranchPredictor::new(config.branch),
-            iq: IssueQueue::new(config.iq),
-            int_rf: RenamedRegFile::new(RegClass::Int, config.int_rf),
-            fp_rf: RenamedRegFile::new(RegClass::Fp, config.fp_rf),
-            adaptive,
-            fetch_queue: VecDeque::new(),
-            next_fetch: 0,
-            fetch_stalled_until: 0,
-            fetch_blocked_by: None,
-            last_fetched_line: None,
-            inflight: VecDeque::new(),
-            inflight_base: 0,
-            rob_limit: config.widths.rob_capacity,
-            next_id: 0,
-            completions: EventWheel::new(max_latency),
-            ready: Vec::new(),
-            strip_count_this_cycle: 0,
-            stats,
-            config,
-            trace,
-            decoded,
-            policy,
-        }
-    }
-
-    fn rf_for(&mut self, class: RegClass) -> &mut RenamedRegFile {
-        match class {
-            RegClass::Int => &mut self.int_rf,
-            RegClass::Fp => &mut self.fp_rf,
-        }
-    }
-
-    /// Ring index of in-flight instruction `id` (ids are sequential and
-    /// commit in order, so `id - inflight_base` is the ring offset).
-    fn inflight_index(&self, id: u64) -> usize {
-        (id - self.inflight_base) as usize
-    }
-
-    fn inflight_mut(&mut self, id: u64) -> &mut InFlight {
-        let index = self.inflight_index(id);
-        &mut self.inflight[index]
-    }
-
-    /// Runs the simulation to completion and returns the activity counters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Deadlock`] if the pipeline stops making progress
-    /// (a model bug, not an expected outcome).
-    pub fn run(mut self) -> Result<SimResult, SimError> {
-        let total = self.trace.committed.len();
-        let mut cycle: u64 = 0;
-        let mut committed_total: usize = 0;
-        let mut last_progress_cycle: u64 = 0;
-        let mut last_committed: usize = 0;
-        // Generous bound: a completely serialised machine commits at least one
-        // instruction every few hundred cycles.
-        const PROGRESS_WINDOW: u64 = 100_000;
-
-        while committed_total < total {
-            // --- 1. writeback ------------------------------------------------
-            let due = self.completions.take_due(cycle);
-            for &id in &due {
-                self.writeback(id, cycle);
-            }
-            self.completions.recycle(due);
-
-            // --- 2. commit ----------------------------------------------------
-            let committed_now = self.commit(cycle);
-            committed_total += committed_now;
-
-            // --- 3. issue -----------------------------------------------------
-            let observation = self.issue(cycle);
-
-            // --- 4. dispatch --------------------------------------------------
-            let _blocked_by_limit = self.dispatch(cycle);
-            committed_total += self.strip_count_this_cycle;
-            self.strip_count_this_cycle = 0;
-
-            // --- 5. fetch -----------------------------------------------------
-            self.fetch(cycle);
-
-            // --- 6. per-cycle statistics and adaptive control ------------------
-            self.collect_cycle_stats();
-            if let Some(controller) = self.adaptive.as_mut() {
-                if let Some(decision) = controller.on_cycle(cycle, observation) {
-                    self.iq.set_hard_limit(Some(decision.iq_limit));
-                    self.rob_limit = decision.rob_limit;
-                }
-            }
-
-            // --- progress guard ------------------------------------------------
-            if committed_total > last_committed {
-                last_committed = committed_total;
-                last_progress_cycle = cycle;
-            } else if cycle - last_progress_cycle > PROGRESS_WINDOW {
-                return Err(SimError::Deadlock {
-                    cycle,
-                    detail: format!(
-                        "committed {committed_total}/{total}, rob={} iq={} fetchq={} next_fetch={}",
-                        self.inflight.len(),
-                        self.iq.occupancy(),
-                        self.fetch_queue.len(),
-                        self.next_fetch
-                    ),
-                });
-            }
-
-            cycle += 1;
-        }
-
-        self.stats.cycles = cycle.max(1);
-        // The cache hierarchy owns the authoritative D-cache hit/miss
-        // counters (issue charges latency per access but only tallies L2
-        // misses inline); publish them into the activity stats so the
-        // memory-boundedness of a run is visible to the experiment layer.
-        let (dcache_accesses, dcache_misses) = self.caches.dcache_stats();
-        self.stats.dcache_accesses = dcache_accesses;
-        self.stats.dcache_misses = dcache_misses;
-        let adaptive_resizes = self.adaptive.as_ref().map_or(0, |a| a.resizes());
-        Ok(SimResult {
-            stats: self.stats,
-            adaptive_resizes,
-        })
-    }
-
-    fn writeback(&mut self, id: u64, cycle: u64) {
-        let inst = self.inflight_mut(id);
-        inst.state = InstState::Completed;
-        let (dest, mispredicted, trace_idx) = (inst.dest, inst.mispredicted, inst.trace_idx);
-        if let Some(dest) = dest {
-            // Write the register file and broadcast into the issue queue.
-            self.rf_for(dest.class).write_value(dest);
-            match dest.class {
-                RegClass::Int => self.stats.int_rf_writes += 1,
-                RegClass::Fp => self.stats.fp_rf_writes += 1,
-            }
-            let activity = self.iq.wakeup(dest);
-            self.stats.wakeup_broadcasts += 1;
-            self.stats.wakeup_comparisons_full += activity.full;
-            self.stats.wakeup_comparisons_nonempty += activity.non_empty;
-            self.stats.wakeup_comparisons_gated += activity.gated;
-            // Entries the broadcast completed join the ready list at their
-            // age-order (= id-order) position.
-            for event in self.iq.newly_ready() {
-                let candidate = ReadyCandidate {
-                    id: event.id,
-                    slot: event.slot as u32,
-                    fu: event.fu,
-                };
-                let position = self.ready.partition_point(|c| c.id < candidate.id);
-                self.ready.insert(position, candidate);
-            }
-        }
-        if mispredicted && self.fetch_blocked_by == Some(trace_idx) {
-            self.fetch_blocked_by = None;
-            self.fetch_stalled_until = self
-                .fetch_stalled_until
-                .max(cycle + 1 + u64::from(self.bpred.redirect_penalty()));
-        }
-    }
-
-    fn commit(&mut self, _cycle: u64) -> usize {
-        let width = self.config.widths.pipeline_width;
-        let mut committed = 0;
-        while committed < width {
-            let done = self
-                .inflight
-                .front()
-                .map(|inst| inst.state == InstState::Completed)
-                .unwrap_or(false);
-            if !done {
-                break;
-            }
-            let inst = self.inflight.pop_front().expect("committed instruction");
-            self.inflight_base += 1;
-            if let Some(prev) = inst.prev_dest {
-                self.rf_for(prev.class).release(prev);
-            }
-            self.stats.committed += 1;
-            if self.decoded[inst.trace_idx].low_energy {
-                self.stats.committed_low_energy += 1;
-            }
-            committed += 1;
-        }
-        committed
-    }
-
-    fn issue(&mut self, cycle: u64) -> AdaptiveObservation {
-        let issue_width = self.config.widths.pipeline_width;
-        let fu_counts = self.config.fu_counts;
-        let limit = self.iq.hard_limit().unwrap_or_else(|| self.iq.capacity());
-        let bank_size = self.config.iq.bank_size;
-        // The youngest-bank signal is only consumed by the adaptive
-        // controller, and no resident can rank inside the youngest window
-        // when the occupancy snapshot doesn't reach it (max rank =
-        // occupancy - 1 < limit - bank_size): skip the rank queries
-        // entirely in both cases.
-        let track_youngest = self.adaptive.is_some() && self.iq.occupancy() + bank_size > limit;
-        let mut fu_used = [0usize; FuClass::COUNT];
-        let mut issued = 0usize;
-        let mut observation = AdaptiveObservation::default();
-
-        // Walk the persistent ready list oldest-first, selecting within the
-        // issue width and per-class functional-unit counts; non-selected
-        // candidates are compacted back in place (no allocation). The list
-        // is taken out of `self` for the duration to keep the borrow
-        // checker satisfied; nothing pushes to it during issue.
-        let mut candidates = std::mem::take(&mut self.ready);
-        let mut kept = 0usize;
-        for index in 0..candidates.len() {
-            let candidate = candidates[index];
-            if issued >= issue_width {
-                candidates[kept] = candidate;
-                kept += 1;
-                continue;
-            }
-            let class = candidate.fu.index();
-            if fu_used[class] >= fu_counts.for_class(candidate.fu) {
-                candidates[kept] = candidate;
-                kept += 1;
-                continue;
-            }
-            fu_used[class] += 1;
-            observation.issued += 1;
-            // Age rank among the residents at the *start* of this issue
-            // step: every candidate issued earlier this cycle was older, so
-            // add them back to the post-removal rank. Only the adaptive
-            // controller consumes the youngest-bank signal, so the rank
-            // query is skipped entirely for the other policies.
-            if track_youngest {
-                let rank = self.iq.age_rank(candidate.slot as usize) + issued;
-                if rank + bank_size >= limit {
-                    observation.issued_from_youngest_bank += 1;
-                }
-            }
-            issued += 1;
-
-            let id = candidate.id;
-            self.iq.remove(candidate.slot as usize);
-            self.stats.iq_reads += 1;
-            self.stats.issued += 1;
-
-            // Register-file read ports.
-            let srcs = self.inflight[self.inflight_index(id)].srcs;
-            for src in srcs.iter().flatten() {
-                self.rf_for(src.class).read_value(*src);
-                match src.class {
-                    RegClass::Int => self.stats.int_rf_reads += 1,
-                    RegClass::Fp => self.stats.fp_rf_reads += 1,
-                }
-            }
-
-            // Execution latency.
-            let inst = self.inflight_mut(id);
-            inst.state = InstState::Executing;
-            let (opcode, mem_addr) = (inst.opcode, inst.mem_addr);
-            let latency = if opcode.is_load() {
-                let access = self.caches.access_data(mem_addr.unwrap_or(0x1000_0000));
-                if access.l2_miss {
-                    self.stats.l2_misses += 1;
-                }
-                u64::from(1 + access.latency)
-            } else if opcode.is_store() {
-                // Stores update the cache but retire from the pipeline's point
-                // of view after address generation.
-                let access = self.caches.access_data(mem_addr.unwrap_or(0x1000_0000));
-                if access.l2_miss {
-                    self.stats.l2_misses += 1;
-                }
-                1
-            } else {
-                u64::from(opcode.latency().max(1))
-            };
-            self.completions.schedule(cycle, cycle + latency, id);
-        }
-        candidates.truncate(kept);
-        self.ready = candidates;
-        observation
-    }
-
-    /// Count of hint NOOPs stripped during the current dispatch step; they
-    /// count towards total trace progress but not towards committed
-    /// instructions.
-    fn dispatch(&mut self, cycle: u64) -> bool {
-        let width = self.config.widths.pipeline_width;
-        let mut dispatched = 0usize;
-        let mut blocked_by_limit = false;
-        while dispatched < width {
-            let Some(front) = self.fetch_queue.front().copied() else {
-                break;
-            };
-            if front.decode_ready > cycle {
-                break;
-            }
-            let dyn_inst = &self.trace.committed[front.trace_idx];
-            let static_inst = self.decoded[front.trace_idx];
-
-            // Special NOOP: strip it at the final decode stage. It consumes
-            // this dispatch slot but never enters the issue queue.
-            if static_inst.is_hint_noop() {
-                if self.policy.uses_hints() {
-                    if let Some(value) = static_inst.iq_hint {
-                        self.iq.apply_hint(value as usize);
-                    }
-                }
-                self.fetch_queue.pop_front();
-                self.stats.committed_hints += 1;
-                self.strip_count_this_cycle += 1;
-                dispatched += 1;
-                continue;
-            }
-
-            // Instruction tag (Extension technique): processed at decode,
-            // before the instruction dispatches, at no slot cost.
-            if self.policy.uses_hints() {
-                if let Some(value) = static_inst.iq_hint {
-                    self.iq.apply_hint(value as usize);
-                }
-            }
-
-            // Structural checks.
-            if !self.iq.can_dispatch() {
-                if self.iq.max_new_range().is_some() || self.iq.hard_limit().is_some() {
-                    blocked_by_limit = true;
-                    self.stats.dispatch_limit_stall_cycles += 1;
-                }
-                break;
-            }
-            if self.inflight.len() >= self.rob_limit.min(self.config.widths.rob_capacity) {
-                self.stats.rob_full_stall_cycles += 1;
-                break;
-            }
-            if let Some(dest) = static_inst.dest {
-                let has_free = match dest.class() {
-                    RegClass::Int => self.int_rf.has_free(),
-                    RegClass::Fp => self.fp_rf.has_free(),
-                };
-                if !has_free {
-                    self.stats.rename_stall_cycles += 1;
-                    break;
-                }
-            }
-
-            // Rename.
-            let mut srcs: [Option<PhysReg>; 2] = [None, None];
-            for (i, src) in static_inst.srcs.iter().enumerate() {
-                if let Some(arch) = src {
-                    let phys = match arch.class() {
-                        RegClass::Int => self.int_rf.rename_source(*arch),
-                        RegClass::Fp => self.fp_rf.rename_source(*arch),
-                    };
-                    srcs[i] = Some(phys);
-                }
-            }
-            let (dest, prev_dest) = match static_inst.dest {
-                Some(arch) => {
-                    let (new, old) = self
-                        .rf_for(arch.class())
-                        .allocate_dest(arch)
-                        .expect("free register checked above");
-                    (Some(new), Some(old))
-                }
-                None => (None, None),
-            };
-
-            // Build the issue-queue entry with current operand readiness.
-            let mut operands: [Option<(PhysReg, bool)>; 2] = [None, None];
-            for (i, src) in srcs.iter().enumerate() {
-                if let Some(phys) = src {
-                    let ready = match phys.class {
-                        RegClass::Int => self.int_rf.is_ready(*phys),
-                        RegClass::Fp => self.fp_rf.is_ready(*phys),
-                    };
-                    operands[i] = Some((*phys, ready));
-                }
-            }
-
-            let id = self.next_id;
-            self.next_id += 1;
-            let entry = IqEntry {
-                id,
-                operands,
-                fu: static_inst.fu_class(),
-            };
-            let slot = self.iq.dispatch(entry);
-            self.stats.iq_writes += 1;
-            self.stats.dispatched += 1;
-            // Ready on arrival → joins the ready list immediately. Ids are
-            // monotonic, so appending keeps the list age-ordered.
-            if entry.is_ready() {
-                self.ready.push(ReadyCandidate {
-                    id,
-                    slot: slot as u32,
-                    fu: entry.fu,
-                });
-            }
-
-            debug_assert_eq!(id, self.inflight_base + self.inflight.len() as u64);
-            self.inflight.push_back(InFlight {
-                trace_idx: front.trace_idx,
-                opcode: static_inst.opcode,
-                dest,
-                prev_dest,
-                srcs,
-                mem_addr: dyn_inst.mem_addr,
-                mispredicted: front.mispredicted,
-                state: InstState::InIssueQueue,
-            });
-            self.fetch_queue.pop_front();
-            dispatched += 1;
-        }
-        blocked_by_limit
-    }
-
-    fn fetch(&mut self, cycle: u64) {
-        if self.fetch_blocked_by.is_some() || cycle < self.fetch_stalled_until {
-            self.stats.fetch_stall_cycles += 1;
-            return;
-        }
-        let width = self.config.widths.pipeline_width;
-        let line_bytes = self.config.l1i.line_bytes as u64;
-        let mut fetched = 0usize;
-        while fetched < width
-            && self.next_fetch < self.trace.committed.len()
-            && self.fetch_queue.len() < self.config.fetch_queue_entries
-        {
-            let idx = self.next_fetch;
-            let dyn_inst = &self.trace.committed[idx];
-            let static_inst = self.decoded[idx];
-            let addr = dyn_inst.addr;
-
-            // I-cache: one access per new cache line touched.
-            let line = addr / line_bytes;
-            if self.last_fetched_line != Some(line) {
-                let access = self.caches.access_instruction(addr);
-                self.last_fetched_line = Some(line);
-                if access.l1_miss {
-                    self.stats.icache_misses += 1;
-                    if access.l2_miss {
-                        self.stats.l2_misses += 1;
-                    }
-                    // Refill stall: resume fetching this instruction after the
-                    // miss is served.
-                    self.fetch_stalled_until = cycle + u64::from(access.latency);
-                    break;
-                }
-            }
-
-            let mut mispredicted = false;
-            let mut ends_fetch_group = false;
-            if static_inst.opcode.is_cond_branch() {
-                self.stats.branches += 1;
-                let actual_taken = dyn_inst.taken.unwrap_or(false);
-                let prediction = self.bpred.predict_direction(addr);
-                self.bpred.update_direction(addr, prediction, actual_taken);
-                if prediction.taken != actual_taken {
-                    mispredicted = true;
-                    self.stats.mispredicted_branches += 1;
-                }
-                if actual_taken {
-                    ends_fetch_group = true;
-                    // Target prediction through the BTB.
-                    let target = self
-                        .trace
-                        .committed
-                        .get(idx + 1)
-                        .map(|d| d.addr)
-                        .unwrap_or(addr + 4);
-                    if self.bpred.predict_target(addr) != Some(target) {
-                        self.stats.btb_misses += 1;
-                        self.fetch_stalled_until = self.fetch_stalled_until.max(cycle + 2);
-                    }
-                    self.bpred.update_target(addr, target);
-                }
-            } else if static_inst.opcode.is_control() {
-                // Unconditional transfers: jumps, calls, returns.
-                ends_fetch_group = true;
-                let target = self
-                    .trace
-                    .committed
-                    .get(idx + 1)
-                    .map(|d| d.addr)
-                    .unwrap_or(addr + 4);
-                if self.bpred.predict_target(addr) != Some(target) {
-                    self.stats.btb_misses += 1;
-                    self.fetch_stalled_until = self.fetch_stalled_until.max(cycle + 2);
-                }
-                self.bpred.update_target(addr, target);
-            }
-
-            self.fetch_queue.push_back(FetchedInst {
-                trace_idx: idx,
-                decode_ready: cycle + u64::from(self.config.decode_stages),
-                mispredicted,
-            });
-            self.next_fetch += 1;
-            fetched += 1;
-
-            if mispredicted {
-                // Fetch cannot proceed past a mispredicted branch until it
-                // resolves at writeback.
-                self.fetch_blocked_by = Some(idx);
-                break;
-            }
-            if ends_fetch_group {
-                break;
-            }
-        }
-    }
-
-    fn collect_cycle_stats(&mut self) {
-        self.stats.iq_occupancy_sum += self.iq.occupancy() as u64;
-        // Empty banks are switched off. Under the adaptive (Abella-style)
-        // policy the controller disables whole banks above its limit, so the
-        // powered banks are those of the enabled window even though this
-        // model keeps a single circular buffer underneath.
-        let bank_size = self.config.iq.bank_size.max(1);
-        let banks_on = match self.iq.hard_limit() {
-            Some(limit) => limit.div_ceil(bank_size).min(self.config.iq.banks()),
-            None => self.iq.banks_on(),
-        };
-        self.stats.iq_banks_on_sum += banks_on as u64;
-        self.stats.rob_occupancy_sum += self.inflight.len() as u64;
-        self.stats.int_rf_occupancy_sum += self.int_rf.occupancy() as u64;
-        self.stats.int_rf_banks_on_sum += self.int_rf.banks_on() as u64;
-        self.stats.fp_rf_occupancy_sum += self.fp_rf.occupancy() as u64;
-        self.stats.fp_rf_banks_on_sum += self.fp_rf.banks_on() as u64;
-    }
-}
+//! Behaviour tests of the cycle-level pipeline ([`crate::plan`]): whole
+//! programs replayed through [`crate::PlanSimulator`], checking what the
+//! paper's mechanism must do — hints throttle dispatch, an unhinted program
+//! runs the same under the fixed and the software-hint policy, the adaptive
+//! controller resizes, the predictor learns a loop. Test-only.
 
 #[cfg(test)]
-mod tests {
-    use super::*;
+pub(crate) mod tests {
     use crate::resize::AdaptiveConfig;
+    use crate::{ExecPlan, PlanSimulator, ResizePolicy, SimConfig, SimResult};
     use sdiq_isa::builder::ProgramBuilder;
     use sdiq_isa::reg::int_reg;
-    use sdiq_isa::Executor;
+    use sdiq_isa::{Executor, Program};
 
-    fn loop_program(trips: i64, ilp: usize) -> Program {
+    /// A counted loop with `ilp` independent adds, a load and a dependent
+    /// add per iteration.
+    pub(crate) fn loop_program(trips: i64, ilp: usize) -> Program {
         let mut b = ProgramBuilder::new();
         let main = b.procedure("main");
         {
@@ -858,20 +44,48 @@ mod tests {
         b.finish(main).unwrap()
     }
 
+    /// A 300-iteration loop whose body advertises a tiny region (a hint
+    /// NOOP of 4 entries) before eight independent adds.
+    pub(crate) fn hinted_program() -> Program {
+        let mut b = ProgramBuilder::new();
+        let main = b.procedure("main");
+        {
+            let p = b.proc_mut(main);
+            let entry = p.block();
+            let body = p.block();
+            let exit = p.block();
+            p.with_block(entry, |bb| {
+                bb.li(int_reg(1), 0);
+                bb.li(int_reg(2), 1000);
+                bb.jump(body);
+            });
+            p.with_block(body, |bb| {
+                bb.hint_noop(4);
+                for k in 0..8 {
+                    bb.addi(int_reg(3 + (k % 6) as u8), int_reg(2), k as i64);
+                }
+                bb.addi(int_reg(1), int_reg(1), 1);
+                bb.blt(int_reg(1), 300, body, exit);
+            });
+            p.with_block(exit, |bb| {
+                bb.ret();
+            });
+            p.set_entry(entry);
+        }
+        b.finish(main).unwrap()
+    }
+
     fn run(program: &Program, policy: ResizePolicy) -> SimResult {
         let trace = Executor::new(program).run(200_000).unwrap();
-        Simulator::new(SimConfig::hpca2005(), program, &trace, policy)
-            .run()
-            .unwrap()
+        let plan = ExecPlan::build(SimConfig::hpca2005(), program, &trace);
+        PlanSimulator::new(&plan, policy).run().unwrap()
     }
 
     #[test]
     fn baseline_run_commits_everything() {
         let program = loop_program(200, 4);
         let trace = Executor::new(&program).run(200_000).unwrap();
-        let result = Simulator::new(SimConfig::hpca2005(), &program, &trace, ResizePolicy::Fixed)
-            .run()
-            .unwrap();
+        let result = run(&program, ResizePolicy::Fixed);
         assert_eq!(result.stats.committed, trace.len() as u64);
         assert!(result.stats.cycles > 0);
         let ipc = result.stats.ipc();
@@ -928,7 +142,6 @@ mod tests {
         let program = loop_program(250, 3);
         let fixed = run(&program, ResizePolicy::Fixed);
         let hinted = run(&program, ResizePolicy::SoftwareHint);
-        // No hints in the program → bit-identical behaviour.
         assert_eq!(fixed.stats, hinted.stats);
     }
 
@@ -937,45 +150,10 @@ mod tests {
     /// tight region limit actually stalls dispatch.
     #[test]
     fn software_hints_limit_dispatch_on_a_hinted_program() {
-        let mut b = ProgramBuilder::new();
-        let main = b.procedure("main");
-        {
-            let p = b.proc_mut(main);
-            let entry = p.block();
-            let body = p.block();
-            let exit = p.block();
-            p.with_block(entry, |bb| {
-                bb.li(int_reg(1), 0);
-                bb.li(int_reg(2), 1000);
-                bb.jump(body);
-            });
-            p.with_block(body, |bb| {
-                // Advertise a tiny region before a wide independent body.
-                bb.hint_noop(4);
-                for k in 0..8 {
-                    bb.addi(int_reg(3 + (k % 6) as u8), int_reg(2), k as i64);
-                }
-                bb.addi(int_reg(1), int_reg(1), 1);
-                bb.blt(int_reg(1), 300, body, exit);
-            });
-            p.with_block(exit, |bb| {
-                bb.ret();
-            });
-            p.set_entry(entry);
-        }
-        let program = b.finish(main).unwrap();
+        let program = hinted_program();
         let trace = Executor::new(&program).run(200_000).unwrap();
-        let fixed = Simulator::new(SimConfig::hpca2005(), &program, &trace, ResizePolicy::Fixed)
-            .run()
-            .unwrap();
-        let hinted = Simulator::new(
-            SimConfig::hpca2005(),
-            &program,
-            &trace,
-            ResizePolicy::SoftwareHint,
-        )
-        .run()
-        .unwrap();
+        let fixed = run(&program, ResizePolicy::Fixed);
+        let hinted = run(&program, ResizePolicy::SoftwareHint);
         for result in [&fixed, &hinted] {
             assert_eq!(
                 result.stats.committed + result.stats.committed_hints,

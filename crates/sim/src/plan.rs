@@ -1,15 +1,34 @@
-//! Compiled execution plans: the "compile-then-execute" backend.
+//! The cycle-level out-of-order pipeline: lowering to an execution plan,
+//! then replaying it.
 //!
-//! The interpreted pipeline ([`crate::pipeline::Simulator`]) re-derives a
-//! large amount of *static* information on every run: it chases
-//! `&Instruction` pointers through the program structure, re-predicts every
-//! branch through the hybrid predictor, re-walks the I-cache tag arrays,
-//! and re-classifies every opcode — all of which is a pure function of
+//! The simulator is trace-driven: the functional executor
+//! ([`sdiq_isa::Executor`]) provides the committed dynamic instruction
+//! stream, and this model replays it through an out-of-order pipeline with
+//! the Table 1 configuration, adding timing effects:
+//!
+//! * fetch through the I-cache with hybrid branch prediction and a BTB;
+//!   fetch stalls at a mispredicted branch until it resolves (plus a
+//!   redirect penalty), which is the standard trace-driven approximation of
+//!   wrong-path execution,
+//! * a multi-cycle decode pipeline feeding the fetch queue (§3.2),
+//! * dispatch with register renaming onto the banked physical register
+//!   files, special-NOOP stripping at the final decode stage (hints consume
+//!   a dispatch slot, §5.2.1), instruction-tag processing, and the
+//!   `new_head` / `max_new_range` dispatch limit,
+//! * wakeup/select issue from the banked non-collapsible issue queue with
+//!   per-class functional-unit arbitration,
+//! * execution latencies per Table 1 and a two-level data-cache hierarchy,
+//! * in-order commit from the reorder buffer.
+//!
+//! Every structure feeds the activity counters in [`crate::stats`], which
+//! the power model consumes.
+//!
+//! # Lowering: [`ExecPlan::build`]
+//!
+//! A large part of that work is a pure function of
 //! `(program, trace, SimConfig)` and therefore identical across the many
 //! runs a sweep, a matrix job or a `repro serve` batch performs on the
-//! same cell shape.
-//!
-//! [`ExecPlan::build`] lowers everything static once, into flat
+//! same cell shape. [`ExecPlan::build`] lowers it once, into flat
 //! struct-of-arrays form:
 //!
 //! * decoded operands — destination / source architectural registers,
@@ -25,26 +44,139 @@
 //!   register-file port counts, wakeup broadcasts — the counters are only
 //!   observed after the run, never during it).
 //!
-//! [`PlanSimulator`] then replays the plan through the identical cycle
-//! loop, touching only *dynamic* state: the shared L2 (its interleave of
-//! instruction and data refills depends on run-time timing), the D-cache,
-//! renaming, the issue queue, the event calendar and the adaptive
-//! controller. The result is **bit-identical** to the interpreted backend
-//! — same cycles, same `ActivityStats` — which the differential tests
-//! below and the cross-backend proptests pin down.
+//! # Replay: [`PlanSimulator`]
 //!
-//! One plan serves all three resize policies of a cell shape: nothing in
-//! the plan depends on [`ResizePolicy`].
+//! [`PlanSimulator`] then runs the cycle loop over the plan, touching only
+//! *dynamic* state: the shared L2 (its interleave of instruction and data
+//! refills depends on run-time timing), the D-cache, renaming, the issue
+//! queue, the event calendar and the adaptive controller. The loop performs
+//! no per-cycle heap allocation and never scans a structure proportionally
+//! to its capacity:
+//!
+//! * **Ready list** — issue selection walks a persistent, age-ordered list
+//!   of *ready* entries, maintained at dispatch (entries ready on arrival)
+//!   and at wakeup (the issue queue's consumer index reports entries that
+//!   just became fully ready). Per-class functional-unit arbitration uses
+//!   a fixed [`FuClass::COUNT`]-sized array.
+//! * **In-flight ring** — instructions get sequential ids and commit in
+//!   order, so the in-flight table is a ring indexed by id that doubles as
+//!   the ROB.
+//! * **Event calendar** — completion events live in a circular calendar
+//!   of `Vec` buckets sized to the maximum execution latency; scheduling
+//!   and per-cycle harvesting are O(events), with bucket capacity recycled
+//!   cycle over cycle.
+//!
+//! One plan serves every resize policy of a cell shape: nothing in the
+//! plan depends on [`ResizePolicy`]. The loop's results are pinned by
+//! checks that are not a second simulator: the workspace's golden save
+//! and conservation identities, the O(capacity) reference model the issue
+//! queue is tested against, and `sdiq-verify`'s plan lint, which re-derives
+//! every record from the program and trace.
 
 use crate::branch::BranchPredictor;
 use crate::cache::{Cache, CacheHierarchy};
 use crate::config::SimConfig;
-use crate::pipeline::{max_completion_latency, EventWheel, SimError, SimResult};
 use crate::plan_queue::{PlanQueue, ReadyCandidate};
 use crate::regfile::RenamedRegFile;
 use crate::resize::{AdaptiveController, AdaptiveObservation, ResizePolicy};
 use crate::stats::ActivityStats;
 use sdiq_isa::{ArchReg, FuClass, Program, RegClass, Trace};
+use std::fmt;
+
+/// Errors a simulation can report.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SimError {
+    /// The pipeline stopped making progress (indicates a model bug; the
+    /// message carries diagnostic state).
+    Deadlock {
+        /// Cycle at which progress stopped.
+        cycle: u64,
+        /// Human-readable diagnostic.
+        detail: String,
+    },
+}
+
+impl fmt::Display for SimError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SimError::Deadlock { cycle, detail } => {
+                write!(f, "pipeline deadlock at cycle {cycle}: {detail}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SimError {}
+
+/// Result of a simulation run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SimResult {
+    /// Activity counters for the run.
+    pub stats: ActivityStats,
+    /// Resize decisions taken by the adaptive controller (0 unless the
+    /// adaptive policy was used).
+    pub adaptive_resizes: u64,
+}
+
+/// Circular event calendar for completion events: bucket `cycle % len`
+/// holds the instruction ids completing at `cycle`. O(1) schedule, O(due
+/// events) harvest, bucket allocations recycled.
+#[derive(Debug)]
+struct EventWheel {
+    buckets: Vec<Vec<u64>>,
+    /// `buckets.len() - 1`; the length is a power of two, so `due & mask`
+    /// equals `due % len` without the hardware division.
+    mask: u64,
+    /// Spare bucket storage swapped in by [`EventWheel::take_due`] and
+    /// returned (cleared, capacity retained) by [`EventWheel::recycle`].
+    spare: Vec<u64>,
+}
+
+impl EventWheel {
+    /// A wheel able to schedule up to `max_latency` cycles ahead.
+    fn new(max_latency: u64) -> Self {
+        let len = (max_latency + 1).next_power_of_two() as usize;
+        EventWheel {
+            buckets: (0..len).map(|_| Vec::new()).collect(),
+            mask: len as u64 - 1,
+            spare: Vec::new(),
+        }
+    }
+
+    /// Schedules `id` to complete at `due` (seen from `now`).
+    fn schedule(&mut self, now: u64, due: u64, id: u64) {
+        debug_assert!(due > now, "completion must be in the future");
+        assert!(
+            (due - now) < self.buckets.len() as u64,
+            "latency {} exceeds the event calendar horizon {}",
+            due - now,
+            self.buckets.len()
+        );
+        let index = (due & self.mask) as usize;
+        self.buckets[index].push(id);
+    }
+
+    /// Takes the ids due at `cycle` (possibly empty). Return the `Vec` via
+    /// [`EventWheel::recycle`] to keep the steady state allocation-free.
+    fn take_due(&mut self, cycle: u64) -> Vec<u64> {
+        let index = (cycle & self.mask) as usize;
+        std::mem::replace(&mut self.buckets[index], std::mem::take(&mut self.spare))
+    }
+
+    /// Returns a bucket taken with [`EventWheel::take_due`].
+    fn recycle(&mut self, mut bucket: Vec<u64>) {
+        bucket.clear();
+        self.spare = bucket;
+    }
+}
+
+/// The longest possible completion latency under `config`: a load missing
+/// all the way to memory, or the slowest functional unit (fp divide); +4
+/// for the issue-cycle offsets. Sizes the event calendar.
+fn max_completion_latency(config: &SimConfig) -> u64 {
+    u64::from(1 + config.l1d.hit_latency + config.l2.hit_latency + config.memory_latency).max(16)
+        + 4
+}
 
 /// Per-instruction static flags (bit positions in [`InstRecord::flags`]).
 /// Public so `sdiq-verify`'s plan lint can decode records.
@@ -118,8 +250,8 @@ pub struct InstRecord {
 
 impl ExecPlan {
     /// Lowers `program` / `trace` under `config` into a plan. The trace
-    /// must have been produced by executing exactly this program (the
-    /// same contract as [`crate::Simulator::new`]).
+    /// must have been produced by executing exactly this program
+    /// (instruction locations are looked up in it).
     pub fn build(config: SimConfig, program: &Program, trace: &Trace) -> Self {
         let len = trace.committed.len();
         let mut plan = ExecPlan {
@@ -332,9 +464,9 @@ pub const NO_REG: u16 = u16::MAX;
 /// Dense encoding of a register: `index << 1 | class` (Int = 0, Fp = 1).
 /// The same scheme covers architectural registers (in the plan) and
 /// physical registers (in [`InFlight`] and the consumer index) — both fit
-/// one `u16`, and the class is recoverable from bit 0 without touching a
-/// [`PhysReg`] / [`ArchReg`] struct. Public so the plan lint recomputes
-/// the expected encoding independently.
+/// one `u16`, and the class is recoverable from bit 0 without touching an
+/// [`ArchReg`] struct. Public so the plan lint recomputes the expected
+/// encoding independently.
 #[inline]
 pub fn dense_arch(arch: ArchReg) -> u16 {
     let class_bit = match arch.class() {
@@ -344,10 +476,9 @@ pub fn dense_arch(arch: ArchReg) -> u16 {
     ((arch.index() as u16) << 1) | class_bit
 }
 
-/// In-flight (ROB-resident) instruction of the compiled backend. Leaner
-/// than the interpreted twin: sources are not kept (read-port totals are
-/// baked), opcode / memory address / latency live in the plan, and the
-/// destination registers are dense `u16`s ([`NO_REG`] = none).
+/// In-flight (ROB-resident) instruction. Sources are not kept (read-port
+/// totals are baked), opcode / memory address / latency live in the plan,
+/// and the destination registers are dense `u16`s ([`NO_REG`] = none).
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     trace_idx: u32,
@@ -371,14 +502,12 @@ const INFLIGHT_EMPTY: InFlight = InFlight {
     completed: false,
 };
 
-/// The compiled-backend simulator: replays an [`ExecPlan`] through the
-/// cycle loop, touching only dynamic state. Create one per run with
-/// [`PlanSimulator::new`] and call [`PlanSimulator::run`]; results are
-/// bit-identical to [`crate::Simulator`] on the same inputs.
+/// The cycle-level simulator: replays an [`ExecPlan`] through the cycle
+/// loop, touching only dynamic state. Create one per run with
+/// [`PlanSimulator::new`] and call [`PlanSimulator::run`].
 #[derive(Debug)]
 pub struct PlanSimulator<'p> {
     plan: &'p ExecPlan,
-    policy: ResizePolicy,
     uses_hints: bool,
 
     caches: CacheHierarchy,
@@ -404,8 +533,7 @@ pub struct PlanSimulator<'p> {
     /// `idx + 1` of the last instruction whose (precomputed) I-cache
     /// access has been performed — the resume-after-refill guard: when a
     /// miss stalls fetch mid-group, the retried instruction must not
-    /// access again (the interpreted backend gets this from
-    /// `last_fetched_line`).
+    /// access again.
     fetch_line_done: usize,
     /// Next unconsumed entry of [`ExecPlan::imiss_addrs`].
     imiss_cursor: usize,
@@ -445,7 +573,7 @@ impl<'p> PlanSimulator<'p> {
         };
         // Dense register universe the consumer index must cover
         // (`index << 1 | class`); only the adaptive policy observes age
-        // ranks, so only it pays for the Fenwick tree.
+        // ranks, so only it pays for keeping the queue's head current.
         let dense_regs = 2 * config
             .int_rf
             .regs_per_class
@@ -456,7 +584,6 @@ impl<'p> PlanSimulator<'p> {
         PlanSimulator {
             plan,
             uses_hints: policy.uses_hints(),
-            policy,
             caches: CacheHierarchy::new(&config),
             iq: PlanQueue::new(
                 config.iq.entries,
@@ -886,128 +1013,90 @@ impl<'p> PlanSimulator<'p> {
     }
 }
 
-// `policy` is carried for debugging/display parity with the interpreted
-// backend even though only `uses_hints` and `adaptive` derive from it.
-impl PlanSimulator<'_> {
-    /// The resize policy this simulator replays under.
-    pub fn policy(&self) -> ResizePolicy {
-        self.policy
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::Simulator;
+    use crate::pipeline::tests::{hinted_program, loop_program};
     use crate::resize::AdaptiveConfig;
-    use sdiq_isa::builder::ProgramBuilder;
-    use sdiq_isa::reg::int_reg;
     use sdiq_isa::Executor;
 
-    fn loop_program(trips: i64, ilp: usize) -> Program {
-        let mut b = ProgramBuilder::new();
-        let main = b.procedure("main");
-        {
-            let p = b.proc_mut(main);
-            let entry = p.block();
-            let body = p.block();
-            let exit = p.block();
-            p.with_block(entry, |bb| {
-                bb.li(int_reg(1), 0);
-                bb.li(int_reg(2), 1000);
-                bb.jump(body);
-            });
-            p.with_block(body, |bb| {
-                for k in 0..ilp {
-                    bb.addi(int_reg(3 + (k % 6) as u8), int_reg(2), k as i64);
-                }
-                bb.load(int_reg(10), int_reg(2), 0);
-                bb.addi(int_reg(11), int_reg(10), 1);
-                bb.addi(int_reg(1), int_reg(1), 1);
-                bb.blt(int_reg(1), trips, body, exit);
-            });
-            p.with_block(exit, |bb| {
-                bb.ret();
-            });
-            p.set_entry(entry);
+    /// FNV-1a over a result's `Debug` rendering: every counter, the cycle
+    /// count and the resize count, in one number.
+    fn digest(result: &SimResult) -> u64 {
+        let mut hash: u64 = 0xcbf29ce484222325;
+        for byte in format!("{result:?}").bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x100000001b3);
         }
-        b.finish(main).unwrap()
+        hash
     }
 
-    fn hinted_program() -> Program {
-        let mut b = ProgramBuilder::new();
-        let main = b.procedure("main");
-        {
-            let p = b.proc_mut(main);
-            let entry = p.block();
-            let body = p.block();
-            let exit = p.block();
-            p.with_block(entry, |bb| {
-                bb.li(int_reg(1), 0);
-                bb.li(int_reg(2), 1000);
-                bb.jump(body);
-            });
-            p.with_block(body, |bb| {
-                bb.hint_noop(4);
-                for k in 0..8 {
-                    bb.addi(int_reg(3 + (k % 6) as u8), int_reg(2), k as i64);
-                }
-                bb.addi(int_reg(1), int_reg(1), 1);
-                bb.blt(int_reg(1), 300, body, exit);
-            });
-            p.with_block(exit, |bb| {
-                bb.ret();
-            });
-            p.set_entry(entry);
-        }
-        b.finish(main).unwrap()
-    }
-
-    fn assert_backends_agree(program: &Program, config: SimConfig, policy: ResizePolicy) {
+    /// Replays `program` under each policy and compares the result with
+    /// the digest the interpreted pipeline (which this crate carried until
+    /// the plan replay became its only cycle loop) computed for the same
+    /// cell. After an intended model change, take the new digests from the
+    /// failure message.
+    fn assert_matches_interpreted(
+        program: &Program,
+        config: SimConfig,
+        expected: &[(ResizePolicy, u64)],
+    ) {
         let trace = Executor::new(program).run(200_000).unwrap();
-        let interpreted = Simulator::new(config, program, &trace, policy)
-            .run()
-            .unwrap();
         let plan = ExecPlan::build(config, program, &trace);
-        let compiled = PlanSimulator::new(&plan, policy).run().unwrap();
-        assert_eq!(
-            interpreted.stats, compiled.stats,
-            "ActivityStats must be bit-identical across backends"
-        );
-        assert_eq!(interpreted.adaptive_resizes, compiled.adaptive_resizes);
+        for &(policy, interpreted) in expected {
+            let result = PlanSimulator::new(&plan, policy).run().unwrap();
+            assert_eq!(
+                digest(&result),
+                interpreted,
+                "{policy:?}: digest {:#018x} of {result:?}",
+                digest(&result)
+            );
+        }
     }
 
     #[test]
     fn compiled_backend_matches_interpreted_for_all_policies() {
-        let program = loop_program(200, 4);
-        for policy in [
-            ResizePolicy::Fixed,
-            ResizePolicy::SoftwareHint,
-            ResizePolicy::Adaptive(AdaptiveConfig::iqrob64()),
-        ] {
-            assert_backends_agree(&program, SimConfig::hpca2005(), policy);
-        }
+        assert_matches_interpreted(
+            &loop_program(200, 4),
+            SimConfig::hpca2005(),
+            &[
+                (ResizePolicy::Fixed, 0x19f722ebcca8308c),
+                (ResizePolicy::SoftwareHint, 0x19f722ebcca8308c),
+                (
+                    ResizePolicy::Adaptive(AdaptiveConfig::iqrob64()),
+                    0x19f722ebcca8308c,
+                ),
+            ],
+        );
     }
 
     #[test]
     fn compiled_backend_matches_interpreted_on_hinted_program() {
-        let program = hinted_program();
-        for policy in [ResizePolicy::Fixed, ResizePolicy::SoftwareHint] {
-            assert_backends_agree(&program, SimConfig::hpca2005(), policy);
-        }
+        assert_matches_interpreted(
+            &hinted_program(),
+            SimConfig::hpca2005(),
+            &[
+                (ResizePolicy::Fixed, 0x078d2635a29f0c3b),
+                (ResizePolicy::SoftwareHint, 0xa79b48eda55e0461),
+            ],
+        );
     }
 
     #[test]
     fn compiled_backend_matches_interpreted_on_small_machine() {
         // The small configuration stresses structural stalls (ROB, rename,
         // fetch queue) far harder than Table 1.
-        let program = loop_program(400, 6);
-        for policy in [
-            ResizePolicy::Fixed,
-            ResizePolicy::Adaptive(AdaptiveConfig::iqrob64()),
-        ] {
-            assert_backends_agree(&program, SimConfig::small_for_tests(), policy);
-        }
+        assert_matches_interpreted(
+            &loop_program(400, 6),
+            SimConfig::small_for_tests(),
+            &[
+                (ResizePolicy::Fixed, 0xe3b72160f3257e5d),
+                (
+                    ResizePolicy::Adaptive(AdaptiveConfig::iqrob64()),
+                    0x4251f8e83e30e4e5,
+                ),
+            ],
+        );
     }
 
     #[test]
@@ -1016,18 +1105,18 @@ mod tests {
         let trace = Executor::new(&program).run(200_000).unwrap();
         let config = SimConfig::hpca2005();
         let plan = ExecPlan::build(config, &program, &trace);
-        // The same plan instance replays under all three policies and
-        // still matches the interpreted backend per policy.
+        // The same plan instance replays under all three policies in turn
+        // and still matches a plan built fresh for each policy: replay
+        // leaves nothing behind in the plan.
         for policy in [
             ResizePolicy::Fixed,
             ResizePolicy::SoftwareHint,
             ResizePolicy::Adaptive(AdaptiveConfig::iqrob64()),
         ] {
-            let interpreted = Simulator::new(config, &program, &trace, policy)
-                .run()
-                .unwrap();
-            let compiled = PlanSimulator::new(&plan, policy).run().unwrap();
-            assert_eq!(interpreted.stats, compiled.stats, "policy {policy:?}");
+            let shared = PlanSimulator::new(&plan, policy).run().unwrap();
+            let fresh_plan = ExecPlan::build(config, &program, &trace);
+            let fresh = PlanSimulator::new(&fresh_plan, policy).run().unwrap();
+            assert_eq!(shared, fresh, "policy {policy:?}");
         }
     }
 

@@ -1,17 +1,40 @@
-//! Compact issue queue for the compiled backend ([`crate::plan`]).
+//! The banked, non-collapsible issue queue with the paper's `new_head`
+//! pointer and `max_new_range` dispatch limiting (§3.1).
 //!
-//! Semantically a twin of [`crate::issue_queue::IssueQueue`] — which remains
-//! the interpreted backend's queue and the differential oracle — but laid
-//! out for replay speed:
+//! The queue is a circular buffer of `capacity` slots split into banks.
+//! Instructions are dispatched at `tail` in program order and issue out of
+//! order, leaving holes (the queue is non-collapsible, as in Folegnani &
+//! González and Buyuktosunoglu et al. — compaction would cost significant
+//! energy every cycle). `head` tracks the oldest resident instruction.
 //!
-//! * **Struct-of-arrays slots.** Ids, FU classes and operand state live in
-//!   parallel flat arrays instead of `Vec<Option<IqEntry>>`; occupancy is a
-//!   bitmask, so the head-advance walk of `remove` becomes a word-wise
-//!   next-set-bit scan.
-//! * **Packed waiters.** The consumer index stores `slot << 1 | operand` as
-//!   a `u32` and is pre-sized to the physical-register universe, removing
-//!   the grow-check from the dispatch path. Operand readiness is a two-bit
-//!   mask per slot (an entry is ready exactly when its mask is zero).
+//! The paper adds a second pointer, `new_head`, which marks the start of the
+//! *current program region*. When the compiler's hint (special NOOP or tag)
+//! is processed at dispatch, `new_head` is set to `tail` and `max_new_range`
+//! to the advertised number of entries: dispatch then stalls whenever the
+//! region between `new_head` and `tail` already holds `max_new_range`
+//! instructions. When the instruction `new_head` points at issues, the
+//! pointer advances towards `tail` until it finds a non-empty slot (or
+//! becomes `tail`), exactly as Figure 2 describes.
+//!
+//! Wakeup gating follows Folegnani & González: empty entries and already-
+//! ready operands are not woken. A broadcast reports the comparisons of the
+//! non-empty scheme (two per resident) and of the gated scheme (one per
+//! waiting operand); the full-queue scheme's two per slot is a static total
+//! the plan bakes. Together they are the three schemes Figure 8 compares.
+//!
+//! # Layout: O(actual work) per event
+//!
+//! * **Struct-of-arrays slots.** Ids, trace indices and operand state live
+//!   in parallel flat arrays; occupancy is a bitmask, so the head-advance
+//!   walk of `remove` is a word-wise next-set-bit scan.
+//! * **Consumer index.** Each dense physical register maps to the packed
+//!   `slot << 1 | operand` list of operands waiting on it, pre-sized to the
+//!   register universe. A broadcast touches exactly the matching operands;
+//!   the Figure 8 accounting stays exact because the incremental
+//!   `waiting_total` is the gated-comparison count. Operand readiness is a
+//!   two-bit mask per slot (an entry is ready exactly when it is zero).
+//! * **Incremental counts.** Per-bank resident counts make `banks_on` O(1),
+//!   and the current-region resident count makes `can_dispatch` O(1).
 //! * **Pay-for-what-the-policy-observes.** Age ranks come straight off the
 //!   occupancy bitmask (a popcount over `[head, slot)`), and `head` — their
 //!   only consumer — is only maintained when `track_age` is set, because
@@ -21,11 +44,9 @@
 //!   [`PlanQueue::apply_hint`] on (the hint resets the window, which is
 //!   what makes the late start exact, not approximate).
 //!
-//! Every counter the statistics depend on — occupancy, powered banks,
-//! waiting-operand totals (the gated-comparison cost), region occupancy —
-//! follows the oracle's update rules verbatim; the cross-backend
-//! differential tests in [`crate::plan`] and the proptests pin the
-//! equivalence down.
+//! `issue_queue.rs` holds a test-only reference model that recomputes every
+//! one of these quantities by scanning all slots; its unit and property
+//! tests drive both through the same sequences.
 
 /// A resident entry that became fully ready during a
 /// [`PlanQueue::wakeup`] broadcast (or was ready on dispatch).
@@ -40,7 +61,7 @@ pub(crate) struct ReadyCandidate {
     pub trace_idx: u32,
 }
 
-/// The compiled backend's issue queue. See the module docs.
+/// The issue queue. See the module docs.
 #[derive(Debug)]
 pub(crate) struct PlanQueue {
     capacity: usize,
@@ -84,7 +105,8 @@ pub(crate) struct PlanQueue {
 impl PlanQueue {
     /// Creates an empty queue. `dense_regs` is the size of the dense
     /// physical-register universe the consumer index must cover;
-    /// `track_age` enables the Fenwick age tree ([`PlanQueue::age_rank`]).
+    /// `track_age` keeps `head` current so [`PlanQueue::age_rank`] can
+    /// answer.
     pub(crate) fn new(
         capacity: usize,
         bank_size: usize,
@@ -382,5 +404,29 @@ impl PlanQueue {
         woken.clear();
         self.waiters[dense as usize] = woken;
         (non_empty, gated)
+    }
+}
+
+/// Read access to the incrementally maintained state, for the reference
+/// model's checks in `issue_queue.rs`.
+#[cfg(test)]
+impl PlanQueue {
+    /// Residents in the current region `[new_head, tail)`; zero until the
+    /// first hint.
+    pub(crate) fn region_occupancy(&self) -> usize {
+        self.region_count
+    }
+
+    /// Operands still waiting for a value, across all residents.
+    pub(crate) fn waiting_total(&self) -> u64 {
+        self.waiting_total
+    }
+
+    /// `(slot, id, waiting-operand bits)` of every resident, in slot order.
+    pub(crate) fn residents(&self) -> Vec<(usize, u64, u8)> {
+        (0..self.capacity)
+            .filter(|&slot| self.is_occupied(slot))
+            .map(|slot| (slot, self.ids[slot], self.wait_bits[slot]))
+            .collect()
     }
 }

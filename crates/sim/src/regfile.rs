@@ -7,25 +7,17 @@
 //! that live registers cluster into the low banks, which is what lets unused
 //! banks be switched off (§1, §5.2.3).
 //!
+//! Registers are plain indices within their class's file: the caller (the
+//! cycle loop of [`crate::plan`]) tracks which file a register belongs to.
+//!
 //! Hot-path note: the free list is a bitset scanned with `trailing_zeros`
 //! (lowest-free in O(words)), and occupancy / powered-bank counts are
 //! maintained incrementally so the per-cycle statistics collection is O(1)
 //! instead of O(registers). The original scans are retained as `naive_*`
-//! methods under `cfg(any(test, feature = "slow-reference"))` for
-//! differential testing.
+//! methods under `cfg(test)` for differential testing.
 
 use crate::config::RegFileConfig;
-use sdiq_isa::{ArchReg, RegClass, NUM_ARCH_INT_REGS};
-use serde::{Deserialize, Serialize};
-
-/// A physical register: class + index within that class's file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct PhysReg {
-    /// Register class.
-    pub class: RegClass,
-    /// Index within the class's physical register file.
-    pub index: usize,
-}
+use sdiq_isa::{RegClass, NUM_ARCH_INT_REGS};
 
 /// Rename table + free list + physical register state for one class.
 #[derive(Debug, Clone)]
@@ -46,8 +38,6 @@ pub struct RenamedRegFile {
     /// Live registers per bank, and the number of banks with at least one.
     bank_occupancy: Vec<u32>,
     banks_nonempty: usize,
-    reads: u64,
-    writes: u64,
 }
 
 impl RenamedRegFile {
@@ -102,27 +92,12 @@ impl RenamedRegFile {
             live_count: arch_count,
             bank_occupancy,
             banks_nonempty,
-            reads: 0,
-            writes: 0,
         }
     }
 
     /// The register class this file holds.
     pub fn class(&self) -> RegClass {
         self.class
-    }
-
-    /// Current mapping of an architectural source register.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `arch` belongs to a different class.
-    pub fn rename_source(&self, arch: ArchReg) -> PhysReg {
-        assert_eq!(arch.class(), self.class);
-        PhysReg {
-            class: self.class,
-            index: self.rename_map[arch.index() as usize],
-        }
     }
 
     /// `true` if a physical register can be allocated right now.
@@ -164,32 +139,10 @@ impl RenamedRegFile {
         }
     }
 
-    /// Allocates a new physical register for a write to `arch`, returning the
-    /// new mapping and the previous one (to be freed when the instruction
-    /// commits). Returns `None` when the free list is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `arch` belongs to a different class.
-    pub fn allocate_dest(&mut self, arch: ArchReg) -> Option<(PhysReg, PhysReg)> {
-        assert_eq!(arch.class(), self.class);
-        let (new_index, old_index) = self.allocate_dest_index(arch.index() as usize)?;
-        Some((
-            PhysReg {
-                class: self.class,
-                index: new_index,
-            },
-            PhysReg {
-                class: self.class,
-                index: old_index,
-            },
-        ))
-    }
-
-    /// Index-only variant of [`RenamedRegFile::allocate_dest`] for the
-    /// compiled backend's hot path: the caller tracks register classes
-    /// itself, so no [`ArchReg`] / [`PhysReg`] wrapping or class checks.
-    /// Returns `(new, previous)` physical indices.
+    /// Allocates the lowest free physical register for a write to
+    /// architectural register `arch_index`, returning `(new, previous)`
+    /// physical indices; the previous mapping is released when the
+    /// instruction commits. Returns `None` when the free list is empty.
     #[inline]
     pub fn allocate_dest_index(&mut self, arch_index: usize) -> Option<(usize, usize)> {
         let new_index = self.lowest_free()?;
@@ -202,27 +155,30 @@ impl RenamedRegFile {
         Some((new_index, old_index))
     }
 
-    /// Index-only variant of [`RenamedRegFile::rename_source`].
+    /// Current mapping of architectural source register `arch_index`.
     #[inline]
     pub fn rename_source_index(&self, arch_index: usize) -> usize {
         self.rename_map[arch_index]
     }
 
-    /// Index-only variant of [`RenamedRegFile::is_ready`].
+    /// `true` once the value of physical register `index` has been
+    /// produced.
     #[inline]
     pub fn is_ready_index(&self, index: usize) -> bool {
         self.ready[index]
     }
 
-    /// Index-only variant of [`RenamedRegFile::write_value`] that skips the
-    /// write-port counter — the compiled backend bakes port totals at
-    /// plan-build time and never reads [`RenamedRegFile::port_stats`].
+    /// Marks physical register `index`'s value as produced (writeback).
+    /// Port activity is not counted here: the execution plan bakes the
+    /// read and write totals.
     #[inline]
     pub fn write_value_index(&mut self, index: usize) {
         self.ready[index] = true;
     }
 
-    /// Index-only variant of [`RenamedRegFile::release`].
+    /// Releases physical register `index` (the *previous* mapping of a
+    /// committed instruction's destination). A register that is currently
+    /// mapped is never released.
     #[inline]
     pub fn release_index(&mut self, index: usize) {
         if self.mapped[index] {
@@ -232,35 +188,6 @@ impl RenamedRegFile {
             self.ready[index] = false;
             self.mark_free(index);
         }
-    }
-
-    /// Marks a physical register's value as produced (writeback) and counts
-    /// the write port activity.
-    pub fn write_value(&mut self, reg: PhysReg) {
-        debug_assert_eq!(reg.class, self.class);
-        self.ready[reg.index] = true;
-        self.writes += 1;
-    }
-
-    /// Counts a read-port access (operand read at issue).
-    pub fn read_value(&mut self, reg: PhysReg) {
-        debug_assert_eq!(reg.class, self.class);
-        self.reads += 1;
-    }
-
-    /// `true` once the value of `reg` has been produced.
-    pub fn is_ready(&self, reg: PhysReg) -> bool {
-        debug_assert_eq!(reg.class, self.class);
-        self.ready[reg.index]
-    }
-
-    /// Releases a physical register (the *previous* mapping of a committed
-    /// instruction's destination).
-    pub fn release(&mut self, reg: PhysReg) {
-        debug_assert_eq!(reg.class, self.class);
-        // Never release a register that is currently mapped (can happen only
-        // through misuse; guard to keep the invariant).
-        self.release_index(reg.index);
     }
 
     /// Number of currently allocated (live) physical registers. O(1).
@@ -277,16 +204,11 @@ impl RenamedRegFile {
     pub fn total_banks(&self) -> usize {
         self.config.banks()
     }
-
-    /// (read-port accesses, write-port accesses) so far.
-    pub fn port_stats(&self) -> (u64, u64) {
-        (self.reads, self.writes)
-    }
 }
 
 /// O(registers) reference implementations of the incrementally maintained
 /// counters, for differential testing.
-#[cfg(any(test, feature = "slow-reference"))]
+#[cfg(test)]
 impl RenamedRegFile {
     /// Reference recomputation of [`RenamedRegFile::occupancy`].
     pub fn naive_occupancy(&self) -> usize {
@@ -334,7 +256,6 @@ impl RenamedRegFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdiq_isa::reg::{fp_reg, int_reg};
 
     fn int_file() -> RenamedRegFile {
         RenamedRegFile::new(
@@ -349,10 +270,10 @@ mod tests {
     #[test]
     fn initial_state_maps_arch_to_identity() {
         let rf = int_file();
-        for i in 0..32u8 {
-            let p = rf.rename_source(int_reg(i));
-            assert_eq!(p.index, i as usize);
-            assert!(rf.is_ready(p));
+        for i in 0..32 {
+            let p = rf.rename_source_index(i);
+            assert_eq!(p, i);
+            assert!(rf.is_ready_index(p));
         }
         assert_eq!(rf.occupancy(), 32);
         // 32 live registers in banks of 8 → 4 banks on out of 14.
@@ -364,14 +285,13 @@ mod tests {
     #[test]
     fn allocation_renames_and_marks_not_ready() {
         let mut rf = int_file();
-        let (new, old) = rf.allocate_dest(int_reg(5)).unwrap();
-        assert_eq!(old.index, 5);
-        assert_eq!(new.index, 32, "lowest free register is picked");
-        assert!(!rf.is_ready(new));
-        assert_eq!(rf.rename_source(int_reg(5)), new);
-        rf.write_value(new);
-        assert!(rf.is_ready(new));
-        assert_eq!(rf.port_stats(), (0, 1));
+        let (new, old) = rf.allocate_dest_index(5).unwrap();
+        assert_eq!(old, 5);
+        assert_eq!(new, 32, "lowest free register is picked");
+        assert!(!rf.is_ready_index(new));
+        assert_eq!(rf.rename_source_index(5), new);
+        rf.write_value_index(new);
+        assert!(rf.is_ready_index(new));
         rf.assert_consistent();
     }
 
@@ -379,24 +299,24 @@ mod tests {
     fn release_returns_register_to_free_list() {
         let mut rf = int_file();
         let before = rf.occupancy();
-        let (_, old) = rf.allocate_dest(int_reg(3)).unwrap();
+        let (_, old) = rf.allocate_dest_index(3).unwrap();
         assert_eq!(rf.occupancy(), before + 1);
-        rf.release(old);
+        rf.release_index(old);
         assert_eq!(rf.occupancy(), before);
         // The released register (index 3) is reused before higher indices.
-        let (new, _) = rf.allocate_dest(int_reg(4)).unwrap();
-        assert_eq!(new.index, 3);
+        let (new, _) = rf.allocate_dest_index(4).unwrap();
+        assert_eq!(new, 3);
         rf.assert_consistent();
     }
 
     #[test]
     fn release_of_still_mapped_register_is_ignored() {
         let mut rf = int_file();
-        let mapped = rf.rename_source(int_reg(7));
-        rf.release(mapped);
+        let mapped = rf.rename_source_index(7);
+        rf.release_index(mapped);
         // Still allocated because it is the live mapping of r7.
         assert_eq!(rf.occupancy(), 32);
-        assert_eq!(rf.rename_source(int_reg(7)), mapped);
+        assert_eq!(rf.rename_source_index(7), mapped);
         rf.assert_consistent();
     }
 
@@ -406,22 +326,20 @@ mod tests {
         let mut olds = Vec::new();
         // 112 - 32 = 80 free registers.
         for k in 0..80 {
-            let (_, old) = rf
-                .allocate_dest(int_reg((k % 32) as u8))
-                .expect("still free");
+            let (_, old) = rf.allocate_dest_index(k % 32).expect("still free");
             olds.push(old);
         }
         assert!(!rf.has_free());
-        assert!(rf.allocate_dest(int_reg(0)).is_none());
+        assert!(rf.allocate_dest_index(0).is_none());
         rf.assert_consistent();
         // Committing the instructions releases their previous mappings and
         // replenishes the free list (still-mapped registers are skipped by
-        // the guard in `release`).
+        // the guard in `release_index`).
         for old in olds {
-            rf.release(old);
+            rf.release_index(old);
         }
         assert!(rf.has_free());
-        assert!(rf.allocate_dest(int_reg(0)).is_some());
+        assert!(rf.allocate_dest_index(0).is_some());
         rf.assert_consistent();
     }
 
@@ -430,17 +348,10 @@ mod tests {
         let mut rf = int_file();
         let initial = rf.banks_on();
         for k in 0..9 {
-            rf.allocate_dest(int_reg(k)).unwrap();
+            rf.allocate_dest_index(k).unwrap();
         }
         assert!(rf.banks_on() > initial);
         rf.assert_consistent();
-    }
-
-    #[test]
-    #[should_panic(expected = "assertion")]
-    fn class_mismatch_panics() {
-        let rf = int_file();
-        let _ = rf.rename_source(fp_reg(0));
     }
 }
 
@@ -451,7 +362,6 @@ mod tests {
 mod differential_tests {
     use super::*;
     use proptest::prelude::*;
-    use sdiq_isa::reg::int_reg;
 
     #[derive(Debug, Clone)]
     enum Step {
@@ -485,12 +395,12 @@ mod differential_tests {
                     bank_size: 8,
                 },
             );
-            let mut outstanding: Vec<PhysReg> = Vec::new();
-            let mut live: Vec<PhysReg> = Vec::new();
+            let mut outstanding: Vec<usize> = Vec::new();
+            let mut live: Vec<usize> = Vec::new();
             for step in &steps {
                 match step {
                     Step::Allocate(a) => {
-                        if let Some((new, old)) = rf.allocate_dest(int_reg((*a % 32) as u8)) {
+                        if let Some((new, old)) = rf.allocate_dest_index(*a % 32) {
                             outstanding.push(old);
                             live.push(new);
                         } else {
@@ -502,15 +412,15 @@ mod differential_tests {
                             continue;
                         }
                         let reg = outstanding.swap_remove(k % outstanding.len());
-                        rf.release(reg);
+                        rf.release_index(reg);
                     }
                     Step::WriteNth(k) => {
                         if live.is_empty() {
                             continue;
                         }
                         let reg = live[k % live.len()];
-                        rf.write_value(reg);
-                        prop_assert!(rf.is_ready(reg));
+                        rf.write_value_index(reg);
+                        prop_assert!(rf.is_ready_index(reg));
                     }
                 }
                 rf.assert_consistent();

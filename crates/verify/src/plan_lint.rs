@@ -18,8 +18,9 @@
 //!   (`PLAN005`).
 //!
 //! Front-end bits that depend on predictor or cache *state* (mispredicts,
-//! BTB stalls, L1i hit/miss placement) are not recomputed here — they are
-//! pinned dynamically by the backend bit-identity tests.
+//! BTB stalls, L1i hit/miss placement) are not recomputed here — the
+//! workspace's golden save pins them, since any change to them moves the
+//! cycles and counters of its cells.
 
 use crate::diag::{codes, Diagnostic};
 use sdiq_isa::exec::DATA_BASE;

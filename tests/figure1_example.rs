@@ -9,7 +9,7 @@
 use sdiq::isa::builder::ProgramBuilder;
 use sdiq::isa::reg::int_reg;
 use sdiq::isa::{Executor, Instruction, Program};
-use sdiq::sim::{ResizePolicy, SimConfig, Simulator};
+use sdiq::sim::{ExecPlan, PlanSimulator, ResizePolicy, SimConfig};
 
 /// Builds the Figure 1 block, repeated `reps` times. When `limit` is given,
 /// the first instruction of every repetition carries an issue-queue tag (the
@@ -57,9 +57,8 @@ fn figure1_program(reps: i64, limit: Option<u8>) -> Program {
 
 fn run(program: &Program, policy: ResizePolicy) -> sdiq::sim::SimResult {
     let trace = Executor::new(program).run(200_000).unwrap();
-    Simulator::new(SimConfig::hpca2005(), program, &trace, policy)
-        .run()
-        .unwrap()
+    let plan = ExecPlan::build(SimConfig::hpca2005(), program, &trace);
+    PlanSimulator::new(&plan, policy).run().unwrap()
 }
 
 #[test]

@@ -127,14 +127,3 @@ fn golden_cells_satisfy_the_conservation_identities() {
         }
     }
 }
-
-/// Cross-check while the interpreted pipeline still exists: it produces
-/// the golden save byte for byte too.
-#[test]
-fn interpreted_backend_reproduces_the_golden_save() {
-    let experiment = Experiment {
-        backend: sdiq::core::SimBackend::Interpreted,
-        ..golden_experiment()
-    };
-    assert_matches_fixture(&golden_save_bytes(&experiment));
-}

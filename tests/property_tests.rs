@@ -22,7 +22,7 @@ use sdiq::compiler::{analyse_block, analyse_loop_body, CompilerPass, PassConfig}
 use sdiq::isa::builder::ProgramBuilder;
 use sdiq::isa::reg::int_reg;
 use sdiq::isa::{Executor, FuCounts, Instruction, Opcode, Program};
-use sdiq::sim::{ResizePolicy, SimConfig, Simulator};
+use sdiq::sim::{ExecPlan, PlanSimulator, ResizePolicy, SimConfig};
 
 /// Strategy: a random straight-line instruction (ALU / load / store) using a
 /// handful of registers so that dependence chains appear frequently.
@@ -183,15 +183,14 @@ proptest! {
         program in arb_loop_program(),
     ) {
         let trace = Executor::new(&program).run(20_000).unwrap();
+        let plan = ExecPlan::build(SimConfig::hpca2005(), &program, &trace);
         let mut runs = Vec::new();
         for (name, policy) in [
             ("fixed", ResizePolicy::Fixed),
             ("software_hint", ResizePolicy::SoftwareHint),
             ("adaptive", ResizePolicy::Adaptive(sdiq::sim::AdaptiveConfig::iqrob64())),
         ] {
-            let result = Simulator::new(SimConfig::hpca2005(), &program, &trace, policy)
-                .run()
-                .unwrap();
+            let result = PlanSimulator::new(&plan, policy).run().unwrap();
             let hints: u64 = trace
                 .committed
                 .iter()
