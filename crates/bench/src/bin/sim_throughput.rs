@@ -245,6 +245,34 @@ fn render_pretty(json: &Json, depth: usize, out: &mut String) {
     }
 }
 
+/// The machine the numbers were taken on: architecture, OS, hardware
+/// threads and (where `/proc/cpuinfo` exists) the CPU model.
+fn machine_json() -> Json {
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|line| line.strip_prefix("model name"))
+                .map(|rest| rest.trim_start_matches([' ', '\t', ':']).to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    Json::Obj(vec![
+        (
+            "arch".to_string(),
+            Json::Str(std::env::consts::ARCH.to_string()),
+        ),
+        (
+            "os".to_string(),
+            Json::Str(std::env::consts::OS.to_string()),
+        ),
+        (
+            "hardware_threads".to_string(),
+            Json::of_usize(std::thread::available_parallelism().map_or(1, |n| n.get())),
+        ),
+        ("cpu_model".to_string(), Json::Str(cpu_model)),
+    ])
+}
+
 fn main() {
     let options = parse_args();
     let program = Benchmark::Gzip.build_scaled(options.scale);
@@ -654,6 +682,7 @@ fn main() {
         ("note".to_string(), Json::Str(note.to_string())),
         ("scale".to_string(), scale_json),
         ("repeats".to_string(), Json::of_usize(options.repeats)),
+        ("machine".to_string(), machine_json()),
         (
             "trace_instructions".to_string(),
             Json::of_usize(trace.len()),

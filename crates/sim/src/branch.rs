@@ -153,11 +153,6 @@ impl BranchPredictor {
         entries.push((tag, target));
     }
 
-    /// Extra penalty applied on a misprediction, from the configuration.
-    pub fn redirect_penalty(&self) -> u32 {
-        self.config.mispredict_redirect_penalty
-    }
-
     /// (lookups, direction mispredictions, BTB misses).
     pub fn stats(&self) -> (u64, u64, u64) {
         (self.lookups, self.direction_mispredicts, self.btb_misses)

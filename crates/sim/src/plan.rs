@@ -463,7 +463,7 @@ pub const NO_REG: u16 = u16::MAX;
 
 /// Dense encoding of a register: `index << 1 | class` (Int = 0, Fp = 1).
 /// The same scheme covers architectural registers (in the plan) and
-/// physical registers (in [`InFlight`] and the consumer index) — both fit
+/// physical registers (in `InFlight` and the consumer index) — both fit
 /// one `u16`, and the class is recoverable from bit 0 without touching an
 /// [`ArchReg`] struct. Public so the plan lint recomputes the expected
 /// encoding independently.
@@ -591,8 +591,8 @@ impl<'p> PlanSimulator<'p> {
                 dense_regs,
                 track_age,
             ),
-            int_rf: RenamedRegFile::new(RegClass::Int, config.int_rf),
-            fp_rf: RenamedRegFile::new(RegClass::Fp, config.fp_rf),
+            int_rf: RenamedRegFile::new(config.int_rf),
+            fp_rf: RenamedRegFile::new(config.fp_rf),
             adaptive,
             fq_ready: vec![0; fq_len],
             next_dispatch: 0,

@@ -17,12 +17,11 @@
 //! methods under `cfg(test)` for differential testing.
 
 use crate::config::RegFileConfig;
-use sdiq_isa::{RegClass, NUM_ARCH_INT_REGS};
+use sdiq_isa::NUM_ARCH_INT_REGS;
 
 /// Rename table + free list + physical register state for one class.
 #[derive(Debug, Clone)]
 pub struct RenamedRegFile {
-    class: RegClass,
     config: RegFileConfig,
     rename_map: Vec<usize>,
     /// Bitset of free physical registers (bit set = free).
@@ -41,14 +40,14 @@ pub struct RenamedRegFile {
 }
 
 impl RenamedRegFile {
-    /// Creates a register file for `class`; architectural register `i` is
-    /// initially mapped to physical register `i` (ready), the rest are free.
+    /// Creates a register file; architectural register `i` is initially
+    /// mapped to physical register `i` (ready), the rest are free.
     ///
     /// # Panics
     ///
     /// Panics if the file has fewer physical registers than architectural
     /// registers.
-    pub fn new(class: RegClass, config: RegFileConfig) -> Self {
+    pub fn new(config: RegFileConfig) -> Self {
         let arch_count = NUM_ARCH_INT_REGS as usize;
         assert!(
             config.regs_per_class >= arch_count,
@@ -81,7 +80,6 @@ impl RenamedRegFile {
             }
         }
         RenamedRegFile {
-            class,
             config,
             rename_map: (0..arch_count).collect(),
             free_words,
@@ -93,11 +91,6 @@ impl RenamedRegFile {
             bank_occupancy,
             banks_nonempty,
         }
-    }
-
-    /// The register class this file holds.
-    pub fn class(&self) -> RegClass {
-        self.class
     }
 
     /// `true` if a physical register can be allocated right now.
@@ -258,13 +251,10 @@ mod tests {
     use super::*;
 
     fn int_file() -> RenamedRegFile {
-        RenamedRegFile::new(
-            RegClass::Int,
-            RegFileConfig {
-                regs_per_class: 112,
-                bank_size: 8,
-            },
-        )
+        RenamedRegFile::new(RegFileConfig {
+            regs_per_class: 112,
+            bank_size: 8,
+        })
     }
 
     #[test]
@@ -388,13 +378,10 @@ mod differential_tests {
         fn incremental_state_equals_naive_recomputation(
             steps in prop::collection::vec(arb_step(), 1..200),
         ) {
-            let mut rf = RenamedRegFile::new(
-                RegClass::Int,
-                RegFileConfig {
-                    regs_per_class: 48,
-                    bank_size: 8,
-                },
-            );
+            let mut rf = RenamedRegFile::new(RegFileConfig {
+                regs_per_class: 48,
+                bank_size: 8,
+            });
             let mut outstanding: Vec<usize> = Vec::new();
             let mut live: Vec<usize> = Vec::new();
             for step in &steps {
