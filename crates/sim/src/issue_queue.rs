@@ -11,7 +11,7 @@
 //! drive both through the same operations and compare after every one.
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use crate::plan_queue::{PlanQueue, ReadyCandidate};
 
     /// Size of the dense physical-register universe (`index << 1 | class`)
@@ -38,7 +38,8 @@ pub(crate) mod tests {
         }
     }
 
-    /// The reference model. O(capacity) per query, no incremental state.
+    /// The reference model. O(capacity) per query; it keeps the paper's
+    /// pointers but no counters.
     #[derive(Debug)]
     struct NaiveQueue {
         slots: Vec<Option<Entry>>,
