@@ -22,8 +22,10 @@
 //!
 //! With no selection flags, `--all` is assumed. `--scale` shrinks or grows
 //! every workload's outer loop (1.0 = the default reproduction scale).
-//! Each cell's program and committed trace are lowered once into a cached
-//! execution plan, which every technique of that machine replays.
+//! Each cell's program is executed and lowered once, straight from the
+//! executor, into a cached execution plan that every technique of that
+//! machine replays; techniques that also share the resize policy share
+//! the replay and differ only in pricing.
 //!
 //! The matrix runs on the job engine (`sdiq_core::Matrix`): `--jobs` fixes
 //! the worker-pool size (default: one worker per hardware thread), and
@@ -836,6 +838,24 @@ impl sdiq_core::CellSink for ProgressSink<'_> {
     }
 }
 
+fn print_table2(experiment: &Experiment) {
+    println!("== Table 2: compilation time (baseline vs with analysis pass) ==");
+    for (benchmark, baseline, limited) in experiment.compile_times(&Benchmark::ALL) {
+        println!(
+            "  {:10} baseline {:>10.3?}   with pass {:>10.3?}   growth {:>5.2}x",
+            benchmark.name(),
+            baseline,
+            limited,
+            if baseline.as_secs_f64() > 0.0 {
+                limited.as_secs_f64() / baseline.as_secs_f64()
+            } else {
+                f64::NAN
+            }
+        );
+    }
+    println!();
+}
+
 fn print_power_figure(title: &str, figure: &experiments::PowerFigure) {
     println!("{title} — dynamic power savings (%)");
     for series in &figure.dynamic {
@@ -905,24 +925,6 @@ fn main() {
         println!();
     }
 
-    if tables && wants(&options, "table2") {
-        println!("== Table 2: compilation time (baseline vs with analysis pass) ==");
-        for (benchmark, baseline, limited) in experiment.compile_times(&Benchmark::ALL) {
-            println!(
-                "  {:10} baseline {:>10.3?}   with pass {:>10.3?}   growth {:>5.2}x",
-                benchmark.name(),
-                baseline,
-                limited,
-                if baseline.as_secs_f64() > 0.0 {
-                    limited.as_secs_f64() / baseline.as_secs_f64()
-                } else {
-                    f64::NAN
-                }
-            );
-        }
-        println!();
-    }
-
     let needs_suite = [
         "figure6",
         "figure7",
@@ -946,6 +948,15 @@ fn main() {
         || options.shards.is_some()
         || options.workers.is_some()
         || options.listen_workers.is_some();
+
+    // Table 2 builds and compiles every benchmark outside the artifact
+    // cache. With a matrix to run it waits until the matrix is done, so
+    // the first cell (and, in fleet mode, every daemon) does not wait for
+    // it; stdout keeps its section order either way.
+    let table2 = tables && wants(&options, "table2");
+    if table2 && !needs_suite {
+        print_table2(&experiment);
+    }
 
     let sweep = if needs_suite {
         // Seed from every --load file plus (for crash resume) the
@@ -1118,9 +1129,11 @@ fn main() {
             }
             let sweep = matrix.run_with_sink(&cache, &seed, cell_sink);
             eprintln!(
-                "engine: {} program builds, {} compiler passes for {} computed cells",
+                "engine: {} program builds, {} compiler passes, {} plans, {} replays for {} computed cells",
                 cache.program_builds(),
                 cache.compile_runs(),
+                cache.plan_builds(),
+                cache.replay_runs(),
                 missing
             );
             if let Some(writer) = &checkpoint {
@@ -1162,6 +1175,9 @@ fn main() {
     // misleading — the cells were delivered via --save/--checkpoint.
     if options.shard.is_some() {
         return;
+    }
+    if table2 && needs_suite {
+        print_table2(&experiment);
     }
     let suite: Option<&Suite> = sweep.as_ref().map(|s| s.suite(0));
 

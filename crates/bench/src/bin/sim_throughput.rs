@@ -25,7 +25,6 @@ use sdiq_core::persist::{self, Json};
 use sdiq_core::{
     ArtifactCache, Backend, Experiment, Matrix, MatrixSpec, SubprocessSpec, Technique,
 };
-use sdiq_isa::Executor;
 use sdiq_sim::{AdaptiveConfig, ExecPlan, PlanSimulator, ResizePolicy, SimConfig, SimResult};
 use sdiq_workloads::Benchmark;
 use std::collections::HashMap;
@@ -276,50 +275,39 @@ fn machine_json() -> Json {
 fn main() {
     let options = parse_args();
     let program = Benchmark::Gzip.build_scaled(options.scale);
-    let trace = Executor::new(&program)
-        .run(2_000_000)
-        .expect("gzip analogue executes");
     // The software-hint row must actually exercise the hint hot path
     // (`apply_hint` / region accounting), so it runs the compiler-annotated
     // program rather than the raw one.
     let hinted_program = CompilerPass::new(PassConfig::noop_insertion())
         .run(&program)
         .program;
-    let hinted_trace = Executor::new(&hinted_program)
-        .run(2_000_000)
-        .expect("hinted gzip analogue executes");
 
     // Lower the two execution plans once, outside every timed region: this
-    // is the production shape — the engine's ArtifactCache builds one plan
-    // per (program, SimConfig) and shares it across every policy, sweep
-    // variant and batch that needs it (one of the two plans below serves
-    // both the fixed and the adaptive row).
+    // is the production shape — the engine's ArtifactCache lowers one plan
+    // per (program, SimConfig), straight from the executor, and shares it
+    // across every policy, sweep variant and batch that needs it (one of
+    // the two plans below serves both the fixed and the adaptive row).
     let sim_config = SimConfig::hpca2005();
     let lower_start = Instant::now();
-    let plan = ExecPlan::build(sim_config, &program, &trace);
+    let plan = ExecPlan::lower(sim_config, &program, 2_000_000).expect("gzip analogue executes");
     let lower_raw = lower_start.elapsed().as_secs_f64();
     let lower_start = Instant::now();
-    let hinted_plan = ExecPlan::build(sim_config, &hinted_program, &hinted_trace);
+    let hinted_plan = ExecPlan::lower(sim_config, &hinted_program, 2_000_000)
+        .expect("hinted gzip analogue executes");
     let lower_hinted = lower_start.elapsed().as_secs_f64();
 
     let mut policy_rows: Vec<(String, Json)> = Vec::new();
     let mut slowest = f64::INFINITY;
-    for (name, policy, trace, plan) in [
-        ("fixed", ResizePolicy::Fixed, &trace, &plan),
-        (
-            "software_hint",
-            ResizePolicy::SoftwareHint,
-            &hinted_trace,
-            &hinted_plan,
-        ),
+    for (name, policy, plan) in [
+        ("fixed", ResizePolicy::Fixed, &plan),
+        ("software_hint", ResizePolicy::SoftwareHint, &hinted_plan),
         (
             "adaptive",
             ResizePolicy::Adaptive(AdaptiveConfig::iqrob64()),
-            &trace,
             &plan,
         ),
     ] {
-        let instructions = trace.len() as f64;
+        let instructions = plan.len() as f64;
         let row = time_best(options.repeats, || {
             PlanSimulator::new(plan, policy)
                 .run()
@@ -640,9 +628,10 @@ fn main() {
                 gzip-analogue trace, best of N repeats; software_hint runs the \
                 compiler-annotated program). The 'policies' rows replay an ExecPlan \
                 lowered outside the timed region (the production shape: the \
-                engine's ArtifactCache builds one plan per (program, SimConfig) and \
-                shares it across policies, sweep variants and batches; \
-                'plan_lowering' prices that one-time cost). Then a matrix row: a \
+                engine's ArtifactCache lowers one plan per (program, SimConfig) \
+                straight from the functional executor and shares it across \
+                policies, sweep variants and batches; 'plan_lowering' prices that \
+                one-time cost, execution included). Then a matrix row: a \
                 reduced benchmark x technique matrix on the work-queue engine with \
                 the shared artifact cache, plus a verified row \
                 re-running the engine matrix with the sdiq-verify static suite \
@@ -683,10 +672,7 @@ fn main() {
         ("scale".to_string(), scale_json),
         ("repeats".to_string(), Json::of_usize(options.repeats)),
         ("machine".to_string(), machine_json()),
-        (
-            "trace_instructions".to_string(),
-            Json::of_usize(trace.len()),
-        ),
+        ("trace_instructions".to_string(), Json::of_usize(plan.len())),
         (
             "plan_lowering".to_string(),
             Json::Obj(vec![

@@ -1,22 +1,31 @@
 //! Content-addressed artifact cache shared by every cell of an experiment
 //! matrix.
 //!
-//! A (benchmark × technique × configuration) sweep re-uses two expensive,
+//! A (benchmark × technique × configuration) sweep re-uses four expensive,
 //! fully deterministic artifacts across many cells:
 //!
 //! * the **built program** — a function of `(benchmark, scale)` only: all
-//!   six techniques and every `SimConfig` variant at the same scale
-//!   simulate the same synthetic program, and
+//!   techniques and every `SimConfig` variant at the same scale simulate
+//!   the same synthetic program,
 //! * the **compiler-pass output** — a function of
-//!   `(benchmark, scale, PassConfig)` only: the three software techniques
-//!   differ per pass configuration, not per simulator configuration
-//!   (unless the sweep changes the machine widths the pass targets, which
-//!   changes the `PassConfig` and therefore the key).
+//!   `(benchmark, scale, PassConfig)` only: the software techniques differ
+//!   per pass configuration, not per simulator configuration (unless the
+//!   sweep changes the machine widths the pass targets, which changes the
+//!   `PassConfig` and therefore the key),
+//! * the **execution plan** — a function of `(program, SimConfig,
+//!   instruction cap)`: lowered straight from the functional executor
+//!   ([`ExecPlan::lower`]), shared by every technique and resize policy of
+//!   that shape, and
+//! * the **replay** — a function of `(plan, ResizePolicy)`: the techniques
+//!   that differ only in how the power model prices the same counters
+//!   (`baseline`, `nonEmpty`, `way-memo`) share one [`SimResult`].
 //!
 //! The cache keys artifacts by exactly those inputs and hands out
-//! `Arc`-shared handles, so a full 11 × 6 × K sweep builds each program
-//! once per scale and runs each compiler pass once per key — instead of
-//! once per cell, as the old one-thread-per-benchmark matrix runner did.
+//! `Arc`-shared handles. The eight built-in techniques over 11 benchmarks
+//! on one machine therefore build 11 programs, run 44 compiler passes,
+//! lower 55 plans and run 66 replays for 88 cells; a second machine
+//! variant adds 55 plans and 66 replays, unless it is the same machine
+//! under another label.
 //!
 //! # Determinism
 //!
@@ -30,15 +39,17 @@
 //! # Concurrency
 //!
 //! Each key maps to a [`OnceLock`] slot: the first worker to reach a key
-//! runs the build/compile, any concurrent worker blocks on the same slot
-//! and receives the same `Arc` — an artifact is never computed twice, which
-//! the instrumented [`ArtifactCache::program_builds`] /
-//! [`ArtifactCache::compile_runs`] counters let tests assert exactly.
+//! runs the build, compile, lowering or replay, any concurrent worker
+//! blocks on the same slot and receives the same `Arc` — an artifact is
+//! never computed twice, which the instrumented
+//! [`ArtifactCache::program_builds`], [`ArtifactCache::compile_runs`],
+//! [`ArtifactCache::plan_builds`] and [`ArtifactCache::replay_runs`]
+//! counters let tests assert exactly.
 
 use sdiq_compiler::{CompileStats, CompilerPass, PassConfig};
-use sdiq_isa::{Executor, Program};
-use sdiq_sim::{ExecPlan, SimConfig};
-use sdiq_verify::{has_errors, lint_plan, verify_compiled, Severity, StandardVerifier};
+use sdiq_isa::Program;
+use sdiq_sim::{AdaptiveConfig, ExecPlan, PlanSimulator, ResizePolicy, SimConfig, SimResult};
+use sdiq_verify::{has_errors, lint_lowered_plan, verify_compiled, Severity, StandardVerifier};
 use sdiq_workloads::Benchmark;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -124,6 +135,43 @@ pub struct PlanKey {
     pub max_dynamic_instructions: u64,
 }
 
+/// A [`ResizePolicy`] as the exact bit pattern of its parameters: the
+/// adaptive policy's `f64` fields rule out `Eq` and `Hash` on the policy
+/// itself, and two policies replay identically exactly when their bits
+/// agree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum PolicyBits {
+    Fixed,
+    SoftwareHint,
+    Adaptive([u64; 6]),
+}
+
+impl PolicyBits {
+    fn of(policy: ResizePolicy) -> Self {
+        match policy {
+            ResizePolicy::Fixed => PolicyBits::Fixed,
+            ResizePolicy::SoftwareHint => PolicyBits::SoftwareHint,
+            // Destructured field by field, so a new controller parameter
+            // cannot be left out of the key.
+            ResizePolicy::Adaptive(AdaptiveConfig {
+                interval_cycles,
+                bank_entries,
+                min_entries,
+                youngest_contribution_threshold,
+                expand_period_intervals,
+                rob_ratio,
+            }) => PolicyBits::Adaptive([
+                interval_cycles,
+                bank_entries as u64,
+                min_entries as u64,
+                youngest_contribution_threshold.to_bits(),
+                expand_period_intervals,
+                rob_ratio.to_bits(),
+            ]),
+        }
+    }
+}
+
 /// The shared artifact cache. One instance serves a whole sweep; creating
 /// it is free, so ad-hoc callers can also pass a fresh one per run.
 ///
@@ -135,20 +183,22 @@ pub struct PlanKey {
 /// **once**, at the moment it is first built: compiles run through the
 /// pass manager with the inter-pass [`StandardVerifier`] plus the full
 /// `sdiq_verify::verify_compiled` suite, and lowered plans are
-/// cross-checked against their source program and trace with
-/// `sdiq_verify::lint_plan`. A failed check is a logic error in this
+/// cross-checked against a second execution of their source program with
+/// `sdiq_verify::lint_lowered_plan`. A failed check is a logic error in this
 /// repository, not a user error, so it panics with the full diagnostic
 /// listing. Because verification happens inside the [`OnceLock`]
 /// initialiser, a sweep touching the same key a thousand times pays for
 /// the check exactly once.
 #[derive(Debug)]
 pub struct ArtifactCache {
-    programs: Mutex<HashMap<ProgramKey, Arc<OnceLock<Arc<Program>>>>>,
-    compiles: Mutex<HashMap<CompileKey, Arc<OnceLock<Arc<CompiledArtifact>>>>>,
-    plans: Mutex<HashMap<PlanKey, Arc<OnceLock<Arc<ExecPlan>>>>>,
+    programs: Slots<ProgramKey, Arc<Program>>,
+    compiles: Slots<CompileKey, Arc<CompiledArtifact>>,
+    plans: Slots<PlanKey, Arc<ExecPlan>>,
+    replays: Slots<(PlanKey, PolicyBits), Arc<SimResult>>,
     program_builds: AtomicU64,
     compile_runs: AtomicU64,
     plan_builds: AtomicU64,
+    replay_runs: AtomicU64,
     verify: AtomicBool,
 }
 
@@ -158,22 +208,24 @@ impl Default for ArtifactCache {
             programs: Mutex::default(),
             compiles: Mutex::default(),
             plans: Mutex::default(),
+            replays: Mutex::default(),
             program_builds: AtomicU64::new(0),
             compile_runs: AtomicU64::new(0),
             plan_builds: AtomicU64::new(0),
+            replay_runs: AtomicU64::new(0),
             verify: AtomicBool::new(cfg!(debug_assertions)),
         }
     }
 }
 
+/// One artifact kind's map: a once-initialisable slot per key.
+type Slots<K, V> = Mutex<HashMap<K, Arc<OnceLock<V>>>>;
+
 /// Fetches (or inserts) the once-initialisable slot for `key`. The map
 /// lock is held only for the slot lookup, never across a build. A
 /// poisoned map lock is recovered: the critical section is a pure
 /// `HashMap` entry lookup, which cannot leave the map inconsistent.
-fn slot<K: Eq + Hash + Copy, V>(
-    map: &Mutex<HashMap<K, Arc<OnceLock<V>>>>,
-    key: K,
-) -> Arc<OnceLock<V>> {
+fn slot<K: Eq + Hash + Copy, V>(map: &Slots<K, V>, key: K) -> Arc<OnceLock<V>> {
     map.lock()
         .unwrap_or_else(PoisonError::into_inner)
         .entry(key)
@@ -273,8 +325,10 @@ impl ArtifactCache {
     /// The execution plan for `key`, lowering it exactly once per key
     /// (building the source program — and running its compiler pass, for
     /// [`PlanSource::Compiled`] — through the cache if needed). The
-    /// functional execution producing the trace happens here too: the
-    /// trace is consumed by the lowering and never stored.
+    /// functional execution happens here too, streamed straight into the
+    /// lowering by [`ExecPlan::lower`]: no trace is collected. With
+    /// verification on, the plan is linted against a second streamed
+    /// execution of the same program.
     pub fn planned(&self, key: PlanKey) -> Arc<ExecPlan> {
         let program = match key.source {
             PlanSource::Program(program) => self.program(program),
@@ -289,13 +343,16 @@ impl ArtifactCache {
             metrics.cache_plan_misses.inc();
             let _span = sdiq_obs::span("lower-plan", "cache");
             self.plan_builds.fetch_add(1, Ordering::Relaxed);
-            let trace = match Executor::new(&program).run(key.max_dynamic_instructions) {
-                Ok(trace) => trace,
+            let cap = key.max_dynamic_instructions;
+            let plan = match ExecPlan::lower(key.sim_config, &program, cap) {
+                Ok(plan) => plan,
                 Err(fault) => panic!("workload must execute cleanly, faulted with {fault:?}"),
             };
-            let plan = ExecPlan::build(key.sim_config, &program, &trace);
             if self.verify_enabled() {
-                let diags = lint_plan(&plan, &program, &trace);
+                let diags = match lint_lowered_plan(&plan, &program, cap) {
+                    Ok(diags) => diags,
+                    Err(fault) => panic!("workload must execute cleanly, faulted with {fault:?}"),
+                };
                 if has_errors(&diags) {
                     let listing: Vec<String> = diags.iter().map(ToString::to_string).collect();
                     panic!("execution plan failed lint:\n  {}", listing.join("\n  "));
@@ -304,6 +361,32 @@ impl ArtifactCache {
             Arc::new(plan)
         })
         .clone()
+    }
+
+    /// The replay of `plan` — the plan [`ArtifactCache::planned`] returned
+    /// for `key` — under `policy`, run exactly once per (plan key, policy).
+    /// Techniques that differ only in how the power model prices the same
+    /// counters (`baseline`, `nonEmpty` and `way-memo` all replay the raw
+    /// program under [`ResizePolicy::Fixed`]) share one result.
+    ///
+    /// Deliberately not counted in the `sdiq-obs` cache hit/miss metrics:
+    /// those count artifact fetches, one per cell, and keep their meaning.
+    pub fn replayed(&self, key: PlanKey, plan: &ExecPlan, policy: ResizePolicy) -> Arc<SimResult> {
+        debug_assert_eq!(
+            plan.config(),
+            &key.sim_config,
+            "plan lowered for another key"
+        );
+        slot(&self.replays, (key, PolicyBits::of(policy)))
+            .get_or_init(|| {
+                let _span = sdiq_obs::span("replay", "cache");
+                self.replay_runs.fetch_add(1, Ordering::Relaxed);
+                match PlanSimulator::new(plan, policy).run() {
+                    Ok(result) => Arc::new(result),
+                    Err(err) => panic!("simulation must complete over a committed trace: {err:?}"),
+                }
+            })
+            .clone()
     }
 
     /// Number of programs actually built (one per unique [`ProgramKey`]
@@ -322,6 +405,12 @@ impl ArtifactCache {
     /// requested, regardless of concurrency).
     pub fn plan_builds(&self) -> u64 {
         self.plan_builds.load(Ordering::Relaxed)
+    }
+
+    /// Number of cycle replays run (one per unique (plan key, resize
+    /// policy) requested, regardless of concurrency).
+    pub fn replay_runs(&self) -> u64 {
+        self.replay_runs.load(Ordering::Relaxed)
     }
 }
 
@@ -441,6 +530,11 @@ impl ResultStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{ConfigVariant, Matrix};
+    use crate::runner::Experiment;
+    use crate::technique::Technique;
+    use sdiq_isa::Executor;
+    use std::sync::Barrier;
 
     #[test]
     fn program_is_built_once_per_key_and_shared() {
@@ -458,7 +552,6 @@ mod tests {
 
     #[test]
     fn compile_is_run_once_per_pass_config() {
-        use crate::technique::Technique;
         let cache = ArtifactCache::new();
         let program = ProgramKey::new(Benchmark::Mcf, 0.05);
         let noop = Technique::Noop.pass_config().unwrap();
@@ -486,7 +579,6 @@ mod tests {
 
     #[test]
     fn cached_compile_stats_are_deterministic_content() {
-        use crate::technique::Technique;
         let key = CompileKey {
             program: ProgramKey::new(Benchmark::Gzip, 0.05),
             pass: Technique::Noop.pass_config().unwrap(),
@@ -524,7 +616,6 @@ mod tests {
 
     #[test]
     fn compiled_source_plans_lower_the_annotated_program() {
-        use crate::technique::Technique;
         let cache = ArtifactCache::new();
         let program = ProgramKey::new(Benchmark::Gzip, 0.05);
         let compile = CompileKey {
@@ -548,6 +639,133 @@ mod tests {
         assert!(annotated.len() > raw.len());
     }
 
+    /// The eight built-in techniques (tests elsewhere may register more).
+    const BUILTIN_TECHNIQUES: [Technique; 8] = [
+        Technique::Baseline,
+        Technique::NonEmpty,
+        Technique::Noop,
+        Technique::Extension,
+        Technique::Improved,
+        Technique::Abella,
+        Technique::WayMemo,
+        Technique::LowenIsa,
+    ];
+
+    fn tiny_experiment() -> Experiment {
+        Experiment {
+            scale: 0.05,
+            ..Experiment::paper()
+        }
+    }
+
+    fn gzip_key() -> PlanKey {
+        PlanKey {
+            source: PlanSource::Program(ProgramKey::new(Benchmark::Gzip, 0.05)),
+            sim_config: SimConfig::hpca2005(),
+            max_dynamic_instructions: 2_000_000,
+        }
+    }
+
+    /// Five plans per benchmark (the raw program and four pass outputs),
+    /// six replays: `baseline`, `nonEmpty` and `way-memo` replay the raw
+    /// program under the fixed policy and differ only in pricing.
+    #[test]
+    fn one_benchmark_under_the_builtin_techniques_runs_six_replays() {
+        let experiment = tiny_experiment();
+        let cache = ArtifactCache::new();
+        let matrix = Matrix::new(&experiment)
+            .benchmarks(&[Benchmark::Gzip])
+            .techniques(&BUILTIN_TECHNIQUES)
+            .jobs(2);
+        let sweep = matrix.run_with(&cache, &HashMap::new());
+        assert_eq!(sweep.suite(0).len(), 8);
+        assert_eq!((cache.plan_builds(), cache.replay_runs()), (5, 6));
+    }
+
+    /// `iq=80` is the base machine under another label: its cells have keys
+    /// of their own but find every plan and replay already cached.
+    #[test]
+    fn an_iq80_variant_adds_no_replay() {
+        let experiment = tiny_experiment();
+        let cache = ArtifactCache::new();
+        let matrix = Matrix::new(&experiment)
+            .benchmarks(&[Benchmark::Gzip])
+            .techniques(&BUILTIN_TECHNIQUES)
+            .variants(vec![
+                ConfigVariant::base(&experiment),
+                ConfigVariant::with_iq_entries(&experiment, 80),
+            ])
+            .jobs(2);
+        let sweep = matrix.run_with(&cache, &HashMap::new());
+        assert_eq!(matrix.collect_cells(&sweep).len(), 16);
+        assert_eq!((cache.plan_builds(), cache.replay_runs()), (5, 6));
+    }
+
+    #[test]
+    fn concurrent_requests_for_one_replay_run_it_once() {
+        let cache = ArtifactCache::new();
+        let key = gzip_key();
+        let plan = cache.planned(key);
+        let barrier = Barrier::new(4);
+        let results: Vec<Arc<SimResult>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        cache.replayed(key, &plan, ResizePolicy::Fixed)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(cache.replay_runs(), 1);
+        assert!(results.iter().all(|r| Arc::ptr_eq(r, &results[0])));
+        // Another policy, or an adaptive policy with one parameter moved,
+        // is another replay.
+        let mut adaptive = AdaptiveConfig::iqrob64();
+        cache.replayed(key, &plan, ResizePolicy::Adaptive(adaptive));
+        adaptive.rob_ratio += 0.5;
+        cache.replayed(key, &plan, ResizePolicy::Adaptive(adaptive));
+        assert_eq!(cache.replay_runs(), 3);
+    }
+
+    /// Lowering straight from the executor gives exactly the plan built
+    /// over the collected trace: every benchmark, raw and after every
+    /// registered compiler pass, on both machines, and for the empty trace.
+    #[test]
+    fn lowering_from_the_executor_equals_building_over_the_trace() {
+        let cap = tiny_experiment().max_dynamic_instructions;
+        let mut passes: Vec<PassConfig> = Vec::new();
+        for pass in Technique::all().iter().filter_map(Technique::pass_config) {
+            if !passes.contains(&pass) {
+                passes.push(pass);
+            }
+        }
+        assert!(passes.len() >= 4, "noop, tagging, improved, low-energy");
+        for benchmark in Benchmark::ALL {
+            let raw = benchmark.build_scaled(0.05);
+            let compiled = passes
+                .iter()
+                .map(|&pass| CompilerPass::new(pass).run(&raw).program);
+            for program in std::iter::once(raw.clone()).chain(compiled) {
+                let trace = Executor::new(&program).run(cap).unwrap();
+                let empty = Executor::new(&program).run(0).unwrap();
+                assert!(empty.is_empty());
+                for config in [SimConfig::hpca2005(), SimConfig::small_for_tests()] {
+                    for (cap, trace) in [(cap, &trace), (0, &empty)] {
+                        let lowered = ExecPlan::lower(config, &program, cap).unwrap();
+                        assert!(
+                            lowered == ExecPlan::build(config, &program, trace),
+                            "{} ({} records, cap {cap}): lowered plan differs",
+                            benchmark.name(),
+                            trace.len()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn concurrent_requests_build_exactly_once() {
         let cache = ArtifactCache::new();
@@ -562,8 +780,6 @@ mod tests {
 
     #[test]
     fn result_store_dedups_identical_reports_and_flags_divergence() {
-        use crate::runner::Experiment;
-        use crate::technique::Technique;
         let exp = Experiment {
             scale: 0.05,
             ..Experiment::paper()

@@ -1252,9 +1252,9 @@ fn observed_cell(
 /// Runs one cell through the artifact cache: software techniques reuse the
 /// cached compiler-pass output, hardware techniques run the shared built
 /// program directly — no per-cell `Program` clone in either path. The
-/// cell's execution plan is cached too: the trace and lowering happen once
-/// per (source, SimConfig) shape and every technique/policy of that shape
-/// replays the shared plan.
+/// cell's execution plan is cached too: execution and lowering happen once
+/// per (source, SimConfig) shape, and the replay once per (plan, resize
+/// policy). Only the power pricing runs per cell.
 fn run_cell(
     experiment: &Experiment,
     cache: &ArtifactCache,
@@ -1275,16 +1275,18 @@ fn run_cell(
             }
             None => (PlanSource::Program(program_key), None),
         };
-    let plan = cache.planned(PlanKey {
+    let plan_key = PlanKey {
         source,
         sim_config: variant.sim_config,
         max_dynamic_instructions: experiment.max_dynamic_instructions,
-    });
+    };
+    let plan = cache.planned(plan_key);
+    let result = cache.replayed(plan_key, &plan, technique.resize_policy());
     let (compile, hint_noops) = match artifact {
         Some(artifact) => (Some(artifact.stats.clone()), artifact.hint_noops_inserted),
         None => (None, 0),
     };
-    experiment.run_planned(&plan, technique, compile, hint_noops)
+    experiment.report(plan.workload(), &result, technique, compile, hint_noops)
 }
 
 /// The cache key of one cell: human-readable axes plus a fingerprint of

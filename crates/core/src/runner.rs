@@ -2,9 +2,9 @@
 
 use crate::technique::Technique;
 use sdiq_compiler::{CompileStats, CompilerPass};
-use sdiq_isa::{Executor, Program};
+use sdiq_isa::Program;
 use sdiq_power::{EnergyModel, PowerBreakdown, PowerSavings};
-use sdiq_sim::{ActivityStats, ExecPlan, PlanSimulator, SimConfig};
+use sdiq_sim::{ActivityStats, ExecPlan, PlanSimulator, SimConfig, SimResult};
 use sdiq_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -158,9 +158,9 @@ impl Experiment {
 
     /// Runs a program whose compiler pass (if any) has already happened.
     /// `sim_config` is taken explicitly so a caller can override the
-    /// experiment's machine; the program is executed, its committed trace
-    /// lowered into an [`ExecPlan`], and the plan replayed by
-    /// [`Experiment::run_planned`].
+    /// experiment's machine; the program's execution is lowered into an
+    /// [`ExecPlan`] as it runs ([`ExecPlan::lower`]), and the plan replayed
+    /// by [`Experiment::run_planned`].
     pub fn run_prepared(
         &self,
         program_to_run: &Program,
@@ -169,19 +169,18 @@ impl Experiment {
         compile: Option<CompileStats>,
         hint_noops_inserted: usize,
     ) -> RunReport {
-        let trace = match Executor::new(program_to_run).run(self.max_dynamic_instructions) {
-            Ok(trace) => trace,
+        let plan = match ExecPlan::lower(sim_config, program_to_run, self.max_dynamic_instructions)
+        {
+            Ok(plan) => plan,
             Err(fault) => panic!("workload must execute cleanly, faulted with {fault:?}"),
         };
-        let plan = ExecPlan::build(sim_config, program_to_run, &trace);
         self.run_planned(&plan, technique, compile, hint_noops_inserted)
     }
 
     /// Runs a cell whose static side is already fully lowered into an
-    /// [`ExecPlan`] — the engine enters here with plans from
-    /// [`crate::ArtifactCache::planned`]. Only the cycle replay and the
-    /// power model run: one plan serves every technique/policy of its
-    /// (program, SimConfig) shape.
+    /// [`ExecPlan`]: the cycle replay under the technique's resize policy,
+    /// then [`Experiment::report`]. One plan serves every technique/policy
+    /// of its (program, SimConfig) shape.
     pub fn run_planned(
         &self,
         plan: &ExecPlan,
@@ -193,6 +192,27 @@ impl Experiment {
             Ok(result) => result,
             Err(err) => panic!("simulation must complete over a committed trace: {err:?}"),
         };
+        self.report(
+            plan.workload(),
+            &result,
+            technique,
+            compile,
+            hint_noops_inserted,
+        )
+    }
+
+    /// Prices a replay's counters for `technique` and assembles its report.
+    /// The engine enters here with replays shared through
+    /// [`crate::ArtifactCache::replayed`]: techniques with the same plan and
+    /// resize policy differ only in this step.
+    pub fn report(
+        &self,
+        workload: &str,
+        result: &SimResult,
+        technique: Technique,
+        compile: Option<CompileStats>,
+        hint_noops_inserted: usize,
+    ) -> RunReport {
         let power = PowerBreakdown::from_stats(
             &result.stats,
             &self.energy_model,
@@ -200,9 +220,9 @@ impl Experiment {
             technique.bank_gating(),
         );
         RunReport {
-            workload: plan.workload().to_string(),
+            workload: workload.to_string(),
             technique,
-            stats: result.stats,
+            stats: result.stats.clone(),
             power,
             compile,
             adaptive_resizes: result.adaptive_resizes,

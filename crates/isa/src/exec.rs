@@ -6,6 +6,13 @@
 //! returns — and the timing model then replays it cycle by cycle, adding
 //! speculation, queuing and resource effects on top. This mirrors how
 //! SimpleScalar's `sim-outorder` separates functional from timing simulation.
+//!
+//! [`Executor::stream`] is the one execution loop: it hands each committed
+//! [`DynInst`] to a consumer as it commits. The simulator lowers its
+//! execution plan straight from that stream, so a production run never
+//! holds the whole committed path in memory; [`Executor::run`] is the same
+//! loop collecting a [`Trace`], for the plan lint's `repro lint` walk, the
+//! tests and the layer benchmark.
 
 use crate::inst::Instruction;
 use crate::opcode::Opcode;
@@ -366,31 +373,57 @@ impl<'a> Executor<'a> {
     }
 
     /// Runs the program from its entry point for at most `max_insts` dynamic
-    /// instructions and returns the committed trace.
+    /// instructions and returns the committed trace: [`Executor::stream`]
+    /// with every record collected.
+    ///
+    /// # Errors
+    ///
+    /// As [`Executor::stream`].
+    pub fn run(self, max_insts: u64) -> Result<Trace, ExecError> {
+        let mut committed = Vec::new();
+        let summary = self.stream(max_insts, |record| committed.push(record))?;
+        Ok(Trace {
+            committed,
+            hit_cap: summary.hit_cap,
+            cond_branches: summary.cond_branches,
+            taken_branches: summary.taken_branches,
+            mem_ops: summary.mem_ops,
+        })
+    }
+
+    /// Runs the program from its entry point for at most `max_insts` dynamic
+    /// instructions, handing each committed instruction to `consume` in
+    /// commit order the moment it commits. Nothing is collected, so a
+    /// consumer that keeps only what it needs (the simulator's plan
+    /// lowering, the plan lint) never pays for a [`Trace`].
     ///
     /// # Errors
     ///
     /// Returns [`ExecError::CallStackOverflow`] if the program recurses more
     /// than [`MAX_CALL_DEPTH`] deep, or [`ExecError::Malformed`] if an
     /// instruction references state a validated program cannot reference.
-    pub fn run(mut self, max_insts: u64) -> Result<Trace, ExecError> {
-        let mut committed = Vec::new();
-        let mut cond_branches = 0u64;
-        let mut taken_branches = 0u64;
-        let mut mem_ops = 0u64;
+    /// Records committed before the fault have already been consumed.
+    pub fn stream(
+        mut self,
+        max_insts: u64,
+        mut consume: impl FnMut(DynInst),
+    ) -> Result<RunSummary, ExecError> {
+        let mut summary = RunSummary::default();
+        // Instructions are borrowed from the program, not from `self`, so
+        // the data path can update registers and memory without a copy.
+        let program = self.program;
 
-        let mut proc_id = self.program.entry;
-        let mut block_id = self.program.proc(proc_id).entry;
+        let mut proc_id = program.entry;
+        let mut block_id = program.proc(proc_id).entry;
         let mut index = 0usize;
         let mut seq = 0u64;
-        let mut hit_cap = false;
 
         'outer: loop {
             if seq >= max_insts {
-                hit_cap = true;
+                summary.hit_cap = true;
                 break;
             }
-            let proc = self.program.proc(proc_id);
+            let proc = program.proc(proc_id);
             let block = proc.block(block_id);
             if index >= block.instructions.len() {
                 // Fell off the end of a block without a terminator: follow the
@@ -414,7 +447,7 @@ impl<'a> Executor<'a> {
                 block: block_id,
                 index,
             };
-            let inst = &proc.block(block_id).instructions[index];
+            let inst = &block.instructions[index];
             let addr = self.addr_map.addr_of(loc);
             let opcode = inst.opcode;
 
@@ -443,7 +476,7 @@ impl<'a> Executor<'a> {
                             return_block,
                         });
                         proc_id = callee;
-                        block_id = self.program.proc(callee).entry;
+                        block_id = program.proc(callee).entry;
                         index = 0;
                     }
                     Opcode::Return => match self.call_stack.pop() {
@@ -454,7 +487,7 @@ impl<'a> Executor<'a> {
                         }
                         None => {
                             // Returning from the entry procedure ends the program.
-                            committed.push(record);
+                            consume(record);
                             break 'outer;
                         }
                     },
@@ -462,9 +495,9 @@ impl<'a> Executor<'a> {
                         // Conditional branch.
                         let taken = self.branch_taken(inst);
                         record.taken = Some(taken);
-                        cond_branches += 1;
+                        summary.cond_branches += 1;
                         if taken {
-                            taken_branches += 1;
+                            summary.taken_branches += 1;
                             block_id = inst.branch_target.expect("validated branch target");
                         } else {
                             block_id = block.fallthrough.expect("validated branch fall-through");
@@ -473,26 +506,34 @@ impl<'a> Executor<'a> {
                     }
                 }
             } else {
-                let inst = inst.clone();
-                record.mem_addr = self.execute_data(&inst);
+                record.mem_addr = self.execute_data(inst);
                 if record.mem_addr.is_some() {
-                    mem_ops += 1;
+                    summary.mem_ops += 1;
                 }
                 index += 1;
             }
 
-            committed.push(record);
+            consume(record);
             seq += 1;
         }
 
-        Ok(Trace {
-            committed,
-            hit_cap,
-            cond_branches,
-            taken_branches,
-            mem_ops,
-        })
+        Ok(summary)
     }
+}
+
+/// What a streamed run reports besides the records it handed out: the
+/// [`Trace`] fields other than the committed list.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunSummary {
+    /// `true` if execution stopped at the dynamic instruction cap (see
+    /// [`Trace::hit_cap`]).
+    pub hit_cap: bool,
+    /// Number of conditional branches committed.
+    pub cond_branches: u64,
+    /// Number of taken conditional branches.
+    pub taken_branches: u64,
+    /// Number of memory operations committed.
+    pub mem_ops: u64,
 }
 
 #[cfg(test)]
@@ -550,6 +591,29 @@ mod tests {
         let t1 = Executor::new(&program).run(100_000).unwrap();
         let t2 = Executor::new(&program).run(100_000).unwrap();
         assert_eq!(t1, t2);
+    }
+
+    #[test]
+    fn streamed_records_are_the_collected_trace() {
+        let program = counted_loop(13, 3);
+        for cap in [40, 100_000] {
+            let trace = Executor::new(&program).run(cap).unwrap();
+            let mut streamed = Vec::new();
+            let summary = Executor::new(&program)
+                .stream(cap, |record| streamed.push(record))
+                .unwrap();
+            assert_eq!(streamed, trace.committed);
+            assert_eq!(
+                summary,
+                RunSummary {
+                    hit_cap: trace.hit_cap,
+                    cond_branches: trace.cond_branches,
+                    taken_branches: trace.taken_branches,
+                    mem_ops: trace.mem_ops,
+                }
+            );
+            assert_eq!(summary.hit_cap, cap == 40);
+        }
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub mod program;
 pub mod reg;
 
 pub use builder::{BlockBuilder, ProcedureBuilder, ProgramBuilder};
-pub use exec::{DynInst, ExecError, Executor, Trace};
+pub use exec::{DynInst, ExecError, Executor, RunSummary, Trace};
 pub use inst::{Instruction, MemRef};
 pub use machine::{FuCounts, MachineWidths};
 pub use opcode::{FuClass, Opcode};

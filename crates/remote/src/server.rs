@@ -456,21 +456,12 @@ fn run_batch(
     }
     let computed = std::thread::scope(|scope| {
         let heartbeats = scope.spawn(|| {
-            let (stop, interrupt) = &stop_heartbeats;
-            let mut stopped = lock_or_recover(stop);
-            loop {
-                let (guard, wait) = interrupt
-                    .wait_timeout(stopped, HEARTBEAT_INTERVAL)
-                    .unwrap_or_else(PoisonError::into_inner);
-                stopped = guard;
-                if *stopped {
-                    return;
-                }
+            heartbeat_loop(&stop_heartbeats, HEARTBEAT_INTERVAL, || {
                 if sink.stalled.load(Ordering::Relaxed) {
                     // A frozen machine beats no heart: the --stall-after
                     // hook must present total wire silence, or the
                     // coordinator's deadline could never trip.
-                    return;
+                    return false;
                 }
                 // An observed batch's keep-alives carry the daemon's
                 // cumulative totals; receivers treat them as heartbeats
@@ -482,10 +473,9 @@ fn run_batch(
                 } else {
                     Message::Heartbeat
                 };
-                if wait.timed_out() && sink.write(&beat).is_err() {
-                    return; // sink recorded the failure
-                }
-            }
+                // A failed write is recorded by the sink.
+                sink.write(&beat).is_ok()
+            });
         });
         let computed = {
             let _span = sdiq_obs::span("run-batch", "server");
@@ -543,6 +533,29 @@ fn run_batch(
             },
         ),
         Err(reason) => write_locked(writer, &Message::Error { message: reason }),
+    }
+}
+
+/// A batch's heartbeat thread: calls `beat` once per `interval` until the
+/// `stop` flag is set (and its condvar notified) or `beat` returns `false`.
+/// The flag is read before every wait: a batch can finish, and notify,
+/// before this thread first takes the lock, and a wait would then sleep
+/// out a whole interval.
+fn heartbeat_loop(
+    stop: &(Mutex<bool>, Condvar),
+    interval: Duration,
+    mut beat: impl FnMut() -> bool,
+) {
+    let (flag, interrupt) = stop;
+    let mut stopped = lock_or_recover(flag);
+    while !*stopped {
+        let (guard, wait) = interrupt
+            .wait_timeout(stopped, interval)
+            .unwrap_or_else(PoisonError::into_inner);
+        stopped = guard;
+        if !*stopped && wait.timed_out() && !beat() {
+            return;
+        }
     }
 }
 
@@ -632,6 +645,24 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
     use std::time::Instant;
+
+    /// A batch of cached cells can finish before its heartbeat thread
+    /// first takes the stop lock. The stop set and notified before the
+    /// loop starts must still end the loop at once, not after a wait.
+    #[test]
+    fn heartbeat_loop_sees_a_stop_that_came_before_it() {
+        let stop = (Mutex::new(false), Condvar::new());
+        *lock_or_recover(&stop.0) = true;
+        stop.1.notify_all();
+        let interval = 10 * HEARTBEAT_INTERVAL;
+        let started = Instant::now();
+        heartbeat_loop(&stop, interval, || panic!("no beat after the stop"));
+        assert!(
+            started.elapsed() < HEARTBEAT_INTERVAL,
+            "the loop waited {:?} on a stop that was already set",
+            started.elapsed()
+        );
+    }
 
     /// Polls a non-blocking listener for the next connection, bounded so
     /// a regression hangs the assertion, not the test suite.

@@ -15,9 +15,11 @@
 //! * [`resize`] — the resizing policies: fixed (baseline), software hints
 //!   (the paper's technique) and an adaptive hardware controller standing in
 //!   for Abella & González's IqRob comparator,
-//! * [`plan`] — the cycle loop: [`plan::ExecPlan::build`] lowers a program
-//!   and its committed trace into a flat execution plan once per machine
-//!   configuration, and [`plan::PlanSimulator`] replays it under a resize
+//! * [`plan`] — the cycle loop: [`plan::ExecPlan::lower`] lowers a
+//!   program's committed instruction stream, straight from the functional
+//!   executor, into a flat execution plan once per machine configuration
+//!   ([`plan::ExecPlan::build`] lowers a collected trace into the same
+//!   plan), and [`plan::PlanSimulator`] replays it under a resize
 //!   policy through the banked, non-collapsible issue queue with the
 //!   paper's `new_head` pointer, `max_new_range` dispatch limiting and
 //!   Folegnani-style wakeup gating, producing the
@@ -51,12 +53,14 @@
 //!     p.set_entry(entry);
 //! }
 //! let program = b.finish(main).unwrap();
-//! let trace = Executor::new(&program).run(100_000).unwrap();
 //!
-//! let plan = ExecPlan::build(SimConfig::hpca2005(), &program, &trace);
+//! let plan = ExecPlan::lower(SimConfig::hpca2005(), &program, 100_000).unwrap();
 //! // One plan replays under any number of policies.
 //! let result = PlanSimulator::new(&plan, ResizePolicy::Fixed).run().unwrap();
 //! assert!(result.stats.ipc() > 0.0);
+//! // Lowering a collected trace gives the same plan.
+//! let trace = Executor::new(&program).run(100_000).unwrap();
+//! assert!(plan == ExecPlan::build(SimConfig::hpca2005(), &program, &trace));
 //! ```
 
 pub mod branch;

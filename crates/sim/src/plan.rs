@@ -23,13 +23,13 @@
 //! Every structure feeds the activity counters in [`crate::stats`], which
 //! the power model consumes.
 //!
-//! # Lowering: [`ExecPlan::build`]
+//! # Lowering: [`ExecPlan::lower`] and [`ExecPlan::build`]
 //!
 //! A large part of that work is a pure function of
 //! `(program, trace, SimConfig)` and therefore identical across the many
 //! runs a sweep, a matrix job or a `repro serve` batch performs on the
-//! same cell shape. [`ExecPlan::build`] lowers it once, into flat
-//! struct-of-arrays form:
+//! same cell shape. Lowering computes it once, into flat struct-of-arrays
+//! form:
 //!
 //! * decoded operands — destination / source architectural registers,
 //!   functional-unit class, execution latency, hint sites and values,
@@ -43,6 +43,15 @@
 //!   (committed/dispatched/issued counts, branch and I-cache totals,
 //!   register-file port counts, wakeup broadcasts — the counters are only
 //!   observed after the run, never during it).
+//!
+//! One private builder does the lowering, one committed instruction at a
+//! time and without looking ahead: a taken control transfer's BTB check
+//! waits for the next instruction's address (or takes `addr + 4` when the
+//! stream ends on it). [`ExecPlan::lower`] feeds it straight from the
+//! functional executor's stream, so no trace is ever collected; that is
+//! the production path. [`ExecPlan::build`] feeds it a collected
+//! [`Trace`], for the plan lint's `repro lint` walk, the tests and the
+//! layer benchmark. Both give the same plan.
 //!
 //! # Replay: [`PlanSimulator`]
 //!
@@ -80,7 +89,11 @@ use crate::plan_queue::{PlanQueue, ReadyCandidate};
 use crate::regfile::RenamedRegFile;
 use crate::resize::{AdaptiveController, AdaptiveObservation, ResizePolicy};
 use crate::stats::ActivityStats;
-use sdiq_isa::{ArchReg, FuClass, Program, RegClass, Trace};
+use sdiq_isa::exec::DATA_BASE;
+use sdiq_isa::{
+    ArchReg, BlockId, DynInst, ExecError, Executor, FuClass, Instruction, ProcId, Program,
+    RegClass, Trace,
+};
 use std::fmt;
 
 /// Errors a simulation can report.
@@ -207,9 +220,10 @@ pub mod flag {
 }
 
 /// A fully lowered, allocation-free execution plan for one
-/// `(program, trace, SimConfig)` cell shape. Build once with
-/// [`ExecPlan::build`], run any number of times with [`PlanSimulator`].
-#[derive(Debug, Clone)]
+/// `(program, trace, SimConfig)` cell shape. Lower once with
+/// [`ExecPlan::lower`] (or [`ExecPlan::build`] over a collected trace),
+/// run any number of times with [`PlanSimulator`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecPlan {
     config: SimConfig,
     workload: String,
@@ -253,160 +267,26 @@ impl ExecPlan {
     /// must have been produced by executing exactly this program
     /// (instruction locations are looked up in it).
     pub fn build(config: SimConfig, program: &Program, trace: &Trace) -> Self {
-        let len = trace.committed.len();
-        let mut plan = ExecPlan {
-            config,
-            workload: program.name.clone(),
-            insts: Vec::with_capacity(len),
-            mem_addr: Vec::with_capacity(len),
-            imiss_addrs: Vec::new(),
-            baked: ActivityStats {
-                iq_total_banks: config.iq.banks() as u64,
-                iq_total_entries: config.iq.entries as u64,
-                int_rf_total_banks: config.int_rf.banks() as u64,
-                fp_rf_total_banks: config.fp_rf.banks() as u64,
-                ..ActivityStats::default()
-            },
-        };
-
-        // The front-end models evolve over purely static inputs, in strict
-        // trace order, exactly once per site — so their full histories are
-        // computed here and never touched again.
-        let mut bpred = BranchPredictor::new(config.branch);
-        let mut l1i = Cache::new(config.l1i);
-        let line_bytes = config.l1i.line_bytes as u64;
-        let mut last_fetched_line: Option<u64> = None;
-
-        // Resolve every dynamic instruction's static side; consecutive
-        // trace entries overwhelmingly share a basic block, so the block's
-        // instruction slice is looked up only on block changes.
-        let mut cached_block: Option<(sdiq_isa::ProcId, sdiq_isa::BlockId)> = None;
-        let mut block_insts: &[sdiq_isa::Instruction] = &[];
-
-        for (idx, dyn_inst) in trace.committed.iter().enumerate() {
-            let loc = dyn_inst.loc;
-            if cached_block != Some((loc.proc, loc.block)) {
-                block_insts = program
-                    .proc(loc.proc)
-                    .block(loc.block)
-                    .instructions
-                    .as_slice();
-                cached_block = Some((loc.proc, loc.block));
-            }
-            let inst = &block_insts[loc.index];
-            let addr = dyn_inst.addr;
-            let mut flags: u16 = 0;
-
-            // --- I-cache: one access per new cache line touched ------------
-            let line = addr / line_bytes;
-            if last_fetched_line != Some(line) {
-                last_fetched_line = Some(line);
-                flags |= flag::NEW_LINE;
-                if !l1i.access(addr) {
-                    flags |= flag::L1I_MISS;
-                    plan.baked.icache_misses += 1;
-                    plan.imiss_addrs.push(addr);
-                }
-            }
-
-            // --- branch prediction -----------------------------------------
-            if inst.opcode.is_cond_branch() {
-                plan.baked.branches += 1;
-                let actual_taken = dyn_inst.taken.unwrap_or(false);
-                let prediction = bpred.predict_direction(addr);
-                bpred.update_direction(addr, prediction, actual_taken);
-                if prediction.taken != actual_taken {
-                    flags |= flag::MISPREDICTED;
-                    plan.baked.mispredicted_branches += 1;
-                }
-                if actual_taken {
-                    flags |= flag::ENDS_GROUP;
-                    let target = trace
-                        .committed
-                        .get(idx + 1)
-                        .map(|d| d.addr)
-                        .unwrap_or(addr + 4);
-                    if bpred.predict_target(addr) != Some(target) {
-                        plan.baked.btb_misses += 1;
-                        flags |= flag::BTB_STALL;
-                    }
-                    bpred.update_target(addr, target);
-                }
-            } else if inst.opcode.is_control() {
-                flags |= flag::ENDS_GROUP;
-                let target = trace
-                    .committed
-                    .get(idx + 1)
-                    .map(|d| d.addr)
-                    .unwrap_or(addr + 4);
-                if bpred.predict_target(addr) != Some(target) {
-                    plan.baked.btb_misses += 1;
-                    flags |= flag::BTB_STALL;
-                }
-                bpred.update_target(addr, target);
-            }
-
-            // --- decode ----------------------------------------------------
-            if inst.is_hint_noop() {
-                flags |= flag::IS_HINT;
-                plan.baked.committed_hints += 1;
-            } else {
-                // Every non-hint trace entry dispatches, issues and commits
-                // exactly once, reading its sources and (if present)
-                // broadcasting its destination — all static totals.
-                plan.baked.committed += 1;
-                plan.baked.dispatched += 1;
-                plan.baked.issued += 1;
-                plan.baked.iq_writes += 1;
-                plan.baked.iq_reads += 1;
-                if inst.low_energy {
-                    plan.baked.committed_low_energy += 1;
-                }
-                if let Some(dest) = inst.dest {
-                    plan.baked.wakeup_broadcasts += 1;
-                    match dest.class() {
-                        RegClass::Int => plan.baked.int_rf_writes += 1,
-                        RegClass::Fp => plan.baked.fp_rf_writes += 1,
-                    }
-                }
-                for src in inst.srcs.iter().flatten() {
-                    match src.class() {
-                        RegClass::Int => plan.baked.int_rf_reads += 1,
-                        RegClass::Fp => plan.baked.fp_rf_reads += 1,
-                    }
-                }
-            }
-            if inst.iq_hint.is_some() {
-                flags |= flag::HAS_HINT;
-            }
-            if inst.opcode.is_load() {
-                flags |= flag::IS_LOAD;
-            }
-            if inst.opcode.is_store() {
-                flags |= flag::IS_STORE;
-            }
-
-            let mut srcs = [NO_REG; 2];
-            for (slot, src) in srcs.iter_mut().zip(inst.srcs.iter()) {
-                if let Some(arch) = src {
-                    *slot = dense_arch(*arch);
-                }
-            }
-            plan.insts.push(InstRecord {
-                flags,
-                dest: inst.dest.map_or(NO_REG, dense_arch),
-                srcs,
-                fu: inst.opcode.fu_class(),
-                latency: inst.opcode.latency().max(1) as u8,
-                hint: inst.iq_hint.unwrap_or(0),
-            });
-            plan.mem_addr.push(dyn_inst.mem_addr.unwrap_or(0x1000_0000));
+        let mut builder = PlanBuilder::new(config, program, trace.len());
+        for dyn_inst in &trace.committed {
+            builder.push(dyn_inst);
         }
-        // Full-queue wakeup comparisons are `2 × capacity` per broadcast
-        // and the broadcast count is static, so the total is too.
-        plan.baked.wakeup_comparisons_full =
-            plan.baked.wakeup_broadcasts * 2 * config.iq.entries as u64;
-        plan
+        builder.finish()
+    }
+
+    /// Executes `program` for at most `max_insts` dynamic instructions and
+    /// lowers the committed stream under `config` as it is produced. The
+    /// plan equals [`ExecPlan::build`] over the trace
+    /// `Executor::new(program).run(max_insts)` would collect, without that
+    /// trace ever existing.
+    ///
+    /// # Errors
+    ///
+    /// The executor's fault, if the program does not execute cleanly.
+    pub fn lower(config: SimConfig, program: &Program, max_insts: u64) -> Result<Self, ExecError> {
+        let mut builder = PlanBuilder::new(config, program, 0);
+        Executor::new(program).stream(max_insts, |dyn_inst| builder.push(&dyn_inst))?;
+        Ok(builder.finish())
     }
 
     /// Number of dynamic instructions the plan covers.
@@ -455,6 +335,207 @@ impl ExecPlan {
     #[doc(hidden)]
     pub fn records_mut(&mut self) -> &mut [InstRecord] {
         &mut self.insts
+    }
+}
+
+/// The lowering loop behind [`ExecPlan::build`] and [`ExecPlan::lower`]:
+/// takes the committed instructions one at a time, in commit order, and
+/// never looks at an instruction after the one it is given.
+///
+/// A taken control transfer's BTB target is the address of the next
+/// committed instruction, so its BTB check waits until that instruction is
+/// pushed (or [`PlanBuilder::finish`] supplies `addr + 4` for a stream
+/// that ends on it). The deferred check still runs before anything the
+/// next instruction touches, so the predictor sees the same sequence of
+/// lookups and updates as a lowering that peeks ahead.
+struct PlanBuilder<'p> {
+    plan: ExecPlan,
+    program: &'p Program,
+    // The front-end models evolve over purely static inputs, in strict
+    // commit order, exactly once per site — so their full histories are
+    // computed here and never touched again.
+    bpred: BranchPredictor,
+    l1i: Cache,
+    line_bytes: u64,
+    last_fetched_line: Option<u64>,
+    // Consecutive records overwhelmingly share a basic block, so the
+    // block's instruction slice is looked up only on block changes.
+    cached_block: Option<(ProcId, BlockId)>,
+    block_insts: &'p [Instruction],
+    /// A taken control transfer still waiting for its target: its record
+    /// index and address.
+    pending_target: Option<(usize, u64)>,
+}
+
+impl<'p> PlanBuilder<'p> {
+    /// A builder for `program` under `config`, with room reserved for
+    /// `len` records.
+    fn new(config: SimConfig, program: &'p Program, len: usize) -> Self {
+        PlanBuilder {
+            plan: ExecPlan {
+                config,
+                workload: program.name.clone(),
+                insts: Vec::with_capacity(len),
+                mem_addr: Vec::with_capacity(len),
+                imiss_addrs: Vec::new(),
+                baked: ActivityStats {
+                    iq_total_banks: config.iq.banks() as u64,
+                    iq_total_entries: config.iq.entries as u64,
+                    int_rf_total_banks: config.int_rf.banks() as u64,
+                    fp_rf_total_banks: config.fp_rf.banks() as u64,
+                    ..ActivityStats::default()
+                },
+            },
+            program,
+            bpred: BranchPredictor::new(config.branch),
+            l1i: Cache::new(config.l1i),
+            line_bytes: config.l1i.line_bytes as u64,
+            last_fetched_line: None,
+            cached_block: None,
+            block_insts: &[],
+            pending_target: None,
+        }
+    }
+
+    /// Lowers the next committed instruction.
+    fn push(&mut self, dyn_inst: &DynInst) {
+        if let Some((idx, from)) = self.pending_target.take() {
+            self.resolve_target(idx, from, dyn_inst.addr);
+        }
+        let loc = dyn_inst.loc;
+        if self.cached_block != Some((loc.proc, loc.block)) {
+            self.block_insts = self
+                .program
+                .proc(loc.proc)
+                .block(loc.block)
+                .instructions
+                .as_slice();
+            self.cached_block = Some((loc.proc, loc.block));
+        }
+        let inst = &self.block_insts[loc.index];
+        let idx = self.plan.insts.len();
+        let addr = dyn_inst.addr;
+        let baked = &mut self.plan.baked;
+        let mut flags: u16 = 0;
+
+        // --- I-cache: one access per new cache line touched ----------------
+        let line = addr / self.line_bytes;
+        if self.last_fetched_line != Some(line) {
+            self.last_fetched_line = Some(line);
+            flags |= flag::NEW_LINE;
+            if !self.l1i.access(addr) {
+                flags |= flag::L1I_MISS;
+                baked.icache_misses += 1;
+                self.plan.imiss_addrs.push(addr);
+            }
+        }
+
+        // --- branch prediction ---------------------------------------------
+        if inst.opcode.is_cond_branch() {
+            baked.branches += 1;
+            let actual_taken = dyn_inst.taken.unwrap_or(false);
+            let prediction = self.bpred.predict_direction(addr);
+            self.bpred.update_direction(addr, prediction, actual_taken);
+            if prediction.taken != actual_taken {
+                flags |= flag::MISPREDICTED;
+                baked.mispredicted_branches += 1;
+            }
+            if actual_taken {
+                flags |= flag::ENDS_GROUP;
+                self.pending_target = Some((idx, addr));
+            }
+        } else if inst.opcode.is_control() {
+            flags |= flag::ENDS_GROUP;
+            self.pending_target = Some((idx, addr));
+        }
+
+        // --- decode ----------------------------------------------------------
+        if inst.is_hint_noop() {
+            flags |= flag::IS_HINT;
+            baked.committed_hints += 1;
+        } else {
+            // Every non-hint record dispatches, issues and commits exactly
+            // once, reading its sources and (if present) broadcasting its
+            // destination — all static totals.
+            baked.committed += 1;
+            baked.dispatched += 1;
+            baked.issued += 1;
+            baked.iq_writes += 1;
+            baked.iq_reads += 1;
+            if inst.low_energy {
+                baked.committed_low_energy += 1;
+            }
+            if let Some(dest) = inst.dest {
+                baked.wakeup_broadcasts += 1;
+                match dest.class() {
+                    RegClass::Int => baked.int_rf_writes += 1,
+                    RegClass::Fp => baked.fp_rf_writes += 1,
+                }
+            }
+            for src in inst.srcs.iter().flatten() {
+                match src.class() {
+                    RegClass::Int => baked.int_rf_reads += 1,
+                    RegClass::Fp => baked.fp_rf_reads += 1,
+                }
+            }
+        }
+        if inst.iq_hint.is_some() {
+            flags |= flag::HAS_HINT;
+        }
+        if inst.opcode.is_load() {
+            flags |= flag::IS_LOAD;
+        }
+        if inst.opcode.is_store() {
+            flags |= flag::IS_STORE;
+        }
+
+        let mut srcs = [NO_REG; 2];
+        for (slot, src) in srcs.iter_mut().zip(inst.srcs.iter()) {
+            if let Some(arch) = src {
+                *slot = dense_arch(*arch);
+            }
+        }
+        self.plan.insts.push(InstRecord {
+            flags,
+            dest: inst.dest.map_or(NO_REG, dense_arch),
+            srcs,
+            fu: inst.opcode.fu_class(),
+            latency: inst.opcode.latency().max(1) as u8,
+            hint: inst.iq_hint.unwrap_or(0),
+        });
+        self.plan
+            .mem_addr
+            .push(dyn_inst.mem_addr.unwrap_or(DATA_BASE));
+    }
+
+    /// The BTB check of the control transfer at record `idx` (address
+    /// `from`), now that its `target` is known.
+    fn resolve_target(&mut self, idx: usize, from: u64, target: u64) {
+        if self.bpred.predict_target(from) != Some(target) {
+            self.plan.baked.btb_misses += 1;
+            self.plan.insts[idx].flags |= flag::BTB_STALL;
+        }
+        self.bpred.update_target(from, target);
+    }
+
+    /// Completes the plan: a final control transfer is given the
+    /// fall-through address as its target, and the static totals that need
+    /// the whole stream are filled in.
+    fn finish(mut self) -> ExecPlan {
+        if let Some((idx, from)) = self.pending_target.take() {
+            self.resolve_target(idx, from, from + 4);
+        }
+        let mut plan = self.plan;
+        // Full-queue wakeup comparisons are `2 × capacity` per broadcast
+        // and the broadcast count is static, so the total is too.
+        plan.baked.wakeup_comparisons_full =
+            plan.baked.wakeup_broadcasts * 2 * plan.config.iq.entries as u64;
+        // A streamed lowering grew the arrays without knowing the length;
+        // cached plans live for the whole run, so drop the slack.
+        plan.insts.shrink_to_fit();
+        plan.mem_addr.shrink_to_fit();
+        plan.imiss_addrs.shrink_to_fit();
+        plan
     }
 }
 
@@ -1018,7 +1099,8 @@ mod tests {
     use super::*;
     use crate::pipeline::tests::{hinted_program, loop_program};
     use crate::resize::AdaptiveConfig;
-    use sdiq_isa::Executor;
+    use sdiq_isa::builder::ProgramBuilder;
+    use sdiq_isa::reg::int_reg;
 
     /// FNV-1a over a result's `Debug` rendering: every counter, the cycle
     /// count and the resize count, in one number.
@@ -1138,6 +1220,57 @@ mod tests {
         assert!(baked.branches >= 300);
         assert_eq!(plan.len(), trace.len());
         assert_eq!(plan.workload(), program.name);
+    }
+
+    /// A stream cut right after a control transfer gives the transfer the
+    /// fall-through address, `addr + 4`, as its BTB target. Here the jump
+    /// really goes to the next block, laid out at `addr + 4`, so the cut
+    /// plan is a prefix of the full one: the BTB entry trained on the
+    /// first trip hits.
+    #[test]
+    fn a_stream_cut_after_a_transfer_targets_the_next_address() {
+        let mut b = ProgramBuilder::new();
+        let main = b.procedure("main");
+        {
+            let p = b.proc_mut(main);
+            let entry = p.block();
+            let body = p.block();
+            let next = p.block();
+            let exit = p.block();
+            p.with_block(entry, |bb| {
+                bb.li(int_reg(1), 0);
+                bb.jump(body);
+            });
+            p.with_block(body, |bb| {
+                bb.addi(int_reg(1), int_reg(1), 1);
+                bb.jump(next);
+            });
+            p.with_block(next, |bb| {
+                bb.blt(int_reg(1), 3, body, exit);
+            });
+            p.with_block(exit, |bb| {
+                bb.ret();
+            });
+            p.set_entry(entry);
+        }
+        let program = b.finish(main).unwrap();
+        let config = SimConfig::hpca2005();
+        let full = ExecPlan::lower(config, &program, 200).unwrap();
+        // li, jump, addi, jump, blt, addi, jump: the cut ends on the
+        // second trip's jump to `next`.
+        let cut = ExecPlan::lower(config, &program, 7).unwrap();
+        let last = cut.records()[6];
+        assert_ne!(
+            last.flags & flag::ENDS_GROUP,
+            0,
+            "the last record is the jump"
+        );
+        assert_eq!(
+            last.flags & flag::BTB_STALL,
+            0,
+            "its trained BTB entry hits"
+        );
+        assert_eq!(cut.records(), &full.records()[..7]);
     }
 
     #[test]

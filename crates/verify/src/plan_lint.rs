@@ -21,10 +21,16 @@
 //! BTB stalls, L1i hit/miss placement) are not recomputed here — the
 //! workspace's golden save pins them, since any change to them moves the
 //! cycles and counters of its cells.
+//!
+//! The check walks the committed instructions one at a time, so it runs
+//! the same way over a collected trace ([`lint_plan`]) and over a second
+//! execution streamed straight into it ([`lint_lowered_plan`], what the
+//! artifact cache runs on plans lowered from the executor). A finding's
+//! location is formatted only when the finding is reported.
 
 use crate::diag::{codes, Diagnostic};
 use sdiq_isa::exec::DATA_BASE;
-use sdiq_isa::{Program, Trace};
+use sdiq_isa::{DynInst, ExecError, Executor, Program, Trace};
 use sdiq_sim::plan::{dense_arch, flag, ExecPlan, NO_REG};
 
 /// Per-record diagnostics stop after this many findings; corrupted plans
@@ -34,60 +40,111 @@ const MAX_RECORD_DIAGS: usize = 25;
 /// Cross-checks `plan` against the `program` and `trace` it was built
 /// from.
 pub fn lint_plan(plan: &ExecPlan, program: &Program, trace: &Trace) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let records = plan.records();
-    let mem_addrs = plan.mem_addrs();
+    let mut lint = RecordLint::new(plan, program);
+    for dyn_inst in &trace.committed {
+        lint.check(dyn_inst);
+    }
+    lint.finish()
+}
 
-    if records.len() != trace.len() || mem_addrs.len() != trace.len() {
-        diags.push(Diagnostic::error(
-            codes::PLAN001,
-            format!("plan `{}`", plan.workload()),
-            format!(
-                "plan covers {} records / {} memory addresses for a {}-instruction trace",
-                records.len(),
-                mem_addrs.len(),
-                trace.len()
-            ),
-        ));
-        return diags;
+/// Cross-checks `plan`, lowered with `ExecPlan::lower` from `program` and
+/// `max_insts`, against a second execution of `program` under the same
+/// cap. Each committed instruction goes through the same per-record check
+/// as [`lint_plan`] the moment it commits, so the diagnostics are exactly
+/// [`lint_plan`]'s over the trace that execution would collect, and no
+/// trace is ever held.
+///
+/// # Errors
+///
+/// The executor's fault, if `program` does not execute cleanly.
+pub fn lint_lowered_plan(
+    plan: &ExecPlan,
+    program: &Program,
+    max_insts: u64,
+) -> Result<Vec<Diagnostic>, ExecError> {
+    let mut lint = RecordLint::new(plan, program);
+    Executor::new(program).stream(max_insts, |dyn_inst| lint.check(&dyn_inst))?;
+    Ok(lint.finish())
+}
+
+/// The plan lint's state while it walks the committed instructions in
+/// order: the per-record findings so far and the tallies the whole-plan
+/// identities need at the end.
+struct RecordLint<'a> {
+    plan: &'a ExecPlan,
+    program: &'a Program,
+    line_bytes: u64,
+    /// Committed instructions seen so far (the index of the next one).
+    seen: usize,
+    last_line: Option<u64>,
+    record_diags: usize,
+    flagged_misses: u64,
+    broadcasts: u64,
+    hints: u64,
+    diags: Vec<Diagnostic>,
+}
+
+impl<'a> RecordLint<'a> {
+    fn new(plan: &'a ExecPlan, program: &'a Program) -> Self {
+        RecordLint {
+            plan,
+            program,
+            line_bytes: plan.config().l1i.line_bytes as u64,
+            seen: 0,
+            last_line: None,
+            record_diags: 0,
+            flagged_misses: 0,
+            broadcasts: 0,
+            hints: 0,
+            diags: Vec::new(),
+        }
     }
 
-    let line_bytes = plan.config().l1i.line_bytes as u64;
-    let mut last_line: Option<u64> = None;
-    let mut record_diags = 0usize;
-    let mut flagged_misses = 0u64;
-    let mut broadcasts = 0u64;
-    let mut hints = 0u64;
+    /// Records one per-record finding (PLAN002/PLAN003), up to the cap.
+    /// The location is formatted here, only for a finding that is kept.
+    fn report(&mut self, code: &'static str, idx: usize, message: String) {
+        if self.record_diags < MAX_RECORD_DIAGS {
+            self.diags.push(Diagnostic::error(
+                code,
+                format!("plan `{}` record {idx}", self.plan.workload()),
+                message,
+            ));
+        }
+        self.record_diags += 1;
+    }
 
-    for (idx, dyn_inst) in trace.committed.iter().enumerate() {
-        let inst = program.instruction(dyn_inst.loc);
-        let rec = &records[idx];
-        let at = format!("plan `{}` record {idx}", plan.workload());
+    /// Checks the next committed instruction against its plan record.
+    fn check(&mut self, dyn_inst: &DynInst) {
+        let idx = self.seen;
+        self.seen += 1;
+        let plan = self.plan;
+        let (Some(rec), Some(&mem_addr)) = (plan.records().get(idx), plan.mem_addrs().get(idx))
+        else {
+            // The streams are too short; `finish` reports PLAN001.
+            return;
+        };
+        let inst = self.program.instruction(dyn_inst.loc);
 
         // Counters for the PLAN004/PLAN005 identities below.
         if rec.flags & flag::L1I_MISS != 0 {
-            flagged_misses += 1;
+            self.flagged_misses += 1;
         }
         if rec.flags & flag::IS_HINT != 0 {
-            hints += 1;
+            self.hints += 1;
         } else if rec.dest != NO_REG {
-            broadcasts += 1;
+            self.broadcasts += 1;
         }
 
         // PLAN003 — memory stream.
-        if mem_addrs[idx] != dyn_inst.mem_addr.unwrap_or(DATA_BASE) {
-            if record_diags < MAX_RECORD_DIAGS {
-                diags.push(Diagnostic::error(
-                    codes::PLAN003,
-                    at.clone(),
-                    format!(
-                        "memory address {:#x} disagrees with the trace's {:#x}",
-                        mem_addrs[idx],
-                        dyn_inst.mem_addr.unwrap_or(DATA_BASE)
-                    ),
-                ));
-            }
-            record_diags += 1;
+        let expected_mem_addr = dyn_inst.mem_addr.unwrap_or(DATA_BASE);
+        if mem_addr != expected_mem_addr {
+            self.report(
+                codes::PLAN003,
+                idx,
+                format!(
+                    "memory address {mem_addr:#x} disagrees with the trace's {expected_mem_addr:#x}"
+                ),
+            );
         }
 
         // PLAN002 — field round-trip.
@@ -100,9 +157,9 @@ pub fn lint_plan(plan: &ExecPlan, program: &Program, trace: &Trace) -> Vec<Diagn
         let expected_dest = inst.dest.map_or(NO_REG, dense_arch);
         let expected_latency = inst.opcode.latency().max(1) as u8;
         let expected_hint = inst.iq_hint.unwrap_or(0);
-        let line = dyn_inst.addr / line_bytes;
-        let expected_new_line = last_line != Some(line);
-        last_line = Some(line);
+        let line = dyn_inst.addr / self.line_bytes;
+        let expected_new_line = self.last_line != Some(line);
+        self.last_line = Some(line);
         let expected_ends_group = if inst.opcode.is_cond_branch() {
             dyn_inst.taken.unwrap_or(false)
         } else {
@@ -144,93 +201,119 @@ pub fn lint_plan(plan: &ExecPlan, program: &Program, trace: &Trace) -> Vec<Diagn
             None
         };
         if let Some(problem) = mismatch {
-            if record_diags < MAX_RECORD_DIAGS {
-                diags.push(Diagnostic::error(codes::PLAN002, at, problem));
-            }
-            record_diags += 1;
+            self.report(codes::PLAN002, idx, problem);
         }
     }
-    if record_diags > MAX_RECORD_DIAGS {
-        diags.push(Diagnostic::error(
-            codes::PLAN002,
-            format!("plan `{}`", plan.workload()),
-            format!(
-                "{} further per-record findings suppressed",
-                record_diags - MAX_RECORD_DIAGS
-            ),
-        ));
-    }
 
-    // PLAN004 — I-miss stream consistency.
-    if plan.imiss_addrs().len() as u64 != flagged_misses {
-        diags.push(Diagnostic::error(
-            codes::PLAN004,
-            format!("plan `{}`", plan.workload()),
-            format!(
-                "{} I-miss addresses for {} L1I_MISS-flagged records",
-                plan.imiss_addrs().len(),
-                flagged_misses
-            ),
-        ));
-    }
-
-    // PLAN005 — baked-counter identities.
-    let baked = plan.baked_stats();
-    let total = trace.len() as u64;
-    let mut identity = |ok: bool, what: String| {
-        if !ok {
-            diags.push(Diagnostic::error(
-                codes::PLAN005,
+    /// The diagnostics: PLAN001 alone if the plan's streams do not match
+    /// the number of committed instructions, otherwise the per-record
+    /// findings followed by the whole-plan identities.
+    fn finish(self) -> Vec<Diagnostic> {
+        let RecordLint {
+            plan,
+            seen,
+            record_diags,
+            flagged_misses,
+            broadcasts,
+            hints,
+            mut diags,
+            ..
+        } = self;
+        let records = plan.records();
+        let mem_addrs = plan.mem_addrs();
+        if records.len() != seen || mem_addrs.len() != seen {
+            return vec![Diagnostic::error(
+                codes::PLAN001,
                 format!("plan `{}`", plan.workload()),
-                what,
+                format!(
+                    "plan covers {} records / {} memory addresses for a {seen}-instruction trace",
+                    records.len(),
+                    mem_addrs.len(),
+                ),
+            )];
+        }
+        if record_diags > MAX_RECORD_DIAGS {
+            diags.push(Diagnostic::error(
+                codes::PLAN002,
+                format!("plan `{}`", plan.workload()),
+                format!(
+                    "{} further per-record findings suppressed",
+                    record_diags - MAX_RECORD_DIAGS
+                ),
             ));
         }
-    };
-    identity(
-        baked.committed + baked.committed_hints == total,
-        format!(
-            "committed {} + hints {} ≠ trace length {total}",
-            baked.committed, baked.committed_hints
-        ),
-    );
-    identity(
-        baked.committed_hints == hints,
-        format!(
-            "committed_hints {} ≠ {} IS_HINT records",
-            baked.committed_hints, hints
-        ),
-    );
-    identity(
-        baked.dispatched == baked.committed
-            && baked.issued == baked.committed
-            && baked.iq_writes == baked.committed
-            && baked.iq_reads == baked.committed,
-        format!(
-            "dispatched/issued/iq_writes/iq_reads ({}/{}/{}/{}) must all equal committed {}",
-            baked.dispatched, baked.issued, baked.iq_writes, baked.iq_reads, baked.committed
-        ),
-    );
-    identity(
-        baked.wakeup_broadcasts == broadcasts,
-        format!(
-            "wakeup_broadcasts {} ≠ {} destination-writing records",
-            baked.wakeup_broadcasts, broadcasts
-        ),
-    );
-    identity(
-        baked.wakeup_comparisons_full
-            == baked.wakeup_broadcasts * 2 * plan.config().iq.entries as u64,
-        format!(
-            "wakeup_comparisons_full {} ≠ broadcasts × 2 × capacity",
+        let total = seen as u64;
+
+        // PLAN004 — I-miss stream consistency.
+        if plan.imiss_addrs().len() as u64 != flagged_misses {
+            diags.push(Diagnostic::error(
+                codes::PLAN004,
+                format!("plan `{}`", plan.workload()),
+                format!(
+                    "{} I-miss addresses for {} L1I_MISS-flagged records",
+                    plan.imiss_addrs().len(),
+                    flagged_misses
+                ),
+            ));
+        }
+
+        // PLAN005 — baked-counter identities.
+        let baked = plan.baked_stats();
+        let mut identity = |ok: bool, what: String| {
+            if !ok {
+                diags.push(Diagnostic::error(
+                    codes::PLAN005,
+                    format!("plan `{}`", plan.workload()),
+                    what,
+                ));
+            }
+        };
+        identity(
+            baked.committed + baked.committed_hints == total,
+            format!(
+                "committed {} + hints {} ≠ trace length {total}",
+                baked.committed, baked.committed_hints
+            ),
+        );
+        identity(
+            baked.committed_hints == hints,
+            format!(
+                "committed_hints {} ≠ {} IS_HINT records",
+                baked.committed_hints, hints
+            ),
+        );
+        identity(
+            baked.dispatched == baked.committed
+                && baked.issued == baked.committed
+                && baked.iq_writes == baked.committed
+                && baked.iq_reads == baked.committed,
+            format!(
+                "dispatched/issued/iq_writes/iq_reads ({}/{}/{}/{}) must all equal committed {}",
+                baked.dispatched, baked.issued, baked.iq_writes, baked.iq_reads, baked.committed
+            ),
+        );
+        identity(
+            baked.wakeup_broadcasts == broadcasts,
+            format!(
+                "wakeup_broadcasts {} ≠ {} destination-writing records",
+                baked.wakeup_broadcasts, broadcasts
+            ),
+        );
+        identity(
             baked.wakeup_comparisons_full
-        ),
-    );
-    identity(
-        baked.icache_misses == flagged_misses,
-        format!(
-            "icache_misses {} ≠ {} L1I_MISS-flagged records",
-            baked.icache_misses, flagged_misses
-        ),
-    );
-    diags
+                == baked.wakeup_broadcasts * 2 * plan.config().iq.entries as u64,
+            format!(
+                "wakeup_comparisons_full {} ≠ broadcasts × 2 × capacity",
+                baked.wakeup_comparisons_full
+            ),
+        );
+        identity(
+            baked.icache_misses == flagged_misses,
+            format!(
+                "icache_misses {} ≠ {} L1I_MISS-flagged records",
+                baked.icache_misses, flagged_misses
+            ),
+        );
+        diags
+    }
 }

@@ -13,8 +13,8 @@ use sdiq_isa::{BlockId, Executor, Instruction, Opcode, Program, Trace};
 use sdiq_sim::plan::{flag, ExecPlan, NO_REG};
 use sdiq_sim::SimConfig;
 use sdiq_verify::{
-    codes, lint_plan, verify_annotations, verify_compiled, verify_envelope, verify_program,
-    StandardVerifier,
+    codes, lint_lowered_plan, lint_plan, verify_annotations, verify_compiled, verify_envelope,
+    verify_program, StandardVerifier,
 };
 use sdiq_workloads::Benchmark;
 
@@ -32,6 +32,21 @@ fn assert_code(diags: &[sdiq_verify::Diagnostic], code: &str) {
         diags.iter().any(|d| d.code == code),
         "expected a {code} diagnostic, got: {:?}",
         diags.iter().map(|d| d.code).collect::<Vec<_>>()
+    );
+}
+
+/// Asserts a `code` diagnostic whose location names plan record `idx`.
+fn assert_code_at_record(diags: &[sdiq_verify::Diagnostic], code: &str, idx: usize) {
+    let suffix = format!("record {idx}");
+    assert!(
+        diags
+            .iter()
+            .any(|d| d.code == code && d.location.ends_with(&suffix)),
+        "expected a {code} diagnostic at `{suffix}`, got: {:?}",
+        diags
+            .iter()
+            .map(|d| (d.code, d.location.as_str()))
+            .collect::<Vec<_>>()
     );
 }
 
@@ -353,7 +368,7 @@ fn swapped_record_fields_are_plan002() {
         .expect("some record writes a destination distinct from its source");
     let rec = &mut plan.records_mut()[idx];
     std::mem::swap(&mut rec.dest, &mut rec.srcs[0]);
-    assert_code(&lint_plan(&plan, &program, &trace), codes::PLAN002);
+    assert_code_at_record(&lint_plan(&plan, &program, &trace), codes::PLAN002, idx);
 }
 
 #[test]
@@ -368,7 +383,32 @@ fn corrupted_memory_stream_is_plan003() {
     // from.
     let addr = trace.committed[idx].mem_addr.map(|a| a + 64);
     trace.committed[idx].mem_addr = addr;
-    assert_code(&lint_plan(&plan, &program, &trace), codes::PLAN003);
+    assert_code_at_record(&lint_plan(&plan, &program, &trace), codes::PLAN003, idx);
+}
+
+/// The cache's lint of a plan lowered from the executor: the same
+/// per-record check against a second execution of the program, so its
+/// findings equal `lint_plan`'s over the collected trace.
+#[test]
+fn lowered_plan_lint_against_a_second_execution_matches_the_trace_lint() {
+    let (_, program, trace) = planned();
+    let mut plan = ExecPlan::lower(SimConfig::hpca2005(), &program, 4_000).expect("gzip executes");
+    let clean = lint_lowered_plan(&plan, &program, 4_000).expect("gzip executes");
+    assert!(clean.is_empty(), "lowered plan must lint clean: {clean:?}");
+
+    let idx = plan
+        .records()
+        .iter()
+        .position(|r| r.dest != NO_REG && r.srcs[0] != r.dest)
+        .expect("some record writes a destination distinct from its source");
+    let rec = &mut plan.records_mut()[idx];
+    std::mem::swap(&mut rec.dest, &mut rec.srcs[0]);
+    let streamed = lint_lowered_plan(&plan, &program, 4_000).expect("gzip executes");
+    assert_code_at_record(&streamed, codes::PLAN002, idx);
+    assert_eq!(streamed, lint_plan(&plan, &program, &trace));
+    // A second execution under another cap is another instruction count.
+    let short = lint_lowered_plan(&plan, &program, 1_000).expect("gzip executes");
+    assert_code(&short, codes::PLAN001);
 }
 
 #[test]

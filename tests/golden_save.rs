@@ -41,8 +41,19 @@ fn golden_experiment() -> Experiment {
     }
 }
 
-/// Recomputes the golden matrix and renders it as a save file.
-fn golden_save_bytes(experiment: &Experiment) -> String {
+/// The golden matrix recomputed on a fresh artifact cache.
+struct Recomputed {
+    /// The save file rendering of every cell.
+    save: String,
+    /// Plans the cache lowered.
+    plans: u64,
+    /// Replays the cache ran.
+    replays: u64,
+}
+
+/// Recomputes the golden matrix with static verification (plan lint
+/// against a second execution included) on or off.
+fn recompute_golden(experiment: &Experiment, verify: bool) -> Recomputed {
     let small = ConfigVariant {
         label: "small".to_string(),
         sim_config: SimConfig::small_for_tests(),
@@ -53,8 +64,14 @@ fn golden_save_bytes(experiment: &Experiment) -> String {
         .techniques(&TECHNIQUES)
         .variants(vec![ConfigVariant::base(experiment), small])
         .jobs(2);
-    let sweep = matrix.run_with(&ArtifactCache::new(), &HashMap::new());
-    persist::save_cells(&matrix.collect_cells(&sweep))
+    let cache = ArtifactCache::new();
+    cache.set_verify(verify);
+    let sweep = matrix.run_with(&cache, &HashMap::new());
+    Recomputed {
+        save: persist::save_cells(&matrix.collect_cells(&sweep)),
+        plans: cache.plan_builds(),
+        replays: cache.replay_runs(),
+    }
 }
 
 /// Fails, naming the first cell whose report differs, unless `actual`
@@ -95,9 +112,23 @@ fn assert_matches_fixture(actual: &str) {
     );
 }
 
+/// Verification observes artifacts and never alters them, so the bytes
+/// are the same with it on (the debug default) and off. Each machine
+/// lowers 5 plans per benchmark (the raw program and four compiler-pass
+/// outputs) and runs 6 replays: one per pass output, and the raw
+/// program's under the adaptive and the fixed policy, which `baseline`,
+/// `nonEmpty` and `way-memo` share.
 #[test]
 fn golden_save_is_reproduced_byte_for_byte() {
-    assert_matches_fixture(&golden_save_bytes(&golden_experiment()));
+    for verify in [false, true] {
+        let run = recompute_golden(&golden_experiment(), verify);
+        assert_matches_fixture(&run.save);
+        assert_eq!(
+            (run.plans, run.replays),
+            (110, 132),
+            "plans and replays for the 176 cells, verify {verify}"
+        );
+    }
 }
 
 #[test]

@@ -2,9 +2,9 @@
 //!
 //! These drive randomly generated `(program, SimConfig, policy)` cells —
 //! odd widths, tiny queues, shallow ROBs, hint-annotated programs on
-//! resized machines — through [`ExecPlan::build`] and
-//! [`PlanSimulator`], and check each run against oracles that are not a
-//! second simulator: the conservation identities over its
+//! resized machines — through [`ExecPlan::build`], [`ExecPlan::lower`]
+//! and [`PlanSimulator`], and check each run against oracles that are not
+//! a second simulator: the conservation identities over its
 //! [`ActivityStats`](sdiq::sim::ActivityStats), recounted from the trace
 //! where they are trace-determined (`common::check_identities`); the plan
 //! lint, which re-derives every record from the program and trace; and
@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use sdiq::compiler::{CompilerPass, PassConfig};
 use sdiq::isa::builder::ProgramBuilder;
 use sdiq::isa::reg::int_reg;
-use sdiq::isa::{Executor, Program, Trace};
+use sdiq::isa::{Executor, Opcode, Program, Trace};
 use sdiq::sim::{AdaptiveConfig, ExecPlan, PlanSimulator, ResizePolicy, SimConfig};
 use sdiq::verify::{has_errors, lint_plan};
 
@@ -83,6 +83,40 @@ fn arb_config() -> impl Strategy<Value = SimConfig> {
         })
 }
 
+/// Strategy: how to cap a run, resolved against the program by
+/// [`choose_cap`] — `(mode, pick)`.
+fn arb_cap() -> impl Strategy<Value = (usize, usize)> {
+    (0usize..3, 0usize..100_000)
+}
+
+/// The instruction cap for `program` under a drawn `(mode, pick)`: mode 0
+/// runs to the end (the last record is the entry procedure's `ret`), mode
+/// 1 stops right after a taken branch or a jump chosen by `pick`, and
+/// mode 2 after `pick` instructions, zero included. The first two end the
+/// stream on a control transfer whose BTB target no later record gives,
+/// which is where lowering falls back to `addr + 4`.
+fn choose_cap(program: &Program, (mode, pick): (usize, usize)) -> u64 {
+    const RUN_TO_END: u64 = 20_000;
+    let full = Executor::new(program).run(RUN_TO_END).unwrap();
+    match mode {
+        0 => RUN_TO_END,
+        1 => {
+            let taken_transfers: Vec<usize> = full
+                .committed
+                .iter()
+                .enumerate()
+                .filter(|(_, d)| {
+                    let opcode = program.instruction(d.loc).opcode;
+                    d.taken == Some(true) || opcode == Opcode::Jump
+                })
+                .map(|(idx, _)| idx)
+                .collect();
+            taken_transfers[pick % taken_transfers.len()] as u64 + 1
+        }
+        _ => (pick % (full.len() + 1)) as u64,
+    }
+}
+
 fn arb_policy() -> impl Strategy<Value = ResizePolicy> {
     (0usize..3).prop_map(|index| {
         [
@@ -107,14 +141,17 @@ fn linted_plan(config: SimConfig, program: &Program, trace: &Trace) -> Result<Ex
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// For any (program, config, policy) cell, the plan lints clean and
-    /// its replay satisfies every conservation identity, including the
-    /// counters recounted from the trace.
+    /// For any (program, config, policy) cell and instruction cap, the
+    /// plan lints clean, lowering straight from the executor gives the
+    /// plan built from the collected trace, and the replay satisfies
+    /// every conservation identity, including the counters recounted
+    /// from the trace.
     #[test]
     fn replayed_plans_satisfy_the_conservation_identities(
         program in arb_loop_program(),
         config in arb_config(),
         policy in arb_policy(),
+        cap in arb_cap(),
     ) {
         // The software-hint policy is only meaningful on an annotated
         // program — mirror the production pairing (the other policies run
@@ -124,8 +161,15 @@ proptest! {
         } else {
             program
         };
-        let trace = Executor::new(&program).run(20_000).unwrap();
+        let cap = choose_cap(&program, cap);
+        let trace = Executor::new(&program).run(cap).unwrap();
         let plan = linted_plan(config, &program, &trace)?;
+        let lowered = ExecPlan::lower(config, &program, cap).unwrap();
+        prop_assert!(
+            lowered == plan,
+            "lowering from the executor differs from building over the trace (cap {})",
+            cap
+        );
         let result = PlanSimulator::new(&plan, policy).run().unwrap();
         common::check_identities(&result.stats, Some((&program, &trace)))?;
     }
