@@ -4,7 +4,7 @@
 //! repro [--scale <f64>] [--jobs <n>] [--sweep <axis>=<v1,v2,...>]
 //!       [--benchmarks <b1,b2,...>] [--techniques <t1,t2,...>]
 //!       [--save <path>] [--load <path>]... [--checkpoint <path>]
-//!       [--shard <k>/<n>] [--shards <n>] [--workers <host:port,...>]
+//!       [--shard <k>/<n>] [--workers <host:port,...>]
 //!       [--listen-workers <host:port> --expect <n>] [--retry-budget <n>]
 //!       [--connect-timeout <secs>] [--heartbeat-deadline <secs>] [--no-speculate]
 //!       [--wire binary|json] [--pipeline-window <n>] [--auth-key <key>]
@@ -20,8 +20,10 @@
 //!            [--benchmarks <b1,b2,...>] [--techniques <t1,t2,...>]
 //! ```
 //!
-//! With no selection flags, `--all` is assumed. `--scale` shrinks or grows
-//! every workload's outer loop (1.0 = the default reproduction scale).
+//! With no selection flags, `--all` is assumed; a `--flag` that is neither
+//! an option nor a section is an error (exit 2). `--scale` shrinks or
+//! grows every workload's outer loop (1.0 = the default reproduction
+//! scale).
 //! Each cell's program is executed and lowered once, straight from the
 //! executor, into a cached execution plan that every technique of that
 //! machine replays; techniques that also share the resize policy share
@@ -50,11 +52,10 @@
 //!   recomputing only the cells that were still missing.
 //! * `--shard k/n` (worker mode) computes exactly the cells the stable
 //!   key partition assigns to shard `k` of `n`, writes them via
-//!   `--save`/`--checkpoint`, and prints no figures.
-//! * `--shards n` (coordinator mode) spawns `n` worker subprocesses of
-//!   this same binary, one per shard, merges their partial suites and
-//!   proceeds exactly like a serial run — the merged output is
-//!   bit-identical to one.
+//!   `--save`/`--checkpoint`, and prints no figures. Loading every
+//!   shard's file (`--load`, repeatable) merges them into a suite
+//!   bit-identical to a serial run — the file-based path for batch
+//!   systems.
 //! * `repro serve` turns this binary into a networked worker daemon
 //!   (`sdiq-remote`): it listens for a coordinator (or, with
 //!   `--register host:port`, dials a rendezvous coordinator itself —
@@ -110,19 +111,20 @@
 //!   compile runs through the pass manager's inter-pass checker and
 //!   every cached artifact is statically verified once when first
 //!   built — a finding aborts the run. The two flags are mutually
-//!   exclusive; coordinators forward the choice to `--shards` workers.
+//!   exclusive, and both are refused with `--workers`/`--listen-workers`:
+//!   a `repro serve` daemon verifies according to its own build.
 //! * `repro lint` runs the full checker suite — structural program
 //!   verification, annotation legality, the soundness envelope and the
 //!   execution-plan lint — over every artifact of the selected
 //!   (variant × benchmark × technique) space, *collecting* structured
 //!   diagnostics instead of aborting. Exit 0 = clean, 1 = findings,
 //!   2 = flag error. A purely local, read-only checker: it refuses
-//!   `--workers`/`--shards`/`--shard`.
+//!   `--workers`/`--listen-workers`/`--shard`.
 
 use sdiq_compiler::CompilerPass;
 use sdiq_core::{
-    experiments, persist, ArtifactCache, Backend, CompileKey, Experiment, MatrixSpec, PlanKey,
-    PlanSource, ProgramKey, SubprocessSpec, Suite, Technique,
+    experiments, persist, ArtifactCache, CompileKey, Experiment, MatrixSpec, PlanKey, PlanSource,
+    ProgramKey, Suite, Technique,
 };
 use sdiq_isa::{Executor, Program};
 use sdiq_sim::{ExecPlan, SimConfig};
@@ -143,8 +145,6 @@ struct Options {
     checkpoint: Option<String>,
     /// Worker mode: `(index, count)`, zero-based index.
     shard: Option<(usize, usize)>,
-    /// Coordinator mode: number of worker subprocesses to spawn.
-    shards: Option<usize>,
     /// Remote coordinator mode: worker daemon addresses.
     workers: Option<Vec<String>>,
     /// Remote coordinator mode: rendezvous address for self-registering
@@ -179,6 +179,25 @@ struct Options {
     progress: bool,
     selections: BTreeSet<String>,
 }
+
+/// The output sections a `--<section>` flag selects (`--all` prints every
+/// one but `--stats`).
+const SECTIONS: [&str; 14] = [
+    "all",
+    "table1",
+    "table2",
+    "figure6",
+    "figure7",
+    "figure8",
+    "figure9",
+    "figure10",
+    "figure11",
+    "figure12",
+    "overall",
+    "summary",
+    "sweep-summary",
+    "stats",
+];
 
 fn required_value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
     args.next().unwrap_or_else(|| {
@@ -232,15 +251,6 @@ fn parse_args() -> Options {
                     std::process::exit(2);
                 }
                 options.shard = Some((k - 1, n));
-            }
-            "--shards" => {
-                let value = required_value(&mut args, "--shards");
-                let shards = value.parse::<usize>().ok().filter(|&n| n >= 1);
-                let Some(shards) = shards else {
-                    eprintln!("error: --shards needs a positive integer, got `{value}`");
-                    std::process::exit(2);
-                };
-                options.shards = Some(shards);
             }
             "--workers" => {
                 let spec = required_value(&mut args, "--workers");
@@ -315,7 +325,7 @@ fn parse_args() -> Options {
                      [--sweep iq|bank|scale=<v,..>] \
                      [--benchmarks <b,..>] [--techniques <t,..>] \
                      [--save <path>] [--load <path>]... [--checkpoint <path>] \
-                     [--shard <k>/<n>] [--shards <n>] [--workers <host:port,..>] \
+                     [--shard <k>/<n>] [--workers <host:port,..>] \
                      [--listen-workers <host:port> --expect <n>] [--retry-budget <n>] \
                      [--connect-timeout <secs>] [--heartbeat-deadline <secs>] [--no-speculate] \
                      [--wire binary|json] [--pipeline-window <n>] [--auth-key <key>] \
@@ -331,10 +341,11 @@ fn parse_args() -> Options {
                 );
                 std::process::exit(0);
             }
-            flag if flag.starts_with("--") => {
-                options
-                    .selections
-                    .insert(flag.trim_start_matches("--").to_string());
+            flag if flag
+                .strip_prefix("--")
+                .is_some_and(|section| SECTIONS.contains(&section)) =>
+            {
+                options.selections.insert(flag[2..].to_string());
             }
             other => {
                 eprintln!("unknown argument: {other}");
@@ -342,19 +353,18 @@ fn parse_args() -> Options {
             }
         }
     }
-    if options.shard.is_some() && options.shards.is_some() {
-        eprintln!("error: --shard (worker) and --shards (coordinator) are mutually exclusive");
-        std::process::exit(2);
-    }
     let remote = options.workers.is_some() || options.listen_workers.is_some();
     if remote && options.shard.is_some() {
         eprintln!(
-            "error: --workers/--listen-workers (remote coordinator) cannot combine with --shard (subprocess worker)"
+            "error: --workers/--listen-workers (remote coordinator) cannot combine with --shard (shard worker)"
         );
         std::process::exit(2);
     }
-    if remote && options.shards.is_some() {
-        eprintln!("error: --workers/--listen-workers (remote coordinator) and --shards (subprocess coordinator) are mutually exclusive");
+    if remote && options.verify.is_some() {
+        eprintln!(
+            "error: --verify/--no-verify cannot combine with --workers/--listen-workers: \
+             a `repro serve` daemon verifies according to its own build"
+        );
         std::process::exit(2);
     }
     if options.listen_workers.is_some() != options.expect.is_some() {
@@ -607,7 +617,7 @@ fn lint_main(args: impl Iterator<Item = String>) -> ! {
                 let spec = required_value(&mut args, "--techniques");
                 techniques = Some(parse_techniques_spec(&spec));
             }
-            "--workers" | "--shards" | "--shard" | "--listen-workers" => {
+            "--workers" | "--shard" | "--listen-workers" => {
                 eprintln!(
                     "error: `repro lint` is a local static checker; {arg} (distributed \
                      execution) does not combine with it"
@@ -758,50 +768,6 @@ fn lint_main(args: impl Iterator<Item = String>) -> ! {
     std::process::exit(if errors > 0 { 1 } else { 0 });
 }
 
-/// The argument vector a worker subprocess needs to rebuild this run's
-/// matrix (everything that shapes the cell space; the coordinator appends
-/// the seed `--load` and the `--shard k/n --save <path>` pair itself).
-///
-/// `--jobs` is treated as the *run's* parallelism budget: the coordinator
-/// divides it (or, unset, the machine's cores) evenly among the workers,
-/// so `--shards 4` on a 16-core box runs 4 workers × 4 threads instead of
-/// oversubscribing 4 × 16.
-fn worker_args(options: &Options, shards: usize) -> Vec<String> {
-    let mut args = Vec::new();
-    if let Some(scale) = options.scale {
-        args.push("--scale".to_string());
-        args.push(scale.to_string());
-    }
-    let jobs_budget = options.jobs.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    });
-    args.push("--jobs".to_string());
-    args.push((jobs_budget / shards).max(1).to_string());
-    for (axis, values) in &options.sweeps {
-        args.push("--sweep".to_string());
-        let rendered: Vec<String> = values.iter().map(|v| v.to_string()).collect();
-        args.push(format!("{axis}={}", rendered.join(",")));
-    }
-    if let Some(benchmarks) = &options.benchmarks {
-        args.push("--benchmarks".to_string());
-        let names: Vec<&str> = benchmarks.iter().map(|b| b.name()).collect();
-        args.push(names.join(","));
-    }
-    if let Some(techniques) = &options.techniques {
-        args.push("--techniques".to_string());
-        let names: Vec<&str> = techniques.iter().map(|t| t.name()).collect();
-        args.push(names.join(","));
-    }
-    if let Some(on) = options.verify {
-        args.push(if on { "--verify" } else { "--no-verify" }.to_string());
-    }
-    // No --load forwarding here: the engine ships the coordinator's whole
-    // merged seed (loads + checkpoint) to every worker as one seed file.
-    args
-}
-
 fn wants(options: &Options, what: &str) -> bool {
     options.selections.contains("all") || options.selections.contains(what)
 }
@@ -925,27 +891,15 @@ fn main() {
         println!();
     }
 
-    let needs_suite = [
-        "figure6",
-        "figure7",
-        "figure8",
-        "figure9",
-        "figure10",
-        "figure11",
-        "figure12",
-        "overall",
-        "summary",
-        "sweep-summary",
-        "stats",
-        "all",
-    ]
-    .iter()
-    .any(|f| options.selections.contains(*f))
+    // Every section but the two tables reads the suite.
+    let needs_suite = options
+        .selections
+        .iter()
+        .any(|section| !matches!(section.as_str(), "table1" | "table2"))
         || options.save.is_some()
         || !options.loads.is_empty()
         || options.checkpoint.is_some()
         || options.shard.is_some()
-        || options.shards.is_some()
         || options.workers.is_some()
         || options.listen_workers.is_some();
 
@@ -983,9 +937,8 @@ fn main() {
             seed.extend(cells);
         }
 
-        // --checkpoint receives every newly computed cell in both modes:
-        // streamed per cell in-process, per landed shard in coordinator
-        // mode (where workers additionally keep per-shard checkpoints).
+        // --checkpoint receives every newly computed cell the moment it
+        // exists, computed in-process or streamed back by a worker daemon.
         let checkpoint = options.checkpoint.as_ref().map(|path| {
             persist::CheckpointWriter::append_to(path).unwrap_or_else(|e| {
                 eprintln!("error: opening checkpoint {path}: {e}");
@@ -1017,18 +970,16 @@ fn main() {
                 options
                     .listen_workers
                     .clone()
-                    .map(|listen| sdiq_core::Registration {
+                    .map(|listen| sdiq_remote::Registration {
                         listen,
                         expect: options.expect.expect("validated with --listen-workers"),
                     });
-            let defaults = sdiq_remote::RemoteOptions::default();
+            let defaults = sdiq_remote::RemoteOptions::new(matrix_spec.clone());
             let pool_size = workers.len() + registration.as_ref().map_or(0, |r| r.expect);
-            let remote_options = sdiq_remote::RemoteOptions {
+            let remote = sdiq_remote::RemoteOptions {
                 workers,
                 registration,
-                retry_budget: options
-                    .retry_budget
-                    .unwrap_or(sdiq_remote::DEFAULT_RETRY_BUDGET),
+                retry_budget: options.retry_budget.unwrap_or(defaults.retry_budget),
                 connect_timeout: options
                     .connect_timeout
                     .map(std::time::Duration::from_secs_f64)
@@ -1045,56 +996,25 @@ fn main() {
                 // them (--progress per-worker rates, --stats, or a trace
                 // whose summary wants per-worker totals); span shipping
                 // only when a trace will actually be written.
-                observe: sdiq_core::ObserveSpec {
+                observe: sdiq_remote::ObserveSpec {
                     metrics: options.progress
                         || options.trace.is_some()
                         || options.selections.contains("stats"),
                     trace: options.trace.is_some(),
                 },
+                ..defaults
             };
-            let backend = sdiq_remote::backend(matrix_spec.clone(), remote_options);
             eprintln!(
                 "remote coordinator: distributing {} of {} cells across {} worker(s) ...",
                 matrix.missing_cells(&seed),
                 matrix.cell_count(),
                 pool_size
             );
-            let sweep = matrix
-                .run_on(&backend, &seed, cell_sink)
-                .unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                });
+            let sweep = sdiq_remote::run(&matrix, &remote, &seed, cell_sink).unwrap_or_else(|e| {
+                eprintln!("error: {e}");
+                std::process::exit(1);
+            });
             eprintln!("remote coordinator: suite complete");
-            sweep
-        } else if let Some(shards) = options.shards {
-            // Coordinator mode: one worker subprocess per shard, merged
-            // into a sweep bit-identical to a serial run.
-            let worker_exe = std::env::current_exe().unwrap_or_else(|e| {
-                eprintln!("error: cannot locate own binary for workers: {e}");
-                std::process::exit(2);
-            });
-            let scratch_dir =
-                std::env::temp_dir().join(format!("sdiq-shards-{}", std::process::id()));
-            let backend = Backend::Subprocess(SubprocessSpec {
-                worker_exe,
-                worker_args: worker_args(&options, shards),
-                shards,
-                scratch_dir: scratch_dir.clone(),
-                worker_checkpoint_stem: options.checkpoint.as_ref().map(std::path::PathBuf::from),
-            });
-            eprintln!(
-                "coordinator: spawning {shards} shard workers over {} cells (scratch {}) ...",
-                matrix.cell_count(),
-                scratch_dir.display()
-            );
-            let sweep = matrix
-                .run_on(&backend, &seed, cell_sink)
-                .unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                });
-            let _ = std::fs::remove_dir_all(&scratch_dir);
             sweep
         } else {
             let total = matrix.cell_count();

@@ -22,9 +22,7 @@
 
 use sdiq_compiler::{CompilerPass, PassConfig};
 use sdiq_core::persist::{self, Json};
-use sdiq_core::{
-    ArtifactCache, Backend, Experiment, Matrix, MatrixSpec, SubprocessSpec, Technique,
-};
+use sdiq_core::{ArtifactCache, Experiment, Matrix, MatrixSpec, Technique};
 use sdiq_sim::{AdaptiveConfig, ExecPlan, PlanSimulator, ResizePolicy, SimConfig, SimResult};
 use sdiq_workloads::Benchmark;
 use std::collections::HashMap;
@@ -324,8 +322,8 @@ fn main() {
 
     // Matrix throughput: a reduced (benchmark × technique) matrix on the
     // job engine with its shared artifact cache; the rows below re-run it
-    // with verification, tracing, shards and remote workers and compare
-    // their suites with this one.
+    // with verification, tracing and remote workers and compare their
+    // suites with this one.
     let matrix_benchmarks = [
         Benchmark::Gzip,
         Benchmark::Mcf,
@@ -415,89 +413,6 @@ fn main() {
         "traced"
     );
 
-    // Sharded-backend row: the same reduced matrix through the subprocess
-    // coordinator (one `repro` worker per shard, partial suites merged).
-    // Workers pay process startup and cannot share the in-process artifact
-    // cache, so this row prices the multi-process substrate against the
-    // in-process engine — the counters must still be bit-identical.
-    const SHARDS: usize = 2;
-    let repro_exe = std::env::current_exe().ok().and_then(|own| {
-        let exe = own
-            .parent()?
-            .join(format!("repro{}", std::env::consts::EXE_SUFFIX));
-        exe.exists().then_some(exe)
-    });
-    let sharded_json = match repro_exe {
-        Some(worker_exe) => {
-            let benchmark_names: Vec<&str> = matrix_benchmarks.iter().map(|b| b.name()).collect();
-            let technique_names: Vec<&str> = matrix_techniques.iter().map(|t| t.name()).collect();
-            let scratch_dir =
-                std::env::temp_dir().join(format!("sdiq-throughput-shards-{}", std::process::id()));
-            let backend = Backend::Subprocess(SubprocessSpec {
-                worker_exe,
-                worker_args: vec![
-                    "--scale".to_string(),
-                    options.scale.to_string(),
-                    "--benchmarks".to_string(),
-                    benchmark_names.join(","),
-                    "--techniques".to_string(),
-                    technique_names.join(","),
-                    // Split the machine between the workers instead of
-                    // oversubscribing every core in each of them.
-                    "--jobs".to_string(),
-                    (jobs / SHARDS).max(1).to_string(),
-                ],
-                shards: SHARDS,
-                scratch_dir: scratch_dir.clone(),
-                worker_checkpoint_stem: None,
-            });
-            let sharded_start = Instant::now();
-            let sharded = Matrix::new(&matrix_experiment)
-                .benchmarks(&matrix_benchmarks)
-                .techniques(&matrix_techniques)
-                .run_on(&backend, &HashMap::new(), None);
-            let sharded_wall = sharded_start.elapsed().as_secs_f64();
-            let _ = std::fs::remove_dir_all(&scratch_dir);
-            match sharded {
-                Ok(sweep) => {
-                    let sharded_suite = sweep.into_suite();
-                    assert_eq!(
-                        sharded_suite, engine_suite,
-                        "merged sharded suite must be bit-identical to the in-process engine"
-                    );
-                    let vs_engine = sharded_wall / engine_wall.max(1e-9);
-                    eprintln!(
-                        "{:>14}: {cells} cells  {SHARDS} shard workers {sharded_wall:.3}s  \
-                         ({vs_engine:.2}x of engine wall, bit-identical)",
-                        "sharded"
-                    );
-                    Json::Obj(vec![
-                        ("shards".to_string(), Json::of_usize(SHARDS)),
-                        (
-                            "wall_seconds".to_string(),
-                            Json::Num(format!("{sharded_wall:.6}")),
-                        ),
-                        (
-                            "wall_vs_engine".to_string(),
-                            Json::Num(format!("{vs_engine:.3}")),
-                        ),
-                    ])
-                }
-                Err(error) => {
-                    eprintln!("{:>14}: skipped ({error})", "sharded");
-                    Json::Null
-                }
-            }
-        }
-        None => {
-            eprintln!(
-                "{:>14}: skipped (repro worker binary not built next to sim_throughput)",
-                "sharded"
-            );
-            Json::Null
-        }
-    };
-
     // Remote rows: the same reduced matrix once more, now through two
     // localhost `repro serve` daemons driven by the TCP scheduler
     // (sdiq-remote) — once with the negotiated `bin1` binary codec and
@@ -550,19 +465,16 @@ fn main() {
                     eprintln!("{label:>14}: skipped (could not start serve daemons)");
                 } else {
                     let addrs: Vec<String> = daemons.iter().map(|(_, addr)| addr.clone()).collect();
-                    let backend = sdiq_remote::backend(
-                        spec.clone(),
-                        sdiq_remote::RemoteOptions {
-                            workers: addrs,
-                            binary_wire,
-                            ..sdiq_remote::RemoteOptions::default()
-                        },
-                    );
-                    let remote_start = Instant::now();
-                    let remote = spec
+                    let options = sdiq_remote::RemoteOptions {
+                        workers: addrs,
+                        binary_wire,
+                        ..sdiq_remote::RemoteOptions::new(spec.clone())
+                    };
+                    let matrix = spec
                         .matrix(&matrix_experiment)
-                        .expect("spec mirrors the reduced matrix")
-                        .run_on(&backend, &HashMap::new(), None);
+                        .expect("spec mirrors the reduced matrix");
+                    let remote_start = Instant::now();
+                    let remote = sdiq_remote::run(&matrix, &options, &HashMap::new(), None);
                     let remote_wall = remote_start.elapsed().as_secs_f64();
                     match remote {
                         Ok(sweep) => {
@@ -641,10 +553,8 @@ fn main() {
                 once more with sdiq-obs tracing forced on (events drained and \
                 discarded; suite asserted bit-identical — observability is \
                 out-of-band — and the wall bounded at 3% + fixed grace over the \
-                tracing-off engine), and a sharded row running \
-                the same matrix through the subprocess coordinator (one repro worker \
-                per shard, merged suites asserted bit-identical to the engine's), \
-                and two remote rows running it through two localhost repro serve \
+                tracing-off engine), and two remote rows running it through two \
+                localhost repro serve \
                 daemons driven by the sdiq-remote TCP scheduler — 'remote' with the \
                 negotiated bin1 binary frames and pipelined batches (the fleet \
                 defaults), 'remote_json' pinned to JSON frames for the side-by-side \
@@ -731,7 +641,6 @@ fn main() {
                         ("trace_events".to_string(), Json::of_usize(traced_events)),
                     ]),
                 ),
-                ("sharded".to_string(), sharded_json),
                 ("remote".to_string(), remote_json),
                 ("remote_json".to_string(), remote_json_codec),
             ]),

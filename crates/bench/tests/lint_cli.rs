@@ -103,7 +103,6 @@ fn repeated_verify_flag_is_accepted() {
 fn lint_refuses_distributed_execution_flags() {
     for flag in [
         &["lint", "--workers", "tcp:127.0.0.1:0"][..],
-        &["lint", "--shards", "2"][..],
         &["lint", "--shard", "1/2"][..],
         &["lint", "--listen-workers", "127.0.0.1:0"][..],
     ] {
@@ -115,6 +114,14 @@ fn lint_refuses_distributed_execution_flags() {
             run.stderr
         );
     }
+    // `--shards` is no flag at all: lint names it as unknown.
+    let run = repro(&["lint", "--shards", "2"]);
+    assert_eq!(run.code, 2, "--shards must be refused");
+    assert!(
+        run.stderr.contains("unknown lint argument: --shards"),
+        "stderr:\n{}",
+        run.stderr
+    );
 }
 
 #[test]

@@ -543,8 +543,8 @@ fn cli_rejects_zero_jobs_and_contradictory_distribution_flags() {
     assert_eq!(code, Some(2), "serve applies the same rule");
     assert!(stderr.contains("--jobs wants a positive"), "{stderr}");
 
-    // One process cannot be a remote coordinator and a shard worker (or
-    // a subprocess coordinator) at once.
+    // One process cannot be a remote coordinator and a shard worker at
+    // once.
     let (code, stderr) = run(&[
         "--workers",
         "127.0.0.1:9",
@@ -558,9 +558,25 @@ fn cli_rejects_zero_jobs_and_contradictory_distribution_flags() {
         stderr.contains("--workers") && stderr.contains("--shard"),
         "{stderr}"
     );
+    // `--shards` is no flag at all: the error names it as unknown.
     let (code, stderr) = run(&["--workers", "127.0.0.1:9", "--shards", "2"]);
     assert_eq!(code, Some(2));
-    assert!(stderr.contains("mutually exclusive"), "{stderr}");
+    assert!(stderr.contains("unknown argument: --shards"), "{stderr}");
+
+    // A daemon verifies according to its own build and no frame carries
+    // the choice, so a fleet run refuses the flag instead of ignoring it.
+    for flag in ["--verify", "--no-verify"] {
+        for fleet in [
+            &["--workers", "127.0.0.1:9"][..],
+            &["--listen-workers", "127.0.0.1:0", "--expect", "1"][..],
+        ] {
+            let mut args = fleet.to_vec();
+            args.push(flag);
+            let (code, stderr) = run(&args);
+            assert_eq!(code, Some(2), "{args:?}");
+            assert!(stderr.contains("its own build"), "{args:?}: {stderr}");
+        }
+    }
 
     // An empty worker list is rejected before any run starts.
     let (code, stderr) = run(&["--workers", ","]);

@@ -1,6 +1,7 @@
-//! End-to-end test of `repro --all`'s output: the sections appear in the
-//! paper's order whatever order they are computed in, and the engine line
-//! reports the work the artifact cache shared.
+//! End-to-end tests of `repro`'s section flags: `--all`'s sections appear
+//! in the paper's order whatever order they are computed in, the engine
+//! line reports the work the artifact cache shared, and a flag that names
+//! no section is an error rather than an empty run.
 
 use std::process::Command;
 
@@ -34,4 +35,21 @@ fn all_prints_table1_table2_and_figure6_in_order() {
         ),
         "engine line missing or changed:\n{stderr}"
     );
+}
+
+#[test]
+fn unknown_flags_exit_two_and_name_the_flag() {
+    for args in [&["--figur6"][..], &["--shards", "2"][..]] {
+        let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("spawn repro");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}:\n{stderr}");
+        assert!(
+            stderr.contains(&format!("unknown argument: {}", args[0])),
+            "{args:?}:\n{stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{args:?} printed a section");
+    }
 }

@@ -1,10 +1,9 @@
-//! End-to-end tests of the sharded, crash-resumable `repro` CLI — the
-//! coordinator/worker protocol over real subprocesses:
+//! End-to-end tests of the sharded, crash-resumable `repro` CLI over real
+//! processes:
 //!
 //! 1. shard workers + merge produce a save file **byte-for-byte** equal to
 //!    a serial `--save`,
-//! 2. the `--shards` coordinator produces the same bytes in one command,
-//! 3. a checkpoint torn mid-line (the artifact of a killed run) resumes
+//! 2. a checkpoint torn mid-line (the artifact of a killed run) resumes
 //!    via the same `--checkpoint` flag, recomputing only the missing
 //!    cells, and ends with the same bytes again.
 
@@ -95,100 +94,6 @@ fn sharded_workers_merge_byte_identically_to_a_serial_save() {
 }
 
 #[test]
-fn coordinator_mode_produces_the_serial_bytes_in_one_command() {
-    let dir = scratch_dir("coordinator");
-    let serial = dir.join("serial.json");
-    let coordinated = dir.join("coordinated.json");
-
-    repro(&["--summary", "--save", serial.to_str().unwrap()]);
-    let log = repro(&[
-        "--summary",
-        "--shards",
-        "2",
-        "--save",
-        coordinated.to_str().unwrap(),
-    ]);
-    assert!(
-        log.contains("spawning 2 shard workers"),
-        "coordinator announces its workers:\n{log}"
-    );
-    assert_eq!(
-        read(&serial),
-        read(&coordinated),
-        "coordinator output must be byte-identical to serial"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn coordinator_checkpoints_compose_with_shards() {
-    // Regression: --shards used to silently ignore --checkpoint (nothing
-    // written, nothing forwarded to workers) — a user asking for crash
-    // durability on a coordinated run got none.
-    let dir = scratch_dir("coord-ckpt");
-    let serial = dir.join("serial.json");
-    let coordinated = dir.join("coordinated.json");
-    let checkpoint = dir.join("run.ckpt");
-
-    repro(&["--summary", "--save", serial.to_str().unwrap()]);
-    repro(&[
-        "--summary",
-        "--shards",
-        "2",
-        "--checkpoint",
-        checkpoint.to_str().unwrap(),
-        "--save",
-        coordinated.to_str().unwrap(),
-    ]);
-    assert_eq!(read(&serial), read(&coordinated));
-    // The coordinator's own checkpoint holds every cell (header + 6), and
-    // each worker kept a per-shard checkpoint at a stable path.
-    assert_eq!(read(&checkpoint).lines().count(), 7);
-    let shard_ckpts: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .filter(|e| e.file_name().to_string_lossy().contains("run.ckpt.shard-"))
-        .map(|e| e.path())
-        .collect();
-    assert_eq!(shard_ckpts.len(), 2, "one durable checkpoint per shard");
-    let shard_lines_before: Vec<usize> = shard_ckpts
-        .iter()
-        .map(|p| read(p).lines().count())
-        .collect();
-    assert_eq!(
-        shard_lines_before.iter().map(|n| n - 1).sum::<usize>(),
-        6,
-        "the shard checkpoints together hold every cell"
-    );
-
-    // Re-running the identical command resumes: workers seed from their
-    // shard checkpoints and compute nothing (their checkpoint files do
-    // not grow — durable state, immune to interleaved worker stderr),
-    // the coordinator checkpoint does not grow, and the bytes still
-    // match.
-    repro(&[
-        "--summary",
-        "--shards",
-        "2",
-        "--checkpoint",
-        checkpoint.to_str().unwrap(),
-        "--save",
-        coordinated.to_str().unwrap(),
-    ]);
-    let shard_lines_after: Vec<usize> = shard_ckpts
-        .iter()
-        .map(|p| read(p).lines().count())
-        .collect();
-    assert_eq!(
-        shard_lines_after, shard_lines_before,
-        "workers recomputed nothing on resume"
-    );
-    assert_eq!(read(&checkpoint).lines().count(), 7, "no duplicate lines");
-    assert_eq!(read(&serial), read(&coordinated));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn torn_checkpoint_resumes_and_recomputes_only_missing_cells() {
     let dir = scratch_dir("resume");
     let serial = dir.join("serial.json");
@@ -247,11 +152,16 @@ fn worker_mode_rejects_useless_and_contradictory_flag_combinations() {
         "--shard without --save/--checkpoint"
     );
 
+    // `--shards` is no flag at all: the error names it as unknown.
     let both = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(["--shard", "1/2", "--shards", "2", "--save", "/dev/null"])
         .output()
         .expect("spawn repro");
-    assert!(!both.status.success(), "--shard with --shards");
+    assert_eq!(both.status.code(), Some(2), "--shard with --shards");
+    assert!(
+        String::from_utf8_lossy(&both.stderr).contains("unknown argument: --shards"),
+        "the error names the flag"
+    );
 
     let bad_range = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(["--shard", "3/2", "--save", "/dev/null"])

@@ -21,19 +21,20 @@
 //! # Scaling beyond one process
 //!
 //! The same cell space shards across processes: [`shard_of`] assigns every
-//! cell key to one of `N` shards by a stable fingerprint, [`Matrix::shard`]
-//! restricts a matrix to exactly its shard's cells, and [`Backend`] chooses
-//! between the in-process pool, a coordinator that spawns one worker
-//! subprocess per shard, and a coordinator that distributes cells over
-//! networked worker daemons ([`Backend::Remote`]; the TCP transport and
-//! fault-tolerant scheduler live in the `sdiq-remote` crate, wired in via
-//! [`RemoteSpec::launch`] so this crate stays transport-free) — all with
-//! the same hard guarantee: the merged sweep is bit-identical to a serial
-//! run. Completed cells can additionally stream into a [`CellSink`] (the
-//! engine's crash-resume hook: [`crate::persist::CheckpointWriter`] appends
-//! each one to disk the moment it exists). A [`MatrixSpec`] is the portable
-//! matrix description distribution backends ship to processes that never
-//! saw the coordinator's command line.
+//! cell key to one of `N` shards by a stable fingerprint and
+//! [`Matrix::shard`] restricts a matrix to exactly its shard's cells, so
+//! separately launched processes (`repro --shard k/n`) compute disjoint
+//! save files that merge back through `--load`. The `sdiq-remote` crate
+//! distributes cells over networked worker daemons instead: each daemon
+//! runs its share through [`Matrix::run_cells_by_key`], and the
+//! coordinator seeds [`Matrix::run_with`] with what they return, so this
+//! crate holds no process or transport code. Every path keeps the same
+//! hard guarantee: the merged sweep is bit-identical to a serial run.
+//! Completed cells can additionally stream into a [`CellSink`] (the
+//! engine's crash-resume hook: [`crate::persist::CheckpointWriter`]
+//! appends each one to disk the moment it exists). A [`MatrixSpec`] is
+//! the portable matrix description the remote coordinator ships to
+//! daemons that never saw its command line.
 
 use crate::cache::{ArtifactCache, CompileKey, PlanKey, PlanSource, ProgramKey};
 use crate::runner::{Experiment, RunReport, Suite};
@@ -41,12 +42,9 @@ use crate::technique::Technique;
 use sdiq_sim::SimConfig;
 use sdiq_workloads::Benchmark;
 use std::collections::HashMap;
-use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use std::time::Duration;
 
 /// One point on the configuration sweep axis: a simulator configuration
 /// plus the workload scale to run it at.
@@ -193,12 +191,11 @@ impl Sweep {
 /// the identical cell space (experiment scale, sweep axes, benchmark and
 /// technique names).
 ///
-/// This is the portable twin of [`SubprocessSpec::worker_args`]: the
-/// subprocess backend re-ships the coordinator's CLI flags, while the
-/// remote backend ships a `MatrixSpec` inside its `RunCells` frame (see
-/// `sdiq-remote`) so a worker daemon on another machine rebuilds the same
-/// matrix. Both the coordinator and the worker derive their [`Matrix`]
-/// from the same spec via [`MatrixSpec::matrix`], so they cannot drift.
+/// The remote coordinator ships a `MatrixSpec` inside its `RunCells`
+/// frame (see `sdiq-remote`) so a worker daemon on another machine
+/// rebuilds the same matrix. Both the coordinator and the worker derive
+/// their [`Matrix`] from the same spec via [`MatrixSpec::matrix`], so they
+/// cannot drift.
 ///
 /// The parts of an [`Experiment`] that are not spelled out here (energy
 /// model, instruction budget) are pinned to [`Experiment::paper`]; the
@@ -553,9 +550,9 @@ impl<'a> Matrix<'a> {
 
     /// The keys of exactly the cells [`Matrix::run_with`] would compute
     /// given `seed`, in canonical cell order (the same predicate as
-    /// [`Matrix::missing_cells`]). This is the work list a distribution
-    /// backend schedules: seeded cells are already durable and never leave
-    /// the coordinator.
+    /// [`Matrix::missing_cells`]). This is the work list the remote
+    /// scheduler distributes: seeded cells are already durable and never
+    /// leave the coordinator.
     pub fn missing_cell_keys(&self, seed: &HashMap<String, RunReport>) -> Vec<String> {
         let variants = self.effective_variants();
         self.cells(&variants)
@@ -580,8 +577,7 @@ impl<'a> Matrix<'a> {
     /// report into `sink` as it lands, and returns the key-addressed
     /// results. A requested key this matrix does not own is an error —
     /// it means the requester built a different matrix (the remote worker
-    /// daemon's defence against version skew, mirroring the subprocess
-    /// coordinator's foreign-key check from the other side).
+    /// daemon's defence against version skew).
     pub fn run_cells_by_key(
         &self,
         cache: &ArtifactCache,
@@ -801,224 +797,6 @@ impl<'a> Matrix<'a> {
         let jobs = if self.jobs == 0 { auto() } else { self.jobs };
         jobs.clamp(1, cells.max(1))
     }
-
-    /// Runs the matrix on the chosen [`Backend`].
-    ///
-    /// * [`Backend::InProcess`] is [`Matrix::run_with_sink`] with a fresh
-    ///   cache and the given seed — infallible, same-process.
-    /// * [`Backend::Subprocess`] turns this process into a coordinator: it
-    ///   spawns one worker per shard (the worker protocol is documented on
-    ///   [`SubprocessSpec`]), waits for all of them, loads their partial
-    ///   cell maps and assembles the merged sweep, which is bit-identical
-    ///   to a serial run because every cell is a pure function of its key.
-    /// * [`Backend::Remote`] distributes the missing cells over networked
-    ///   worker daemons through the [`RemoteSpec::launch`] hook (the TCP
-    ///   transport and scheduler live in the `sdiq-remote` crate; the
-    ///   engine stays transport-free). Same hard guarantee: the assembled
-    ///   sweep is bit-identical to a serial run.
-    ///
-    /// Either way, `sink` observes every cell that was not already in
-    /// `seed`: computed locally for the in-process backend, returned by a
-    /// worker for the distributed ones (delivered as each shard lands /
-    /// each remote cell streams in, so a killed coordinator keeps what
-    /// finished).
-    pub fn run_on(
-        &self,
-        backend: &Backend,
-        seed: &HashMap<String, RunReport>,
-        sink: Option<&dyn CellSink>,
-    ) -> Result<Sweep, BackendError> {
-        match backend {
-            Backend::InProcess { jobs } => {
-                let mut matrix = self.clone();
-                matrix.jobs = *jobs;
-                Ok(matrix.run_with_sink(&ArtifactCache::new(), seed, sink))
-            }
-            Backend::Subprocess(spec) => self.run_subprocess(spec, seed, sink),
-            Backend::Remote(spec) => (spec.launch)(self, spec, seed, sink),
-        }
-    }
-
-    fn run_subprocess(
-        &self,
-        spec: &SubprocessSpec,
-        seed: &HashMap<String, RunReport>,
-        sink: Option<&dyn CellSink>,
-    ) -> Result<Sweep, BackendError> {
-        assert!(
-            self.shard.is_none(),
-            "the subprocess coordinator owns the whole matrix; shard() is for workers"
-        );
-        assert!(spec.shards >= 1, "need at least one shard");
-        std::fs::create_dir_all(&spec.scratch_dir).map_err(|e| {
-            BackendError::new(format!(
-                "creating scratch dir {}: {e}",
-                spec.scratch_dir.display()
-            ))
-        })?;
-
-        // The coordinator's whole seed (loaded save files, its checkpoint)
-        // travels to the workers as one extra `--load` file, so cells that
-        // are already durable are never recomputed — including across a
-        // serial-checkpoint → sharded mode switch.
-        let seed_path = (!seed.is_empty()).then(|| {
-            let path = spec.scratch_dir.join("seed.json");
-            let cells: std::collections::BTreeMap<String, RunReport> =
-                seed.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-            std::fs::write(&path, crate::persist::save_cells(&cells)).map(|()| path)
-        });
-        let seed_path = match seed_path {
-            None => None,
-            Some(Ok(path)) => Some(path),
-            Some(Err(e)) => {
-                return Err(BackendError::new(format!("writing worker seed file: {e}")))
-            }
-        };
-
-        // Spawn every worker first, then wait: shards run concurrently.
-        let mut children = Vec::with_capacity(spec.shards);
-        for shard in 0..spec.shards {
-            let save_path =
-                spec.scratch_dir
-                    .join(format!("shard-{}-of-{}.json", shard + 1, spec.shards));
-            let mut command = std::process::Command::new(&spec.worker_exe);
-            command.args(&spec.worker_args);
-            if let Some(seed_path) = &seed_path {
-                command.arg("--load").arg(seed_path);
-            }
-            command
-                .arg("--shard")
-                .arg(format!("{}/{}", shard + 1, spec.shards))
-                .arg("--save")
-                .arg(&save_path);
-            if let Some(stem) = &spec.worker_checkpoint_stem {
-                // Per-shard crash durability: each worker appends its
-                // completed cells to its own *stable* checkpoint path (not
-                // in the scratch dir) and seeds itself from it when the
-                // coordinator is re-run after a kill.
-                command.arg("--checkpoint").arg(format!(
-                    "{}.shard-{}-of-{}",
-                    stem.display(),
-                    shard + 1,
-                    spec.shards
-                ));
-            }
-            let child = command
-                .stdout(std::process::Stdio::null())
-                .stderr(std::process::Stdio::inherit())
-                .spawn()
-                .map_err(|e| {
-                    BackendError::new(format!(
-                        "spawning worker {} ({}): {e}",
-                        shard + 1,
-                        spec.worker_exe.display()
-                    ))
-                });
-            match child {
-                Ok(child) => children.push((shard, save_path, child)),
-                Err(error) => {
-                    // Don't strand the workers that did spawn.
-                    reap(children);
-                    return Err(error);
-                }
-            }
-        }
-
-        // Wait for every worker. After the first failure the remaining
-        // children are killed and reaped instead of being dropped — a
-        // dropped `Child` keeps running (and burning CPU on its whole
-        // shard) with nobody left to collect it.
-        let expected: std::collections::HashSet<String> = self.cell_keys().into_iter().collect();
-        let mut merged: HashMap<String, RunReport> = seed.clone();
-        let mut failure: Option<BackendError> = None;
-        for (shard, save_path, mut child) in children {
-            if failure.is_some() {
-                reap(vec![(shard, save_path, child)]);
-                continue;
-            }
-            let cells = wait_for_worker(shard, spec.shards, &save_path, &mut child);
-            let cells = match cells {
-                Ok(cells) => cells,
-                Err(error) => {
-                    failure = Some(error);
-                    continue;
-                }
-            };
-            for (key, report) in cells {
-                // A well-behaved worker only writes keys from this matrix's
-                // key space; anything else means the worker ran a different
-                // configuration than the coordinator.
-                if !expected.contains(&key) {
-                    failure = Some(BackendError::new(format!(
-                        "worker {} produced foreign cell key `{key}` — \
-                         worker and coordinator configurations disagree",
-                        shard + 1
-                    )));
-                    break;
-                }
-                // Cells the seed already held were durable before this run;
-                // everything a worker newly delivered streams to the sink
-                // (the coordinator's own checkpoint) as its shard lands.
-                if let Some(sink) = sink {
-                    if !seed.contains_key(&key) {
-                        sink.cell_complete(&key, &report);
-                    }
-                }
-                merged.insert(key, report);
-            }
-        }
-        if let Some(failure) = failure {
-            return Err(failure);
-        }
-
-        let missing = self.missing_cells(&merged);
-        if missing > 0 {
-            return Err(BackendError::new(format!(
-                "merged worker outputs still miss {missing} cells — \
-                 a worker under-covered its shard"
-            )));
-        }
-        // Assembly only: every cell is seeded, so nothing is recomputed and
-        // the merged sweep is bit-identical to a serial run.
-        Ok(self.run_with(&ArtifactCache::new(), &merged))
-    }
-}
-
-/// Kills and reaps worker children that are no longer wanted (spawn
-/// failure or an earlier worker's error). Best-effort: a child that
-/// already exited makes `kill` a no-op and `wait` collects it.
-fn reap(children: Vec<(usize, PathBuf, std::process::Child)>) {
-    for (_, _, mut child) in children {
-        let _ = child.kill();
-        let _ = child.wait();
-    }
-}
-
-/// Waits for one worker and loads its delivered cell map.
-fn wait_for_worker(
-    shard: usize,
-    shards: usize,
-    save_path: &std::path::Path,
-    child: &mut std::process::Child,
-) -> Result<HashMap<String, RunReport>, BackendError> {
-    let status = child
-        .wait()
-        .map_err(|e| BackendError::new(format!("waiting for worker {}: {e}", shard + 1)))?;
-    if !status.success() {
-        return Err(BackendError::new(format!(
-            "worker {}/{shards} exited with {status}",
-            shard + 1
-        )));
-    }
-    let text = std::fs::read_to_string(save_path).map_err(|e| {
-        BackendError::new(format!(
-            "reading worker {} output {}: {e}",
-            shard + 1,
-            save_path.display()
-        ))
-    })?;
-    crate::persist::load_cells_any(&text)
-        .map_err(|e| BackendError::new(format!("worker {} output: {e}", shard + 1)))
 }
 
 /// Observer of completed cells (see [`Matrix::run_with_sink`]). Called from
@@ -1027,183 +805,6 @@ pub trait CellSink: Sync {
     /// One computed cell's report, delivered as soon as it exists.
     fn cell_complete(&self, key: &str, report: &RunReport);
 }
-
-/// Where a matrix run executes.
-#[derive(Debug, Clone)]
-pub enum Backend {
-    /// The in-process worker pool (`jobs = 0` → one worker per hardware
-    /// thread) — the default, and the execution layer every other backend
-    /// bottoms out in.
-    InProcess {
-        /// Worker-pool size (`0` = auto).
-        jobs: usize,
-    },
-    /// A coordinator spawning one worker subprocess per shard and merging
-    /// their partial suites.
-    Subprocess(SubprocessSpec),
-    /// A coordinator distributing cells over networked worker daemons
-    /// (`repro serve` instances) and streaming their results back — the
-    /// scheduler and TCP transport live in the `sdiq-remote` crate.
-    Remote(RemoteSpec),
-}
-
-/// The remote backend's launch hook: given the coordinator's matrix, the
-/// spec, the seed and the streaming sink, distribute the missing cells and
-/// assemble the sweep. `sdiq-remote` provides the implementation
-/// (`sdiq_remote::backend` fills this in); keeping it a plain function
-/// pointer keeps `sdiq-core` free of any transport code while letting
-/// [`Matrix::run_on`] treat all backends uniformly.
-pub type RemoteLaunch = fn(
-    &Matrix<'_>,
-    &RemoteSpec,
-    &HashMap<String, RunReport>,
-    Option<&dyn CellSink>,
-) -> Result<Sweep, BackendError>;
-
-/// The remote backend: which worker daemons to dial and how to describe
-/// this matrix to them (see `sdiq-remote` for the wire protocol and the
-/// fault-tolerant scheduler behind [`RemoteSpec::launch`]).
-#[derive(Debug, Clone)]
-pub struct RemoteSpec {
-    /// Worker daemon addresses (`host:port`), one entry per worker.
-    pub workers: Vec<String>,
-    /// When set, the coordinator additionally listens for worker daemons
-    /// that dial *it* (`repro serve --register`) and waits for this many
-    /// registrations before scheduling — the NAT'd-fleet rendezvous.
-    pub registration: Option<Registration>,
-    /// The portable matrix description shipped to every worker, so a
-    /// daemon that never saw this run's command line rebuilds the
-    /// identical cell space. Must describe the same matrix `run_on` is
-    /// called on — deriving both from one [`MatrixSpec`] guarantees it.
-    pub spec: MatrixSpec,
-    /// How many times a single cell may be re-queued after worker
-    /// failures before the whole run aborts (guards against a cell that
-    /// kills every worker it lands on).
-    pub retry_budget: usize,
-    /// How long one dial attempt may take before the worker counts as
-    /// unreachable. Without this a single blackholed address stalls
-    /// coordinator startup for the OS connect default (minutes).
-    pub connect_timeout: Duration,
-    /// Declare a worker dead after this much silence on its socket.
-    /// Healthy daemons heartbeat every few seconds even mid-cell, so any
-    /// silence past this deadline means the worker is hung (frozen OS,
-    /// blackholed network) and its in-flight cells must re-queue.
-    /// `Duration::ZERO` disables the deadline (reads block forever — the
-    /// pre-liveness behaviour; only sensible for debugging).
-    pub heartbeat_deadline: Duration,
-    /// When the shared queue drains but cells are still in flight, let
-    /// idle drivers speculatively re-issue straggler cells to their
-    /// workers. First result wins; duplicates are benign because cell
-    /// results are deterministic (MapReduce-style backup tasks).
-    pub speculate: bool,
-    /// Offer workers the compact binary frame codec at `Hello` time
-    /// (workers that don't advertise it keep speaking JSON — the two
-    /// codecs interoperate per connection). Off forces JSON everywhere,
-    /// for debugging and for pricing the codecs against each other.
-    pub binary_wire: bool,
-    /// Per-worker pipelining window: how many cells the scheduler keeps
-    /// outstanding on one connection so the worker never idles between
-    /// batches. `0` means the default, 2× the worker's advertised
-    /// capacity.
-    pub pipeline_window: usize,
-    /// Shared secret for the HMAC handshake. When set, every connection
-    /// (dialed and registered) must prove knowledge of the key before
-    /// any protocol frame; when unset, connections are unauthenticated
-    /// (trusted networks only). Both sides must agree.
-    pub auth_key: Option<String>,
-    /// What observability the coordinator asks of the fleet (metrics
-    /// piggybacked on heartbeats, span recording shipped back before
-    /// `Done`). Strictly out-of-band: results are bit-identical whatever
-    /// this says, and workers that predate the `obs1` capability simply
-    /// never see the request.
-    pub observe: ObserveSpec,
-    /// The scheduler implementation (see [`RemoteLaunch`]).
-    pub launch: RemoteLaunch,
-}
-
-/// What a run observes about itself (see `sdiq-obs`): live fleet metrics,
-/// span tracing, or neither. Never affects results — only what gets
-/// reported on stderr and what `--trace` writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ObserveSpec {
-    /// Workers report a compact metrics delta with every heartbeat and
-    /// the coordinator aggregates per-worker rates.
-    pub metrics: bool,
-    /// Workers record spans and ship them back before `Done`, for the
-    /// coordinator's Chrome-trace export.
-    pub trace: bool,
-}
-
-/// Rendezvous configuration for worker self-registration: instead of the
-/// coordinator dialing `host:port` workers, daemons behind NAT dial the
-/// coordinator and announce themselves with a `Register` frame.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Registration {
-    /// Address the coordinator binds for incoming registrations
-    /// (`host:port`; port `0` picks a free one).
-    pub listen: String,
-    /// How many worker registrations to wait for before scheduling.
-    pub expect: usize,
-}
-
-/// The subprocess backend's worker protocol.
-///
-/// For shard `k` of `n` (1-based), the coordinator invokes
-///
-/// ```text
-/// <worker_exe> <worker_args...> --shard k/n --save <scratch_dir>/shard-k-of-n.json
-///              [--checkpoint <stem>.shard-k-of-n]
-/// ```
-///
-/// and expects the worker to (1) construct the *same* matrix the
-/// coordinator holds from `worker_args` alone, (2) compute exactly the
-/// cells [`shard_of`] assigns to shard `k−1`, (3) write them as a
-/// cell-keyed save file (or checkpoint file) at the given path, and
-/// (4) exit 0. `repro` implements this protocol; the coordinator verifies
-/// it (exit status, key-space membership, full coverage of the merged
-/// map) rather than trusting it.
-#[derive(Debug, Clone)]
-pub struct SubprocessSpec {
-    /// The worker binary (normally `std::env::current_exe()`).
-    pub worker_exe: PathBuf,
-    /// Arguments that reproduce this matrix in the worker, *excluding* the
-    /// `--shard`/`--save` pair the coordinator appends.
-    pub worker_args: Vec<String>,
-    /// Number of worker processes (= shards).
-    pub shards: usize,
-    /// Directory for the per-shard save files.
-    pub scratch_dir: PathBuf,
-    /// When set, each worker additionally gets
-    /// `--checkpoint <stem>.shard-<k>-of-<n>` so its completed cells are
-    /// crash-durable per cell (and the worker seeds itself from that file
-    /// when the coordinator is re-run). `None` = workers don't checkpoint.
-    pub worker_checkpoint_stem: Option<PathBuf>,
-}
-
-/// A failure of a distribution backend (worker spawn/dial, worker exit or
-/// death, unreadable or protocol-violating worker output, a drained pool).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BackendError {
-    message: String,
-}
-
-impl BackendError {
-    /// Wraps a backend failure message (public so out-of-crate backends —
-    /// the `sdiq-remote` scheduler — report through the same type).
-    pub fn new(message: impl Into<String>) -> Self {
-        BackendError {
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for BackendError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "matrix backend: {}", self.message)
-    }
-}
-
-impl std::error::Error for BackendError {}
 
 /// The shard a cell key belongs to, out of `count` shards: a stable
 /// FNV-1a fingerprint of the key text, reduced mod `count`. Pure function

@@ -18,10 +18,10 @@
 //! * [`ArtifactCache`] — content-addressed sharing of built programs and
 //!   compiler-pass outputs across cells (`Arc`-handled, built exactly once
 //!   per key),
-//! * [`Backend`] — where a matrix runs: the in-process pool, a
-//!   coordinator spawning one worker subprocess per [`shard_of`]-assigned
-//!   shard, or a coordinator streaming cells to networked worker daemons
-//!   (`sdiq-remote`) — all merged bit-identically to a serial run,
+//! * [`shard_of`] / [`Matrix::shard`] — a stable partition of the cell
+//!   space, so separately launched processes compute disjoint save files
+//!   that merge bit-identically to a serial run (networked worker daemons
+//!   live in `sdiq-remote`),
 //! * [`persist`] — save/load of matrix cells as JSON keyed by cell cache
 //!   keys, so a reload re-runs only missing cells; plus the append-style
 //!   [`CheckpointWriter`] that makes runs crash-resumable (each completed
@@ -62,8 +62,7 @@ pub use cache::{
     Stored,
 };
 pub use engine::{
-    cell_key, matrix_fingerprint, shard_of, Backend, BackendError, CellSink, ConfigVariant, Matrix,
-    MatrixSpec, ObserveSpec, Registration, RemoteLaunch, RemoteSpec, SubprocessSpec, Sweep,
+    cell_key, matrix_fingerprint, shard_of, CellSink, ConfigVariant, Matrix, MatrixSpec, Sweep,
 };
 pub use experiments::{
     figure10, figure11, figure12, figure6, figure7, figure8, figure9, overall_processor_savings,

@@ -395,15 +395,19 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run up to the next `"` or `\` at once.
+                    // Both are ASCII, so the cut always falls on a UTF-8
+                    // boundary; validating only the run keeps a parse
+                    // linear in the document length.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|_| self.error("invalid UTF-8"))?;
-                    let Some(c) = rest.chars().next() else {
-                        return Err(self.error("unterminated string"));
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -773,7 +777,11 @@ pub fn save_cells(cells: &BTreeMap<String, RunReport>) -> String {
 /// Parses a save file back into key-addressed cells, ready to seed
 /// [`crate::Matrix::run_with`].
 pub fn load_cells(text: &str) -> Result<HashMap<String, RunReport>, PersistError> {
-    let document = parse(text)?;
+    cells_of(&parse(text)?)
+}
+
+/// The cells of a parsed save-file document.
+fn cells_of(document: &Json) -> Result<HashMap<String, RunReport>, PersistError> {
     let format = document.get("format")?.u64()?;
     if format != FORMAT_VERSION {
         return Err(PersistError::new(format!(
@@ -1004,17 +1012,20 @@ pub fn load_checkpoint(text: &str) -> Result<HashMap<String, RunReport>, Persist
 
 /// Loads either persistence format: a whole-document save file
 /// ([`save_cells`]) or a JSONL checkpoint ([`CheckpointWriter`]), detected
-/// by the checkpoint header on the first line.
+/// by the checkpoint header on the first line. A save is written as one
+/// line, so its first line is the whole document and is parsed only once.
 pub fn load_cells_any(text: &str) -> Result<HashMap<String, RunReport>, PersistError> {
     let first_line = text.lines().next().unwrap_or("");
-    let is_checkpoint = parse(first_line)
+    let first = parse(first_line);
+    let is_checkpoint = first
+        .as_ref()
         .ok()
         .and_then(|header| Some(header.get("kind").ok()?.str().ok()? == "checkpoint"))
         .unwrap_or(false);
-    if is_checkpoint {
-        load_checkpoint(text)
-    } else {
-        load_cells(text)
+    match first {
+        _ if is_checkpoint => load_checkpoint(text),
+        Ok(document) if first_line.len() == text.trim_end().len() => cells_of(&document),
+        _ => load_cells(text),
     }
 }
 
@@ -1022,6 +1033,7 @@ pub fn load_cells_any(text: &str) -> Result<HashMap<String, RunReport>, PersistE
 mod tests {
     use super::*;
     use crate::runner::Experiment;
+    use proptest::prelude::*;
     use sdiq_workloads::Benchmark;
 
     #[test]
@@ -1042,6 +1054,48 @@ mod tests {
         let mut rendered = String::new();
         parsed.render(&mut rendered);
         assert_eq!(parse(&rendered).unwrap(), parsed);
+    }
+
+    /// The string scan is linear: a 4 MiB string parses in milliseconds,
+    /// where re-validating the rest of the document at every character
+    /// took minutes. The parse runs on a thread the test waits on with a
+    /// timeout, so a regression fails in seconds instead of stalling the
+    /// suite.
+    #[test]
+    fn a_multi_megabyte_string_parses_in_linear_time() {
+        let unit = "plain text, é 漢 🦀, a \"quote\", a back\\slash\n";
+        let text = unit.repeat((4 << 20) / unit.len());
+        let mut document = String::new();
+        Json::Str(text.clone()).render(&mut document);
+        let (done, parsed) = std::sync::mpsc::channel();
+        let parser = std::thread::spawn(move || {
+            let _ = done.send(parse(&document));
+        });
+        let parsed = parsed
+            .recv_timeout(Duration::from_secs(2))
+            .expect("a 4 MiB string parses within two seconds");
+        parser.join().unwrap();
+        assert_eq!(parsed, Ok(Json::Str(text)));
+    }
+
+    /// Characters that stress the string codec: the two that must be
+    /// escaped, control characters, and 1- to 4-byte UTF-8 scalars.
+    const STRING_ALPHABET: [char; 14] = [
+        '"', '\\', '\n', '\t', '\u{0}', '\u{1f}', 'a', '/', 'é', 'ß', '€', '漢', '🦀', '𝄞',
+    ];
+
+    proptest! {
+        #[test]
+        fn strings_round_trip_through_render_and_parse(
+            text in prop::collection::vec(0..STRING_ALPHABET.len(), 0..48)
+                .prop_map(|picks| picks.into_iter().map(|i| STRING_ALPHABET[i]).collect::<String>()),
+        ) {
+            // As an object key and as a string value.
+            let document = Json::Obj(vec![(text.clone(), Json::Str(text))]);
+            let mut rendered = String::new();
+            document.render(&mut rendered);
+            prop_assert_eq!(parse(&rendered), Ok(document));
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # sdiq-obs — observability for the reproduction pipeline
 //!
 //! The reproduction now spans compiled plans, a work-queue engine,
-//! subprocess shards and a TCP fleet, but until this crate the only
+//! shard workers and a TCP fleet, but until this crate the only
 //! timing signal was ad-hoc `eprintln!` lines and whatever a profiler
 //! could be talked into. This crate is the shared substrate the engine,
 //! the artifact cache, the checkpoint writer and the remote scheduler

@@ -5,7 +5,7 @@
 //! scheduler.
 //!
 //! Liveness lives here: every worker socket carries a read deadline of
-//! [`RemoteSpec::heartbeat_deadline`]. Healthy daemons emit a
+//! [`RemoteOptions::heartbeat_deadline`]. Healthy daemons emit a
 //! `Heartbeat` at least every few seconds even while a long cell
 //! computes, so *any* read that times out means the worker went silent
 //! past the deadline — a hung machine, a blackholed network — and the
@@ -24,7 +24,7 @@ use crate::fleet;
 use crate::frame::{self, Codec};
 use crate::protocol::{Message, CAP_OBS1, CODEC_BIN1};
 use crate::scheduler::{WorkerEvent, WorkerLink};
-use sdiq_core::{Registration, RemoteSpec};
+use crate::{Registration, RemoteOptions};
 use std::io::{self, BufReader};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -34,7 +34,7 @@ struct TcpWorkerLink {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
     capacity: usize,
-    remote: RemoteSpec,
+    remote: RemoteOptions,
     fingerprint: u64,
     /// Negotiated codec for frames *we* send (reads auto-detect).
     codec: Codec,
@@ -49,9 +49,9 @@ struct TcpWorkerLink {
 }
 
 /// The observability flags for one worker link: what the run asked for
-/// ([`RemoteSpec::observe`]), masked by whether this worker's greeting
+/// ([`RemoteOptions::observe`]), masked by whether this worker's greeting
 /// advertised the [`CAP_OBS1`] capability.
-fn observe_flags(remote: &RemoteSpec, codecs: &[String]) -> (bool, bool) {
+fn observe_flags(remote: &RemoteOptions, codecs: &[String]) -> (bool, bool) {
     let capable = codecs.iter().any(|codec| codec == CAP_OBS1);
     (
         capable && remote.observe.metrics,
@@ -64,7 +64,7 @@ fn observe_flags(remote: &RemoteSpec, codecs: &[String]) -> (bool, bool) {
 /// applies the heartbeat read deadline to the stream. The error names
 /// the address: with several `--workers`, "connection timed out" alone
 /// does not say which machine to go look at.
-fn connect(addr: &str, remote: &RemoteSpec) -> io::Result<TcpStream> {
+fn connect(addr: &str, remote: &RemoteOptions) -> io::Result<TcpStream> {
     let timeout = remote.connect_timeout;
     let stream = connect_bounded(addr, timeout).map_err(|error| {
         io::Error::new(
@@ -104,7 +104,7 @@ pub(crate) fn connect_bounded(addr: &str, timeout: Duration) -> io::Result<TcpSt
 /// (frames are small and latency-sensitive — each `CellDone` unblocks
 /// scheduling decisions) and the heartbeat read deadline (zero = the
 /// deadline is disabled and reads block forever).
-fn configure(stream: &TcpStream, remote: &RemoteSpec) -> io::Result<()> {
+fn configure(stream: &TcpStream, remote: &RemoteOptions) -> io::Result<()> {
     stream.set_nodelay(true)?;
     let deadline = remote.heartbeat_deadline;
     stream.set_read_timeout((!deadline.is_zero()).then_some(deadline))
@@ -114,7 +114,11 @@ fn configure(stream: &TcpStream, remote: &RemoteSpec) -> io::Result<()> {
 /// the pick is not the implicit JSON, tells the worker with `SetCodec`
 /// (the worker switches its own frames on receipt; TCP ordering makes an
 /// ack unnecessary).
-fn negotiate(writer: &mut TcpStream, remote: &RemoteSpec, codecs: &[String]) -> io::Result<Codec> {
+fn negotiate(
+    writer: &mut TcpStream,
+    remote: &RemoteOptions,
+    codecs: &[String],
+) -> io::Result<Codec> {
     if remote.binary_wire && codecs.iter().any(|codec| codec == CODEC_BIN1) {
         frame::write_message(
             writer,
@@ -132,7 +136,11 @@ fn negotiate(writer: &mut TcpStream, remote: &RemoteSpec, codecs: &[String]) -> 
 /// handshake when configured, performs the `Hello` handshake, and
 /// returns the connected link. This is the production
 /// [`Dialer`](crate::scheduler::Dialer).
-pub fn dial(addr: &str, remote: &RemoteSpec, fingerprint: u64) -> io::Result<Box<dyn WorkerLink>> {
+pub fn dial(
+    addr: &str,
+    remote: &RemoteOptions,
+    fingerprint: u64,
+) -> io::Result<Box<dyn WorkerLink>> {
     let stream = connect(addr, remote)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
@@ -199,7 +207,7 @@ pub fn dial(addr: &str, remote: &RemoteSpec, fingerprint: u64) -> io::Result<Box
 /// binding port `0` can discover the real port.
 pub fn accept_registrations(
     registration: &Registration,
-    remote: &RemoteSpec,
+    remote: &RemoteOptions,
     fingerprint: u64,
 ) -> io::Result<Vec<(String, Box<dyn WorkerLink>)>> {
     let listener = TcpListener::bind(&registration.listen)?;
@@ -287,7 +295,7 @@ pub fn accept_registrations(
 /// the worker was silent past the heartbeat deadline. (`WouldBlock` is
 /// what Unix returns for a timed-out read on a socket with
 /// `SO_RCVTIMEO`; Windows says `TimedOut`.)
-fn deadline_error(remote: &RemoteSpec, error: io::Error) -> io::Error {
+fn deadline_error(remote: &RemoteOptions, error: io::Error) -> io::Error {
     match error.kind() {
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => io::Error::new(
             io::ErrorKind::TimedOut,
@@ -365,25 +373,16 @@ mod tests {
     use super::*;
     use sdiq_core::MatrixSpec;
 
-    fn test_spec(heartbeat_deadline: Duration) -> RemoteSpec {
-        RemoteSpec {
-            workers: Vec::new(),
-            registration: None,
-            spec: MatrixSpec {
+    fn test_spec(heartbeat_deadline: Duration) -> RemoteOptions {
+        RemoteOptions {
+            connect_timeout: Duration::from_secs(5),
+            heartbeat_deadline,
+            ..RemoteOptions::new(MatrixSpec {
                 scale: 0.05,
                 sweeps: Vec::new(),
                 benchmarks: vec!["gzip".to_string()],
                 techniques: vec!["baseline".to_string()],
-            },
-            retry_budget: 0,
-            connect_timeout: Duration::from_secs(5),
-            heartbeat_deadline,
-            speculate: true,
-            binary_wire: true,
-            pipeline_window: 0,
-            auth_key: None,
-            observe: sdiq_core::ObserveSpec::default(),
-            launch: |_, _, _, _| unreachable!("client tests never launch"),
+            })
         }
     }
 

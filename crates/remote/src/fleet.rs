@@ -12,8 +12,8 @@
 //!
 //! The registry is process-global because the scheduler reaches it from
 //! plain function-pointer dialers with no room for a context handle;
-//! [`reset`] at launch scopes it to one run at a time, matching how a
-//! coordinator process actually behaves.
+//! [`reset`] at the start of a run scopes it to one run at a time,
+//! matching how a coordinator process actually behaves.
 
 use sdiq_obs::{MetricsDelta, TraceEvent};
 use std::sync::{Mutex, PoisonError};
@@ -26,7 +26,7 @@ fn registry() -> std::sync::MutexGuard<'static, Vec<(String, MetricsDelta)>> {
     REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Clears the registry. Called once at the start of every remote launch
+/// Clears the registry. Called once at the start of every remote run
 /// so a second run in the same process (tests, library use) starts from
 /// an empty fleet view.
 pub fn reset() {

@@ -1,12 +1,11 @@
 //! # sdiq-remote — networked cell execution for the experiment matrix
 //!
-//! The engine's distribution story so far stops at one machine: the
-//! subprocess backend spawns `repro --shard k/n` workers next to the
-//! coordinator. This crate is the next scaling step the ROADMAP asked
-//! for — "something that runs the worker command on another machine and
-//! ships the file back" — except nothing is shipped as files: cells
+//! The engine computes cells on an in-process worker pool, and
+//! `repro --shard k/n` splits a matrix into save files that merge back
+//! through `--load`. This crate spreads one run's cells over worker
+//! daemons on other machines, and nothing is shipped as files: cells
 //! stream over TCP the moment they finish, straight into the engine's
-//! existing [`CellSink`](sdiq_core::CellSink) / checkpoint path.
+//! existing [`CellSink`] / checkpoint path.
 //!
 //! Std-only by construction (`std::net` is the whole transport): the
 //! workspace builds offline against vendored shims, and this crate adds
@@ -36,28 +35,27 @@
 //!   queue of missing cell keys, one driver thread per worker, batches
 //!   sized by each worker's advertised capacity, re-queueing of a dead
 //!   worker's in-flight cells onto survivors under a retry budget, and a
-//!   clear [`BackendError`](sdiq_core::BackendError) when the pool
-//!   drains. Liveness is heartbeat-deadline based: a worker silent past
-//!   [`RemoteSpec::heartbeat_deadline`] counts as dead even if its
+//!   clear [`BackendError`] when the pool drains. Liveness is
+//!   heartbeat-deadline based: a worker silent past
+//!   [`RemoteOptions::heartbeat_deadline`] counts as dead even if its
 //!   socket never closes (hung OS, blackholed network), and idle
 //!   drivers speculatively double-issue straggler cells (first result
 //!   wins — benign, because cell results are deterministic). Workers
 //!   can also self-register: `repro serve --register host:port` dials
-//!   the coordinator's rendezvous listener
-//!   ([`sdiq_core::Registration`]) instead of being dialed, for fleets
-//!   behind NAT.
+//!   the coordinator's rendezvous listener ([`Registration`]) instead of
+//!   being dialed, for fleets behind NAT.
 //!
 //! ## Wiring into the engine
 //!
-//! `sdiq-core` owns the [`Backend::Remote`](sdiq_core::Backend) variant
-//! but no transport: its [`RemoteSpec::launch`](sdiq_core::RemoteSpec)
-//! hook is a plain function pointer this crate fills in. [`backend`]
-//! builds a ready-to-run `Backend::Remote`; everything else about the
-//! run (seeding from `--load`/`--checkpoint` files, streaming into a
-//! [`CheckpointWriter`](sdiq_core::CheckpointWriter), `--save`) is the
-//! engine's existing machinery, which is how the remote path inherits
-//! the hard guarantee: **the assembled suite is byte-for-byte identical
-//! to a serial run**, worker deaths included.
+//! `sdiq-core` holds no transport code; [`run`] is the whole seam. It
+//! schedules the matrix's missing cells over the fleet, then assembles
+//! the sweep through the engine's own seeded
+//! [`Matrix::run_with`](sdiq_core::Matrix::run_with). Everything else
+//! about the run (seeding from `--load`/`--checkpoint` files, streaming
+//! into a [`CheckpointWriter`](sdiq_core::CheckpointWriter), `--save`) is
+//! the engine's existing machinery, which is how the remote path
+//! inherits the hard guarantee: **the assembled suite is byte-for-byte
+//! identical to a serial run**, worker deaths included.
 
 // The workspace denies `unwrap()`/`expect()` in shipped code; tests are
 // exempt. Lock poisoning is handled via `lock_or_recover` in each module.
@@ -83,7 +81,9 @@ pub(crate) fn lock_or_recover<T>(mutex: &std::sync::Mutex<T>) -> std::sync::Mute
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
-use sdiq_core::{Backend, MatrixSpec, ObserveSpec, Registration, RemoteSpec};
+use sdiq_core::{CellSink, Matrix, MatrixSpec, RunReport, Sweep};
+use std::collections::HashMap;
+use std::fmt;
 use std::time::Duration;
 
 /// Default number of times one cell may be re-queued after worker
@@ -102,46 +102,72 @@ pub const DEFAULT_CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 /// hung machine is reaped in half a minute instead of never.
 pub const DEFAULT_HEARTBEAT_DEADLINE: Duration = Duration::from_secs(30);
 
-/// Everything about a remote pool except the matrix itself; the
-/// defaults are what `repro --workers` uses when no tuning flags are
-/// given.
+/// A remote run: which worker daemons to use, how to describe the matrix
+/// to them, and how to schedule and observe the run.
+/// [`RemoteOptions::new`] gives the defaults `repro --workers` uses when
+/// no tuning flags are given.
 #[derive(Debug, Clone)]
 pub struct RemoteOptions {
-    /// Worker daemon addresses to dial (`host:port`).
+    /// Worker daemon addresses to dial (`host:port`), one entry per
+    /// worker.
     pub workers: Vec<String>,
-    /// Rendezvous for workers that dial in (`repro serve --register`).
+    /// When set, the coordinator additionally listens for worker daemons
+    /// that dial *it* (`repro serve --register`) and waits for this many
+    /// registrations before scheduling — the NAT'd-fleet rendezvous.
     pub registration: Option<Registration>,
-    /// Per-cell re-queue budget ([`DEFAULT_RETRY_BUDGET`]).
+    /// The portable matrix description shipped to every worker, so a
+    /// daemon that never saw this run's command line rebuilds the
+    /// identical cell space. Must describe the same matrix [`run`] is
+    /// called on — deriving both from one [`MatrixSpec`] guarantees it.
+    pub spec: MatrixSpec,
+    /// How many times a single cell may be re-queued after worker
+    /// failures before the whole run aborts ([`DEFAULT_RETRY_BUDGET`]).
     pub retry_budget: usize,
-    /// Dial bound ([`DEFAULT_CONNECT_TIMEOUT`]; zero disables).
+    /// How long one dial attempt may take before the worker counts as
+    /// unreachable ([`DEFAULT_CONNECT_TIMEOUT`]; zero disables the
+    /// bound).
     pub connect_timeout: Duration,
-    /// Silence-means-dead threshold ([`DEFAULT_HEARTBEAT_DEADLINE`];
-    /// zero disables — reads block forever, the pre-liveness behaviour).
+    /// Declare a worker dead after this much silence on its socket
+    /// ([`DEFAULT_HEARTBEAT_DEADLINE`]). Healthy daemons heartbeat every
+    /// second even mid-cell, so any silence past this deadline means the
+    /// worker is hung (frozen OS, blackholed network) and its in-flight
+    /// cells must re-queue. `Duration::ZERO` disables the deadline (reads
+    /// block forever — only sensible for debugging).
     pub heartbeat_deadline: Duration,
-    /// Whether idle drivers double-issue straggler cells (default on;
-    /// benign because cell results are deterministic).
+    /// When the shared queue drains but cells are still in flight, let
+    /// idle drivers speculatively re-issue straggler cells to their
+    /// workers (default on). First result wins; duplicates are benign
+    /// because cell results are deterministic.
     pub speculate: bool,
     /// Negotiate the compact `bin1` frame codec with workers that
-    /// advertise it (default on; off forces JSON everywhere, for
-    /// debugging and codec-vs-codec benchmarking).
+    /// advertise it (default on; workers that don't keep speaking JSON).
+    /// Off forces JSON everywhere, for debugging and for pricing the
+    /// codecs against each other.
     pub binary_wire: bool,
-    /// Cells kept outstanding per worker connection; `0` (the default)
-    /// means 2× the worker's advertised capacity.
+    /// Cells kept outstanding per worker connection so the worker never
+    /// idles between batches; `0` (the default) means 2× the worker's
+    /// advertised capacity.
     pub pipeline_window: usize,
-    /// Shared secret for the HMAC handshake (`--auth-key`); `None`
-    /// leaves connections unauthenticated.
+    /// Shared secret for the HMAC handshake (`--auth-key`). When set,
+    /// every connection (dialed and registered) must prove knowledge of
+    /// the key before any protocol frame; `None` leaves connections
+    /// unauthenticated (trusted networks only). Both sides must agree.
     pub auth_key: Option<String>,
-    /// Fleet observability: metrics piggybacked on heartbeats and/or
-    /// span tracing shipped back per batch (default: neither). Strictly
-    /// out-of-band — never affects the assembled suite.
+    /// Fleet observability: metrics piggybacked on heartbeats and/or span
+    /// tracing shipped back per batch (default: neither). Strictly
+    /// out-of-band — never affects the assembled suite, and workers that
+    /// predate the `obs1` capability never see the request.
     pub observe: ObserveSpec,
 }
 
-impl Default for RemoteOptions {
-    fn default() -> RemoteOptions {
+impl RemoteOptions {
+    /// A run of `spec` with no workers yet and every tuning knob at its
+    /// default.
+    pub fn new(spec: MatrixSpec) -> RemoteOptions {
         RemoteOptions {
             workers: Vec::new(),
             registration: None,
+            spec,
             retry_budget: DEFAULT_RETRY_BUDGET,
             connect_timeout: DEFAULT_CONNECT_TIMEOUT,
             heartbeat_deadline: DEFAULT_HEARTBEAT_DEADLINE,
@@ -154,51 +180,81 @@ impl Default for RemoteOptions {
     }
 }
 
-/// A ready-to-run remote backend over the TCP transport: dial
-/// `options.workers` (and/or wait for `options.registration` daemons to
-/// dial in), describe the matrix to them as `spec`. Pass the result to
-/// [`Matrix::run_on`](sdiq_core::Matrix::run_on).
-pub fn backend(spec: MatrixSpec, options: RemoteOptions) -> Backend {
-    Backend::Remote(RemoteSpec {
-        workers: options.workers,
-        registration: options.registration,
-        spec,
-        retry_budget: options.retry_budget,
-        connect_timeout: options.connect_timeout,
-        heartbeat_deadline: options.heartbeat_deadline,
-        speculate: options.speculate,
-        binary_wire: options.binary_wire,
-        pipeline_window: options.pipeline_window,
-        auth_key: options.auth_key,
-        observe: options.observe,
-        launch,
-    })
+/// What a run observes about itself (see `sdiq-obs`): live fleet metrics,
+/// span tracing, or neither. Never affects results — only what gets
+/// reported on stderr and what `--trace` writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ObserveSpec {
+    /// Workers report a compact metrics delta with every heartbeat and
+    /// the coordinator aggregates per-worker rates.
+    pub metrics: bool,
+    /// Workers record spans and ship them back before `Done`, for the
+    /// coordinator's Chrome-trace export.
+    pub trace: bool,
 }
 
-/// The [`sdiq_core::RemoteLaunch`] implementation: the generic scheduler
-/// over the TCP dialer, with the registration rendezvous (when
-/// configured) run first so self-registered workers join the same pool
-/// as dialed ones.
-fn launch(
-    matrix: &sdiq_core::Matrix<'_>,
-    spec: &RemoteSpec,
-    seed: &std::collections::HashMap<String, sdiq_core::RunReport>,
-    sink: Option<&dyn sdiq_core::CellSink>,
-) -> Result<sdiq_core::Sweep, sdiq_core::BackendError> {
+/// Rendezvous configuration for worker self-registration: instead of the
+/// coordinator dialing `host:port` workers, daemons behind NAT dial the
+/// coordinator and announce themselves with a `Register` frame.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Registration {
+    /// Address the coordinator binds for incoming registrations
+    /// (`host:port`; port `0` picks a free one).
+    pub listen: String,
+    /// How many worker registrations to wait for before scheduling.
+    pub expect: usize,
+}
+
+/// A failure of a remote run (worker dial, worker death, a
+/// protocol-violating worker, a drained pool).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BackendError {
+    message: String,
+}
+
+impl BackendError {
+    /// Wraps a failure message.
+    pub fn new(message: impl Into<String>) -> Self {
+        BackendError {
+            message: message.into(),
+        }
+    }
+}
+
+impl fmt::Display for BackendError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "matrix backend: {}", self.message)
+    }
+}
+
+impl std::error::Error for BackendError {}
+
+/// Distributes `matrix`'s missing cells (those not in `seed`) over the
+/// fleet `remote` describes and assembles the full sweep: the
+/// registration rendezvous (when configured) runs first, so
+/// self-registered workers join the same pool as dialed ones, then the
+/// scheduler drives every worker over TCP. `sink` observes each cell
+/// as it streams in, so a killed coordinator keeps what finished.
+pub fn run(
+    matrix: &Matrix<'_>,
+    remote: &RemoteOptions,
+    seed: &HashMap<String, RunReport>,
+    sink: Option<&dyn CellSink>,
+) -> Result<Sweep, BackendError> {
     // A fresh fleet view per run: worker ids (= trace pid lanes) and
-    // reported totals are scoped to one launch.
+    // reported totals are scoped to one run.
     fleet::reset();
-    let mut sources: Vec<WorkerSource> = spec
+    let mut sources: Vec<WorkerSource> = remote
         .workers
         .iter()
         .cloned()
         .map(WorkerSource::Dial)
         .collect();
-    if let Some(registration) = &spec.registration {
+    if let Some(registration) = &remote.registration {
         let fingerprint = sdiq_core::matrix_fingerprint(&matrix.cell_keys());
         let registered =
-            client::accept_registrations(registration, spec, fingerprint).map_err(|e| {
-                sdiq_core::BackendError::new(format!(
+            client::accept_registrations(registration, remote, fingerprint).map_err(|e| {
+                BackendError::new(format!(
                     "waiting for worker registrations on {}: {e}",
                     registration.listen
                 ))
@@ -209,5 +265,5 @@ fn launch(
                 .map(|(addr, link)| WorkerSource::Ready { addr, link }),
         );
     }
-    scheduler::run_with_sources(matrix, spec, seed, sink, client::dial, sources)
+    scheduler::run_with_sources(matrix, remote, seed, sink, client::dial, sources)
 }

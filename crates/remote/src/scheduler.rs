@@ -40,15 +40,13 @@
 //!
 //! Determinism: completed reports are keyed by cell key and the final
 //! sweep is assembled by the engine's own seeded run
-//! ([`Matrix::run_with`]), exactly like the subprocess backend — so
-//! *which* worker computed a cell (speculative twin or original), and
-//! in what order, cannot influence a single byte of the result.
+//! ([`Matrix::run_with`]), exactly like a `--load` of merged shard saves
+//! — so *which* worker computed a cell (speculative twin or original),
+//! and in what order, cannot influence a single byte of the result.
 
 use crate::lock_or_recover;
-use sdiq_core::{
-    ArtifactCache, BackendError, CellSink, Matrix, RemoteSpec, ResultStore, RunReport, Stored,
-    Sweep,
-};
+use crate::{BackendError, RemoteOptions};
+use sdiq_core::{ArtifactCache, CellSink, Matrix, ResultStore, RunReport, Stored, Sweep};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::sync::{Condvar, Mutex, PoisonError};
@@ -107,10 +105,10 @@ pub enum WorkerEvent {
     Done,
 }
 
-/// Produces a connected [`WorkerLink`] for one worker address; the spec
-/// carries what the link needs (the `RunCells` matrix description, the
-/// connect timeout, the heartbeat deadline).
-pub type Dialer = fn(&str, &RemoteSpec, u64) -> io::Result<Box<dyn WorkerLink>>;
+/// Produces a connected [`WorkerLink`] for one worker address; the
+/// options carry what the link needs (the `RunCells` matrix description,
+/// the connect timeout, the heartbeat deadline).
+pub type Dialer = fn(&str, &RemoteOptions, u64) -> io::Result<Box<dyn WorkerLink>>;
 
 /// One worker as handed to a driver thread.
 pub enum WorkerSource {
@@ -391,12 +389,12 @@ impl State {
 /// Runs `matrix`'s missing cells over the remote worker pool —
 /// `spec.workers` addresses dialed through `dialer` — and assembles the
 /// full sweep (see the module docs for the scheduling and fault model).
-/// Production callers go through [`crate::backend`], which plugs in TCP
+/// Production callers go through [`crate::run`], which plugs in TCP
 /// (and, when registration is configured, pre-connected links via
 /// [`run_with_sources`]).
 pub fn run(
     matrix: &Matrix<'_>,
-    spec: &RemoteSpec,
+    spec: &RemoteOptions,
     seed: &HashMap<String, RunReport>,
     sink: Option<&dyn CellSink>,
     dialer: Dialer,
@@ -414,7 +412,7 @@ pub fn run(
 /// registered links, or a mix of both.
 pub fn run_with_sources(
     matrix: &Matrix<'_>,
-    spec: &RemoteSpec,
+    spec: &RemoteOptions,
     seed: &HashMap<String, RunReport>,
     sink: Option<&dyn CellSink>,
     dialer: Dialer,
@@ -524,7 +522,7 @@ pub fn run_with_sources(
 /// keeps the PR 5 park/speculate/termination semantics intact.
 fn drive_worker(
     source: WorkerSource,
-    spec: &RemoteSpec,
+    spec: &RemoteOptions,
     fingerprint: u64,
     state: &State,
     expected: &HashSet<String>,
@@ -742,7 +740,7 @@ fn drive_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdiq_core::{cell_key, MatrixSpec, RemoteSpec};
+    use sdiq_core::{cell_key, MatrixSpec};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::OnceLock;
     use std::time::Duration;
@@ -875,7 +873,7 @@ mod tests {
     /// timeout, `slow<N>` sleeps N ms at every recv, `refuse` fails the
     /// dial, `alias` mis-delivers the first cell, `dup` re-delivers each
     /// batch's first cell twice.
-    fn fake_dial(addr: &str, _: &RemoteSpec, _: u64) -> io::Result<Box<dyn WorkerLink>> {
+    fn fake_dial(addr: &str, _: &RemoteOptions, _: u64) -> io::Result<Box<dyn WorkerLink>> {
         if addr.contains("refuse") {
             return Err(io::Error::new(io::ErrorKind::ConnectionRefused, "refused"));
         }
@@ -915,20 +913,14 @@ mod tests {
         }))
     }
 
-    fn fake_spec(workers: &[&str], retry_budget: usize, speculate: bool) -> RemoteSpec {
-        RemoteSpec {
+    fn fake_spec(workers: &[&str], retry_budget: usize, speculate: bool) -> RemoteOptions {
+        RemoteOptions {
             workers: workers.iter().map(|w| w.to_string()).collect(),
-            registration: None,
-            spec: tiny_spec(),
             retry_budget,
             connect_timeout: Duration::from_secs(5),
             heartbeat_deadline: Duration::from_millis(200),
             speculate,
-            binary_wire: true,
-            pipeline_window: 0,
-            auth_key: None,
-            observe: sdiq_core::ObserveSpec::default(),
-            launch: |_, _, _, _| unreachable!("tests call the scheduler directly"),
+            ..RemoteOptions::new(tiny_spec())
         }
     }
 

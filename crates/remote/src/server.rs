@@ -441,52 +441,35 @@ fn run_batch(
         stall_after: options.stall_after,
         stalled: AtomicBool::new(false),
     };
-    // Teardown latency is on the per-batch hot path: with pipelined
-    // batches a capacity-1 daemon sees one `RunCells` per cell, so the
-    // heartbeat thread must stop the instant the batch finishes — a
-    // polled sleep here once cost a tick per batch, which dominated the
-    // whole suite's wall clock on small cells. Hence a condvar the
-    // finishing batch can interrupt mid-wait.
-    let stop_heartbeats = (Mutex::new(false), Condvar::new());
     // Span recording is daemon-global, which is exactly the scope it
     // should have here: the daemon serves one coordinator (one batch) at
     // a time, and the drain below both ships and clears the buffer.
     if batch_observe.trace {
         sdiq_obs::set_tracing(true);
     }
-    let computed = std::thread::scope(|scope| {
-        let heartbeats = scope.spawn(|| {
-            heartbeat_loop(&stop_heartbeats, HEARTBEAT_INTERVAL, || {
-                if sink.stalled.load(Ordering::Relaxed) {
-                    // A frozen machine beats no heart: the --stall-after
-                    // hook must present total wire silence, or the
-                    // coordinator's deadline could never trip.
-                    return false;
-                }
-                // An observed batch's keep-alives carry the daemon's
-                // cumulative totals; receivers treat them as heartbeats
-                // either way, so liveness is unaffected.
-                let beat = if batch_observe.observe {
-                    Message::HeartbeatMetrics {
-                        metrics: sdiq_obs::MetricsDelta::capture(),
-                    }
-                } else {
-                    Message::Heartbeat
-                };
-                // A failed write is recorded by the sink.
-                sink.write(&beat).is_ok()
-            });
-        });
-        let computed = {
-            let _span = sdiq_obs::span("run-batch", "server");
-            matrix.run_cells_by_key(cache, &requested, Some(&sink))
-        };
-        *lock_or_recover(&stop_heartbeats.0) = true;
-        stop_heartbeats.1.notify_all();
-        if heartbeats.join().is_err() {
-            unreachable!("the heartbeat thread has no panic path of its own");
+    let beat = || {
+        if sink.stalled.load(Ordering::Relaxed) {
+            // A frozen machine beats no heart: the --stall-after hook
+            // must present total wire silence, or the coordinator's
+            // deadline could never trip.
+            return false;
         }
-        computed
+        // An observed batch's keep-alives carry the daemon's cumulative
+        // totals; receivers treat them as heartbeats either way, so
+        // liveness is unaffected.
+        let beat = if batch_observe.observe {
+            Message::HeartbeatMetrics {
+                metrics: sdiq_obs::MetricsDelta::capture(),
+            }
+        } else {
+            Message::Heartbeat
+        };
+        // A failed write is recorded by the sink.
+        sink.write(&beat).is_ok()
+    };
+    let computed = with_heartbeats(HEARTBEAT_INTERVAL, beat, || {
+        let _span = sdiq_obs::span("run-batch", "server");
+        matrix.run_cells_by_key(cache, &requested, Some(&sink))
     });
     // Drain even on a failed batch: the buffer must not leak this
     // batch's spans into the next coordinator's trace.
@@ -534,6 +517,39 @@ fn run_batch(
         ),
         Err(reason) => write_locked(writer, &Message::Error { message: reason }),
     }
+}
+
+/// Runs `body` while a scoped thread calls `beat` once per `interval`
+/// (see [`heartbeat_loop`]).
+///
+/// Teardown latency is on the per-batch hot path: with pipelined batches
+/// a capacity-1 daemon sees one `RunCells` per cell, so the heartbeat
+/// thread must stop the instant the batch finishes — a polled sleep here
+/// once cost a tick per batch, which dominated the whole suite's wall
+/// clock on small cells. Hence a condvar the finishing batch can
+/// interrupt mid-wait. The stop is sent from a guard's `Drop`, so a
+/// `body` that panics stops the beats too: otherwise the scope would
+/// wait forever on a thread that keeps beating, and every beat would
+/// reset the coordinator's deadline for a batch that can never finish.
+fn with_heartbeats<T>(
+    interval: Duration,
+    beat: impl FnMut() -> bool + Send,
+    body: impl FnOnce() -> T,
+) -> T {
+    struct StopOnDrop<'a>(&'a (Mutex<bool>, Condvar));
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            let (flag, interrupt) = self.0;
+            *lock_or_recover(flag) = true;
+            interrupt.notify_all();
+        }
+    }
+    let stop = (Mutex::new(false), Condvar::new());
+    std::thread::scope(|scope| {
+        scope.spawn(|| heartbeat_loop(&stop, interval, beat));
+        let _stop = StopOnDrop(&stop);
+        body()
+    })
 }
 
 /// A batch's heartbeat thread: calls `beat` once per `interval` until the
@@ -645,6 +661,31 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
     use std::time::Instant;
+
+    /// A batch that panics mid-computation must still stop its heartbeat
+    /// thread, or the scope never returns and the coordinator, fed a
+    /// beat every interval, never declares the daemon dead. The body runs
+    /// on a thread the test waits on with a timeout, so the failure is a
+    /// failed assertion instead of a hung suite.
+    #[test]
+    fn a_panicking_batch_stops_its_heartbeat() {
+        let (done, finished) = std::sync::mpsc::channel();
+        let batch = std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(|| {
+                with_heartbeats(
+                    Duration::from_secs(3600),
+                    || true,
+                    || panic!("poisoned cell"),
+                )
+            });
+            let _ = done.send(outcome.is_err());
+        });
+        let panicked = finished
+            .recv_timeout(Duration::from_secs(1))
+            .expect("the batch returned within a second");
+        assert!(panicked, "the panic reached catch_unwind");
+        batch.join().unwrap();
+    }
 
     /// A batch of cached cells can finish before its heartbeat thread
     /// first takes the stop lock. The stop set and notified before the
