@@ -98,7 +98,9 @@
 //! * `--progress` streams a rate-limited `progress:` line to **stderr**
 //!   (cells done/total, throughput, ETA; in remote mode also per-worker
 //!   rates from the heartbeat metrics).
-//! * `--stats` prints the process metrics registry after the figures.
+//! * `--stats` prints the process metrics registry after the figures
+//!   and, with `--trace`, the count and summed seconds of the spans of
+//!   each name.
 //! * Both `--trace` and `--progress` are coordinator-side flags:
 //!   `repro serve` refuses them (exit 2) — daemons are observed *by*
 //!   their coordinator, which negotiates the `obs1` capability.
@@ -1081,7 +1083,7 @@ fn main() {
     // The trace is written after --save so a crash while exporting can
     // never cost computed cells; the export itself touches no suite
     // state (out-of-band by construction).
-    if let Some(path) = &options.trace {
+    let span_totals = options.trace.as_ref().map(|path| {
         sdiq_obs::set_tracing(false);
         let events = sdiq_obs::drain();
         sdiq_core::trace::write_chrome_trace(path, &events).unwrap_or_else(|e| {
@@ -1089,7 +1091,8 @@ fn main() {
             std::process::exit(2);
         });
         eprintln!("wrote {} trace event(s) to {path}", events.len());
-    }
+        sdiq_core::trace::span_totals(&events)
+    });
 
     // A --shard run is a worker: its suite is partial, so figures would be
     // misleading — the cells were delivered via --save/--checkpoint.
@@ -1238,5 +1241,15 @@ fn main() {
             );
         }
         println!();
+        if let Some(totals) = &span_totals {
+            println!("== Span totals (--trace; a span includes the spans inside it) ==");
+            for (name, (count, nanos)) in totals {
+                println!(
+                    "  {name:22} {count:>8} span(s) {:>10.3} s",
+                    *nanos as f64 / 1e9
+                );
+            }
+            println!();
+        }
     }
 }

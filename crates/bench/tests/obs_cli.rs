@@ -157,6 +157,35 @@ fn stats_view_prints_the_metrics_registry_only_when_asked() {
         "stdout:\n{}",
         run.stdout
     );
+    assert!(
+        !run.stdout.contains("== Span totals"),
+        "span totals without --trace:\n{}",
+        run.stdout
+    );
+
+    // With --trace, the view adds the count of each span name: one `cell`
+    // span per cell, one `lower-plan` and one `replay` per artifact (the
+    // raw program and the noop pass output), one `compile`.
+    let trace = temp_path("stats-trace.json");
+    args.extend(["--trace", trace.to_str().expect("utf-8")]);
+    let run = repro(&args);
+    assert_eq!(run.code, 0, "stderr:\n{}", run.stderr);
+    let count = |name: &str| -> Option<u64> {
+        let totals = run.stdout.split("== Span totals").nth(1)?;
+        totals.lines().find_map(|line| {
+            let mut fields = line.split_whitespace();
+            (fields.next() == Some(name)).then(|| fields.next()?.parse().ok())?
+        })
+    };
+    for (name, expected) in [
+        ("cell", 2),
+        ("lower-plan", 2),
+        ("replay", 2),
+        ("compile", 1),
+    ] {
+        assert_eq!(count(name), Some(expected), "{name}:\n{}", run.stdout);
+    }
+    let _ = std::fs::remove_file(&trace);
 
     // --all alone must not grow a stats section: the snapshot is
     // run-shaped (timings), which would make --all output unstable.

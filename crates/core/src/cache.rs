@@ -20,12 +20,32 @@
 //!   that differ only in how the power model prices the same counters
 //!   (`baseline`, `nonEmpty`, `way-memo`) share one [`SimResult`].
 //!
+//! A compiler pass that changes nothing but instruction markers (the
+//! low-energy bit and hint tags, which a policy that ignores hints never
+//! reads) leaves the replay of its input unchanged. The cache checks this
+//! once per compile ([`CompiledArtifact::markers_only`]), and the engine
+//! then prices such a cell from the raw program's replay: its low-energy
+//! commits are the raw plan's per-instruction commit counts summed over
+//! the instructions its pass marked. `lowen-isa` is such a technique.
+//!
 //! The cache keys artifacts by exactly those inputs and hands out
 //! `Arc`-shared handles. The eight built-in techniques over 11 benchmarks
 //! on one machine therefore build 11 programs, run 44 compiler passes,
-//! lower 55 plans and run 66 replays for 88 cells; a second machine
-//! variant adds 55 plans and 66 replays, unless it is the same machine
+//! lower 44 plans and run 55 replays for 88 cells; a second machine
+//! variant adds 44 plans and 55 replays, unless it is the same machine
 //! under another label.
+//!
+//! # Plan lifetime
+//!
+//! Plans are by far the largest artifacts (about 20 bytes per committed
+//! instruction), and a plan is needed only until the last replay of it
+//! has run. Before a matrix run starts its workers, it holds, for every
+//! cell it will compute, each plan that cell may use; each finished cell
+//! releases its holds, and a plan whose last hold is released is dropped.
+//! Its replays and commit counts stay cached, so a later cell or a re-run
+//! on the same cache that needs only those lowers nothing. A `repro serve`
+//! batch ([`crate::Matrix::run_cells_by_key`]) holds nothing and drops
+//! nothing: the daemon's next batch may need the same plans.
 //!
 //! # Determinism
 //!
@@ -41,13 +61,14 @@
 //! Each key maps to a [`OnceLock`] slot: the first worker to reach a key
 //! runs the build, compile, lowering or replay, any concurrent worker
 //! blocks on the same slot and receives the same `Arc` — an artifact is
-//! never computed twice, which the instrumented
+//! never computed twice (a matrix run drops a plan only after every cell
+//! that can use it), which the instrumented
 //! [`ArtifactCache::program_builds`], [`ArtifactCache::compile_runs`],
 //! [`ArtifactCache::plan_builds`] and [`ArtifactCache::replay_runs`]
 //! counters let tests assert exactly.
 
 use sdiq_compiler::{CompileStats, CompilerPass, PassConfig};
-use sdiq_isa::Program;
+use sdiq_isa::{Instruction, Program};
 use sdiq_sim::{AdaptiveConfig, ExecPlan, PlanSimulator, ResizePolicy, SimConfig, SimResult};
 use sdiq_verify::{has_errors, lint_lowered_plan, verify_compiled, Severity, StandardVerifier};
 use sdiq_workloads::Benchmark;
@@ -104,6 +125,45 @@ pub struct CompiledArtifact {
     pub stats: CompileStats,
     /// Special NOOPs present in the annotated program.
     pub hint_noops_inserted: usize,
+    /// `true` if the pass changed nothing but the instruction markers
+    /// `low_energy` and `iq_hint`: the same procedures and blocks, the
+    /// same instruction counts, every other instruction field equal. Under
+    /// a policy that ignores hints the annotated program then replays
+    /// exactly as its input does, low-energy commits aside.
+    pub markers_only: bool,
+}
+
+/// `true` if `output` differs from `input` in nothing but the markers
+/// [`Instruction::low_energy`] and [`Instruction::iq_hint`]: the same
+/// procedures and blocks, the same instruction counts, and instructions
+/// equal apart from those two fields. Such a program executes the same
+/// path at the same addresses as its input, so its plan is the input's
+/// with other marker bits, and a policy that ignores hints reads none of
+/// them. An inserted hint NOOP fails the check: it takes a dispatch slot.
+fn only_markers_differ(input: &Program, output: &Program) -> bool {
+    let unmarked = |inst: &Instruction| Instruction {
+        low_energy: false,
+        iq_hint: None,
+        ..inst.clone()
+    };
+    input.entry == output.entry
+        && input.procedures.len() == output.procedures.len()
+        && input
+            .procedures
+            .iter()
+            .zip(&output.procedures)
+            .all(|(a, b)| {
+                a.entry == b.entry
+                    && a.blocks.len() == b.blocks.len()
+                    && a.blocks.iter().zip(&b.blocks).all(|(x, y)| {
+                        x.fallthrough == y.fallthrough
+                            && x.instructions.len() == y.instructions.len()
+                            && x.instructions
+                                .iter()
+                                .zip(&y.instructions)
+                                .all(|(i, j)| unmarked(i) == unmarked(j))
+                    })
+            })
 }
 
 /// The program an execution plan is lowered from: either the raw built
@@ -188,12 +248,20 @@ impl PolicyBits {
 /// repository, not a user error, so it panics with the full diagnostic
 /// listing. Because verification happens inside the [`OnceLock`]
 /// initialiser, a sweep touching the same key a thousand times pays for
-/// the check exactly once.
+/// the check exactly once. A compile that changed only markers is
+/// verified but, priced from the raw program's replay, never lowered, so
+/// it has no plan of its own to lint.
 #[derive(Debug)]
 pub struct ArtifactCache {
     programs: Slots<ProgramKey, Arc<Program>>,
     compiles: Slots<CompileKey, Arc<CompiledArtifact>>,
     plans: Slots<PlanKey, Arc<ExecPlan>>,
+    /// Each lowered plan's [`ExecPlan::commit_counts`], kept after the
+    /// plan itself is dropped.
+    commit_counts: Mutex<HashMap<PlanKey, Arc<[u32]>>>,
+    /// Cells of the running matrices that may still use each plan (see
+    /// [`ArtifactCache::hold_plans`]).
+    pending: Mutex<HashMap<PlanKey, usize>>,
     replays: Slots<(PlanKey, PolicyBits), Arc<SimResult>>,
     program_builds: AtomicU64,
     compile_runs: AtomicU64,
@@ -208,6 +276,8 @@ impl Default for ArtifactCache {
             programs: Mutex::default(),
             compiles: Mutex::default(),
             plans: Mutex::default(),
+            commit_counts: Mutex::default(),
+            pending: Mutex::default(),
             replays: Mutex::default(),
             program_builds: AtomicU64::new(0),
             compile_runs: AtomicU64::new(0),
@@ -222,15 +292,16 @@ impl Default for ArtifactCache {
 type Slots<K, V> = Mutex<HashMap<K, Arc<OnceLock<V>>>>;
 
 /// Fetches (or inserts) the once-initialisable slot for `key`. The map
-/// lock is held only for the slot lookup, never across a build. A
-/// poisoned map lock is recovered: the critical section is a pure
-/// `HashMap` entry lookup, which cannot leave the map inconsistent.
+/// lock is held only for the slot lookup, never across a build.
 fn slot<K: Eq + Hash + Copy, V>(map: &Slots<K, V>, key: K) -> Arc<OnceLock<V>> {
-    map.lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .entry(key)
-        .or_default()
-        .clone()
+    lock(map).entry(key).or_default().clone()
+}
+
+/// Locks one of the cache's maps. A poisoned lock is recovered: every
+/// critical section is a single `HashMap` lookup, insert or removal,
+/// which cannot leave the map inconsistent.
+fn lock<T>(map: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    map.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl ArtifactCache {
@@ -314,6 +385,7 @@ impl ArtifactCache {
             }
             let hint_noops_inserted = stats.hint_noops_inserted;
             Arc::new(CompiledArtifact {
+                markers_only: only_markers_differ(&input, &compiled.program),
                 program: Arc::new(compiled.program),
                 stats,
                 hint_noops_inserted,
@@ -329,6 +401,10 @@ impl ArtifactCache {
     /// lowering by [`ExecPlan::lower`]: no trace is collected. With
     /// verification on, the plan is linted against a second streamed
     /// execution of the same program.
+    ///
+    /// A matrix run drops each plan once the last cell that can use it has
+    /// finished (see the module docs); asking for a dropped plan lowers it
+    /// again.
     pub fn planned(&self, key: PlanKey) -> Arc<ExecPlan> {
         let program = match key.source {
             PlanSource::Program(program) => self.program(program),
@@ -341,14 +417,17 @@ impl ArtifactCache {
         slot.get_or_init(|| {
             let metrics = sdiq_obs::metrics();
             metrics.cache_plan_misses.inc();
-            let _span = sdiq_obs::span("lower-plan", "cache");
             self.plan_builds.fetch_add(1, Ordering::Relaxed);
             let cap = key.max_dynamic_instructions;
-            let plan = match ExecPlan::lower(key.sim_config, &program, cap) {
-                Ok(plan) => plan,
-                Err(fault) => panic!("workload must execute cleanly, faulted with {fault:?}"),
+            let plan = {
+                let _span = sdiq_obs::span("lower-plan", "cache");
+                match ExecPlan::lower(key.sim_config, &program, cap) {
+                    Ok(plan) => plan,
+                    Err(fault) => panic!("workload must execute cleanly, faulted with {fault:?}"),
+                }
             };
             if self.verify_enabled() {
+                let _span = sdiq_obs::span("lint", "cache");
                 let diags = match lint_lowered_plan(&plan, &program, cap) {
                     Ok(diags) => diags,
                     Err(fault) => panic!("workload must execute cleanly, faulted with {fault:?}"),
@@ -358,35 +437,75 @@ impl ArtifactCache {
                     panic!("execution plan failed lint:\n  {}", listing.join("\n  "));
                 }
             }
+            lock(&self.commit_counts).insert(key, plan.commit_counts().into());
             Arc::new(plan)
         })
         .clone()
     }
 
-    /// The replay of `plan` — the plan [`ArtifactCache::planned`] returned
-    /// for `key` — under `policy`, run exactly once per (plan key, policy).
+    /// The replay of the plan for `key` under `policy`, run exactly once
+    /// per (plan key, policy). The plan is fetched through
+    /// [`ArtifactCache::planned`] only when the replay is not cached yet.
     /// Techniques that differ only in how the power model prices the same
     /// counters (`baseline`, `nonEmpty` and `way-memo` all replay the raw
     /// program under [`ResizePolicy::Fixed`]) share one result.
     ///
-    /// Deliberately not counted in the `sdiq-obs` cache hit/miss metrics:
-    /// those count artifact fetches, one per cell, and keep their meaning.
-    pub fn replayed(&self, key: PlanKey, plan: &ExecPlan, policy: ResizePolicy) -> Arc<SimResult> {
-        debug_assert_eq!(
-            plan.config(),
-            &key.sim_config,
-            "plan lowered for another key"
-        );
+    /// Deliberately not counted in the `sdiq-obs` cache hit/miss metrics,
+    /// which count artifact fetches; the plan fetch of a replay that runs
+    /// is counted there.
+    pub fn replayed(&self, key: PlanKey, policy: ResizePolicy) -> Arc<SimResult> {
         slot(&self.replays, (key, PolicyBits::of(policy)))
             .get_or_init(|| {
+                let plan = self.planned(key);
                 let _span = sdiq_obs::span("replay", "cache");
                 self.replay_runs.fetch_add(1, Ordering::Relaxed);
-                match PlanSimulator::new(plan, policy).run() {
+                match PlanSimulator::new(&plan, policy).run() {
                     Ok(result) => Arc::new(result),
                     Err(err) => panic!("simulation must complete over a committed trace: {err:?}"),
                 }
             })
             .clone()
+    }
+
+    /// The [`ExecPlan::commit_counts`] of the plan for `key`, lowering it
+    /// only if it never was: the counts outlive the plan.
+    pub(crate) fn commit_counts(&self, key: PlanKey) -> Arc<[u32]> {
+        if let Some(counts) = lock(&self.commit_counts).get(&key).cloned() {
+            return counts;
+        }
+        self.planned(key);
+        lock(&self.commit_counts)
+            .get(&key)
+            .cloned()
+            .unwrap_or_else(|| unreachable!("lowering records the plan's commit counts"))
+    }
+
+    /// Registers one more cell that may use the plan of each of `keys`.
+    /// The plan stays cached until [`ArtifactCache::release_plans`] has
+    /// released it as often as it was held. A matrix run holds the plans
+    /// of every cell it computes before its workers start.
+    pub(crate) fn hold_plans(&self, keys: impl IntoIterator<Item = PlanKey>) {
+        let mut pending = lock(&self.pending);
+        for key in keys {
+            *pending.entry(key).or_default() += 1;
+        }
+    }
+
+    /// Releases one hold on the plan of each of `keys`. A plan whose last
+    /// hold this was is dropped; its replays and commit counts stay
+    /// cached, so a later cell that needs only those lowers nothing.
+    pub(crate) fn release_plans(&self, keys: impl IntoIterator<Item = PlanKey>) {
+        let mut pending = lock(&self.pending);
+        for key in keys {
+            let Some(count) = pending.get_mut(&key) else {
+                unreachable!("a plan is released only after it was held");
+            };
+            *count -= 1;
+            if *count == 0 {
+                pending.remove(&key);
+                lock(&self.plans).remove(&key);
+            }
+        }
     }
 
     /// Number of programs actually built (one per unique [`ProgramKey`]
@@ -411,6 +530,12 @@ impl ArtifactCache {
     /// policy) requested, regardless of concurrency).
     pub fn replay_runs(&self) -> u64 {
         self.replay_runs.load(Ordering::Relaxed)
+    }
+
+    /// Number of plans the cache holds now.
+    #[cfg(test)]
+    fn plans_held(&self) -> usize {
+        lock(&self.plans).len()
     }
 }
 
@@ -531,8 +656,10 @@ impl ResultStore {
 mod tests {
     use super::*;
     use crate::engine::{ConfigVariant, Matrix};
-    use crate::runner::Experiment;
+    use crate::runner::{Experiment, RunReport};
     use crate::technique::Technique;
+    use sdiq_isa::builder::ProgramBuilder;
+    use sdiq_isa::reg::int_reg;
     use sdiq_isa::Executor;
     use std::sync::Barrier;
 
@@ -666,11 +793,12 @@ mod tests {
         }
     }
 
-    /// Five plans per benchmark (the raw program and four pass outputs),
-    /// six replays: `baseline`, `nonEmpty` and `way-memo` replay the raw
-    /// program under the fixed policy and differ only in pricing.
+    /// Four plans per benchmark (the raw program and three pass outputs),
+    /// five replays: `baseline`, `nonEmpty` and `way-memo` replay the raw
+    /// program under the fixed policy and differ only in pricing, and
+    /// `lowen-isa`, whose pass only sets markers, prices the same replay.
     #[test]
-    fn one_benchmark_under_the_builtin_techniques_runs_six_replays() {
+    fn one_benchmark_under_the_builtin_techniques_runs_five_replays() {
         let experiment = tiny_experiment();
         let cache = ArtifactCache::new();
         let matrix = Matrix::new(&experiment)
@@ -679,7 +807,7 @@ mod tests {
             .jobs(2);
         let sweep = matrix.run_with(&cache, &HashMap::new());
         assert_eq!(sweep.suite(0).len(), 8);
-        assert_eq!((cache.plan_builds(), cache.replay_runs()), (5, 6));
+        assert_eq!((cache.plan_builds(), cache.replay_runs()), (4, 5));
     }
 
     /// `iq=80` is the base machine under another label: its cells have keys
@@ -698,21 +826,190 @@ mod tests {
             .jobs(2);
         let sweep = matrix.run_with(&cache, &HashMap::new());
         assert_eq!(matrix.collect_cells(&sweep).len(), 16);
-        assert_eq!((cache.plan_builds(), cache.replay_runs()), (5, 6));
+        assert_eq!((cache.plan_builds(), cache.replay_runs()), (4, 5));
+    }
+
+    /// `report` with its compile durations zeroed, as the cache keeps them.
+    fn untimed(mut report: RunReport) -> RunReport {
+        if let Some(stats) = &mut report.compile {
+            stats.total_duration = Duration::ZERO;
+            for proc_stats in &mut stats.per_procedure {
+                proc_stats.duration = Duration::ZERO;
+            }
+        }
+        report
+    }
+
+    /// `lowen-isa`'s pass only sets markers, so the engine prices its
+    /// cells from the raw program's replay and lowers nothing of their
+    /// own. `Experiment::run` lowers the compiled program itself: the
+    /// cells agree on every benchmark and on both machines.
+    #[test]
+    fn marker_only_cells_price_the_raw_replay_and_equal_a_lowered_run() {
+        let experiment = tiny_experiment();
+        let small = ConfigVariant {
+            label: "small".to_string(),
+            sim_config: SimConfig::small_for_tests(),
+            scale: experiment.scale,
+        };
+        let matrix = Matrix::new(&experiment)
+            .techniques(&[Technique::LowenIsa])
+            .variants(vec![ConfigVariant::base(&experiment), small.clone()])
+            .jobs(2);
+        let cache = ArtifactCache::new();
+        let sweep = matrix.run_with(&cache, &HashMap::new());
+        let machines = 2 * Benchmark::ALL.len() as u64;
+        assert_eq!(
+            (cache.plan_builds(), cache.replay_runs()),
+            (machines, machines),
+            "one raw plan and replay per benchmark and machine"
+        );
+        for (index, sim_config) in [experiment.sim_config, small.sim_config]
+            .into_iter()
+            .enumerate()
+        {
+            let direct = Experiment {
+                sim_config,
+                ..tiny_experiment()
+            };
+            for benchmark in Benchmark::ALL {
+                let cell = sweep.suite(index).get(benchmark, Technique::LowenIsa);
+                let lowered = untimed(direct.run(benchmark, Technique::LowenIsa));
+                assert!(lowered.stats.committed_low_energy > 0, "{benchmark}");
+                assert_eq!(cell, Some(&lowered), "{benchmark} on machine {index}");
+            }
+        }
+    }
+
+    /// A loop whose preheader is a lone jump: the tagging emitter finds
+    /// the block-entry tag already on the terminator and inserts a hint
+    /// NOOP for it.
+    fn jump_preheader_program() -> Program {
+        let mut builder = ProgramBuilder::new();
+        let main = builder.procedure("jump-preheader");
+        {
+            let p = builder.proc_mut(main);
+            let entry = p.block();
+            let preheader = p.block();
+            let body = p.block();
+            let exit = p.block();
+            p.with_block(entry, |bb| {
+                bb.li(int_reg(1), 0);
+                bb.fallthrough(preheader);
+            });
+            p.with_block(preheader, |bb| {
+                bb.jump(body);
+            });
+            p.with_block(body, |bb| {
+                bb.addi(int_reg(2), int_reg(1), 3);
+                bb.addi(int_reg(1), int_reg(1), 1);
+                bb.blt(int_reg(1), 50, body, exit);
+            });
+            p.with_block(exit, |bb| {
+                bb.ret();
+            });
+            p.set_entry(entry);
+        }
+        builder.finish(main).expect("a valid program")
+    }
+
+    /// A pass that inserts a hint NOOP fails the marker check, so its
+    /// cell lowers the compiled program and still equals a lowered run.
+    #[test]
+    fn a_pass_that_inserts_a_hint_noop_lowers_its_own_plan() {
+        let experiment = tiny_experiment();
+        let program = jump_preheader_program();
+        let key = ProgramKey::new(Benchmark::Gzip, experiment.scale);
+        let cache = ArtifactCache::new();
+        // The cell's program is the hand-built one, not gzip.
+        slot(&cache.programs, key)
+            .set(Arc::new(program.clone()))
+            .expect("a fresh cache holds no program");
+        let matrix = Matrix::new(&experiment)
+            .benchmarks(&[Benchmark::Gzip])
+            .techniques(&[Technique::LowenIsa]);
+        let sweep = matrix.run_with(&cache, &HashMap::new());
+        let compiled = cache.compiled(CompileKey {
+            program: key,
+            pass: Technique::LowenIsa.pass_config().unwrap(),
+        });
+        assert!(
+            compiled.hint_noops_inserted > 0,
+            "the fallback NOOP arm ran"
+        );
+        assert!(!compiled.markers_only);
+        let cell = sweep.suite(0).get(Benchmark::Gzip, Technique::LowenIsa);
+        let lowered = untimed(experiment.run_program(&program, Technique::LowenIsa));
+        assert!(lowered.stats.committed_hints > 0);
+        assert!(lowered.stats.committed_low_energy > 0);
+        assert_eq!(cell, Some(&lowered));
+        assert_eq!(cache.plan_builds(), 1, "the compiled program's plan only");
+    }
+
+    /// Lowers `cells` of `matrix` on a cache that never drops a plan, and
+    /// returns how many distinct plans that took.
+    fn distinct_plans(matrix: &Matrix<'_>, cells: &[String]) -> u64 {
+        let cache = ArtifactCache::new();
+        let requested = cells.iter().cloned().collect();
+        matrix
+            .run_cells_by_key(&cache, &requested, None)
+            .expect("the matrix owns its keys");
+        cache.plan_builds()
+    }
+
+    /// A run drops every plan after its last cell, and never lowers one
+    /// twice: it lowers as many plans as a cache that keeps them all, with
+    /// a sweep point that aliases the base machine, a partial seed and a
+    /// shard. A second run on the same cache lowers and replays nothing.
+    #[test]
+    fn each_plan_is_lowered_once_and_dropped_after_its_last_cell() {
+        let experiment = tiny_experiment();
+        let paper = Matrix::new(&experiment)
+            .benchmarks(&[Benchmark::Gzip, Benchmark::Mcf, Benchmark::Vortex])
+            .techniques(&BUILTIN_TECHNIQUES)
+            .jobs(2);
+        let swept = paper.clone().sweep_iq_entries(&[80, 48]);
+        // Seeded with every cell but `abella` and `lowen-isa`, the run
+        // computes only cells that use the raw plan and not its fixed-policy
+        // replay, which `lowen-isa` then needs: the raw plan must outlive
+        // the `abella` cells.
+        let partial: HashMap<String, RunReport> = paper
+            .collect_cells(&paper.run())
+            .into_iter()
+            .filter(|(_, report)| {
+                ![Technique::Abella, Technique::LowenIsa].contains(&report.technique)
+            })
+            .collect();
+        let sharded = paper.clone().shard(0, 2);
+        for (matrix, seed) in [
+            (&paper, HashMap::new()),
+            (&swept, HashMap::new()),
+            (&paper, partial),
+            (&sharded, HashMap::new()),
+        ] {
+            let cache = ArtifactCache::new();
+            let sweep = matrix.run_with(&cache, &seed);
+            assert_eq!(cache.plans_held(), 0, "every plan was dropped");
+            let computed = matrix.missing_cell_keys(&seed);
+            assert!(!computed.is_empty());
+            assert_eq!(cache.plan_builds(), distinct_plans(matrix, &computed));
+            let (plans, replays) = (cache.plan_builds(), cache.replay_runs());
+            assert_eq!(matrix.run_with(&cache, &seed), sweep);
+            assert_eq!((cache.plan_builds(), cache.replay_runs()), (plans, replays));
+        }
     }
 
     #[test]
     fn concurrent_requests_for_one_replay_run_it_once() {
         let cache = ArtifactCache::new();
         let key = gzip_key();
-        let plan = cache.planned(key);
         let barrier = Barrier::new(4);
         let results: Vec<Arc<SimResult>> = std::thread::scope(|scope| {
             let workers: Vec<_> = (0..4)
                 .map(|_| {
                     scope.spawn(|| {
                         barrier.wait();
-                        cache.replayed(key, &plan, ResizePolicy::Fixed)
+                        cache.replayed(key, ResizePolicy::Fixed)
                     })
                 })
                 .collect();
@@ -723,10 +1020,11 @@ mod tests {
         // Another policy, or an adaptive policy with one parameter moved,
         // is another replay.
         let mut adaptive = AdaptiveConfig::iqrob64();
-        cache.replayed(key, &plan, ResizePolicy::Adaptive(adaptive));
+        cache.replayed(key, ResizePolicy::Adaptive(adaptive));
         adaptive.rob_ratio += 0.5;
-        cache.replayed(key, &plan, ResizePolicy::Adaptive(adaptive));
+        cache.replayed(key, ResizePolicy::Adaptive(adaptive));
         assert_eq!(cache.replay_runs(), 3);
+        assert_eq!(cache.plan_builds(), 1, "the replays share one plan");
     }
 
     /// Lowering straight from the executor gives exactly the plan built

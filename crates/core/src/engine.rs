@@ -39,12 +39,13 @@
 use crate::cache::{ArtifactCache, CompileKey, PlanKey, PlanSource, ProgramKey};
 use crate::runner::{Experiment, RunReport, Suite};
 use crate::technique::Technique;
-use sdiq_sim::SimConfig;
+use sdiq_sim::plan::low_energy_commits;
+use sdiq_sim::{ResizePolicy, SimConfig};
 use sdiq_workloads::Benchmark;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// One point on the configuration sweep axis: a simulator configuration
 /// plus the workload scale to run it at.
@@ -577,7 +578,9 @@ impl<'a> Matrix<'a> {
     /// report into `sink` as it lands, and returns the key-addressed
     /// results. A requested key this matrix does not own is an error —
     /// it means the requester built a different matrix (the remote worker
-    /// daemon's defence against version skew).
+    /// daemon's defence against version skew). Unlike
+    /// [`Matrix::run_with`], it drops no plan from `cache`: a daemon's
+    /// next batch may need the same plans.
     pub fn run_cells_by_key(
         &self,
         cache: &ArtifactCache,
@@ -635,14 +638,14 @@ impl<'a> Matrix<'a> {
                         else {
                             break;
                         };
-                        let report = observed_cell(
+                        let plans = CellPlans::new(
                             self.experiment,
-                            cache,
                             &variants[cell.variant],
-                            key,
                             cell.benchmark,
                             cell.technique,
                         );
+                        let report =
+                            observed_cell(self.experiment, cache, &plans, key, cell.technique);
                         if let Some(sink) = sink {
                             let _span = sdiq_obs::span("persist-cell", "persist");
                             sink.cell_complete(key, &report);
@@ -678,7 +681,9 @@ impl<'a> Matrix<'a> {
 
     /// Runs the matrix: cells whose key appears in `seed` are taken from
     /// it verbatim (the `--load` path re-runs only missing cells), the
-    /// rest are computed on the worker pool through `cache`.
+    /// rest are computed on the worker pool through `cache`, which drops
+    /// each plan once the last computed cell that can use it has finished
+    /// (its replays stay cached).
     pub fn run_with(&self, cache: &ArtifactCache, seed: &HashMap<String, RunReport>) -> Sweep {
         self.run_with_sink(cache, seed, None)
     }
@@ -697,6 +702,29 @@ impl<'a> Matrix<'a> {
     ) -> Sweep {
         let variants = self.effective_variants();
         let cells = self.cells(&variants);
+        // A seeded report must actually describe its cell — `Suite::insert`
+        // slots by the report's own technique, so a corrupted save file
+        // could otherwise mis-file a cell and silently leave another empty.
+        // Mismatched seeds are treated as missing and recomputed
+        // (`missing_cells` applies the same predicate). Every cell to
+        // compute holds the plans it may use from here until it finishes,
+        // so each plan is dropped after its last cell.
+        let work: Vec<(String, Option<&RunReport>, CellPlans)> = cells
+            .iter()
+            .map(|cell| {
+                let variant = &variants[cell.variant];
+                let key = cell_key(self.experiment, variant, cell.benchmark, cell.technique);
+                let seeded = seed
+                    .get(&key)
+                    .filter(|report| seed_matches(report, cell.benchmark, cell.technique));
+                let plans =
+                    CellPlans::new(self.experiment, variant, cell.benchmark, cell.technique);
+                if seeded.is_none() {
+                    cache.hold_plans(plans.keys());
+                }
+                (key, seeded, plans)
+            })
+            .collect();
 
         let results: Vec<OnceLock<RunReport>> = cells.iter().map(|_| OnceLock::new()).collect();
         let cursor = AtomicUsize::new(0);
@@ -706,35 +734,25 @@ impl<'a> Matrix<'a> {
                 scope.spawn(|| {
                     loop {
                         let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(cell) = cells.get(index) else {
+                        let Some((cell, (key, seeded, plans))) =
+                            cells.get(index).zip(work.get(index))
+                        else {
                             break;
                         };
-                        let variant = &variants[cell.variant];
-                        let key =
-                            cell_key(self.experiment, variant, cell.benchmark, cell.technique);
-                        // A seeded report must actually describe this cell —
-                        // `Suite::insert` slots by the report's own technique,
-                        // so a corrupted save file could otherwise mis-file a
-                        // cell and silently leave another empty. Mismatched
-                        // seeds are treated as missing and recomputed
-                        // (`missing_cells` applies the same predicate).
-                        let seeded = seed
-                            .get(&key)
-                            .filter(|report| seed_matches(report, cell.benchmark, cell.technique));
                         let report = match seeded {
-                            Some(seeded) => seeded.clone(),
+                            Some(seeded) => (*seeded).clone(),
                             None => {
                                 let report = observed_cell(
                                     self.experiment,
                                     cache,
-                                    variant,
-                                    &key,
-                                    cell.benchmark,
+                                    plans,
+                                    key,
                                     cell.technique,
                                 );
+                                cache.release_plans(plans.keys());
                                 if let Some(sink) = sink {
                                     let _span = sdiq_obs::span("persist-cell", "persist");
-                                    sink.cell_complete(&key, &report);
+                                    sink.cell_complete(key, &report);
                                 }
                                 report
                             }
@@ -830,16 +848,15 @@ pub fn shard_of(key: &str, count: usize) -> usize {
 fn observed_cell(
     experiment: &Experiment,
     cache: &ArtifactCache,
-    variant: &ConfigVariant,
+    plans: &CellPlans,
     key: &str,
-    benchmark: Benchmark,
     technique: Technique,
 ) -> RunReport {
     let metrics = sdiq_obs::metrics();
     metrics.cells_in_flight.add(1);
     let started = std::time::Instant::now();
     let span = sdiq_obs::span("cell", "cell").map(|s| s.arg("key", key));
-    let report = run_cell(experiment, cache, variant, benchmark, technique);
+    let report = run_cell(experiment, cache, plans, technique);
     drop(span);
     metrics.cells_in_flight.sub(1);
     metrics.cells_done.inc();
@@ -850,44 +867,98 @@ fn observed_cell(
     report
 }
 
+/// The cached artifacts one cell is computed from.
+#[derive(Debug, Clone, Copy)]
+struct CellPlans {
+    /// The built benchmark program.
+    program: ProgramKey,
+    /// The plan of the built program.
+    raw: PlanKey,
+    /// For a software technique: its compiler pass, and the plan of the
+    /// pass output.
+    pass: Option<(CompileKey, PlanKey)>,
+    policy: ResizePolicy,
+}
+
+impl CellPlans {
+    fn new(
+        experiment: &Experiment,
+        variant: &ConfigVariant,
+        benchmark: Benchmark,
+        technique: Technique,
+    ) -> Self {
+        let program = ProgramKey::new(benchmark, variant.scale);
+        let raw = PlanKey {
+            source: PlanSource::Program(program),
+            sim_config: variant.sim_config,
+            max_dynamic_instructions: experiment.max_dynamic_instructions,
+        };
+        let pass = technique
+            .pass_config_for(variant.sim_config.widths, variant.sim_config.fu_counts)
+            .map(|pass| {
+                let compile = CompileKey { program, pass };
+                let plan = PlanKey {
+                    source: PlanSource::Compiled(compile),
+                    ..raw
+                };
+                (compile, plan)
+            });
+        CellPlans {
+            program,
+            raw,
+            pass,
+            policy: technique.resize_policy(),
+        }
+    }
+
+    /// The plans the cell may use: the plan of the program it runs and,
+    /// for a software technique whose policy ignores hints, the raw plan,
+    /// which prices the cell when its pass changed only markers.
+    fn keys(&self) -> impl Iterator<Item = PlanKey> {
+        let (own, raw) = match self.pass {
+            None => (self.raw, None),
+            Some((_, plan)) => (plan, (!self.policy.uses_hints()).then_some(self.raw)),
+        };
+        std::iter::once(own).chain(raw)
+    }
+}
+
 /// Runs one cell through the artifact cache: software techniques reuse the
 /// cached compiler-pass output, hardware techniques run the shared built
-/// program directly — no per-cell `Program` clone in either path. The
-/// cell's execution plan is cached too: execution and lowering happen once
-/// per (source, SimConfig) shape, and the replay once per (plan, resize
-/// policy). Only the power pricing runs per cell.
+/// program directly — no per-cell `Program` clone in either path. Lowering
+/// happens once per (source, SimConfig) shape and the replay once per
+/// (plan, resize policy). A software cell whose pass changed only markers
+/// and whose policy ignores hints lowers nothing of its own: it takes the
+/// raw program's replay, with its low-energy commits summed from the raw
+/// plan's commit counts over the instructions its pass marked. Only the
+/// power pricing runs per cell.
 fn run_cell(
     experiment: &Experiment,
     cache: &ArtifactCache,
-    variant: &ConfigVariant,
-    benchmark: Benchmark,
+    plans: &CellPlans,
     technique: Technique,
 ) -> RunReport {
-    let program_key = ProgramKey::new(benchmark, variant.scale);
-    let (source, artifact) =
-        match technique.pass_config_for(variant.sim_config.widths, variant.sim_config.fu_counts) {
-            Some(pass) => {
-                let compile_key = CompileKey {
-                    program: program_key,
-                    pass,
-                };
-                let artifact = cache.compiled(compile_key);
-                (PlanSource::Compiled(compile_key), Some(artifact))
-            }
-            None => (PlanSource::Program(program_key), None),
-        };
-    let plan_key = PlanKey {
-        source,
-        sim_config: variant.sim_config,
-        max_dynamic_instructions: experiment.max_dynamic_instructions,
+    let Some((compile, plan)) = plans.pass else {
+        let program = cache.program(plans.program);
+        let result = cache.replayed(plans.raw, plans.policy);
+        return experiment.report(&program.name, &result, technique, None, 0);
     };
-    let plan = cache.planned(plan_key);
-    let result = cache.replayed(plan_key, &plan, technique.resize_policy());
-    let (compile, hint_noops) = match artifact {
-        Some(artifact) => (Some(artifact.stats.clone()), artifact.hint_noops_inserted),
-        None => (None, 0),
+    let artifact = cache.compiled(compile);
+    let result = if artifact.markers_only && !plans.policy.uses_hints() {
+        let mut result = (*cache.replayed(plans.raw, plans.policy)).clone();
+        result.stats.committed_low_energy =
+            low_energy_commits(&artifact.program, &cache.commit_counts(plans.raw));
+        Arc::new(result)
+    } else {
+        cache.replayed(plan, plans.policy)
     };
-    experiment.report(plan.workload(), &result, technique, compile, hint_noops)
+    experiment.report(
+        &artifact.program.name,
+        &result,
+        technique,
+        Some(artifact.stats.clone()),
+        artifact.hint_noops_inserted,
+    )
 }
 
 /// The cache key of one cell: human-readable axes plus a fingerprint of

@@ -169,6 +169,21 @@ pub fn write_chrome_trace(
     std::fs::write(path, render_chrome_trace(events))
 }
 
+/// The number of spans of each name in `events` and their summed
+/// duration in nanoseconds, by name; instants are skipped. Spans nest, so
+/// a span's total includes the time of the spans inside it.
+pub fn span_totals(events: &[TraceEvent]) -> BTreeMap<String, (u64, u64)> {
+    let mut totals: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+    for event in events {
+        if let Some(nanos) = event.dur_nanos {
+            let total = totals.entry(event.name.clone()).or_default();
+            total.0 += 1;
+            total.1 += nanos;
+        }
+    }
+    totals
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -90,9 +90,10 @@ use crate::regfile::RenamedRegFile;
 use crate::resize::{AdaptiveController, AdaptiveObservation, ResizePolicy};
 use crate::stats::ActivityStats;
 use sdiq_isa::exec::DATA_BASE;
+use sdiq_isa::program::{INSTR_BYTES, TEXT_BASE};
 use sdiq_isa::{
-    ArchReg, BlockId, DynInst, ExecError, Executor, FuClass, Instruction, ProcId, Program,
-    RegClass, Trace,
+    AddressMap, ArchReg, BlockId, DynInst, ExecError, Executor, FuClass, InstrLoc, Instruction,
+    ProcId, Program, RegClass, Trace,
 };
 use std::fmt;
 
@@ -239,6 +240,9 @@ pub struct ExecPlan {
     /// Every activity counter whose final value is a pure function of the
     /// plan inputs, pre-totalled; the run adds only the dynamic counters.
     baked: ActivityStats,
+    /// Commits of each static instruction, indexed by [`commit_slot`] of
+    /// its address; one entry per instruction address of the program.
+    commit_counts: Vec<u32>,
 }
 
 /// One instruction's fully decoded static side, packed to 12 bytes so the
@@ -330,12 +334,54 @@ impl ExecPlan {
         &self.baked
     }
 
+    /// How often each static instruction commits over the plan's stream,
+    /// indexed by [`commit_slot`] of its address. Hint NOOPs strip at
+    /// decode and never commit, so the counts sum to the baked
+    /// `committed`.
+    pub fn commit_counts(&self) -> &[u32] {
+        &self.commit_counts
+    }
+
     /// Mutable access to the packed records, for seeded-defect tests that
     /// deliberately corrupt a plan. Not part of the stable API.
     #[doc(hidden)]
     pub fn records_mut(&mut self) -> &mut [InstRecord] {
         &mut self.insts
     }
+
+    /// Mutable access to the commit counts, for seeded-defect tests. Not
+    /// part of the stable API.
+    #[doc(hidden)]
+    pub fn commit_counts_mut(&mut self) -> &mut [u32] {
+        &mut self.commit_counts
+    }
+}
+
+/// The index of the instruction at `addr` in [`ExecPlan::commit_counts`]:
+/// instruction addresses are dense from the text base, one per
+/// [`INSTR_BYTES`].
+pub fn commit_slot(addr: u64) -> usize {
+    ((addr - TEXT_BASE) / INSTR_BYTES) as usize
+}
+
+/// Commits of the instructions `program` marks [`Instruction::low_energy`],
+/// given the commit counts of a plan lowered from a program with the same
+/// instruction addresses. Over `program`'s own plan this is its baked
+/// `committed_low_energy`.
+pub fn low_energy_commits(program: &Program, commit_counts: &[u32]) -> u64 {
+    let addresses = AddressMap::build(program);
+    let mut total = 0;
+    for (proc, procedure) in program.iter_procs() {
+        for (block, basic_block) in procedure.iter_blocks() {
+            for (index, inst) in basic_block.instructions.iter().enumerate() {
+                if inst.low_energy {
+                    let addr = addresses.addr_of(InstrLoc { proc, block, index });
+                    total += u64::from(commit_counts[commit_slot(addr)]);
+                }
+            }
+        }
+    }
+    total
 }
 
 /// The lowering loop behind [`ExecPlan::build`] and [`ExecPlan::lower`]:
@@ -371,6 +417,7 @@ impl<'p> PlanBuilder<'p> {
     /// A builder for `program` under `config`, with room reserved for
     /// `len` records.
     fn new(config: SimConfig, program: &'p Program, len: usize) -> Self {
+        let slots = commit_slot(AddressMap::build(program).end());
         PlanBuilder {
             plan: ExecPlan {
                 config,
@@ -385,6 +432,7 @@ impl<'p> PlanBuilder<'p> {
                     fp_rf_total_banks: config.fp_rf.banks() as u64,
                     ..ActivityStats::default()
                 },
+                commit_counts: vec![0; slots],
             },
             program,
             bpred: BranchPredictor::new(config.branch),
@@ -462,6 +510,7 @@ impl<'p> PlanBuilder<'p> {
             baked.issued += 1;
             baked.iq_writes += 1;
             baked.iq_reads += 1;
+            self.plan.commit_counts[commit_slot(addr)] += 1;
             if inst.low_energy {
                 baked.committed_low_energy += 1;
             }
@@ -531,7 +580,8 @@ impl<'p> PlanBuilder<'p> {
         plan.baked.wakeup_comparisons_full =
             plan.baked.wakeup_broadcasts * 2 * plan.config.iq.entries as u64;
         // A streamed lowering grew the arrays without knowing the length;
-        // cached plans live for the whole run, so drop the slack.
+        // a cached plan lives until the last cell that can use it, so drop
+        // the slack.
         plan.insts.shrink_to_fit();
         plan.mem_addr.shrink_to_fit();
         plan.imiss_addrs.shrink_to_fit();
@@ -1220,6 +1270,15 @@ mod tests {
         assert!(baked.branches >= 300);
         assert_eq!(plan.len(), trace.len());
         assert_eq!(plan.workload(), program.name);
+        let counts = plan.commit_counts();
+        assert_eq!(
+            counts.iter().map(|&c| u64::from(c)).sum::<u64>(),
+            baked.committed
+        );
+        assert_eq!(
+            low_energy_commits(&program, counts),
+            baked.committed_low_energy
+        );
     }
 
     /// A stream cut right after a control transfer gives the transfer the

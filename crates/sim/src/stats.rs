@@ -34,7 +34,12 @@ pub struct ActivityStats {
     pub icache_misses: u64,
     /// Cycles fetch was stalled waiting for a mispredicted branch to resolve.
     pub fetch_stall_cycles: u64,
-    /// Cycles dispatch was blocked by the software/hardware issue-queue limit.
+    /// Cycles in which dispatch stopped because the issue queue could not
+    /// take the next instruction, counted once a hint window has been
+    /// applied or while the adaptive hard limit is set. Every cause counts:
+    /// the window or limit itself, but also a full queue and an occupied
+    /// tail slot. Always 0 under the fixed policy, which applies no hint
+    /// and sets no limit.
     pub dispatch_limit_stall_cycles: u64,
 
     // --- memory --------------------------------------------------------------

@@ -141,6 +141,8 @@ pub mod codes {
     pub const PLAN003: &str = "PLAN003";
     /// The plan's I-miss stream disagrees with its own miss flags.
     pub const PLAN004: &str = "PLAN004";
-    /// A baked activity-counter identity does not hold.
+    /// A baked activity-counter identity does not hold, or the
+    /// per-instruction commit counts disagree with the baked commits or
+    /// with a recount from the committed stream.
     pub const PLAN005: &str = "PLAN005";
 }

@@ -14,8 +14,9 @@
 //!   default applied (`PLAN003`),
 //! * the I-miss address stream is consistent with the miss flags
 //!   (`PLAN004`),
-//! * the baked activity counters satisfy their defining identities
-//!   (`PLAN005`).
+//! * the baked activity counters satisfy their defining identities, and
+//!   the per-instruction commit counts sum to the baked commits and equal
+//!   a recount from the committed stream (`PLAN005`).
 //!
 //! Front-end bits that depend on predictor or cache *state* (mispredicts,
 //! BTB stalls, L1i hit/miss placement) are not recomputed here — the
@@ -30,8 +31,8 @@
 
 use crate::diag::{codes, Diagnostic};
 use sdiq_isa::exec::DATA_BASE;
-use sdiq_isa::{DynInst, ExecError, Executor, Program, Trace};
-use sdiq_sim::plan::{dense_arch, flag, ExecPlan, NO_REG};
+use sdiq_isa::{AddressMap, DynInst, ExecError, Executor, Program, Trace};
+use sdiq_sim::plan::{commit_slot, dense_arch, flag, ExecPlan, NO_REG};
 
 /// Per-record diagnostics stop after this many findings; corrupted plans
 /// tend to fail on every record and a bounded report reads better.
@@ -81,6 +82,9 @@ struct RecordLint<'a> {
     flagged_misses: u64,
     broadcasts: u64,
     hints: u64,
+    /// Commits of each static instruction, recounted from the stream and
+    /// indexed by `commit_slot` of its address.
+    commits: Vec<u32>,
     diags: Vec<Diagnostic>,
 }
 
@@ -96,6 +100,7 @@ impl<'a> RecordLint<'a> {
             flagged_misses: 0,
             broadcasts: 0,
             hints: 0,
+            commits: vec![0; commit_slot(AddressMap::build(program).end())],
             diags: Vec::new(),
         }
     }
@@ -126,6 +131,9 @@ impl<'a> RecordLint<'a> {
         let inst = self.program.instruction(dyn_inst.loc);
 
         // Counters for the PLAN004/PLAN005 identities below.
+        if !inst.is_hint_noop() {
+            self.commits[commit_slot(dyn_inst.addr)] += 1;
+        }
         if rec.flags & flag::L1I_MISS != 0 {
             self.flagged_misses += 1;
         }
@@ -216,6 +224,7 @@ impl<'a> RecordLint<'a> {
             flagged_misses,
             broadcasts,
             hints,
+            commits,
             mut diags,
             ..
         } = self;
@@ -314,6 +323,36 @@ impl<'a> RecordLint<'a> {
                 baked.icache_misses, flagged_misses
             ),
         );
+        let counts = plan.commit_counts();
+        let summed: u64 = counts.iter().map(|&count| u64::from(count)).sum();
+        identity(
+            summed == baked.committed,
+            format!(
+                "commit counts sum to {summed} ≠ committed {}",
+                baked.committed
+            ),
+        );
+        identity(
+            counts.len() == commits.len(),
+            format!(
+                "{} commit counts for {} instruction addresses",
+                counts.len(),
+                commits.len()
+            ),
+        );
+        if let Some(slot) = counts
+            .iter()
+            .zip(&commits)
+            .position(|(planned, streamed)| planned != streamed)
+        {
+            identity(
+                false,
+                format!(
+                    "instruction slot {slot} counts {} commits, the stream commits it {} times",
+                    counts[slot], commits[slot]
+                ),
+            );
+        }
         diags
     }
 }

@@ -427,6 +427,30 @@ fn dropped_miss_flag_is_plan004_and_plan005() {
     assert_code(&diags, codes::PLAN005);
 }
 
+#[test]
+fn corrupted_commit_counts_are_plan005() {
+    let (plan, program, trace) = planned();
+    let committed: Vec<usize> = plan
+        .commit_counts()
+        .iter()
+        .enumerate()
+        .filter(|(_, &count)| count > 0)
+        .map(|(slot, _)| slot)
+        .take(2)
+        .collect();
+    assert_eq!(committed.len(), 2, "gzip commits more than one instruction");
+    // One count too many: the sum and the recount both disagree.
+    let mut extra = plan.clone();
+    extra.commit_counts_mut()[committed[0]] += 1;
+    assert_code(&lint_plan(&extra, &program, &trace), codes::PLAN005);
+    // One commit moved to another instruction keeps the sum; the recount
+    // from the trace still catches it.
+    let mut moved = plan;
+    moved.commit_counts_mut()[committed[0]] -= 1;
+    moved.commit_counts_mut()[committed[1]] += 1;
+    assert_code(&lint_plan(&moved, &program, &trace), codes::PLAN005);
+}
+
 // --- full-suite and pass-manager integration ---------------------------
 
 #[test]

@@ -91,10 +91,17 @@ fn artifacts_are_built_exactly_once_per_unique_key() {
         "one compile per (program, pass-config)"
     );
 
-    // Re-running the same matrix against the same cache computes nothing.
+    // Re-running the same matrix against the same cache computes nothing:
+    // the first run dropped its plans, but kept every replay.
+    let (plans, replays) = (cache.plan_builds(), cache.replay_runs());
     let again = matrix.run_with(&cache, &HashMap::new());
     assert_eq!(cache.program_builds(), BENCHMARKS.len() as u64);
     assert_eq!(cache.compile_runs(), (2 * 2 * BENCHMARKS.len()) as u64);
+    assert_eq!(
+        (cache.plan_builds(), cache.replay_runs()),
+        (plans, replays),
+        "nothing lowered or replayed again"
+    );
     assert_eq!(sweep, again, "cache reuse does not change results");
 }
 
