@@ -129,6 +129,7 @@ use sdiq_core::{
     ProgramKey, Suite, Technique,
 };
 use sdiq_isa::{Executor, Program};
+use sdiq_sim::plan::only_markers_differ;
 use sdiq_sim::{ExecPlan, SimConfig};
 use sdiq_verify::StandardVerifier;
 use sdiq_workloads::Benchmark;
@@ -588,7 +589,8 @@ fn print_diags(
 /// Parses the `repro lint ...` argument tail and runs the full static
 /// checker suite — structural program verification, annotation legality,
 /// the soundness envelope and the execution-plan lint — over every
-/// artifact of the selected (variant × benchmark × technique) space.
+/// artifact of the selected (variant × benchmark × technique) space, plus
+/// the re-mark oracle for every compile that changed only markers.
 /// Artifacts are deduplicated by their cache keys, so the work matches
 /// what an equivalent run would build. Exits 0 when no error-severity
 /// diagnostics were found, 1 otherwise, 2 on flag errors.
@@ -672,6 +674,7 @@ fn lint_main(args: impl Iterator<Item = String>) -> ! {
     let mut programs_checked = 0usize;
     let mut compiles_checked = 0usize;
     let mut plans_checked = 0usize;
+    let mut remarks_checked = 0usize;
     let mut seen_programs: HashSet<ProgramKey> = HashSet::new();
     // `None` marks a compile whose pipeline verification failed — the
     // plan stage has nothing sound to lint against for those.
@@ -682,6 +685,10 @@ fn lint_main(args: impl Iterator<Item = String>) -> ! {
         for &benchmark in &benchmarks {
             let program_key = ProgramKey::new(benchmark, variant.scale);
             let program = cache.program(program_key);
+            let cap = experiment.max_dynamic_instructions;
+            // The raw program's plan on this machine, kept for the re-mark
+            // oracle of the markers-only compiles.
+            let mut raw_plan: Option<ExecPlan> = None;
             if seen_programs.insert(program_key) {
                 programs_checked += 1;
                 let context = format!("{}/{}", variant.label, benchmark.name());
@@ -697,44 +704,49 @@ fn lint_main(args: impl Iterator<Item = String>) -> ! {
                 );
                 let pass = technique
                     .pass_config_for(variant.sim_config.widths, variant.sim_config.fu_counts);
-                let (plan_source, source_program): (PlanSource, &Program) = match pass {
-                    Some(pass) => {
-                        let compile_key = CompileKey {
-                            program: program_key,
-                            pass,
-                        };
-                        if let std::collections::hash_map::Entry::Vacant(entry) =
-                            compiled.entry(compile_key)
-                        {
-                            compiles_checked += 1;
-                            let slot = match CompilerPass::new(pass)
-                                .run_verified(&program, Box::new(StandardVerifier))
-                            {
-                                Ok(result) => {
-                                    let diags = sdiq_verify::verify_compiled(&result);
-                                    print_diags(&context, &diags, &mut errors, &mut warnings);
-                                    Some(result)
-                                }
-                                Err(err) => {
-                                    for d in &err.diagnostics {
-                                        errors += 1;
-                                        println!(
-                                            "{context}: error[{}] after pass `{}`: {}",
-                                            d.code, err.pass, d.message
-                                        );
-                                    }
-                                    None
-                                }
+                let (plan_source, source_program, markers_only): (PlanSource, &Program, bool) =
+                    match pass {
+                        Some(pass) => {
+                            let compile_key = CompileKey {
+                                program: program_key,
+                                pass,
                             };
-                            entry.insert(slot);
+                            if let std::collections::hash_map::Entry::Vacant(entry) =
+                                compiled.entry(compile_key)
+                            {
+                                compiles_checked += 1;
+                                let slot = match CompilerPass::new(pass)
+                                    .run_verified(&program, Box::new(StandardVerifier))
+                                {
+                                    Ok(result) => {
+                                        let diags = sdiq_verify::verify_compiled(&result);
+                                        print_diags(&context, &diags, &mut errors, &mut warnings);
+                                        Some(result)
+                                    }
+                                    Err(err) => {
+                                        for d in &err.diagnostics {
+                                            errors += 1;
+                                            println!(
+                                                "{context}: error[{}] after pass `{}`: {}",
+                                                d.code, err.pass, d.message
+                                            );
+                                        }
+                                        None
+                                    }
+                                };
+                                entry.insert(slot);
+                            }
+                            match compiled.get(&compile_key).and_then(Option::as_ref) {
+                                Some(result) => (
+                                    PlanSource::Compiled(compile_key),
+                                    &result.program,
+                                    only_markers_differ(&program, &result.program),
+                                ),
+                                None => continue,
+                            }
                         }
-                        match compiled.get(&compile_key).and_then(Option::as_ref) {
-                            Some(result) => (PlanSource::Compiled(compile_key), &result.program),
-                            None => continue,
-                        }
-                    }
-                    None => (PlanSource::Program(program_key), &program),
-                };
+                        None => (PlanSource::Program(program_key), &program, false),
+                    };
                 let plan_key = PlanKey {
                     source: plan_source,
                     sim_config: variant.sim_config,
@@ -744,11 +756,40 @@ fn lint_main(args: impl Iterator<Item = String>) -> ! {
                     continue;
                 }
                 plans_checked += 1;
-                match Executor::new(source_program).run(experiment.max_dynamic_instructions) {
+                match Executor::new(source_program).run(cap) {
                     Ok(trace) => {
                         let plan = ExecPlan::build(variant.sim_config, source_program, &trace);
                         let diags = sdiq_verify::lint_plan(&plan, source_program, &trace);
                         print_diags(&context, &diags, &mut errors, &mut warnings);
+                        if markers_only {
+                            // The oracle: the raw plan re-marked for this
+                            // compile must equal the plan built from the
+                            // compile's own trace.
+                            remarks_checked += 1;
+                            let raw = match raw_plan.take() {
+                                Some(raw) => Ok(raw),
+                                None => ExecPlan::lower(variant.sim_config, &program, cap),
+                            };
+                            match raw {
+                                Ok(raw) => {
+                                    let diags = sdiq_verify::lint_remark_oracle(
+                                        &raw,
+                                        source_program,
+                                        &plan,
+                                    );
+                                    print_diags(&context, &diags, &mut errors, &mut warnings);
+                                    raw_plan = Some(raw);
+                                }
+                                Err(fault) => {
+                                    errors += 1;
+                                    println!(
+                                        "{context}: error[EXEC] raw workload faulted: {fault:?}"
+                                    );
+                                }
+                            }
+                        } else if pass.is_none() {
+                            raw_plan = Some(plan);
+                        }
                     }
                     Err(fault) => {
                         errors += 1;
@@ -762,7 +803,8 @@ fn lint_main(args: impl Iterator<Item = String>) -> ! {
     println!(
         "lint: {} variant(s) x {} benchmark(s) x {} technique(s): \
          {programs_checked} program(s), {compiles_checked} compile(s), \
-         {plans_checked} plan(s) checked - {errors} error(s), {warnings} warning(s)",
+         {plans_checked} plan(s), {remarks_checked} re-mark(s) checked - {errors} error(s), \
+         {warnings} warning(s)",
         variants.len(),
         benchmarks.len(),
         techniques.len(),
@@ -1051,10 +1093,12 @@ fn main() {
             }
             let sweep = matrix.run_with_sink(&cache, &seed, cell_sink);
             eprintln!(
-                "engine: {} program builds, {} compiler passes, {} plans, {} replays for {} computed cells",
+                "engine: {} program builds, {} compiler passes, {} plans lowered, {} re-marked, \
+                 {} replays for {} computed cells",
                 cache.program_builds(),
                 cache.compile_runs(),
                 cache.plan_builds(),
+                cache.plan_remarks(),
                 cache.replay_runs(),
                 missing
             );

@@ -27,12 +27,14 @@ fn all_prints_table1_table2_and_figure6_in_order() {
         "sections out of order:\n{stdout}"
     );
     // One benchmark under the eight built-in techniques: the raw program
-    // and the noop, extension and improved pass outputs, and five replays
-    // (baseline, nonEmpty and way-memo share one, and lowen-isa, whose
-    // pass only sets markers, prices it too).
+    // and the noop pass output lowered, the extension and improved pass
+    // outputs re-marked from the raw plan (their passes change only
+    // markers), and five replays (baseline, nonEmpty and way-memo share
+    // one, and lowen-isa, whose pass only sets markers, prices it too).
     assert!(
         stderr.contains(
-            "engine: 1 program builds, 4 compiler passes, 4 plans, 5 replays for 8 computed cells"
+            "engine: 1 program builds, 4 compiler passes, 2 plans lowered, 2 re-marked, \
+             5 replays for 8 computed cells"
         ),
         "engine line missing or changed:\n{stderr}"
     );

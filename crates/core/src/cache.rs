@@ -14,38 +14,52 @@
 //!   `PassConfig` and therefore the key),
 //! * the **execution plan** — a function of `(program, SimConfig,
 //!   instruction cap)`: lowered straight from the functional executor
-//!   ([`ExecPlan::lower`]), shared by every technique and resize policy of
-//!   that shape, and
+//!   ([`ExecPlan::lower`]) or re-marked from the raw program's plan
+//!   ([`ExecPlan::remark`]), shared by every technique and resize policy
+//!   of that shape, and
 //! * the **replay** — a function of `(plan, ResizePolicy)`: the techniques
 //!   that differ only in how the power model prices the same counters
 //!   (`baseline`, `nonEmpty`, `way-memo`) share one [`SimResult`].
 //!
 //! A compiler pass that changes nothing but instruction markers (the
-//! low-energy bit and hint tags, which a policy that ignores hints never
-//! reads) leaves the replay of its input unchanged. The cache checks this
-//! once per compile ([`CompiledArtifact::markers_only`]), and the engine
-//! then prices such a cell from the raw program's replay: its low-energy
-//! commits are the raw plan's per-instruction commit counts summed over
-//! the instructions its pass marked. `lowen-isa` is such a technique.
+//! low-energy bit and hint tags) leaves its input's committed stream
+//! unchanged: only decode reads the markers. The cache checks this once
+//! per compile ([`CompiledArtifact::markers_only`]). Such a compile's plan
+//! is the raw program's plan re-marked: a new static table and new baked
+//! totals over the raw plan's stream, with nothing executed. The tagging
+//! techniques `extension` and `improved`, whose policy reads hints, replay
+//! that plan. `lowen-isa`, whose policy ignores them, needs no plan at
+//! all: the engine prices its cell from the raw program's replay, with
+//! its low-energy commits summed from the raw plan's per-instruction
+//! commit counts over the instructions its pass marked. A pass that
+//! inserts a hint NOOP changes the stream, and its output is lowered.
 //!
 //! The cache keys artifacts by exactly those inputs and hands out
 //! `Arc`-shared handles. The eight built-in techniques over 11 benchmarks
 //! on one machine therefore build 11 programs, run 44 compiler passes,
-//! lower 44 plans and run 55 replays for 88 cells; a second machine
-//! variant adds 44 plans and 55 replays, unless it is the same machine
-//! under another label.
+//! lower 22 plans (the raw program and the `noop` output), re-mark 22
+//! (the `extension` and `improved` outputs) and run 55 replays for 88
+//! cells; a second machine variant adds 22 lowered and 22 re-marked plans
+//! and 55 replays, unless it is the same machine under another label.
 //!
 //! # Plan lifetime
 //!
-//! Plans are by far the largest artifacts (about 20 bytes per committed
-//! instruction), and a plan is needed only until the last replay of it
-//! has run. Before a matrix run starts its workers, it holds, for every
-//! cell it will compute, each plan that cell may use; each finished cell
-//! releases its holds, and a plan whose last hold is released is dropped.
-//! Its replays and commit counts stay cached, so a later cell or a re-run
-//! on the same cache that needs only those lowers nothing. A `repro serve`
-//! batch ([`crate::Matrix::run_cells_by_key`]) holds nothing and drops
-//! nothing: the daemon's next batch may need the same plans.
+//! Plans are by far the largest artifacts. A lowered plan's stream takes
+//! 13 bytes per committed instruction (its static slot, fetch flags and
+//! memory address) plus its I-miss addresses; its static table, and the
+//! whole of a re-marked plan, is one 10-byte record per instruction
+//! address. A plan is needed only until the last replay of it has run.
+//! Before a matrix run starts its workers, it holds, for every cell it
+//! will compute, each plan that cell may use: its own and, for a software
+//! technique, the raw program's, which its plan may be re-marked from.
+//! Each finished cell releases its holds, and a plan whose last hold is
+//! released is dropped. A stream lives as long as the last plan that
+//! shares it: dropping the raw plan before a re-marked one frees only the
+//! raw static table. Replays and commit counts stay cached, so a later
+//! cell or a re-run on the same cache that needs only those lowers
+//! nothing. A `repro serve` batch ([`crate::Matrix::run_cells_by_key`])
+//! holds nothing and drops nothing: the daemon's next batch may need the
+//! same plans.
 //!
 //! # Determinism
 //!
@@ -59,18 +73,22 @@
 //! # Concurrency
 //!
 //! Each key maps to a [`OnceLock`] slot: the first worker to reach a key
-//! runs the build, compile, lowering or replay, any concurrent worker
-//! blocks on the same slot and receives the same `Arc` — an artifact is
-//! never computed twice (a matrix run drops a plan only after every cell
-//! that can use it), which the instrumented
+//! runs the build, compile, lowering, re-mark or replay, any concurrent
+//! worker blocks on the same slot and receives the same `Arc` — an
+//! artifact is never computed twice (a matrix run drops a plan only after
+//! every cell that can use it), which the instrumented
 //! [`ArtifactCache::program_builds`], [`ArtifactCache::compile_runs`],
-//! [`ArtifactCache::plan_builds`] and [`ArtifactCache::replay_runs`]
-//! counters let tests assert exactly.
+//! [`ArtifactCache::plan_builds`], [`ArtifactCache::plan_remarks`] and
+//! [`ArtifactCache::replay_runs`] counters let tests assert exactly.
 
 use sdiq_compiler::{CompileStats, CompilerPass, PassConfig};
-use sdiq_isa::{Instruction, Program};
+use sdiq_isa::Program;
+use sdiq_sim::plan::only_markers_differ;
 use sdiq_sim::{AdaptiveConfig, ExecPlan, PlanSimulator, ResizePolicy, SimConfig, SimResult};
-use sdiq_verify::{has_errors, lint_lowered_plan, verify_compiled, Severity, StandardVerifier};
+use sdiq_verify::{
+    has_errors, lint_lowered_plan, lint_remarked_plan, verify_compiled, Diagnostic, Severity,
+    StandardVerifier,
+};
 use sdiq_workloads::Benchmark;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -126,44 +144,13 @@ pub struct CompiledArtifact {
     /// Special NOOPs present in the annotated program.
     pub hint_noops_inserted: usize,
     /// `true` if the pass changed nothing but the instruction markers
-    /// `low_energy` and `iq_hint`: the same procedures and blocks, the
-    /// same instruction counts, every other instruction field equal. Under
-    /// a policy that ignores hints the annotated program then replays
-    /// exactly as its input does, low-energy commits aside.
+    /// `low_energy` and `iq_hint` ([`only_markers_differ`]): the same
+    /// procedures and blocks, the same instruction counts, every other
+    /// instruction field equal. The annotated program's plan is then the
+    /// input's re-marked ([`ExecPlan::remark`]), and under a policy that
+    /// ignores hints it replays exactly as its input does, low-energy
+    /// commits aside.
     pub markers_only: bool,
-}
-
-/// `true` if `output` differs from `input` in nothing but the markers
-/// [`Instruction::low_energy`] and [`Instruction::iq_hint`]: the same
-/// procedures and blocks, the same instruction counts, and instructions
-/// equal apart from those two fields. Such a program executes the same
-/// path at the same addresses as its input, so its plan is the input's
-/// with other marker bits, and a policy that ignores hints reads none of
-/// them. An inserted hint NOOP fails the check: it takes a dispatch slot.
-fn only_markers_differ(input: &Program, output: &Program) -> bool {
-    let unmarked = |inst: &Instruction| Instruction {
-        low_energy: false,
-        iq_hint: None,
-        ..inst.clone()
-    };
-    input.entry == output.entry
-        && input.procedures.len() == output.procedures.len()
-        && input
-            .procedures
-            .iter()
-            .zip(&output.procedures)
-            .all(|(a, b)| {
-                a.entry == b.entry
-                    && a.blocks.len() == b.blocks.len()
-                    && a.blocks.iter().zip(&b.blocks).all(|(x, y)| {
-                        x.fallthrough == y.fallthrough
-                            && x.instructions.len() == y.instructions.len()
-                            && x.instructions
-                                .iter()
-                                .zip(&y.instructions)
-                                .all(|(i, j)| unmarked(i) == unmarked(j))
-                    })
-            })
 }
 
 /// The program an execution plan is lowered from: either the raw built
@@ -242,15 +229,15 @@ impl PolicyBits {
 /// `--verify` is passed), every cached artifact is statically verified
 /// **once**, at the moment it is first built: compiles run through the
 /// pass manager with the inter-pass [`StandardVerifier`] plus the full
-/// `sdiq_verify::verify_compiled` suite, and lowered plans are
-/// cross-checked against a second execution of their source program with
-/// `sdiq_verify::lint_lowered_plan`. A failed check is a logic error in this
-/// repository, not a user error, so it panics with the full diagnostic
-/// listing. Because verification happens inside the [`OnceLock`]
-/// initialiser, a sweep touching the same key a thousand times pays for
-/// the check exactly once. A compile that changed only markers is
-/// verified but, priced from the raw program's replay, never lowered, so
-/// it has no plan of its own to lint.
+/// `sdiq_verify::verify_compiled` suite, lowered plans are cross-checked
+/// against a second execution of their source program with
+/// `sdiq_verify::lint_lowered_plan`, and re-marked plans against their
+/// program and the raw plan whose stream they share with
+/// `sdiq_verify::lint_remarked_plan`, which executes nothing. A failed
+/// check is a logic error in this repository, not a user error, so it
+/// panics with the full diagnostic listing. Because verification happens
+/// inside the [`OnceLock`] initialiser, a sweep touching the same key a
+/// thousand times pays for the check exactly once.
 #[derive(Debug)]
 pub struct ArtifactCache {
     programs: Slots<ProgramKey, Arc<Program>>,
@@ -266,6 +253,7 @@ pub struct ArtifactCache {
     program_builds: AtomicU64,
     compile_runs: AtomicU64,
     plan_builds: AtomicU64,
+    plan_remarks: AtomicU64,
     replay_runs: AtomicU64,
     verify: AtomicBool,
 }
@@ -282,9 +270,19 @@ impl Default for ArtifactCache {
             program_builds: AtomicU64::new(0),
             compile_runs: AtomicU64::new(0),
             plan_builds: AtomicU64::new(0),
+            plan_remarks: AtomicU64::new(0),
             replay_runs: AtomicU64::new(0),
             verify: AtomicBool::new(cfg!(debug_assertions)),
         }
+    }
+}
+
+/// Panics with the full listing if the plan lint found an error: a plan
+/// that fails it is a logic error in this repository.
+fn fail_on_errors(diags: &[Diagnostic]) {
+    if has_errors(diags) {
+        let listing: Vec<String> = diags.iter().map(ToString::to_string).collect();
+        panic!("execution plan failed lint:\n  {}", listing.join("\n  "));
     }
 }
 
@@ -394,21 +392,36 @@ impl ArtifactCache {
         .clone()
     }
 
-    /// The execution plan for `key`, lowering it exactly once per key
-    /// (building the source program — and running its compiler pass, for
-    /// [`PlanSource::Compiled`] — through the cache if needed). The
-    /// functional execution happens here too, streamed straight into the
-    /// lowering by [`ExecPlan::lower`]: no trace is collected. With
-    /// verification on, the plan is linted against a second streamed
-    /// execution of the same program.
+    /// The execution plan for `key`, made exactly once per key (building
+    /// the source program — and running its compiler pass, for
+    /// [`PlanSource::Compiled`] — through the cache if needed).
+    ///
+    /// A compile that changed only markers takes the raw program's plan
+    /// re-marked ([`ExecPlan::remark`]): nothing executes, and the plan
+    /// shares the raw plan's stream. Any other plan is lowered, with the
+    /// functional execution streamed straight into the lowering by
+    /// [`ExecPlan::lower`]: no trace is collected. With verification on, a
+    /// lowered plan is linted against a second streamed execution of the
+    /// same program, and a re-marked one against its program and the raw
+    /// plan, without executing anything.
     ///
     /// A matrix run drops each plan once the last cell that can use it has
-    /// finished (see the module docs); asking for a dropped plan lowers it
+    /// finished (see the module docs); asking for a dropped plan makes it
     /// again.
     pub fn planned(&self, key: PlanKey) -> Arc<ExecPlan> {
-        let program = match key.source {
-            PlanSource::Program(program) => self.program(program),
-            PlanSource::Compiled(compile) => self.compiled(compile).program.clone(),
+        let (program, remark_of) = match key.source {
+            PlanSource::Program(program) => (self.program(program), None),
+            PlanSource::Compiled(compile) => {
+                let artifact = self.compiled(compile);
+                let raw = PlanKey {
+                    source: PlanSource::Program(compile.program),
+                    ..key
+                };
+                (
+                    artifact.program.clone(),
+                    artifact.markers_only.then_some(raw),
+                )
+            }
         };
         let slot = slot(&self.plans, key);
         if slot.get().is_some() {
@@ -417,30 +430,50 @@ impl ArtifactCache {
         slot.get_or_init(|| {
             let metrics = sdiq_obs::metrics();
             metrics.cache_plan_misses.inc();
-            self.plan_builds.fetch_add(1, Ordering::Relaxed);
-            let cap = key.max_dynamic_instructions;
-            let plan = {
-                let _span = sdiq_obs::span("lower-plan", "cache");
-                match ExecPlan::lower(key.sim_config, &program, cap) {
-                    Ok(plan) => plan,
-                    Err(fault) => panic!("workload must execute cleanly, faulted with {fault:?}"),
-                }
+            let plan = match remark_of {
+                Some(raw) => self.remarked(&self.planned(raw), &program),
+                None => self.lowered(&program, key),
             };
-            if self.verify_enabled() {
-                let _span = sdiq_obs::span("lint", "cache");
-                let diags = match lint_lowered_plan(&plan, &program, cap) {
-                    Ok(diags) => diags,
-                    Err(fault) => panic!("workload must execute cleanly, faulted with {fault:?}"),
-                };
-                if has_errors(&diags) {
-                    let listing: Vec<String> = diags.iter().map(ToString::to_string).collect();
-                    panic!("execution plan failed lint:\n  {}", listing.join("\n  "));
-                }
-            }
             lock(&self.commit_counts).insert(key, plan.commit_counts().into());
             Arc::new(plan)
         })
         .clone()
+    }
+
+    /// Executes and lowers `program` for `key`, linting the plan against a
+    /// second execution when verification is on.
+    fn lowered(&self, program: &Program, key: PlanKey) -> ExecPlan {
+        self.plan_builds.fetch_add(1, Ordering::Relaxed);
+        let cap = key.max_dynamic_instructions;
+        let plan = {
+            let _span = sdiq_obs::span("lower-plan", "cache");
+            match ExecPlan::lower(key.sim_config, program, cap) {
+                Ok(plan) => plan,
+                Err(fault) => panic!("workload must execute cleanly, faulted with {fault:?}"),
+            }
+        };
+        if self.verify_enabled() {
+            let _span = sdiq_obs::span("lint", "cache");
+            match lint_lowered_plan(&plan, program, cap) {
+                Ok(diags) => fail_on_errors(&diags),
+                Err(fault) => panic!("workload must execute cleanly, faulted with {fault:?}"),
+            }
+        }
+        plan
+    }
+
+    /// `raw` re-marked for `program`, a compile of `raw`'s program that
+    /// changed only markers, linted against both when verification is on.
+    fn remarked(&self, raw: &ExecPlan, program: &Program) -> ExecPlan {
+        self.plan_remarks.fetch_add(1, Ordering::Relaxed);
+        let _span = sdiq_obs::span("remark-plan", "cache");
+        let Some(plan) = raw.remark(program) else {
+            unreachable!("a markers-only compile re-marks its input's plan")
+        };
+        if self.verify_enabled() {
+            fail_on_errors(&lint_remarked_plan(&plan, program, raw));
+        }
+        plan
     }
 
     /// The replay of the plan for `key` under `policy`, run exactly once
@@ -520,10 +553,18 @@ impl ArtifactCache {
         self.compile_runs.load(Ordering::Relaxed)
     }
 
-    /// Number of execution plans lowered (one per unique [`PlanKey`]
-    /// requested, regardless of concurrency).
+    /// Number of execution plans lowered: executed and lowered, one per
+    /// unique [`PlanKey`] requested that is not a re-mark, regardless of
+    /// concurrency.
     pub fn plan_builds(&self) -> u64 {
         self.plan_builds.load(Ordering::Relaxed)
+    }
+
+    /// Number of execution plans re-marked from the raw program's plan
+    /// instead of lowered: one per unique [`PlanKey`] requested whose
+    /// compile changed only markers, regardless of concurrency.
+    pub fn plan_remarks(&self) -> u64 {
+        self.plan_remarks.load(Ordering::Relaxed)
     }
 
     /// Number of cycle replays run (one per unique (plan key, resize
@@ -793,8 +834,19 @@ mod tests {
         }
     }
 
-    /// Four plans per benchmark (the raw program and three pass outputs),
-    /// five replays: `baseline`, `nonEmpty` and `way-memo` replay the raw
+    /// The plans and replays the cache made: (lowered, re-marked, replays).
+    fn work(cache: &ArtifactCache) -> (u64, u64, u64) {
+        (
+            cache.plan_builds(),
+            cache.plan_remarks(),
+            cache.replay_runs(),
+        )
+    }
+
+    /// Two plans lowered per benchmark (the raw program and the `noop`
+    /// pass output, which inserts hint NOOPs) and two re-marked from the
+    /// raw one (the tagging outputs of `extension` and `improved`); five
+    /// replays: `baseline`, `nonEmpty` and `way-memo` replay the raw
     /// program under the fixed policy and differ only in pricing, and
     /// `lowen-isa`, whose pass only sets markers, prices the same replay.
     #[test]
@@ -807,7 +859,7 @@ mod tests {
             .jobs(2);
         let sweep = matrix.run_with(&cache, &HashMap::new());
         assert_eq!(sweep.suite(0).len(), 8);
-        assert_eq!((cache.plan_builds(), cache.replay_runs()), (4, 5));
+        assert_eq!(work(&cache), (2, 2, 5));
     }
 
     /// `iq=80` is the base machine under another label: its cells have keys
@@ -826,7 +878,7 @@ mod tests {
             .jobs(2);
         let sweep = matrix.run_with(&cache, &HashMap::new());
         assert_eq!(matrix.collect_cells(&sweep).len(), 16);
-        assert_eq!((cache.plan_builds(), cache.replay_runs()), (4, 5));
+        assert_eq!(work(&cache), (2, 2, 5));
     }
 
     /// `report` with its compile durations zeroed, as the cache keeps them.
@@ -860,8 +912,8 @@ mod tests {
         let sweep = matrix.run_with(&cache, &HashMap::new());
         let machines = 2 * Benchmark::ALL.len() as u64;
         assert_eq!(
-            (cache.plan_builds(), cache.replay_runs()),
-            (machines, machines),
+            work(&cache),
+            (machines, 0, machines),
             "one raw plan and replay per benchmark and machine"
         );
         for (index, sim_config) in [experiment.sim_config, small.sim_config]
@@ -943,24 +995,77 @@ mod tests {
         assert!(lowered.stats.committed_hints > 0);
         assert!(lowered.stats.committed_low_energy > 0);
         assert_eq!(cell, Some(&lowered));
-        assert_eq!(cache.plan_builds(), 1, "the compiled program's plan only");
+        assert_eq!(work(&cache), (1, 0, 1), "the compiled program's plan only");
     }
 
-    /// Lowers `cells` of `matrix` on a cache that never drops a plan, and
-    /// returns how many distinct plans that took.
-    fn distinct_plans(matrix: &Matrix<'_>, cells: &[String]) -> u64 {
+    /// `extension` and `improved` put their hints in tags on existing
+    /// instructions, so on these workloads their passes change only
+    /// markers: the engine re-marks the raw plan for them and executes
+    /// nothing of their own. `Experiment::run` lowers the compiled program
+    /// itself: the cells agree on every benchmark and on both machines.
+    #[test]
+    fn tagging_cells_replay_a_remarked_plan_and_equal_a_lowered_run() {
+        let experiment = tiny_experiment();
+        let small = ConfigVariant {
+            label: "small".to_string(),
+            sim_config: SimConfig::small_for_tests(),
+            scale: experiment.scale,
+        };
+        let tagging = [Technique::Extension, Technique::Improved];
+        let matrix = Matrix::new(&experiment)
+            .techniques(&tagging)
+            .variants(vec![ConfigVariant::base(&experiment), small.clone()])
+            .jobs(2);
+        let cache = ArtifactCache::new();
+        let sweep = matrix.run_with(&cache, &HashMap::new());
+        let machines = 2 * Benchmark::ALL.len() as u64;
+        assert_eq!(
+            work(&cache),
+            (machines, 2 * machines, 2 * machines),
+            "one raw plan per benchmark and machine, re-marked twice"
+        );
+        assert_eq!(cache.plans_held(), 0, "the re-marked plans were dropped");
+        for (index, sim_config) in [experiment.sim_config, small.sim_config]
+            .into_iter()
+            .enumerate()
+        {
+            let direct = Experiment {
+                sim_config,
+                ..tiny_experiment()
+            };
+            for benchmark in Benchmark::ALL {
+                for technique in tagging {
+                    let cell = sweep.suite(index).get(benchmark, technique);
+                    let lowered = untimed(direct.run(benchmark, technique));
+                    assert_eq!(lowered.hint_noops_inserted, 0, "{benchmark} {technique}");
+                    assert_eq!(
+                        cell,
+                        Some(&lowered),
+                        "{benchmark} {technique} on machine {index}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Computes `cells` of `matrix` on a cache that never drops a plan, and
+    /// returns how many distinct plans that lowered and re-marked.
+    fn distinct_plans(matrix: &Matrix<'_>, cells: &[String]) -> (u64, u64) {
         let cache = ArtifactCache::new();
         let requested = cells.iter().cloned().collect();
         matrix
             .run_cells_by_key(&cache, &requested, None)
             .expect("the matrix owns its keys");
-        cache.plan_builds()
+        (cache.plan_builds(), cache.plan_remarks())
     }
 
-    /// A run drops every plan after its last cell, and never lowers one
-    /// twice: it lowers as many plans as a cache that keeps them all, with
-    /// a sweep point that aliases the base machine, a partial seed and a
-    /// shard. A second run on the same cache lowers and replays nothing.
+    /// A run drops every plan after its last cell, and never makes one
+    /// twice: it lowers and re-marks as many plans as a cache that keeps
+    /// them all, with a sweep point that aliases the base machine, partial
+    /// seeds and a shard. A raw plan dropped before its last re-mark would
+    /// be lowered again, and one that no computed cell holds would never
+    /// be dropped. A second run on the same cache lowers, re-marks and
+    /// replays nothing.
     #[test]
     fn each_plan_is_lowered_once_and_dropped_after_its_last_cell() {
         let experiment = tiny_experiment();
@@ -969,22 +1074,28 @@ mod tests {
             .techniques(&BUILTIN_TECHNIQUES)
             .jobs(2);
         let swept = paper.clone().sweep_iq_entries(&[80, 48]);
-        // Seeded with every cell but `abella` and `lowen-isa`, the run
-        // computes only cells that use the raw plan and not its fixed-policy
-        // replay, which `lowen-isa` then needs: the raw plan must outlive
-        // the `abella` cells.
-        let partial: HashMap<String, RunReport> = paper
-            .collect_cells(&paper.run())
-            .into_iter()
-            .filter(|(_, report)| {
-                ![Technique::Abella, Technique::LowenIsa].contains(&report.technique)
-            })
-            .collect();
+        let cells = paper.collect_cells(&paper.run());
+        let all_but = |missing: [Technique; 2]| -> HashMap<String, RunReport> {
+            cells
+                .iter()
+                .filter(|(_, report)| !missing.contains(&report.technique))
+                .map(|(key, report)| (key.clone(), report.clone()))
+                .collect()
+        };
+        // Without `abella` and `lowen-isa`, the run computes only cells
+        // that use the raw plan and not its fixed-policy replay, which
+        // `lowen-isa` then needs: the raw plan must outlive the `abella`
+        // cells. Without `extension` and `improved`, it computes only
+        // cells whose plans are the raw plan re-marked, so only their own
+        // holds keep the raw plan until its last re-mark.
+        let partial = all_but([Technique::Abella, Technique::LowenIsa]);
+        let tagging = all_but([Technique::Extension, Technique::Improved]);
         let sharded = paper.clone().shard(0, 2);
         for (matrix, seed) in [
             (&paper, HashMap::new()),
             (&swept, HashMap::new()),
             (&paper, partial),
+            (&paper, tagging),
             (&sharded, HashMap::new()),
         ] {
             let cache = ArtifactCache::new();
@@ -992,10 +1103,13 @@ mod tests {
             assert_eq!(cache.plans_held(), 0, "every plan was dropped");
             let computed = matrix.missing_cell_keys(&seed);
             assert!(!computed.is_empty());
-            assert_eq!(cache.plan_builds(), distinct_plans(matrix, &computed));
-            let (plans, replays) = (cache.plan_builds(), cache.replay_runs());
+            assert_eq!(
+                (cache.plan_builds(), cache.plan_remarks()),
+                distinct_plans(matrix, &computed)
+            );
+            let made = work(&cache);
             assert_eq!(matrix.run_with(&cache, &seed), sweep);
-            assert_eq!((cache.plan_builds(), cache.replay_runs()), (plans, replays));
+            assert_eq!(work(&cache), made);
         }
     }
 
@@ -1023,8 +1137,7 @@ mod tests {
         cache.replayed(key, ResizePolicy::Adaptive(adaptive));
         adaptive.rob_ratio += 0.5;
         cache.replayed(key, ResizePolicy::Adaptive(adaptive));
-        assert_eq!(cache.replay_runs(), 3);
-        assert_eq!(cache.plan_builds(), 1, "the replays share one plan");
+        assert_eq!(work(&cache), (1, 0, 3), "the replays share one plan");
     }
 
     /// Lowering straight from the executor gives exactly the plan built
@@ -1059,6 +1172,55 @@ mod tests {
                             trace.len()
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// Re-marking the raw plan gives exactly the plan lowered from the
+    /// compiled program: every benchmark, every registered pass that
+    /// changes only markers, both machines. The pass that inserts hint
+    /// NOOPs is refused.
+    #[test]
+    fn remarking_the_raw_plan_equals_lowering_a_markers_only_compile() {
+        let cap = tiny_experiment().max_dynamic_instructions;
+        let mut passes: Vec<PassConfig> = Vec::new();
+        for pass in Technique::all().iter().filter_map(Technique::pass_config) {
+            if !passes.contains(&pass) {
+                passes.push(pass);
+            }
+        }
+        for benchmark in Benchmark::ALL {
+            let raw = benchmark.build_scaled(0.05);
+            let compiled: Vec<Program> = passes
+                .iter()
+                .map(|&pass| CompilerPass::new(pass).run(&raw).program)
+                .collect();
+            let markers_only: Vec<&Program> = compiled
+                .iter()
+                .filter(|program| only_markers_differ(&raw, program))
+                .collect();
+            assert_eq!(
+                markers_only.len(),
+                3,
+                "{}: tagging, improved and low-energy change only markers",
+                benchmark.name()
+            );
+            for config in [SimConfig::hpca2005(), SimConfig::small_for_tests()] {
+                let raw_plan = ExecPlan::lower(config, &raw, cap).unwrap();
+                for program in &compiled {
+                    let remarked = raw_plan.remark(program);
+                    if !only_markers_differ(&raw, program) {
+                        assert!(remarked.is_none(), "{}", benchmark.name());
+                        continue;
+                    }
+                    let remarked = remarked.expect("a markers-only compile re-marks");
+                    assert!(remarked.shares_stream(&raw_plan));
+                    assert!(
+                        remarked == ExecPlan::lower(config, program, cap).unwrap(),
+                        "{}: re-marked plan differs from the lowered one",
+                        benchmark.name()
+                    );
                 }
             }
         }

@@ -912,26 +912,25 @@ impl CellPlans {
     }
 
     /// The plans the cell may use: the plan of the program it runs and,
-    /// for a software technique whose policy ignores hints, the raw plan,
-    /// which prices the cell when its pass changed only markers.
+    /// for a software technique, the raw plan. When the pass changed only
+    /// markers, the raw plan prices the cell (a policy that ignores hints)
+    /// or is re-marked into the cell's own plan (one that reads them).
     fn keys(&self) -> impl Iterator<Item = PlanKey> {
-        let (own, raw) = match self.pass {
-            None => (self.raw, None),
-            Some((_, plan)) => (plan, (!self.policy.uses_hints()).then_some(self.raw)),
-        };
-        std::iter::once(own).chain(raw)
+        let own = self.pass.map_or(self.raw, |(_, plan)| plan);
+        std::iter::once(own).chain(self.pass.map(|_| self.raw))
     }
 }
 
 /// Runs one cell through the artifact cache: software techniques reuse the
 /// cached compiler-pass output, hardware techniques run the shared built
-/// program directly — no per-cell `Program` clone in either path. Lowering
-/// happens once per (source, SimConfig) shape and the replay once per
-/// (plan, resize policy). A software cell whose pass changed only markers
-/// and whose policy ignores hints lowers nothing of its own: it takes the
-/// raw program's replay, with its low-energy commits summed from the raw
-/// plan's commit counts over the instructions its pass marked. Only the
-/// power pricing runs per cell.
+/// program directly — no per-cell `Program` clone in either path. A plan
+/// is made once per (source, SimConfig) shape and the replay runs once
+/// per (plan, resize policy). A software cell whose pass changed only
+/// markers executes nothing of its own: under a policy that ignores hints
+/// it takes the raw program's replay, with its low-energy commits summed
+/// from the raw plan's commit counts over the instructions its pass
+/// marked; under one that reads them it replays the raw plan re-marked.
+/// Only the power pricing runs per cell.
 fn run_cell(
     experiment: &Experiment,
     cache: &ArtifactCache,

@@ -250,7 +250,7 @@ mod tests {
             }
             self.next_id += 1;
             let wait = entry.waiting_bits();
-            let (slot, ready_now) = self.plan.dispatch(entry.id, entry.id as u32, ops, wait);
+            let (slot, ready_now) = self.plan.dispatch(entry.id, ops, wait);
             assert_eq!(slot, self.model.dispatch(entry), "dispatch slot");
             assert_eq!(ready_now, wait == 0, "ready on dispatch");
             self.check();
@@ -273,7 +273,6 @@ mod tests {
                     self.model.slots[candidate.slot as usize].map(|e| e.id),
                     Some(candidate.id)
                 );
-                assert_eq!(u64::from(candidate.trace_idx), candidate.id);
             }
             let wakeup = Wakeup {
                 non_empty,

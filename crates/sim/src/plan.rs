@@ -28,21 +28,27 @@
 //! A large part of that work is a pure function of
 //! `(program, trace, SimConfig)` and therefore identical across the many
 //! runs a sweep, a matrix job or a `repro serve` batch performs on the
-//! same cell shape. Lowering computes it once, into flat struct-of-arrays
-//! form:
+//! same cell shape. Lowering computes it once, into a plan of two parts:
 //!
-//! * decoded operands — destination / source architectural registers,
-//!   functional-unit class, execution latency, hint sites and values,
-//!   memory addresses (with the simulator's default already applied),
-//! * the complete front-end outcome stream — per-instruction branch
-//!   direction mispredictions, BTB stalls, fetch-group boundaries, and the
-//!   L1 I-cache hit/miss sequence (the predictor and the L1i are touched
-//!   only by fetch, in strict trace order, on purely static inputs, so
-//!   their entire evolution is precomputable),
-//! * every activity counter whose final value is statically determined
-//!   (committed/dispatched/issued counts, branch and I-cache totals,
-//!   register-file port counts, wakeup broadcasts — the counters are only
-//!   observed after the run, never during it).
+//! * the **static table**: one [`InstRecord`] per instruction address of
+//!   the program, indexed by [`commit_slot`] — destination / source
+//!   architectural registers, functional-unit class, execution latency,
+//!   hint site and value;
+//! * the **stream**: one entry per committed instruction — the static slot
+//!   it executes (`u32`), its front-end outcome as [`fetch`] flags (`u8`:
+//!   branch direction misprediction, BTB stall, fetch-group end, new
+//!   I-cache line, L1i miss) and its memory address (`u64`, with the
+//!   simulator's default already applied), 13 bytes per record in three
+//!   flat arrays. The predictor and the L1i are touched only by fetch, in
+//!   strict trace order, on purely static inputs, so their entire
+//!   evolution is precomputable. The stream also carries the L1i-missing
+//!   fetch addresses, the commits of each static instruction, the
+//!   front-end totals, and its program with the markers cleared;
+//!
+//! and from the two, every activity counter whose final value is
+//! statically determined (committed/dispatched/issued counts, branch and
+//! I-cache totals, register-file port counts, wakeup broadcasts — the
+//! counters are only observed after the run, never during it).
 //!
 //! One private builder does the lowering, one committed instruction at a
 //! time and without looking ahead: a taken control transfer's BTB check
@@ -53,13 +59,31 @@
 //! [`Trace`], for the plan lint's `repro lint` walk, the tests and the
 //! layer benchmark. Both give the same plan.
 //!
+//! # Re-marking: [`ExecPlan::remark`]
+//!
+//! The stream sits behind an `Arc`. A program that differs from the
+//! stream's program in nothing but the markers [`Instruction::iq_hint`]
+//! and [`Instruction::low_energy`] ([`only_markers_differ`]) executes the
+//! same path at the same addresses, fetches the same lines and commits
+//! the same stream; only decode reads the markers. [`ExecPlan::remark`]
+//! gives such a program its plan without executing it: a static table and
+//! baked totals built from the program, over the shared stream. The
+//! tagging techniques (`extension`, `improved`), which put their hints on
+//! existing instructions, take their plans from the raw program's this
+//! way. `remark` refuses any other program (an inserted hint NOOP, a
+//! changed opcode, operand, immediate or target, a moved block), because
+//! it commits a different stream; such a program is lowered. A stream
+//! lives as long as the last plan that shares it.
+//!
 //! # Replay: [`PlanSimulator`]
 //!
 //! [`PlanSimulator`] then runs the cycle loop over the plan, touching only
 //! *dynamic* state: the shared L2 (its interleave of instruction and data
 //! refills depends on run-time timing), the D-cache, renaming, the issue
-//! queue, the event calendar and the adaptive controller. The loop performs
-//! no per-cycle heap allocation and never scans a structure proportionally
+//! queue, the event calendar and the adaptive controller. Dispatch reads
+//! each instruction's static record through its stream entry's slot and
+//! copies what issue needs into the ROB entry. The loop performs no
+//! per-cycle heap allocation and never scans a structure proportionally
 //! to its capacity:
 //!
 //! * **Ready list** — issue selection walks a persistent, age-ordered list
@@ -80,7 +104,7 @@
 //! checks that are not a second simulator: the workspace's golden save
 //! and conservation identities, the O(capacity) reference model the issue
 //! queue is tested against, and `sdiq-verify`'s plan lint, which re-derives
-//! every record from the program and trace.
+//! the static table from the program and every stream entry from a trace.
 
 use crate::branch::BranchPredictor;
 use crate::cache::{Cache, CacheHierarchy};
@@ -92,10 +116,11 @@ use crate::stats::ActivityStats;
 use sdiq_isa::exec::DATA_BASE;
 use sdiq_isa::program::{INSTR_BYTES, TEXT_BASE};
 use sdiq_isa::{
-    AddressMap, ArchReg, BlockId, DynInst, ExecError, Executor, FuClass, InstrLoc, Instruction,
+    AddressMap, ArchReg, BlockId, BlockRef, DynInst, ExecError, Executor, FuClass, Instruction,
     ProcId, Program, RegClass, Trace,
 };
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors a simulation can report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -192,67 +217,107 @@ fn max_completion_latency(config: &SimConfig) -> u64 {
         + 4
 }
 
-/// Per-instruction static flags (bit positions in [`InstRecord::flags`]).
-/// Public so `sdiq-verify`'s plan lint can decode records.
+/// Static flags of one instruction (bit positions in
+/// [`InstRecord::flags`]). Public so `sdiq-verify`'s plan lint can decode
+/// records.
 pub mod flag {
     /// The instruction is a special NOOP, stripped at the final decode
     /// stage.
-    pub const IS_HINT: u16 = 1 << 0;
+    pub const IS_HINT: u8 = 1 << 0;
     /// The instruction carries an `iq_hint` value (hint NOOP or tag).
-    pub const HAS_HINT: u16 = 1 << 1;
+    pub const HAS_HINT: u8 = 1 << 1;
     /// The instruction is a load (latency comes from the data cache).
-    pub const IS_LOAD: u16 = 1 << 2;
+    pub const IS_LOAD: u8 = 1 << 2;
     /// The instruction is a store (cache access, 1-cycle completion).
-    pub const IS_STORE: u16 = 1 << 3;
+    pub const IS_STORE: u8 = 1 << 3;
+}
+
+/// Front-end outcome flags of one committed instruction (bit positions in
+/// [`ExecPlan::fetch_flags`]). Public so the plan lint can decode them.
+pub mod fetch {
     /// Fetch blocks behind this instruction until it resolves: its branch
     /// direction was mispredicted.
-    pub const MISPREDICTED: u16 = 1 << 4;
+    pub const MISPREDICTED: u8 = 1 << 0;
     /// The taken control transfer missed in the BTB (2-cycle fetch bubble).
-    pub const BTB_STALL: u16 = 1 << 5;
+    pub const BTB_STALL: u8 = 1 << 1;
     /// Fetch stops after this instruction (taken branch or unconditional
     /// control transfer).
-    pub const ENDS_GROUP: u16 = 1 << 6;
+    pub const ENDS_GROUP: u8 = 1 << 2;
     /// This instruction begins a new I-cache line: fetch performs one
     /// I-cache access here.
-    pub const NEW_LINE: u16 = 1 << 7;
+    pub const NEW_LINE: u8 = 1 << 3;
     /// That access misses in the L1i; the run-time completes it with a
     /// shared-L2 refill and stalls fetch for the returned latency.
-    pub const L1I_MISS: u16 = 1 << 8;
+    pub const L1I_MISS: u8 = 1 << 4;
 }
 
 /// A fully lowered, allocation-free execution plan for one
-/// `(program, trace, SimConfig)` cell shape. Lower once with
+/// `(program, trace, SimConfig)` cell shape: a static table of the program
+/// over a shared committed stream (see the module docs). Lower once with
 /// [`ExecPlan::lower`] (or [`ExecPlan::build`] over a collected trace),
-/// run any number of times with [`PlanSimulator`].
+/// re-mark for a program that differs only in markers with
+/// [`ExecPlan::remark`], and run any number of times with
+/// [`PlanSimulator`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecPlan {
     config: SimConfig,
     workload: String,
-    /// Static per-instruction record (one packed stream: fetch, dispatch
-    /// and issue all walk a single array instead of five).
-    insts: Vec<InstRecord>,
-    /// Memory address per instruction, with the simulator's default
-    /// already applied for non-memory opcodes.
-    mem_addr: Vec<u64>,
-    /// Fetch addresses of the L1i-missing accesses, in program order
-    /// (consumed by a cursor: the misses are replayed exactly once each).
-    imiss_addrs: Vec<u64>,
+    /// One record per instruction address of the program, indexed by
+    /// [`commit_slot`].
+    statics: Vec<InstRecord>,
+    /// The committed stream, shared with every plan re-marked from this
+    /// one.
+    stream: Arc<Stream>,
     /// Every activity counter whose final value is a pure function of the
     /// plan inputs, pre-totalled; the run adds only the dynamic counters.
     baked: ActivityStats,
-    /// Commits of each static instruction, indexed by [`commit_slot`] of
-    /// its address; one entry per instruction address of the program.
-    commit_counts: Vec<u32>,
 }
 
-/// One instruction's fully decoded static side, packed to 12 bytes so the
-/// hot stages stream one cache-friendly array. Fields are public (read-only
-/// in practice — the plan hands out `&[InstRecord]`) so `sdiq-verify`'s
-/// plan lint can round-trip every record against its source instruction.
+/// The half of a plan that executing the program and walking its fetch
+/// produce, shared by every program that differs from it only in markers.
+#[derive(Debug, Clone, PartialEq)]
+struct Stream {
+    /// Per committed instruction: the [`commit_slot`] of its address.
+    slots: Vec<u32>,
+    /// Per committed instruction: its [`fetch`] flags.
+    flags: Vec<u8>,
+    /// Per committed instruction: its memory address, with the
+    /// simulator's default already applied for non-memory opcodes.
+    mem_addrs: Vec<u64>,
+    /// Fetch addresses of the L1i-missing accesses, in program order
+    /// (consumed by a cursor: the misses are replayed exactly once each).
+    imiss_addrs: Vec<u64>,
+    /// Commits of each static instruction, indexed by [`commit_slot`] of
+    /// its address. Hint NOOPs strip at decode and never commit; no marker
+    /// turns an instruction into one or back, so re-marked plans share
+    /// the counts.
+    commit_counts: Vec<u32>,
+    /// The totals fetch and decode determine.
+    front_end: FrontEndTotals,
+    /// The program the stream was lowered from, with its markers cleared:
+    /// what [`ExecPlan::remark`] checks a program against.
+    source: Program,
+}
+
+/// The activity counters the stream alone determines.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct FrontEndTotals {
+    branches: u64,
+    mispredicted_branches: u64,
+    btb_misses: u64,
+    icache_misses: u64,
+    /// Hint NOOPs stripped at decode.
+    committed_hints: u64,
+}
+
+/// One instruction's fully decoded static side, packed to 10 bytes. Fields
+/// are public (read-only in practice — the plan hands out
+/// `&[InstRecord]`) so `sdiq-verify`'s plan lint can round-trip every
+/// record against its source instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InstRecord {
     /// Static flags (see [`flag`]).
-    pub flags: u16,
+    pub flags: u8,
     /// Dense destination architectural register ([`NO_REG`] = none).
     pub dest: u16,
     /// Dense source architectural registers ([`NO_REG`] = absent).
@@ -264,6 +329,50 @@ pub struct InstRecord {
     pub latency: u8,
     /// `iq_hint` value (meaningful when [`flag::HAS_HINT`]).
     pub hint: u8,
+}
+
+impl InstRecord {
+    /// The record at the one address an empty block occupies, which no
+    /// committed instruction executes.
+    const GAP: InstRecord = InstRecord {
+        flags: 0,
+        dest: NO_REG,
+        srcs: [NO_REG; 2],
+        fu: FuClass::None,
+        latency: 1,
+        hint: 0,
+    };
+
+    /// The decoded static side of `inst`.
+    fn of(inst: &Instruction) -> Self {
+        let mut flags = 0;
+        if inst.is_hint_noop() {
+            flags |= flag::IS_HINT;
+        }
+        if inst.iq_hint.is_some() {
+            flags |= flag::HAS_HINT;
+        }
+        if inst.opcode.is_load() {
+            flags |= flag::IS_LOAD;
+        }
+        if inst.opcode.is_store() {
+            flags |= flag::IS_STORE;
+        }
+        let mut srcs = [NO_REG; 2];
+        for (slot, src) in srcs.iter_mut().zip(inst.srcs.iter()) {
+            if let Some(arch) = src {
+                *slot = dense_arch(*arch);
+            }
+        }
+        InstRecord {
+            flags,
+            dest: inst.dest.map_or(NO_REG, dense_arch),
+            srcs,
+            fu: inst.opcode.fu_class(),
+            latency: inst.opcode.latency().max(1) as u8,
+            hint: inst.iq_hint.unwrap_or(0),
+        }
+    }
 }
 
 impl ExecPlan {
@@ -293,14 +402,99 @@ impl ExecPlan {
         Ok(builder.finish())
     }
 
+    /// The plan of `program` over this plan's stream, without executing
+    /// anything: a static table and baked totals built from `program`,
+    /// the stream shared. It equals the plan [`ExecPlan::lower`] gives
+    /// `program` under the same configuration and instruction cap.
+    ///
+    /// `None` unless `program` differs from the stream's program in
+    /// nothing but the markers (see [`ExecPlan::can_remark`]): any other
+    /// program commits a different stream and must be lowered.
+    pub fn remark(&self, program: &Program) -> Option<ExecPlan> {
+        self.can_remark(program)
+            .then(|| ExecPlan::over(self.config, program, Arc::clone(&self.stream)))
+    }
+
+    /// `true` if [`ExecPlan::remark`] accepts `program`: it differs from
+    /// the program this plan's stream was lowered from in nothing but the
+    /// markers ([`only_markers_differ`]).
+    pub fn can_remark(&self, program: &Program) -> bool {
+        only_markers_differ(&self.stream.source, program)
+    }
+
+    /// `true` if `self` and `other` share one stream: one was re-marked
+    /// from the other, or both from a third plan.
+    pub fn shares_stream(&self, other: &ExecPlan) -> bool {
+        Arc::ptr_eq(&self.stream, &other.stream)
+    }
+
+    /// The plan of `program` over `stream`: its static table, and its baked
+    /// totals from the table, the stream's commit counts and its front-end
+    /// totals.
+    fn over(config: SimConfig, program: &Program, stream: Arc<Stream>) -> ExecPlan {
+        let counts = &stream.commit_counts;
+        let front_end = stream.front_end;
+        let mut baked = ActivityStats {
+            iq_total_banks: config.iq.banks() as u64,
+            iq_total_entries: config.iq.entries as u64,
+            int_rf_total_banks: config.int_rf.banks() as u64,
+            fp_rf_total_banks: config.fp_rf.banks() as u64,
+            branches: front_end.branches,
+            mispredicted_branches: front_end.mispredicted_branches,
+            btb_misses: front_end.btb_misses,
+            icache_misses: front_end.icache_misses,
+            committed_hints: front_end.committed_hints,
+            ..ActivityStats::default()
+        };
+        let mut statics = vec![InstRecord::GAP; counts.len()];
+        for_each_instruction(program, |slot, inst| {
+            statics[slot] = InstRecord::of(inst);
+            // Every commit dispatches, issues and commits once, reading
+            // its sources and (if present) broadcasting its destination —
+            // all static totals.
+            let commits = u64::from(counts[slot]);
+            baked.committed += commits;
+            baked.dispatched += commits;
+            baked.issued += commits;
+            baked.iq_writes += commits;
+            baked.iq_reads += commits;
+            if inst.low_energy {
+                baked.committed_low_energy += commits;
+            }
+            if let Some(dest) = inst.dest {
+                baked.wakeup_broadcasts += commits;
+                match dest.class() {
+                    RegClass::Int => baked.int_rf_writes += commits,
+                    RegClass::Fp => baked.fp_rf_writes += commits,
+                }
+            }
+            for src in inst.srcs.iter().flatten() {
+                match src.class() {
+                    RegClass::Int => baked.int_rf_reads += commits,
+                    RegClass::Fp => baked.fp_rf_reads += commits,
+                }
+            }
+        });
+        // Full-queue wakeup comparisons are `2 × capacity` per broadcast
+        // and the broadcast count is static, so the total is too.
+        baked.wakeup_comparisons_full = baked.wakeup_broadcasts * 2 * config.iq.entries as u64;
+        ExecPlan {
+            config,
+            workload: program.name.clone(),
+            statics,
+            stream,
+            baked,
+        }
+    }
+
     /// Number of dynamic instructions the plan covers.
     pub fn len(&self) -> usize {
-        self.insts.len()
+        self.stream.slots.len()
     }
 
     /// `true` if the plan covers an empty trace.
     pub fn is_empty(&self) -> bool {
-        self.insts.is_empty()
+        self.stream.slots.is_empty()
     }
 
     /// The simulator configuration the plan was lowered for.
@@ -313,20 +507,31 @@ impl ExecPlan {
         &self.workload
     }
 
-    /// The packed per-instruction records, in trace order.
-    pub fn records(&self) -> &[InstRecord] {
-        &self.insts
+    /// The static table: one record per instruction address of the
+    /// program, indexed by [`commit_slot`].
+    pub fn statics(&self) -> &[InstRecord] {
+        &self.statics
+    }
+
+    /// The static slot of each committed instruction, in trace order.
+    pub fn slots(&self) -> &[u32] {
+        &self.stream.slots
+    }
+
+    /// The [`fetch`] flags of each committed instruction, in trace order.
+    pub fn fetch_flags(&self) -> &[u8] {
+        &self.stream.flags
     }
 
     /// The per-instruction memory addresses (the simulator's default
     /// already applied for non-memory opcodes), in trace order.
     pub fn mem_addrs(&self) -> &[u64] {
-        &self.mem_addr
+        &self.stream.mem_addrs
     }
 
     /// Fetch addresses of the L1i-missing accesses, in program order.
     pub fn imiss_addrs(&self) -> &[u64] {
-        &self.imiss_addrs
+        &self.stream.imiss_addrs
     }
 
     /// The statically pre-totalled activity counters.
@@ -339,29 +544,52 @@ impl ExecPlan {
     /// decode and never commit, so the counts sum to the baked
     /// `committed`.
     pub fn commit_counts(&self) -> &[u32] {
-        &self.commit_counts
+        &self.stream.commit_counts
     }
 
-    /// Mutable access to the packed records, for seeded-defect tests that
+    /// Mutable access to the static table, for seeded-defect tests that
     /// deliberately corrupt a plan. Not part of the stable API.
     #[doc(hidden)]
-    pub fn records_mut(&mut self) -> &mut [InstRecord] {
-        &mut self.insts
+    pub fn statics_mut(&mut self) -> &mut [InstRecord] {
+        &mut self.statics
     }
 
-    /// Mutable access to the commit counts, for seeded-defect tests. Not
-    /// part of the stable API.
+    /// Mutable access to the fetch flags, for seeded-defect tests. The
+    /// stream is copied first if another plan shares it. Not part of the
+    /// stable API.
+    #[doc(hidden)]
+    pub fn fetch_flags_mut(&mut self) -> &mut [u8] {
+        &mut Arc::make_mut(&mut self.stream).flags
+    }
+
+    /// Mutable access to the commit counts, for seeded-defect tests. The
+    /// stream is copied first if another plan shares it. Not part of the
+    /// stable API.
     #[doc(hidden)]
     pub fn commit_counts_mut(&mut self) -> &mut [u32] {
-        &mut self.commit_counts
+        &mut Arc::make_mut(&mut self.stream).commit_counts
     }
 }
 
-/// The index of the instruction at `addr` in [`ExecPlan::commit_counts`]:
-/// instruction addresses are dense from the text base, one per
-/// [`INSTR_BYTES`].
+/// The index of the instruction at `addr` in [`ExecPlan::statics`] and
+/// [`ExecPlan::commit_counts`]: instruction addresses are dense from the
+/// text base, one per [`INSTR_BYTES`].
 pub fn commit_slot(addr: u64) -> usize {
     ((addr - TEXT_BASE) / INSTR_BYTES) as usize
+}
+
+/// Calls `visit` with the [`commit_slot`] of every instruction of
+/// `program`, and the instruction.
+fn for_each_instruction<'a>(program: &'a Program, mut visit: impl FnMut(usize, &'a Instruction)) {
+    let addresses = AddressMap::build(program);
+    for (proc, procedure) in program.iter_procs() {
+        for (block, basic_block) in procedure.iter_blocks() {
+            let base = commit_slot(addresses.block_addr(BlockRef { proc, block }));
+            for (index, inst) in basic_block.instructions.iter().enumerate() {
+                visit(base + index, inst);
+            }
+        }
+    }
 }
 
 /// Commits of the instructions `program` marks [`Instruction::low_energy`],
@@ -369,24 +597,60 @@ pub fn commit_slot(addr: u64) -> usize {
 /// instruction addresses. Over `program`'s own plan this is its baked
 /// `committed_low_energy`.
 pub fn low_energy_commits(program: &Program, commit_counts: &[u32]) -> u64 {
-    let addresses = AddressMap::build(program);
     let mut total = 0;
-    for (proc, procedure) in program.iter_procs() {
-        for (block, basic_block) in procedure.iter_blocks() {
-            for (index, inst) in basic_block.instructions.iter().enumerate() {
-                if inst.low_energy {
-                    let addr = addresses.addr_of(InstrLoc { proc, block, index });
-                    total += u64::from(commit_counts[commit_slot(addr)]);
-                }
-            }
+    for_each_instruction(program, |slot, inst| {
+        if inst.low_energy {
+            total += u64::from(commit_counts[slot]);
         }
-    }
+    });
     total
+}
+
+/// `inst` with the markers [`Instruction::low_energy`] and
+/// [`Instruction::iq_hint`] cleared.
+fn unmarked(inst: &Instruction) -> Instruction {
+    Instruction {
+        low_energy: false,
+        iq_hint: None,
+        ..inst.clone()
+    }
+}
+
+/// `true` if `output` differs from `input` in nothing but the markers
+/// [`Instruction::low_energy`] and [`Instruction::iq_hint`]: the same
+/// procedures and blocks, the same instruction counts, and instructions
+/// equal apart from those two fields. Such a program executes the same
+/// path at the same addresses as its input and commits the same stream;
+/// only decode reads the markers, so its plan is the input's re-marked
+/// ([`ExecPlan::remark`]), and a policy that ignores hints replays it
+/// exactly as the input. An inserted hint NOOP fails the check: it takes
+/// a dispatch slot.
+pub fn only_markers_differ(input: &Program, output: &Program) -> bool {
+    input.entry == output.entry
+        && input.procedures.len() == output.procedures.len()
+        && input
+            .procedures
+            .iter()
+            .zip(&output.procedures)
+            .all(|(a, b)| {
+                a.entry == b.entry
+                    && a.blocks.len() == b.blocks.len()
+                    && a.blocks.iter().zip(&b.blocks).all(|(x, y)| {
+                        x.fallthrough == y.fallthrough
+                            && x.instructions.len() == y.instructions.len()
+                            && x.instructions
+                                .iter()
+                                .zip(&y.instructions)
+                                .all(|(i, j)| unmarked(i) == unmarked(j))
+                    })
+            })
 }
 
 /// The lowering loop behind [`ExecPlan::build`] and [`ExecPlan::lower`]:
 /// takes the committed instructions one at a time, in commit order, and
-/// never looks at an instruction after the one it is given.
+/// never looks at an instruction after the one it is given. It fills the
+/// stream; [`ExecPlan::over`] then builds the static table and the baked
+/// totals.
 ///
 /// A taken control transfer's BTB target is the address of the next
 /// committed instruction, so its BTB check waits until that instruction is
@@ -395,8 +659,9 @@ pub fn low_energy_commits(program: &Program, commit_counts: &[u32]) -> u64 {
 /// next instruction touches, so the predictor sees the same sequence of
 /// lookups and updates as a lowering that peeks ahead.
 struct PlanBuilder<'p> {
-    plan: ExecPlan,
+    config: SimConfig,
     program: &'p Program,
+    stream: Stream,
     // The front-end models evolve over purely static inputs, in strict
     // commit order, exactly once per site — so their full histories are
     // computed here and never touched again.
@@ -418,23 +683,26 @@ impl<'p> PlanBuilder<'p> {
     /// `len` records.
     fn new(config: SimConfig, program: &'p Program, len: usize) -> Self {
         let slots = commit_slot(AddressMap::build(program).end());
+        let mut source = program.clone();
+        for procedure in &mut source.procedures {
+            for block in &mut procedure.blocks {
+                for inst in &mut block.instructions {
+                    *inst = unmarked(inst);
+                }
+            }
+        }
         PlanBuilder {
-            plan: ExecPlan {
-                config,
-                workload: program.name.clone(),
-                insts: Vec::with_capacity(len),
-                mem_addr: Vec::with_capacity(len),
-                imiss_addrs: Vec::new(),
-                baked: ActivityStats {
-                    iq_total_banks: config.iq.banks() as u64,
-                    iq_total_entries: config.iq.entries as u64,
-                    int_rf_total_banks: config.int_rf.banks() as u64,
-                    fp_rf_total_banks: config.fp_rf.banks() as u64,
-                    ..ActivityStats::default()
-                },
-                commit_counts: vec![0; slots],
-            },
+            config,
             program,
+            stream: Stream {
+                slots: Vec::with_capacity(len),
+                flags: Vec::with_capacity(len),
+                mem_addrs: Vec::with_capacity(len),
+                imiss_addrs: Vec::new(),
+                commit_counts: vec![0; slots],
+                front_end: FrontEndTotals::default(),
+                source,
+            },
             bpred: BranchPredictor::new(config.branch),
             l1i: Cache::new(config.l1i),
             line_bytes: config.l1i.line_bytes as u64,
@@ -461,99 +729,54 @@ impl<'p> PlanBuilder<'p> {
             self.cached_block = Some((loc.proc, loc.block));
         }
         let inst = &self.block_insts[loc.index];
-        let idx = self.plan.insts.len();
+        let stream = &mut self.stream;
+        let idx = stream.slots.len();
         let addr = dyn_inst.addr;
-        let baked = &mut self.plan.baked;
-        let mut flags: u16 = 0;
+        let totals = &mut stream.front_end;
+        let mut flags: u8 = 0;
 
         // --- I-cache: one access per new cache line touched ----------------
         let line = addr / self.line_bytes;
         if self.last_fetched_line != Some(line) {
             self.last_fetched_line = Some(line);
-            flags |= flag::NEW_LINE;
+            flags |= fetch::NEW_LINE;
             if !self.l1i.access(addr) {
-                flags |= flag::L1I_MISS;
-                baked.icache_misses += 1;
-                self.plan.imiss_addrs.push(addr);
+                flags |= fetch::L1I_MISS;
+                totals.icache_misses += 1;
+                stream.imiss_addrs.push(addr);
             }
         }
 
         // --- branch prediction ---------------------------------------------
         if inst.opcode.is_cond_branch() {
-            baked.branches += 1;
+            totals.branches += 1;
             let actual_taken = dyn_inst.taken.unwrap_or(false);
             let prediction = self.bpred.predict_direction(addr);
             self.bpred.update_direction(addr, prediction, actual_taken);
             if prediction.taken != actual_taken {
-                flags |= flag::MISPREDICTED;
-                baked.mispredicted_branches += 1;
+                flags |= fetch::MISPREDICTED;
+                totals.mispredicted_branches += 1;
             }
             if actual_taken {
-                flags |= flag::ENDS_GROUP;
+                flags |= fetch::ENDS_GROUP;
                 self.pending_target = Some((idx, addr));
             }
         } else if inst.opcode.is_control() {
-            flags |= flag::ENDS_GROUP;
+            flags |= fetch::ENDS_GROUP;
             self.pending_target = Some((idx, addr));
         }
 
-        // --- decode ----------------------------------------------------------
+        // --- decode: a hint NOOP strips, everything else commits once -------
+        let slot = commit_slot(addr);
         if inst.is_hint_noop() {
-            flags |= flag::IS_HINT;
-            baked.committed_hints += 1;
+            totals.committed_hints += 1;
         } else {
-            // Every non-hint record dispatches, issues and commits exactly
-            // once, reading its sources and (if present) broadcasting its
-            // destination — all static totals.
-            baked.committed += 1;
-            baked.dispatched += 1;
-            baked.issued += 1;
-            baked.iq_writes += 1;
-            baked.iq_reads += 1;
-            self.plan.commit_counts[commit_slot(addr)] += 1;
-            if inst.low_energy {
-                baked.committed_low_energy += 1;
-            }
-            if let Some(dest) = inst.dest {
-                baked.wakeup_broadcasts += 1;
-                match dest.class() {
-                    RegClass::Int => baked.int_rf_writes += 1,
-                    RegClass::Fp => baked.fp_rf_writes += 1,
-                }
-            }
-            for src in inst.srcs.iter().flatten() {
-                match src.class() {
-                    RegClass::Int => baked.int_rf_reads += 1,
-                    RegClass::Fp => baked.fp_rf_reads += 1,
-                }
-            }
+            stream.commit_counts[slot] += 1;
         }
-        if inst.iq_hint.is_some() {
-            flags |= flag::HAS_HINT;
-        }
-        if inst.opcode.is_load() {
-            flags |= flag::IS_LOAD;
-        }
-        if inst.opcode.is_store() {
-            flags |= flag::IS_STORE;
-        }
-
-        let mut srcs = [NO_REG; 2];
-        for (slot, src) in srcs.iter_mut().zip(inst.srcs.iter()) {
-            if let Some(arch) = src {
-                *slot = dense_arch(*arch);
-            }
-        }
-        self.plan.insts.push(InstRecord {
-            flags,
-            dest: inst.dest.map_or(NO_REG, dense_arch),
-            srcs,
-            fu: inst.opcode.fu_class(),
-            latency: inst.opcode.latency().max(1) as u8,
-            hint: inst.iq_hint.unwrap_or(0),
-        });
-        self.plan
-            .mem_addr
+        stream.slots.push(slot as u32);
+        stream.flags.push(flags);
+        stream
+            .mem_addrs
             .push(dyn_inst.mem_addr.unwrap_or(DATA_BASE));
     }
 
@@ -561,31 +784,28 @@ impl<'p> PlanBuilder<'p> {
     /// `from`), now that its `target` is known.
     fn resolve_target(&mut self, idx: usize, from: u64, target: u64) {
         if self.bpred.predict_target(from) != Some(target) {
-            self.plan.baked.btb_misses += 1;
-            self.plan.insts[idx].flags |= flag::BTB_STALL;
+            self.stream.front_end.btb_misses += 1;
+            self.stream.flags[idx] |= fetch::BTB_STALL;
         }
         self.bpred.update_target(from, target);
     }
 
     /// Completes the plan: a final control transfer is given the
-    /// fall-through address as its target, and the static totals that need
-    /// the whole stream are filled in.
+    /// fall-through address as its target, and the static table and the
+    /// baked totals are built over the finished stream.
     fn finish(mut self) -> ExecPlan {
         if let Some((idx, from)) = self.pending_target.take() {
             self.resolve_target(idx, from, from + 4);
         }
-        let mut plan = self.plan;
-        // Full-queue wakeup comparisons are `2 × capacity` per broadcast
-        // and the broadcast count is static, so the total is too.
-        plan.baked.wakeup_comparisons_full =
-            plan.baked.wakeup_broadcasts * 2 * plan.config.iq.entries as u64;
+        let mut stream = self.stream;
         // A streamed lowering grew the arrays without knowing the length;
-        // a cached plan lives until the last cell that can use it, so drop
-        // the slack.
-        plan.insts.shrink_to_fit();
-        plan.mem_addr.shrink_to_fit();
-        plan.imiss_addrs.shrink_to_fit();
-        plan
+        // a cached stream lives until the last plan that shares it is
+        // dropped, so drop the slack.
+        stream.slots.shrink_to_fit();
+        stream.flags.shrink_to_fit();
+        stream.mem_addrs.shrink_to_fit();
+        stream.imiss_addrs.shrink_to_fit();
+        ExecPlan::over(self.config, self.program, Arc::new(stream))
     }
 }
 
@@ -608,8 +828,11 @@ pub fn dense_arch(arch: ArchReg) -> u16 {
 }
 
 /// In-flight (ROB-resident) instruction. Sources are not kept (read-port
-/// totals are baked), opcode / memory address / latency live in the plan,
-/// and the destination registers are dense `u16`s ([`NO_REG`] = none).
+/// totals are baked), the memory address lives in the plan, and the
+/// destination registers are dense `u16`s ([`NO_REG`] = none). Dispatch
+/// copies the static side issue needs (FU class, latency, load/store
+/// flags) out of the plan, so issue reads it from the ring by id instead
+/// of through the stream entry's slot.
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     trace_idx: u32,
@@ -617,6 +840,10 @@ struct InFlight {
     /// Previous mapping of the destination architectural register,
     /// released at commit.
     prev_dest: u16,
+    fu: FuClass,
+    latency: u8,
+    /// The record's static [`flag`]s.
+    flags: u8,
     mispredicted: bool,
     /// Set at writeback; commit retires completed entries in order.
     /// (Between dispatch and writeback no stage distinguishes queued from
@@ -629,6 +856,9 @@ const INFLIGHT_EMPTY: InFlight = InFlight {
     trace_idx: 0,
     dest: NO_REG,
     prev_dest: NO_REG,
+    fu: FuClass::None,
+    latency: 1,
+    flags: 0,
     mispredicted: false,
     completed: false,
 };
@@ -639,6 +869,10 @@ const INFLIGHT_EMPTY: InFlight = InFlight {
 #[derive(Debug)]
 pub struct PlanSimulator<'p> {
     plan: &'p ExecPlan,
+    /// The plan's static table, read through each stream entry's slot.
+    statics: &'p [InstRecord],
+    /// The plan's committed stream.
+    stream: &'p Stream,
     uses_hints: bool,
 
     caches: CacheHierarchy,
@@ -714,6 +948,8 @@ impl<'p> PlanSimulator<'p> {
         let rob_len = config.widths.rob_capacity.next_power_of_two();
         PlanSimulator {
             plan,
+            statics: &plan.statics,
+            stream: &plan.stream,
             uses_hints: policy.uses_hints(),
             caches: CacheHierarchy::new(&config),
             iq: PlanQueue::new(
@@ -907,12 +1143,8 @@ impl<'p> PlanSimulator<'p> {
                 kept += 1;
                 continue;
             }
-            // The candidate carries its trace index, so the static side
-            // (FU class, flags, latency) streams from the plan record and
-            // neither the queue nor the ROB stores it.
-            let trace_idx = candidate.trace_idx as usize;
-            let rec = &self.plan.insts[trace_idx];
-            let fu = rec.fu;
+            let inst = self.rob[self.inflight_index(candidate.id)];
+            let fu = inst.fu;
             let class = fu.index();
             if fu_used[class] >= fu_counts.for_class(fu) {
                 candidates[kept] = candidate;
@@ -934,22 +1166,26 @@ impl<'p> PlanSimulator<'p> {
 
             // Execution latency (register read-port totals are baked; the
             // reads have no other observable effect).
-            let latency = if rec.flags & flag::IS_LOAD != 0 {
-                let access = self.caches.access_data(self.plan.mem_addr[trace_idx]);
+            let latency = if inst.flags & flag::IS_LOAD != 0 {
+                let access = self
+                    .caches
+                    .access_data(self.stream.mem_addrs[inst.trace_idx as usize]);
                 if access.l2_miss {
                     self.stats.l2_misses += 1;
                 }
                 u64::from(1 + access.latency)
-            } else if rec.flags & flag::IS_STORE != 0 {
+            } else if inst.flags & flag::IS_STORE != 0 {
                 // Stores update the cache but retire from the pipeline's
                 // point of view after address generation.
-                let access = self.caches.access_data(self.plan.mem_addr[trace_idx]);
+                let access = self
+                    .caches
+                    .access_data(self.stream.mem_addrs[inst.trace_idx as usize]);
                 if access.l2_miss {
                     self.stats.l2_misses += 1;
                 }
                 1
             } else {
-                u64::from(rec.latency)
+                u64::from(inst.latency)
             };
             self.completions.schedule(cycle, cycle + latency, id);
         }
@@ -970,7 +1206,7 @@ impl<'p> PlanSimulator<'p> {
             if self.fq_ready[trace_idx & (self.fq_ready.len() - 1)] > cycle {
                 break;
             }
-            let rec = self.plan.insts[trace_idx];
+            let rec = self.statics[self.stream.slots[trace_idx] as usize];
             let flags = rec.flags;
 
             // Hint handling, both shapes behind one combined-flag branch:
@@ -1049,14 +1285,13 @@ impl<'p> PlanSimulator<'p> {
 
             let id = self.next_id;
             self.next_id += 1;
-            let (slot, ready_now) = self.iq.dispatch(id, trace_idx as u32, ops, wait);
+            let (slot, ready_now) = self.iq.dispatch(id, ops, wait);
             // Ready on arrival → joins the ready list immediately. Ids are
             // monotonic, so appending keeps the list age-ordered.
             if ready_now {
                 self.ready.push(ReadyCandidate {
                     id,
                     slot: slot as u32,
-                    trace_idx: trace_idx as u32,
                 });
             }
 
@@ -1065,7 +1300,10 @@ impl<'p> PlanSimulator<'p> {
                 trace_idx: trace_idx as u32,
                 dest,
                 prev_dest,
-                mispredicted: flags & flag::MISPREDICTED != 0,
+                fu: rec.fu,
+                latency: rec.latency,
+                flags,
+                mispredicted: self.stream.flags[trace_idx] & fetch::MISPREDICTED != 0,
                 completed: false,
             };
             self.next_dispatch += 1;
@@ -1085,16 +1323,16 @@ impl<'p> PlanSimulator<'p> {
             && self.next_fetch - self.next_dispatch < self.plan.config.fetch_queue_entries
         {
             let idx = self.next_fetch;
-            let flags = self.plan.insts[idx].flags;
+            let flags = self.stream.flags[idx];
 
             // I-cache: the L1i outcome is precomputed; only the shared-L2
             // part of a miss runs here. The `fetch_line_done` guard keeps
             // the access from repeating when fetch resumes on this same
             // instruction after the refill stall.
-            if flags & flag::NEW_LINE != 0 && self.fetch_line_done <= idx {
+            if flags & fetch::NEW_LINE != 0 && self.fetch_line_done <= idx {
                 self.fetch_line_done = idx + 1;
-                if flags & flag::L1I_MISS != 0 {
-                    let addr = self.plan.imiss_addrs[self.imiss_cursor];
+                if flags & fetch::L1I_MISS != 0 {
+                    let addr = self.stream.imiss_addrs[self.imiss_cursor];
                     self.imiss_cursor += 1;
                     let access = self.caches.refill_instruction_after_l1i_miss(addr);
                     if access.l2_miss {
@@ -1107,7 +1345,7 @@ impl<'p> PlanSimulator<'p> {
                 }
             }
 
-            if flags & flag::BTB_STALL != 0 {
+            if flags & fetch::BTB_STALL != 0 {
                 self.fetch_stalled_until = self.fetch_stalled_until.max(cycle + 2);
             }
 
@@ -1116,13 +1354,13 @@ impl<'p> PlanSimulator<'p> {
             self.next_fetch += 1;
             fetched += 1;
 
-            if flags & flag::MISPREDICTED != 0 {
+            if flags & fetch::MISPREDICTED != 0 {
                 // Fetch cannot proceed past a mispredicted branch until it
                 // resolves at writeback.
                 self.fetch_blocked_by = Some(idx);
                 break;
             }
-            if flags & flag::ENDS_GROUP != 0 {
+            if flags & fetch::ENDS_GROUP != 0 {
                 break;
             }
         }
@@ -1318,18 +1556,128 @@ mod tests {
         // li, jump, addi, jump, blt, addi, jump: the cut ends on the
         // second trip's jump to `next`.
         let cut = ExecPlan::lower(config, &program, 7).unwrap();
-        let last = cut.records()[6];
-        assert_ne!(
-            last.flags & flag::ENDS_GROUP,
-            0,
-            "the last record is the jump"
-        );
-        assert_eq!(
-            last.flags & flag::BTB_STALL,
-            0,
-            "its trained BTB entry hits"
-        );
-        assert_eq!(cut.records(), &full.records()[..7]);
+        let last = cut.fetch_flags()[6];
+        assert_ne!(last & fetch::ENDS_GROUP, 0, "the last record is the jump");
+        assert_eq!(last & fetch::BTB_STALL, 0, "its trained BTB entry hits");
+        assert_eq!(cut.slots(), &full.slots()[..7]);
+        assert_eq!(cut.fetch_flags(), &full.fetch_flags()[..7]);
+        assert_eq!(cut.mem_addrs(), &full.mem_addrs()[..7]);
+        assert_eq!(cut.statics(), full.statics());
+    }
+
+    /// `program` with a tag on every second instruction that is not a hint
+    /// NOOP and the low-energy mark on every third: the markers differ,
+    /// nothing else does.
+    fn remarked_copy(program: &Program) -> Program {
+        let mut tagged = program.clone();
+        let mut count = 0u8;
+        for procedure in &mut tagged.procedures {
+            for block in &mut procedure.blocks {
+                for inst in &mut block.instructions {
+                    count = count.wrapping_add(1);
+                    if !inst.is_hint_noop() && count.is_multiple_of(2) {
+                        inst.iq_hint = Some(2 + count % 8);
+                    }
+                    inst.low_energy = count.is_multiple_of(3);
+                }
+            }
+        }
+        tagged
+    }
+
+    #[test]
+    fn a_remark_shares_the_stream_and_equals_a_lowering() {
+        let config = SimConfig::hpca2005();
+        for program in [loop_program(300, 4), hinted_program()] {
+            let tagged = remarked_copy(&program);
+            let raw = ExecPlan::lower(config, &program, 200_000).unwrap();
+            let remarked = raw.remark(&tagged).expect("only the markers differ");
+            assert!(remarked.shares_stream(&raw));
+            let lowered = ExecPlan::lower(config, &tagged, 200_000).unwrap();
+            assert!(
+                !lowered.shares_stream(&raw),
+                "a lowering has its own stream"
+            );
+            assert!(remarked == lowered, "{}: re-mark ≠ lowering", program.name);
+            assert!(remarked.baked_stats().committed_low_energy > 0);
+            assert_ne!(remarked.statics(), raw.statics());
+            for policy in [ResizePolicy::Fixed, ResizePolicy::SoftwareHint] {
+                assert_eq!(
+                    PlanSimulator::new(&remarked, policy).run(),
+                    PlanSimulator::new(&lowered, policy).run(),
+                    "{policy:?}"
+                );
+            }
+            // Clearing the markers again gives back the raw plan.
+            assert!(remarked.remark(&program).expect("markers only") == raw);
+        }
+    }
+
+    #[test]
+    fn a_remark_refuses_a_program_that_differs_in_more_than_markers() {
+        let program = loop_program(300, 4);
+        let raw = ExecPlan::lower(SimConfig::hpca2005(), &program, 200_000).unwrap();
+        assert!(raw.can_remark(&program));
+        let body = &program.procedures[0].blocks[1];
+        // A hint NOOP inserted at the top of the loop body.
+        let mut inserted = program.clone();
+        let mut hint = Instruction::new(sdiq_isa::Opcode::HintNoop);
+        hint.iq_hint = Some(4);
+        inserted.procedures[0].blocks[1]
+            .instructions
+            .insert(0, hint);
+        // Another immediate on the first instruction that has one.
+        let mut retargeted = program.clone();
+        let site = body
+            .instructions
+            .iter()
+            .position(|inst| inst.imm.is_some())
+            .expect("the body has an addi");
+        let inst = &mut retargeted.procedures[0].blocks[1].instructions[site];
+        inst.imm = inst.imm.map(|imm| imm + 1);
+        // The loop body's fall-through moved.
+        let mut rewired = program.clone();
+        rewired.procedures[0].blocks[1].fallthrough = None;
+        for (what, other) in [
+            ("an inserted hint NOOP", inserted),
+            ("another immediate", retargeted),
+            ("another fall-through", rewired),
+        ] {
+            assert!(!raw.can_remark(&other), "{what}");
+            assert!(raw.remark(&other).is_none(), "{what}");
+        }
+    }
+
+    /// Slot, fetch flags and memory address: 13 bytes per committed
+    /// instruction, plus the miss list and the per-address counts (the
+    /// stream's program is per program, not per record). The static table
+    /// takes 10 bytes per instruction address.
+    #[test]
+    fn the_stream_holds_at_most_14_heap_bytes_per_record() {
+        use std::mem::size_of_val;
+        assert_eq!(std::mem::size_of::<InstRecord>(), 10);
+        let program = loop_program(4000, 4);
+        let raw = ExecPlan::lower(SimConfig::hpca2005(), &program, 200_000).unwrap();
+        assert!(raw.len() > 30_000, "{} records", raw.len());
+        let stream = &*raw.stream;
+        // Lowering shrinks every array to its length.
+        for (capacity, len) in [
+            (stream.slots.capacity(), stream.slots.len()),
+            (stream.flags.capacity(), stream.flags.len()),
+            (stream.mem_addrs.capacity(), stream.mem_addrs.len()),
+            (stream.imiss_addrs.capacity(), stream.imiss_addrs.len()),
+        ] {
+            assert_eq!(capacity, len);
+        }
+        let bytes = size_of_val(raw.slots())
+            + size_of_val(raw.fetch_flags())
+            + size_of_val(raw.mem_addrs())
+            + size_of_val(raw.imiss_addrs())
+            + size_of_val(raw.commit_counts());
+        let per_record = bytes as f64 / raw.len() as f64;
+        assert!(per_record <= 14.0, "{per_record:.2} bytes per record");
+        let remarked = raw.remark(&remarked_copy(&program)).unwrap();
+        assert!(remarked.shares_stream(&raw), "the re-mark adds no stream");
     }
 
     #[test]

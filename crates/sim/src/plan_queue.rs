@@ -24,9 +24,9 @@
 //!
 //! # Layout: O(actual work) per event
 //!
-//! * **Struct-of-arrays slots.** Ids, trace indices and operand state live
-//!   in parallel flat arrays; occupancy is a bitmask, so the head-advance
-//!   walk of `remove` is a word-wise next-set-bit scan.
+//! * **Struct-of-arrays slots.** Ids and operand state live in parallel
+//!   flat arrays; occupancy is a bitmask, so the head-advance walk of
+//!   `remove` is a word-wise next-set-bit scan.
 //! * **Consumer index.** Each dense physical register maps to the packed
 //!   `slot << 1 | operand` list of operands waiting on it, pre-sized to the
 //!   register universe. A broadcast touches exactly the matching operands;
@@ -56,9 +56,6 @@ pub(crate) struct ReadyCandidate {
     pub id: u64,
     /// Slot the entry occupies.
     pub slot: u32,
-    /// Trace index of the instruction — issue streams the static side
-    /// (FU class, flags, latency) from the plan record it names.
-    pub trace_idx: u32,
 }
 
 /// The issue queue. See the module docs.
@@ -71,9 +68,6 @@ pub(crate) struct PlanQueue {
     occ: Vec<u64>,
     /// In-flight id per slot.
     ids: Vec<u64>,
-    /// Trace index per slot (carried so issue never re-derives it from
-    /// the ROB).
-    tidx: Vec<u32>,
     /// Dense register each operand waits on (meaningful while the
     /// operand's `wait_bits` bit is set).
     op_reg: Vec<[u16; 2]>,
@@ -119,7 +113,6 @@ impl PlanQueue {
             bank_size: bank_size.max(1),
             occ: vec![0; capacity.div_ceil(64)],
             ids: vec![0; capacity],
-            tidx: vec![0; capacity],
             op_reg: vec![[0; 2]; capacity],
             wait_bits: vec![0; capacity],
             head: 0,
@@ -282,13 +275,7 @@ impl PlanQueue {
     /// `wait` the operand bits that are present but not yet ready (the
     /// caller renames, so it knows both). Returns `(slot, ready_now)`; the
     /// caller must have checked [`PlanQueue::can_dispatch`].
-    pub(crate) fn dispatch(
-        &mut self,
-        id: u64,
-        trace_idx: u32,
-        ops: [u16; 2],
-        wait: u8,
-    ) -> (usize, bool) {
+    pub(crate) fn dispatch(&mut self, id: u64, ops: [u16; 2], wait: u8) -> (usize, bool) {
         debug_assert!(self.can_dispatch());
         let slot = self.tail;
         let mut pending = wait;
@@ -302,7 +289,6 @@ impl PlanQueue {
         }
         self.wait_bits[slot] = wait;
         self.ids[slot] = id;
-        self.tidx[slot] = trace_idx;
         self.occ[slot / 64] |= 1 << (slot % 64);
         let bank = slot / self.bank_size;
         self.bank_occupancy[bank] += 1;
@@ -397,7 +383,6 @@ impl PlanQueue {
                 ready_out.push(ReadyCandidate {
                     id: self.ids[slot],
                     slot: slot as u32,
-                    trace_idx: self.tidx[slot],
                 });
             }
         }

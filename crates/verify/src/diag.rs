@@ -132,10 +132,13 @@ pub mod codes {
     pub const ENV001: &str = "ENV001";
     /// A loop's advertised window is below its recomputed demand.
     pub const ENV002: &str = "ENV002";
-    /// Plan record/stream lengths disagree with the trace.
+    /// The plan's static table or stream lengths disagree with the
+    /// program or the trace.
     pub const PLAN001: &str = "PLAN001";
-    /// A packed `InstRecord` fails the field round-trip against its source
-    /// instruction (swapped or corrupted fields).
+    /// A static `InstRecord` fails the field round-trip against its
+    /// instruction (swapped or corrupted fields), or a stream entry names
+    /// another slot or carries fetch flags its instruction and trace
+    /// contradict.
     pub const PLAN002: &str = "PLAN002";
     /// The plan's memory-address stream disagrees with the trace.
     pub const PLAN003: &str = "PLAN003";
@@ -145,4 +148,8 @@ pub mod codes {
     /// per-instruction commit counts disagree with the baked commits or
     /// with a recount from the committed stream.
     pub const PLAN005: &str = "PLAN005";
+    /// A re-marked plan does not share its source plan's stream, totals or
+    /// configuration, or its program differs from the source's in more
+    /// than markers; or re-marking differs from lowering the program.
+    pub const PLAN006: &str = "PLAN006";
 }

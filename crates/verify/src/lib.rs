@@ -18,15 +18,19 @@
 //!    trusted: every window is a monotone over-approximation of the
 //!    region's recomputed demand (`ENV*`).
 //! 3. **Plan lint** ([`plan_lint::lint_plan`],
-//!    [`plan_lint::lint_lowered_plan`]) — a compiled
-//!    [`sdiq_sim::ExecPlan`] cross-checked field-by-field against its
-//!    source program and trace, collected or re-executed (`PLAN*`).
+//!    [`plan_lint::lint_lowered_plan`], [`plan_lint::lint_remarked_plan`])
+//!    — a compiled [`sdiq_sim::ExecPlan`] cross-checked field-by-field
+//!    against its source program and trace, collected or re-executed, or
+//!    a re-marked plan against its program and its source plan; and
+//!    [`plan_lint::lint_remark_oracle`], a re-mark against the plan
+//!    lowered from the program's own trace (`PLAN*`).
 //!
 //! [`StandardVerifier`] wires layers 1–2 between the compiler's registered
 //! passes (see `sdiq_compiler::PassManager`); [`verify_compiled`] and the
 //! plan lint run the full suite over finished artifacts — that is what
-//! `ArtifactCache` (once per cached artifact, [`lint_lowered_plan`]) and
-//! the `repro lint` subcommand ([`lint_plan`]) call.
+//! `ArtifactCache` (once per cached artifact, [`lint_lowered_plan`] or
+//! [`lint_remarked_plan`]) and the `repro lint` subcommand ([`lint_plan`]
+//! and [`lint_remark_oracle`]) call.
 //!
 //! The guarantees are exactly the listed invariants — the verifier does
 //! *not* prove the simulator's timing model correct, nor that advertised
@@ -42,7 +46,7 @@ pub mod structural;
 pub use annotations::{verify_annotations, verify_envelope};
 pub use diag::{codes, has_errors, Diagnostic, Severity};
 pub use pass_verifier::StandardVerifier;
-pub use plan_lint::{lint_lowered_plan, lint_plan};
+pub use plan_lint::{lint_lowered_plan, lint_plan, lint_remark_oracle, lint_remarked_plan};
 pub use structural::verify_program;
 
 use sdiq_compiler::CompiledProgram;

@@ -10,11 +10,11 @@
 use sdiq_compiler::{CompiledProgram, CompilerPass, Pass, PassConfig, PassManager, PassState};
 use sdiq_isa::reg::int_reg;
 use sdiq_isa::{BlockId, Executor, Instruction, Opcode, Program, Trace};
-use sdiq_sim::plan::{flag, ExecPlan, NO_REG};
+use sdiq_sim::plan::{fetch, flag, ExecPlan, NO_REG};
 use sdiq_sim::SimConfig;
 use sdiq_verify::{
-    codes, lint_lowered_plan, lint_plan, verify_annotations, verify_compiled, verify_envelope,
-    verify_program, StandardVerifier,
+    codes, lint_lowered_plan, lint_plan, lint_remark_oracle, lint_remarked_plan,
+    verify_annotations, verify_compiled, verify_envelope, verify_program, StandardVerifier,
 };
 use sdiq_workloads::Benchmark;
 
@@ -35,13 +35,23 @@ fn assert_code(diags: &[sdiq_verify::Diagnostic], code: &str) {
     );
 }
 
-/// Asserts a `code` diagnostic whose location names plan record `idx`.
+/// Asserts a `code` diagnostic whose location names stream record `idx`.
 fn assert_code_at_record(diags: &[sdiq_verify::Diagnostic], code: &str, idx: usize) {
-    let suffix = format!("record {idx}");
+    assert_code_at(diags, code, &format!("record {idx}"));
+}
+
+/// Asserts a `code` diagnostic whose location names static-table slot
+/// `slot`.
+fn assert_code_at_slot(diags: &[sdiq_verify::Diagnostic], code: &str, slot: usize) {
+    assert_code_at(diags, code, &format!("slot {slot}"));
+}
+
+/// Asserts a `code` diagnostic whose location ends with `suffix`.
+fn assert_code_at(diags: &[sdiq_verify::Diagnostic], code: &str, suffix: &str) {
     assert!(
         diags
             .iter()
-            .any(|d| d.code == code && d.location.ends_with(&suffix)),
+            .any(|d| d.code == code && d.location.ends_with(suffix)),
         "expected a {code} diagnostic at `{suffix}`, got: {:?}",
         diags
             .iter()
@@ -354,21 +364,36 @@ fn trace_length_mismatch_is_plan001() {
     let short_trace = Executor::new(&program)
         .run(1_000)
         .expect("gzip executes cleanly");
-    assert_ne!(plan.records().len(), short_trace.len());
+    assert_ne!(plan.len(), short_trace.len());
     assert_code(&lint_plan(&plan, &program, &short_trace), codes::PLAN001);
+}
+
+/// The slot of a static record that writes a destination distinct from
+/// its first source.
+fn swappable_slot(plan: &ExecPlan) -> usize {
+    plan.statics()
+        .iter()
+        .position(|r| r.dest != NO_REG && r.srcs[0] != r.dest)
+        .expect("some record writes a destination distinct from its source")
 }
 
 #[test]
 fn swapped_record_fields_are_plan002() {
     let (mut plan, program, trace) = planned();
-    let idx = plan
-        .records()
-        .iter()
-        .position(|r| r.dest != NO_REG && r.srcs[0] != r.dest)
-        .expect("some record writes a destination distinct from its source");
-    let rec = &mut plan.records_mut()[idx];
+    let slot = swappable_slot(&plan);
+    let rec = &mut plan.statics_mut()[slot];
     std::mem::swap(&mut rec.dest, &mut rec.srcs[0]);
-    assert_code_at_record(&lint_plan(&plan, &program, &trace), codes::PLAN002, idx);
+    assert_code_at_slot(&lint_plan(&plan, &program, &trace), codes::PLAN002, slot);
+}
+
+#[test]
+fn a_stream_entry_naming_another_slot_is_plan002() {
+    let (plan, program, mut trace) = planned();
+    // The trace's third instruction claims another address: the plan's
+    // entry for it now names the wrong static slot.
+    trace.committed[2].addr += 4;
+    let diags = lint_plan(&plan, &program, &trace);
+    assert_code_at_record(&diags, codes::PLAN002, 2);
 }
 
 #[test]
@@ -396,15 +421,11 @@ fn lowered_plan_lint_against_a_second_execution_matches_the_trace_lint() {
     let clean = lint_lowered_plan(&plan, &program, 4_000).expect("gzip executes");
     assert!(clean.is_empty(), "lowered plan must lint clean: {clean:?}");
 
-    let idx = plan
-        .records()
-        .iter()
-        .position(|r| r.dest != NO_REG && r.srcs[0] != r.dest)
-        .expect("some record writes a destination distinct from its source");
-    let rec = &mut plan.records_mut()[idx];
+    let slot = swappable_slot(&plan);
+    let rec = &mut plan.statics_mut()[slot];
     std::mem::swap(&mut rec.dest, &mut rec.srcs[0]);
     let streamed = lint_lowered_plan(&plan, &program, 4_000).expect("gzip executes");
-    assert_code_at_record(&streamed, codes::PLAN002, idx);
+    assert_code_at_slot(&streamed, codes::PLAN002, slot);
     assert_eq!(streamed, lint_plan(&plan, &program, &trace));
     // A second execution under another cap is another instruction count.
     let short = lint_lowered_plan(&plan, &program, 1_000).expect("gzip executes");
@@ -415,11 +436,11 @@ fn lowered_plan_lint_against_a_second_execution_matches_the_trace_lint() {
 fn dropped_miss_flag_is_plan004_and_plan005() {
     let (mut plan, program, trace) = planned();
     let idx = plan
-        .records()
+        .fetch_flags()
         .iter()
-        .position(|r| r.flags & flag::L1I_MISS != 0)
+        .position(|&flags| flags & fetch::L1I_MISS != 0)
         .expect("a cold I-cache always misses at least once");
-    plan.records_mut()[idx].flags &= !flag::L1I_MISS;
+    plan.fetch_flags_mut()[idx] &= !fetch::L1I_MISS;
     let diags = lint_plan(&plan, &program, &trace);
     // The I-miss address stream and the baked icache_misses counter both
     // disagree with the flags now.
@@ -449,6 +470,108 @@ fn corrupted_commit_counts_are_plan005() {
     moved.commit_counts_mut()[committed[0]] -= 1;
     moved.commit_counts_mut()[committed[1]] += 1;
     assert_code(&lint_plan(&moved, &program, &trace), codes::PLAN005);
+}
+
+// --- re-marked plan mutations (PLAN006) --------------------------------
+
+/// The raw gzip plan, and the output of the tagging pass, which puts the
+/// hints on existing instructions and so changes only markers.
+fn raw_and_tagged() -> (ExecPlan, Program) {
+    let raw = ExecPlan::lower(SimConfig::hpca2005(), &program(), 4_000).expect("gzip executes");
+    let tagged = CompilerPass::new(PassConfig::tagging())
+        .run(&program())
+        .program;
+    (raw, tagged)
+}
+
+#[test]
+fn remarked_plan_lints_clean_and_equals_the_lowered_plan() {
+    let (raw, tagged) = raw_and_tagged();
+    let remarked = raw.remark(&tagged).expect("tagging changes only markers");
+    let diags = lint_remarked_plan(&remarked, &tagged, &raw);
+    assert!(
+        diags.is_empty(),
+        "re-marked plan must lint clean: {diags:?}"
+    );
+    let lowered = ExecPlan::lower(SimConfig::hpca2005(), &tagged, 4_000).expect("gzip executes");
+    let oracle = lint_remark_oracle(&raw, &tagged, &lowered);
+    assert!(oracle.is_empty(), "re-mark must equal lowering: {oracle:?}");
+}
+
+#[test]
+fn a_static_hint_that_disagrees_with_its_program_is_plan002() {
+    let (raw, tagged) = raw_and_tagged();
+    let mut remarked = raw.remark(&tagged).expect("tagging changes only markers");
+    let slot = remarked
+        .statics()
+        .iter()
+        .position(|r| r.flags & flag::HAS_HINT != 0)
+        .expect("the tagging pass tags some instruction");
+    remarked.statics_mut()[slot].hint += 1;
+    assert_code_at_slot(
+        &lint_remarked_plan(&remarked, &tagged, &raw),
+        codes::PLAN002,
+        slot,
+    );
+    // The oracle sees the same defect in a lowered plan.
+    let mut lowered =
+        ExecPlan::lower(SimConfig::hpca2005(), &tagged, 4_000).expect("gzip executes");
+    lowered.statics_mut()[slot].hint += 1;
+    let trace = Executor::new(&tagged).run(4_000).expect("gzip executes");
+    assert_code_at_slot(&lint_plan(&lowered, &tagged, &trace), codes::PLAN002, slot);
+    assert_code(&lint_remark_oracle(&raw, &tagged, &lowered), codes::PLAN006);
+}
+
+#[test]
+fn a_remarked_plan_over_another_plans_stream_is_plan006() {
+    let (raw, tagged) = raw_and_tagged();
+    // Lowered again: equal content, but a stream of its own.
+    let twin = ExecPlan::lower(SimConfig::hpca2005(), &program(), 4_000).expect("gzip executes");
+    assert!(twin == raw && !twin.shares_stream(&raw));
+    let remarked = twin.remark(&tagged).expect("tagging changes only markers");
+    assert_code(
+        &lint_remarked_plan(&remarked, &tagged, &raw),
+        codes::PLAN006,
+    );
+    assert!(lint_remarked_plan(&remarked, &tagged, &twin).is_empty());
+}
+
+#[test]
+fn a_remark_of_a_program_that_differs_in_more_than_markers_is_refused() {
+    let (raw, tagged) = raw_and_tagged();
+    // The noop pass inserts hint NOOPs: another stream, over more
+    // instruction addresses than the raw plan counts commits for. Every
+    // instruction is marked low-energy, so a lint that summed those
+    // counts over this program would index past them.
+    let mut inserted = compiled().program;
+    for inst in inserted
+        .procedures
+        .iter_mut()
+        .flat_map(|proc| proc.blocks.iter_mut())
+        .flat_map(|block| block.instructions.iter_mut())
+    {
+        inst.low_energy = true;
+    }
+    // One immediate moved: the same shape, another execution.
+    let mut retimed = tagged.clone();
+    let inst = retimed
+        .procedures
+        .iter_mut()
+        .flat_map(|proc| proc.blocks.iter_mut())
+        .flat_map(|block| block.instructions.iter_mut())
+        .find(|inst| inst.imm.is_some())
+        .expect("gzip has immediates");
+    inst.imm = inst.imm.map(|imm| imm + 1);
+    for (what, other) in [
+        ("inserted hint NOOPs", &inserted),
+        ("a moved immediate", &retimed),
+    ] {
+        assert!(raw.remark(other).is_none(), "{what}");
+        // A plan re-marked for the tagged program does not pass for one of
+        // these either.
+        let remarked = raw.remark(&tagged).expect("tagging changes only markers");
+        assert_code(&lint_remarked_plan(&remarked, other, &raw), codes::PLAN006);
+    }
 }
 
 // --- full-suite and pass-manager integration ---------------------------

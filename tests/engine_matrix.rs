@@ -91,16 +91,35 @@ fn artifacts_are_built_exactly_once_per_unique_key() {
         "one compile per (program, pass-config)"
     );
 
+    // Per variant and benchmark, the raw program and the Noop output
+    // (which inserts hint NOOPs) are lowered; Extension's tagging output
+    // changes only markers, so its plan is the raw plan re-marked.
+    let work = |cache: &ArtifactCache| {
+        (
+            cache.plan_builds(),
+            cache.plan_remarks(),
+            cache.replay_runs(),
+        )
+    };
+    let (plans, remarks, replays) = work(&cache);
+    assert_eq!(
+        (plans, remarks),
+        (
+            (2 * 2 * BENCHMARKS.len()) as u64,
+            (2 * BENCHMARKS.len()) as u64
+        ),
+        "lowered and re-marked plans"
+    );
+
     // Re-running the same matrix against the same cache computes nothing:
     // the first run dropped its plans, but kept every replay.
-    let (plans, replays) = (cache.plan_builds(), cache.replay_runs());
     let again = matrix.run_with(&cache, &HashMap::new());
     assert_eq!(cache.program_builds(), BENCHMARKS.len() as u64);
     assert_eq!(cache.compile_runs(), (2 * 2 * BENCHMARKS.len()) as u64);
     assert_eq!(
-        (cache.plan_builds(), cache.replay_runs()),
-        (plans, replays),
-        "nothing lowered or replayed again"
+        work(&cache),
+        (plans, remarks, replays),
+        "nothing lowered, re-marked or replayed again"
     );
     assert_eq!(sweep, again, "cache reuse does not change results");
 }

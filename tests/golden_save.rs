@@ -47,6 +47,8 @@ struct Recomputed {
     save: String,
     /// Plans the cache lowered.
     plans: u64,
+    /// Plans the cache re-marked from a lowered one.
+    remarks: u64,
     /// Replays the cache ran.
     replays: u64,
 }
@@ -70,6 +72,7 @@ fn recompute_golden(experiment: &Experiment, verify: bool) -> Recomputed {
     Recomputed {
         save: persist::save_cells(&matrix.collect_cells(&sweep)),
         plans: cache.plan_builds(),
+        remarks: cache.plan_remarks(),
         replays: cache.replay_runs(),
     }
 }
@@ -114,20 +117,22 @@ fn assert_matches_fixture(actual: &str) {
 
 /// Verification observes artifacts and never alters them, so the bytes
 /// are the same with it on (the debug default) and off. Each machine
-/// lowers 4 plans per benchmark (the raw program and the outputs of the
-/// `noop`, `extension` and `improved` passes) and runs 5 replays: one per
-/// pass output, and the raw program's under the adaptive and the fixed
-/// policy. `baseline`, `nonEmpty` and `way-memo` share the fixed one, and
-/// `lowen-isa`, whose pass only sets markers, prices it too.
+/// lowers 2 plans per benchmark (the raw program and the output of the
+/// `noop` pass, which inserts hint NOOPs), re-marks 2 from the raw one
+/// (the outputs of the `extension` and `improved` passes, which change
+/// only markers) and runs 5 replays: one per pass output, and the raw
+/// program's under the adaptive and the fixed policy. `baseline`,
+/// `nonEmpty` and `way-memo` share the fixed one, and `lowen-isa`, whose
+/// pass only sets markers, prices it too.
 #[test]
 fn golden_save_is_reproduced_byte_for_byte() {
     for verify in [false, true] {
         let run = recompute_golden(&golden_experiment(), verify);
         assert_matches_fixture(&run.save);
         assert_eq!(
-            (run.plans, run.replays),
-            (88, 110),
-            "plans and replays for the 176 cells, verify {verify}"
+            (run.plans, run.remarks, run.replays),
+            (44, 44, 110),
+            "plans lowered and re-marked and replays for the 176 cells, verify {verify}"
         );
     }
 }

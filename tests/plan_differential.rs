@@ -7,8 +7,10 @@
 //! a second simulator: the conservation identities over its
 //! [`ActivityStats`](sdiq::sim::ActivityStats), recounted from the trace
 //! where they are trace-determined (`common::check_identities`); the plan
-//! lint, which re-derives every record from the program and trace; and
-//! the independence of a plan from the replays that used it before.
+//! lint, which re-derives every record from the program and trace; the
+//! independence of a plan from the replays that used it before; and, for
+//! programs that differ only in markers, the plan lowered from the
+//! program's own execution, which a re-marked plan must equal.
 
 mod common;
 
@@ -18,7 +20,7 @@ use sdiq::isa::builder::ProgramBuilder;
 use sdiq::isa::reg::int_reg;
 use sdiq::isa::{Executor, Opcode, Program, Trace};
 use sdiq::sim::{AdaptiveConfig, ExecPlan, PlanSimulator, ResizePolicy, SimConfig};
-use sdiq::verify::{has_errors, lint_plan};
+use sdiq::verify::{has_errors, lint_plan, lint_remarked_plan};
 
 /// Strategy: a single-loop program with a configurable dependence shape —
 /// loads, chained adds and a live loop counter, so renaming, wakeup and
@@ -127,6 +129,32 @@ fn arb_policy() -> impl Strategy<Value = ResizePolicy> {
     })
 }
 
+/// Strategy: markers to put on a program's instructions, in layout order
+/// and cycled when the program is longer — a hint value (0 = no tag) and
+/// whether the instruction takes the low-energy encoding.
+fn arb_markers() -> impl Strategy<Value = Vec<(u8, u8)>> {
+    prop::collection::vec((0u8..81u8, 0u8..2u8), 1..24)
+}
+
+/// `program` with `markers` put on its instructions. A hint NOOP keeps
+/// a hint (it needs one) but may take another value.
+fn marked(program: &Program, markers: &[(u8, u8)]) -> Program {
+    let mut marked = program.clone();
+    let mut cycle = markers.iter().cycle();
+    for procedure in &mut marked.procedures {
+        for block in &mut procedure.blocks {
+            for inst in &mut block.instructions {
+                let &(hint, low_energy) = cycle.next().expect("at least one marker");
+                if hint > 0 || !inst.is_hint_noop() {
+                    inst.iq_hint = (hint > 0).then_some(hint);
+                }
+                inst.low_energy = low_energy == 1;
+            }
+        }
+    }
+    marked
+}
+
 /// Builds the plan for `program` / `trace` on `config` and checks that
 /// the plan lint finds no error in it.
 fn linted_plan(config: SimConfig, program: &Program, trace: &Trace) -> Result<ExecPlan, String> {
@@ -204,6 +232,43 @@ proptest! {
             runs.push((technique.name(), result.stats));
         }
         common::check_equal_committed(runs.iter().map(|(name, stats)| (*name, stats)))?;
+    }
+
+    /// A program whose markers differ from a raw or NOOP-annotated loop's
+    /// commits the same stream: the loop's plan re-marked for it equals
+    /// the plan lowered from its own execution, shares the loop's stream,
+    /// lints clean, and replays identically under any policy.
+    #[test]
+    fn a_remarked_plan_equals_the_lowered_plan(
+        program in arb_loop_program(),
+        annotate in 0usize..2,
+        config in arb_config(),
+        policy in arb_policy(),
+        markers in arb_markers(),
+        cap in arb_cap(),
+    ) {
+        let program = if annotate == 1 {
+            CompilerPass::new(PassConfig::noop_insertion()).run(&program).program
+        } else {
+            program
+        };
+        let cap = choose_cap(&program, cap);
+        let remarked_program = marked(&program, &markers);
+        let source = ExecPlan::lower(config, &program, cap).unwrap();
+        let remarked = source.remark(&remarked_program).expect("only the markers differ");
+        prop_assert!(remarked.shares_stream(&source));
+        let lowered = ExecPlan::lower(config, &remarked_program, cap).unwrap();
+        prop_assert!(
+            remarked == lowered,
+            "the re-marked plan differs from the lowered one (cap {})",
+            cap
+        );
+        let diags = lint_remarked_plan(&remarked, &remarked_program, &source);
+        prop_assert!(!has_errors(&diags), "re-marked plan lint: {:?}", diags);
+        prop_assert_eq!(
+            PlanSimulator::new(&remarked, policy).run().unwrap(),
+            PlanSimulator::new(&lowered, policy).run().unwrap()
+        );
     }
 
     /// One plan is shared across every policy of a cell shape (that is
