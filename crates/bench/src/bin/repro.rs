@@ -65,7 +65,9 @@
 //!   fault-injection hooks the failover tests and CI smoke use to
 //!   simulate the two shapes of worker death.
 //! * `--workers host:port,...` (remote coordinator mode) distributes the
-//!   missing cells over those daemons instead of computing locally;
+//!   missing cells over those daemons instead of computing locally, in
+//!   whole plan groups (one benchmark on one machine, so a daemon makes
+//!   each plan once and drops it after the batch);
 //!   `--listen-workers addr --expect n` additionally (or instead) waits
 //!   for `n` self-registering daemons. A worker that dies — or goes
 //!   silent past `--heartbeat-deadline` (default 30 s) — has its cells

@@ -28,7 +28,10 @@
 //!    as does a coordinator pinned to `--wire json`,
 //! 10. the `--auth-key` HMAC handshake admits matching keys and turns
 //!     wrong or missing keys into clean, fast protocol errors — never
-//!     hangs.
+//!     hangs,
+//! 11. a traced fleet run receives every batch it issued: one worker
+//!     `run-batch` span per coordinator `issue-batch` span, and the
+//!     workers' final `cell(s) done` totals add up to the computed cells.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -630,4 +633,55 @@ fn cli_rejects_zero_jobs_and_contradictory_distribution_flags() {
         stderr.contains("--pipeline-window needs a non-negative integer"),
         "{stderr}"
     );
+}
+
+#[test]
+fn a_traced_fleet_run_receives_every_batch_it_issued() {
+    let dir = scratch_dir("traced");
+    let trace = dir.join("trace.json");
+    let a = Worker::spawn(&["--jobs", "1"]);
+    let b = Worker::spawn(&["--jobs", "1"]);
+    // Without speculation every cell is computed exactly once, so the
+    // workers' totals must add up to the matrix.
+    let log = repro(&[
+        "--summary",
+        "--no-speculate",
+        "--workers",
+        &format!("{},{}", a.addr, b.addr),
+        "--trace",
+        trace.to_str().unwrap(),
+    ]);
+    let doc = sdiq_core::persist::parse(read(&trace).trim_end()).expect("trace parses");
+    let events = doc
+        .get("traceEvents")
+        .expect("traceEvents key")
+        .arr()
+        .expect("an array");
+    let begun = |name: &str, coordinator: bool| {
+        events
+            .iter()
+            .filter(|event| {
+                event.get("ph").unwrap().str().unwrap() == "B"
+                    && event.get("name").unwrap().str().unwrap() == name
+                    && (event.get("pid").unwrap().u64().unwrap() == 0) == coordinator
+            })
+            .count()
+    };
+    let issued = begun("issue-batch", true);
+    assert!(issued >= 2, "both workers got a batch:\n{log}");
+    assert_eq!(
+        begun("run-batch", false),
+        issued,
+        "a worker lane lacks the spans of a batch:\n{log}"
+    );
+    assert_eq!(begun("cell", false), 6);
+    // `remote: worker <addr>: <n> cell(s) done, ...`, one line per worker.
+    let done: Vec<u64> = log
+        .lines()
+        .filter_map(|line| line.split_once(" cell(s) done"))
+        .map(|(head, _)| head.rsplit(' ').next().unwrap().parse().expect("a count"))
+        .collect();
+    assert_eq!(done.len(), 2, "{log}");
+    assert_eq!(done.iter().sum::<u64>(), 6, "{log}");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -49,17 +49,23 @@
 //! memory address) plus its I-miss addresses; its static table, and the
 //! whole of a re-marked plan, is one 10-byte record per instruction
 //! address. A plan is needed only until the last replay of it has run.
-//! Before a matrix run starts its workers, it holds, for every cell it
-//! will compute, each plan that cell may use: its own and, for a software
-//! technique, the raw program's, which its plan may be re-marked from.
-//! Each finished cell releases its holds, and a plan whose last hold is
-//! released is dropped. A stream lives as long as the last plan that
-//! shares it: dropping the raw plan before a re-marked one frees only the
-//! raw static table. Replays and commit counts stay cached, so a later
-//! cell or a re-run on the same cache that needs only those lowers
-//! nothing. A `repro serve` batch ([`crate::Matrix::run_cells_by_key`])
-//! holds nothing and drops nothing: the daemon's next batch may need the
-//! same plans.
+//! Before a matrix run ([`crate::Matrix::run_with`]) or a `repro serve`
+//! batch ([`crate::Matrix::run_cells_by_key`]) starts its workers, it
+//! holds, for every cell it will compute, each plan that cell may use:
+//! its own and, for a software technique, the raw program's, which its
+//! plan may be re-marked from. Each finished cell releases its holds, and
+//! a plan whose last hold is released is dropped. A stream lives as long
+//! as the last plan that shares it: dropping the raw plan before a
+//! re-marked one frees only the raw static table. Replays and commit
+//! counts stay cached, so a later cell or a re-run on the same cache that
+//! needs only those lowers nothing.
+//!
+//! The cells that use a plan all belong to one plan group (one benchmark
+//! on one machine), and the engine runs the matrix group by group, so a
+//! run holds the plans of the groups its workers are in: a serial run of
+//! the paper's matrix holds at most one plan after any cell. The remote
+//! scheduler sends a daemon whole groups, so a batch makes each of its
+//! plans once and leaves none behind.
 //!
 //! # Determinism
 //!
@@ -187,14 +193,14 @@ pub struct PlanKey {
 /// itself, and two policies replay identically exactly when their bits
 /// agree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum PolicyBits {
+pub(crate) enum PolicyBits {
     Fixed,
     SoftwareHint,
     Adaptive([u64; 6]),
 }
 
 impl PolicyBits {
-    fn of(policy: ResizePolicy) -> Self {
+    pub(crate) fn of(policy: ResizePolicy) -> Self {
         match policy {
             ResizePolicy::Fixed => PolicyBits::Fixed,
             ResizePolicy::SoftwareHint => PolicyBits::SoftwareHint,
@@ -1048,10 +1054,39 @@ mod tests {
         }
     }
 
-    /// Computes `cells` of `matrix` on a cache that never drops a plan, and
-    /// returns how many distinct plans that lowered and re-marked.
-    fn distinct_plans(matrix: &Matrix<'_>, cells: &[String]) -> (u64, u64) {
+    /// Computes `cells` of `matrix` in one batch on a fresh cache that
+    /// holds, before the batch starts, every plan a cell of the matrix
+    /// could use (the raw plan and every pass output's plan, on every
+    /// variant's machine), so the batch drops no plan. Returns how many
+    /// plans that lowered and re-marked: the distinct plans the cells
+    /// need.
+    fn distinct_plans(
+        experiment: &Experiment,
+        matrix: &Matrix<'_>,
+        cells: &[String],
+    ) -> (u64, u64) {
         let cache = ArtifactCache::new();
+        for variant in matrix.config_variants() {
+            let config = variant.sim_config;
+            for benchmark in Benchmark::ALL {
+                let program = ProgramKey::new(benchmark, variant.scale);
+                let raw = PlanKey {
+                    source: PlanSource::Program(program),
+                    sim_config: config,
+                    max_dynamic_instructions: experiment.max_dynamic_instructions,
+                };
+                let compiled = BUILTIN_TECHNIQUES
+                    .iter()
+                    .filter_map(|technique| {
+                        technique.pass_config_for(config.widths, config.fu_counts)
+                    })
+                    .map(|pass| PlanKey {
+                        source: PlanSource::Compiled(CompileKey { program, pass }),
+                        ..raw
+                    });
+                cache.hold_plans(std::iter::once(raw).chain(compiled));
+            }
+        }
         let requested = cells.iter().cloned().collect();
         matrix
             .run_cells_by_key(&cache, &requested, None)
@@ -1101,16 +1136,85 @@ mod tests {
             let cache = ArtifactCache::new();
             let sweep = matrix.run_with(&cache, &seed);
             assert_eq!(cache.plans_held(), 0, "every plan was dropped");
-            let computed = matrix.missing_cell_keys(&seed);
+            let computed = matrix.missing_cell_groups(&seed).concat();
             assert!(!computed.is_empty());
             assert_eq!(
                 (cache.plan_builds(), cache.plan_remarks()),
-                distinct_plans(matrix, &computed)
+                distinct_plans(&experiment, matrix, &computed)
             );
             let made = work(&cache);
             assert_eq!(matrix.run_with(&cache, &seed), sweep);
             assert_eq!(work(&cache), made);
         }
+    }
+
+    /// Records the most plans `cache` held after any cell. The engine
+    /// calls a sink after the cell has released its plans.
+    struct MostPlansHeld<'c> {
+        cache: &'c ArtifactCache,
+        most: std::sync::atomic::AtomicUsize,
+    }
+
+    impl crate::CellSink for MostPlansHeld<'_> {
+        fn cell_complete(&self, _: &str, _: &RunReport) {
+            self.most
+                .fetch_max(self.cache.plans_held(), Ordering::Relaxed);
+        }
+    }
+
+    /// A run takes the matrix plan group by plan group, so a serial run of
+    /// all 11 benchmarks holds at most one plan after any cell: taking it
+    /// technique by technique kept every raw plan until the last
+    /// `lowen-isa` cell. An `iq=80` point joins the base groups, and its
+    /// cells hold their group's `noop` and re-marked plans until they
+    /// finish, so the bound is four.
+    #[test]
+    fn a_serial_run_holds_one_plan_group_at_a_time() {
+        let experiment = tiny_experiment();
+        let paper = Matrix::new(&experiment)
+            .techniques(&BUILTIN_TECHNIQUES)
+            .jobs(1);
+        let aliased = paper.clone().sweep_iq_entries(&[80]);
+        for (matrix, bound) in [(&paper, 1), (&aliased, 4)] {
+            let cache = ArtifactCache::new();
+            let sink = MostPlansHeld {
+                cache: &cache,
+                most: Default::default(),
+            };
+            matrix.run_with_sink(&cache, &HashMap::new(), Some(&sink));
+            assert_eq!(sink.most.into_inner(), bound);
+            assert_eq!(cache.plans_held(), 0);
+        }
+    }
+
+    /// A daemon batch ([`Matrix::run_cells_by_key`]) holds and drops plans
+    /// as a matrix run does: it makes each plan of its groups once and
+    /// leaves none cached, whether it gets every group at once or, as a
+    /// capacity-1 daemon does, one group per batch.
+    #[test]
+    fn a_batch_makes_each_plan_once_and_leaves_none_cached() {
+        let experiment = tiny_experiment();
+        let matrix = Matrix::new(&experiment)
+            .benchmarks(&[Benchmark::Gzip, Benchmark::Mcf, Benchmark::Vortex])
+            .techniques(&BUILTIN_TECHNIQUES)
+            .jobs(2);
+        let groups = matrix.missing_cell_groups(&HashMap::new());
+        assert_eq!(groups.len(), 3);
+        let whole = ArtifactCache::new();
+        let requested = groups.concat().into_iter().collect();
+        let reports = matrix.run_cells_by_key(&whole, &requested, None);
+        assert_eq!(reports.expect("own keys").len(), 24);
+        assert_eq!(whole.plans_held(), 0, "the batch dropped its plans");
+        assert_eq!(work(&whole), (6, 6, 15));
+        let per_group = ArtifactCache::new();
+        for group in &groups {
+            let requested = group.iter().cloned().collect();
+            matrix
+                .run_cells_by_key(&per_group, &requested, None)
+                .expect("own keys");
+            assert_eq!(per_group.plans_held(), 0, "the batch dropped its plans");
+        }
+        assert_eq!(work(&per_group), (6, 6, 15));
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //! lets idle workers pull the next unclaimed cell from a shared atomic
 //! cursor — so an 11 × 6 × K sweep saturates every core no matter how the
 //! axes are shaped, and a long cell never strands the rest of its row.
+//! The list comes in plan groups, the cells of one benchmark on one
+//! machine, which share every execution plan they use, so each plan is
+//! dropped as soon as its group is done.
 //!
 //! Expensive per-cell work that is shared between cells (program
 //! generation, compiler passes) goes through the [`ArtifactCache`], and
@@ -36,13 +39,14 @@
 //! the portable matrix description the remote coordinator ships to
 //! daemons that never saw its command line.
 
-use crate::cache::{ArtifactCache, CompileKey, PlanKey, PlanSource, ProgramKey};
+use crate::cache::{ArtifactCache, CompileKey, PlanKey, PlanSource, PolicyBits, ProgramKey};
 use crate::runner::{Experiment, RunReport, Suite};
 use crate::technique::Technique;
+use sdiq_compiler::PassConfig;
 use sdiq_sim::plan::low_energy_commits;
 use sdiq_sim::{ResizePolicy, SimConfig};
 use sdiq_workloads::Benchmark;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -320,10 +324,17 @@ struct Cell {
     technique: Technique,
 }
 
-/// `true` if a seeded report genuinely describes the cell it is keyed as
-/// (guards suite assembly against corrupted or hand-edited save files).
-fn seed_matches(report: &RunReport, benchmark: Benchmark, technique: Technique) -> bool {
-    report.technique == technique && report.workload == benchmark.name()
+/// The report `seed` holds for `cell` under `key`, if it genuinely
+/// describes that cell (guards suite assembly against corrupted or
+/// hand-edited save files: a mismatched seed is recomputed).
+fn seed_for<'s>(
+    seed: &'s HashMap<String, RunReport>,
+    key: &str,
+    cell: &Cell,
+) -> Option<&'s RunReport> {
+    seed.get(key).filter(|report| {
+        report.technique == cell.technique && report.workload == cell.benchmark.name()
+    })
 }
 
 /// Builder for a full (benchmark × technique × configuration) sweep run on
@@ -484,44 +495,124 @@ impl<'a> Matrix<'a> {
         self.effective_variants().len() * self.benchmarks.len() * self.techniques.len()
     }
 
-    /// The flattened (variant × technique × benchmark) cell list — the
-    /// single definition of cell order: key generation, execution,
-    /// reassembly and seed accounting all iterate this, so they cannot
-    /// drift apart. Benchmark is the *innermost* axis so that the first
-    /// `jobs` cells a cold worker pool claims span `jobs` distinct
-    /// benchmarks: their program builds overlap instead of piling up on
-    /// one `OnceLock` (suite assembly keys by cell, so the order is free
-    /// to serve the cache).
-    fn cells(&self, variants: &[ConfigVariant]) -> Vec<Cell> {
-        let mut cells =
-            Vec::with_capacity(variants.len() * self.benchmarks.len() * self.techniques.len());
-        for (variant, _) in variants.iter().enumerate() {
-            for &technique in &self.techniques {
-                for &benchmark in &self.benchmarks {
-                    cells.push(Cell {
+    /// The cells of this matrix in plan groups: the single definition of
+    /// cell order. Key generation, execution, reassembly, seed accounting
+    /// and the remote scheduler's claims all iterate this, so they cannot
+    /// drift apart (suite assembly keys by cell, so the order is free to
+    /// serve the cache).
+    ///
+    /// A plan group is every cell that shares a raw [`PlanKey`]: one
+    /// benchmark on one machine. Every plan a cell uses is that raw plan
+    /// or one made from the same program for the same machine, so a run
+    /// that takes the groups one after another can drop each plan as
+    /// soon as its group is done. Groups come in (variant, benchmark)
+    /// order; a variant that is the same machine as an earlier one (`iq=80`
+    /// on the Table 1 machine) joins that variant's groups.
+    ///
+    /// Inside a group, a cell whose replay (its own plan key under its
+    /// resize policy) an earlier cell already names comes after every
+    /// cell whose replay is new; otherwise cells keep the order of the
+    /// variant and technique axes. For the built-in techniques that is
+    /// `baseline, noop, extension, improved, abella, lowen-isa, nonEmpty,
+    /// way-memo`: the two cells that reprice `baseline`'s replay come
+    /// last instead of parking a worker on that replay while other
+    /// replays could run. The rule reads the cells' keys, never technique
+    /// names. The trade-off: a pool with more workers than a group has
+    /// distinct replays blocks on shared artifacts early in every group.
+    /// The benchmark's pools are 2 workers in process and 1 per daemon.
+    fn groups(&self, variants: &[ConfigVariant]) -> Vec<Vec<Cell>> {
+        // What each technique replays on each variant's machine: its pass
+        // output (or, for none, the raw program) under its resize policy.
+        // A group's cells share the program and the machine, so two of
+        // them run one replay exactly when these agree; naming them once
+        // per variant and technique keeps listing the cells cheap.
+        let names: Vec<Vec<ReplayName>> = variants
+            .iter()
+            .map(|variant| {
+                self.techniques
+                    .iter()
+                    .map(|&technique| CellPlans::replay_name(variant, technique))
+                    .collect()
+            })
+            .collect();
+        let mut groups: Vec<Vec<(Cell, &ReplayName)>> = Vec::new();
+        let mut group_of: HashMap<PlanKey, usize> = HashMap::new();
+        for (variant, config) in variants.iter().enumerate() {
+            for &benchmark in &self.benchmarks {
+                let raw = CellPlans::raw(self.experiment, config, benchmark);
+                let index = *group_of.entry(raw).or_insert_with(|| {
+                    groups.push(Vec::new());
+                    groups.len() - 1
+                });
+                let cells = self.techniques.iter().zip(&names[variant]);
+                groups[index].extend(cells.map(|(&technique, replay)| {
+                    let cell = Cell {
                         variant,
                         benchmark,
                         technique,
-                    });
-                }
+                    };
+                    (cell, replay)
+                }));
             }
         }
-        // Shard restriction: keep only the cells whose key this shard owns.
-        // Filtering the canonical list (instead of building a different
-        // one) preserves the relative cell order, so a sharded save file
-        // merges back into exactly the serial key space.
-        if let Some((index, count)) = self.shard {
-            cells.retain(|cell| {
-                let key = cell_key(
-                    self.experiment,
-                    &variants[cell.variant],
-                    cell.benchmark,
-                    cell.technique,
-                );
-                shard_of(&key, count) == index
-            });
-        }
-        cells
+        groups
+            .into_iter()
+            .map(|group| {
+                // A group holds a few cells per technique: a linear scan
+                // finds a repeated replay faster than hashing.
+                let mut replays = Vec::with_capacity(group.len());
+                let (fresh, repeats): (Vec<_>, Vec<_>) =
+                    group.into_iter().partition(|&(_, replay)| {
+                        let fresh = !replays.contains(&replay);
+                        if fresh {
+                            replays.push(replay);
+                        }
+                        fresh
+                    });
+                // Shard restriction: keep only the cells whose key this
+                // shard owns. Filtering the canonical list (instead of
+                // building a different one) preserves the relative cell
+                // order, so a sharded save file merges back into exactly
+                // the serial key space.
+                fresh
+                    .into_iter()
+                    .chain(repeats)
+                    .map(|(cell, _)| cell)
+                    .filter(|cell| {
+                        self.shard.is_none_or(|(index, count)| {
+                            shard_of(&self.key(variants, cell), count) == index
+                        })
+                    })
+                    .collect::<Vec<Cell>>()
+            })
+            .filter(|group| !group.is_empty())
+            .collect()
+    }
+
+    /// [`Matrix::groups`], flattened.
+    fn cells(&self, variants: &[ConfigVariant]) -> Vec<Cell> {
+        self.groups(variants).concat()
+    }
+
+    /// The cached artifacts `cell`, one of this matrix's cells over
+    /// `variants`, is computed from.
+    fn plans(&self, variants: &[ConfigVariant], cell: &Cell) -> CellPlans {
+        CellPlans::new(
+            self.experiment,
+            &variants[cell.variant],
+            cell.benchmark,
+            cell.technique,
+        )
+    }
+
+    /// The cache key of `cell`, one of this matrix's cells over `variants`.
+    fn key(&self, variants: &[ConfigVariant], cell: &Cell) -> String {
+        cell_key(
+            self.experiment,
+            &variants[cell.variant],
+            cell.benchmark,
+            cell.technique,
+        )
     }
 
     /// The cache key of every cell, in deterministic cell order. This is
@@ -530,14 +621,7 @@ impl<'a> Matrix<'a> {
         let variants = self.effective_variants();
         self.cells(&variants)
             .iter()
-            .map(|cell| {
-                cell_key(
-                    self.experiment,
-                    &variants[cell.variant],
-                    cell.benchmark,
-                    cell.technique,
-                )
-            })
+            .map(|cell| self.key(&variants, cell))
             .collect()
     }
 
@@ -546,30 +630,28 @@ impl<'a> Matrix<'a> {
     /// fails the integrity check (wrong technique/workload under the key)
     /// and is therefore recomputed.
     pub fn missing_cells(&self, seed: &HashMap<String, RunReport>) -> usize {
-        self.missing_cell_keys(seed).len()
+        self.missing_cell_groups(seed).iter().map(Vec::len).sum()
     }
 
     /// The keys of exactly the cells [`Matrix::run_with`] would compute
-    /// given `seed`, in canonical cell order (the same predicate as
-    /// [`Matrix::missing_cells`]). This is the work list the remote
-    /// scheduler distributes: seeded cells are already durable and never
-    /// leave the coordinator.
-    pub fn missing_cell_keys(&self, seed: &HashMap<String, RunReport>) -> Vec<String> {
+    /// given `seed` (the predicate of [`Matrix::missing_cells`]), in
+    /// canonical cell order and split into their plan groups; a group
+    /// with nothing to compute is left out. This is the work list the
+    /// remote scheduler hands out group by group: seeded cells are
+    /// already durable and never leave the coordinator.
+    pub fn missing_cell_groups(&self, seed: &HashMap<String, RunReport>) -> Vec<Vec<String>> {
         let variants = self.effective_variants();
-        self.cells(&variants)
+        self.groups(&variants)
             .iter()
-            .filter_map(|cell| {
-                let key = cell_key(
-                    self.experiment,
-                    &variants[cell.variant],
-                    cell.benchmark,
-                    cell.technique,
-                );
-                let seeded = seed
-                    .get(&key)
-                    .is_some_and(|report| seed_matches(report, cell.benchmark, cell.technique));
-                (!seeded).then_some(key)
+            .map(|group| {
+                group
+                    .iter()
+                    .map(|cell| (self.key(&variants, cell), cell))
+                    .filter(|(key, cell)| seed_for(seed, key, cell).is_none())
+                    .map(|(key, _)| key)
+                    .collect::<Vec<String>>()
             })
+            .filter(|keys| !keys.is_empty())
             .collect()
     }
 
@@ -578,34 +660,25 @@ impl<'a> Matrix<'a> {
     /// report into `sink` as it lands, and returns the key-addressed
     /// results. A requested key this matrix does not own is an error —
     /// it means the requester built a different matrix (the remote worker
-    /// daemon's defence against version skew). Unlike
-    /// [`Matrix::run_with`], it drops no plan from `cache`: a daemon's
-    /// next batch may need the same plans.
+    /// daemon's defence against version skew). Plans live as in
+    /// [`Matrix::run_with`]: each is dropped after the last requested
+    /// cell that can use it, so a call leaves no plan cached. The remote
+    /// scheduler requests whole plan groups, so a daemon makes each plan
+    /// of a group once.
     pub fn run_cells_by_key(
         &self,
         cache: &ArtifactCache,
-        requested: &std::collections::HashSet<String>,
+        requested: &HashSet<String>,
         sink: Option<&dyn CellSink>,
     ) -> Result<HashMap<String, RunReport>, String> {
         let variants = self.effective_variants();
         let keyed: Vec<(String, Cell)> = self
             .cells(&variants)
             .into_iter()
-            .map(|cell| {
-                (
-                    cell_key(
-                        self.experiment,
-                        &variants[cell.variant],
-                        cell.benchmark,
-                        cell.technique,
-                    ),
-                    cell,
-                )
-            })
+            .map(|cell| (self.key(&variants, &cell), cell))
             .collect();
         {
-            let own: std::collections::HashSet<&str> =
-                keyed.iter().map(|(key, _)| key.as_str()).collect();
+            let own: HashSet<&str> = keyed.iter().map(|(key, _)| key.as_str()).collect();
             let mut foreign: Vec<&str> = requested
                 .iter()
                 .map(String::as_str)
@@ -621,57 +694,12 @@ impl<'a> Matrix<'a> {
                 ));
             }
         }
-        let todo: Vec<&(String, Cell)> = keyed
-            .iter()
+        let todo: Vec<(String, Cell)> = keyed
+            .into_iter()
             .filter(|(key, _)| requested.contains(key))
             .collect();
-
-        let results: Vec<OnceLock<RunReport>> = todo.iter().map(|_| OnceLock::new()).collect();
-        let cursor = AtomicUsize::new(0);
-        let jobs = self.effective_jobs(todo.len());
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| {
-                    loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some((key, cell)) = todo.get(index).map(|entry| (&entry.0, &entry.1))
-                        else {
-                            break;
-                        };
-                        let plans = CellPlans::new(
-                            self.experiment,
-                            &variants[cell.variant],
-                            cell.benchmark,
-                            cell.technique,
-                        );
-                        let report =
-                            observed_cell(self.experiment, cache, &plans, key, cell.technique);
-                        if let Some(sink) = sink {
-                            let _span = sdiq_obs::span("persist-cell", "persist");
-                            sink.cell_complete(key, &report);
-                        }
-                        results[index].set(report).unwrap_or_else(|_| {
-                            unreachable!("each cell is claimed by exactly one worker")
-                        });
-                    }
-                    // Last act, not left to TLS teardown: the scope owner
-                    // unblocks the moment this closure returns and may
-                    // drain immediately.
-                    sdiq_obs::flush();
-                });
-            }
-        });
-        Ok(todo
-            .into_iter()
-            .zip(results)
-            .map(|((key, _), slot)| {
-                (
-                    key.clone(),
-                    slot.into_inner()
-                        .unwrap_or_else(|| unreachable!("worker pool filled every requested cell")),
-                )
-            })
-            .collect())
+        let reports = self.compute(cache, &variants, &todo, sink);
+        Ok(todo.into_iter().map(|(key, _)| key).zip(reports).collect())
     }
 
     /// Runs the matrix on a private artifact cache with no seeded cells.
@@ -706,80 +734,94 @@ impl<'a> Matrix<'a> {
         // slots by the report's own technique, so a corrupted save file
         // could otherwise mis-file a cell and silently leave another empty.
         // Mismatched seeds are treated as missing and recomputed
-        // (`missing_cells` applies the same predicate). Every cell to
-        // compute holds the plans it may use from here until it finishes,
-        // so each plan is dropped after its last cell.
-        let work: Vec<(String, Option<&RunReport>, CellPlans)> = cells
+        // (`missing_cells` applies the same predicate).
+        let mut todo: Vec<(String, Cell)> = Vec::new();
+        let seeded: Vec<Option<&RunReport>> = cells
             .iter()
             .map(|cell| {
-                let variant = &variants[cell.variant];
-                let key = cell_key(self.experiment, variant, cell.benchmark, cell.technique);
-                let seeded = seed
-                    .get(&key)
-                    .filter(|report| seed_matches(report, cell.benchmark, cell.technique));
-                let plans =
-                    CellPlans::new(self.experiment, variant, cell.benchmark, cell.technique);
-                if seeded.is_none() {
-                    cache.hold_plans(plans.keys());
+                let key = self.key(&variants, cell);
+                let report = seed_for(seed, &key, cell);
+                if report.is_none() {
+                    todo.push((key, *cell));
                 }
-                (key, seeded, plans)
+                report
             })
             .collect();
-
-        let results: Vec<OnceLock<RunReport>> = cells.iter().map(|_| OnceLock::new()).collect();
-        let cursor = AtomicUsize::new(0);
-        let jobs = self.effective_jobs(cells.len());
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| {
-                    loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some((cell, (key, seeded, plans))) =
-                            cells.get(index).zip(work.get(index))
-                        else {
-                            break;
-                        };
-                        let report = match seeded {
-                            Some(seeded) => (*seeded).clone(),
-                            None => {
-                                let report = observed_cell(
-                                    self.experiment,
-                                    cache,
-                                    plans,
-                                    key,
-                                    cell.technique,
-                                );
-                                cache.release_plans(plans.keys());
-                                if let Some(sink) = sink {
-                                    let _span = sdiq_obs::span("persist-cell", "persist");
-                                    sink.cell_complete(key, &report);
-                                }
-                                report
-                            }
-                        };
-                        results[index].set(report).unwrap_or_else(|_| {
-                            unreachable!("each cell is claimed by exactly one worker")
-                        });
-                    }
-                    // See run_cells_by_key: flush before the scope owner
-                    // can observe this thread as finished.
-                    sdiq_obs::flush();
-                });
-            }
-        });
+        let mut computed = self.compute(cache, &variants, &todo, sink).into_iter();
 
         // Reassembly is keyed by each result's own cell, not by position,
         // so it is independent of whatever order `cells()` chooses.
         let mut suites: Vec<Suite> = variants.iter().map(|_| Suite::default()).collect();
-        for (cell, slot) in cells.iter().zip(results) {
-            let report = slot
-                .into_inner()
-                .unwrap_or_else(|| unreachable!("worker pool filled every cell before exiting"));
+        for (cell, seeded) in cells.iter().zip(seeded) {
+            let report = match seeded {
+                Some(report) => report.clone(),
+                None => computed
+                    .next()
+                    .unwrap_or_else(|| unreachable!("one computed report per unseeded cell")),
+            };
             suites[cell.variant].insert(cell.benchmark, report);
         }
         Sweep {
             points: variants.into_iter().zip(suites).collect(),
         }
+    }
+
+    /// Computes `todo` on the worker pool, streaming each report into
+    /// `sink` as it lands, and returns the reports in `todo` order. Every
+    /// cell holds the plans it may use from before the workers start
+    /// until it finishes, so each plan is dropped after its last cell in
+    /// `todo`; its replays and commit counts stay cached.
+    fn compute(
+        &self,
+        cache: &ArtifactCache,
+        variants: &[ConfigVariant],
+        todo: &[(String, Cell)],
+        sink: Option<&dyn CellSink>,
+    ) -> Vec<RunReport> {
+        let plans: Vec<CellPlans> = todo
+            .iter()
+            .map(|(_, cell)| self.plans(variants, cell))
+            .collect();
+        for cell_plans in &plans {
+            cache.hold_plans(cell_plans.keys());
+        }
+        let results: Vec<OnceLock<RunReport>> = todo.iter().map(|_| OnceLock::new()).collect();
+        let cursor = AtomicUsize::new(0);
+        let jobs = self.effective_jobs(todo.len());
+        std::thread::scope(|scope| {
+            for _ in 0..jobs {
+                scope.spawn(|| {
+                    loop {
+                        let index = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(((key, cell), plans)) = todo.get(index).zip(plans.get(index))
+                        else {
+                            break;
+                        };
+                        let report =
+                            observed_cell(self.experiment, cache, plans, key, cell.technique);
+                        cache.release_plans(plans.keys());
+                        if let Some(sink) = sink {
+                            let _span = sdiq_obs::span("persist-cell", "persist");
+                            sink.cell_complete(key, &report);
+                        }
+                        results[index].set(report).unwrap_or_else(|_| {
+                            unreachable!("each cell is claimed by exactly one worker")
+                        });
+                    }
+                    // Last act, not left to TLS teardown: the scope owner
+                    // unblocks the moment this closure returns and may
+                    // drain immediately.
+                    sdiq_obs::flush();
+                });
+            }
+        });
+        results
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .unwrap_or_else(|| unreachable!("worker pool filled every cell before exiting"))
+            })
+            .collect()
     }
 
     /// Flattens a sweep produced by this matrix back into its
@@ -792,15 +834,7 @@ impl<'a> Matrix<'a> {
                 .suite(cell.variant)
                 .get(cell.benchmark, cell.technique)
             {
-                cells.insert(
-                    cell_key(
-                        self.experiment,
-                        &variants[cell.variant],
-                        cell.benchmark,
-                        cell.technique,
-                    ),
-                    report.clone(),
-                );
+                cells.insert(self.key(&variants, &cell), report.clone());
             }
         }
         cells
@@ -839,10 +873,10 @@ pub fn shard_of(key: &str, count: usize) -> usize {
     (hasher.finish() % count as u64) as usize
 }
 
-/// [`run_cell`] wrapped in the observability instrumentation shared by
-/// both engine loops: the in-flight gauge, a traced `cell` span carrying
-/// the cell key, and the per-cell counters/histogram (`sdiq-obs` metrics
-/// are always on; the span is a no-op unless tracing was enabled).
+/// [`run_cell`] wrapped in the engine's observability instrumentation:
+/// the in-flight gauge, a traced `cell` span carrying the cell key, and
+/// the per-cell counters/histogram (`sdiq-obs` metrics are always on; the
+/// span is a no-op unless tracing was enabled).
 /// Strictly out-of-band — the report is returned untouched, so results
 /// are bit-identical with observability on or off.
 fn observed_cell(
@@ -867,6 +901,11 @@ fn observed_cell(
     report
 }
 
+/// What a cell replays inside its plan group: the pass output it runs
+/// (`None`: the raw program) and its resize policy
+/// ([`CellPlans::replay_name`]).
+type ReplayName = (Option<PassConfig>, PolicyBits);
+
 /// The cached artifacts one cell is computed from.
 #[derive(Debug, Clone, Copy)]
 struct CellPlans {
@@ -887,12 +926,8 @@ impl CellPlans {
         benchmark: Benchmark,
         technique: Technique,
     ) -> Self {
+        let raw = CellPlans::raw(experiment, variant, benchmark);
         let program = ProgramKey::new(benchmark, variant.scale);
-        let raw = PlanKey {
-            source: PlanSource::Program(program),
-            sim_config: variant.sim_config,
-            max_dynamic_instructions: experiment.max_dynamic_instructions,
-        };
         let pass = technique
             .pass_config_for(variant.sim_config.widths, variant.sim_config.fu_counts)
             .map(|pass| {
@@ -911,13 +946,46 @@ impl CellPlans {
         }
     }
 
-    /// The plans the cell may use: the plan of the program it runs and,
-    /// for a software technique, the raw plan. When the pass changed only
-    /// markers, the raw plan prices the cell (a policy that ignores hints)
-    /// or is re-marked into the cell's own plan (one that reads them).
+    /// The plan of `benchmark`'s built program on `variant`'s machine: the
+    /// key of the plan group of every cell of that benchmark and machine.
+    fn raw(experiment: &Experiment, variant: &ConfigVariant, benchmark: Benchmark) -> PlanKey {
+        PlanKey {
+            source: PlanSource::Program(ProgramKey::new(benchmark, variant.scale)),
+            sim_config: variant.sim_config,
+            max_dynamic_instructions: experiment.max_dynamic_instructions,
+        }
+    }
+
+    /// The plan of the program the cell runs.
+    fn own(&self) -> PlanKey {
+        self.pass.map_or(self.raw, |(_, plan)| plan)
+    }
+
+    /// The plans the cell may use: its own and, for a software technique,
+    /// the raw plan. When the pass changed only markers, the raw plan
+    /// prices the cell (a policy that ignores hints) or is re-marked into
+    /// the cell's own plan (one that reads them).
     fn keys(&self) -> impl Iterator<Item = PlanKey> {
-        let own = self.pass.map_or(self.raw, |(_, plan)| plan);
-        std::iter::once(own).chain(self.pass.map(|_| self.raw))
+        std::iter::once(self.own()).chain(self.pass.map(|_| self.raw))
+    }
+
+    /// What `technique` replays on `variant`'s machine: the output of its
+    /// pass retargeted at that machine (`None`: the raw program) under its
+    /// resize policy ([`Matrix::groups`] orders a group's cells by it).
+    fn replay_name(variant: &ConfigVariant, technique: Technique) -> ReplayName {
+        let machine = variant.sim_config;
+        (
+            technique.pass_config_for(machine.widths, machine.fu_counts),
+            PolicyBits::of(technique.resize_policy()),
+        )
+    }
+
+    /// The replay the cell's keys name: its own plan under its resize
+    /// policy. (A markers-only cell whose policy ignores hints prices the
+    /// raw plan's replay instead, which only its compile reveals.)
+    #[cfg(test)]
+    fn replay(&self) -> (PlanKey, PolicyBits) {
+        (self.own(), PolicyBits::of(self.policy))
     }
 }
 
@@ -1132,6 +1200,91 @@ mod tests {
         assert_ne!(a, b, "fingerprint catches the different machine");
         // And the key is stable across calls (it seeds save files).
         assert_eq!(a, cell_key(&exp, &base, Benchmark::Gzip, Technique::Noop));
+    }
+
+    /// Cells come in plan groups: one per benchmark and machine, in
+    /// (variant, benchmark) order, with the `iq=80` point (the base
+    /// machine under another label) inside the base groups. Inside a
+    /// group every cell whose replay repeats an earlier cell's comes after
+    /// every cell whose replay is new, which puts the built-in techniques
+    /// in the order `baseline, noop, extension, improved, abella,
+    /// lowen-isa, nonEmpty, way-memo`.
+    #[test]
+    fn cells_come_in_plan_groups_with_repeated_replays_last() {
+        let exp = tiny_experiment();
+        let builtin = [
+            Technique::Baseline,
+            Technique::NonEmpty,
+            Technique::Noop,
+            Technique::Extension,
+            Technique::Improved,
+            Technique::Abella,
+            Technique::WayMemo,
+            Technique::LowenIsa,
+        ];
+        let matrix = Matrix::new(&exp)
+            .techniques(&builtin)
+            .sweep_iq_entries(&[80, 48]);
+        let variants = matrix.effective_variants();
+        let groups = matrix.groups(&variants);
+        let heads: Vec<(usize, Benchmark)> = groups
+            .iter()
+            .map(|group| (group[0].variant, group[0].benchmark))
+            .collect();
+        let expected: Vec<(usize, Benchmark)> = [0, 2]
+            .into_iter()
+            .flat_map(|variant| Benchmark::ALL.map(|benchmark| (variant, benchmark)))
+            .collect();
+        assert_eq!(heads, expected, "one group per benchmark and machine");
+        for group in &groups {
+            assert_eq!(
+                group.len(),
+                builtin.len() * if group[0].variant == 0 { 2 } else { 1 }
+            );
+            let plans: Vec<CellPlans> = group
+                .iter()
+                .map(|cell| matrix.plans(&variants, cell))
+                .collect();
+            assert!(plans.iter().all(|cell| cell.raw == plans[0].raw));
+            let mut replays = HashSet::new();
+            let repeats: Vec<bool> = plans
+                .iter()
+                .map(|cell| !replays.insert(cell.replay()))
+                .collect();
+            let first = repeats.iter().position(|&repeat| repeat);
+            assert!(
+                repeats[first.unwrap_or(repeats.len())..]
+                    .iter()
+                    .all(|&repeat| repeat),
+                "a new replay after a repeated one: {repeats:?}"
+            );
+            let base: Vec<&str> = group
+                .iter()
+                .filter(|cell| cell.variant == group[0].variant)
+                .map(|cell| cell.technique.name())
+                .collect();
+            assert_eq!(
+                base,
+                [
+                    "baseline",
+                    "noop",
+                    "extension",
+                    "improved",
+                    "abella",
+                    "lowen-isa",
+                    "nonEmpty",
+                    "way-memo"
+                ]
+            );
+        }
+        assert_eq!(
+            matrix.cell_keys(),
+            groups
+                .iter()
+                .flatten()
+                .map(|cell| matrix.key(&variants, cell))
+                .collect::<Vec<_>>()
+        );
     }
 
     #[test]

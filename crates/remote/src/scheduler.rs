@@ -1,11 +1,16 @@
 //! The fault-tolerant coordinator scheduler.
 //!
 //! One driver thread per worker pulls batches of cell keys from a
-//! shared queue — batch size = that worker's advertised capacity,
-//! so a 16-way daemon claims sixteen cells while a laptop claims one,
-//! which is the capacity-weighted partition of the key space (and,
-//! unlike a static split, it keeps every worker busy until the queue is
-//! empty no matter how wrong the capacities are about real speed).
+//! shared queue of **plan groups** ([`Matrix::missing_cell_groups`]: the
+//! cells of one benchmark on one machine, which share every plan they
+//! use). A claim takes whole groups, in canonical order, until it holds
+//! at least the worker's advertised capacity in cells, so a 16-way
+//! daemon claims a few groups while a laptop claims one. That is the
+//! capacity-weighted partition of the key space (and, unlike a static
+//! split, it keeps every worker busy until the queue is empty no matter
+//! how wrong the capacities are about real speed). A group never splits
+//! across workers, so each daemon makes each of a group's plans and
+//! replays once and drops the plans when the batch is done.
 //! A worker is either dialed by its driver ([`WorkerSource::Dial`]) or
 //! arrives pre-connected from the registration rendezvous
 //! ([`WorkerSource::Ready`], a daemon that dialed *us*).
@@ -124,13 +129,16 @@ pub enum WorkerSource {
     },
 }
 
-/// The work ledger: pending keys plus, per cell key not yet completed,
-/// the number of copies currently claimed by drivers (1 normally, 2 when
-/// an idle driver speculated a backup) — guarded together so
-/// [`State::claim`] can park on one condvar until either changes.
+/// The work ledger: pending plan groups plus, per cell key not yet
+/// completed, the number of copies currently claimed by drivers (1
+/// normally, 2 when an idle driver speculated a backup) — guarded
+/// together so [`State::claim`] can park on one condvar until either
+/// changes.
 struct WorkState {
-    /// Cell keys waiting for a worker.
-    queue: VecDeque<String>,
+    /// Cell keys waiting for a worker, in plan groups (never empty ones):
+    /// the matrix's groups in canonical order, then each dead worker's
+    /// owed keys as one group.
+    queue: VecDeque<Vec<String>>,
     /// Copies in flight per not-yet-completed cell key. A key leaves
     /// this map the moment its first result is recorded; stale twin
     /// copies finish (or die) without the ledger caring.
@@ -179,8 +187,27 @@ struct State {
     liveness: Mutex<Vec<LivenessEvent>>,
 }
 
+impl WorkState {
+    /// Takes whole groups off the front of the queue until the batch
+    /// holds at least `capacity` cells (or the queue is empty), marking
+    /// each key in flight.
+    fn take_groups(&mut self, capacity: usize) -> Vec<String> {
+        let mut batch: Vec<String> = Vec::new();
+        while batch.len() < capacity.max(1) {
+            match self.queue.pop_front() {
+                Some(group) => batch.extend(group),
+                None => break,
+            }
+        }
+        for key in &batch {
+            *self.in_flight.entry(key.clone()).or_insert(0) += 1;
+        }
+        batch
+    }
+}
+
 impl State {
-    fn new(pending: Vec<String>, speculate: bool) -> State {
+    fn new(pending: Vec<Vec<String>>, speculate: bool) -> State {
         State {
             work: Mutex::new(WorkState {
                 queue: pending.into(),
@@ -222,9 +249,10 @@ impl State {
         self.work_changed.notify_all();
     }
 
-    /// Claims up to `capacity` cells. While the queue is empty but other
-    /// drivers still have cells in flight, first tries to claim
-    /// **speculative** copies of stragglers (in-flight keys with no
+    /// Claims whole plan groups until the batch holds at least
+    /// `capacity` cells ([`WorkState::take_groups`]). While the queue is
+    /// empty but other drivers still have cells in flight, first tries to
+    /// claim **speculative** copies of stragglers (in-flight keys with no
     /// backup yet — the second element is `true` for such a batch), and
     /// only **parks** when there is nothing to speculate on either (a
     /// death could hand cells back at any moment). Returns an empty
@@ -237,12 +265,7 @@ impl State {
                 return (Vec::new(), false);
             }
             if !work.queue.is_empty() {
-                let take = capacity.max(1).min(work.queue.len());
-                let batch: Vec<String> = work.queue.drain(..take).collect();
-                for key in &batch {
-                    *work.in_flight.entry(key.clone()).or_insert(0) += 1;
-                }
-                return (batch, false);
+                return (work.take_groups(capacity), false);
             }
             if work.in_flight.is_empty() {
                 return (Vec::new(), false);
@@ -272,22 +295,17 @@ impl State {
         }
     }
 
-    /// Non-blocking claim for the pipelining top-up: takes up to
-    /// `capacity` queued cells if any are waiting — never speculates,
-    /// never parks. Keeping the blocking/speculating path exclusively in
+    /// Non-blocking claim for the pipelining top-up: takes whole queued
+    /// groups as [`State::claim`] does, if any are waiting — never
+    /// speculates, never parks. Keeping the blocking/speculating path exclusively in
     /// [`State::claim`] (entered only with an empty pipeline) is what
     /// preserves the pre-pipelining park/speculate semantics.
     fn try_claim(&self, capacity: usize) -> Vec<String> {
         let mut work = lock_or_recover(&self.work);
-        if work.fatal || work.queue.is_empty() {
+        if work.fatal {
             return Vec::new();
         }
-        let take = capacity.max(1).min(work.queue.len());
-        let batch: Vec<String> = work.queue.drain(..take).collect();
-        for key in &batch {
-            *work.in_flight.entry(key.clone()).or_insert(0) += 1;
-        }
-        batch
+        work.take_groups(capacity)
     }
 
     fn is_completed(&self, key: &str) -> bool {
@@ -321,7 +339,8 @@ impl State {
         }
     }
 
-    /// Returns a dead worker's owed cells to the queue (waking parked
+    /// Returns a dead worker's owed cells to the back of the queue as one
+    /// group, so one survivor claims them together (waking parked
     /// survivors), charging each actually-re-queued cell's retry budget;
     /// a cell over budget turns the failure fatal. Cells a speculative
     /// twin already completed (or still holds a live copy of) are
@@ -330,7 +349,7 @@ impl State {
         lock_or_recover(&self.failures).push(format!("worker {addr}: {why}"));
         let mut retries = lock_or_recover(&self.retries);
         let mut work = lock_or_recover(&self.work);
-        let mut requeued = 0usize;
+        let mut group: Vec<String> = Vec::new();
         let mut covered = 0usize;
         for key in owed {
             if lock_or_recover(&self.completed).contains(&key) {
@@ -364,8 +383,11 @@ impl State {
                 ));
                 return;
             }
-            work.queue.push_back(key);
-            requeued += 1;
+            group.push(key);
+        }
+        let requeued = group.len();
+        if requeued > 0 {
+            work.queue.push_back(group);
         }
         eprintln!(
             "remote: worker {addr} failed ({why}); re-queueing {requeued} in-flight cell(s)\
@@ -425,8 +447,7 @@ pub fn run_with_sources(
     }
     let fingerprint = sdiq_core::matrix_fingerprint(&matrix.cell_keys());
     let expected: HashSet<String> = matrix.cell_keys().into_iter().collect();
-    let pending = matrix.missing_cell_keys(seed);
-    let state = State::new(pending, spec.speculate);
+    let state = State::new(matrix.missing_cell_groups(seed), spec.speculate);
 
     std::thread::scope(|scope| {
         for source in sources {
@@ -508,18 +529,23 @@ pub fn run_with_sources(
 
 /// One worker's driver loop: dial (unless pre-connected), then
 /// claim/submit/receive until the queue is empty, the worker dies or
-/// goes silent past the heartbeat deadline, or the run turns fatal.
+/// goes silent past the heartbeat deadline, or the run turns fatal. A
+/// worker released because the run needs nothing more is first read
+/// until every batch submitted to it is acknowledged.
 ///
 /// Batches are **pipelined**: instead of draining one batch to `Done`
 /// before claiming the next (one idle round-trip per batch, per worker),
 /// the driver keeps up to a *window* of cells outstanding — default
 /// twice the worker's advertised capacity — topping the queue up with
-/// non-blocking claims as results stream back. The daemon processes
-/// queued `RunCells` frames back-to-back from its socket buffer, so with
-/// a full window it never idles between batches. The *blocking* claim
-/// (the one that parks, and the only one that speculates) still happens
-/// exactly when this worker has nothing outstanding — which is what
-/// keeps the PR 5 park/speculate/termination semantics intact.
+/// non-blocking claims as results stream back. The window counts cells
+/// and a claim takes whole plan groups, so a capacity-1 daemon holds one
+/// group and is sent the next while it computes the group's last cell.
+/// The daemon processes queued `RunCells` frames back-to-back from its
+/// socket buffer, so it never idles on a round trip between batches. The
+/// *blocking* claim (the one that parks, and the only one that
+/// speculates) still happens exactly when this worker has nothing
+/// outstanding — which keeps the park/speculate/termination semantics
+/// of a scheduler that sends one batch at a time.
 fn drive_worker(
     source: WorkerSource,
     spec: &RemoteOptions,
@@ -556,20 +582,22 @@ fn drive_worker(
     // its `Done` arrives.
     let mut batches: VecDeque<HashSet<String>> = VecDeque::new();
     let mut outstanding = 0usize;
+    // Set once the run needs nothing more from this worker. The driver
+    // then reads on until every submitted batch's `Done` has arrived: a
+    // daemon sends a batch's spans and final metrics right before its
+    // `Done`, and dropping the link earlier would lose them.
+    let mut finishing = false;
     loop {
         if state.fatal_is_set() {
             return;
         }
-        if outstanding == 0 {
+        if outstanding == 0 && !finishing {
             // Empty pipeline: the blocking claim — park, or speculate on
             // stragglers, exactly as before pipelining existed.
             let (batch, speculative) = state.claim(capacity);
-            if batch.is_empty() {
-                // Nothing pending and nothing in flight anywhere (or the
-                // run turned fatal): release the worker (drop closes the
-                // link).
-                return;
-            }
+            // Empty: nothing pending and nothing in flight anywhere (or
+            // the run turned fatal).
+            finishing = batch.is_empty();
             if speculative {
                 eprintln!(
                     "remote: speculatively re-issuing {} straggler cell(s) to idle worker {addr}",
@@ -584,42 +612,35 @@ fn drive_worker(
                     format!("re-issued {} straggler cell(s)", batch.len()),
                 );
             }
-            let submitted = {
-                let _span = sdiq_obs::span("issue-batch", "sched").map(|s| {
-                    s.arg("worker", &addr)
-                        .arg("cells", &batch.len().to_string())
-                });
-                link.submit(&batch)
-            };
-            if let Err(error) = submitted {
-                state.requeue(
-                    &addr,
-                    batch,
-                    retry_budget,
-                    &format!("submit failed: {error}"),
-                );
-                return;
+            if !finishing {
+                if let Err(error) = issue(&mut *link, &addr, &batch) {
+                    state.requeue(
+                        &addr,
+                        batch,
+                        retry_budget,
+                        &format!("submit failed: {error}"),
+                    );
+                    return;
+                }
+                outstanding += batch.len();
+                batches.push_back(batch.into_iter().collect());
             }
-            sdiq_obs::metrics().batches_issued.inc();
-            outstanding += batch.len();
-            batches.push_back(batch.into_iter().collect());
         }
-        // Top the pipeline up to the window in capacity-sized chunks
-        // (hysteresis: whole chunks only, so the per-frame spec encoding
-        // amortises over `capacity` cells instead of re-paying per cell).
-        while outstanding + capacity <= window {
+        if finishing && batches.is_empty() {
+            // Every batch is acknowledged: release the worker (drop
+            // closes the link).
+            return;
+        }
+        // Top the pipeline up to the window (hysteresis: a claim takes
+        // whole plan groups of at least `capacity` cells, so the
+        // per-frame spec encoding amortises over them instead of
+        // re-paying per cell).
+        while !finishing && outstanding + capacity <= window {
             let extra = state.try_claim(capacity);
             if extra.is_empty() {
                 break;
             }
-            let submitted = {
-                let _span = sdiq_obs::span("issue-batch", "sched").map(|s| {
-                    s.arg("worker", &addr)
-                        .arg("cells", &extra.len().to_string())
-                });
-                link.submit(&extra)
-            };
-            if let Err(error) = submitted {
+            if let Err(error) = issue(&mut *link, &addr, &extra) {
                 let mut owed: Vec<String> = batches.drain(..).flatten().collect();
                 owed.extend(extra);
                 state.requeue(
@@ -630,7 +651,6 @@ fn drive_worker(
                 );
                 return;
             }
-            sdiq_obs::metrics().batches_issued.inc();
             outstanding += extra.len();
             batches.push_back(extra.into_iter().collect());
         }
@@ -716,6 +736,12 @@ fn drive_worker(
                     return;
                 }
             },
+            Err(error) if finishing => {
+                // Every cell has arrived; only a batch's closing frames
+                // are lost, and the worker owes nothing.
+                eprintln!("remote: worker {addr}: {error} after its last cell; it owes nothing");
+                return;
+            }
             Err(error) => {
                 // A timed-out read is the heartbeat deadline tripping:
                 // record the verdict before the re-queue that follows
@@ -735,6 +761,15 @@ fn drive_worker(
             }
         }
     }
+}
+
+/// Sends `batch` to the worker inside an `issue-batch` span and counts it.
+fn issue(link: &mut dyn WorkerLink, addr: &str, batch: &[String]) -> io::Result<()> {
+    let _span = sdiq_obs::span("issue-batch", "sched")
+        .map(|s| s.arg("worker", addr).arg("cells", &batch.len().to_string()));
+    link.submit(batch)?;
+    sdiq_obs::metrics().batches_issued.inc();
+    Ok(())
 }
 
 #[cfg(test)]
@@ -795,6 +830,38 @@ mod tests {
         /// When set, records the high-water mark of queued-but-undelivered
         /// cells — the wire-visible signature of pipelining.
         high_water: Option<&'static AtomicUsize>,
+        /// When set, records what the link saw in [`SEEN`] under this
+        /// address.
+        log: Option<String>,
+        seen: Seen,
+    }
+
+    /// What one logged link saw: every submitted batch, and the `Done`
+    /// frames still unread when the scheduler dropped it.
+    #[derive(Debug, Clone, Default)]
+    struct Seen {
+        batches: Vec<Vec<String>>,
+        unread_dones: usize,
+    }
+
+    static SEEN: Mutex<Vec<(String, Seen)>> = Mutex::new(Vec::new());
+
+    /// What the logged link dialed as `addr` saw (after it was dropped).
+    fn seen(addr: &str) -> Seen {
+        lock_or_recover(&SEEN)
+            .iter()
+            .find(|(logged, _)| logged == addr)
+            .map(|(_, seen)| seen.clone())
+            .unwrap_or_else(|| panic!("no link logged as `{addr}`"))
+    }
+
+    impl Drop for FakeLink {
+        fn drop(&mut self) {
+            if let Some(addr) = self.log.take() {
+                self.seen.unread_dones = self.done_owed;
+                lock_or_recover(&SEEN).push((addr, std::mem::take(&mut self.seen)));
+            }
+        }
     }
 
     impl WorkerLink for FakeLink {
@@ -810,6 +877,9 @@ mod tests {
                 }
             }
             self.done_owed += 1;
+            if self.log.is_some() {
+                self.seen.batches.push(keys.to_vec());
+            }
             if let Some(high_water) = self.high_water {
                 high_water.fetch_max(self.pending.len(), Ordering::Relaxed);
             }
@@ -870,9 +940,10 @@ mod tests {
     /// Addresses script the fake transport: `cap<N>` sets capacity,
     /// `die<N>` kills the link after N delivered cells, `hang<N>` turns
     /// every recv after N delivered cells into a heartbeat-deadline
-    /// timeout, `slow<N>` sleeps N ms at every recv, `refuse` fails the
-    /// dial, `alias` mis-delivers the first cell, `dup` re-delivers each
-    /// batch's first cell twice.
+    /// timeout, `slow<N>` sleeps N ms at every recv, `late<N>` sleeps N ms
+    /// in the dial, `refuse` fails the dial, `alias` mis-delivers the
+    /// first cell, `dup` re-delivers each batch's first cell twice, `log`
+    /// records what the link saw (see [`seen`]).
     fn fake_dial(addr: &str, _: &RemoteOptions, _: u64) -> io::Result<Box<dyn WorkerLink>> {
         if addr.contains("refuse") {
             return Err(io::Error::new(io::ErrorKind::ConnectionRefused, "refused"));
@@ -889,6 +960,9 @@ mod tests {
         let die_after = script("die");
         let hang_after = script("hang");
         let delay = script("slow").map(|ms| Duration::from_millis(ms as u64));
+        if let Some(ms) = script("late") {
+            std::thread::sleep(Duration::from_millis(ms as u64));
+        }
         let alias_first_to = addr.contains("alias").then(|| {
             let spec = tiny_spec();
             let experiment = spec.experiment();
@@ -910,6 +984,8 @@ mod tests {
             delay,
             delivered: &DELIVERED,
             high_water: addr.contains("watermark").then_some(&HIGH_WATER),
+            log: addr.contains("log").then(|| addr.to_string()),
+            seen: Seen::default(),
         }))
     }
 
@@ -953,20 +1029,84 @@ mod tests {
 
     #[test]
     fn batches_pipeline_up_to_the_window_and_stay_bit_identical() {
-        // A capacity-1 worker with the default window (2× capacity) must
-        // have a *second* cell queued behind the one it is computing —
-        // the wire-visible signature of pipelining (the pre-pipelining
-        // scheduler never queued more than one batch at a time, so the
-        // high-water mark was exactly `capacity`).
+        // A capacity-1 worker with the default window (2× capacity) claims
+        // one plan group (two cells here) and must be sent the next group
+        // while the first group's last cell is still outstanding — the
+        // wire-visible signature of pipelining (a scheduler that queued
+        // one batch at a time would peak at the group's two cells).
         HIGH_WATER.store(0, Ordering::Relaxed);
         let sweep = run_fake(&["a-cap1-watermark"], 0).unwrap();
         assert_eq!(sweep, serial(), "pipelined run is bit-identical");
         assert!(
-            HIGH_WATER.load(Ordering::Relaxed) >= 2,
-            "pipelining keeps ≥2 cells outstanding on a capacity-1 worker \
-             (high water was {})",
+            HIGH_WATER.load(Ordering::Relaxed) >= 3,
+            "pipelining keeps the next group queued behind the last cell \
+             of the current one (high water was {})",
             HIGH_WATER.load(Ordering::Relaxed)
         );
+    }
+
+    /// The tiny matrix's plan groups: one per benchmark, two cells each.
+    fn groups() -> Vec<Vec<String>> {
+        let spec = tiny_spec();
+        let experiment = spec.experiment();
+        let groups = spec
+            .matrix(&experiment)
+            .unwrap()
+            .missing_cell_groups(&HashMap::new());
+        assert_eq!(groups.len(), 2);
+        assert!(groups.iter().all(|group| group.len() == 2));
+        groups
+    }
+
+    #[test]
+    fn a_claim_takes_whole_plan_groups_and_every_batch_is_acknowledged() {
+        // A capacity-1 worker gets one group per batch, in canonical
+        // order; a capacity-3 worker takes groups until it holds three
+        // cells, i.e. both. Each driver reads every batch's `Done` before
+        // it drops the link: a daemon sends the batch's spans and final
+        // metrics right before that frame.
+        for (addr, batches) in [
+            ("claims-cap1-log", groups()),
+            ("claims-cap3-log", vec![groups().concat()]),
+        ] {
+            let sweep = run_fake(&[addr], 0).unwrap();
+            assert_eq!(sweep, serial(), "{addr}");
+            let seen = seen(addr);
+            assert_eq!(seen.batches, batches, "{addr}");
+            assert_eq!(
+                seen.unread_dones, 0,
+                "{addr}: a batch was left unacknowledged"
+            );
+        }
+    }
+
+    #[test]
+    fn a_dead_workers_owed_cells_are_claimed_together_by_the_survivor() {
+        // `a` claims the first group, delivers its first cell, is sent the
+        // second group and dies. The survivor, which dials late, claims
+        // the three owed cells of both groups in one batch.
+        let (a, b) = ("owed-a-cap1-die1-log", "owed-b-cap1-late200-log");
+        let sweep = run_fake_opts(&[a, b], 1, false).unwrap();
+        assert_eq!(sweep, serial(), "failover keeps the result bit-identical");
+        let groups = groups();
+        assert_eq!(
+            seen(a).batches,
+            groups,
+            "the dead worker claimed whole groups"
+        );
+        let mut owed: Vec<String> = groups.concat().into_iter().skip(1).collect();
+        owed.sort();
+        // Key order inside a batch is free: a daemon computes a batch in
+        // canonical cell order.
+        let batches: Vec<Vec<String>> = seen(b)
+            .batches
+            .into_iter()
+            .map(|mut batch| {
+                batch.sort();
+                batch
+            })
+            .collect();
+        assert_eq!(batches, vec![owed]);
     }
 
     #[test]

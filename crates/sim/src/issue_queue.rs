@@ -704,12 +704,15 @@ mod differential_tests {
         #[test]
         fn incremental_state_equals_naive_recomputation(
             steps in prop::collection::vec(arb_step(), 1..120),
-            geometry in (0usize..3usize),
+            geometry in (0usize..6usize),
             track_age in (0usize..2usize),
             first_hint_at in (0usize..80usize),
         ) {
-            // Small capacities maximise wrap-around coverage.
-            let geometry = [(8, 4), (12, 3), (16, 8)][geometry];
+            // Small capacities maximise wrap-around coverage. The queue
+            // takes banks from a table and the model divides, so bank
+            // sizes include one that leaves a partial last bank, one slot
+            // per bank, and one bank larger than the queue.
+            let geometry = [(8, 4), (12, 3), (16, 8), (10, 4), (7, 1), (5, 8)][geometry];
             run_sequence(geometry, track_age == 1, first_hint_at, &steps);
         }
     }

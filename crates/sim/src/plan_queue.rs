@@ -62,7 +62,9 @@ pub(crate) struct ReadyCandidate {
 #[derive(Debug)]
 pub(crate) struct PlanQueue {
     capacity: usize,
-    bank_size: usize,
+    /// Bank of each slot (`slot / bank_size`), so dispatch and issue do
+    /// not divide by a bank size known only at run time.
+    bank_of: Vec<u32>,
     /// Slot occupancy bitmask: slot `s` is resident iff
     /// `occ[s / 64] >> (s % 64) & 1 == 1`.
     occ: Vec<u64>,
@@ -107,10 +109,12 @@ impl PlanQueue {
         dense_regs: usize,
         track_age: bool,
     ) -> Self {
-        let banks = capacity.div_ceil(bank_size.max(1));
+        let bank_size = bank_size.max(1);
         PlanQueue {
             capacity,
-            bank_size: bank_size.max(1),
+            bank_of: (0..capacity)
+                .map(|slot| (slot / bank_size) as u32)
+                .collect(),
             occ: vec![0; capacity.div_ceil(64)],
             ids: vec![0; capacity],
             op_reg: vec![[0; 2]; capacity],
@@ -121,7 +125,7 @@ impl PlanQueue {
             count: 0,
             max_new_range: None,
             hard_limit: None,
-            bank_occupancy: vec![0; banks],
+            bank_occupancy: vec![0; capacity.div_ceil(bank_size)],
             banks_nonempty: 0,
             region_count: 0,
             waiting_total: 0,
@@ -290,7 +294,7 @@ impl PlanQueue {
         self.wait_bits[slot] = wait;
         self.ids[slot] = id;
         self.occ[slot / 64] |= 1 << (slot % 64);
-        let bank = slot / self.bank_size;
+        let bank = self.bank_of[slot] as usize;
         self.bank_occupancy[bank] += 1;
         if self.bank_occupancy[bank] == 1 {
             self.banks_nonempty += 1;
@@ -334,7 +338,7 @@ impl PlanQueue {
             self.region_count -= 1;
         }
         self.occ[slot / 64] &= !(1 << (slot % 64));
-        let bank = slot / self.bank_size;
+        let bank = self.bank_of[slot] as usize;
         self.bank_occupancy[bank] -= 1;
         if self.bank_occupancy[bank] == 0 {
             self.banks_nonempty -= 1;

@@ -37,6 +37,9 @@ pub struct RenamedRegFile {
     /// Live registers per bank, and the number of banks with at least one.
     bank_occupancy: Vec<u32>,
     banks_nonempty: usize,
+    /// Bank of each physical register (`index / bank_size`), so renaming
+    /// and release do not divide by a bank size known only at run time.
+    bank_of: Vec<u32>,
 }
 
 impl RenamedRegFile {
@@ -70,6 +73,9 @@ impl RenamedRegFile {
         for slot in ready.iter_mut().take(arch_count) {
             *slot = true;
         }
+        let bank_of: Vec<u32> = (0..config.regs_per_class)
+            .map(|reg| (reg / config.bank_size) as u32)
+            .collect();
         let mut bank_occupancy = vec![0u32; config.banks()];
         let mut banks_nonempty = 0;
         for reg in 0..arch_count {
@@ -90,6 +96,7 @@ impl RenamedRegFile {
             live_count: arch_count,
             bank_occupancy,
             banks_nonempty,
+            bank_of,
         }
     }
 
@@ -113,7 +120,7 @@ impl RenamedRegFile {
         self.free_count -= 1;
         self.allocated[index] = true;
         self.live_count += 1;
-        let bank = index / self.config.bank_size;
+        let bank = self.bank_of[index] as usize;
         self.bank_occupancy[bank] += 1;
         if self.bank_occupancy[bank] == 1 {
             self.banks_nonempty += 1;
@@ -125,7 +132,7 @@ impl RenamedRegFile {
         self.free_count += 1;
         self.allocated[index] = false;
         self.live_count -= 1;
-        let bank = index / self.config.bank_size;
+        let bank = self.bank_of[index] as usize;
         self.bank_occupancy[bank] -= 1;
         if self.bank_occupancy[bank] == 0 {
             self.banks_nonempty -= 1;
@@ -377,10 +384,13 @@ mod differential_tests {
         #[test]
         fn incremental_state_equals_naive_recomputation(
             steps in prop::collection::vec(arb_step(), 1..200),
+            // Any bank size: banks come from a table, the naive count
+            // divides.
+            bank_size in 1usize..50,
         ) {
             let mut rf = RenamedRegFile::new(RegFileConfig {
                 regs_per_class: 48,
-                bank_size: 8,
+                bank_size,
             });
             let mut outstanding: Vec<usize> = Vec::new();
             let mut live: Vec<usize> = Vec::new();
