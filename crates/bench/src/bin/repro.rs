@@ -6,8 +6,8 @@
 //!       [--save <path>] [--load <path>]... [--checkpoint <path>]
 //!       [--shard <k>/<n>] [--workers <host:port,...>]
 //!       [--listen-workers <host:port> --expect <n>] [--retry-budget <n>]
-//!       [--connect-timeout <secs>] [--heartbeat-deadline <secs>] [--no-speculate]
-//!       [--wire binary|json] [--pipeline-window <n>] [--auth-key <key>]
+//!       [--connect-timeout <secs>] [--heartbeat-deadline <secs>]
+//!       [--wire binary|json] [--auth-key <key>]
 //!       [--trace <path>] [--progress] [--stats]
 //!       [--table1] [--table2] [--figure6] [--figure7] [--figure8]
 //!       [--figure9] [--figure10] [--figure11] [--figure12]
@@ -67,26 +67,23 @@
 //! * `--workers host:port,...` (remote coordinator mode) distributes the
 //!   missing cells over those daemons instead of computing locally, in
 //!   whole plan groups (one benchmark on one machine, so a daemon makes
-//!   each plan once and drops it after the batch);
+//!   each plan once and drops it after the batch), each cell to exactly
+//!   one worker at a time, up to twice a worker's capacity in cells
+//!   outstanding so daemons never idle a round trip between batches;
 //!   `--listen-workers addr --expect n` additionally (or instead) waits
 //!   for `n` self-registering daemons. A worker that dies — or goes
 //!   silent past `--heartbeat-deadline` (default 30 s) — has its cells
 //!   re-queued onto the survivors under `--retry-budget` (default 3),
-//!   idle workers speculatively double-issue straggler cells (first
-//!   result wins; `--no-speculate` disables), and the assembled suite is
-//!   still byte-for-byte identical to a serial run. Dials are bounded by
-//!   `--connect-timeout` (default 10 s). Composes with `--checkpoint` (a
-//!   killed coordinator resumes by re-running the identical command) and
-//!   `--save`.
+//!   and the assembled suite is still byte-for-byte identical to a
+//!   serial run. Dials are bounded by `--connect-timeout` (default
+//!   10 s). Composes with `--checkpoint` (a killed coordinator resumes
+//!   by re-running the identical command) and `--save`.
 //! * Wire tuning (both sides must only agree on `--auth-key`; the rest
 //!   negotiates): `--wire binary` (default) lets peers negotiate the
 //!   compact `bin1` frame codec, `--wire json` pins JSON frames (for
-//!   debugging, old peers interoperate either way);
-//!   `--pipeline-window n` keeps up to `n` cells outstanding per worker
-//!   connection (default 2× the worker's capacity) so daemons never
-//!   idle a round-trip between batches; `--auth-key <key>` requires the
-//!   HMAC handshake on every connection — a peer with a wrong or
-//!   missing key gets a clean protocol error, never a hang.
+//!   debugging, old peers interoperate either way); `--auth-key <key>`
+//!   requires the HMAC handshake on every connection — a peer with a
+//!   wrong or missing key gets a clean protocol error, never a hang.
 //!
 //! Observability (`sdiq-obs`, see the EXPERIMENTS.md span-and-metric
 //! taxonomy) — strictly out-of-band: none of these flags ever change a
@@ -164,13 +161,9 @@ struct Options {
     /// Silence-means-dead threshold for remote workers, seconds
     /// (0 disables — the pre-liveness behaviour).
     heartbeat_deadline: Option<f64>,
-    /// Disable speculative double-issue of straggler cells.
-    no_speculate: bool,
     /// `--wire json` pins JSON frames (false); default/`--wire binary`
     /// negotiates the compact codec (true).
     binary_wire: Option<bool>,
-    /// Outstanding-cell window per worker connection (0 = 2× capacity).
-    pipeline_window: Option<usize>,
     /// Shared secret for the HMAC connection handshake.
     auth_key: Option<String>,
     /// Per-artifact static verification override (`--verify` /
@@ -298,20 +291,9 @@ fn parse_args() -> Options {
                 let value = required_value(&mut args, "--heartbeat-deadline");
                 options.heartbeat_deadline = Some(parse_seconds("--heartbeat-deadline", &value));
             }
-            "--no-speculate" => options.no_speculate = true,
             "--wire" => {
                 let value = required_value(&mut args, "--wire");
                 options.binary_wire = Some(parse_wire(&value));
-            }
-            "--pipeline-window" => {
-                let value = required_value(&mut args, "--pipeline-window");
-                options.pipeline_window = Some(value.parse::<usize>().unwrap_or_else(|_| {
-                    eprintln!(
-                        "error: --pipeline-window needs a non-negative integer \
-                         (0 = 2x worker capacity), got `{value}`"
-                    );
-                    std::process::exit(2);
-                }));
             }
             "--auth-key" => options.auth_key = Some(required_value(&mut args, "--auth-key")),
             "--trace" => options.trace = Some(required_value(&mut args, "--trace")),
@@ -332,8 +314,8 @@ fn parse_args() -> Options {
                      [--save <path>] [--load <path>]... [--checkpoint <path>] \
                      [--shard <k>/<n>] [--workers <host:port,..>] \
                      [--listen-workers <host:port> --expect <n>] [--retry-budget <n>] \
-                     [--connect-timeout <secs>] [--heartbeat-deadline <secs>] [--no-speculate] \
-                     [--wire binary|json] [--pipeline-window <n>] [--auth-key <key>] \
+                     [--connect-timeout <secs>] [--heartbeat-deadline <secs>] \
+                     [--wire binary|json] [--auth-key <key>] \
                      [--trace <path>] [--progress] [--stats] \
                      [--verify | --no-verify] \
                      [--table1] [--table2] [--figure6..12] \
@@ -1034,9 +1016,7 @@ fn main() {
                     .heartbeat_deadline
                     .map(std::time::Duration::from_secs_f64)
                     .unwrap_or(defaults.heartbeat_deadline),
-                speculate: !options.no_speculate,
                 binary_wire: options.binary_wire.unwrap_or(defaults.binary_wire),
-                pipeline_window: options.pipeline_window.unwrap_or(defaults.pipeline_window),
                 auth_key: options.auth_key.clone(),
                 // Metrics ride the heartbeats whenever anything displays
                 // them (--progress per-worker rates, --stats, or a trace

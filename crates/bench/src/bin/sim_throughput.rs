@@ -9,10 +9,10 @@
 //! time, and emits the result as JSON (stdout and, unless `--out -`, to
 //! `BENCH_sim_throughput.json`). The per-policy rows replay an `ExecPlan`
 //! lowered once outside the timed region, exactly as the engine's
-//! `ArtifactCache` amortises it across sweep variants and policies. Unlike
-//! the Criterion bench this binary is cheap enough for CI, so the perf
-//! trajectory is tracked on every change: CI fails loudly if the smoke run
-//! regresses by an order of magnitude (below the throughput floor).
+//! `ArtifactCache` amortises it across sweep variants and policies. The
+//! binary is cheap enough for CI, so the perf trajectory is tracked on
+//! every change: CI fails loudly if the smoke run regresses by an order of
+//! magnitude (below the throughput floor).
 //!
 //! When rewriting an existing output file this binary first parses it and
 //! carries the hand-curated `history` block (per-PR before/after records)

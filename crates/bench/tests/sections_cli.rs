@@ -42,7 +42,12 @@ fn all_prints_table1_table2_and_figure6_in_order() {
 
 #[test]
 fn unknown_flags_exit_two_and_name_the_flag() {
-    for args in [&["--figur6"][..], &["--shards", "2"][..]] {
+    for args in [
+        &["--figur6"][..],
+        &["--shards", "2"][..],
+        &["--no-speculate"][..],
+        &["--pipeline-window", "4"][..],
+    ] {
         let output = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(args)
             .output()

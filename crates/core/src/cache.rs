@@ -586,119 +586,6 @@ impl ArtifactCache {
     }
 }
 
-/// Verdict of [`ResultStore::insert`]: what a delivered cell report turned
-/// out to be relative to what the store already holds for its key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stored {
-    /// First report for this key — stored.
-    New,
-    /// A byte-identical copy of the report already held for this key
-    /// (speculative double-issue, a retried cell, overlapping clients) —
-    /// recognised by fingerprint in O(1) and not stored again.
-    DuplicateIdentical,
-    /// A *different* report for an already-completed key — the
-    /// determinism contract is broken and the caller must treat the run
-    /// as poisoned.
-    DuplicateDivergent,
-}
-
-/// Content-addressed store of completed cell reports.
-///
-/// The remote scheduler can legitimately receive the same cell more than
-/// once (speculation issues straggler cells twice, a re-queued batch can
-/// race its original, overlapping clients can submit the same spec), and
-/// distinct cells routinely produce byte-identical reports (every
-/// benchmark's `baseline` vs `nonEmpty` at the same config, for one).
-/// This store keys reports two ways:
-///
-/// * **by cell key** — the result map callers ultimately want, and
-/// * **by content fingerprint** ([`crate::persist_bin::report_fingerprint`],
-///   FNV-1a over the canonical binary encoding) — so a duplicate delivery
-///   is judged identical-or-divergent by a single `u64` compare instead
-///   of a deep structural walk, and byte-identical reports are stored
-///   once and `Arc`-shared across all their keys.
-#[derive(Debug, Default)]
-pub struct ResultStore {
-    by_key: HashMap<String, (u64, Arc<crate::runner::RunReport>)>,
-    by_fingerprint: HashMap<u64, Arc<crate::runner::RunReport>>,
-}
-
-impl ResultStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        ResultStore::default()
-    }
-
-    /// Records `report` for `key`, deduplicating by content fingerprint.
-    /// See [`Stored`] for the three outcomes; only [`Stored::New`] stores
-    /// anything (and even then the bytes are shared if some other key
-    /// already holds an identical report).
-    pub fn insert(&mut self, key: &str, report: &crate::runner::RunReport) -> Stored {
-        let fingerprint = crate::persist_bin::report_fingerprint(report);
-        if let Some((existing, held)) = self.by_key.get(key) {
-            return if *existing == fingerprint {
-                debug_assert_eq!(
-                    **held, *report,
-                    "fingerprint collision between distinct reports for key `{key}`"
-                );
-                Stored::DuplicateIdentical
-            } else {
-                Stored::DuplicateDivergent
-            };
-        }
-        let shared = self
-            .by_fingerprint
-            .entry(fingerprint)
-            .or_insert_with(|| Arc::new(report.clone()))
-            .clone();
-        debug_assert_eq!(
-            *shared, *report,
-            "fingerprint collision between distinct reports"
-        );
-        self.by_key.insert(key.to_string(), (fingerprint, shared));
-        Stored::New
-    }
-
-    /// `true` if a report has been recorded for `key`.
-    pub fn contains(&self, key: &str) -> bool {
-        self.by_key.contains_key(key)
-    }
-
-    /// The report recorded for `key`, if any.
-    pub fn get(&self, key: &str) -> Option<&crate::runner::RunReport> {
-        self.by_key.get(key).map(|(_, report)| &**report)
-    }
-
-    /// Number of keys with a recorded report.
-    pub fn len(&self) -> usize {
-        self.by_key.len()
-    }
-
-    /// `true` if no report has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.by_key.is_empty()
-    }
-
-    /// Number of *distinct* report payloads held (≤ [`ResultStore::len`];
-    /// the gap is what deduplication saved).
-    pub fn unique_reports(&self) -> usize {
-        self.by_fingerprint.len()
-    }
-
-    /// Consumes the store into the plain `key → report` map the engine
-    /// merges with its seed (shared payloads are unshared here, at the
-    /// one point a private copy per key is actually required).
-    pub fn into_cells(self) -> HashMap<String, crate::runner::RunReport> {
-        self.by_key
-            .into_iter()
-            .map(|(key, (_, report))| {
-                let report = Arc::try_unwrap(report).unwrap_or_else(|shared| (*shared).clone());
-                (key, report)
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1340,36 +1227,5 @@ mod tests {
             }
         });
         assert_eq!(cache.program_builds(), 1);
-    }
-
-    #[test]
-    fn result_store_dedups_identical_reports_and_flags_divergence() {
-        let exp = Experiment {
-            scale: 0.05,
-            ..Experiment::paper()
-        };
-        let baseline = exp.run(Benchmark::Gzip, Technique::Baseline);
-        let noop = exp.run(Benchmark::Gzip, Technique::Noop);
-        assert_ne!(baseline, noop);
-
-        let mut store = ResultStore::new();
-        assert_eq!(store.insert("k1", &baseline), Stored::New);
-        // Same key, same bytes: recognised, not re-stored.
-        assert_eq!(store.insert("k1", &baseline), Stored::DuplicateIdentical);
-        // Same key, different bytes: determinism violation.
-        assert_eq!(store.insert("k1", &noop), Stored::DuplicateDivergent);
-        // Different key, identical bytes: stored once, shared.
-        assert_eq!(store.insert("k2", &baseline), Stored::New);
-        assert_eq!(store.insert("k3", &noop), Stored::New);
-        assert_eq!(store.len(), 3);
-        assert_eq!(store.unique_reports(), 2);
-        assert!(store.contains("k2"));
-        assert_eq!(store.get("k1"), Some(&baseline));
-
-        let cells = store.into_cells();
-        assert_eq!(cells.len(), 3);
-        assert_eq!(cells["k1"], baseline);
-        assert_eq!(cells["k2"], baseline);
-        assert_eq!(cells["k3"], noop);
     }
 }

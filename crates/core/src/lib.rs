@@ -57,10 +57,7 @@ pub mod runner;
 pub mod technique;
 pub mod trace;
 
-pub use cache::{
-    ArtifactCache, CompileKey, CompiledArtifact, PlanKey, PlanSource, ProgramKey, ResultStore,
-    Stored,
-};
+pub use cache::{ArtifactCache, CompileKey, CompiledArtifact, PlanKey, PlanSource, ProgramKey};
 pub use engine::{
     cell_key, matrix_fingerprint, shard_of, CellSink, ConfigVariant, Matrix, MatrixSpec, Sweep,
 };

@@ -27,11 +27,6 @@
 //! lengths error — they never panic and never over-read), and element
 //! counts are validated against the bytes actually remaining before any
 //! allocation.
-//!
-//! [`report_fingerprint`] hashes a report's canonical encoding; because
-//! the encoding is deterministic and injective on the report fields,
-//! equal fingerprints mean equal reports (modulo 64-bit collisions, which
-//! the results store additionally guards with a debug assertion).
 
 use crate::engine::MatrixSpec;
 use crate::persist::{for_each_stats_field, PersistError};
@@ -301,9 +296,8 @@ pub fn encode_report(out: &mut Vec<u8>, report: &RunReport) {
     // block. The wire carries no field names, so presence must be
     // *deterministic*: the counter is written iff the technique's registry
     // spec declares it. The six paper techniques don't, keeping their
-    // encodings (and `report_fingerprint`s) byte-identical to the
-    // pre-registry format; version-skewed peers fail earlier, at the
-    // unknown technique name.
+    // encodings byte-identical to the pre-registry format;
+    // version-skewed peers fail earlier, at the unknown technique name.
     if report.technique.tracks_low_energy() {
         put_varint(out, report.stats.committed_low_energy);
     }
@@ -424,25 +418,6 @@ pub fn decode_matrix_spec(reader: &mut ByteReader<'_>) -> Result<MatrixSpec, Per
     })
 }
 
-// ---------------------------------------------------------------------------
-// Report fingerprints
-// ---------------------------------------------------------------------------
-
-/// FNV-1a over a report's canonical binary encoding. The encoding is
-/// deterministic (no maps, no float formatting), so byte-identical
-/// reports — and only those — share a fingerprint; the results store
-/// uses this to recognise duplicate cell results in O(1).
-pub fn report_fingerprint(report: &RunReport) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    for byte in report_to_bytes(report) {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,9 +519,6 @@ mod tests {
             // the identical report.
             let via_json = report_from_json(&report_to_json(&report)).unwrap();
             assert_eq!(back, via_json);
-            // Identical reports share a fingerprint; distinct ones don't
-            // (probabilistically — these three differ hugely).
-            assert_eq!(report_fingerprint(&report), report_fingerprint(&back));
         }
     }
 

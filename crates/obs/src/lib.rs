@@ -462,10 +462,10 @@ pub struct Metrics {
     pub checkpoint_appends: Counter,
     /// Batches submitted to remote workers by the scheduler.
     pub batches_issued: Counter,
-    /// Cells speculatively re-issued to an idle worker.
-    pub speculation_issued: Counter,
-    /// Speculation races decided: the duplicate arrived after a result
-    /// was already accepted (the extra work lost).
+    /// Always 0: the scheduler keeps one copy of each cell in flight, so
+    /// no duplicate result ever arrives. Kept because the benchmark's
+    /// fleet run (`perfbench/run.py`, `FLEET_STATS`) fails without this
+    /// `--stats` line; dropping it is a change to the benchmark.
     pub speculation_duplicates: Counter,
     /// Cells re-queued after a worker failure.
     pub requeues: Counter,
@@ -536,7 +536,6 @@ impl Metrics {
             },
             counter("checkpoint_appends", "cells", &self.checkpoint_appends),
             counter("batches_issued", "batches", &self.batches_issued),
-            counter("speculation_issued", "cells", &self.speculation_issued),
             counter(
                 "speculation_duplicates",
                 "cells",

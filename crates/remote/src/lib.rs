@@ -32,17 +32,16 @@
 //! * [`client`] — the coordinator side of one connection: dial, read the
 //!   `Hello`, submit batches, receive events.
 //! * [`scheduler`] — the fault-tolerant coordinator loop: a shared work
-//!   queue of missing cell keys, one driver thread per worker, batches
-//!   sized by each worker's advertised capacity, re-queueing of a dead
-//!   worker's in-flight cells onto survivors under a retry budget, and a
-//!   clear [`BackendError`] when the pool drains. Liveness is
+//!   queue of missing cell keys in plan groups, one driver thread per
+//!   worker, batches sized by each worker's advertised capacity, exactly
+//!   one copy of each cell in flight, re-queueing of a dead worker's
+//!   in-flight cells onto survivors under a retry budget, and a clear
+//!   [`BackendError`] when the pool drains. Liveness is
 //!   heartbeat-deadline based: a worker silent past
 //!   [`RemoteOptions::heartbeat_deadline`] counts as dead even if its
-//!   socket never closes (hung OS, blackholed network), and idle
-//!   drivers speculatively double-issue straggler cells (first result
-//!   wins — benign, because cell results are deterministic). Workers
-//!   can also self-register: `repro serve --register host:port` dials
-//!   the coordinator's rendezvous listener ([`Registration`]) instead of
+//!   socket never closes (hung OS, blackholed network). Workers can
+//!   also self-register: `repro serve --register host:port` dials the
+//!   coordinator's rendezvous listener ([`Registration`]) instead of
 //!   being dialed, for fleets behind NAT.
 //!
 //! ## Wiring into the engine
@@ -134,20 +133,11 @@ pub struct RemoteOptions {
     /// cells must re-queue. `Duration::ZERO` disables the deadline (reads
     /// block forever — only sensible for debugging).
     pub heartbeat_deadline: Duration,
-    /// When the shared queue drains but cells are still in flight, let
-    /// idle drivers speculatively re-issue straggler cells to their
-    /// workers (default on). First result wins; duplicates are benign
-    /// because cell results are deterministic.
-    pub speculate: bool,
     /// Negotiate the compact `bin1` frame codec with workers that
     /// advertise it (default on; workers that don't keep speaking JSON).
     /// Off forces JSON everywhere, for debugging and for pricing the
     /// codecs against each other.
     pub binary_wire: bool,
-    /// Cells kept outstanding per worker connection so the worker never
-    /// idles between batches; `0` (the default) means 2× the worker's
-    /// advertised capacity.
-    pub pipeline_window: usize,
     /// Shared secret for the HMAC handshake (`--auth-key`). When set,
     /// every connection (dialed and registered) must prove knowledge of
     /// the key before any protocol frame; `None` leaves connections
@@ -171,9 +161,7 @@ impl RemoteOptions {
             retry_budget: DEFAULT_RETRY_BUDGET,
             connect_timeout: DEFAULT_CONNECT_TIMEOUT,
             heartbeat_deadline: DEFAULT_HEARTBEAT_DEADLINE,
-            speculate: true,
             binary_wire: true,
-            pipeline_window: 0,
             auth_key: None,
             observe: ObserveSpec::default(),
         }

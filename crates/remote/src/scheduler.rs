@@ -10,7 +10,9 @@
 //! split, it keeps every worker busy until the queue is empty no matter
 //! how wrong the capacities are about real speed). A group never splits
 //! across workers, so each daemon makes each of a group's plans and
-//! replays once and drops the plans when the batch is done.
+//! replays once and drops the plans when the batch is done. Each cell
+//! has exactly one copy in flight, so the fleet does exactly the
+//! in-process engine's plan work.
 //! A worker is either dialed by its driver ([`WorkerSource::Dial`]) or
 //! arrives pre-connected from the registration rendezvous
 //! ([`WorkerSource::Ready`], a daemon that dialed *us*).
@@ -23,20 +25,14 @@
 //! cell's retry budget; a cell that exhausts the budget aborts the run
 //! (it is killing workers, not unlucky), and a queue that still holds
 //! cells when every driver has exited surfaces as a drained-pool
-//! [`BackendError`] naming the worker failures.
+//! [`BackendError`] naming the worker failures. A worker that delivers
+//! a cell it does not owe (a duplicate, or a key outside the matrix)
+//! aborts the run: no copy of a cell is ever expected twice.
 //!
 //! An idle driver does not exit just because the queue is momentarily
 //! empty: while any *other* driver still has cells in flight, those
-//! cells may yet be re-queued by a death. With speculation enabled
-//! (the default), the idle driver does better than park: it
-//! **speculatively re-issues** straggler cells — in-flight cells that
-//! have no backup copy yet — to its own worker, MapReduce-style. The
-//! first result to land wins; the loser's duplicate is discarded after
-//! checking it is bit-identical (cell results are deterministic, so a
-//! *divergent* duplicate means something is deeply wrong and aborts the
-//! run). Only when there is nothing to speculate on does the driver
-//! park on a condvar, waking when work reappears (or everything
-//! resolves).
+//! cells may yet be re-queued by a death. It parks on a condvar, waking
+//! when work reappears (or everything resolves).
 //!
 //! The scheduler is deliberately transport-free: drivers speak to a
 //! [`WorkerLink`], and the [`Dialer`] that produces links is a
@@ -46,12 +42,12 @@
 //! Determinism: completed reports are keyed by cell key and the final
 //! sweep is assembled by the engine's own seeded run
 //! ([`Matrix::run_with`]), exactly like a `--load` of merged shard saves
-//! — so *which* worker computed a cell (speculative twin or original),
-//! and in what order, cannot influence a single byte of the result.
+//! — so *which* worker computed a cell, and in what order, cannot
+//! influence a single byte of the result.
 
 use crate::lock_or_recover;
 use crate::{BackendError, RemoteOptions};
-use sdiq_core::{ArtifactCache, CellSink, Matrix, ResultStore, RunReport, Stored, Sweep};
+use sdiq_core::{ArtifactCache, CellSink, Matrix, RunReport, Sweep};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::sync::{Condvar, Mutex, PoisonError};
@@ -59,10 +55,10 @@ use std::time::SystemTime;
 
 /// One scheduler liveness verdict, recorded as it happens: a worker
 /// presumed hung past the heartbeat deadline, cells re-queued after a
-/// death, a speculative re-issue, a speculation race resolving. The
-/// coordinator prints the collected events as a summary at the end of
-/// the run (the moment-of-occurrence `eprintln!`s stay — scripts grep
-/// them — but they scroll away; the summary is the record).
+/// death, a failed dial. The coordinator prints the collected events as
+/// a summary at the end of the run (the moment-of-occurrence
+/// `eprintln!`s stay — scripts grep them — but they scroll away; the
+/// summary is the record).
 #[derive(Debug, Clone)]
 pub struct LivenessEvent {
     /// Wall-clock time of the verdict (spans machines, unlike the
@@ -70,8 +66,7 @@ pub struct LivenessEvent {
     pub wall: SystemTime,
     /// The worker address the verdict is about.
     pub worker: String,
-    /// Verdict kind: `presumed-hung`, `re-queue`, `speculate`,
-    /// `speculation-race`, `dial-failed`.
+    /// Verdict kind: `presumed-hung`, `re-queue`, `dial-failed`.
     pub kind: &'static str,
     /// Human-readable specifics.
     pub detail: String,
@@ -129,54 +124,34 @@ pub enum WorkerSource {
     },
 }
 
-/// The work ledger: pending plan groups plus, per cell key not yet
-/// completed, the number of copies currently claimed by drivers (1
-/// normally, 2 when an idle driver speculated a backup) — guarded
-/// together so [`State::claim`] can park on one condvar until either
-/// changes.
+/// The work ledger: pending plan groups plus the number of claimed
+/// cells with no recorded result — guarded together so
+/// [`State::claim`] can park on one condvar until either changes.
 struct WorkState {
     /// Cell keys waiting for a worker, in plan groups (never empty ones):
     /// the matrix's groups in canonical order, then each dead worker's
     /// owed keys as one group.
     queue: VecDeque<Vec<String>>,
-    /// Copies in flight per not-yet-completed cell key. A key leaves
-    /// this map the moment its first result is recorded; stale twin
-    /// copies finish (or die) without the ledger caring.
-    in_flight: HashMap<String, usize>,
+    /// Cells claimed by a driver whose result has not been recorded.
+    in_flight: usize,
     /// Mirror of the fatal flag, kept under this lock so parked
     /// claimers observe it without a second mutex.
     fatal: bool,
 }
 
-/// What [`State::record`] found when a result landed.
-enum Recorded {
-    /// First result for this key — it is the suite's result.
-    New,
-    /// A speculative twin (or a worker-side duplicate) lost the race;
-    /// the report is bit-identical to the recorded one, so it is noise.
-    DuplicateIdentical,
-    /// A duplicate that *differs* from the recorded report: cell
-    /// determinism is broken and no answer can be trusted.
-    DuplicateDivergent,
-}
-
 /// Shared scheduler state. Lock discipline where locks nest:
-/// `retries` → `work` → (`completed` | `failures` | `fatal`), and the
-/// condvar is always signalled while holding `work` so a claimer cannot
-/// miss a wakeup between its check and its wait.
+/// `retries` → `work` → (`failures` | `fatal`), and the condvar is
+/// always signalled while holding `work` so a claimer cannot miss a
+/// wakeup between its check and its wait.
 struct State {
     /// Pending/in-flight ledger (see [`WorkState`]).
     work: Mutex<WorkState>,
     /// Wakes parked claimers when the ledger changes.
     work_changed: Condvar,
-    /// Whether idle drivers may double-issue straggler cells.
-    speculate: bool,
     /// Per-cell re-queue counts.
     retries: Mutex<HashMap<String, usize>>,
-    /// Completed cells, deduplicated by content fingerprint: a losing
-    /// speculation twin's byte-identical report costs an O(1) fingerprint
-    /// compare and zero extra storage (see [`ResultStore`]).
-    completed: Mutex<ResultStore>,
+    /// Completed cells by key.
+    completed: Mutex<HashMap<String, RunReport>>,
     /// First unrecoverable failure message (the flag lives in
     /// [`WorkState::fatal`]).
     fatal: Mutex<Option<String>>,
@@ -189,8 +164,8 @@ struct State {
 
 impl WorkState {
     /// Takes whole groups off the front of the queue until the batch
-    /// holds at least `capacity` cells (or the queue is empty), marking
-    /// each key in flight.
+    /// holds at least `capacity` cells (or the queue is empty), counting
+    /// its cells in flight.
     fn take_groups(&mut self, capacity: usize) -> Vec<String> {
         let mut batch: Vec<String> = Vec::new();
         while batch.len() < capacity.max(1) {
@@ -199,25 +174,22 @@ impl WorkState {
                 None => break,
             }
         }
-        for key in &batch {
-            *self.in_flight.entry(key.clone()).or_insert(0) += 1;
-        }
+        self.in_flight += batch.len();
         batch
     }
 }
 
 impl State {
-    fn new(pending: Vec<Vec<String>>, speculate: bool) -> State {
+    fn new(pending: Vec<Vec<String>>) -> State {
         State {
             work: Mutex::new(WorkState {
                 queue: pending.into(),
-                in_flight: HashMap::new(),
+                in_flight: 0,
                 fatal: false,
             }),
             work_changed: Condvar::new(),
-            speculate,
             retries: Mutex::new(HashMap::new()),
-            completed: Mutex::new(ResultStore::new()),
+            completed: Mutex::new(HashMap::new()),
             fatal: Mutex::new(None),
             failures: Mutex::new(Vec::new()),
             liveness: Mutex::new(Vec::new()),
@@ -251,42 +223,21 @@ impl State {
 
     /// Claims whole plan groups until the batch holds at least
     /// `capacity` cells ([`WorkState::take_groups`]). While the queue is
-    /// empty but other drivers still have cells in flight, first tries to
-    /// claim **speculative** copies of stragglers (in-flight keys with no
-    /// backup yet — the second element is `true` for such a batch), and
-    /// only **parks** when there is nothing to speculate on either (a
+    /// empty but other drivers still have cells in flight, **parks** (a
     /// death could hand cells back at any moment). Returns an empty
     /// batch only when the run is over for this driver: nothing pending,
     /// nothing in flight anywhere — or the run turned fatal.
-    fn claim(&self, capacity: usize) -> (Vec<String>, bool) {
+    fn claim(&self, capacity: usize) -> Vec<String> {
         let mut work = lock_or_recover(&self.work);
         loop {
             if work.fatal {
-                return (Vec::new(), false);
+                return Vec::new();
             }
             if !work.queue.is_empty() {
-                return (work.take_groups(capacity), false);
+                return work.take_groups(capacity);
             }
-            if work.in_flight.is_empty() {
-                return (Vec::new(), false);
-            }
-            if self.speculate {
-                let stragglers: Vec<String> = work
-                    .in_flight
-                    .iter()
-                    .filter(|(_, &copies)| copies == 1)
-                    .map(|(key, _)| key.clone())
-                    .take(capacity.max(1))
-                    .collect();
-                if !stragglers.is_empty() {
-                    for key in &stragglers {
-                        match work.in_flight.get_mut(key) {
-                            Some(copies) => *copies += 1,
-                            None => unreachable!("straggler `{key}` was just listed in flight"),
-                        }
-                    }
-                    return (stragglers, true);
-                }
+            if work.in_flight == 0 {
+                return Vec::new();
             }
             work = self
                 .work_changed
@@ -297,9 +248,9 @@ impl State {
 
     /// Non-blocking claim for the pipelining top-up: takes whole queued
     /// groups as [`State::claim`] does, if any are waiting — never
-    /// speculates, never parks. Keeping the blocking/speculating path exclusively in
-    /// [`State::claim`] (entered only with an empty pipeline) is what
-    /// preserves the pre-pipelining park/speculate semantics.
+    /// parks. Keeping the blocking path exclusively in [`State::claim`]
+    /// (entered only with an empty pipeline) is what preserves the
+    /// park/termination semantics of one batch at a time.
     fn try_claim(&self, capacity: usize) -> Vec<String> {
         let mut work = lock_or_recover(&self.work);
         if work.fatal {
@@ -308,69 +259,28 @@ impl State {
         work.take_groups(capacity)
     }
 
-    fn is_completed(&self, key: &str) -> bool {
-        lock_or_recover(&self.completed).contains(key)
-    }
-
-    /// Records one result: first result wins; a losing twin is checked
-    /// for bit-identity against the winner (determinism is the whole
-    /// basis for speculation being benign). The check is the store's
-    /// O(1) fingerprint compare, not a field-by-field report diff.
-    fn record(&self, key: &str, report: &RunReport) -> Recorded {
-        let mut completed = lock_or_recover(&self.completed);
-        match completed.insert(key, report) {
-            Stored::New => Recorded::New,
-            Stored::DuplicateIdentical => Recorded::DuplicateIdentical,
-            Stored::DuplicateDivergent => Recorded::DuplicateDivergent,
-        }
-    }
-
-    /// Releases a completed key's in-flight entry (all copies at once —
-    /// a stale twin still computing it no longer owes anything), waking
-    /// parked claimers if the run just resolved.
-    fn release(&self, key: &str) {
+    /// Records the one result of an in-flight cell, waking parked
+    /// claimers if it was the last cell in flight (the queue must be
+    /// empty too, or they would not be parked, so the run is over).
+    fn complete(&self, key: String, report: RunReport) {
+        lock_or_recover(&self.completed).insert(key, report);
         let mut work = lock_or_recover(&self.work);
-        work.in_flight.remove(key);
-        if work.in_flight.is_empty() {
-            // The last in-flight cell resolved: parked claimers can now
-            // conclude the run is over (the queue must be empty too, or
-            // they would not be parked).
+        work.in_flight -= 1;
+        if work.in_flight == 0 {
             self.work_changed.notify_all();
         }
     }
 
     /// Returns a dead worker's owed cells to the back of the queue as one
     /// group, so one survivor claims them together (waking parked
-    /// survivors), charging each actually-re-queued cell's retry budget;
-    /// a cell over budget turns the failure fatal. Cells a speculative
-    /// twin already completed (or still holds a live copy of) are
-    /// released without a charge — the death cost nothing.
+    /// survivors), charging each cell's retry budget; a cell over budget
+    /// turns the failure fatal.
     fn requeue(&self, addr: &str, owed: Vec<String>, retry_budget: usize, why: &str) {
         lock_or_recover(&self.failures).push(format!("worker {addr}: {why}"));
         let mut retries = lock_or_recover(&self.retries);
         let mut work = lock_or_recover(&self.work);
-        let mut group: Vec<String> = Vec::new();
-        let mut covered = 0usize;
-        for key in owed {
-            if lock_or_recover(&self.completed).contains(&key) {
-                // A twin's result already landed; the ledger entry was
-                // released then. Nothing is owed.
-                covered += 1;
-                continue;
-            }
-            match work.in_flight.get_mut(&key) {
-                Some(copies) if *copies > 1 => {
-                    // A live backup copy is still computing this cell on
-                    // another worker; no need to re-queue (yet).
-                    *copies -= 1;
-                    covered += 1;
-                    continue;
-                }
-                entry => {
-                    debug_assert!(entry.is_some(), "owed key `{key}` must be in flight");
-                    work.in_flight.remove(&key);
-                }
-            }
+        work.in_flight -= owed.len();
+        for key in &owed {
             let count = retries.entry(key.clone()).or_insert(0);
             *count += 1;
             if *count > retry_budget {
@@ -383,26 +293,17 @@ impl State {
                 ));
                 return;
             }
-            group.push(key);
         }
-        let requeued = group.len();
+        let requeued = owed.len();
         if requeued > 0 {
-            work.queue.push_back(group);
+            work.queue.push_back(owed);
         }
-        eprintln!(
-            "remote: worker {addr} failed ({why}); re-queueing {requeued} in-flight cell(s)\
-             {}",
-            if covered > 0 {
-                format!(", {covered} already covered elsewhere")
-            } else {
-                String::new()
-            }
-        );
+        eprintln!("remote: worker {addr} failed ({why}); re-queueing {requeued} in-flight cell(s)");
         sdiq_obs::metrics().requeues.add(requeued as u64);
         self.note(
             addr,
             "re-queue",
-            format!("{requeued} cell(s) re-queued, {covered} covered elsewhere: {why}"),
+            format!("{requeued} cell(s) re-queued: {why}"),
         );
         self.work_changed.notify_all();
     }
@@ -447,7 +348,7 @@ pub fn run_with_sources(
     }
     let fingerprint = sdiq_core::matrix_fingerprint(&matrix.cell_keys());
     let expected: HashSet<String> = matrix.cell_keys().into_iter().collect();
-    let state = State::new(matrix.missing_cell_groups(seed), spec.speculate);
+    let state = State::new(matrix.missing_cell_groups(seed));
 
     std::thread::scope(|scope| {
         for source in sources {
@@ -506,7 +407,7 @@ pub fn run_with_sources(
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner);
     let mut merged = seed.clone();
-    merged.extend(completed.into_cells());
+    merged.extend(completed);
     let missing = matrix.missing_cells(&merged);
     if missing > 0 {
         let failures = state
@@ -535,17 +436,16 @@ pub fn run_with_sources(
 ///
 /// Batches are **pipelined**: instead of draining one batch to `Done`
 /// before claiming the next (one idle round-trip per batch, per worker),
-/// the driver keeps up to a *window* of cells outstanding — default
-/// twice the worker's advertised capacity — topping the queue up with
-/// non-blocking claims as results stream back. The window counts cells
-/// and a claim takes whole plan groups, so a capacity-1 daemon holds one
-/// group and is sent the next while it computes the group's last cell.
-/// The daemon processes queued `RunCells` frames back-to-back from its
-/// socket buffer, so it never idles on a round trip between batches. The
-/// *blocking* claim (the one that parks, and the only one that
-/// speculates) still happens exactly when this worker has nothing
-/// outstanding — which keeps the park/speculate/termination semantics
-/// of a scheduler that sends one batch at a time.
+/// the driver keeps up to twice the worker's advertised capacity in
+/// cells outstanding, topping the queue up with non-blocking claims as
+/// results stream back. The window counts cells and a claim takes whole
+/// plan groups, so a capacity-1 daemon holds one group and is sent the
+/// next while it computes the group's last cell. The daemon processes
+/// queued `RunCells` frames back-to-back from its socket buffer, so it
+/// never idles on a round trip between batches. The *blocking* claim
+/// (the one that parks) still happens exactly when this worker has
+/// nothing outstanding — which keeps the park/termination semantics of
+/// a scheduler that sends one batch at a time.
 fn drive_worker(
     source: WorkerSource,
     spec: &RemoteOptions,
@@ -572,10 +472,7 @@ fn drive_worker(
         },
     };
     let capacity = link.capacity().max(1);
-    let window = match spec.pipeline_window {
-        0 => capacity.saturating_mul(2),
-        configured => configured.max(capacity),
-    };
+    let window = capacity.saturating_mul(2);
     // Batches in submit order; each holds its not-yet-delivered keys.
     // `Done` frames ack batches in the same order (the daemon serves
     // `RunCells` sequentially), so the front batch must be empty when
@@ -592,26 +489,11 @@ fn drive_worker(
             return;
         }
         if outstanding == 0 && !finishing {
-            // Empty pipeline: the blocking claim — park, or speculate on
-            // stragglers, exactly as before pipelining existed.
-            let (batch, speculative) = state.claim(capacity);
-            // Empty: nothing pending and nothing in flight anywhere (or
-            // the run turned fatal).
+            // Empty pipeline: the blocking claim, which parks while other
+            // workers still hold cells. Empty: nothing pending and nothing
+            // in flight anywhere (or the run turned fatal).
+            let batch = state.claim(capacity);
             finishing = batch.is_empty();
-            if speculative {
-                eprintln!(
-                    "remote: speculatively re-issuing {} straggler cell(s) to idle worker {addr}",
-                    batch.len()
-                );
-                sdiq_obs::metrics()
-                    .speculation_issued
-                    .add(batch.len() as u64);
-                state.note(
-                    &addr,
-                    "speculate",
-                    format!("re-issued {} straggler cell(s)", batch.len()),
-                );
-            }
             if !finishing {
                 if let Err(error) = issue(&mut *link, &addr, &batch) {
                     state.requeue(
@@ -656,61 +538,26 @@ fn drive_worker(
         }
         match link.recv() {
             Ok(WorkerEvent::Cell(key, report)) => {
-                let owned = batches.iter_mut().any(|batch| batch.remove(&key));
-                if owned {
-                    outstanding -= 1;
-                } else {
-                    // A key this worker was not asked for. A duplicate of
-                    // an already-completed cell is benign (verified
-                    // bit-identical below) — a speculative twin, or a
-                    // worker re-sending. A foreign key, or a duplicate of
-                    // a cell *nobody* finished, is a protocol violation:
-                    // accepting it could mask a real divergence — abort.
-                    if !expected.contains(&key) {
-                        state.set_fatal(format!(
+                if !batches.iter_mut().any(|batch| batch.remove(&key)) {
+                    // A key this worker does not owe: a foreign key, a
+                    // duplicate, or another worker's cell. Each cell has
+                    // one copy in flight, so accepting it could only mask
+                    // a real fault — abort.
+                    state.set_fatal(if expected.contains(&key) {
+                        format!("worker {addr} delivered a cell it was not asked for (`{key}`)")
+                    } else {
+                        format!(
                             "worker {addr} delivered a foreign cell key (`{key}`) — \
                              worker and coordinator configurations disagree"
-                        ));
-                        return;
-                    }
-                    if !state.is_completed(&key) {
-                        state.set_fatal(format!(
-                            "worker {addr} delivered a cell it was not asked for (`{key}`)"
-                        ));
-                        return;
-                    }
+                        )
+                    });
+                    return;
                 }
-                match state.record(&key, &report) {
-                    Recorded::New => {
-                        if let Some(sink) = sink {
-                            sink.cell_complete(&key, &report);
-                        }
-                        state.release(&key);
-                    }
-                    Recorded::DuplicateIdentical => {
-                        // First result won the race; this copy is
-                        // redundant by design. The key already left
-                        // the in-flight ledger when the winner landed.
-                        eprintln!(
-                            "remote: duplicate result for `{key}` from {addr} \
-                             (lost the speculation race); keeping the first"
-                        );
-                        sdiq_obs::metrics().speculation_duplicates.inc();
-                        state.note(
-                            &addr,
-                            "speculation-race",
-                            format!("duplicate result for `{key}` lost the race"),
-                        );
-                    }
-                    Recorded::DuplicateDivergent => {
-                        state.set_fatal(format!(
-                            "worker {addr} delivered a result for `{key}` that differs \
-                             from the one already recorded — cell determinism is broken, \
-                             no answer can be trusted"
-                        ));
-                        return;
-                    }
+                outstanding -= 1;
+                if let Some(sink) = sink {
+                    sink.cell_complete(&key, &report);
                 }
+                state.complete(key, *report);
             }
             Ok(WorkerEvent::Done) => match batches.front() {
                 Some(front) if front.is_empty() => {
@@ -989,30 +836,17 @@ mod tests {
         }))
     }
 
-    fn fake_spec(workers: &[&str], retry_budget: usize, speculate: bool) -> RemoteOptions {
-        RemoteOptions {
+    fn run_fake(workers: &[&str], retry_budget: usize) -> Result<Sweep, BackendError> {
+        let remote = RemoteOptions {
             workers: workers.iter().map(|w| w.to_string()).collect(),
             retry_budget,
             connect_timeout: Duration::from_secs(5),
             heartbeat_deadline: Duration::from_millis(200),
-            speculate,
             ..RemoteOptions::new(tiny_spec())
-        }
-    }
-
-    fn run_fake_opts(
-        workers: &[&str],
-        retry_budget: usize,
-        speculate: bool,
-    ) -> Result<Sweep, BackendError> {
-        let remote = fake_spec(workers, retry_budget, speculate);
+        };
         let experiment = remote.spec.experiment();
         let matrix = remote.spec.matrix(&experiment).unwrap();
         run(&matrix, &remote, &HashMap::new(), None, fake_dial)
-    }
-
-    fn run_fake(workers: &[&str], retry_budget: usize) -> Result<Sweep, BackendError> {
-        run_fake_opts(workers, retry_budget, true)
     }
 
     fn serial() -> Sweep {
@@ -1029,19 +863,20 @@ mod tests {
 
     #[test]
     fn batches_pipeline_up_to_the_window_and_stay_bit_identical() {
-        // A capacity-1 worker with the default window (2× capacity) claims
-        // one plan group (two cells here) and must be sent the next group
+        // A capacity-1 worker's window is 2× its capacity: it claims one
+        // plan group (two cells here) and must be sent the next group
         // while the first group's last cell is still outstanding — the
-        // wire-visible signature of pipelining (a scheduler that queued
-        // one batch at a time would peak at the group's two cells).
+        // wire-visible signature of pipelining. A scheduler that queued
+        // one batch at a time would peak at the group's two cells, and a
+        // wider window would send both groups before the first delivery.
         HIGH_WATER.store(0, Ordering::Relaxed);
         let sweep = run_fake(&["a-cap1-watermark"], 0).unwrap();
         assert_eq!(sweep, serial(), "pipelined run is bit-identical");
-        assert!(
-            HIGH_WATER.load(Ordering::Relaxed) >= 3,
+        assert_eq!(
+            HIGH_WATER.load(Ordering::Relaxed),
+            3,
             "pipelining keeps the next group queued behind the last cell \
-             of the current one (high water was {})",
-            HIGH_WATER.load(Ordering::Relaxed)
+             of the current one"
         );
     }
 
@@ -1086,7 +921,7 @@ mod tests {
         // second group and dies. The survivor, which dials late, claims
         // the three owed cells of both groups in one batch.
         let (a, b) = ("owed-a-cap1-die1-log", "owed-b-cap1-late200-log");
-        let sweep = run_fake_opts(&[a, b], 1, false).unwrap();
+        let sweep = run_fake(&[a, b], 1).unwrap();
         assert_eq!(sweep, serial(), "failover keeps the result bit-identical");
         let groups = groups();
         assert_eq!(
@@ -1125,13 +960,11 @@ mod tests {
     fn late_straggler_death_returns_cells_to_parked_survivors() {
         // Regression: the fast worker drains the queue and goes idle
         // while the slow worker still holds one in-flight cell; then the
-        // slow worker dies. The idle survivor must be parked (or, with
-        // speculation, already computing a backup) — not exited — so the
-        // cell finds a worker and the run still completes bit-identically.
-        // (Pre-fix, drivers exited on the first empty claim and this run
-        // died with a drained pool.) Pinned with speculation off so the
-        // park-and-requeue path itself stays covered.
-        let sweep = run_fake_opts(&["a-cap1", "b-cap1-slow40-die0"], 1, false).unwrap();
+        // slow worker dies. The idle survivor must be parked — not
+        // exited — so the cell finds a worker and the run still
+        // completes bit-identically. (Pre-fix, drivers exited on the
+        // first empty claim and this run died with a drained pool.)
+        let sweep = run_fake(&["a-cap1", "b-cap1-slow40-die0"], 1).unwrap();
         assert_eq!(sweep, serial(), "straggler failover is bit-identical");
     }
 
@@ -1142,13 +975,10 @@ mod tests {
         // heartbeat-deadline timeout (exactly what the TCP link does).
         // Its remaining cell must re-queue onto `b` and the sweep must
         // still be exact. Pre-fix, `recv` blocked forever and this run
-        // never terminated. Speculation off: this pins the pure
-        // deadline → re-queue path.
-        let sweep = run_fake_opts(&["a-cap2-hang1", "b-cap1"], 1, false).unwrap();
+        // never terminated.
+        let sweep = run_fake(&["a-cap2-hang1", "b-cap1"], 1).unwrap();
         assert_eq!(sweep, serial(), "deadline failover is bit-identical");
-        let error = run_fake_opts(&["a-hang0"], 9, false)
-            .unwrap_err()
-            .to_string();
+        let error = run_fake(&["a-hang0"], 9).unwrap_err().to_string();
         assert!(
             error.contains("pool drained") && error.contains("heartbeat deadline"),
             "a lone hung worker drains the pool with the deadline named: {error}"
@@ -1156,40 +986,35 @@ mod tests {
     }
 
     #[test]
-    fn speculation_covers_a_straggler_before_its_deadline_charges_anyone() {
-        // Worker `b` hangs on its very first cell (delivers nothing, and
-        // after 400 ms its link reports the deadline timeout); worker `a`
-        // is merely slow (20 ms/cell), so `b` reliably claims a cell
-        // before `a` drains the queue. With speculation ON and a retry
-        // budget of ZERO the run must still succeed: the idle worker `a`
-        // double-issues `b`'s in-flight cell the moment the queue
-        // drains, the speculative result lands first, and `b`'s later
-        // death finds nothing owed — so nothing re-queues and the zero
-        // budget is never charged.
-        let sweep = run_fake_opts(&["a-cap1-slow20", "b-cap1-hang0-slow400"], 0, true).unwrap();
-        assert_eq!(sweep, serial(), "speculative result is bit-identical");
-
-        // The differential pin: the identical pool with speculation OFF
-        // must instead charge the re-queue and abort on the zero budget —
-        // proving the success above came from speculation, not timing.
-        let error = run_fake_opts(&["a-cap1-slow20", "b-cap1-hang0-slow400"], 0, false)
-            .unwrap_err()
-            .to_string();
-        assert!(
-            error.contains("retry budget"),
-            "without speculation the zero budget aborts: {error}"
-        );
+    fn each_cell_is_submitted_once_when_a_worker_is_slow() {
+        // `a` computes slowly, so `b`, which dials late, drains the queue
+        // and goes idle while `a` still holds cells. The idle worker must
+        // park, not re-issue them: over both links every cell of the
+        // matrix is submitted exactly once.
+        let (a, b) = ("once-a-cap1-slow100-log", "once-b-cap1-late50-log");
+        let sweep = run_fake(&[a, b], 0).unwrap();
+        assert_eq!(sweep, serial(), "the run is bit-identical");
+        let mut submitted: Vec<String> = [seen(a), seen(b)]
+            .into_iter()
+            .flat_map(|seen| seen.batches.concat())
+            .collect();
+        submitted.sort();
+        let mut cells = groups().concat();
+        cells.sort();
+        assert_eq!(submitted, cells);
     }
 
     #[test]
-    fn duplicate_cell_done_for_a_completed_key_is_benign() {
-        // A worker re-delivers its batch's first cell after completing
-        // the batch. Pre-fix this was fatal ("a cell it was not asked
-        // for"); now a bit-identical duplicate of a *completed* cell is
-        // discarded and the run succeeds — while foreign keys (below)
-        // stay fatal.
-        let sweep = run_fake(&["a-cap2-dup"], 0).unwrap();
-        assert_eq!(sweep, serial(), "duplicates do not perturb the suite");
+    fn a_duplicate_cell_done_is_a_protocol_violation() {
+        // A worker re-delivers its first batch's first cell after the
+        // batch. Each cell has one copy in flight, so a cell the worker
+        // no longer owes is fatal and the error names it.
+        let error = run_fake(&["a-cap2-dup"], 0).unwrap_err().to_string();
+        let first = &groups()[0][0];
+        assert!(
+            error.contains("not asked for") && error.contains(&format!("`{first}`")),
+            "a duplicate is fatal and named: {error}"
+        );
     }
 
     #[test]
@@ -1209,12 +1034,17 @@ mod tests {
     fn the_retry_budget_stops_a_poison_cell() {
         // The lone worker dies on its first cell, over and over; dialing
         // happens once per worker, so a budget of 0 must abort on the
-        // first re-queue rather than loop forever.
-        let error = run_fake(&["a-die0"], 0).unwrap_err().to_string();
-        assert!(
-            error.contains("retry budget"),
-            "budget exhaustion is fatal: {error}"
-        );
+        // first re-queue rather than loop forever. Likewise when a
+        // worker hangs on its first cell while another is merely slow:
+        // its owed cells re-queue when the deadline fires, and that
+        // re-queue alone exhausts the zero budget.
+        for workers in [&["a-die0"][..], &["a-cap1-slow20", "b-cap1-hang0-slow400"]] {
+            let error = run_fake(workers, 0).unwrap_err().to_string();
+            assert!(
+                error.contains("retry budget"),
+                "{workers:?}: budget exhaustion is fatal: {error}"
+            );
+        }
     }
 
     #[test]
