@@ -4,8 +4,7 @@
 //! repro [--scale <f64>] [--jobs <n>] [--sweep <axis>=<v1,v2,...>]
 //!       [--benchmarks <b1,b2,...>] [--techniques <t1,t2,...>]
 //!       [--save <path>] [--load <path>]... [--checkpoint <path>]
-//!       [--shard <k>/<n>] [--workers <host:port,...>]
-//!       [--listen-workers <host:port> --expect <n>] [--retry-budget <n>]
+//!       [--shard <k>/<n>] [--workers <host:port,...>] [--retry-budget <n>]
 //!       [--connect-timeout <secs>] [--heartbeat-deadline <secs>]
 //!       [--wire binary|json] [--auth-key <key>]
 //!       [--trace <path>] [--progress] [--stats]
@@ -13,17 +12,17 @@
 //!       [--figure9] [--figure10] [--figure11] [--figure12]
 //!       [--overall] [--summary] [--sweep-summary] [--all]
 //!       [--verify | --no-verify]
-//! repro serve [--listen <host:port> | --register <host:port>] [--jobs <n>]
-//!             [--fail-after <n>] [--stall-after <n>] [--heartbeat-deadline <secs>]
+//! repro serve [--listen <host:port>] [--jobs <n>]
+//!             [--fail-after <n>] [--stall-after <n>]
 //!             [--wire binary|json] [--auth-key <key>]
 //! repro lint [--scale <f64>] [--sweep <axis>=<v1,v2,...>]
 //!            [--benchmarks <b1,b2,...>] [--techniques <t1,t2,...>]
 //! ```
 //!
 //! With no selection flags, `--all` is assumed; a `--flag` that is neither
-//! an option nor a section is an error (exit 2). `--scale` shrinks or
-//! grows every workload's outer loop (1.0 = the default reproduction
-//! scale).
+//! an option nor a section is an error (exit 2). `--scale` (positive
+//! and finite) shrinks or grows every workload's outer loop (1.0 = the
+//! default reproduction scale).
 //! Each cell's program is executed and lowered once, straight from the
 //! executor, into a cached execution plan that every technique of that
 //! machine replays; techniques that also share the resize policy share
@@ -37,7 +36,8 @@
 //! workload scale (repeatable; each adds variants next to `base`).
 //! Swept runs print a Figure-10-style sensitivity table after the base
 //! figures. `--benchmarks`/`--techniques` restrict the other two axes by
-//! name.
+//! name. A benchmark, technique or variant named twice is an error
+//! (exit 2): each cell of the matrix is one key.
 //!
 //! `--save` writes every computed cell as JSON keyed by its cell cache
 //! key; `--load` (repeatable — later files win on key collisions) seeds a
@@ -57,27 +57,24 @@
 //!   bit-identical to a serial run — the file-based path for batch
 //!   systems.
 //! * `repro serve` turns this binary into a networked worker daemon
-//!   (`sdiq-remote`): it listens for a coordinator (or, with
-//!   `--register host:port`, dials a rendezvous coordinator itself —
-//!   for fleets behind NAT), advertises `--jobs` as its capacity and
-//!   streams computed cells back per cell. `--fail-after n` (die) and
-//!   `--stall-after n` (hang silently, socket open) are the
-//!   fault-injection hooks the failover tests and CI smoke use to
-//!   simulate the two shapes of worker death.
+//!   (`sdiq-remote`): it listens for a coordinator, advertises `--jobs`
+//!   as its capacity and streams computed cells back per cell.
+//!   `--fail-after n` (die) and `--stall-after n` (hang silently, socket
+//!   open) are the fault-injection hooks the failover tests and CI smoke
+//!   use to simulate the two shapes of worker death.
 //! * `--workers host:port,...` (remote coordinator mode) distributes the
 //!   missing cells over those daemons instead of computing locally, in
 //!   whole plan groups (one benchmark on one machine, so a daemon makes
 //!   each plan once and drops it after the batch), each cell to exactly
 //!   one worker at a time, up to twice a worker's capacity in cells
-//!   outstanding so daemons never idle a round trip between batches;
-//!   `--listen-workers addr --expect n` additionally (or instead) waits
-//!   for `n` self-registering daemons. A worker that dies — or goes
-//!   silent past `--heartbeat-deadline` (default 30 s) — has its cells
-//!   re-queued onto the survivors under `--retry-budget` (default 3),
-//!   and the assembled suite is still byte-for-byte identical to a
-//!   serial run. Dials are bounded by `--connect-timeout` (default
-//!   10 s). Composes with `--checkpoint` (a killed coordinator resumes
-//!   by re-running the identical command) and `--save`.
+//!   outstanding so daemons never idle a round trip between batches.
+//!   A worker that dies — or goes silent past `--heartbeat-deadline`
+//!   (default 30 s) — has its cells re-queued onto the survivors under
+//!   `--retry-budget` (default 3), and the assembled suite is still
+//!   byte-for-byte identical to a serial run. Dials are bounded by
+//!   `--connect-timeout` (default 10 s). Composes with `--checkpoint` (a
+//!   killed coordinator resumes by re-running the identical command) and
+//!   `--save`.
 //! * Wire tuning (both sides must only agree on `--auth-key`; the rest
 //!   negotiates): `--wire binary` (default) lets peers negotiate the
 //!   compact `bin1` frame codec, `--wire json` pins JSON frames (for
@@ -112,7 +109,7 @@
 //!   compile runs through the pass manager's inter-pass checker and
 //!   every cached artifact is statically verified once when first
 //!   built — a finding aborts the run. The two flags are mutually
-//!   exclusive, and both are refused with `--workers`/`--listen-workers`:
+//!   exclusive, and both are refused with `--workers`:
 //!   a `repro serve` daemon verifies according to its own build.
 //! * `repro lint` runs the full checker suite — structural program
 //!   verification, annotation legality, the soundness envelope and the
@@ -120,7 +117,7 @@
 //!   (variant × benchmark × technique) space, *collecting* structured
 //!   diagnostics instead of aborting. Exit 0 = clean, 1 = findings,
 //!   2 = flag error. A purely local, read-only checker: it refuses
-//!   `--workers`/`--listen-workers`/`--shard`.
+//!   `--workers`/`--shard`.
 
 use sdiq_compiler::CompilerPass;
 use sdiq_core::{
@@ -133,7 +130,6 @@ use sdiq_sim::{ExecPlan, SimConfig};
 use sdiq_verify::StandardVerifier;
 use sdiq_workloads::Benchmark;
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::time::Duration;
 
 #[derive(Debug, Default)]
 struct Options {
@@ -149,11 +145,6 @@ struct Options {
     shard: Option<(usize, usize)>,
     /// Remote coordinator mode: worker daemon addresses.
     workers: Option<Vec<String>>,
-    /// Remote coordinator mode: rendezvous address for self-registering
-    /// workers (`repro serve --register`).
-    listen_workers: Option<String>,
-    /// How many worker registrations to wait for on `listen_workers`.
-    expect: Option<usize>,
     /// Per-cell re-queue budget for the remote scheduler.
     retry_budget: Option<usize>,
     /// Dial bound for remote workers, seconds (0 disables).
@@ -210,11 +201,8 @@ fn parse_args() -> Options {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => {
-                let value = args
-                    .next()
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .unwrap_or(1.0);
-                options.scale = Some(value);
+                let value = required_value(&mut args, "--scale");
+                options.scale = Some(parse_scale(&value));
             }
             "--jobs" => {
                 let value = required_value(&mut args, "--jobs");
@@ -264,18 +252,6 @@ fn parse_args() -> Options {
                 }
                 options.workers = Some(workers);
             }
-            "--listen-workers" => {
-                options.listen_workers = Some(required_value(&mut args, "--listen-workers"));
-            }
-            "--expect" => {
-                let value = required_value(&mut args, "--expect");
-                let expect = value.parse::<usize>().ok().filter(|&n| n >= 1);
-                let Some(expect) = expect else {
-                    eprintln!("error: --expect needs a positive integer, got `{value}`");
-                    std::process::exit(2);
-                };
-                options.expect = Some(expect);
-            }
             "--retry-budget" => {
                 let value = required_value(&mut args, "--retry-budget");
                 options.retry_budget = Some(value.parse::<usize>().unwrap_or_else(|_| {
@@ -312,16 +288,15 @@ fn parse_args() -> Options {
                      [--sweep iq|bank|scale=<v,..>] \
                      [--benchmarks <b,..>] [--techniques <t,..>] \
                      [--save <path>] [--load <path>]... [--checkpoint <path>] \
-                     [--shard <k>/<n>] [--workers <host:port,..>] \
-                     [--listen-workers <host:port> --expect <n>] [--retry-budget <n>] \
+                     [--shard <k>/<n>] [--workers <host:port,..>] [--retry-budget <n>] \
                      [--connect-timeout <secs>] [--heartbeat-deadline <secs>] \
                      [--wire binary|json] [--auth-key <key>] \
                      [--trace <path>] [--progress] [--stats] \
                      [--verify | --no-verify] \
                      [--table1] [--table2] [--figure6..12] \
                      [--overall] [--summary] [--sweep-summary] [--all]\n\
-                     repro serve [--listen <host:port> | --register <host:port>] [--jobs <n>] \
-                     [--fail-after <n>] [--stall-after <n>] [--heartbeat-deadline <secs>] \
+                     repro serve [--listen <host:port>] [--jobs <n>] \
+                     [--fail-after <n>] [--stall-after <n>] \
                      [--wire binary|json] [--auth-key <key>]\n\
                      repro lint [--scale <f>] [--sweep iq|bank|scale=<v,..>] \
                      [--benchmarks <b,..>] [--techniques <t,..>]"
@@ -340,24 +315,17 @@ fn parse_args() -> Options {
             }
         }
     }
-    let remote = options.workers.is_some() || options.listen_workers.is_some();
+    let remote = options.workers.is_some();
     if remote && options.shard.is_some() {
         eprintln!(
-            "error: --workers/--listen-workers (remote coordinator) cannot combine with --shard (shard worker)"
+            "error: --workers (remote coordinator) cannot combine with --shard (shard worker)"
         );
         std::process::exit(2);
     }
     if remote && options.verify.is_some() {
         eprintln!(
-            "error: --verify/--no-verify cannot combine with --workers/--listen-workers: \
+            "error: --verify/--no-verify cannot combine with --workers: \
              a `repro serve` daemon verifies according to its own build"
-        );
-        std::process::exit(2);
-    }
-    if options.listen_workers.is_some() != options.expect.is_some() {
-        eprintln!(
-            "error: --listen-workers <addr> and --expect <n> go together (the rendezvous \
-             must know how many registrations to wait for)"
         );
         std::process::exit(2);
     }
@@ -369,6 +337,15 @@ fn parse_args() -> Options {
         options.selections.insert("all".to_string());
     }
     options
+}
+
+/// Parses a `--scale` value (non-numbers exit 2). Its range is checked
+/// by `MatrixSpec::matrix`, like the sweep values.
+fn parse_scale(value: &str) -> f64 {
+    value.parse::<f64>().unwrap_or_else(|_| {
+        eprintln!("error: --scale needs a number, got `{value}`");
+        std::process::exit(2);
+    })
 }
 
 /// Parses a `--sweep <axis>=<v1,v2,...>` spec. Axis names and value
@@ -474,23 +451,16 @@ fn parse_jobs(value: &str) -> usize {
 fn serve_main(args: impl Iterator<Item = String>) -> ! {
     let mut options = sdiq_remote::server::ServeOptions {
         listen: "127.0.0.1:0".to_string(),
-        register: None,
         jobs: 0,
         fail_after: None,
         stall_after: None,
-        heartbeat_deadline: sdiq_remote::DEFAULT_HEARTBEAT_DEADLINE,
         auth_key: None,
         advertise_binary: true,
     };
-    let mut listen_given = false;
     let mut args = args;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--listen" => {
-                options.listen = required_value(&mut args, "--listen");
-                listen_given = true;
-            }
-            "--register" => options.register = Some(required_value(&mut args, "--register")),
+            "--listen" => options.listen = required_value(&mut args, "--listen"),
             "--jobs" => {
                 let value = required_value(&mut args, "--jobs");
                 options.jobs = parse_jobs(&value);
@@ -509,11 +479,6 @@ fn serve_main(args: impl Iterator<Item = String>) -> ! {
                     std::process::exit(2);
                 }));
             }
-            "--heartbeat-deadline" => {
-                let value = required_value(&mut args, "--heartbeat-deadline");
-                options.heartbeat_deadline =
-                    Duration::from_secs_f64(parse_seconds("--heartbeat-deadline", &value));
-            }
             "--wire" => {
                 let value = required_value(&mut args, "--wire");
                 options.advertise_binary = parse_wire(&value);
@@ -528,8 +493,8 @@ fn serve_main(args: impl Iterator<Item = String>) -> ! {
             }
             "--help" | "-h" => {
                 println!(
-                    "repro serve [--listen <host:port> | --register <host:port>] [--jobs <n>] \
-                     [--fail-after <n>] [--stall-after <n>] [--heartbeat-deadline <secs>] \
+                    "repro serve [--listen <host:port>] [--jobs <n>] \
+                     [--fail-after <n>] [--stall-after <n>] \
                      [--wire binary|json] [--auth-key <key>]"
                 );
                 std::process::exit(0);
@@ -539,13 +504,6 @@ fn serve_main(args: impl Iterator<Item = String>) -> ! {
                 std::process::exit(2);
             }
         }
-    }
-    if options.register.is_some() && listen_given {
-        eprintln!(
-            "error: --listen (coordinator dials us) and --register (we dial the coordinator) \
-             are mutually exclusive"
-        );
-        std::process::exit(2);
     }
     let error = sdiq_remote::server::serve(&options).expect_err("serve only returns on error");
     eprintln!("error: worker daemon: {error}");
@@ -588,10 +546,7 @@ fn lint_main(args: impl Iterator<Item = String>) -> ! {
         match arg.as_str() {
             "--scale" => {
                 let value = required_value(&mut args, "--scale");
-                scale = Some(value.parse::<f64>().unwrap_or_else(|_| {
-                    eprintln!("error: --scale needs a number, got `{value}`");
-                    std::process::exit(2);
-                }));
+                scale = Some(parse_scale(&value));
             }
             "--sweep" => {
                 let spec = required_value(&mut args, "--sweep");
@@ -605,7 +560,7 @@ fn lint_main(args: impl Iterator<Item = String>) -> ! {
                 let spec = required_value(&mut args, "--techniques");
                 techniques = Some(parse_techniques_spec(&spec));
             }
-            "--workers" | "--shard" | "--listen-workers" => {
+            "--workers" | "--shard" => {
                 eprintln!(
                     "error: `repro lint` is a local static checker; {arg} (distributed \
                      execution) does not combine with it"
@@ -928,8 +883,7 @@ fn main() {
         || !options.loads.is_empty()
         || options.checkpoint.is_some()
         || options.shard.is_some()
-        || options.workers.is_some()
-        || options.listen_workers.is_some();
+        || options.workers.is_some();
 
     // Table 2 builds and compiles every benchmark outside the artifact
     // cache. With a matrix to run it waits until the matrix is done, so
@@ -980,33 +934,21 @@ fn main() {
         let progress_sink = options.progress.then(|| ProgressSink {
             inner: checkpoint_sink,
             progress: sdiq_obs::Progress::new(matrix.missing_cells(&seed)),
-            fleet: options.workers.is_some() || options.listen_workers.is_some(),
+            fleet: options.workers.is_some(),
         });
         let cell_sink: Option<&dyn sdiq_core::CellSink> = match &progress_sink {
             Some(sink) => Some(sink),
             None => checkpoint_sink,
         };
 
-        let sweep = if options.workers.is_some() || options.listen_workers.is_some() {
+        let sweep = if let Some(workers) = &options.workers {
             // Remote coordinator mode: distribute the missing cells over
-            // `repro serve` daemons — dialed (`--workers`) and/or
-            // self-registered (`--listen-workers`/`--expect`); completed
+            // the `repro serve` daemons `--workers` names; completed
             // cells stream back into the checkpoint sink as they land,
             // and the assembled sweep is bit-identical to a serial run.
-            let workers = options.workers.clone().unwrap_or_default();
-            let registration =
-                options
-                    .listen_workers
-                    .clone()
-                    .map(|listen| sdiq_remote::Registration {
-                        listen,
-                        expect: options.expect.expect("validated with --listen-workers"),
-                    });
             let defaults = sdiq_remote::RemoteOptions::new(matrix_spec.clone());
-            let pool_size = workers.len() + registration.as_ref().map_or(0, |r| r.expect);
             let remote = sdiq_remote::RemoteOptions {
-                workers,
-                registration,
+                workers: workers.clone(),
                 retry_budget: options.retry_budget.unwrap_or(defaults.retry_budget),
                 connect_timeout: options
                     .connect_timeout
@@ -1034,7 +976,7 @@ fn main() {
                 "remote coordinator: distributing {} of {} cells across {} worker(s) ...",
                 matrix.missing_cells(&seed),
                 matrix.cell_count(),
-                pool_size
+                workers.len()
             );
             let sweep = sdiq_remote::run(&matrix, &remote, &seed, cell_sink).unwrap_or_else(|e| {
                 eprintln!("error: {e}");

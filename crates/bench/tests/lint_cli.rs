@@ -104,7 +104,6 @@ fn lint_refuses_distributed_execution_flags() {
     for flag in [
         &["lint", "--workers", "tcp:127.0.0.1:0"][..],
         &["lint", "--shard", "1/2"][..],
-        &["lint", "--listen-workers", "127.0.0.1:0"][..],
     ] {
         let run = repro(flag);
         assert_eq!(run.code, 2, "{flag:?} must be refused");

@@ -20,16 +20,13 @@
 //!    forever**,
 //! 7. `--retry-budget` is validated and actually threads through to the
 //!    scheduler,
-//! 8. self-registered workers (`serve --register` dialing a
-//!    `--listen-workers` rendezvous coordinator) complete the suite
-//!    byte-identically with zero inbound connections to the workers,
-//! 9. a mixed pool — one worker negotiating the `bin1` binary codec,
+//! 8. a mixed pool — one worker negotiating the `bin1` binary codec,
 //!    one pinned to JSON — still reproduces the suite byte-for-byte,
 //!    as does a coordinator pinned to `--wire json`,
-//! 10. the `--auth-key` HMAC handshake admits matching keys and turns
-//!     wrong or missing keys into clean, fast protocol errors — never
-//!     hangs,
-//! 11. a traced fleet run receives every batch it issued: one worker
+//! 9. the `--auth-key` HMAC handshake admits matching keys and turns
+//!    wrong or missing keys into clean, fast protocol errors — never
+//!    hangs,
+//! 10. a traced fleet run receives every batch it issued: one worker
 //!     `run-batch` span per coordinator `issue-batch` span, and the
 //!     workers' final `cell(s) done` totals add up to the computed cells.
 
@@ -84,32 +81,6 @@ impl Worker {
             .unwrap_or_else(|| panic!("daemon announced `{line}`, expected LISTENING <addr>"))
             .to_string();
         Worker { child, addr }
-    }
-
-    /// Spawns a daemon in reverse-dial mode (`serve --register`) and
-    /// blocks until it confirms startup (`REGISTERING <addr>`, the
-    /// machine-readable first stdout line of that mode). The daemon
-    /// keeps knocking until the coordinator's rendezvous port answers.
-    fn spawn_registering(coordinator: &str) -> Worker {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(["serve", "--register", coordinator, "--jobs", "1"])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn repro serve --register");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut line = String::new();
-        BufReader::new(stdout)
-            .read_line(&mut line)
-            .expect("read REGISTERING line");
-        assert!(
-            line.starts_with("REGISTERING "),
-            "daemon announced `{line}`, expected REGISTERING <addr>"
-        );
-        Worker {
-            child,
-            addr: coordinator.to_string(),
-        }
     }
 }
 
@@ -361,69 +332,6 @@ fn retry_budget_flag_is_validated_and_threaded_through() {
 }
 
 #[test]
-fn self_registered_workers_complete_the_suite_byte_identically() {
-    let dir = scratch_dir("register");
-    let serial = dir.join("serial.json");
-    let remote = dir.join("remote.json");
-
-    repro(&["--summary", "--save", serial.to_str().unwrap()]);
-
-    // The coordinator binds an ephemeral rendezvous port and announces
-    // it on stderr; spawn it first, with stderr piped, and read lines
-    // until the announcement so we know where workers must dial.
-    let mut coordinator = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(AXES)
-        .args([
-            "--summary",
-            "--listen-workers",
-            "127.0.0.1:0",
-            "--expect",
-            "2",
-            "--save",
-            remote.to_str().unwrap(),
-        ])
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn rendezvous coordinator");
-    let stderr = coordinator.stderr.take().expect("piped stderr");
-    let mut reader = BufReader::new(stderr);
-    let rendezvous = loop {
-        let mut line = String::new();
-        assert!(
-            reader.read_line(&mut line).expect("read coordinator log") > 0,
-            "coordinator exited before announcing its rendezvous address"
-        );
-        if let Some(rest) = line
-            .trim()
-            .strip_prefix("remote: listening for workers on ")
-        {
-            break rest
-                .split_whitespace()
-                .next()
-                .expect("announcement carries the address")
-                .to_string();
-        }
-    };
-
-    // Workers dial *out* to the coordinator — the NAT'd-fleet direction;
-    // nothing ever connects to the workers.
-    let _w1 = Worker::spawn_registering(&rendezvous);
-    let _w2 = Worker::spawn_registering(&rendezvous);
-
-    let status = coordinator.wait().expect("coordinator exits");
-    let mut log = String::new();
-    std::io::Read::read_to_string(&mut reader, &mut log).expect("drain coordinator log");
-    assert!(status.success(), "rendezvous run failed:\n{log}");
-    assert_eq!(
-        read(&serial),
-        read(&remote),
-        "self-registered suite must be byte-identical to serial"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn mixed_codec_pools_stay_byte_identical_to_serial() {
     let dir = scratch_dir("codec");
     let serial = dir.join("serial.json");
@@ -569,42 +477,16 @@ fn cli_rejects_zero_jobs_and_contradictory_distribution_flags() {
     // A daemon verifies according to its own build and no frame carries
     // the choice, so a fleet run refuses the flag instead of ignoring it.
     for flag in ["--verify", "--no-verify"] {
-        for fleet in [
-            &["--workers", "127.0.0.1:9"][..],
-            &["--listen-workers", "127.0.0.1:0", "--expect", "1"][..],
-        ] {
-            let mut args = fleet.to_vec();
-            args.push(flag);
-            let (code, stderr) = run(&args);
-            assert_eq!(code, Some(2), "{args:?}");
-            assert!(stderr.contains("its own build"), "{args:?}: {stderr}");
-        }
+        let args = ["--workers", "127.0.0.1:9", flag];
+        let (code, stderr) = run(&args);
+        assert_eq!(code, Some(2), "{args:?}");
+        assert!(stderr.contains("its own build"), "{args:?}: {stderr}");
     }
 
     // An empty worker list is rejected before any run starts.
     let (code, stderr) = run(&["--workers", ","]);
     assert_eq!(code, Some(2));
     assert!(stderr.contains("--workers wants"), "{stderr}");
-
-    // The rendezvous flags travel as a pair: a listener that does not
-    // know how many registrations to wait for would wait forever.
-    let (code, stderr) = run(&["--listen-workers", "127.0.0.1:0"]);
-    assert_eq!(code, Some(2));
-    assert!(stderr.contains("--expect"), "{stderr}");
-    let (code, stderr) = run(&["--expect", "2"]);
-    assert_eq!(code, Some(2));
-    assert!(stderr.contains("--listen-workers"), "{stderr}");
-
-    // A daemon either listens or registers, never both.
-    let (code, stderr) = run(&[
-        "serve",
-        "--listen",
-        "127.0.0.1:0",
-        "--register",
-        "127.0.0.1:9",
-    ]);
-    assert_eq!(code, Some(2));
-    assert!(stderr.contains("mutually exclusive"), "{stderr}");
 
     // The liveness timeouts want non-negative seconds.
     let (code, stderr) = run(&["--summary", "--heartbeat-deadline", "soon"]);

@@ -1,7 +1,9 @@
-//! End-to-end tests of `repro`'s section flags: `--all`'s sections appear
-//! in the paper's order whatever order they are computed in, the engine
-//! line reports the work the artifact cache shared, and a flag that names
-//! no section is an error rather than an empty run.
+//! End-to-end tests of `repro`'s flags: `--all`'s sections appear in the
+//! paper's order whatever order they are computed in, the engine line
+//! reports the work the artifact cache shared, a flag that `repro`,
+//! `repro serve` or `repro lint` does not know is an error rather than an
+//! empty run, and a matrix no run can hold (a bad scale, an axis entry
+//! listed twice) exits 2 before any cell runs, in process and on a fleet.
 
 use std::process::Command;
 
@@ -42,11 +44,35 @@ fn all_prints_table1_table2_and_figure6_in_order() {
 
 #[test]
 fn unknown_flags_exit_two_and_name_the_flag() {
-    for args in [
-        &["--figur6"][..],
-        &["--shards", "2"][..],
-        &["--no-speculate"][..],
-        &["--pipeline-window", "4"][..],
+    for (args, message) in [
+        (&["--figur6"][..], "unknown argument: --figur6"),
+        (&["--shards", "2"], "unknown argument: --shards"),
+        (&["--no-speculate"], "unknown argument: --no-speculate"),
+        (
+            &["--pipeline-window", "4"],
+            "unknown argument: --pipeline-window",
+        ),
+        (
+            &["--listen-workers", "127.0.0.1:0"],
+            "unknown argument: --listen-workers",
+        ),
+        (&["--expect", "2"], "unknown argument: --expect"),
+        (
+            &["serve", "--register", "127.0.0.1:9"],
+            "unknown serve argument: --register",
+        ),
+        (
+            &["serve", "--heartbeat-deadline", "1"],
+            "unknown serve argument: --heartbeat-deadline",
+        ),
+        (
+            &["lint", "--listen-workers", "127.0.0.1:0"],
+            "unknown lint argument: --listen-workers",
+        ),
+        (
+            &["lint", "--expect", "2"],
+            "unknown lint argument: --expect",
+        ),
     ] {
         let output = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(args)
@@ -54,10 +80,64 @@ fn unknown_flags_exit_two_and_name_the_flag() {
             .expect("spawn repro");
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(output.status.code(), Some(2), "{args:?}:\n{stderr}");
-        assert!(
-            stderr.contains(&format!("unknown argument: {}", args[0])),
-            "{args:?}:\n{stderr}"
-        );
+        assert!(stderr.contains(message), "{args:?}:\n{stderr}");
         assert!(output.stdout.is_empty(), "{args:?} printed a section");
+    }
+}
+
+/// `MatrixSpec::matrix` validates every matrix, and `repro` builds it
+/// before it prints, dials or runs anything: a bad `--scale` or an axis
+/// entry listed twice exits 2 naming the problem, and a `--workers` run
+/// never dials (nobody listens on the worker address, so a dial would
+/// end in exit 1).
+#[test]
+fn bad_matrix_inputs_exit_two_before_any_cell_runs() {
+    let small = [
+        "--summary",
+        "--scale",
+        "0.02",
+        "--benchmarks",
+        "gzip",
+        "--techniques",
+        "baseline",
+    ];
+    for fleet in [&[][..], &["--workers", "127.0.0.1:9"]] {
+        for (args, message) in [
+            (&["--scale", "abc"][..], "--scale needs a number, got `abc`"),
+            (&["--scale"], "--scale needs a value"),
+            (
+                &["--scale", "0"],
+                "scale must be positive and finite, got `0`",
+            ),
+            (
+                &["--scale", "nan"],
+                "scale must be positive and finite, got `NaN`",
+            ),
+            (
+                &["--techniques", "baseline,baseline"],
+                "technique `baseline` is listed twice",
+            ),
+            (
+                &["--benchmarks", "gzip,gzip"],
+                "benchmark `gzip` is listed twice",
+            ),
+            (&["--sweep", "iq=48,48"], "variant `iq48` is listed twice"),
+        ] {
+            let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+                .args(small)
+                .args(fleet)
+                .args(args)
+                .output()
+                .expect("spawn repro");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            let what = [fleet, args].concat();
+            assert_eq!(output.status.code(), Some(2), "{what:?}:\n{stderr}");
+            assert!(stderr.contains(message), "{what:?}:\n{stderr}");
+            assert!(
+                !stderr.contains("running") && !stderr.contains("distributing"),
+                "{what:?} started the run:\n{stderr}"
+            );
+            assert!(output.stdout.is_empty(), "{what:?} printed a section");
+        }
     }
 }

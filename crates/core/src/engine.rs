@@ -232,9 +232,17 @@ impl MatrixSpec {
     /// Builds the matrix this spec describes over `experiment` (which must
     /// come from [`MatrixSpec::experiment`] — split only because [`Matrix`]
     /// borrows it). Returns an error for unknown benchmark, technique or
-    /// axis names and for out-of-range sweep values: a spec arriving over
-    /// the wire is input, not an invariant, so nothing here panics.
+    /// axis names, for a scale or sweep value out of range, and for a
+    /// benchmark, technique or variant listed twice (two cells would
+    /// share one key): a spec arriving over the wire is input, not an
+    /// invariant, so nothing here panics.
     pub fn matrix<'a>(&self, experiment: &'a Experiment) -> Result<Matrix<'a>, String> {
+        if !(self.scale > 0.0 && self.scale.is_finite()) {
+            return Err(format!(
+                "workload scale must be positive and finite, got `{}`",
+                self.scale
+            ));
+        }
         let benchmarks = self
             .benchmarks
             .iter()
@@ -254,6 +262,12 @@ impl MatrixSpec {
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
+        if let Some(name) = first_repeat(benchmarks.iter().map(|b| b.name())) {
+            return Err(format!("benchmark `{name}` is listed twice"));
+        }
+        if let Some(name) = first_repeat(techniques.iter().map(|t| t.name())) {
+            return Err(format!("technique `{name}` is listed twice"));
+        }
         let mut matrix = Matrix::new(experiment)
             .benchmarks(&benchmarks)
             .techniques(&techniques);
@@ -295,8 +309,18 @@ impl MatrixSpec {
                 other => return Err(format!("unknown sweep axis `{other}` (iq, bank, scale)")),
             };
         }
+        let variants = matrix.config_variants();
+        if let Some(label) = first_repeat(variants.iter().map(|v| v.label.as_str())) {
+            return Err(format!("sweep variant `{label}` is listed twice"));
+        }
         Ok(matrix)
     }
+}
+
+/// The first name `names` yields twice, if any.
+fn first_repeat<'n>(names: impl IntoIterator<Item = &'n str>) -> Option<&'n str> {
+    let mut seen = HashSet::new();
+    names.into_iter().find(|&name| !seen.insert(name))
 }
 
 /// A stable fingerprint of a matrix's whole cell-key space (order
@@ -495,11 +519,11 @@ impl<'a> Matrix<'a> {
         self.effective_variants().len() * self.benchmarks.len() * self.techniques.len()
     }
 
-    /// The cells of this matrix in plan groups: the single definition of
-    /// cell order. Key generation, execution, reassembly, seed accounting
-    /// and the remote scheduler's claims all iterate this, so they cannot
-    /// drift apart (suite assembly keys by cell, so the order is free to
-    /// serve the cache).
+    /// The cells of this matrix in plan groups, each with its cache key:
+    /// the single definition of cell order. Key generation, execution,
+    /// reassembly, seed accounting and the remote scheduler's claims all
+    /// iterate this, so they cannot drift apart (suite assembly keys by
+    /// cell, so the order is free to serve the cache).
     ///
     /// A plan group is every cell that shares a raw [`PlanKey`]: one
     /// benchmark on one machine. Every plan a cell uses is that raw plan
@@ -520,7 +544,7 @@ impl<'a> Matrix<'a> {
     /// names. The trade-off: a pool with more workers than a group has
     /// distinct replays blocks on shared artifacts early in every group.
     /// The benchmark's pools are 2 workers in process and 1 per daemon.
-    fn groups(&self, variants: &[ConfigVariant]) -> Vec<Vec<Cell>> {
+    fn groups(&self, variants: &[ConfigVariant]) -> Vec<Vec<(String, Cell)>> {
         // What each technique replays on each variant's machine: its pass
         // output (or, for none, the raw program) under its resize policy.
         // A group's cells share the program and the machine, so two of
@@ -535,7 +559,15 @@ impl<'a> Matrix<'a> {
                     .collect()
             })
             .collect();
-        let mut groups: Vec<Vec<(Cell, &ReplayName)>> = Vec::new();
+        // A cell's key is its benchmark and technique names plus its
+        // variant's part, which hashes the whole machine: hash once per
+        // variant, not once per cell.
+        let variant_keys: Vec<String> = variants
+            .iter()
+            .map(|variant| variant_key(self.experiment, variant))
+            .collect();
+        let technique_names: Vec<&str> = self.techniques.iter().map(Technique::name).collect();
+        let mut groups: Vec<Vec<(String, Cell, &ReplayName)>> = Vec::new();
         let mut group_of: HashMap<PlanKey, usize> = HashMap::new();
         for (variant, config) in variants.iter().enumerate() {
             for &benchmark in &self.benchmarks {
@@ -544,14 +576,19 @@ impl<'a> Matrix<'a> {
                     groups.push(Vec::new());
                     groups.len() - 1
                 });
-                let cells = self.techniques.iter().zip(&names[variant]);
-                groups[index].extend(cells.map(|(&technique, replay)| {
+                let cells = self
+                    .techniques
+                    .iter()
+                    .zip(&technique_names)
+                    .zip(&names[variant]);
+                groups[index].extend(cells.map(|((&technique, name), replay)| {
+                    let key = format!("{}|{name}|{}", benchmark.name(), variant_keys[variant]);
                     let cell = Cell {
                         variant,
                         benchmark,
                         technique,
                     };
-                    (cell, replay)
+                    (key, cell, replay)
                 }));
             }
         }
@@ -562,7 +599,7 @@ impl<'a> Matrix<'a> {
                 // finds a repeated replay faster than hashing.
                 let mut replays = Vec::with_capacity(group.len());
                 let (fresh, repeats): (Vec<_>, Vec<_>) =
-                    group.into_iter().partition(|&(_, replay)| {
+                    group.into_iter().partition(|&(_, _, replay)| {
                         let fresh = !replays.contains(&replay);
                         if fresh {
                             replays.push(replay);
@@ -577,20 +614,19 @@ impl<'a> Matrix<'a> {
                 fresh
                     .into_iter()
                     .chain(repeats)
-                    .map(|(cell, _)| cell)
-                    .filter(|cell| {
-                        self.shard.is_none_or(|(index, count)| {
-                            shard_of(&self.key(variants, cell), count) == index
-                        })
+                    .map(|(key, cell, _)| (key, cell))
+                    .filter(|(key, _)| {
+                        self.shard
+                            .is_none_or(|(index, count)| shard_of(key, count) == index)
                     })
-                    .collect::<Vec<Cell>>()
+                    .collect::<Vec<_>>()
             })
             .filter(|group| !group.is_empty())
             .collect()
     }
 
     /// [`Matrix::groups`], flattened.
-    fn cells(&self, variants: &[ConfigVariant]) -> Vec<Cell> {
+    fn cells(&self, variants: &[ConfigVariant]) -> Vec<(String, Cell)> {
         self.groups(variants).concat()
     }
 
@@ -605,23 +641,13 @@ impl<'a> Matrix<'a> {
         )
     }
 
-    /// The cache key of `cell`, one of this matrix's cells over `variants`.
-    fn key(&self, variants: &[ConfigVariant], cell: &Cell) -> String {
-        cell_key(
-            self.experiment,
-            &variants[cell.variant],
-            cell.benchmark,
-            cell.technique,
-        )
-    }
-
     /// The cache key of every cell, in deterministic cell order. This is
     /// the key space `--save`/`--load` persistence is indexed by.
     pub fn cell_keys(&self) -> Vec<String> {
         let variants = self.effective_variants();
         self.cells(&variants)
-            .iter()
-            .map(|cell| self.key(&variants, cell))
+            .into_iter()
+            .map(|(key, _)| key)
             .collect()
     }
 
@@ -642,11 +668,10 @@ impl<'a> Matrix<'a> {
     pub fn missing_cell_groups(&self, seed: &HashMap<String, RunReport>) -> Vec<Vec<String>> {
         let variants = self.effective_variants();
         self.groups(&variants)
-            .iter()
+            .into_iter()
             .map(|group| {
                 group
-                    .iter()
-                    .map(|cell| (self.key(&variants, cell), cell))
+                    .into_iter()
                     .filter(|(key, cell)| seed_for(seed, key, cell).is_none())
                     .map(|(key, _)| key)
                     .collect::<Vec<String>>()
@@ -672,11 +697,7 @@ impl<'a> Matrix<'a> {
         sink: Option<&dyn CellSink>,
     ) -> Result<HashMap<String, RunReport>, String> {
         let variants = self.effective_variants();
-        let keyed: Vec<(String, Cell)> = self
-            .cells(&variants)
-            .into_iter()
-            .map(|cell| (self.key(&variants, &cell), cell))
-            .collect();
+        let keyed = self.cells(&variants);
         {
             let own: HashSet<&str> = keyed.iter().map(|(key, _)| key.as_str()).collect();
             let mut foreign: Vec<&str> = requested
@@ -729,22 +750,21 @@ impl<'a> Matrix<'a> {
         sink: Option<&dyn CellSink>,
     ) -> Sweep {
         let variants = self.effective_variants();
-        let cells = self.cells(&variants);
         // A seeded report must actually describe its cell — `Suite::insert`
         // slots by the report's own technique, so a corrupted save file
         // could otherwise mis-file a cell and silently leave another empty.
         // Mismatched seeds are treated as missing and recomputed
         // (`missing_cells` applies the same predicate).
         let mut todo: Vec<(String, Cell)> = Vec::new();
-        let seeded: Vec<Option<&RunReport>> = cells
-            .iter()
-            .map(|cell| {
-                let key = self.key(&variants, cell);
-                let report = seed_for(seed, &key, cell);
+        let cells: Vec<(Cell, Option<&RunReport>)> = self
+            .cells(&variants)
+            .into_iter()
+            .map(|(key, cell)| {
+                let report = seed_for(seed, &key, &cell);
                 if report.is_none() {
-                    todo.push((key, *cell));
+                    todo.push((key, cell));
                 }
-                report
+                (cell, report)
             })
             .collect();
         let mut computed = self.compute(cache, &variants, &todo, sink).into_iter();
@@ -752,7 +772,7 @@ impl<'a> Matrix<'a> {
         // Reassembly is keyed by each result's own cell, not by position,
         // so it is independent of whatever order `cells()` chooses.
         let mut suites: Vec<Suite> = variants.iter().map(|_| Suite::default()).collect();
-        for (cell, seeded) in cells.iter().zip(seeded) {
+        for (cell, seeded) in cells {
             let report = match seeded {
                 Some(report) => report.clone(),
                 None => computed
@@ -829,12 +849,12 @@ impl<'a> Matrix<'a> {
     pub fn collect_cells(&self, sweep: &Sweep) -> std::collections::BTreeMap<String, RunReport> {
         let variants = self.effective_variants();
         let mut cells = std::collections::BTreeMap::new();
-        for cell in self.cells(&variants) {
+        for (key, cell) in self.cells(&variants) {
             if let Some(report) = sweep
                 .suite(cell.variant)
                 .get(cell.benchmark, cell.technique)
             {
-                cells.insert(self.key(&variants, &cell), report.clone());
+                cells.insert(key, report.clone());
             }
         }
         cells
@@ -1038,6 +1058,17 @@ pub fn cell_key(
     benchmark: Benchmark,
     technique: Technique,
 ) -> String {
+    format!(
+        "{}|{}|{}",
+        benchmark.name(),
+        technique.name(),
+        variant_key(experiment, variant)
+    )
+}
+
+/// The part of a cell key its variant fixes: the variant's label and the
+/// fingerprint (see [`cell_key`]).
+fn variant_key(experiment: &Experiment, variant: &ConfigVariant) -> String {
     let mut hasher = Fnv1a::default();
     variant.sim_config.hash(&mut hasher);
     hasher.write_u64(variant.scale.to_bits());
@@ -1054,13 +1085,7 @@ pub fn cell_key(
     ] {
         hasher.write_u64(field.to_bits());
     }
-    format!(
-        "{}|{}|{}|{:016x}",
-        benchmark.name(),
-        technique.name(),
-        variant.label,
-        hasher.finish()
-    )
+    format!("{}|{:016x}", variant.label, hasher.finish())
 }
 
 /// FNV-1a, used for cell-key fingerprints because (unlike the std hasher)
@@ -1226,7 +1251,11 @@ mod tests {
             .techniques(&builtin)
             .sweep_iq_entries(&[80, 48]);
         let variants = matrix.effective_variants();
-        let groups = matrix.groups(&variants);
+        let keyed = matrix.groups(&variants);
+        let groups: Vec<Vec<Cell>> = keyed
+            .iter()
+            .map(|group| group.iter().map(|&(_, cell)| cell).collect())
+            .collect();
         let heads: Vec<(usize, Benchmark)> = groups
             .iter()
             .map(|group| (group[0].variant, group[0].benchmark))
@@ -1277,14 +1306,123 @@ mod tests {
                 ]
             );
         }
+        // Each cell carries the key `cell_key` gives it, and `cell_keys`
+        // lists them in group order.
+        for (key, cell) in keyed.iter().flatten() {
+            let variant = &variants[cell.variant];
+            assert_eq!(
+                *key,
+                cell_key(&exp, variant, cell.benchmark, cell.technique)
+            );
+        }
         assert_eq!(
             matrix.cell_keys(),
-            groups
-                .iter()
+            keyed
+                .into_iter()
                 .flatten()
-                .map(|cell| matrix.key(&variants, cell))
+                .map(|(key, _)| key)
                 .collect::<Vec<_>>()
         );
+    }
+
+    /// `MatrixSpec::matrix` is the one validator of a matrix description,
+    /// from the command line and from the wire alike: each of these specs
+    /// is refused with an error that names what is wrong.
+    #[test]
+    fn matrix_spec_refuses_what_no_matrix_can_hold() {
+        let valid = MatrixSpec {
+            scale: 0.05,
+            sweeps: vec![("iq".to_string(), vec![48.0])],
+            benchmarks: vec!["gzip".to_string(), "mcf".to_string()],
+            techniques: vec!["baseline".to_string(), "noop".to_string()],
+        };
+        let experiment = valid.experiment();
+        assert!(valid.matrix(&experiment).is_ok());
+        let names = |list: &[&str]| list.iter().map(|name| name.to_string()).collect();
+        let sweeps = |sweeps: &[(&str, &[f64])]| MatrixSpec {
+            sweeps: sweeps
+                .iter()
+                .map(|&(axis, values)| (axis.to_string(), values.to_vec()))
+                .collect(),
+            ..valid.clone()
+        };
+        let cases = [
+            (sweeps(&[("warp", &[1.0])]), "unknown sweep axis `warp`"),
+            (
+                MatrixSpec {
+                    benchmarks: names(&["gzip", "gzipp"]),
+                    ..valid.clone()
+                },
+                "unknown benchmark `gzipp`",
+            ),
+            (
+                MatrixSpec {
+                    techniques: names(&["baseline", "bogus"]),
+                    ..valid.clone()
+                },
+                "unknown technique `bogus`",
+            ),
+            (sweeps(&[("iq", &[0.0])]), "axis `iq` wants integers"),
+            (sweeps(&[("iq", &[1.5])]), "axis `iq` wants integers"),
+            (
+                sweeps(&[("bank", &[70000.0])]),
+                "axis `bank` wants integers",
+            ),
+            (sweeps(&[("scale", &[0.0])]), "axis `scale` wants positive"),
+            (
+                MatrixSpec {
+                    scale: 0.0,
+                    ..valid.clone()
+                },
+                "scale must be positive and finite, got `0`",
+            ),
+            (
+                MatrixSpec {
+                    scale: f64::NAN,
+                    ..valid.clone()
+                },
+                "scale must be positive and finite, got `NaN`",
+            ),
+            (
+                MatrixSpec {
+                    scale: f64::INFINITY,
+                    ..valid.clone()
+                },
+                "scale must be positive and finite, got `inf`",
+            ),
+            (
+                MatrixSpec {
+                    benchmarks: names(&["gzip", "mcf", "gzip"]),
+                    ..valid.clone()
+                },
+                "benchmark `gzip` is listed twice",
+            ),
+            (
+                MatrixSpec {
+                    techniques: names(&["baseline", "baseline"]),
+                    ..valid.clone()
+                },
+                "technique `baseline` is listed twice",
+            ),
+            (
+                sweeps(&[("iq", &[48.0, 48.0])]),
+                "variant `iq48` is listed twice",
+            ),
+            (
+                sweeps(&[("iq", &[48.0]), ("iq", &[48.0])]),
+                "variant `iq48` is listed twice",
+            ),
+        ];
+        for (spec, reason) in cases {
+            let experiment = spec.experiment();
+            match spec.matrix(&experiment) {
+                Ok(_) => panic!("{spec:?} was accepted"),
+                Err(error) => assert!(
+                    error.contains(reason),
+                    "{spec:?}: `{error}` does not say `{reason}`"
+                ),
+            }
+        }
     }
 
     #[test]

@@ -32,8 +32,8 @@ use sdiq_obs::{MetricsDelta, TraceEvent};
 
 /// `Hello{capacity, codecs}`.
 pub const TAG_HELLO: u8 = 0x01;
-/// `Register{capacity, codecs}`.
-pub const TAG_REGISTER: u8 = 0x02;
+// 0x02 stays unassigned, so a `Register` frame from an older peer is an
+// unknown tag and never decodes as another message.
 /// `RunCells{fingerprint, spec, keys}`.
 pub const TAG_RUN_CELLS: u8 = 0x03;
 /// `CellDone{key, report}`.
@@ -75,14 +75,6 @@ pub fn encode_message(message: &Message) -> Vec<u8> {
     match message {
         Message::Hello { capacity, codecs } => {
             out.push(TAG_HELLO);
-            put_usize(&mut out, *capacity);
-            put_usize(&mut out, codecs.len());
-            for codec in codecs {
-                put_str(&mut out, codec);
-            }
-        }
-        Message::Register { capacity, codecs } => {
-            out.push(TAG_REGISTER);
             put_usize(&mut out, *capacity);
             put_usize(&mut out, codecs.len());
             for codec in codecs {
@@ -229,10 +221,6 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, PersistError> {
             capacity: reader.usize()?,
             codecs: decode_codecs(&mut reader)?,
         },
-        TAG_REGISTER => Message::Register {
-            capacity: reader.usize()?,
-            codecs: decode_codecs(&mut reader)?,
-        },
         TAG_RUN_CELLS | TAG_RUN_CELLS_OBS => {
             let (observe, trace) = if tag == TAG_RUN_CELLS_OBS {
                 let flags = reader.u8()?;
@@ -337,10 +325,6 @@ mod tests {
             Message::Hello {
                 capacity: 4,
                 codecs: vec![CODEC_BIN1.to_string()],
-            },
-            Message::Register {
-                capacity: 16,
-                codecs: Vec::new(),
             },
             Message::RunCells {
                 fingerprint: 0xdead_beef_0123_4567,
@@ -500,6 +484,9 @@ mod tests {
                 "{message:?} with a trailing byte must error"
             );
         }
-        assert!(decode_message(&[0x1f]).is_err(), "unknown tag");
+        // 0x02 with a well-formed `Register{capacity: 4, codecs: []}` body.
+        for unknown in [&[0x1f][..], &[0x02, 0x04, 0x00]] {
+            assert!(decode_message(unknown).is_err(), "unknown tag {unknown:?}");
+        }
     }
 }

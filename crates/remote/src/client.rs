@@ -1,8 +1,7 @@
-//! The coordinator's side of one worker connection: dial the daemon
-//! (or accept its `Register`), authenticate when `--auth-key` is set,
-//! read its greeting, negotiate the frame codec, then expose the
-//! connection as a [`WorkerLink`](crate::scheduler::WorkerLink) for the
-//! scheduler.
+//! The coordinator's side of one worker connection: dial the daemon,
+//! authenticate when `--auth-key` is set, read its `Hello`, negotiate
+//! the frame codec, then expose the connection as a
+//! [`WorkerLink`](crate::scheduler::WorkerLink) for the scheduler.
 //!
 //! Liveness lives here: every worker socket carries a read deadline of
 //! [`RemoteOptions::heartbeat_deadline`]. Healthy daemons emit a
@@ -24,12 +23,12 @@ use crate::fleet;
 use crate::frame::{self, Codec};
 use crate::protocol::{Message, CAP_OBS1, CODEC_BIN1};
 use crate::scheduler::{WorkerEvent, WorkerLink};
-use crate::{Registration, RemoteOptions};
+use crate::RemoteOptions;
 use std::io::{self, BufReader};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-/// A worker daemon reached over TCP (dialed or self-registered).
+/// A worker daemon reached over TCP.
 struct TcpWorkerLink {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -61,9 +60,12 @@ fn observe_flags(remote: &RemoteOptions, codecs: &[String]) -> (bool, bool) {
 
 /// Connects to `addr` within `remote.connect_timeout` (a blackholed
 /// address must not stall startup for the OS default of minutes) and
-/// applies the heartbeat read deadline to the stream. The error names
-/// the address: with several `--workers`, "connection timed out" alone
-/// does not say which machine to go look at.
+/// configures the stream: no Nagle (frames are small and
+/// latency-sensitive — each `CellDone` unblocks scheduling decisions)
+/// and the heartbeat read deadline (zero = the deadline is disabled and
+/// reads block forever). The error names the address: with several
+/// `--workers`, "connection timed out" alone does not say which machine
+/// to go look at.
 fn connect(addr: &str, remote: &RemoteOptions) -> io::Result<TcpStream> {
     let timeout = remote.connect_timeout;
     let stream = connect_bounded(addr, timeout).map_err(|error| {
@@ -72,7 +74,9 @@ fn connect(addr: &str, remote: &RemoteOptions) -> io::Result<TcpStream> {
             format!("worker {addr} unreachable within {timeout:?}: {error}"),
         )
     })?;
-    configure(&stream, remote)?;
+    stream.set_nodelay(true)?;
+    let deadline = remote.heartbeat_deadline;
+    stream.set_read_timeout((!deadline.is_zero()).then_some(deadline))?;
     Ok(stream)
 }
 
@@ -81,7 +85,7 @@ fn connect(addr: &str, remote: &RemoteOptions) -> io::Result<TcpStream> {
 /// host whose first record is unreachable must not shadow a reachable
 /// second one), and the last error is reported. Zero timeout = plain
 /// `connect`.
-pub(crate) fn connect_bounded(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
+fn connect_bounded(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
     if timeout.is_zero() {
         return TcpStream::connect(addr);
     }
@@ -98,16 +102,6 @@ pub(crate) fn connect_bounded(addr: &str, timeout: Duration) -> io::Result<TcpSt
             format!("address `{addr}` resolves to no socket address"),
         )
     }))
-}
-
-/// Socket options every worker link needs, dialed or accepted: no Nagle
-/// (frames are small and latency-sensitive — each `CellDone` unblocks
-/// scheduling decisions) and the heartbeat read deadline (zero = the
-/// deadline is disabled and reads block forever).
-fn configure(stream: &TcpStream, remote: &RemoteOptions) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    let deadline = remote.heartbeat_deadline;
-    stream.set_read_timeout((!deadline.is_zero()).then_some(deadline))
 }
 
 /// Picks the frame codec for a worker that advertised `codecs` and, when
@@ -148,7 +142,7 @@ pub fn dial(
     // cannot stall the handshake either.
     let mut first = frame::read_message(&mut reader).map_err(|e| deadline_error(remote, e))?;
     if let Message::AuthChallenge { nonce } = &first {
-        // The worker demands authentication (it is the acceptor here).
+        // The worker demands authentication.
         let Some(key) = &remote.auth_key else {
             return Err(io::Error::new(
                 io::ErrorKind::PermissionDenied,
@@ -190,105 +184,6 @@ pub fn dial(
             format!("worker {addr} opened with {other:?} instead of Hello"),
         )),
     }
-}
-
-/// Binds `registration.listen` and accepts worker daemons dialing *in*
-/// (`repro serve --register`) until `registration.expect` of them have
-/// sent a valid `Register` frame; returns their connected links. A
-/// connection that opens with anything else (or goes silent before
-/// registering) is logged and dropped — the listener keeps accepting, so
-/// a port-scanner cannot consume a registration slot. With an auth key,
-/// the coordinator (the acceptor here) challenges every connection
-/// before reading its `Register`; failing the handshake also just drops
-/// the connection.
-///
-/// The bound address is announced on stderr as
-/// `remote: listening for workers on <addr> (expecting <n>)` so scripts
-/// binding port `0` can discover the real port.
-pub fn accept_registrations(
-    registration: &Registration,
-    remote: &RemoteOptions,
-    fingerprint: u64,
-) -> io::Result<Vec<(String, Box<dyn WorkerLink>)>> {
-    let listener = TcpListener::bind(&registration.listen)?;
-    let bound = listener.local_addr()?;
-    eprintln!(
-        "remote: listening for workers on {bound} (expecting {})",
-        registration.expect
-    );
-    let mut links: Vec<(String, Box<dyn WorkerLink>)> = Vec::new();
-    while links.len() < registration.expect {
-        let (stream, peer) = match listener.accept() {
-            Ok(accepted) => accepted,
-            Err(error) => {
-                eprintln!("remote: accepting a registration failed: {error}; continuing");
-                std::thread::sleep(Duration::from_millis(50));
-                continue;
-            }
-        };
-        let peer = peer.to_string();
-        // The handshake must complete promptly even when the run's
-        // heartbeat deadline is disabled: a half-open connection must
-        // not wedge the rendezvous.
-        let handshake = match remote.heartbeat_deadline {
-            deadline if deadline.is_zero() => Duration::from_secs(10),
-            deadline => deadline,
-        };
-        let register = configure(&stream, remote)
-            .and_then(|()| stream.set_read_timeout(Some(handshake)))
-            .and_then(|()| stream.try_clone())
-            .and_then(|mut writer| {
-                let mut reader = BufReader::new(stream);
-                if let Some(key) = &remote.auth_key {
-                    auth::acceptor_handshake(&mut reader, &mut writer, key)?;
-                }
-                frame::read_message(&mut reader).map(|message| (message, reader, writer))
-            });
-        match register {
-            Ok((Message::Register { capacity, codecs }, reader, mut writer)) => {
-                // Restore the run deadline the handshake timeout replaced
-                // (the clone shares the socket, so this covers the reader).
-                let deadline = remote.heartbeat_deadline;
-                let configured = writer
-                    .set_read_timeout((!deadline.is_zero()).then_some(deadline))
-                    .and_then(|()| negotiate(&mut writer, remote, &codecs));
-                let codec = match configured {
-                    Ok(codec) => codec,
-                    Err(error) => {
-                        eprintln!("remote: configuring registered worker {peer} failed: {error}");
-                        continue;
-                    }
-                };
-                eprintln!(
-                    "remote: worker {peer} registered with capacity {capacity} ({}/{})",
-                    links.len() + 1,
-                    registration.expect
-                );
-                let (observe, trace) = observe_flags(remote, &codecs);
-                links.push((
-                    peer.clone(),
-                    Box::new(TcpWorkerLink {
-                        reader,
-                        writer,
-                        capacity,
-                        remote: remote.clone(),
-                        fingerprint,
-                        codec,
-                        addr: peer,
-                        observe,
-                        trace,
-                    }),
-                ));
-            }
-            Ok((other, _, _)) => {
-                eprintln!("remote: {peer} opened with {other:?} instead of Register; dropping");
-            }
-            Err(error) => {
-                eprintln!("remote: registration from {peer} failed: {error}; dropping");
-            }
-        }
-    }
-    Ok(links)
 }
 
 /// Rewrites a socket-timeout error into the liveness verdict it means:
@@ -372,6 +267,7 @@ impl WorkerLink for TcpWorkerLink {
 mod tests {
     use super::*;
     use sdiq_core::MatrixSpec;
+    use std::net::TcpListener;
 
     fn test_spec(heartbeat_deadline: Duration) -> RemoteOptions {
         RemoteOptions {

@@ -39,10 +39,11 @@
 //!   [`BackendError`] when the pool drains. Liveness is
 //!   heartbeat-deadline based: a worker silent past
 //!   [`RemoteOptions::heartbeat_deadline`] counts as dead even if its
-//!   socket never closes (hung OS, blackholed network). Workers can
-//!   also self-register: `repro serve --register host:port` dials the
-//!   coordinator's rendezvous listener ([`Registration`]) instead of
-//!   being dialed, for fleets behind NAT.
+//!   socket never closes (hung OS, blackholed network).
+//!
+//! Every connection has one shape: the coordinator dials a
+//! `repro serve --listen` daemon, the daemon accepts it, challenges it
+//! when `--auth-key` is set, and greets it with `Hello`.
 //!
 //! ## Wiring into the engine
 //!
@@ -68,8 +69,6 @@ pub mod frame;
 pub mod protocol;
 pub mod scheduler;
 pub mod server;
-
-use scheduler::WorkerSource;
 
 /// Locks `mutex`, recovering from poisoning. Every critical section in
 /// this crate mutates plain state with no panic point mid-update, so a
@@ -110,10 +109,6 @@ pub struct RemoteOptions {
     /// Worker daemon addresses to dial (`host:port`), one entry per
     /// worker.
     pub workers: Vec<String>,
-    /// When set, the coordinator additionally listens for worker daemons
-    /// that dial *it* (`repro serve --register`) and waits for this many
-    /// registrations before scheduling — the NAT'd-fleet rendezvous.
-    pub registration: Option<Registration>,
     /// The portable matrix description shipped to every worker, so a
     /// daemon that never saw this run's command line rebuilds the
     /// identical cell space. Must describe the same matrix [`run`] is
@@ -139,9 +134,9 @@ pub struct RemoteOptions {
     /// codecs against each other.
     pub binary_wire: bool,
     /// Shared secret for the HMAC handshake (`--auth-key`). When set,
-    /// every connection (dialed and registered) must prove knowledge of
-    /// the key before any protocol frame; `None` leaves connections
-    /// unauthenticated (trusted networks only). Both sides must agree.
+    /// every connection must prove knowledge of the key before any
+    /// protocol frame; `None` leaves connections unauthenticated (trusted
+    /// networks only). Both sides must agree.
     pub auth_key: Option<String>,
     /// Fleet observability: metrics piggybacked on heartbeats and/or span
     /// tracing shipped back per batch (default: neither). Strictly
@@ -156,7 +151,6 @@ impl RemoteOptions {
     pub fn new(spec: MatrixSpec) -> RemoteOptions {
         RemoteOptions {
             workers: Vec::new(),
-            registration: None,
             spec,
             retry_budget: DEFAULT_RETRY_BUDGET,
             connect_timeout: DEFAULT_CONNECT_TIMEOUT,
@@ -179,18 +173,6 @@ pub struct ObserveSpec {
     /// Workers record spans and ship them back before `Done`, for the
     /// coordinator's Chrome-trace export.
     pub trace: bool,
-}
-
-/// Rendezvous configuration for worker self-registration: instead of the
-/// coordinator dialing `host:port` workers, daemons behind NAT dial the
-/// coordinator and announce themselves with a `Register` frame.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Registration {
-    /// Address the coordinator binds for incoming registrations
-    /// (`host:port`; port `0` picks a free one).
-    pub listen: String,
-    /// How many worker registrations to wait for before scheduling.
-    pub expect: usize,
 }
 
 /// A failure of a remote run (worker dial, worker death, a
@@ -218,11 +200,10 @@ impl fmt::Display for BackendError {
 impl std::error::Error for BackendError {}
 
 /// Distributes `matrix`'s missing cells (those not in `seed`) over the
-/// fleet `remote` describes and assembles the full sweep: the
-/// registration rendezvous (when configured) runs first, so
-/// self-registered workers join the same pool as dialed ones, then the
-/// scheduler drives every worker over TCP. `sink` observes each cell
-/// as it streams in, so a killed coordinator keeps what finished.
+/// worker daemons `remote` names and assembles the full sweep: the
+/// scheduler dials every worker and drives it over TCP. `sink` observes
+/// each cell as it streams in, so a killed coordinator keeps what
+/// finished.
 pub fn run(
     matrix: &Matrix<'_>,
     remote: &RemoteOptions,
@@ -232,26 +213,5 @@ pub fn run(
     // A fresh fleet view per run: worker ids (= trace pid lanes) and
     // reported totals are scoped to one run.
     fleet::reset();
-    let mut sources: Vec<WorkerSource> = remote
-        .workers
-        .iter()
-        .cloned()
-        .map(WorkerSource::Dial)
-        .collect();
-    if let Some(registration) = &remote.registration {
-        let fingerprint = sdiq_core::matrix_fingerprint(&matrix.cell_keys());
-        let registered =
-            client::accept_registrations(registration, remote, fingerprint).map_err(|e| {
-                BackendError::new(format!(
-                    "waiting for worker registrations on {}: {e}",
-                    registration.listen
-                ))
-            })?;
-        sources.extend(
-            registered
-                .into_iter()
-                .map(|(addr, link)| WorkerSource::Ready { addr, link }),
-        );
-    }
-    scheduler::run_with_sources(matrix, remote, seed, sink, client::dial, sources)
+    scheduler::run(matrix, remote, seed, sink, client::dial)
 }

@@ -4,12 +4,11 @@
 //!
 //! ```text
 //! (with --auth-key, first — always JSON-framed:)
-//! acceptor → dialer      AuthChallenge{nonce}       prove you hold the key
-//! dialer → acceptor      AuthResponse{nonce, mac}   my nonce + HMAC over both
-//! acceptor → dialer      AuthOk{mac}                mutual proof, then the grammar below
+//! worker → coordinator   AuthChallenge{nonce}       prove you hold the key
+//! coordinator → worker   AuthResponse{nonce, mac}   my nonce + HMAC over both
+//! worker → coordinator   AuthOk{mac}                mutual proof, then the grammar below
 //!
 //! worker → coordinator   Hello{capacity, codecs}    once, on accept
-//! worker → coordinator   Register{capacity, codecs} once, when the *worker* dialed
 //! coordinator → worker   SetCodec{codec}            optional, switches both directions
 //! coordinator → worker   RunCells{fingerprint, spec, keys}     per batch
 //! worker → coordinator   Heartbeat                  keep-alive, any time
@@ -172,16 +171,6 @@ pub enum Message {
         /// then, so such a greeting is byte-identical to a pre-codec one.
         codecs: Vec<String>,
     },
-    /// Worker → coordinator greeting with the dial direction reversed:
-    /// a NAT'd daemon (`repro serve --register`) dialed the coordinator's
-    /// rendezvous listener and is announcing itself. After this frame the
-    /// connection is indistinguishable from a dialed-and-`Hello`ed one.
-    Register {
-        /// Advertised parallel capacity (≥ 1), exactly as in [`Message::Hello`].
-        capacity: usize,
-        /// Additional frame codecs, exactly as in [`Message::Hello`].
-        codecs: Vec<String>,
-    },
     /// Coordinator → worker: switch every subsequent frame in both
     /// directions to `codec` (which the worker's greeting advertised).
     /// Sent at most once, before any [`Message::RunCells`].
@@ -281,22 +270,18 @@ impl Message {
             fields.insert(0, ("type".to_string(), Json::Str(tag.to_string())));
             Json::Obj(fields)
         };
-        // `codecs` is omitted when empty so a codec-less greeting renders
-        // byte-identically to one from a pre-negotiation build.
-        let greeting = |capacity: &usize, codecs: &Vec<String>| {
-            let mut fields = vec![("capacity".to_string(), Json::of_usize(*capacity))];
-            if !codecs.is_empty() {
-                fields.push((
-                    "codecs".to_string(),
-                    Json::Arr(codecs.iter().cloned().map(Json::Str).collect()),
-                ));
-            }
-            fields
-        };
         match self {
-            Message::Hello { capacity, codecs } => tagged("hello", greeting(capacity, codecs)),
-            Message::Register { capacity, codecs } => {
-                tagged("register", greeting(capacity, codecs))
+            Message::Hello { capacity, codecs } => {
+                let mut fields = vec![("capacity".to_string(), Json::of_usize(*capacity))];
+                // Omitted when empty, so a codec-less greeting renders
+                // byte-identically to one from a pre-negotiation build.
+                if !codecs.is_empty() {
+                    fields.push((
+                        "codecs".to_string(),
+                        Json::Arr(codecs.iter().cloned().map(Json::Str).collect()),
+                    ));
+                }
+                tagged("hello", fields)
             }
             Message::SetCodec { codec } => tagged(
                 "set_codec",
@@ -375,25 +360,18 @@ impl Message {
     /// Parses a message out of the shared JSON model.
     pub fn from_json(json: &Json) -> Result<Message, PersistError> {
         let tag = json.get("type")?.str()?;
-        // Absent on greetings from pre-negotiation builds: default empty.
-        let codecs = |json: &Json| -> Result<Vec<String>, PersistError> {
-            match json.get("codecs") {
-                Err(_) => Ok(Vec::new()),
-                Ok(list) => list
-                    .arr()?
-                    .iter()
-                    .map(|codec| codec.str().map(str::to_string))
-                    .collect(),
-            }
-        };
         match tag {
             "hello" => Ok(Message::Hello {
                 capacity: json.get("capacity")?.usize()?,
-                codecs: codecs(json)?,
-            }),
-            "register" => Ok(Message::Register {
-                capacity: json.get("capacity")?.usize()?,
-                codecs: codecs(json)?,
+                // Absent on pre-negotiation greetings: default empty.
+                codecs: match json.get("codecs") {
+                    Err(_) => Vec::new(),
+                    Ok(list) => list
+                        .arr()?
+                        .iter()
+                        .map(|codec| codec.str().map(str::to_string))
+                        .collect::<Result<_, _>>()?,
+                },
             }),
             "set_codec" => Ok(Message::SetCodec {
                 codec: json.get("codec")?.str()?.to_string(),
@@ -506,10 +484,6 @@ mod tests {
                 capacity: 4,
                 codecs: Vec::new(),
             },
-            Message::Register {
-                capacity: 16,
-                codecs: vec![CODEC_BIN1.to_string()],
-            },
             Message::SetCodec {
                 codec: CODEC_BIN1.to_string(),
             },
@@ -588,10 +562,13 @@ mod tests {
                 "{text} must round-trip"
             );
         }
-        assert!(
-            Message::parse("{\"type\":\"warp\"}").is_err(),
-            "unknown tag"
-        );
+        // `register` names no message: a peer that sends it is refused.
+        for unknown in [
+            r#"{"type":"warp"}"#,
+            r#"{"type":"register","capacity":2,"codecs":["bin1"]}"#,
+        ] {
+            assert!(Message::parse(unknown).is_err(), "unknown tag: {unknown}");
+        }
         assert!(Message::parse("{\"capacity\":1}").is_err(), "untagged");
     }
 
@@ -631,10 +608,10 @@ mod tests {
         // And the advertisement parses from explicit JSON (what an old
         // coordinator receives from a new worker — it reads `capacity`
         // and ignores the rest).
-        let parsed = Message::parse(r#"{"type":"register","capacity":2,"codecs":["bin1"]}"#);
+        let parsed = Message::parse(r#"{"type":"hello","capacity":2,"codecs":["bin1"]}"#);
         assert_eq!(
             parsed.unwrap(),
-            Message::Register {
+            Message::Hello {
                 capacity: 2,
                 codecs: vec![CODEC_BIN1.to_string()],
             }

@@ -13,9 +13,6 @@
 //! replays once and drops the plans when the batch is done. Each cell
 //! has exactly one copy in flight, so the fleet does exactly the
 //! in-process engine's plan work.
-//! A worker is either dialed by its driver ([`WorkerSource::Dial`]) or
-//! arrives pre-connected from the registration rendezvous
-//! ([`WorkerSource::Ready`], a daemon that dialed *us*).
 //!
 //! Fault model: a worker may die at any point — refuse the dial, drop
 //! mid-batch, go **silent past the heartbeat deadline** (the link
@@ -82,7 +79,7 @@ fn wall_stamp(wall: SystemTime) -> String {
 
 /// A connected worker, as one driver thread sees it.
 pub trait WorkerLink: Send {
-    /// The capacity the worker advertised in its `Hello`/`Register`.
+    /// The capacity the worker advertised in its `Hello`.
     fn capacity(&self) -> usize;
 
     /// Submits a batch of cell keys.
@@ -109,20 +106,6 @@ pub enum WorkerEvent {
 /// options carry what the link needs (the `RunCells` matrix description,
 /// the connect timeout, the heartbeat deadline).
 pub type Dialer = fn(&str, &RemoteOptions, u64) -> io::Result<Box<dyn WorkerLink>>;
-
-/// One worker as handed to a driver thread.
-pub enum WorkerSource {
-    /// An address the driver dials through the scheduler's [`Dialer`].
-    Dial(String),
-    /// A link already connected and greeted — a worker that registered
-    /// itself at the rendezvous listener (`repro serve --register`).
-    Ready {
-        /// The peer address, for failure messages.
-        addr: String,
-        /// The connected link.
-        link: Box<dyn WorkerLink>,
-    },
-}
 
 /// The work ledger: pending plan groups plus the number of claimed
 /// cells with no recorded result — guarded together so
@@ -312,9 +295,7 @@ impl State {
 /// Runs `matrix`'s missing cells over the remote worker pool —
 /// `spec.workers` addresses dialed through `dialer` — and assembles the
 /// full sweep (see the module docs for the scheduling and fault model).
-/// Production callers go through [`crate::run`], which plugs in TCP
-/// (and, when registration is configured, pre-connected links via
-/// [`run_with_sources`]).
+/// Production callers go through [`crate::run`], which plugs in TCP.
 pub fn run(
     matrix: &Matrix<'_>,
     spec: &RemoteOptions,
@@ -322,28 +303,9 @@ pub fn run(
     sink: Option<&dyn CellSink>,
     dialer: Dialer,
 ) -> Result<Sweep, BackendError> {
-    let sources = spec
-        .workers
-        .iter()
-        .cloned()
-        .map(WorkerSource::Dial)
-        .collect();
-    run_with_sources(matrix, spec, seed, sink, dialer, sources)
-}
-
-/// [`run`] over an explicit worker pool: dialed addresses, pre-connected
-/// registered links, or a mix of both.
-pub fn run_with_sources(
-    matrix: &Matrix<'_>,
-    spec: &RemoteOptions,
-    seed: &HashMap<String, RunReport>,
-    sink: Option<&dyn CellSink>,
-    dialer: Dialer,
-    sources: Vec<WorkerSource>,
-) -> Result<Sweep, BackendError> {
-    if sources.is_empty() {
+    if spec.workers.is_empty() {
         return Err(BackendError::new(
-            "remote backend needs at least one worker (a --workers address or a registered daemon)",
+            "remote backend needs at least one worker (a --workers address)",
         ));
     }
     let fingerprint = sdiq_core::matrix_fingerprint(&matrix.cell_keys());
@@ -351,11 +313,11 @@ pub fn run_with_sources(
     let state = State::new(matrix.missing_cell_groups(seed));
 
     std::thread::scope(|scope| {
-        for source in sources {
+        for addr in &spec.workers {
             let state = &state;
             let expected = &expected;
             scope.spawn(move || {
-                drive_worker(source, spec, fingerprint, state, expected, sink, dialer);
+                drive_worker(addr, spec, fingerprint, state, expected, sink, dialer);
                 // Deliver this driver's spans/instants before the scope
                 // owner can observe the thread as finished — the TLS
                 // teardown flush races the coordinator's drain.
@@ -428,11 +390,11 @@ pub fn run_with_sources(
     Ok(matrix.run_with(&ArtifactCache::new(), &merged))
 }
 
-/// One worker's driver loop: dial (unless pre-connected), then
-/// claim/submit/receive until the queue is empty, the worker dies or
-/// goes silent past the heartbeat deadline, or the run turns fatal. A
-/// worker released because the run needs nothing more is first read
-/// until every batch submitted to it is acknowledged.
+/// One worker's driver loop: dial, then claim/submit/receive until the
+/// queue is empty, the worker dies or goes silent past the heartbeat
+/// deadline, or the run turns fatal. A worker released because the run
+/// needs nothing more is first read until every batch submitted to it is
+/// acknowledged.
 ///
 /// Batches are **pipelined**: instead of draining one batch to `Done`
 /// before claiming the next (one idle round-trip per batch, per worker),
@@ -447,7 +409,7 @@ pub fn run_with_sources(
 /// nothing outstanding — which keeps the park/termination semantics of
 /// a scheduler that sends one batch at a time.
 fn drive_worker(
-    source: WorkerSource,
+    addr: &str,
     spec: &RemoteOptions,
     fingerprint: u64,
     state: &State,
@@ -456,20 +418,16 @@ fn drive_worker(
     dialer: Dialer,
 ) {
     let retry_budget = spec.retry_budget;
-    let (addr, mut link) = match source {
-        WorkerSource::Ready { addr, link } => (addr, link),
-        WorkerSource::Dial(addr) => match dialer(&addr, spec, fingerprint) {
-            Ok(link) => (addr, link),
-            Err(error) => {
-                // Nothing was claimed yet, so nothing re-queues; the worker
-                // simply never joins the pool.
-                lock_or_recover(&state.failures)
-                    .push(format!("worker {addr}: dial failed: {error}"));
-                eprintln!("remote: worker {addr}: dial failed: {error}");
-                state.note(&addr, "dial-failed", error.to_string());
-                return;
-            }
-        },
+    let mut link = match dialer(addr, spec, fingerprint) {
+        Ok(link) => link,
+        Err(error) => {
+            // Nothing was claimed yet, so nothing re-queues; the worker
+            // simply never joins the pool.
+            lock_or_recover(&state.failures).push(format!("worker {addr}: dial failed: {error}"));
+            eprintln!("remote: worker {addr}: dial failed: {error}");
+            state.note(addr, "dial-failed", error.to_string());
+            return;
+        }
     };
     let capacity = link.capacity().max(1);
     let window = capacity.saturating_mul(2);
@@ -495,9 +453,9 @@ fn drive_worker(
             let batch = state.claim(capacity);
             finishing = batch.is_empty();
             if !finishing {
-                if let Err(error) = issue(&mut *link, &addr, &batch) {
+                if let Err(error) = issue(&mut *link, addr, &batch) {
                     state.requeue(
-                        &addr,
+                        addr,
                         batch,
                         retry_budget,
                         &format!("submit failed: {error}"),
@@ -522,15 +480,10 @@ fn drive_worker(
             if extra.is_empty() {
                 break;
             }
-            if let Err(error) = issue(&mut *link, &addr, &extra) {
+            if let Err(error) = issue(&mut *link, addr, &extra) {
                 let mut owed: Vec<String> = batches.drain(..).flatten().collect();
                 owed.extend(extra);
-                state.requeue(
-                    &addr,
-                    owed,
-                    retry_budget,
-                    &format!("submit failed: {error}"),
-                );
+                state.requeue(addr, owed, retry_budget, &format!("submit failed: {error}"));
                 return;
             }
             outstanding += extra.len();
@@ -566,7 +519,7 @@ fn drive_worker(
                 Some(_) => {
                     let owed: Vec<String> = batches.drain(..).flatten().collect();
                     state.requeue(
-                        &addr,
+                        addr,
                         owed,
                         retry_budget,
                         "batch reported done with cells still owed",
@@ -595,11 +548,11 @@ fn drive_worker(
                 // from it.
                 if error.kind() == io::ErrorKind::TimedOut {
                     sdiq_obs::metrics().deadline_verdicts.inc();
-                    state.note(&addr, "presumed-hung", error.to_string());
+                    state.note(addr, "presumed-hung", error.to_string());
                 }
                 let owed: Vec<String> = batches.drain(..).flatten().collect();
                 state.requeue(
-                    &addr,
+                    addr,
                     owed,
                     retry_budget,
                     &format!("died mid-batch: {error}"),

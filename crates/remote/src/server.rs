@@ -15,12 +15,9 @@
 //! compute into the cache (warming it for the retry), and the daemon
 //! goes back to `accept`.
 //!
-//! Two dial directions: normally the coordinator dials the daemon
-//! (`--listen`, greeting `Hello`); with `--register host:port` the
-//! daemon instead dials the coordinator's rendezvous listener and greets
-//! with `Register` — after which the connection is identical. The
-//! reverse direction exists for worker fleets behind NAT, where only
-//! outbound connections are possible.
+//! Every connection has one shape: the coordinator dials the daemon's
+//! `--listen` address, the daemon challenges it when `--auth-key` is set
+//! and greets it with `Hello`.
 
 use crate::auth;
 use crate::frame::{self, Codec};
@@ -37,15 +34,7 @@ use std::time::Duration;
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Address to bind (`host:port`; port `0` picks a free one).
-    /// Ignored when `register` is set — a registering daemon dials out
-    /// instead of listening.
     pub listen: String,
-    /// When set, reverse the dial direction: dial this coordinator
-    /// rendezvous address (`repro --listen-workers`), announce capacity
-    /// with a `Register` frame, then serve that connection exactly like
-    /// an accepted one. For worker fleets behind NAT, where the
-    /// coordinator cannot dial in.
-    pub register: Option<String>,
     /// Parallel capacity advertised to coordinators and used as the
     /// in-process pool size (`0` = one per hardware thread).
     pub jobs: usize,
@@ -62,19 +51,9 @@ pub struct ServeOptions {
     /// blackholed network. Only the coordinator's heartbeat deadline can
     /// detect this one. `None` in production.
     pub stall_after: Option<usize>,
-    /// Silence-means-dead threshold a *registered* daemon applies to its
-    /// coordinator socket (`SO_RCVTIMEO`): a coordinator that holds the
-    /// connection but never speaks again — hung process, blackholed
-    /// network — would otherwise wedge the daemon in a read forever,
-    /// with no listener to fall back to. Past the deadline the daemon
-    /// drops the connection and re-registers. Zero disables the
-    /// deadline; listening daemons never apply one (an accepted
-    /// coordinator that dies is survived by going back to `accept`).
-    pub heartbeat_deadline: Duration,
     /// Shared secret for the HMAC handshake (`--auth-key`). With a key
-    /// set, a listening daemon challenges every coordinator before
-    /// greeting it, and a registering daemon expects the coordinator's
-    /// challenge before sending `Register`. `None` skips the handshake.
+    /// set, the daemon challenges every coordinator before greeting it.
+    /// `None` skips the handshake.
     pub auth_key: Option<String>,
     /// Advertise the compact `bin1` frame codec in the greeting
     /// (default; `--wire json` turns it off, pinning the connection to
@@ -92,6 +71,11 @@ pub struct ServeOptions {
 /// 30 s deadline).
 const HEARTBEAT_INTERVAL: Duration = Duration::from_secs(1);
 
+/// Bound on each read of the auth handshake: a peer that connects and
+/// never completes it must not wedge the daemon, which serves one
+/// coordinator at a time.
+const AUTH_HANDSHAKE_DEADLINE: Duration = crate::DEFAULT_HEARTBEAT_DEADLINE;
+
 /// Runs the worker daemon forever (until the process is killed):
 /// bind, print the bound address, then serve coordinators one at a time.
 ///
@@ -99,9 +83,6 @@ const HEARTBEAT_INTERVAL: Duration = Duration::from_secs(1);
 /// scripts that start daemons on port 0 can discover the real port;
 /// human logging goes to stderr.
 pub fn serve(options: &ServeOptions) -> io::Result<()> {
-    if let Some(coordinator) = &options.register {
-        return serve_registered(coordinator, options);
-    }
     let listener = TcpListener::bind(&options.listen)?;
     let addr = listener.local_addr()?;
     let capacity = effective_capacity(options.jobs);
@@ -129,14 +110,7 @@ pub fn serve(options: &ServeOptions) -> io::Result<()> {
             .map(|peer| peer.to_string())
             .unwrap_or_else(|_| "<unknown>".to_string());
         eprintln!("sdiq-remote worker: coordinator connected from {peer}");
-        match handle_connection(
-            stream,
-            capacity,
-            &cache,
-            &delivered,
-            options,
-            Greeting::Hello,
-        ) {
+        match handle_connection(stream, capacity, &cache, &delivered, options) {
             Ok(()) => eprintln!("sdiq-remote worker: coordinator {peer} disconnected"),
             Err(error) => {
                 // The daemon outlives any one coordinator: log and accept
@@ -146,74 +120,6 @@ pub fn serve(options: &ServeOptions) -> io::Result<()> {
         }
     }
     unreachable!("TcpListener::incoming never returns None");
-}
-
-/// The reverse-dial daemon: dial the coordinator's rendezvous address
-/// (retrying until it exists — worker fleets come up in any order),
-/// announce capacity with `Register`, then serve that connection exactly
-/// like an accepted one. When the coordinator finishes and closes, loop
-/// back and re-register, so the daemon is ready for the next run.
-fn serve_registered(coordinator: &str, options: &ServeOptions) -> io::Result<()> {
-    let capacity = effective_capacity(options.jobs);
-    // Machine-readable first line, mirroring `LISTENING <addr>`, so
-    // scripts know the daemon is up before a coordinator exists.
-    println!("REGISTERING {coordinator}");
-    io::stdout().flush()?;
-    eprintln!(
-        "sdiq-remote worker: registering with coordinator at {coordinator}, capacity {capacity}"
-    );
-    let cache = ArtifactCache::new();
-    let delivered = AtomicUsize::new(0);
-    // Each knock is bounded: a blackholed coordinator address must cost
-    // one short timeout per attempt, not the OS connect default
-    // (minutes) — the same stall the coordinator-side connect_timeout
-    // exists to prevent.
-    const KNOCK_TIMEOUT: Duration = Duration::from_secs(5);
-    let deadline = options.heartbeat_deadline;
-    loop {
-        let stream = match crate::client::connect_bounded(coordinator, KNOCK_TIMEOUT) {
-            Ok(stream) => stream,
-            Err(_) => {
-                // No coordinator (yet): keep knocking. The interval is a
-                // trade-off between rendezvous latency and log noise.
-                std::thread::sleep(Duration::from_millis(250));
-                continue;
-            }
-        };
-        // The liveness guard this dial direction needs: an accepted
-        // coordinator that dies is survived by returning to `accept`,
-        // but a dialed one that goes silent would hold the read below
-        // forever — there is no listener behind it. The deadline turns
-        // that silence into an error, and the loop re-registers.
-        if let Err(error) = stream.set_read_timeout((!deadline.is_zero()).then_some(deadline)) {
-            eprintln!("sdiq-remote worker: configuring coordinator socket failed: {error}");
-            std::thread::sleep(Duration::from_millis(250));
-            continue;
-        }
-        eprintln!("sdiq-remote worker: registered with coordinator {coordinator}");
-        match handle_connection(
-            stream,
-            capacity,
-            &cache,
-            &delivered,
-            options,
-            Greeting::Register,
-        ) {
-            Ok(()) => eprintln!("sdiq-remote worker: coordinator {coordinator} released us"),
-            Err(error) => {
-                eprintln!("sdiq-remote worker: connection to {coordinator} failed: {error}")
-            }
-        }
-        std::thread::sleep(Duration::from_millis(250));
-    }
-}
-
-/// Which greeting this daemon owes on a fresh connection: `Hello` when
-/// the coordinator dialed us, `Register` when we dialed the coordinator.
-#[derive(Clone, Copy)]
-enum Greeting {
-    Hello,
-    Register,
 }
 
 fn effective_capacity(jobs: usize) -> usize {
@@ -241,44 +147,16 @@ fn handle_connection(
     cache: &ArtifactCache,
     delivered: &AtomicUsize,
     options: &ServeOptions,
-    greeting: Greeting,
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
     let mut writer_stream = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     if let Some(key) = &options.auth_key {
-        // Bound the handshake: a peer that connects and never completes
-        // it must not wedge the daemon (which serves one coordinator at
-        // a time). Restored to the run configuration below.
-        let handshake = match options.heartbeat_deadline {
-            deadline if deadline.is_zero() => Duration::from_secs(10),
-            deadline => deadline,
-        };
-        writer_stream.set_read_timeout(Some(handshake))?;
-        match greeting {
-            // The coordinator dialed us: we challenge.
-            Greeting::Hello => auth::acceptor_handshake(&mut reader, &mut writer_stream, key)?,
-            // We dialed the coordinator: it challenges.
-            Greeting::Register => match frame::read_message(&mut reader)? {
-                Message::AuthChallenge { nonce } => {
-                    auth::dialer_handshake(&mut reader, &mut writer_stream, key, &nonce)?
-                }
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::PermissionDenied,
-                        format!(
-                            "coordinator sent {other:?} instead of AuthChallenge — is it \
-                             running without --auth-key?"
-                        ),
-                    ))
-                }
-            },
-        }
-        let deadline = options.heartbeat_deadline;
-        writer_stream.set_read_timeout(match greeting {
-            Greeting::Hello => None, // listening daemons run without one
-            Greeting::Register => (!deadline.is_zero()).then_some(deadline),
-        })?;
+        writer_stream.set_read_timeout(Some(AUTH_HANDSHAKE_DEADLINE))?;
+        auth::acceptor_handshake(&mut reader, &mut writer_stream, key)?;
+        // Past the handshake reads block again: a coordinator that dies
+        // is survived by going back to `accept`.
+        writer_stream.set_read_timeout(None)?;
     }
     let writer = Mutex::new(Conn {
         stream: writer_stream,
@@ -294,33 +172,10 @@ fn handle_connection(
     // TraceEvents). Riding the codecs list keeps old coordinators safe —
     // they select codecs by equality and ignore unknown entries.
     codecs.push(CAP_OBS1.to_string());
-    let greeting = match greeting {
-        Greeting::Hello => Message::Hello { capacity, codecs },
-        Greeting::Register => Message::Register { capacity, codecs },
-    };
-    write_locked(&writer, &greeting)?;
+    write_locked(&writer, &Message::Hello { capacity, codecs })?;
 
     loop {
-        // A timed-out read is the socket deadline tripping (`WouldBlock`
-        // on Unix `SO_RCVTIMEO`, `TimedOut` on Windows): rewrite it into
-        // the liveness verdict it means so the registered loop's log says
-        // why it is re-registering.
-        let message = match frame::read_message_opt(&mut reader) {
-            Ok(message) => message,
-            Err(error)
-                if matches!(
-                    error.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "coordinator silent past the heartbeat deadline — presumed hung",
-                ));
-            }
-            Err(error) => return Err(error),
-        };
-        let Some(message) = message else {
+        let Some(message) = frame::read_message_opt(&mut reader)? else {
             return Ok(()); // coordinator released us cleanly
         };
         match message {
@@ -659,7 +514,6 @@ impl CellSink for StreamSink<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
     use std::time::Instant;
 
     /// A batch that panics mid-computation must still stop its heartbeat
@@ -703,73 +557,5 @@ mod tests {
             "the loop waited {:?} on a stop that was already set",
             started.elapsed()
         );
-    }
-
-    /// Polls a non-blocking listener for the next connection, bounded so
-    /// a regression hangs the assertion, not the test suite.
-    fn accept_within(listener: &TcpListener, limit: Duration) -> TcpStream {
-        let deadline = Instant::now() + limit;
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    stream
-                        .set_nonblocking(false)
-                        .expect("accepted socket can be made blocking");
-                    return stream;
-                }
-                Err(error) if error.kind() == io::ErrorKind::WouldBlock => {
-                    assert!(Instant::now() < deadline, "no connection within {limit:?}");
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(error) => panic!("accept failed: {error}"),
-            }
-        }
-    }
-
-    /// Reads the daemon's opening frame and asserts it is `Register`.
-    fn expect_register(stream: &TcpStream) {
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .expect("read timeout is settable");
-        let mut reader = BufReader::new(stream.try_clone().expect("stream clones"));
-        match frame::read_message(&mut reader).expect("greeting arrives") {
-            Message::Register { .. } => {}
-            other => panic!("worker opened with {other:?} instead of Register"),
-        }
-    }
-
-    /// The wire shape of a hung rendezvous coordinator: it accepts the
-    /// worker's `Register` and then never speaks again, holding the
-    /// socket open. The worker must trip its heartbeat deadline and dial
-    /// the rendezvous again, not block in the read forever.
-    #[test]
-    fn a_silent_coordinator_makes_the_registered_worker_redial() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port binds");
-        listener.set_nonblocking(true).expect("listener can poll");
-        let coordinator = listener.local_addr().expect("bound address").to_string();
-        let options = ServeOptions {
-            listen: String::new(),
-            register: Some(coordinator),
-            jobs: 1,
-            fail_after: None,
-            stall_after: None,
-            heartbeat_deadline: Duration::from_millis(200),
-            auth_key: None,
-            advertise_binary: true,
-        };
-        // The daemon loops forever; park it on a thread the test outlives.
-        std::thread::spawn(move || {
-            let _ = serve(&options);
-        });
-
-        let first = accept_within(&listener, Duration::from_secs(10));
-        expect_register(&first);
-        // Total silence — but the socket stays open, so only the
-        // worker-side deadline can conclude the coordinator is gone.
-        let second = accept_within(&listener, Duration::from_secs(10));
-        expect_register(&second);
-        // `first` lived through the whole wait: the redial came from the
-        // deadline, not from a connection close.
-        drop(first);
     }
 }

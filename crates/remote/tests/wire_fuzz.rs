@@ -84,8 +84,6 @@ fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![
         (0usize..1024, arb_strings())
             .prop_map(|(capacity, codecs)| Message::Hello { capacity, codecs }),
-        (0usize..1024, arb_strings())
-            .prop_map(|(capacity, codecs)| Message::Register { capacity, codecs }),
         (0u8..1u8).prop_map(|_| Message::Heartbeat),
         (0usize..1 << 20).prop_map(|computed| Message::Done { computed }),
         arb_string().prop_map(|message| Message::Error { message }),
