@@ -1035,13 +1035,26 @@ fn main() {
             sweep
         };
 
+        let cells = matrix.collect_cells(&sweep);
         if let Some(path) = &options.save {
-            let cells = matrix.collect_cells(&sweep);
             std::fs::write(path, persist::save_cells(&cells)).unwrap_or_else(|e| {
                 eprintln!("error: writing {path}: {e}");
                 std::process::exit(2);
             });
             eprintln!("saved {} cells to {path}", cells.len());
+        }
+        // The executor stops a workload at the instruction cap, so a cell
+        // that reached it reports a cut-short run, not the whole workload.
+        let cap = experiment.max_dynamic_instructions;
+        let mut truncated = cells
+            .iter()
+            .filter(|(_, report)| report.stats.committed + report.stats.committed_hints >= cap);
+        if let Some((first, _)) = truncated.next() {
+            eprintln!(
+                "warning: {} cell(s) stopped at the {cap}-instruction cap, so their \
+                 workloads were cut short (first: {first})",
+                1 + truncated.count()
+            );
         }
         Some(sweep)
     } else {

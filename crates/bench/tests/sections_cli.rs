@@ -3,8 +3,10 @@
 //! reports the work the artifact cache shared, a flag that `repro`,
 //! `repro serve` or `repro lint` does not know is an error rather than an
 //! empty run, and a matrix no run can hold (a bad scale, an axis entry
-//! listed twice) exits 2 before any cell runs, in process and on a fleet.
+//! listed twice) exits 2 before any cell runs, in process and on a fleet,
+//! and a cell whose workload stopped at the instruction cap is reported.
 
+use sdiq_core::{persist, Experiment};
 use std::process::Command;
 
 #[test]
@@ -140,4 +142,57 @@ fn bad_matrix_inputs_exit_two_before_any_cell_runs() {
             assert!(output.stdout.is_empty(), "{what:?} printed a section");
         }
     }
+}
+
+/// A workload that reaches `Experiment::max_dynamic_instructions` is cut
+/// short by the executor. `repro` scans the suite it ends with, whatever
+/// its source, and names the first such cell on stderr; a `--load` that
+/// computes nothing must still warn, and a run below the cap must not.
+#[test]
+fn cells_at_the_instruction_cap_are_named_on_stderr() {
+    let dir = std::env::temp_dir().join(format!("sdiq-cap-warning-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let (saved, capped) = (dir.join("saved.json"), dir.join("capped.json"));
+    let repro = |args: &[&str]| {
+        let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--summary", "--scale", "0.02", "--benchmarks", "gzip"])
+            .args(["--techniques", "baseline"])
+            .args(args)
+            .output()
+            .expect("spawn repro");
+        let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+        assert!(output.status.success(), "repro {args:?} failed:\n{stderr}");
+        stderr
+    };
+    let warning = "instruction cap";
+
+    let stderr = repro(&["--save", saved.to_str().unwrap()]);
+    assert!(!stderr.contains(warning), "a short run warned:\n{stderr}");
+    let stderr = repro(&["--load", saved.to_str().unwrap()]);
+    assert!(stderr.contains("running 0 of 1"), "{stderr}");
+    assert!(
+        !stderr.contains(warning),
+        "an unedited reload warned:\n{stderr}"
+    );
+
+    let mut cells = persist::load_cells(&std::fs::read_to_string(&saved).unwrap()).unwrap();
+    assert_eq!(cells.len(), 1);
+    let (key, report) = cells.iter_mut().next().unwrap();
+    let key = key.clone();
+    report.stats.committed =
+        Experiment::paper().max_dynamic_instructions - report.stats.committed_hints;
+    std::fs::write(&capped, persist::save_cells(&cells.into_iter().collect())).unwrap();
+    let stderr = repro(&["--load", capped.to_str().unwrap()]);
+    assert!(
+        stderr.contains("running 0 of 1"),
+        "the reload computed:\n{stderr}"
+    );
+    let warnings: Vec<&str> = stderr.lines().filter(|l| l.contains(warning)).collect();
+    assert_eq!(warnings.len(), 1, "{stderr}");
+    assert!(
+        warnings[0].contains("1 cell(s)") && warnings[0].contains(&format!("(first: {key})")),
+        "the warning does not count and name the capped cell: {}",
+        warnings[0]
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -95,8 +95,11 @@ pub struct Experiment {
     /// Scale factor applied to every benchmark's outer iteration count
     /// (1.0 = the default scale used by the reproduction figures).
     pub scale: f64,
-    /// Hard cap on executed dynamic instructions per run (a safety net; the
-    /// workloads terminate well below it).
+    /// Hard cap on executed dynamic instructions per run, hint NOOPs
+    /// included. On the Table 1 machine every cell ends below it up to
+    /// scale 15.4; from 15.45 `bzip2` is cut short, and more benchmarks at
+    /// larger scales. `repro` warns on stderr about every cell that
+    /// reached it.
     pub max_dynamic_instructions: u64,
 }
 

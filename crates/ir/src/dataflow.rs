@@ -1,19 +1,15 @@
-//! Generic iterative dataflow analysis over the CFG.
+//! Iterative dataflow analysis over the CFG.
 //!
-//! The verifier and the compiler pass both need the classic bit-vector
-//! analyses: liveness for dead-value reasoning, reaching definitions for
-//! def-use chains, definite assignment for def-before-use checking, and
-//! upward-exposed operands for loop-carried dependence detection. Rather
-//! than each client hand-rolling its own fixpoint loop, this module solves
-//! any monotone forward or backward problem with a worklist over the
-//! [`Cfg`], and provides those four analyses as reusable instances over the
-//! flat 64-register architectural file (`r0..r31`, `f0..f31` — see
-//! [`sdiq_isa::ArchReg::flat_index`]).
+//! The verifier's def-before-use check (`REG001`) needs definite
+//! assignment, a forward must-analysis over the flat 64-register
+//! architectural file (`r0..r31`, `f0..f31` — see
+//! [`sdiq_isa::ArchReg::flat_index`]). It is an instance of the generic
+//! forward worklist solver [`solve`], so a further forward problem needs
+//! only its lattice and transfer function.
 //!
-//! The straight-line helpers at the bottom ([`block_locals`],
-//! [`sequence_def_chains`]) are the shared use/def machinery the
-//! [`crate::ddg`] construction and the compiler's block/loop analyses are
-//! built on.
+//! The straight-line helpers ([`block_locals`], [`upward_exposed`],
+//! [`sequence_def_chains`]) are the shared use/def machinery that
+//! definite assignment and the [`crate::ddg`] construction are built on.
 
 use crate::cfg::Cfg;
 use sdiq_isa::reg::{fp_reg, int_reg, NUM_ARCH_INT_REGS};
@@ -73,11 +69,6 @@ impl RegSet {
         self.0 &= other.0;
     }
 
-    /// `self \ other` as a new set.
-    pub fn minus(&self, other: &RegSet) -> RegSet {
-        RegSet(self.0 & !other.0)
-    }
-
     /// Number of registers in the set.
     pub fn len(&self) -> usize {
         self.0.count_ones() as usize
@@ -107,104 +98,31 @@ impl std::fmt::Debug for RegSet {
     }
 }
 
-/// A growable bit set, for dataflow domains larger than the register file
-/// (e.g. one bit per definition site in [`ReachingDefs`]).
-#[derive(Clone, PartialEq, Eq, Default, Debug)]
-pub struct BitSet {
-    words: Vec<u64>,
-}
-
-impl BitSet {
-    /// An empty set able to hold `len` elements.
-    pub fn new(len: usize) -> Self {
-        BitSet {
-            words: vec![0; len.div_ceil(64)],
-        }
-    }
-
-    /// Inserts element `i`.
-    pub fn insert(&mut self, i: usize) {
-        self.words[i / 64] |= 1u64 << (i % 64);
-    }
-
-    /// Removes element `i`.
-    pub fn remove(&mut self, i: usize) {
-        self.words[i / 64] &= !(1u64 << (i % 64));
-    }
-
-    /// Membership test.
-    pub fn contains(&self, i: usize) -> bool {
-        self.words[i / 64] & (1u64 << (i % 64)) != 0
-    }
-
-    /// Set union, in place. Both sets must have the same capacity.
-    pub fn union_with(&mut self, other: &BitSet) {
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w |= o;
-        }
-    }
-
-    /// `self \ other`, in place.
-    pub fn subtract(&mut self, other: &BitSet) {
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w &= !o;
-        }
-    }
-
-    /// Iterates the members in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64).filter_map(move |b| {
-                if w & (1u64 << b) != 0 {
-                    Some(wi * 64 + b)
-                } else {
-                    None
-                }
-            })
-        })
-    }
-}
-
-/// Direction a dataflow problem propagates facts in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Facts flow along CFG edges (entry → exits).
-    Forward,
-    /// Facts flow against CFG edges (exits → entry).
-    Backward,
-}
-
-/// A monotone dataflow problem over the CFG.
+/// A monotone forward dataflow problem over the CFG.
 ///
 /// The framework guarantees termination for monotone transfer functions
-/// over finite-height lattices (every provided instance is a bit-vector
-/// problem, which trivially qualifies). `transfer` maps the fact at a
-/// block's *input side* (entry for forward problems, exit for backward
-/// ones) to its output side.
+/// over finite-height lattices (a bit-vector problem trivially
+/// qualifies). `transfer` maps the fact at a block's entry to the fact at
+/// its exit.
 pub trait DataflowAnalysis {
     /// The lattice element.
     type Fact: Clone + PartialEq;
 
-    /// Propagation direction.
-    fn direction(&self) -> Direction;
-
-    /// The fact at the boundary: the procedure entry for forward problems,
-    /// every exit block (no successors) for backward ones.
+    /// The fact at the procedure entry.
     fn boundary(&self) -> Self::Fact;
 
     /// The initial (optimistic) fact for every block.
     fn top(&self) -> Self::Fact;
 
-    /// Combines a neighbour's fact into the accumulator.
+    /// Combines a predecessor's fact into the accumulator.
     fn meet(&self, acc: &mut Self::Fact, other: &Self::Fact);
 
     /// The block's transfer function.
-    fn transfer(&self, block: BlockId, input: &Self::Fact) -> Self::Fact;
+    fn transfer(&self, block: BlockId, entry: &Self::Fact) -> Self::Fact;
 }
 
-/// The fixpoint of a dataflow problem: one fact per block *entry* and one
-/// per block *exit*, regardless of the problem's direction. Unreachable
-/// blocks keep the `top` fact.
+/// The fixpoint of a dataflow problem: one fact per block entry and one
+/// per block exit. Unreachable blocks keep the `top` fact.
 #[derive(Debug, Clone)]
 pub struct DataflowSolution<F> {
     /// Fact holding at each block's entry, indexed by `BlockId`.
@@ -214,55 +132,40 @@ pub struct DataflowSolution<F> {
 }
 
 /// Solves `analysis` to fixpoint with a worklist over the reachable blocks
-/// of `cfg`, seeded in reverse post-order (forward) or post-order
-/// (backward) so typical acyclic flow converges in one sweep.
+/// of `cfg`, seeded in reverse post-order so typical acyclic flow
+/// converges in one sweep.
 pub fn solve<A: DataflowAnalysis>(cfg: &Cfg, analysis: &A) -> DataflowSolution<A::Fact> {
     let n = cfg.block_count();
-    let forward = analysis.direction() == Direction::Forward;
-    // `input[b]` / `output[b]` are relative to the propagation direction:
-    // input = entry and output = exit for forward problems, swapped for
-    // backward ones. They are re-oriented into the solution at the end.
-    let mut input: Vec<A::Fact> = (0..n).map(|_| analysis.top()).collect();
-    let mut output: Vec<A::Fact> = (0..n).map(|_| analysis.top()).collect();
+    let mut entry: Vec<A::Fact> = (0..n).map(|_| analysis.top()).collect();
+    let mut exit: Vec<A::Fact> = (0..n).map(|_| analysis.top()).collect();
 
-    let order: Vec<BlockId> = if forward {
-        cfg.reverse_postorder().to_vec()
-    } else {
-        cfg.reverse_postorder().iter().rev().copied().collect()
-    };
+    let order = cfg.reverse_postorder();
     let mut queued = vec![false; n];
     let mut worklist: VecDeque<BlockId> = VecDeque::with_capacity(order.len());
-    for &b in &order {
+    for &b in order {
         queued[b.0] = true;
         worklist.push_back(b);
     }
 
     while let Some(b) = worklist.pop_front() {
         queued[b.0] = false;
-        let deps: &[BlockId] = if forward { cfg.preds(b) } else { cfg.succs(b) };
-        let at_boundary = if forward {
-            b == cfg.entry()
-        } else {
-            cfg.succs(b).is_empty()
-        };
-        let mut fact = if at_boundary {
+        let mut fact = if b == cfg.entry() {
             analysis.boundary()
         } else {
             analysis.top()
         };
-        for &d in deps {
-            // Unreachable neighbours hold no real fact; letting their `top`
-            // transfer leak in would be unsound for union problems.
-            if cfg.is_reachable(d) {
-                analysis.meet(&mut fact, &output[d.0]);
+        for &p in cfg.preds(b) {
+            // Unreachable predecessors hold no real fact; letting their
+            // `top` transfer leak in would be unsound for union problems.
+            if cfg.is_reachable(p) {
+                analysis.meet(&mut fact, &exit[p.0]);
             }
         }
-        let new_output = analysis.transfer(b, &fact);
-        input[b.0] = fact;
-        if new_output != output[b.0] {
-            output[b.0] = new_output;
-            let dependents: &[BlockId] = if forward { cfg.succs(b) } else { cfg.preds(b) };
-            for &s in dependents {
+        let new_exit = analysis.transfer(b, &fact);
+        entry[b.0] = fact;
+        if new_exit != exit[b.0] {
+            exit[b.0] = new_exit;
+            for &s in cfg.succs(b) {
                 if cfg.is_reachable(s) && !queued[s.0] {
                     queued[s.0] = true;
                     worklist.push_back(s);
@@ -271,17 +174,7 @@ pub fn solve<A: DataflowAnalysis>(cfg: &Cfg, analysis: &A) -> DataflowSolution<A
         }
     }
 
-    if forward {
-        DataflowSolution {
-            entry: input,
-            exit: output,
-        }
-    } else {
-        DataflowSolution {
-            entry: output,
-            exit: input,
-        }
-    }
+    DataflowSolution { entry, exit }
 }
 
 /// Per-block local register sets: the raw material of every register
@@ -327,168 +220,6 @@ pub fn upward_exposed(proc: &Procedure) -> Vec<BlockLocals> {
         .collect()
 }
 
-/// Live-register analysis (backward, may-union).
-#[derive(Debug, Clone)]
-pub struct Liveness {
-    /// Registers live at each block's entry.
-    pub live_in: Vec<RegSet>,
-    /// Registers live at each block's exit.
-    pub live_out: Vec<RegSet>,
-    /// The per-block use/def sets the fixpoint was computed from.
-    pub locals: Vec<BlockLocals>,
-}
-
-impl Liveness {
-    /// Runs liveness over `proc`.
-    pub fn compute(proc: &Procedure, cfg: &Cfg) -> Self {
-        struct Problem<'a> {
-            locals: &'a [BlockLocals],
-        }
-        impl DataflowAnalysis for Problem<'_> {
-            type Fact = RegSet;
-            fn direction(&self) -> Direction {
-                Direction::Backward
-            }
-            fn boundary(&self) -> RegSet {
-                RegSet::EMPTY
-            }
-            fn top(&self) -> RegSet {
-                RegSet::EMPTY
-            }
-            fn meet(&self, acc: &mut RegSet, other: &RegSet) {
-                acc.union_with(other);
-            }
-            fn transfer(&self, block: BlockId, live_out: &RegSet) -> RegSet {
-                let l = &self.locals[block.0];
-                let mut live_in = live_out.minus(&l.defs);
-                live_in.union_with(&l.uses);
-                live_in
-            }
-        }
-        let locals = upward_exposed(proc);
-        let solution = solve(cfg, &Problem { locals: &locals });
-        Liveness {
-            live_in: solution.entry,
-            live_out: solution.exit,
-            locals,
-        }
-    }
-}
-
-/// One register definition site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DefSite {
-    /// Block holding the definition.
-    pub block: BlockId,
-    /// Instruction index within the block.
-    pub index: usize,
-    /// The register defined.
-    pub reg: ArchReg,
-}
-
-/// Reaching-definitions analysis (forward, may-union) over definition
-/// sites.
-#[derive(Debug, Clone)]
-pub struct ReachingDefs {
-    /// Every definition site of the procedure, in (block, index) order.
-    pub sites: Vec<DefSite>,
-    /// Definition sites reaching each block's entry (bits index `sites`).
-    pub reach_in: Vec<BitSet>,
-    /// Definition sites reaching each block's exit.
-    pub reach_out: Vec<BitSet>,
-}
-
-impl ReachingDefs {
-    /// Runs reaching definitions over `proc`.
-    pub fn compute(proc: &Procedure, cfg: &Cfg) -> Self {
-        let mut sites = Vec::new();
-        for (bid, block) in proc.iter_blocks() {
-            for (idx, inst) in block.instructions.iter().enumerate() {
-                if inst.is_hint_noop() {
-                    continue;
-                }
-                if let Some(dest) = inst.dest {
-                    sites.push(DefSite {
-                        block: bid,
-                        index: idx,
-                        reg: dest,
-                    });
-                }
-            }
-        }
-        let n_sites = sites.len();
-        let n_blocks = proc.blocks.len();
-
-        // gen[b]: the last definition of each register in b (the one that
-        // survives to the exit). kill[b]: every site anywhere defining a
-        // register that b redefines.
-        let mut gen = vec![BitSet::new(n_sites); n_blocks];
-        let mut kill = vec![BitSet::new(n_sites); n_blocks];
-        let mut sites_of_reg: HashMap<ArchReg, Vec<usize>> = HashMap::new();
-        for (i, site) in sites.iter().enumerate() {
-            sites_of_reg.entry(site.reg).or_default().push(i);
-        }
-        for b in 0..n_blocks {
-            let mut last_def: HashMap<ArchReg, usize> = HashMap::new();
-            for (i, site) in sites.iter().enumerate() {
-                if site.block.0 == b {
-                    last_def.insert(site.reg, i);
-                }
-            }
-            for (&reg, &site) in &last_def {
-                gen[b].insert(site);
-                if let Some(all) = sites_of_reg.get(&reg) {
-                    for &other in all {
-                        if other != site {
-                            kill[b].insert(other);
-                        }
-                    }
-                }
-            }
-        }
-
-        struct Problem<'a> {
-            n_sites: usize,
-            gen: &'a [BitSet],
-            kill: &'a [BitSet],
-        }
-        impl DataflowAnalysis for Problem<'_> {
-            type Fact = BitSet;
-            fn direction(&self) -> Direction {
-                Direction::Forward
-            }
-            fn boundary(&self) -> BitSet {
-                BitSet::new(self.n_sites)
-            }
-            fn top(&self) -> BitSet {
-                BitSet::new(self.n_sites)
-            }
-            fn meet(&self, acc: &mut BitSet, other: &BitSet) {
-                acc.union_with(other);
-            }
-            fn transfer(&self, block: BlockId, reach_in: &BitSet) -> BitSet {
-                let mut out = reach_in.clone();
-                out.subtract(&self.kill[block.0]);
-                out.union_with(&self.gen[block.0]);
-                out
-            }
-        }
-        let solution = solve(
-            cfg,
-            &Problem {
-                n_sites,
-                gen: &gen,
-                kill: &kill,
-            },
-        );
-        ReachingDefs {
-            sites,
-            reach_in: solution.entry,
-            reach_out: solution.exit,
-        }
-    }
-}
-
 /// Definite-assignment analysis (forward, must-intersection): at each
 /// block entry, the registers guaranteed to have been written on *every*
 /// path from the procedure entry.
@@ -506,9 +237,6 @@ impl DefiniteAssignment {
         }
         impl DataflowAnalysis for Problem<'_> {
             type Fact = RegSet;
-            fn direction(&self) -> Direction {
-                Direction::Forward
-            }
             fn boundary(&self) -> RegSet {
                 RegSet::EMPTY
             }
@@ -660,56 +388,6 @@ mod tests {
         for i in 0..ArchReg::flat_count() {
             assert_eq!(reg_from_flat(i).flat_index(), i);
         }
-    }
-
-    #[test]
-    fn bitset_union_and_subtract() {
-        let mut a = BitSet::new(130);
-        a.insert(0);
-        a.insert(129);
-        let mut b = BitSet::new(130);
-        b.insert(64);
-        b.insert(129);
-        a.union_with(&b);
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![0, 64, 129]);
-        a.subtract(&b);
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![0]);
-    }
-
-    #[test]
-    fn liveness_sees_loop_carried_value() {
-        let program = loop_program();
-        let proc = program.proc(program.entry);
-        let cfg = Cfg::build(proc);
-        let live = Liveness::compute(proc, &cfg);
-        // r1 is live into the loop body (used before defined there)...
-        assert!(live.live_in[1].contains(int_reg(1)));
-        // ...and live around the back edge.
-        assert!(live.live_out[1].contains(int_reg(1)));
-        // r2 is live out of the body (read in the exit block).
-        assert!(live.live_out[1].contains(int_reg(2)));
-        // Nothing is live out of the exit block.
-        assert!(live.live_out[2].is_empty());
-        // r3 is dead everywhere but defined in exit.
-        assert!(!live.live_in[2].contains(int_reg(3)));
-    }
-
-    #[test]
-    fn reaching_defs_flow_around_the_loop() {
-        let program = loop_program();
-        let proc = program.proc(program.entry);
-        let cfg = Cfg::build(proc);
-        let rd = ReachingDefs::compute(proc, &cfg);
-        // Sites: r1@entry, r2@body, r1@body, r3@exit.
-        assert_eq!(rd.sites.len(), 4);
-        let r1_entry = 0;
-        let r1_body = 2;
-        // Both r1 definitions reach the body entry (initial + back edge).
-        assert!(rd.reach_in[1].contains(r1_entry));
-        assert!(rd.reach_in[1].contains(r1_body));
-        // Only the body's r1 definition survives to the body exit.
-        assert!(!rd.reach_out[1].contains(r1_entry));
-        assert!(rd.reach_out[1].contains(r1_body));
     }
 
     #[test]

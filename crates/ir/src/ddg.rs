@@ -73,30 +73,19 @@ impl Ddg {
     /// Builds the DDG of a straight-line instruction sequence (typically one
     /// basic block) using the [`default_latency`] model.
     pub fn for_block(instructions: &[Instruction]) -> Self {
-        Self::build(instructions, false, default_latency)
+        Self::build(instructions, false)
     }
 
     /// Builds the DDG of a loop body, adding loop-carried register edges,
     /// using the [`default_latency`] model.
     pub fn for_loop_body(instructions: &[Instruction]) -> Self {
-        Self::build(instructions, true, default_latency)
+        Self::build(instructions, true)
     }
 
-    /// Builds a DDG with a caller-supplied latency model.
-    pub fn with_latency<F>(instructions: &[Instruction], loop_carried: bool, latency: F) -> Self
-    where
-        F: Fn(&Instruction) -> u32,
-    {
-        Self::build(instructions, loop_carried, latency)
-    }
-
-    fn build<F>(instructions: &[Instruction], loop_carried: bool, latency: F) -> Self
-    where
-        F: Fn(&Instruction) -> u32,
-    {
+    fn build(instructions: &[Instruction], loop_carried: bool) -> Self {
         let n = instructions.len();
         let mut edges: Vec<DdgEdge> = Vec::new();
-        let node_latency: Vec<u32> = instructions.iter().map(latency).collect();
+        let node_latency: Vec<u32> = instructions.iter().map(default_latency).collect();
 
         // Register def-use chains come from the shared dataflow machinery
         // (hint NOOPs are already transparent there); memory ordering is

@@ -18,10 +18,10 @@
 //! * [`ddg::Ddg`] — latency-labelled data dependence graphs for straight-line
 //!   code and for loop bodies (including loop-carried edges), plus the graph
 //!   utilities (SCCs, longest paths) the loop analysis of §4.3 relies on,
-//! * [`dataflow`] — a generic iterative (worklist) dataflow framework over
-//!   the CFG, with liveness, reaching-definitions, definite-assignment and
-//!   upward-exposed-operand analyses as reusable instances. The DDG's
-//!   def-use chains are built on the same machinery.
+//! * [`dataflow`] — a forward iterative (worklist) dataflow solver over
+//!   the CFG with one instance, definite assignment (the verifier's
+//!   def-before-use check), plus the straight-line use/def helpers that
+//!   instance and the DDG's def-use chains are built on.
 //!
 //! # Example
 //!
@@ -63,10 +63,7 @@ pub mod loops;
 pub mod regions;
 
 pub use cfg::Cfg;
-pub use dataflow::{
-    BlockLocals, DataflowAnalysis, DataflowSolution, DefiniteAssignment, Direction, Liveness,
-    ReachingDefs, RegSet,
-};
+pub use dataflow::{BlockLocals, DataflowAnalysis, DataflowSolution, DefiniteAssignment, RegSet};
 pub use ddg::{Ddg, DdgEdge, DdgEdgeKind};
 pub use dominators::Dominators;
 pub use loops::{LoopNest, NaturalLoop};

@@ -27,11 +27,12 @@
 //!   line for `--progress`, written by callers to **stderr only** so
 //!   piped stdout (figures, `--sweep-summary`) stays machine-parseable.
 //!
-//! The hard contract, enforced by the integration suite and a
-//! `sim_throughput` overhead row: observability is strictly
-//! *out-of-band*. Cell keys, persisted bytes and `ActivityStats` are
-//! bit-identical with tracing on or off, because nothing here feeds back
-//! into the simulation — this crate only ever observes.
+//! The hard contract, enforced by the integration suite and CI:
+//! observability is strictly *out-of-band*. Cell keys, persisted bytes
+//! and `ActivityStats` are bit-identical with tracing on or off, because
+//! nothing here feeds back into the simulation — this crate only ever
+//! observes. `sdiq-sim` does not depend on it (a CI step checks that), so
+//! no span or metric can run inside the per-cycle loop.
 //!
 //! Std-only, no dependencies (the workspace builds fully offline).
 
