@@ -698,7 +698,19 @@ fn lint_main(args: impl Iterator<Item = String>) -> ! {
                 match Executor::new(source_program).run(cap) {
                     Ok(trace) => {
                         let plan = ExecPlan::build(variant.sim_config, source_program, &trace);
-                        let diags = sdiq_verify::lint_plan(&plan, source_program, &trace);
+                        let mut diags = sdiq_verify::lint_plan(&plan, source_program, &trace);
+                        if trace.hit_cap {
+                            diags.push(sdiq_verify::Diagnostic::warning(
+                                sdiq_verify::codes::PLAN007,
+                                "stream",
+                                format!(
+                                    "execution stopped after {} instructions, at the \
+                                     {cap}-instruction cap: the plan covers a prefix of \
+                                     the workload",
+                                    trace.len()
+                                ),
+                            ));
+                        }
                         print_diags(&context, &diags, &mut errors, &mut warnings);
                         if markers_only {
                             // The oracle: the raw plan re-marked for this

@@ -1,6 +1,7 @@
 //! End-to-end tests of `repro lint` and the `--verify`/`--no-verify`
 //! flags: exit-code contract (0 clean, 1 findings, 2 usage error), the
-//! distributed-flag refusals, and the summary line's shape.
+//! distributed-flag refusals, the summary line's shape, and the warning
+//! for a plan cut short by the instruction cap.
 
 use std::process::Command;
 
@@ -44,6 +45,40 @@ fn lint_over_a_small_matrix_is_clean_and_exits_zero() {
         summary.contains("2 benchmark(s) x 3 technique(s)"),
         "summary: {summary}"
     );
+    assert!(
+        !run.stdout.contains("PLAN007"),
+        "no plan of a small matrix reaches the instruction cap:\n{}",
+        run.stdout
+    );
+}
+
+#[test]
+fn lint_warns_about_a_plan_cut_short_by_the_instruction_cap() {
+    // `bzip2` executes more than 2,000,000 instructions from scale 15.45.
+    let run = repro(&[
+        "lint",
+        "--scale",
+        "16",
+        "--benchmarks",
+        "bzip2",
+        "--techniques",
+        "baseline",
+    ]);
+    assert_eq!(
+        run.code, 0,
+        "a warning keeps the exit status:\n{}",
+        run.stderr
+    );
+    let warning = run
+        .stdout
+        .lines()
+        .find(|l| l.contains("warning[PLAN007]"))
+        .unwrap_or_else(|| panic!("no PLAN007 warning in:\n{}", run.stdout));
+    assert!(
+        warning.contains("after 2000000 instructions, at the 2000000-instruction cap"),
+        "{warning}"
+    );
+    assert!(run.stdout.contains("1 plan(s)"), "stdout:\n{}", run.stdout);
 }
 
 #[test]

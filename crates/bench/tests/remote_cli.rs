@@ -28,7 +28,9 @@
 //!    hangs,
 //! 10. a traced fleet run receives every batch it issued: one worker
 //!     `run-batch` span per coordinator `issue-batch` span, and the
-//!     workers' final `cell(s) done` totals add up to the computed cells.
+//!     workers' final `cell(s) done` totals add up to the computed cells,
+//! 11. a peer that connects to a daemon and stays silent does not keep a
+//!     coordinator from that daemon.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -558,5 +560,58 @@ fn a_traced_fleet_run_receives_every_batch_it_issued() {
         .collect();
     assert_eq!(done.len(), 2, "{log}");
     assert_eq!(done.iter().sum::<u64>(), 6, "{log}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_silent_peer_does_not_block_the_next_coordinator() {
+    use std::io::Read;
+    let dir = scratch_dir("silent-peer");
+    let serial = dir.join("serial.json");
+    let remote = dir.join("remote.json");
+    let axes = [
+        "--scale",
+        "0.02",
+        "--benchmarks",
+        "gzip",
+        "--techniques",
+        "baseline",
+    ];
+    let run = |extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(axes)
+            .args(extra)
+            .output()
+            .expect("spawn repro")
+    };
+    assert!(run(&["--save", serial.to_str().unwrap()]).status.success());
+
+    let worker = Worker::spawn(&["--jobs", "1"]);
+    // The peer reads the daemon's greeting, then holds the socket open
+    // without a word.
+    let mut silent = std::net::TcpStream::connect(&worker.addr).expect("connect");
+    silent
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    let mut greeting = [0u8; 4];
+    silent.read_exact(&mut greeting).expect("the daemon greets");
+
+    let started = std::time::Instant::now();
+    let output = run(&[
+        "--workers",
+        &worker.addr,
+        "--heartbeat-deadline",
+        "3",
+        "--save",
+        remote.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "coordinator failed:\n{stderr}");
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(30),
+        "the coordinator was served promptly, not after the silent peer"
+    );
+    assert_eq!(read(&serial), read(&remote), "{stderr}");
+    drop(silent);
     std::fs::remove_dir_all(&dir).ok();
 }

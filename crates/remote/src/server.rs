@@ -1,6 +1,13 @@
-//! The worker daemon behind `repro serve`: accept one coordinator at a
-//! time, advertise capacity, compute requested cells on the in-process
-//! engine and stream each one back the moment it finishes.
+//! The worker daemon behind `repro serve`: accept coordinators, advertise
+//! capacity, compute requested cells on the in-process engine and stream
+//! each one back the moment it finishes.
+//!
+//! Each connection is served on its own thread, so a peer that connects
+//! and stays silent holds only its own thread. Batches still run one at a
+//! time, whichever connection sent them: each sizes the engine's pool to
+//! the whole capacity, and span recording is daemon-global. A batch that
+//! waits for its turn sends heartbeats, so its coordinator's deadline
+//! holds while another coordinator's batch computes.
 //!
 //! The daemon is stateless between connections on purpose: everything a
 //! batch needs arrives in its `RunCells` frame (the [`MatrixSpec`] plus
@@ -12,8 +19,8 @@
 //!
 //! A coordinator that vanishes mid-batch only costs the daemon that
 //! batch: write failures are recorded, the batch's remaining cells still
-//! compute into the cache (warming it for the retry), and the daemon
-//! goes back to `accept`.
+//! compute into the cache (warming it for the retry), and the
+//! connection's thread ends.
 //!
 //! Every connection has one shape: the coordinator dials the daemon's
 //! `--listen` address, the daemon challenges it when `--auth-key` is set
@@ -26,8 +33,9 @@ use crate::protocol::{Message, CAP_OBS1, CODEC_BIN1};
 use sdiq_core::{matrix_fingerprint, ArtifactCache, CellSink, MatrixSpec, RunReport};
 use std::io::{self, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Configuration of one worker daemon.
@@ -72,12 +80,24 @@ pub struct ServeOptions {
 const HEARTBEAT_INTERVAL: Duration = Duration::from_secs(1);
 
 /// Bound on each read of the auth handshake: a peer that connects and
-/// never completes it must not wedge the daemon, which serves one
-/// coordinator at a time.
+/// never completes it must not keep its connection's thread for good.
 const AUTH_HANDSHAKE_DEADLINE: Duration = crate::DEFAULT_HEARTBEAT_DEADLINE;
 
+/// What every connection of one daemon shares.
+struct Daemon<'a> {
+    capacity: usize,
+    cache: ArtifactCache,
+    /// Cells delivered over the daemon's lifetime (the fault-injection
+    /// hooks count them).
+    delivered: AtomicUsize,
+    /// Held by the batch that is computing; batches run one at a time.
+    batch_turn: Mutex<()>,
+    options: &'a ServeOptions,
+}
+
 /// Runs the worker daemon forever (until the process is killed):
-/// bind, print the bound address, then serve coordinators one at a time.
+/// bind, print the bound address, then serve each coordinator on its own
+/// thread.
 ///
 /// The first stdout line is machine-readable — `LISTENING <addr>` — so
 /// scripts that start daemons on port 0 can discover the real port;
@@ -90,36 +110,55 @@ pub fn serve(options: &ServeOptions) -> io::Result<()> {
     io::stdout().flush()?;
     eprintln!("sdiq-remote worker: listening on {addr}, capacity {capacity}");
 
-    let cache = ArtifactCache::new();
-    let delivered = AtomicUsize::new(0);
-    for stream in listener.incoming() {
-        let stream = match stream {
-            Ok(stream) => stream,
-            Err(error) => {
-                // Transient accept failures (a peer resetting before the
-                // handshake, a momentary fd shortage) must not kill the
-                // daemon — it outlives any one coordinator. Back off a
-                // beat so a persistent failure can't spin the loop hot.
-                eprintln!("sdiq-remote worker: accept failed: {error}; continuing");
-                std::thread::sleep(Duration::from_millis(50));
-                continue;
-            }
-        };
-        let peer = stream
-            .peer_addr()
-            .map(|peer| peer.to_string())
-            .unwrap_or_else(|_| "<unknown>".to_string());
-        eprintln!("sdiq-remote worker: coordinator connected from {peer}");
-        match handle_connection(stream, capacity, &cache, &delivered, options) {
-            Ok(()) => eprintln!("sdiq-remote worker: coordinator {peer} disconnected"),
-            Err(error) => {
-                // The daemon outlives any one coordinator: log and accept
-                // the next connection.
-                eprintln!("sdiq-remote worker: connection to {peer} failed: {error}");
-            }
+    let daemon = Daemon {
+        capacity,
+        cache: ArtifactCache::new(),
+        delivered: AtomicUsize::new(0),
+        batch_turn: Mutex::new(()),
+        options,
+    };
+    std::thread::scope(|scope| {
+        for stream in listener.incoming() {
+            let stream = match stream {
+                Ok(stream) => stream,
+                Err(error) => {
+                    // Transient accept failures (a peer resetting before
+                    // the handshake, a momentary fd shortage) must not
+                    // kill the daemon — it outlives any one coordinator.
+                    // Back off a beat so a persistent failure can't spin
+                    // the loop hot.
+                    eprintln!("sdiq-remote worker: accept failed: {error}; continuing");
+                    std::thread::sleep(Duration::from_millis(50));
+                    continue;
+                }
+            };
+            let daemon = &daemon;
+            scope.spawn(move || {
+                let served = panic::catch_unwind(AssertUnwindSafe(|| serve_peer(stream, daemon)));
+                if served.is_err() {
+                    // A panicking batch leaves its plan holds in the cache
+                    // and span recording on, so the daemon must not serve
+                    // another batch.
+                    std::process::exit(101);
+                }
+            });
         }
-    }
+    });
     unreachable!("TcpListener::incoming never returns None");
+}
+
+/// Serves one coordinator on the current thread and logs how it ended.
+fn serve_peer(stream: TcpStream, daemon: &Daemon) {
+    let peer = stream
+        .peer_addr()
+        .map(|peer| peer.to_string())
+        .unwrap_or_else(|_| "<unknown>".to_string());
+    eprintln!("sdiq-remote worker: coordinator connected from {peer}");
+    match handle_connection(stream, daemon) {
+        Ok(()) => eprintln!("sdiq-remote worker: coordinator {peer} disconnected"),
+        // The daemon outlives any one coordinator.
+        Err(error) => eprintln!("sdiq-remote worker: connection to {peer} failed: {error}"),
+    }
 }
 
 fn effective_capacity(jobs: usize) -> usize {
@@ -141,21 +180,16 @@ struct Conn {
 }
 
 /// Serves one coordinator until it disconnects.
-fn handle_connection(
-    stream: TcpStream,
-    capacity: usize,
-    cache: &ArtifactCache,
-    delivered: &AtomicUsize,
-    options: &ServeOptions,
-) -> io::Result<()> {
+fn handle_connection(stream: TcpStream, daemon: &Daemon) -> io::Result<()> {
+    let options = daemon.options;
     stream.set_nodelay(true)?;
     let mut writer_stream = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     if let Some(key) = &options.auth_key {
         writer_stream.set_read_timeout(Some(AUTH_HANDSHAKE_DEADLINE))?;
         auth::acceptor_handshake(&mut reader, &mut writer_stream, key)?;
-        // Past the handshake reads block again: a coordinator that dies
-        // is survived by going back to `accept`.
+        // Past the handshake reads block again: a silent coordinator
+        // holds only this connection's thread.
         writer_stream.set_read_timeout(None)?;
     }
     let writer = Mutex::new(Conn {
@@ -172,7 +206,13 @@ fn handle_connection(
     // TraceEvents). Riding the codecs list keeps old coordinators safe —
     // they select codecs by equality and ignore unknown entries.
     codecs.push(CAP_OBS1.to_string());
-    write_locked(&writer, &Message::Hello { capacity, codecs })?;
+    write_locked(
+        &writer,
+        &Message::Hello {
+            capacity: daemon.capacity,
+            codecs,
+        },
+    )?;
 
     loop {
         let Some(message) = frame::read_message_opt(&mut reader)? else {
@@ -190,10 +230,7 @@ fn handle_connection(
                 fingerprint,
                 &spec,
                 keys,
-                capacity,
-                cache,
-                delivered,
-                options,
+                daemon,
                 BatchObserve { observe, trace },
             )?,
             Message::Heartbeat => continue,
@@ -245,19 +282,17 @@ struct BatchObserve {
     trace: bool,
 }
 
-/// Computes one `RunCells` batch, streaming each cell as it finishes.
-#[allow(clippy::too_many_arguments)] // daemon wiring, called from one place
+/// Computes one `RunCells` batch once no other batch is computing,
+/// streaming each cell as it finishes.
 fn run_batch(
     writer: &Mutex<Conn>,
     fingerprint: u64,
     spec: &MatrixSpec,
     keys: Vec<String>,
-    capacity: usize,
-    cache: &ArtifactCache,
-    delivered: &AtomicUsize,
-    options: &ServeOptions,
+    daemon: &Daemon,
     batch_observe: BatchObserve,
 ) -> io::Result<()> {
+    let capacity = daemon.capacity;
     // The spec is wire input: resolve it fully (names, sweep ranges) and
     // refuse with a frame — never a panic — on anything off.
     let experiment = spec.experiment();
@@ -282,6 +317,9 @@ fn run_batch(
     // Ack the batch so the coordinator's heartbeat-skipping path is
     // exercised on every exchange, not only on slow cells.
     write_locked(writer, &Message::Heartbeat)?;
+    let _turn = wait_for_turn(&daemon.batch_turn, HEARTBEAT_INTERVAL, || {
+        write_locked(writer, &Message::Heartbeat).is_ok()
+    });
 
     let requested: std::collections::HashSet<String> = keys.into_iter().collect();
     eprintln!(
@@ -291,14 +329,14 @@ fn run_batch(
     let sink = StreamSink {
         writer,
         failed: Mutex::new(None),
-        delivered,
-        fail_after: options.fail_after,
-        stall_after: options.stall_after,
+        delivered: &daemon.delivered,
+        fail_after: daemon.options.fail_after,
+        stall_after: daemon.options.stall_after,
         stalled: AtomicBool::new(false),
     };
     // Span recording is daemon-global, which is exactly the scope it
-    // should have here: the daemon serves one coordinator (one batch) at
-    // a time, and the drain below both ships and clears the buffer.
+    // should have here: the daemon computes one batch at a time, and the
+    // drain below both ships and clears the buffer.
     if batch_observe.trace {
         sdiq_obs::set_tracing(true);
     }
@@ -324,7 +362,7 @@ fn run_batch(
     };
     let computed = with_heartbeats(HEARTBEAT_INTERVAL, beat, || {
         let _span = sdiq_obs::span("run-batch", "server");
-        matrix.run_cells_by_key(cache, &requested, Some(&sink))
+        matrix.run_cells_by_key(&daemon.cache, &requested, Some(&sink))
     });
     // Drain even on a failed batch: the buffer must not leak this
     // batch's spans into the next coordinator's trace.
@@ -371,6 +409,20 @@ fn run_batch(
             },
         ),
         Err(reason) => write_locked(writer, &Message::Error { message: reason }),
+    }
+}
+
+/// Takes the daemon's batch turn. A batch queued behind another calls
+/// `beat` once per `interval` while it waits, so its coordinator's
+/// deadline holds.
+fn wait_for_turn(
+    turn: &Mutex<()>,
+    interval: Duration,
+    beat: impl FnMut() -> bool + Send,
+) -> MutexGuard<'_, ()> {
+    match turn.try_lock() {
+        Ok(guard) => guard,
+        Err(_) => with_heartbeats(interval, beat, || lock_or_recover(turn)),
     }
 }
 
@@ -539,6 +591,33 @@ mod tests {
             .expect("the batch returned within a second");
         assert!(panicked, "the panic reached catch_unwind");
         batch.join().unwrap();
+    }
+
+    /// A batch queued behind another beats while it waits for its turn,
+    /// and takes the turn as soon as the other batch releases it.
+    #[test]
+    fn a_queued_batch_beats_until_it_gets_its_turn() {
+        let turn = Mutex::new(());
+        let running = lock_or_recover(&turn);
+        let (beats, beat) = std::sync::mpsc::channel();
+        let (took, taken) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let _turn = wait_for_turn(&turn, Duration::from_millis(5), move || {
+                    beats.send(()).is_ok()
+                });
+                took.send(()).unwrap();
+            });
+            for _ in 0..3 {
+                beat.recv_timeout(Duration::from_secs(10))
+                    .expect("the queued batch beats");
+            }
+            assert!(taken.try_recv().is_err(), "the turn is still held");
+            drop(running);
+            taken
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the queued batch takes the released turn");
+        });
     }
 
     /// A batch of cached cells can finish before its heartbeat thread

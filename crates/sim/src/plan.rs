@@ -86,11 +86,11 @@
 //! per-cycle heap allocation and never scans a structure proportionally
 //! to its capacity:
 //!
-//! * **Ready list** — issue selection walks a persistent, age-ordered list
-//!   of *ready* entries, maintained at dispatch (entries ready on arrival)
-//!   and at wakeup (the issue queue's consumer index reports entries that
-//!   just became fully ready). Per-class functional-unit arbitration uses
-//!   a fixed [`FuClass::COUNT`]-sized array.
+//! * **Ready set** — a bitmask over the ROB ring marks the entries whose
+//!   operands have all arrived: set at dispatch, or when the issue queue's
+//!   consumer lists report an entry's last wakeup. Issue walks it from the
+//!   oldest in-flight id's position, which is age order, against a
+//!   per-class functional-unit limit table built once.
 //! * **In-flight ring** — instructions get sequential ids and commit in
 //!   order, so the in-flight table is a ring indexed by id that doubles as
 //!   the ROB.
@@ -109,7 +109,7 @@
 use crate::branch::BranchPredictor;
 use crate::cache::{Cache, CacheHierarchy};
 use crate::config::SimConfig;
-use crate::plan_queue::{PlanQueue, ReadyCandidate};
+use crate::plan_queue::PlanQueue;
 use crate::regfile::RenamedRegFile;
 use crate::resize::{AdaptiveController, AdaptiveObservation, ResizePolicy};
 use crate::stats::ActivityStats;
@@ -814,7 +814,7 @@ pub const NO_REG: u16 = u16::MAX;
 
 /// Dense encoding of a register: `index << 1 | class` (Int = 0, Fp = 1).
 /// The same scheme covers architectural registers (in the plan) and
-/// physical registers (in `InFlight` and the consumer index) — both fit
+/// physical registers (in `InFlight` and the consumer lists) — both fit
 /// one `u16`, and the class is recoverable from bit 0 without touching an
 /// [`ArchReg`] struct. Public so the plan lint recomputes the expected
 /// encoding independently.
@@ -827,6 +827,30 @@ pub fn dense_arch(arch: ArchReg) -> u16 {
     ((arch.index() as u16) << 1) | class_bit
 }
 
+/// Sets bit `index` of a ring bitmask.
+fn set_bit(ring: &mut [u64], index: usize) {
+    ring[index / 64] |= 1 << (index % 64);
+}
+
+/// The first offset at or after `offset` whose bit is set in a bitmask
+/// over a ring of `len` positions (a power of two; bit `i` in word
+/// `i / 64`), counting positions from `start` and wrapping at the ring's
+/// end. Offsets ascend in ring order, so from the oldest in-flight id's
+/// position they ascend in age.
+fn next_set(ring: &[u64], len: usize, start: usize, mut offset: usize) -> Option<usize> {
+    while offset < len {
+        let index = (start + offset) & (len - 1);
+        let bits = ring[index / 64] >> (index % 64);
+        if bits != 0 {
+            // Past the ring's end these are the positions before `start`.
+            let found = offset + bits.trailing_zeros() as usize;
+            return (found < len).then_some(found);
+        }
+        offset += (64 - index % 64).min(len - index);
+    }
+    None
+}
+
 /// In-flight (ROB-resident) instruction. Sources are not kept (read-port
 /// totals are baked), the memory address lives in the plan, and the
 /// destination registers are dense `u16`s ([`NO_REG`] = none). Dispatch
@@ -836,6 +860,8 @@ pub fn dense_arch(arch: ArchReg) -> u16 {
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     trace_idx: u32,
+    /// Issue-queue slot, until the instruction issues.
+    iq_slot: u32,
     dest: u16,
     /// Previous mapping of the destination architectural register,
     /// released at commit.
@@ -854,6 +880,7 @@ struct InFlight {
 /// Filler for unoccupied ROB ring slots.
 const INFLIGHT_EMPTY: InFlight = InFlight {
     trace_idx: 0,
+    iq_slot: 0,
     dest: NO_REG,
     prev_dest: NO_REG,
     fu: FuClass::None,
@@ -914,10 +941,11 @@ pub struct PlanSimulator<'p> {
     rob_limit: usize,
     next_id: u64,
     completions: EventWheel,
-    /// Persistent age-ordered (= id-ordered) list of ready candidates.
-    ready: Vec<ReadyCandidate>,
-    /// Scratch buffer for entries woken by one broadcast.
-    woken: Vec<ReadyCandidate>,
+    /// Functional units per class, indexed by [`FuClass::index`].
+    fu_limits: [usize; FuClass::COUNT],
+    /// Ready set over the ROB ring: bit `id & (rob.len() - 1)` is set while
+    /// instruction `id` waits in the issue queue with every operand ready.
+    ready: Vec<u64>,
     /// Hint NOOPs stripped during the current dispatch step.
     strip_count_this_cycle: usize,
 
@@ -936,7 +964,7 @@ impl<'p> PlanSimulator<'p> {
             )),
             _ => None,
         };
-        // Dense register universe the consumer index must cover
+        // Dense register universe the consumer lists must cover
         // (`index << 1 | class`); only the adaptive policy observes age
         // ranks, so only it pays for keeping the queue's head current.
         let dense_regs = 2 * config
@@ -946,6 +974,10 @@ impl<'p> PlanSimulator<'p> {
         let track_age = adaptive.is_some();
         let fq_len = config.fetch_queue_entries.next_power_of_two();
         let rob_len = config.widths.rob_capacity.next_power_of_two();
+        let mut fu_limits = [usize::MAX; FuClass::COUNT];
+        for class in FuClass::HARDWARE {
+            fu_limits[class.index()] = config.fu_counts.for_class(class);
+        }
         PlanSimulator {
             plan,
             statics: &plan.statics,
@@ -973,8 +1005,8 @@ impl<'p> PlanSimulator<'p> {
             rob_limit: config.widths.rob_capacity,
             next_id: 0,
             completions: EventWheel::new(max_completion_latency(&config)),
-            ready: Vec::new(),
-            woken: Vec::new(),
+            fu_limits,
+            ready: vec![0; rob_len.div_ceil(64)],
             strip_count_this_cycle: 0,
             // Dynamic counters accumulate on top of the baked totals.
             stats: plan.baked.clone(),
@@ -1086,13 +1118,12 @@ impl<'p> PlanSimulator<'p> {
                 &mut self.fp_rf
             };
             rf.write_value_index((dest >> 1) as usize);
-            let (non_empty, gated) = self.iq.wakeup(dest, &mut self.woken);
+            let (ready, rob_mask) = (&mut self.ready, self.rob.len() - 1);
+            let (non_empty, gated) = self
+                .iq
+                .wakeup(dest, |id| set_bit(ready, id as usize & rob_mask));
             self.stats.wakeup_comparisons_nonempty += non_empty;
             self.stats.wakeup_comparisons_gated += gated;
-            while let Some(candidate) = self.woken.pop() {
-                let position = self.ready.partition_point(|c| c.id < candidate.id);
-                self.ready.insert(position, candidate);
-            }
         }
         if mispredicted && self.fetch_blocked_by == Some(trace_idx) {
             self.fetch_blocked_by = None;
@@ -1126,7 +1157,6 @@ impl<'p> PlanSimulator<'p> {
 
     fn issue(&mut self, cycle: u64) -> AdaptiveObservation {
         let issue_width = self.plan.config.widths.pipeline_width;
-        let fu_counts = self.plan.config.fu_counts;
         let limit = self.iq.hard_limit().unwrap_or_else(|| self.iq.capacity());
         let bank_size = self.plan.config.iq.bank_size;
         let track_youngest = self.adaptive.is_some() && self.iq.occupancy() + bank_size > limit;
@@ -1134,63 +1164,54 @@ impl<'p> PlanSimulator<'p> {
         let mut issued = 0usize;
         let mut observation = AdaptiveObservation::default();
 
-        let mut candidates = std::mem::take(&mut self.ready);
-        let mut kept = 0usize;
-        for index in 0..candidates.len() {
-            let candidate = candidates[index];
-            if issued >= issue_width {
-                candidates[kept] = candidate;
-                kept += 1;
-                continue;
-            }
-            let inst = self.rob[self.inflight_index(candidate.id)];
-            let fu = inst.fu;
-            let class = fu.index();
-            if fu_used[class] >= fu_counts.for_class(fu) {
-                candidates[kept] = candidate;
-                kept += 1;
+        let start = self.inflight_index(self.inflight_base);
+        let mut offset = 0;
+        while issued < issue_width {
+            let Some(found) = next_set(&self.ready, self.rob.len(), start, offset) else {
+                break;
+            };
+            offset = found + 1;
+            let id = self.inflight_base + found as u64;
+            let index = self.inflight_index(id);
+            let inst = self.rob[index];
+            let class = inst.fu.index();
+            if fu_used[class] >= self.fu_limits[class] {
                 continue;
             }
             fu_used[class] += 1;
             observation.issued += 1;
             if track_youngest {
-                let rank = self.iq.age_rank(candidate.slot as usize) + issued;
+                let rank = self.iq.age_rank(inst.iq_slot as usize) + issued;
                 if rank + bank_size >= limit {
                     observation.issued_from_youngest_bank += 1;
                 }
             }
             issued += 1;
 
-            let id = candidate.id;
-            self.iq.remove(candidate.slot as usize);
+            self.ready[index / 64] &= !(1 << (index % 64));
+            self.iq.remove(inst.iq_slot as usize);
 
             // Execution latency (register read-port totals are baked; the
             // reads have no other observable effect).
-            let latency = if inst.flags & flag::IS_LOAD != 0 {
+            let latency = if inst.flags & (flag::IS_LOAD | flag::IS_STORE) != 0 {
                 let access = self
                     .caches
                     .access_data(self.stream.mem_addrs[inst.trace_idx as usize]);
                 if access.l2_miss {
                     self.stats.l2_misses += 1;
                 }
-                u64::from(1 + access.latency)
-            } else if inst.flags & flag::IS_STORE != 0 {
                 // Stores update the cache but retire from the pipeline's
                 // point of view after address generation.
-                let access = self
-                    .caches
-                    .access_data(self.stream.mem_addrs[inst.trace_idx as usize]);
-                if access.l2_miss {
-                    self.stats.l2_misses += 1;
+                if inst.flags & flag::IS_LOAD != 0 {
+                    u64::from(1 + access.latency)
+                } else {
+                    1
                 }
-                1
             } else {
                 u64::from(inst.latency)
             };
             self.completions.schedule(cycle, cycle + latency, id);
         }
-        candidates.truncate(kept);
-        self.ready = candidates;
         observation
     }
 
@@ -1286,18 +1307,13 @@ impl<'p> PlanSimulator<'p> {
             let id = self.next_id;
             self.next_id += 1;
             let (slot, ready_now) = self.iq.dispatch(id, ops, wait);
-            // Ready on arrival → joins the ready list immediately. Ids are
-            // monotonic, so appending keeps the list age-ordered.
-            if ready_now {
-                self.ready.push(ReadyCandidate {
-                    id,
-                    slot: slot as u32,
-                });
-            }
-
             let rob_mask = self.rob.len() - 1;
+            if ready_now {
+                set_bit(&mut self.ready, id as usize & rob_mask);
+            }
             self.rob[id as usize & rob_mask] = InFlight {
                 trace_idx: trace_idx as u32,
+                iq_slot: slot as u32,
                 dest,
                 prev_dest,
                 fu: rec.fu,
@@ -1678,6 +1694,61 @@ mod tests {
         assert!(per_record <= 14.0, "{per_record:.2} bytes per record");
         let remarked = raw.remark(&remarked_copy(&program)).unwrap();
         assert!(remarked.shares_stream(&raw), "the re-mark adds no stream");
+    }
+
+    /// The ids `next_set` walks to over a ROB ring of `len` positions whose
+    /// oldest in-flight id is `base`.
+    fn walk_ready(ring: &[u64], len: usize, base: u64) -> Vec<u64> {
+        let start = base as usize & (len - 1);
+        let mut ids = Vec::new();
+        let mut offset = 0;
+        while let Some(found) = next_set(ring, len, start, offset) {
+            ids.push(base + found as u64);
+            offset = found + 1;
+        }
+        ids
+    }
+
+    #[test]
+    fn the_ready_walk_wraps_past_the_ring_end_in_age_order() {
+        // The 32-entry ROB of the small machine, oldest id at position 30.
+        let mut ring = vec![0u64; 1];
+        for id in [33u64, 30, 61, 31] {
+            set_bit(&mut ring, id as usize & 31);
+        }
+        assert_eq!(walk_ready(&ring, 32, 30), vec![30, 31, 33, 61]);
+        assert_eq!(walk_ready(&[0, 0], 128, 7), Vec::<u64>::new());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Random ready sets on rings of 32 (the small machine's ROB), 128
+        /// (Table 1's) and 256 positions, from random oldest ids, so sets
+        /// wrap past the ring's end: the walk yields exactly the ready ids,
+        /// ascending.
+        #[test]
+        fn the_ready_walk_yields_exactly_the_ready_ids_ascending(
+            ring_size in 0usize..3,
+            base in 0u64..1_000_000,
+            in_flight in 0usize..257,
+            picks in proptest::prelude::prop::collection::vec(0usize..256, 0..80),
+        ) {
+            let len = [32, 128, 256][ring_size];
+            let in_flight = in_flight % (len + 1);
+            let mut ring = vec![0u64; len.div_ceil(64)];
+            let mut ready: Vec<u64> = Vec::new();
+            if in_flight > 0 {
+                for pick in picks {
+                    let id = base + (pick % in_flight) as u64;
+                    set_bit(&mut ring, id as usize & (len - 1));
+                    ready.push(id);
+                }
+            }
+            ready.sort_unstable();
+            ready.dedup();
+            proptest::prop_assert_eq!(walk_ready(&ring, len, base), ready);
+        }
     }
 
     #[test]

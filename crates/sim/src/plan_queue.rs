@@ -27,12 +27,12 @@
 //! * **Struct-of-arrays slots.** Ids and operand state live in parallel
 //!   flat arrays; occupancy is a bitmask, so the head-advance walk of
 //!   `remove` is a word-wise next-set-bit scan.
-//! * **Consumer index.** Each dense physical register maps to the packed
-//!   `slot << 1 | operand` list of operands waiting on it, pre-sized to the
-//!   register universe. A broadcast touches exactly the matching operands;
-//!   the Figure 8 accounting stays exact because the incremental
-//!   `waiting_total` is the gated-comparison count. Operand readiness is a
-//!   two-bit mask per slot (an entry is ready exactly when it is zero).
+//! * **Consumer lists.** Each dense physical register heads an intrusive
+//!   list of the operands waiting on it, linked by packed
+//!   `slot << 1 | operand`; a broadcast empties exactly its register's
+//!   list, and the incremental `waiting_total` is its gated-comparison
+//!   count. Operand readiness is a two-bit mask per slot, zero when the
+//!   entry is ready; only ready entries are removed, so nothing unlinks.
 //! * **Incremental counts.** Per-bank resident counts make `banks_on` O(1),
 //!   and the current-region resident count makes `can_dispatch` O(1).
 //! * **Pay-for-what-the-policy-observes.** Age ranks come straight off the
@@ -48,15 +48,8 @@
 //! one of these quantities by scanning all slots; its unit and property
 //! tests drive both through the same sequences.
 
-/// A resident entry that became fully ready during a
-/// [`PlanQueue::wakeup`] broadcast (or was ready on dispatch).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ReadyCandidate {
-    /// In-flight id of the entry.
-    pub id: u64,
-    /// Slot the entry occupies.
-    pub slot: u32,
-}
+/// End of a consumer list.
+const NIL: u32 = u32::MAX;
 
 /// The issue queue. See the module docs.
 #[derive(Debug)]
@@ -70,9 +63,6 @@ pub(crate) struct PlanQueue {
     occ: Vec<u64>,
     /// In-flight id per slot.
     ids: Vec<u64>,
-    /// Dense register each operand waits on (meaningful while the
-    /// operand's `wait_bits` bit is set).
-    op_reg: Vec<[u16; 2]>,
     /// Bits 0/1: operand still waiting for its value. Zero = entry ready.
     wait_bits: Vec<u8>,
     head: usize,
@@ -91,8 +81,10 @@ pub(crate) struct PlanQueue {
     /// Waiting (not-yet-ready) operands across all residents — the gated
     /// wakeup-comparison count of one broadcast.
     waiting_total: u64,
-    /// Consumer index: dense register -> packed `slot << 1 | operand`.
-    waiters: Vec<Vec<u32>>,
+    /// Consumer lists, [`NIL`]-terminated: the first packed waiting
+    /// operand per dense register, and the next one per packed operand.
+    first_waiting: Vec<u32>,
+    next_waiting: Vec<u32>,
     /// Maintain `head` (the oldest resident) so [`PlanQueue::age_rank`]
     /// can answer; only the adaptive policy observes it.
     track_age: bool,
@@ -100,7 +92,7 @@ pub(crate) struct PlanQueue {
 
 impl PlanQueue {
     /// Creates an empty queue. `dense_regs` is the size of the dense
-    /// physical-register universe the consumer index must cover;
+    /// physical-register universe the consumer lists must cover;
     /// `track_age` keeps `head` current so [`PlanQueue::age_rank`] can
     /// answer.
     pub(crate) fn new(
@@ -117,7 +109,6 @@ impl PlanQueue {
                 .collect(),
             occ: vec![0; capacity.div_ceil(64)],
             ids: vec![0; capacity],
-            op_reg: vec![[0; 2]; capacity],
             wait_bits: vec![0; capacity],
             head: 0,
             tail: 0,
@@ -129,7 +120,8 @@ impl PlanQueue {
             banks_nonempty: 0,
             region_count: 0,
             waiting_total: 0,
-            waiters: vec![Vec::new(); dense_regs],
+            first_waiting: vec![NIL; dense_regs],
+            next_waiting: vec![NIL; 2 * capacity],
             track_age,
         }
     }
@@ -286,10 +278,11 @@ impl PlanQueue {
         while pending != 0 {
             let operand = pending.trailing_zeros() as usize;
             pending &= pending - 1;
-            let dense = ops[operand];
-            self.waiters[dense as usize].push(((slot as u32) << 1) | operand as u32);
+            let packed = (slot << 1) | operand;
+            let first = &mut self.first_waiting[ops[operand] as usize];
+            self.next_waiting[packed] = *first;
+            *first = packed as u32;
             self.waiting_total += 1;
-            self.op_reg[slot][operand] = dense;
         }
         self.wait_bits[slot] = wait;
         self.ids[slot] = id;
@@ -313,27 +306,12 @@ impl PlanQueue {
         (slot, wait == 0)
     }
 
-    /// Removes the entry in `slot` (it issued).
+    /// Removes the entry in `slot` (it issued). The entry must be ready:
+    /// a waiting operand is still linked into its register's consumer
+    /// list.
     pub(crate) fn remove(&mut self, slot: usize) {
         debug_assert!(self.is_occupied(slot));
-        let wait = self.wait_bits[slot];
-        if wait != 0 {
-            // Drop the entry's still-waiting operands from the consumer
-            // index.
-            for operand in 0..2 {
-                if wait & (1 << operand) != 0 {
-                    let packed = ((slot as u32) << 1) | operand as u32;
-                    let list = &mut self.waiters[self.op_reg[slot][operand] as usize];
-                    let position = list
-                        .iter()
-                        .position(|&w| w == packed)
-                        .expect("waiting operand is indexed");
-                    list.swap_remove(position);
-                    self.waiting_total -= 1;
-                }
-            }
-            self.wait_bits[slot] = 0;
-        }
+        debug_assert_eq!(self.wait_bits[slot], 0, "only a ready entry issues");
         if self.max_new_range.is_some() && self.in_region(slot) {
             self.region_count -= 1;
         }
@@ -363,35 +341,26 @@ impl PlanQueue {
         }
     }
 
-    /// Broadcasts a completed dense register, waking exactly the waiting
-    /// operands (consumer index). Entries that became fully ready are
-    /// pushed onto `ready_out`. Returns the broadcast's
-    /// `(non-empty, gated)` comparison counts — the full-queue count is a
-    /// static total the plan bakes.
-    pub(crate) fn wakeup(&mut self, dense: u16, ready_out: &mut Vec<ReadyCandidate>) -> (u64, u64) {
+    /// Broadcasts a completed dense register, waking exactly the operands
+    /// on its consumer list and emptying the list. `on_ready` gets the id
+    /// of each entry the broadcast makes fully ready. Returns the
+    /// broadcast's `(non-empty, gated)` comparison counts — the full-queue
+    /// count is a static total the plan bakes.
+    pub(crate) fn wakeup(&mut self, dense: u16, mut on_ready: impl FnMut(u64)) -> (u64, u64) {
         let non_empty = 2 * self.count as u64;
         let gated = self.waiting_total;
-        if self.waiters[dense as usize].is_empty() {
-            return (non_empty, gated);
-        }
-        // Take the list out to release the borrow; put it back (cleared,
-        // capacity retained) afterwards.
-        let mut woken = std::mem::take(&mut self.waiters[dense as usize]);
-        for &packed in &woken {
+        let mut packed = std::mem::replace(&mut self.first_waiting[dense as usize], NIL);
+        while packed != NIL {
             let slot = (packed >> 1) as usize;
             let operand = packed & 1;
             debug_assert!(self.wait_bits[slot] & (1 << operand) != 0);
             self.wait_bits[slot] &= !(1 << operand) as u8;
             self.waiting_total -= 1;
             if self.wait_bits[slot] == 0 {
-                ready_out.push(ReadyCandidate {
-                    id: self.ids[slot],
-                    slot: slot as u32,
-                });
+                on_ready(self.ids[slot]);
             }
+            packed = self.next_waiting[packed as usize];
         }
-        woken.clear();
-        self.waiters[dense as usize] = woken;
         (non_empty, gated)
     }
 }

@@ -19,6 +19,14 @@
 use crate::config::RegFileConfig;
 use sdiq_isa::NUM_ARCH_INT_REGS;
 
+/// State bit: the physical register is allocated (live).
+const ALLOCATED: u8 = 1 << 0;
+/// State bit: the register is the current mapping of some architectural
+/// register (O(1) stand-in for `rename_map.contains`).
+const MAPPED: u8 = 1 << 1;
+/// State bit: the register's value has been produced.
+const READY: u8 = 1 << 2;
+
 /// Rename table + free list + physical register state for one class.
 #[derive(Debug, Clone)]
 pub struct RenamedRegFile {
@@ -27,11 +35,8 @@ pub struct RenamedRegFile {
     /// Bitset of free physical registers (bit set = free).
     free_words: Vec<u64>,
     free_count: usize,
-    allocated: Vec<bool>,
-    /// `mapped[p]` — physical register `p` is the current mapping of some
-    /// architectural register (O(1) stand-in for `rename_map.contains`).
-    mapped: Vec<bool>,
-    ready: Vec<bool>,
+    /// [`ALLOCATED`], [`MAPPED`] and [`READY`] bits per physical register.
+    state: Vec<u8>,
     /// Allocated (live) register count, maintained incrementally.
     live_count: usize,
     /// Live registers per bank, and the number of banks with at least one.
@@ -56,48 +61,30 @@ impl RenamedRegFile {
             config.regs_per_class >= arch_count,
             "physical register file must cover the architectural registers"
         );
-        let words = config.regs_per_class.div_ceil(64);
-        let mut free_words = vec![0u64; words];
-        for i in arch_count..config.regs_per_class {
+        let regs = config.regs_per_class;
+        let mut free_words = vec![0u64; regs.div_ceil(64)];
+        for i in 0..regs {
             free_words[i / 64] |= 1u64 << (i % 64);
         }
-        let mut allocated = vec![false; config.regs_per_class];
-        let mut mapped = vec![false; config.regs_per_class];
-        let mut ready = vec![false; config.regs_per_class];
-        for slot in allocated.iter_mut().take(arch_count) {
-            *slot = true;
-        }
-        for slot in mapped.iter_mut().take(arch_count) {
-            *slot = true;
-        }
-        for slot in ready.iter_mut().take(arch_count) {
-            *slot = true;
-        }
-        let bank_of: Vec<u32> = (0..config.regs_per_class)
-            .map(|reg| (reg / config.bank_size) as u32)
-            .collect();
-        let mut bank_occupancy = vec![0u32; config.banks()];
-        let mut banks_nonempty = 0;
-        for reg in 0..arch_count {
-            let bank = reg / config.bank_size;
-            bank_occupancy[bank] += 1;
-            if bank_occupancy[bank] == 1 {
-                banks_nonempty += 1;
-            }
-        }
-        RenamedRegFile {
+        let mut state = vec![0; regs];
+        state[..arch_count].fill(ALLOCATED | MAPPED | READY);
+        let mut file = RenamedRegFile {
             config,
             rename_map: (0..arch_count).collect(),
             free_words,
-            free_count: config.regs_per_class - arch_count,
-            allocated,
-            mapped,
-            ready,
-            live_count: arch_count,
-            bank_occupancy,
-            banks_nonempty,
-            bank_of,
+            free_count: regs,
+            state,
+            live_count: 0,
+            bank_occupancy: vec![0; config.banks()],
+            banks_nonempty: 0,
+            bank_of: (0..regs)
+                .map(|reg| (reg / config.bank_size) as u32)
+                .collect(),
+        };
+        for reg in 0..arch_count {
+            file.mark_allocated(reg);
         }
+        file
     }
 
     /// `true` if a physical register can be allocated right now.
@@ -118,7 +105,6 @@ impl RenamedRegFile {
     fn mark_allocated(&mut self, index: usize) {
         self.free_words[index / 64] &= !(1u64 << (index % 64));
         self.free_count -= 1;
-        self.allocated[index] = true;
         self.live_count += 1;
         let bank = self.bank_of[index] as usize;
         self.bank_occupancy[bank] += 1;
@@ -130,7 +116,6 @@ impl RenamedRegFile {
     fn mark_free(&mut self, index: usize) {
         self.free_words[index / 64] |= 1u64 << (index % 64);
         self.free_count += 1;
-        self.allocated[index] = false;
         self.live_count -= 1;
         let bank = self.bank_of[index] as usize;
         self.bank_occupancy[bank] -= 1;
@@ -147,11 +132,10 @@ impl RenamedRegFile {
     pub fn allocate_dest_index(&mut self, arch_index: usize) -> Option<(usize, usize)> {
         let new_index = self.lowest_free()?;
         self.mark_allocated(new_index);
-        self.ready[new_index] = false;
         let old_index = self.rename_map[arch_index];
         self.rename_map[arch_index] = new_index;
-        self.mapped[old_index] = false;
-        self.mapped[new_index] = true;
+        self.state[old_index] &= !MAPPED;
+        self.state[new_index] = ALLOCATED | MAPPED;
         Some((new_index, old_index))
     }
 
@@ -165,7 +149,7 @@ impl RenamedRegFile {
     /// produced.
     #[inline]
     pub fn is_ready_index(&self, index: usize) -> bool {
-        self.ready[index]
+        self.state[index] & READY != 0
     }
 
     /// Marks physical register `index`'s value as produced (writeback).
@@ -173,7 +157,7 @@ impl RenamedRegFile {
     /// read and write totals.
     #[inline]
     pub fn write_value_index(&mut self, index: usize) {
-        self.ready[index] = true;
+        self.state[index] |= READY;
     }
 
     /// Releases physical register `index` (the *previous* mapping of a
@@ -181,11 +165,11 @@ impl RenamedRegFile {
     /// mapped is never released.
     #[inline]
     pub fn release_index(&mut self, index: usize) {
-        if self.mapped[index] {
+        if self.state[index] & MAPPED != 0 {
             return;
         }
-        if self.allocated[index] {
-            self.ready[index] = false;
+        if self.state[index] & ALLOCATED != 0 {
+            self.state[index] = 0;
             self.mark_free(index);
         }
     }
@@ -212,7 +196,7 @@ impl RenamedRegFile {
 impl RenamedRegFile {
     /// Reference recomputation of [`RenamedRegFile::occupancy`].
     pub fn naive_occupancy(&self) -> usize {
-        self.allocated.iter().filter(|&&a| a).count()
+        self.state.iter().filter(|&&s| s & ALLOCATED != 0).count()
     }
 
     /// Reference recomputation of [`RenamedRegFile::banks_on`].
@@ -223,7 +207,7 @@ impl RenamedRegFile {
             .filter(|b| {
                 let lo = b * bank_size;
                 let hi = ((b + 1) * bank_size).min(self.config.regs_per_class);
-                self.allocated[lo..hi].iter().any(|&a| a)
+                self.state[lo..hi].iter().any(|&s| s & ALLOCATED != 0)
             })
             .count()
     }
@@ -243,9 +227,9 @@ impl RenamedRegFile {
             self.config.regs_per_class,
             "free/live partition"
         );
-        for (index, &is_mapped) in self.mapped.iter().enumerate() {
+        for (index, &state) in self.state.iter().enumerate() {
             assert_eq!(
-                is_mapped,
+                state & MAPPED != 0,
                 self.rename_map.contains(&index),
                 "mapped[{index}]"
             );

@@ -152,4 +152,7 @@ pub mod codes {
     /// configuration, or its program differs from the source's in more
     /// than markers; or re-marking differs from lowering the program.
     pub const PLAN006: &str = "PLAN006";
+    /// (Warning) the workload's execution stopped at the dynamic
+    /// instruction cap, so the plan covers a prefix of the workload.
+    pub const PLAN007: &str = "PLAN007";
 }
