@@ -64,8 +64,9 @@
 //!   use to simulate the two shapes of worker death.
 //! * `--workers host:port,...` (remote coordinator mode) distributes the
 //!   missing cells over those daemons instead of computing locally, in
-//!   whole plan groups (one benchmark on one machine, so a daemon makes
-//!   each plan once and drops it after the batch), each cell to exactly
+//!   whole plan groups (one benchmark on every machine with one front
+//!   end, so a daemon lowers each stream once, makes each plan once and
+//!   drops them after the batch), each cell to exactly
 //!   one worker at a time, up to twice a worker's capacity in cells
 //!   outstanding so daemons never idle a round trip between batches.
 //!   A worker that dies — or goes silent past `--heartbeat-deadline`
@@ -126,7 +127,7 @@ use sdiq_core::{
 };
 use sdiq_isa::{Executor, Program};
 use sdiq_sim::plan::only_markers_differ;
-use sdiq_sim::{ExecPlan, SimConfig};
+use sdiq_sim::{ExecPlan, FrontEnd, SimConfig};
 use sdiq_verify::StandardVerifier;
 use sdiq_workloads::Benchmark;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -532,7 +533,8 @@ fn print_diags(
 /// checker suite — structural program verification, annotation legality,
 /// the soundness envelope and the execution-plan lint — over every
 /// artifact of the selected (variant × benchmark × technique) space, plus
-/// the re-mark oracle for every compile that changed only markers.
+/// the re-mark oracle for every compile that changed only markers and for
+/// every later variant with the first one's front end and scale.
 /// Artifacts are deduplicated by their cache keys, so the work matches
 /// what an equivalent run would build. Exits 0 when no error-severity
 /// diagnostics were found, 1 otherwise, 2 on flag errors.
@@ -619,8 +621,19 @@ fn lint_main(args: impl Iterator<Item = String>) -> ! {
     // plan stage has nothing sound to lint against for those.
     let mut compiled: HashMap<CompileKey, Option<sdiq_compiler::CompiledProgram>> = HashMap::new();
     let mut seen_plans: HashSet<PlanKey> = HashSet::new();
+    // The first variant's plan of each technique's program per built
+    // program and front end, with that program: every later back-end
+    // variant's plan of the technique is re-marked from it.
+    let mut first_plans: HashMap<(ProgramKey, FrontEnd, Technique), (ExecPlan, Program)> =
+        HashMap::new();
 
-    for variant in &variants {
+    for (index, variant) in variants.iter().enumerate() {
+        // Keep this variant's plans for the cross-machine oracle only if a
+        // later variant re-marks from them.
+        let remarked_later = variants[index + 1..].iter().any(|later| {
+            later.scale == variant.scale
+                && later.sim_config.front_end() == variant.sim_config.front_end()
+        });
         for &benchmark in &benchmarks {
             let program_key = ProgramKey::new(benchmark, variant.scale);
             let program = cache.program(program_key);
@@ -712,6 +725,27 @@ fn lint_main(args: impl Iterator<Item = String>) -> ! {
                             ));
                         }
                         print_diags(&context, &diags, &mut errors, &mut warnings);
+                        // The cross-machine oracle: on a later variant
+                        // with the same front end, the first variant's
+                        // plan re-marked onto this machine must equal the
+                        // plan built from this program's own trace.
+                        let first_key = (program_key, variant.sim_config.front_end(), technique);
+                        match first_plans.get(&first_key) {
+                            Some((first, first_program))
+                                if only_markers_differ(first_program, source_program) =>
+                            {
+                                remarks_checked += 1;
+                                let diags =
+                                    sdiq_verify::lint_remark_oracle(first, source_program, &plan);
+                                print_diags(&context, &diags, &mut errors, &mut warnings);
+                            }
+                            Some(_) => {}
+                            None if remarked_later => {
+                                first_plans
+                                    .insert(first_key, (plan.clone(), source_program.clone()));
+                            }
+                            None => {}
+                        }
                         if markers_only {
                             // The oracle: the raw plan re-marked for this
                             // compile must equal the plan built from the
@@ -1162,17 +1196,27 @@ fn main() {
                 "  {:10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
                 "technique", "IPC loss", "IQ occ-", "IQ dyn", "IQ stat", "RF dyn", "RF stat"
             );
+            // The suite's own techniques only; `n/a` where no benchmark
+            // ran the technique beside the baseline.
+            let ran = suite.techniques();
             for technique in Technique::evaluated() {
-                let s = experiments::summarise(suite, technique);
+                if !ran.contains(&technique) {
+                    continue;
+                }
+                let columns = experiments::summarise(suite, technique).map(|s| {
+                    [
+                        s.ipc_loss_pct,
+                        s.iq_occupancy_reduction_pct,
+                        s.iq_dynamic_pct,
+                        s.iq_static_pct,
+                        s.rf_dynamic_pct,
+                        s.rf_static_pct,
+                    ]
+                });
                 println!(
-                    "  {:10} {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}%",
+                    "  {:10}{}",
                     technique.name(),
-                    s.ipc_loss_pct,
-                    s.iq_occupancy_reduction_pct,
-                    s.iq_dynamic_pct,
-                    s.iq_static_pct,
-                    s.rf_dynamic_pct,
-                    s.rf_static_pct
+                    experiments::percent_columns(columns.as_ref().map(|c| &c[..]), 6)
                 );
             }
             println!();

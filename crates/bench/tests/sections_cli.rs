@@ -4,7 +4,9 @@
 //! `repro serve` or `repro lint` does not know is an error rather than an
 //! empty run, and a matrix no run can hold (a bad scale, an axis entry
 //! listed twice) exits 2 before any cell runs, in process and on a fleet,
-//! and a cell whose workload stopped at the instruction cap is reported.
+//! `--summary` reads `n/a` for a technique with no baseline to compare
+//! against, and a cell whose workload stopped at the instruction cap is
+//! reported.
 
 use sdiq_core::{persist, Experiment};
 use std::process::Command;
@@ -142,6 +144,41 @@ fn bad_matrix_inputs_exit_two_before_any_cell_runs() {
             assert!(output.stdout.is_empty(), "{what:?} printed a section");
         }
     }
+}
+
+/// `--summary` lists the suite's own techniques, and a technique with no
+/// baseline to compare against reads `n/a`, never a saving of 0.0 %.
+#[test]
+fn the_summary_lists_the_suites_techniques_and_n_a_without_a_baseline() {
+    let summary = |techniques: &str| {
+        let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--summary", "--scale", "0.05", "--benchmarks", "gzip,mcf"])
+            .args(["--techniques", techniques])
+            .output()
+            .expect("spawn repro");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "repro failed:\n{stderr}");
+        let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
+        let rows: Vec<String> = stdout
+            .lines()
+            .skip_while(|line| !line.starts_with("== Suite-average summary"))
+            .skip(2)
+            .take_while(|line| !line.is_empty())
+            .map(str::to_string)
+            .collect();
+        rows
+    };
+    let alone = summary("noop");
+    assert_eq!(alone.len(), 1, "only the suite's technique: {alone:?}");
+    let cells: Vec<&str> = alone[0].split_whitespace().collect();
+    assert_eq!(cells, ["noop", "n/a", "n/a", "n/a", "n/a", "n/a", "n/a"]);
+    let compared = summary("baseline,noop");
+    assert_eq!(compared.len(), 1, "{compared:?}");
+    assert!(
+        compared[0].starts_with("  noop") && !compared[0].contains("n/a"),
+        "{compared:?}"
+    );
+    assert!(compared[0].ends_with('%'), "{compared:?}");
 }
 
 /// A workload that reaches `Experiment::max_dynamic_instructions` is cut

@@ -14,33 +14,50 @@
 //!   `PassConfig` and therefore the key),
 //! * the **execution plan** — a function of `(program, SimConfig,
 //!   instruction cap)`: lowered straight from the functional executor
-//!   ([`ExecPlan::lower`]) or re-marked from the raw program's plan
+//!   ([`ExecPlan::lower`]) or re-marked from another plan of its group
 //!   ([`ExecPlan::remark`]), shared by every technique and resize policy
 //!   of that shape, and
 //! * the **replay** — a function of `(plan, ResizePolicy)`: the techniques
 //!   that differ only in how the power model prices the same counters
 //!   (`baseline`, `nonEmpty`, `way-memo`) share one [`SimResult`].
 //!
-//! A compiler pass that changes nothing but instruction markers (the
-//! low-energy bit and hint tags) leaves its input's committed stream
-//! unchanged: only decode reads the markers. The cache checks this once
-//! per compile ([`CompiledArtifact::markers_only`]). Such a compile's plan
-//! is the raw program's plan re-marked: a new static table and new baked
-//! totals over the raw plan's stream, with nothing executed. The tagging
-//! techniques `extension` and `improved`, whose policy reads hints, replay
-//! that plan. `lowen-isa`, whose policy ignores them, needs no plan at
+//! A plan's committed stream depends on less than its key: on the program
+//! with its markers (the low-energy bit and hint tags) cleared, on the
+//! machine's front end (the branch predictor and the L1i, the only
+//! configuration lowering reads) and on the cap. Only decode reads the
+//! markers, and only replay reads the back end. So the cache slots
+//! streams by **plan group** — one built program (benchmark and scale),
+//! one front end, one cap: every technique and every back-end variant of
+//! a benchmark — and keys each of a group's streams by the fingerprint of
+//! its unmarked program ([`sdiq_sim::plan::unmarked_fingerprint`]),
+//! confirmed with [`only_markers_differ`] before it is shared. A plan is
+//! lowered only when no stream of its group commits the same
+//! instructions; every other plan is the stream's first plan re-marked
+//! onto its own machine: a new static table and new baked totals over the
+//! shared stream, with nothing executed. The tagging techniques
+//! `extension` and `improved`, whose passes change only markers, take the
+//! raw program's stream this way, and every `iq=` or `bank=` sweep point
+//! takes the first point's streams; the `noop` pass retargeted at another
+//! queue size changes only its hint values, so it shares the `noop`
+//! stream too. `lowen-isa`, whose policy ignores hints, needs no plan at
 //! all: the engine prices its cell from the raw program's replay, with
 //! its low-energy commits summed from the raw plan's per-instruction
-//! commit counts over the instructions its pass marked. A pass that
-//! inserts a hint NOOP changes the stream, and its output is lowered.
+//! commit counts over the instructions its pass marked
+//! ([`CompiledArtifact::markers_only`]). A pass that inserts a hint NOOP
+//! commits another stream, which is lowered once per group.
 //!
 //! The cache keys artifacts by exactly those inputs and hands out
 //! `Arc`-shared handles. The eight built-in techniques over 11 benchmarks
 //! on one machine therefore build 11 programs, run 44 compiler passes,
 //! lower 22 plans (the raw program and the `noop` output), re-mark 22
 //! (the `extension` and `improved` outputs) and run 55 replays for 88
-//! cells; a second machine variant adds 22 lowered and 22 re-marked plans
-//! and 55 replays, unless it is the same machine under another label.
+//! cells. A sweep point with the same front end (any `iq=` or `bank=`
+//! value) adds 44 compiler passes (the passes retarget at its machine), no
+//! lowered plan, 44 re-marked plans (its raw, `noop`, `extension` and
+//! `improved` plans) and 55 replays: `--sweep iq=32,48,64,80,96` lowers 22
+//! plans and re-marks 198, as `iq=80` is the base machine under another
+//! label. A machine with another front end is another group, and lowers
+//! its own 22.
 //!
 //! # Plan lifetime
 //!
@@ -48,24 +65,27 @@
 //! 13 bytes per committed instruction (its static slot, fetch flags and
 //! memory address) plus its I-miss addresses; its static table, and the
 //! whole of a re-marked plan, is one 10-byte record per instruction
-//! address. A plan is needed only until the last replay of it has run.
-//! Before a matrix run ([`crate::Matrix::run_with`]) or a `repro serve`
-//! batch ([`crate::Matrix::run_cells_by_key`]) starts its workers, it
-//! holds, for every cell it will compute, each plan that cell may use:
-//! its own and, for a software technique, the raw program's, which its
-//! plan may be re-marked from. Each finished cell releases its holds, and
-//! a plan whose last hold is released is dropped. A stream lives as long
-//! as the last plan that shares it: dropping the raw plan before a
-//! re-marked one frees only the raw static table. Replays and commit
+//! address. A plan is needed only until the last replay of it has run,
+//! and a group's streams until the group's last plan is made. Before a
+//! matrix run ([`crate::Matrix::run_with`]) or a `repro serve` batch
+//! ([`crate::Matrix::run_cells_by_key`]) starts its workers, it holds, for
+//! every cell it will compute, each plan that cell may use: its own and,
+//! for a software technique, the raw program's, whose replay and commit
+//! counts may price it. Each hold on a plan is a hold on its group's
+//! streams too. Each finished cell releases its holds: a plan whose last
+//! hold is released is dropped, and a group's streams go with the last
+//! hold on any plan of the group. A stream lives as long as the last plan
+//! that shares it, or its group, whichever is later. Replays and commit
 //! counts stay cached, so a later cell or a re-run on the same cache that
 //! needs only those lowers nothing.
 //!
-//! The cells that use a plan all belong to one plan group (one benchmark
-//! on one machine), and the engine runs the matrix group by group, so a
-//! run holds the plans of the groups its workers are in: a serial run of
-//! the paper's matrix holds at most one plan after any cell. The remote
-//! scheduler sends a daemon whole groups, so a batch makes each of its
-//! plans once and leaves none behind.
+//! The cells that use a plan all belong to one plan group, and the engine
+//! runs the matrix group by group, so a run holds the plans and streams
+//! of the groups its workers are in: a serial run of the paper's matrix
+//! holds at most one plan after any cell, a serial swept run one plan per
+//! distinct machine, and either holds one group's two streams. The remote
+//! scheduler sends a daemon whole groups, so a batch lowers each of its
+//! streams once and leaves none behind.
 //!
 //! # Determinism
 //!
@@ -82,15 +102,19 @@
 //! runs the build, compile, lowering, re-mark or replay, any concurrent
 //! worker blocks on the same slot and receives the same `Arc` — an
 //! artifact is never computed twice (a matrix run drops a plan only after
-//! every cell that can use it), which the instrumented
+//! every cell that can use it). A group's streams are slotted the same
+//! way, so two workers that start plans of one stream at once lower it
+//! once and re-mark the other plan from it, which the instrumented
 //! [`ArtifactCache::program_builds`], [`ArtifactCache::compile_runs`],
 //! [`ArtifactCache::plan_builds`], [`ArtifactCache::plan_remarks`] and
 //! [`ArtifactCache::replay_runs`] counters let tests assert exactly.
 
 use sdiq_compiler::{CompileStats, CompilerPass, PassConfig};
 use sdiq_isa::Program;
-use sdiq_sim::plan::only_markers_differ;
-use sdiq_sim::{AdaptiveConfig, ExecPlan, PlanSimulator, ResizePolicy, SimConfig, SimResult};
+use sdiq_sim::plan::{only_markers_differ, unmarked_fingerprint};
+use sdiq_sim::{
+    AdaptiveConfig, ExecPlan, FrontEnd, PlanSimulator, ResizePolicy, SimConfig, SimResult,
+};
 use sdiq_verify::{
     has_errors, lint_lowered_plan, lint_remarked_plan, verify_compiled, Diagnostic, Severity,
     StandardVerifier,
@@ -152,10 +176,10 @@ pub struct CompiledArtifact {
     /// `true` if the pass changed nothing but the instruction markers
     /// `low_energy` and `iq_hint` ([`only_markers_differ`]): the same
     /// procedures and blocks, the same instruction counts, every other
-    /// instruction field equal. The annotated program's plan is then the
-    /// input's re-marked ([`ExecPlan::remark`]), and under a policy that
-    /// ignores hints it replays exactly as its input does, low-energy
-    /// commits aside.
+    /// instruction field equal. The annotated program then commits its
+    /// input's stream (its plan is re-marked from the input's, see
+    /// [`ArtifactCache::planned`]), and under a policy that ignores hints
+    /// it replays exactly as its input does, low-energy commits aside.
     pub markers_only: bool,
 }
 
@@ -186,6 +210,35 @@ pub struct PlanKey {
     pub sim_config: SimConfig,
     /// The dynamic-instruction cap used when tracing the program.
     pub max_dynamic_instructions: u64,
+}
+
+impl PlanKey {
+    /// The plan group this plan belongs to.
+    pub(crate) fn group(&self) -> PlanGroup {
+        let program = match self.source {
+            PlanSource::Program(program) => program,
+            PlanSource::Compiled(compile) => compile.program,
+        };
+        PlanGroup {
+            program,
+            front_end: self.sim_config.front_end(),
+            max_dynamic_instructions: self.max_dynamic_instructions,
+        }
+    }
+}
+
+/// What a plan's committed stream depends on besides its program's
+/// instructions: the built program every pass of the group starts from,
+/// the machine's front end (the only configuration lowering reads) and
+/// the instruction cap. A plan group holds every technique and every
+/// back-end variant of one benchmark; its plans commit a few streams
+/// (for the built-in techniques two: the raw program's, shared by every
+/// pass that changes only markers, and the `noop` output's).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct PlanGroup {
+    program: ProgramKey,
+    front_end: FrontEnd,
+    max_dynamic_instructions: u64,
 }
 
 /// A [`ResizePolicy`] as the exact bit pattern of its parameters: the
@@ -238,8 +291,10 @@ impl PolicyBits {
 /// `sdiq_verify::verify_compiled` suite, lowered plans are cross-checked
 /// against a second execution of their source program with
 /// `sdiq_verify::lint_lowered_plan`, and re-marked plans against their
-/// program and the raw plan whose stream they share with
-/// `sdiq_verify::lint_remarked_plan`, which executes nothing. A failed
+/// program and the plan whose stream they share, on whichever back end
+/// it was lowered for, with `sdiq_verify::lint_remarked_plan`, which
+/// executes nothing: each stream is linted against an execution once. A
+/// failed
 /// check is a logic error in this repository, not a user error, so it
 /// panics with the full diagnostic listing. Because verification happens
 /// inside the [`OnceLock`] initialiser, a sweep touching the same key a
@@ -249,12 +304,17 @@ pub struct ArtifactCache {
     programs: Slots<ProgramKey, Arc<Program>>,
     compiles: Slots<CompileKey, Arc<CompiledArtifact>>,
     plans: Slots<PlanKey, Arc<ExecPlan>>,
-    /// Each lowered plan's [`ExecPlan::commit_counts`], kept after the
-    /// plan itself is dropped.
+    /// Each plan group's streams, keyed by the [`unmarked_fingerprint`] of
+    /// the programs that commit them: the key and plan of the first plan
+    /// lowered over each, which every later plan of the stream is
+    /// re-marked from.
+    streams: Slots<(PlanGroup, u64), (PlanKey, Arc<ExecPlan>)>,
+    /// Each plan's [`ExecPlan::commit_counts`], kept after the plan itself
+    /// is dropped.
     commit_counts: Mutex<HashMap<PlanKey, Arc<[u32]>>>,
-    /// Cells of the running matrices that may still use each plan (see
+    /// Holds of the running matrices' cells on plans and plan groups (see
     /// [`ArtifactCache::hold_plans`]).
-    pending: Mutex<HashMap<PlanKey, usize>>,
+    pending: Mutex<Holds>,
     replays: Slots<(PlanKey, PolicyBits), Arc<SimResult>>,
     program_builds: AtomicU64,
     compile_runs: AtomicU64,
@@ -270,6 +330,7 @@ impl Default for ArtifactCache {
             programs: Mutex::default(),
             compiles: Mutex::default(),
             plans: Mutex::default(),
+            streams: Mutex::default(),
             commit_counts: Mutex::default(),
             pending: Mutex::default(),
             replays: Mutex::default(),
@@ -294,6 +355,26 @@ fn fail_on_errors(diags: &[Diagnostic]) {
 
 /// One artifact kind's map: a once-initialisable slot per key.
 type Slots<K, V> = Mutex<HashMap<K, Arc<OnceLock<V>>>>;
+
+/// The cells that may still use each plan, and each plan group's streams.
+#[derive(Debug, Default)]
+struct Holds {
+    plans: HashMap<PlanKey, usize>,
+    groups: HashMap<PlanGroup, usize>,
+}
+
+/// Releases one hold on `key`; `true` if it was the last.
+fn release<K: Eq + Hash>(holds: &mut HashMap<K, usize>, key: &K) -> bool {
+    let Some(count) = holds.get_mut(key) else {
+        unreachable!("a plan is released only after it was held");
+    };
+    *count -= 1;
+    let last = *count == 0;
+    if last {
+        holds.remove(key);
+    }
+    last
+}
 
 /// Fetches (or inserts) the once-initialisable slot for `key`. The map
 /// lock is held only for the slot lookup, never across a build.
@@ -402,32 +483,29 @@ impl ArtifactCache {
     /// the source program — and running its compiler pass, for
     /// [`PlanSource::Compiled`] — through the cache if needed).
     ///
-    /// A compile that changed only markers takes the raw program's plan
-    /// re-marked ([`ExecPlan::remark`]): nothing executes, and the plan
-    /// shares the raw plan's stream. Any other plan is lowered, with the
+    /// A plan is lowered only when no stream of its plan group commits the
+    /// same instructions: the first plan of a stream is lowered, with the
     /// functional execution streamed straight into the lowering by
-    /// [`ExecPlan::lower`]: no trace is collected. With verification on, a
-    /// lowered plan is linted against a second streamed execution of the
-    /// same program, and a re-marked one against its program and the raw
-    /// plan, without executing anything.
+    /// [`ExecPlan::lower`] (no trace is collected), and every other plan
+    /// of the group whose program differs from that plan's in nothing but
+    /// markers is that plan re-marked onto its own machine
+    /// ([`ExecPlan::remark`]): nothing executes. So a compile that changed
+    /// only markers shares the raw program's stream, and every back-end
+    /// variant of a sweep shares the first variant's streams. Streams are
+    /// found by the [`unmarked_fingerprint`] of the program and confirmed
+    /// with [`only_markers_differ`] before one is shared. With
+    /// verification on, a lowered plan is linted against a second streamed
+    /// execution of the same program, and a re-marked one against its
+    /// program and the plan it was re-marked from, without executing
+    /// anything.
     ///
     /// A matrix run drops each plan once the last cell that can use it has
-    /// finished (see the module docs); asking for a dropped plan makes it
-    /// again.
+    /// finished, and each group's streams once the group's last cell has
+    /// (see the module docs); asking for a dropped plan makes it again.
     pub fn planned(&self, key: PlanKey) -> Arc<ExecPlan> {
-        let (program, remark_of) = match key.source {
-            PlanSource::Program(program) => (self.program(program), None),
-            PlanSource::Compiled(compile) => {
-                let artifact = self.compiled(compile);
-                let raw = PlanKey {
-                    source: PlanSource::Program(compile.program),
-                    ..key
-                };
-                (
-                    artifact.program.clone(),
-                    artifact.markers_only.then_some(raw),
-                )
-            }
+        let program = match key.source {
+            PlanSource::Program(program) => self.program(program),
+            PlanSource::Compiled(compile) => self.compiled(compile).program.clone(),
         };
         let slot = slot(&self.plans, key);
         if slot.get().is_some() {
@@ -436,14 +514,38 @@ impl ArtifactCache {
         slot.get_or_init(|| {
             let metrics = sdiq_obs::metrics();
             metrics.cache_plan_misses.inc();
-            let plan = match remark_of {
-                Some(raw) => self.remarked(&self.planned(raw), &program),
-                None => self.lowered(&program, key),
-            };
+            let plan = self.over_group_stream(key, &program);
             lock(&self.commit_counts).insert(key, plan.commit_counts().into());
-            Arc::new(plan)
+            plan
         })
         .clone()
+    }
+
+    /// The plan for `key`, whose program is `program`, over the stream of
+    /// its plan group that commits `program`'s instructions: the plan that
+    /// stream was first lowered for, re-marked onto `key`'s machine, or,
+    /// if no such stream exists yet, a new lowering that starts it.
+    fn over_group_stream(&self, key: PlanKey, program: &Program) -> Arc<ExecPlan> {
+        let stream = slot(&self.streams, (key.group(), unmarked_fingerprint(program)));
+        let (first, source) = stream
+            .get_or_init(|| (key, Arc::new(self.lowered(program, key))))
+            .clone();
+        if first == key {
+            return source;
+        }
+        let _span = sdiq_obs::span("remark-plan", "cache");
+        match source.remark(key.sim_config, program) {
+            Some(plan) => {
+                self.plan_remarks.fetch_add(1, Ordering::Relaxed);
+                if self.verify_enabled() {
+                    fail_on_errors(&lint_remarked_plan(&plan, program, &source));
+                }
+                Arc::new(plan)
+            }
+            // Equal fingerprints of different programs: another stream,
+            // which is not shared.
+            None => Arc::new(self.lowered(program, key)),
+        }
     }
 
     /// Executes and lowers `program` for `key`, linting the plan against a
@@ -464,20 +566,6 @@ impl ArtifactCache {
                 Ok(diags) => fail_on_errors(&diags),
                 Err(fault) => panic!("workload must execute cleanly, faulted with {fault:?}"),
             }
-        }
-        plan
-    }
-
-    /// `raw` re-marked for `program`, a compile of `raw`'s program that
-    /// changed only markers, linted against both when verification is on.
-    fn remarked(&self, raw: &ExecPlan, program: &Program) -> ExecPlan {
-        self.plan_remarks.fetch_add(1, Ordering::Relaxed);
-        let _span = sdiq_obs::span("remark-plan", "cache");
-        let Some(plan) = raw.remark(program) else {
-            unreachable!("a markers-only compile re-marks its input's plan")
-        };
-        if self.verify_enabled() {
-            fail_on_errors(&lint_remarked_plan(&plan, program, raw));
         }
         plan
     }
@@ -519,30 +607,33 @@ impl ArtifactCache {
             .unwrap_or_else(|| unreachable!("lowering records the plan's commit counts"))
     }
 
-    /// Registers one more cell that may use the plan of each of `keys`.
-    /// The plan stays cached until [`ArtifactCache::release_plans`] has
-    /// released it as often as it was held. A matrix run holds the plans
-    /// of every cell it computes before its workers start.
+    /// Registers one more cell that may use the plan of each of `keys`,
+    /// and the streams of its plan group. The plan stays cached until
+    /// [`ArtifactCache::release_plans`] has released it as often as it was
+    /// held, and the group's streams until every plan of the group held
+    /// was. A matrix run holds the plans of every cell it computes before
+    /// its workers start.
     pub(crate) fn hold_plans(&self, keys: impl IntoIterator<Item = PlanKey>) {
         let mut pending = lock(&self.pending);
         for key in keys {
-            *pending.entry(key).or_default() += 1;
+            *pending.plans.entry(key).or_default() += 1;
+            *pending.groups.entry(key.group()).or_default() += 1;
         }
     }
 
     /// Releases one hold on the plan of each of `keys`. A plan whose last
-    /// hold this was is dropped; its replays and commit counts stay
-    /// cached, so a later cell that needs only those lowers nothing.
+    /// hold this was is dropped, and so are a group's streams with its
+    /// last hold; replays and commit counts stay cached, so a later cell
+    /// that needs only those lowers nothing.
     pub(crate) fn release_plans(&self, keys: impl IntoIterator<Item = PlanKey>) {
         let mut pending = lock(&self.pending);
         for key in keys {
-            let Some(count) = pending.get_mut(&key) else {
-                unreachable!("a plan is released only after it was held");
-            };
-            *count -= 1;
-            if *count == 0 {
-                pending.remove(&key);
+            if release(&mut pending.plans, &key) {
                 lock(&self.plans).remove(&key);
+            }
+            let group = key.group();
+            if release(&mut pending.groups, &group) {
+                lock(&self.streams).retain(|&(held, _), _| held != group);
             }
         }
     }
@@ -560,15 +651,16 @@ impl ArtifactCache {
     }
 
     /// Number of execution plans lowered: executed and lowered, one per
-    /// unique [`PlanKey`] requested that is not a re-mark, regardless of
-    /// concurrency.
+    /// stream of a plan group (see [`ArtifactCache::planned`]), regardless
+    /// of concurrency.
     pub fn plan_builds(&self) -> u64 {
         self.plan_builds.load(Ordering::Relaxed)
     }
 
-    /// Number of execution plans re-marked from the raw program's plan
-    /// instead of lowered: one per unique [`PlanKey`] requested whose
-    /// compile changed only markers, regardless of concurrency.
+    /// Number of execution plans re-marked from the first plan of their
+    /// stream instead of lowered: one per unique [`PlanKey`] requested
+    /// whose plan group already had a stream for its program, regardless
+    /// of concurrency.
     pub fn plan_remarks(&self) -> u64 {
         self.plan_remarks.load(Ordering::Relaxed)
     }
@@ -583,6 +675,12 @@ impl ArtifactCache {
     #[cfg(test)]
     fn plans_held(&self) -> usize {
         lock(&self.plans).len()
+    }
+
+    /// Number of plan-group streams the cache holds now.
+    #[cfg(test)]
+    fn streams_held(&self) -> usize {
+        lock(&self.streams).len()
     }
 }
 
@@ -774,6 +872,28 @@ mod tests {
         assert_eq!(work(&cache), (2, 2, 5));
     }
 
+    /// Every point of an issue-queue sweep has the base machine's front
+    /// end, so each benchmark lowers its two streams once: the raw
+    /// program's and the `noop` output's. The base machine re-marks two
+    /// plans (`extension`, `improved`) and `iq48` and `iq96` four each
+    /// (their raw, `noop`, `extension` and `improved` plans); `iq80` is the
+    /// base machine. Each distinct machine runs its five replays.
+    #[test]
+    fn an_iq_sweep_lowers_each_stream_once() {
+        let experiment = tiny_experiment();
+        let cache = ArtifactCache::new();
+        let matrix = Matrix::new(&experiment)
+            .benchmarks(&[Benchmark::Gzip])
+            .techniques(&BUILTIN_TECHNIQUES)
+            .sweep_iq_entries(&[48, 80, 96])
+            .jobs(2);
+        let sweep = matrix.run_with(&cache, &HashMap::new());
+        assert_eq!(matrix.collect_cells(&sweep).len(), 32);
+        assert_eq!(work(&cache), (2, 10, 15));
+        assert_eq!(cache.plans_held(), 0);
+        assert_eq!(cache.streams_held(), 0, "the group's streams were dropped");
+    }
+
     /// `report` with its compile durations zeroed, as the cache keeps them.
     fn untimed(mut report: RunReport) -> RunReport {
         if let Some(stats) = &mut report.compile {
@@ -893,9 +1013,11 @@ mod tests {
 
     /// `extension` and `improved` put their hints in tags on existing
     /// instructions, so on these workloads their passes change only
-    /// markers: the engine re-marks the raw plan for them and executes
-    /// nothing of their own. `Experiment::run` lowers the compiled program
-    /// itself: the cells agree on every benchmark and on both machines.
+    /// markers and both commit the raw program's stream: the engine lowers
+    /// the first of them it meets and re-marks that plan for the other.
+    /// The two machines have different front ends, so each lowers its own.
+    /// `Experiment::run` lowers the compiled program itself: the cells
+    /// agree on every benchmark and on both machines.
     #[test]
     fn tagging_cells_replay_a_remarked_plan_and_equal_a_lowered_run() {
         let experiment = tiny_experiment();
@@ -914,8 +1036,8 @@ mod tests {
         let machines = 2 * Benchmark::ALL.len() as u64;
         assert_eq!(
             work(&cache),
-            (machines, 2 * machines, 2 * machines),
-            "one raw plan per benchmark and machine, re-marked twice"
+            (machines, machines, 2 * machines),
+            "one plan lowered per benchmark and machine, and one re-marked from it"
         );
         assert_eq!(cache.plans_held(), 0, "the re-marked plans were dropped");
         for (index, sim_config) in [experiment.sim_config, small.sim_config]
@@ -1023,6 +1145,7 @@ mod tests {
             let cache = ArtifactCache::new();
             let sweep = matrix.run_with(&cache, &seed);
             assert_eq!(cache.plans_held(), 0, "every plan was dropped");
+            assert_eq!(cache.streams_held(), 0, "every stream was dropped");
             let computed = matrix.missing_cell_groups(&seed).concat();
             assert!(!computed.is_empty());
             assert_eq!(
@@ -1035,17 +1158,21 @@ mod tests {
         }
     }
 
-    /// Records the most plans `cache` held after any cell. The engine
-    /// calls a sink after the cell has released its plans.
+    /// Records the most plans and plan-group streams `cache` held after
+    /// any cell. The engine calls a sink after the cell has released its
+    /// plans.
     struct MostPlansHeld<'c> {
         cache: &'c ArtifactCache,
-        most: std::sync::atomic::AtomicUsize,
+        plans: std::sync::atomic::AtomicUsize,
+        streams: std::sync::atomic::AtomicUsize,
     }
 
     impl crate::CellSink for MostPlansHeld<'_> {
         fn cell_complete(&self, _: &str, _: &RunReport) {
-            self.most
+            self.plans
                 .fetch_max(self.cache.plans_held(), Ordering::Relaxed);
+            self.streams
+                .fetch_max(self.cache.streams_held(), Ordering::Relaxed);
         }
     }
 
@@ -1054,7 +1181,11 @@ mod tests {
     /// technique by technique kept every raw plan until the last
     /// `lowen-isa` cell. An `iq=80` point joins the base groups, and its
     /// cells hold their group's `noop` and re-marked plans until they
-    /// finish, so the bound is four.
+    /// finish, so the bound is four. An `iq=48` point joins them too: its
+    /// raw plan lives from its first cell to its last, beside the base
+    /// machine's, so the bound is two. Every run holds one group's two
+    /// streams at a time (the raw program's and the `noop` output's) and
+    /// drops them with the group's last cell.
     #[test]
     fn a_serial_run_holds_one_plan_group_at_a_time() {
         let experiment = tiny_experiment();
@@ -1062,15 +1193,19 @@ mod tests {
             .techniques(&BUILTIN_TECHNIQUES)
             .jobs(1);
         let aliased = paper.clone().sweep_iq_entries(&[80]);
-        for (matrix, bound) in [(&paper, 1), (&aliased, 4)] {
+        let swept = paper.clone().sweep_iq_entries(&[48]);
+        for (matrix, bound) in [(&paper, 1), (&aliased, 4), (&swept, 2)] {
             let cache = ArtifactCache::new();
             let sink = MostPlansHeld {
                 cache: &cache,
-                most: Default::default(),
+                plans: Default::default(),
+                streams: Default::default(),
             };
             matrix.run_with_sink(&cache, &HashMap::new(), Some(&sink));
-            assert_eq!(sink.most.into_inner(), bound);
+            assert_eq!(sink.plans.into_inner(), bound);
+            assert_eq!(sink.streams.into_inner(), 2);
             assert_eq!(cache.plans_held(), 0);
+            assert_eq!(cache.streams_held(), 0);
         }
     }
 
@@ -1168,19 +1303,34 @@ mod tests {
         }
     }
 
-    /// Re-marking the raw plan gives exactly the plan lowered from the
-    /// compiled program: every benchmark, every registered pass that
-    /// changes only markers, both machines. The pass that inserts hint
-    /// NOOPs is refused.
+    /// Re-marking gives exactly the plan lowered from the program on the
+    /// target machine, on every benchmark. On one machine: the raw plan
+    /// re-marked for every registered pass that changes only markers, on
+    /// both machines; the pass that inserts hint NOOPs is refused. Across
+    /// back ends: the base machine's raw and `noop` plans re-marked onto an
+    /// `iq=32` and a `bank=4` machine, for the raw program and for the
+    /// `noop` pass retargeted at that machine, which differs from the base
+    /// machine's `noop` output only in its hint values.
     #[test]
     fn remarking_the_raw_plan_equals_lowering_a_markers_only_compile() {
-        let cap = tiny_experiment().max_dynamic_instructions;
+        let experiment = tiny_experiment();
+        let cap = experiment.max_dynamic_instructions;
         let mut passes: Vec<PassConfig> = Vec::new();
         for pass in Technique::all().iter().filter_map(Technique::pass_config) {
             if !passes.contains(&pass) {
                 passes.push(pass);
             }
         }
+        let base = experiment.sim_config;
+        let back_ends = [
+            ConfigVariant::with_iq_entries(&experiment, 32).sim_config,
+            ConfigVariant::with_iq_bank_size(&experiment, 4).sim_config,
+        ];
+        let noop = |config: SimConfig| {
+            Technique::Noop
+                .pass_config_for(config.widths, config.fu_counts)
+                .expect("noop runs a pass")
+        };
         for benchmark in Benchmark::ALL {
             let raw = benchmark.build_scaled(0.05);
             let compiled: Vec<Program> = passes
@@ -1200,7 +1350,7 @@ mod tests {
             for config in [SimConfig::hpca2005(), SimConfig::small_for_tests()] {
                 let raw_plan = ExecPlan::lower(config, &raw, cap).unwrap();
                 for program in &compiled {
-                    let remarked = raw_plan.remark(program);
+                    let remarked = raw_plan.remark(config, program);
                     if !only_markers_differ(&raw, program) {
                         assert!(remarked.is_none(), "{}", benchmark.name());
                         continue;
@@ -1211,6 +1361,29 @@ mod tests {
                         remarked == ExecPlan::lower(config, program, cap).unwrap(),
                         "{}: re-marked plan differs from the lowered one",
                         benchmark.name()
+                    );
+                }
+            }
+            let noop_base = CompilerPass::new(noop(base)).run(&raw).program;
+            let sources = [
+                (ExecPlan::lower(base, &raw, cap).unwrap(), &raw),
+                (ExecPlan::lower(base, &noop_base, cap).unwrap(), &noop_base),
+            ];
+            for config in back_ends {
+                let noop_there = CompilerPass::new(noop(config)).run(&raw).program;
+                for (source, program) in [(&sources[0], &raw), (&sources[1], &noop_there)] {
+                    assert!(only_markers_differ(source.1, program));
+                    let remarked = source
+                        .0
+                        .remark(config, program)
+                        .expect("the same front end, only markers differ");
+                    assert!(remarked.shares_stream(&source.0));
+                    assert!(
+                        remarked == ExecPlan::lower(config, program, cap).unwrap(),
+                        "{}: plan re-marked onto iq={} bank={} differs from the lowered one",
+                        benchmark.name(),
+                        config.iq.entries,
+                        config.iq.bank_size
                     );
                 }
             }

@@ -39,7 +39,9 @@
 //! the portable matrix description the remote coordinator ships to
 //! daemons that never saw its command line.
 
-use crate::cache::{ArtifactCache, CompileKey, PlanKey, PlanSource, PolicyBits, ProgramKey};
+use crate::cache::{
+    ArtifactCache, CompileKey, PlanGroup, PlanKey, PlanSource, PolicyBits, ProgramKey,
+};
 use crate::runner::{Experiment, RunReport, Suite};
 use crate::technique::Technique;
 use sdiq_compiler::PassConfig;
@@ -525,13 +527,16 @@ impl<'a> Matrix<'a> {
     /// iterate this, so they cannot drift apart (suite assembly keys by
     /// cell, so the order is free to serve the cache).
     ///
-    /// A plan group is every cell that shares a raw [`PlanKey`]: one
-    /// benchmark on one machine. Every plan a cell uses is that raw plan
-    /// or one made from the same program for the same machine, so a run
-    /// that takes the groups one after another can drop each plan as
-    /// soon as its group is done. Groups come in (variant, benchmark)
-    /// order; a variant that is the same machine as an earlier one (`iq=80`
-    /// on the Table 1 machine) joins that variant's groups.
+    /// A plan group is every cell whose plans commit the streams of one
+    /// program on one front end under one instruction cap: one benchmark
+    /// at one scale, on every machine that shares the front end. Every
+    /// plan a cell uses is lowered over one of its group's streams or
+    /// re-marked from another plan of the group, so a run that takes the
+    /// groups one after another can drop each plan, and the group's
+    /// streams, as soon as its group is done. Groups come in (variant,
+    /// benchmark) order; a variant with the front end and scale of an
+    /// earlier one (every `iq=` and `bank=` point of a sweep) joins that
+    /// variant's groups.
     ///
     /// Inside a group, a cell whose replay (its own plan key under its
     /// resize policy) an earlier cell already names comes after every
@@ -545,17 +550,22 @@ impl<'a> Matrix<'a> {
     /// distinct replays blocks on shared artifacts early in every group.
     /// The benchmark's pools are 2 workers in process and 1 per daemon.
     fn groups(&self, variants: &[ConfigVariant]) -> Vec<Vec<(String, Cell)>> {
-        // What each technique replays on each variant's machine: its pass
-        // output (or, for none, the raw program) under its resize policy.
-        // A group's cells share the program and the machine, so two of
-        // them run one replay exactly when these agree; naming them once
-        // per variant and technique keeps listing the cells cheap.
+        // What each technique replays on each variant's machine: the
+        // machine (named by the first variant that is that machine), and
+        // its pass output (or, for none, the raw program) under its resize
+        // policy. A group's cells share the program, so two of them run
+        // one replay exactly when these agree; naming them once per
+        // variant and technique keeps listing the cells cheap.
         let names: Vec<Vec<ReplayName>> = variants
             .iter()
             .map(|variant| {
+                let machine = variants
+                    .iter()
+                    .position(|other| other.sim_config == variant.sim_config)
+                    .unwrap_or_else(|| unreachable!("a variant is its own machine"));
                 self.techniques
                     .iter()
-                    .map(|&technique| CellPlans::replay_name(variant, technique))
+                    .map(|&technique| CellPlans::replay_name(machine, variant, technique))
                     .collect()
             })
             .collect();
@@ -568,11 +578,11 @@ impl<'a> Matrix<'a> {
             .collect();
         let technique_names: Vec<&str> = self.techniques.iter().map(Technique::name).collect();
         let mut groups: Vec<Vec<(String, Cell, &ReplayName)>> = Vec::new();
-        let mut group_of: HashMap<PlanKey, usize> = HashMap::new();
+        let mut group_of: HashMap<PlanGroup, usize> = HashMap::new();
         for (variant, config) in variants.iter().enumerate() {
             for &benchmark in &self.benchmarks {
-                let raw = CellPlans::raw(self.experiment, config, benchmark);
-                let index = *group_of.entry(raw).or_insert_with(|| {
+                let group = CellPlans::raw(self.experiment, config, benchmark).group();
+                let index = *group_of.entry(group).or_insert_with(|| {
                     groups.push(Vec::new());
                     groups.len() - 1
                 });
@@ -921,10 +931,11 @@ fn observed_cell(
     report
 }
 
-/// What a cell replays inside its plan group: the pass output it runs
+/// What a cell replays inside its plan group: its machine (the index of
+/// the first variant that is that machine), the pass output it runs
 /// (`None`: the raw program) and its resize policy
 /// ([`CellPlans::replay_name`]).
-type ReplayName = (Option<PassConfig>, PolicyBits);
+type ReplayName = (usize, Option<PassConfig>, PolicyBits);
 
 /// The cached artifacts one cell is computed from.
 #[derive(Debug, Clone, Copy)]
@@ -966,8 +977,9 @@ impl CellPlans {
         }
     }
 
-    /// The plan of `benchmark`'s built program on `variant`'s machine: the
-    /// key of the plan group of every cell of that benchmark and machine.
+    /// The plan of `benchmark`'s built program on `variant`'s machine,
+    /// whose [`PlanKey::group`] is the plan group of every cell of that
+    /// benchmark and front end.
     fn raw(experiment: &Experiment, variant: &ConfigVariant, benchmark: Benchmark) -> PlanKey {
         PlanKey {
             source: PlanSource::Program(ProgramKey::new(benchmark, variant.scale)),
@@ -982,20 +994,21 @@ impl CellPlans {
     }
 
     /// The plans the cell may use: its own and, for a software technique,
-    /// the raw plan. When the pass changed only markers, the raw plan
-    /// prices the cell (a policy that ignores hints) or is re-marked into
-    /// the cell's own plan (one that reads them).
+    /// the raw plan, whose replay and commit counts price the cell when
+    /// its pass changed only markers and its policy ignores hints.
     fn keys(&self) -> impl Iterator<Item = PlanKey> {
         std::iter::once(self.own()).chain(self.pass.map(|_| self.raw))
     }
 
-    /// What `technique` replays on `variant`'s machine: the output of its
-    /// pass retargeted at that machine (`None`: the raw program) under its
-    /// resize policy ([`Matrix::groups`] orders a group's cells by it).
-    fn replay_name(variant: &ConfigVariant, technique: Technique) -> ReplayName {
-        let machine = variant.sim_config;
+    /// What `technique` replays on `variant`'s machine, named `machine`:
+    /// that machine, and the output of its pass retargeted at it (`None`:
+    /// the raw program) under its resize policy ([`Matrix::groups`]
+    /// orders a group's cells by it).
+    fn replay_name(machine: usize, variant: &ConfigVariant, technique: Technique) -> ReplayName {
+        let config = variant.sim_config;
         (
-            technique.pass_config_for(machine.widths, machine.fu_counts),
+            machine,
+            technique.pass_config_for(config.widths, config.fu_counts),
             PolicyBits::of(technique.resize_policy()),
         )
     }
@@ -1017,8 +1030,8 @@ impl CellPlans {
 /// markers executes nothing of its own: under a policy that ignores hints
 /// it takes the raw program's replay, with its low-energy commits summed
 /// from the raw plan's commit counts over the instructions its pass
-/// marked; under one that reads them it replays the raw plan re-marked.
-/// Only the power pricing runs per cell.
+/// marked; under one that reads them it replays its own plan, re-marked
+/// over the raw program's stream. Only the power pricing runs per cell.
 fn run_cell(
     experiment: &Experiment,
     cache: &ArtifactCache,
@@ -1227,13 +1240,14 @@ mod tests {
         assert_eq!(a, cell_key(&exp, &base, Benchmark::Gzip, Technique::Noop));
     }
 
-    /// Cells come in plan groups: one per benchmark and machine, in
-    /// (variant, benchmark) order, with the `iq=80` point (the base
-    /// machine under another label) inside the base groups. Inside a
-    /// group every cell whose replay repeats an earlier cell's comes after
-    /// every cell whose replay is new, which puts the built-in techniques
-    /// in the order `baseline, noop, extension, improved, abella,
-    /// lowen-isa, nonEmpty, way-memo`.
+    /// Cells come in plan groups: one per benchmark and front end, in
+    /// (variant, benchmark) order, with every sweep point (`iq=80`, the
+    /// base machine under another label, and `iq=48`, another back end
+    /// behind the same front end) inside the base groups. Inside a group
+    /// every cell whose replay repeats an earlier cell's comes after every
+    /// cell whose replay is new, which puts each machine's built-in
+    /// techniques in the order `baseline, noop, extension, improved,
+    /// abella, lowen-isa, nonEmpty, way-memo`.
     #[test]
     fn cells_come_in_plan_groups_with_repeated_replays_last() {
         let exp = tiny_experiment();
@@ -1252,6 +1266,17 @@ mod tests {
             .sweep_iq_entries(&[80, 48]);
         let variants = matrix.effective_variants();
         let keyed = matrix.groups(&variants);
+        let axis: Vec<&str> = builtin.iter().map(Technique::name).collect();
+        let reordered = [
+            "baseline",
+            "noop",
+            "extension",
+            "improved",
+            "abella",
+            "lowen-isa",
+            "nonEmpty",
+            "way-memo",
+        ];
         let groups: Vec<Vec<Cell>> = keyed
             .iter()
             .map(|group| group.iter().map(|&(_, cell)| cell).collect())
@@ -1260,21 +1285,18 @@ mod tests {
             .iter()
             .map(|group| (group[0].variant, group[0].benchmark))
             .collect();
-        let expected: Vec<(usize, Benchmark)> = [0, 2]
-            .into_iter()
-            .flat_map(|variant| Benchmark::ALL.map(|benchmark| (variant, benchmark)))
-            .collect();
-        assert_eq!(heads, expected, "one group per benchmark and machine");
+        let expected: Vec<(usize, Benchmark)> =
+            Benchmark::ALL.map(|benchmark| (0, benchmark)).to_vec();
+        assert_eq!(heads, expected, "one group per benchmark and front end");
         for group in &groups {
-            assert_eq!(
-                group.len(),
-                builtin.len() * if group[0].variant == 0 { 2 } else { 1 }
-            );
+            assert_eq!(group.len(), builtin.len() * variants.len());
             let plans: Vec<CellPlans> = group
                 .iter()
                 .map(|cell| matrix.plans(&variants, cell))
                 .collect();
-            assert!(plans.iter().all(|cell| cell.raw == plans[0].raw));
+            assert!(plans
+                .iter()
+                .all(|cell| cell.raw.group() == plans[0].raw.group()));
             let mut replays = HashSet::new();
             let repeats: Vec<bool> = plans
                 .iter()
@@ -1287,24 +1309,16 @@ mod tests {
                     .all(|&repeat| repeat),
                 "a new replay after a repeated one: {repeats:?}"
             );
-            let base: Vec<&str> = group
-                .iter()
-                .filter(|cell| cell.variant == group[0].variant)
-                .map(|cell| cell.technique.name())
-                .collect();
-            assert_eq!(
-                base,
-                [
-                    "baseline",
-                    "noop",
-                    "extension",
-                    "improved",
-                    "abella",
-                    "lowen-isa",
-                    "nonEmpty",
-                    "way-memo"
-                ]
-            );
+            // Every replay of `iq80` repeats one of `base`, so its cells
+            // keep the technique axis' order.
+            for (variant, order) in [(0, &reordered[..]), (1, &axis), (2, &reordered)] {
+                let techniques: Vec<&str> = group
+                    .iter()
+                    .filter(|cell| cell.variant == variant)
+                    .map(|cell| cell.technique.name())
+                    .collect();
+                assert_eq!(techniques, order, "variant {variant}");
+            }
         }
         // Each cell carries the key `cell_key` gives it, and `cell_keys`
         // lists them in group order.

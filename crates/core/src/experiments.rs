@@ -354,19 +354,25 @@ pub struct SweepRow {
     pub scale: f64,
     /// The technique the row summarises.
     pub technique: Technique,
-    /// Suite-average summary at this configuration.
-    pub summary: TechniqueSummary,
+    /// Suite-average summary at this configuration; `None` if no
+    /// benchmark ran it beside the baseline.
+    pub summary: Option<TechniqueSummary>,
 }
 
 /// Figure-10-style sensitivity data: for every point of a configuration
-/// sweep and every requested technique, the suite-average IPC loss and
-/// power savings. This is the sweep analogue of [`summarise`] — the
-/// paper's extension figures vary the machine while holding the workload
-/// set fixed, which is exactly a [`crate::Matrix`] with a config axis.
+/// sweep and every requested technique the point's suite ran, the
+/// suite-average IPC loss and power savings. This is the sweep analogue of
+/// [`summarise`] — the paper's extension figures vary the machine while
+/// holding the workload set fixed, which is exactly a [`crate::Matrix`]
+/// with a config axis.
 pub fn sweep_sensitivity(sweep: &crate::Sweep, techniques: &[Technique]) -> Vec<SweepRow> {
     let mut rows = Vec::new();
     for (variant, suite) in sweep.iter() {
-        for &technique in techniques {
+        let ran = suite.techniques();
+        for &technique in techniques
+            .iter()
+            .filter(|technique| ran.contains(technique))
+        {
             rows.push(SweepRow {
                 variant: variant.label.clone(),
                 iq_entries: variant.sim_config.iq.entries,
@@ -398,17 +404,35 @@ pub fn render_sweep_sensitivity(rows: &[SweepRow]) -> String {
                 "technique", "IPC loss", "IQ dyn", "IQ stat", "RF dyn"
             );
         }
+        let columns = row.summary.map(|summary| {
+            [
+                summary.ipc_loss_pct,
+                summary.iq_dynamic_pct,
+                summary.iq_static_pct,
+                summary.rf_dynamic_pct,
+            ]
+        });
         let _ = writeln!(
             out,
-            "    {:10} {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}%",
+            "    {:10}{}",
             row.technique.name(),
-            row.summary.ipc_loss_pct,
-            row.summary.iq_dynamic_pct,
-            row.summary.iq_static_pct,
-            row.summary.rf_dynamic_pct
+            percent_columns(columns.as_ref().map(|columns| &columns[..]), 4)
         );
     }
     out
+}
+
+/// `values` as right-aligned percentage columns, each ` {:>8.1}%`, or
+/// `count` columns of `n/a` when there are none (a technique with no
+/// baseline to compare against).
+pub fn percent_columns(values: Option<&[f64]>, count: usize) -> String {
+    match values {
+        Some(values) => values
+            .iter()
+            .map(|value| format!(" {value:>8.1}%"))
+            .collect(),
+        None => (0..count).map(|_| format!(" {:>9}", "n/a")).collect(),
+    }
 }
 
 /// Headline numbers used by `EXPERIMENTS.md` and the integration tests:
@@ -431,8 +455,10 @@ pub struct TechniqueSummary {
     pub iq_banks_off_pct: f64,
 }
 
-/// Computes the suite-average summary for one technique.
-pub fn summarise(suite: &Suite, technique: Technique) -> TechniqueSummary {
+/// Computes the suite-average summary for one technique over the
+/// benchmarks that ran it beside the baseline; `None` if there are none,
+/// so a technique with nothing to compare against never reads as 0 %.
+pub fn summarise(suite: &Suite, technique: Technique) -> Option<TechniqueSummary> {
     let mut summary = TechniqueSummary::default();
     let mut count = 0usize;
     for b in suite.benchmarks() {
@@ -447,17 +473,18 @@ pub fn summarise(suite: &Suite, technique: Technique) -> TechniqueSummary {
             count += 1;
         }
     }
-    if count > 0 {
-        let n = count as f64;
-        summary.ipc_loss_pct /= n;
-        summary.iq_occupancy_reduction_pct /= n;
-        summary.iq_dynamic_pct /= n;
-        summary.iq_static_pct /= n;
-        summary.rf_dynamic_pct /= n;
-        summary.rf_static_pct /= n;
-        summary.iq_banks_off_pct /= n;
+    if count == 0 {
+        return None;
     }
-    summary
+    let n = count as f64;
+    summary.ipc_loss_pct /= n;
+    summary.iq_occupancy_reduction_pct /= n;
+    summary.iq_dynamic_pct /= n;
+    summary.iq_static_pct /= n;
+    summary.rf_dynamic_pct /= n;
+    summary.rf_static_pct /= n;
+    summary.iq_banks_off_pct /= n;
+    Some(summary)
 }
 
 #[cfg(test)]
@@ -532,7 +559,7 @@ mod tests {
     #[test]
     fn summary_averages_are_finite_and_consistent() {
         let suite = small_suite();
-        let s = summarise(&suite, Technique::Noop);
+        let s = summarise(&suite, Technique::Noop).expect("noop ran beside the baseline");
         assert!(s.iq_dynamic_pct.is_finite());
         assert!(s.iq_dynamic_pct > 0.0);
         assert!(s.iq_occupancy_reduction_pct > 0.0);

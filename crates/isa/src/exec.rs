@@ -21,6 +21,7 @@ use crate::reg::{ArchReg, RegClass, NUM_ARCH_FP_REGS, NUM_ARCH_INT_REGS};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Maximum call-stack depth before the executor reports an error.
 pub const MAX_CALL_DEPTH: usize = 4096;
@@ -125,6 +126,29 @@ fn default_memory_value(addr: u64) -> i64 {
     (z ^ (z >> 31)) as i64
 }
 
+/// Hashes the executor's memory addresses: a multiply by an odd constant,
+/// rotated so the well-mixed high bits of the product pick the bucket.
+/// Deterministic and far cheaper than the standard `SipHash`, whose
+/// per-process keys buy nothing for addresses the program computes.
+#[derive(Debug, Default, Clone, Copy)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, value: u64) {
+        self.0 = (self.0.rotate_left(5) ^ value).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 /// The functional executor.
 ///
 /// See the [module documentation](self) for the role it plays. The executor
@@ -136,7 +160,7 @@ pub struct Executor<'a> {
     addr_map: AddressMap,
     int_regs: [i64; NUM_ARCH_INT_REGS as usize],
     fp_regs: [f64; NUM_ARCH_FP_REGS as usize],
-    memory: HashMap<u64, i64>,
+    memory: HashMap<u64, i64, BuildHasherDefault<AddrHasher>>,
     call_stack: Vec<Frame>,
 }
 
@@ -149,7 +173,7 @@ impl<'a> Executor<'a> {
             addr_map: AddressMap::build(program),
             int_regs: [0; NUM_ARCH_INT_REGS as usize],
             fp_regs: [0.0; NUM_ARCH_FP_REGS as usize],
-            memory: HashMap::new(),
+            memory: HashMap::default(),
             call_stack: Vec::new(),
         }
     }

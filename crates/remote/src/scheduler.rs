@@ -2,15 +2,16 @@
 //!
 //! One driver thread per worker pulls batches of cell keys from a
 //! shared queue of **plan groups** ([`Matrix::missing_cell_groups`]: the
-//! cells of one benchmark on one machine, which share every plan they
-//! use). A claim takes whole groups, in canonical order, until it holds
+//! cells of one benchmark on every machine with one front end, whose
+//! plans share a few streams). A claim takes whole groups, in canonical order, until it holds
 //! at least the worker's advertised capacity in cells, so a 16-way
 //! daemon claims a few groups while a laptop claims one. That is the
 //! capacity-weighted partition of the key space (and, unlike a static
 //! split, it keeps every worker busy until the queue is empty no matter
 //! how wrong the capacities are about real speed). A group never splits
-//! across workers, so each daemon makes each of a group's plans and
-//! replays once and drops the plans when the batch is done. Each cell
+//! across workers, so each daemon lowers each of a group's streams once,
+//! makes each plan and replay once and drops the plans and streams when
+//! the batch is done. Each cell
 //! has exactly one copy in flight, so the fleet does exactly the
 //! in-process engine's plan work.
 //!

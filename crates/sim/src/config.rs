@@ -106,7 +106,29 @@ pub struct SimConfig {
     pub fp_rf: RegFileConfig,
 }
 
+/// The front end of a machine: the only part of a [`SimConfig`] that
+/// lowering reads. Two machines with equal front ends commit the same
+/// stream for the same program and instruction cap, whatever their back
+/// ends (queues, register files, caches behind fetch, widths), so a plan
+/// lowered on one is re-marked onto the other
+/// ([`crate::ExecPlan::remark`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct FrontEnd {
+    /// Branch predictor and BTB.
+    pub branch: BranchPredictorConfig,
+    /// L1 instruction cache.
+    pub l1i: CacheConfig,
+}
+
 impl SimConfig {
+    /// This machine's front end.
+    pub fn front_end(&self) -> FrontEnd {
+        FrontEnd {
+            branch: self.branch,
+            l1i: self.l1i,
+        }
+    }
+
     /// The processor configuration of Table 1.
     pub fn hpca2005() -> Self {
         SimConfig {

@@ -76,7 +76,9 @@ pub mod regfile;
 pub mod resize;
 pub mod stats;
 
-pub use config::{BranchPredictorConfig, CacheConfig, IssueQueueConfig, RegFileConfig, SimConfig};
+pub use config::{
+    BranchPredictorConfig, CacheConfig, FrontEnd, IssueQueueConfig, RegFileConfig, SimConfig,
+};
 pub use plan::{ExecPlan, InstRecord, PlanSimulator, SimError, SimResult};
 pub use resize::{AdaptiveConfig, AdaptiveController, ResizePolicy};
 pub use stats::ActivityStats;

@@ -61,19 +61,27 @@
 //!
 //! # Re-marking: [`ExecPlan::remark`]
 //!
-//! The stream sits behind an `Arc`. A program that differs from the
-//! stream's program in nothing but the markers [`Instruction::iq_hint`]
-//! and [`Instruction::low_energy`] ([`only_markers_differ`]) executes the
-//! same path at the same addresses, fetches the same lines and commits
-//! the same stream; only decode reads the markers. [`ExecPlan::remark`]
-//! gives such a program its plan without executing it: a static table and
-//! baked totals built from the program, over the shared stream. The
-//! tagging techniques (`extension`, `improved`), which put their hints on
-//! existing instructions, take their plans from the raw program's this
-//! way. `remark` refuses any other program (an inserted hint NOOP, a
-//! changed opcode, operand, immediate or target, a moved block), because
-//! it commits a different stream; such a program is lowered. A stream
-//! lives as long as the last plan that shares it.
+//! The stream sits behind an `Arc`, and it depends on three things only:
+//! the program with its markers cleared, the machine's [`FrontEnd`] (the
+//! branch predictor and the L1i, the only configuration lowering reads)
+//! and the instruction cap. A program that differs from the stream's
+//! program in nothing but the markers [`Instruction::iq_hint`] and
+//! [`Instruction::low_energy`] ([`only_markers_differ`]) executes the same
+//! path at the same addresses, fetches the same lines and commits the
+//! same stream; only decode reads the markers. Any machine with the same
+//! front end fetches that stream identically; only replay reads the back
+//! end (queues, register files, data caches, widths). [`ExecPlan::remark`]
+//! gives such a program its plan on such a machine without executing
+//! anything: a static table and baked totals built from the program and
+//! the target configuration, over the shared stream. The tagging
+//! techniques (`extension`, `improved`) take their plans from the raw
+//! program's this way, and every point of an issue-queue or bank sweep
+//! takes its plans from the first point's. `remark` refuses any other
+//! program (an inserted hint NOOP, a changed opcode, operand, immediate
+//! or target, a moved block) and any other front end, because either
+//! commits a different stream; such a plan is lowered. A re-mark keeps
+//! its stream's instruction cap. A stream lives as long as the last plan
+//! that shares it.
 //!
 //! # Replay: [`PlanSimulator`]
 //!
@@ -88,16 +96,20 @@
 //!
 //! * **Ready set** — a bitmask over the ROB ring marks the entries whose
 //!   operands have all arrived: set at dispatch, or when the issue queue's
-//!   consumer lists report an entry's last wakeup. Issue walks it from the
-//!   oldest in-flight id's position, which is age order, against a
-//!   per-class functional-unit limit table built once.
+//!   consumer lists report an entry's last wakeup. Issue reads each 64-bit
+//!   word of it once, from the oldest in-flight id's position, which is
+//!   age order, against a per-class functional-unit limit table built
+//!   once.
 //! * **In-flight ring** — instructions get sequential ids and commit in
 //!   order, so the in-flight table is a ring indexed by id that doubles as
 //!   the ROB.
 //! * **Event calendar** — completion events live in a circular calendar
-//!   of `Vec` buckets sized to the maximum execution latency; scheduling
-//!   and per-cycle harvesting are O(events), with bucket capacity recycled
-//!   cycle over cycle.
+//!   sized to the maximum execution latency, one FIFO list per cycle
+//!   bucket, linked through the ROB ring: scheduling appends at a
+//!   bucket's tail and harvesting walks it from the head, both O(events)
+//!   with no storage beyond the ring. Events of one cycle write back in
+//!   the order they were scheduled, which the gated wakeup count depends
+//!   on.
 //!
 //! One plan serves every resize policy of a cell shape: nothing in the
 //! plan depends on [`ResizePolicy`]. The loop's results are pinned by
@@ -120,6 +132,7 @@ use sdiq_isa::{
     ProcId, Program, RegClass, Trace,
 };
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Errors a simulation can report.
@@ -157,18 +170,22 @@ pub struct SimResult {
     pub adaptive_resizes: u64,
 }
 
-/// Circular event calendar for completion events: bucket `cycle % len`
-/// holds the instruction ids completing at `cycle`. O(1) schedule, O(due
-/// events) harvest, bucket allocations recycled.
+/// End of a completion list.
+const NO_EVENT: u32 = u32::MAX;
+
+/// Circular event calendar for completion events: bucket `cycle % len` is
+/// a FIFO list of the ROB ring positions completing at `cycle`, linked
+/// through [`InFlight::next_event`]. O(1) schedule, O(due events) harvest,
+/// and no storage beyond each bucket's two ends.
 #[derive(Debug)]
 struct EventWheel {
-    buckets: Vec<Vec<u64>>,
-    /// `buckets.len() - 1`; the length is a power of two, so `due & mask`
+    /// First and last ring position of each bucket's list ([`NO_EVENT`]:
+    /// empty).
+    heads: Vec<u32>,
+    tails: Vec<u32>,
+    /// `heads.len() - 1`; the length is a power of two, so `due & mask`
     /// equals `due % len` without the hardware division.
     mask: u64,
-    /// Spare bucket storage swapped in by [`EventWheel::take_due`] and
-    /// returned (cleared, capacity retained) by [`EventWheel::recycle`].
-    spare: Vec<u64>,
 }
 
 impl EventWheel {
@@ -176,38 +193,44 @@ impl EventWheel {
     fn new(max_latency: u64) -> Self {
         let len = (max_latency + 1).next_power_of_two() as usize;
         EventWheel {
-            buckets: (0..len).map(|_| Vec::new()).collect(),
+            heads: vec![NO_EVENT; len],
+            tails: vec![NO_EVENT; len],
             mask: len as u64 - 1,
-            spare: Vec::new(),
         }
     }
 
-    /// Schedules `id` to complete at `due` (seen from `now`).
-    fn schedule(&mut self, now: u64, due: u64, id: u64) {
+    /// Schedules the instruction at ring position `pos` to complete at
+    /// `due` (seen from `now`), after every event already due then.
+    fn schedule(&mut self, rob: &mut [InFlight], now: u64, due: u64, pos: u32) {
         debug_assert!(due > now, "completion must be in the future");
         assert!(
-            (due - now) < self.buckets.len() as u64,
+            (due - now) <= self.mask,
             "latency {} exceeds the event calendar horizon {}",
             due - now,
-            self.buckets.len()
+            self.mask + 1
         );
-        let index = (due & self.mask) as usize;
-        self.buckets[index].push(id);
+        let bucket = (due & self.mask) as usize;
+        rob[pos as usize].next_event = NO_EVENT;
+        match self.tails[bucket] {
+            NO_EVENT => self.heads[bucket] = pos,
+            tail => rob[tail as usize].next_event = pos,
+        }
+        self.tails[bucket] = pos;
     }
 
-    /// Takes the ids due at `cycle` (possibly empty). Return the `Vec` via
-    /// [`EventWheel::recycle`] to keep the steady state allocation-free.
-    fn take_due(&mut self, cycle: u64) -> Vec<u64> {
-        let index = (cycle & self.mask) as usize;
-        std::mem::replace(&mut self.buckets[index], std::mem::take(&mut self.spare))
-    }
-
-    /// Returns a bucket taken with [`EventWheel::take_due`].
-    fn recycle(&mut self, mut bucket: Vec<u64>) {
-        bucket.clear();
-        self.spare = bucket;
+    /// Takes the list due at `cycle`: its first ring position, or
+    /// [`NO_EVENT`]. Each entry's [`InFlight::next_event`] names the next.
+    fn take_due(&mut self, cycle: u64) -> u32 {
+        let bucket = (cycle & self.mask) as usize;
+        self.tails[bucket] = NO_EVENT;
+        std::mem::replace(&mut self.heads[bucket], NO_EVENT)
     }
 }
+
+/// The most stream records [`ExecPlan::lower`] reserves room for up
+/// front (the 2,000,000-instruction cap of the experiments fits): a
+/// larger cap grows the arrays past it as records arrive.
+const MAX_RESERVED_RECORDS: u64 = 1 << 22;
 
 /// The longest possible completion latency under `config`: a load missing
 /// all the way to memory, or the slowest functional unit (fp divide); +4
@@ -397,29 +420,38 @@ impl ExecPlan {
     ///
     /// The executor's fault, if the program does not execute cleanly.
     pub fn lower(config: SimConfig, program: &Program, max_insts: u64) -> Result<Self, ExecError> {
-        let mut builder = PlanBuilder::new(config, program, 0);
+        // Reserved from the cap and shrunk at the end: the reservation is
+        // address space only until a record is written, and the arrays
+        // never move while they fill.
+        let reserve = max_insts.min(MAX_RESERVED_RECORDS) as usize;
+        let mut builder = PlanBuilder::new(config, program, reserve);
         Executor::new(program).stream(max_insts, |dyn_inst| builder.push(&dyn_inst))?;
         Ok(builder.finish())
     }
 
-    /// The plan of `program` over this plan's stream, without executing
-    /// anything: a static table and baked totals built from `program`,
-    /// the stream shared. It equals the plan [`ExecPlan::lower`] gives
-    /// `program` under the same configuration and instruction cap.
+    /// The plan of `program` on the machine `config`, over this plan's
+    /// stream and without executing anything: a static table and baked
+    /// totals built from `program` and `config`, the stream shared. It
+    /// equals the plan [`ExecPlan::lower`] gives `program` under `config`
+    /// and this stream's instruction cap. The same program on the same
+    /// machine is the special case that gives this plan back.
     ///
-    /// `None` unless `program` differs from the stream's program in
-    /// nothing but the markers (see [`ExecPlan::can_remark`]): any other
-    /// program commits a different stream and must be lowered.
-    pub fn remark(&self, program: &Program) -> Option<ExecPlan> {
-        self.can_remark(program)
-            .then(|| ExecPlan::over(self.config, program, Arc::clone(&self.stream)))
+    /// `None` unless `config` has this plan's front end and `program`
+    /// differs from the stream's program in nothing but the markers (see
+    /// [`ExecPlan::can_remark`]): anything else commits a different stream
+    /// and must be lowered.
+    pub fn remark(&self, config: SimConfig, program: &Program) -> Option<ExecPlan> {
+        self.can_remark(&config, program)
+            .then(|| ExecPlan::over(config, program, Arc::clone(&self.stream)))
     }
 
-    /// `true` if [`ExecPlan::remark`] accepts `program`: it differs from
-    /// the program this plan's stream was lowered from in nothing but the
-    /// markers ([`only_markers_differ`]).
-    pub fn can_remark(&self, program: &Program) -> bool {
-        only_markers_differ(&self.stream.source, program)
+    /// `true` if [`ExecPlan::remark`] accepts `program` on `config`: the
+    /// machine has this plan's [`FrontEnd`](crate::FrontEnd), and the
+    /// program differs from the one this plan's stream was lowered from in
+    /// nothing but the markers ([`only_markers_differ`]).
+    pub fn can_remark(&self, config: &SimConfig, program: &Program) -> bool {
+        config.front_end() == self.config.front_end()
+            && only_markers_differ(&self.stream.source, program)
     }
 
     /// `true` if `self` and `other` share one stream: one was re-marked
@@ -616,6 +648,41 @@ fn unmarked(inst: &Instruction) -> Instruction {
     }
 }
 
+/// A fingerprint of `program` with its markers cleared: it hashes exactly
+/// what [`only_markers_differ`] compares, so two programs it accepts have
+/// equal fingerprints. Equal fingerprints say nothing on their own; a
+/// cache that keys streams by it confirms with [`only_markers_differ`]
+/// before sharing one.
+pub fn unmarked_fingerprint(program: &Program) -> u64 {
+    let mut hasher = std::hash::DefaultHasher::new();
+    program.entry.hash(&mut hasher);
+    program.procedures.len().hash(&mut hasher);
+    for procedure in &program.procedures {
+        procedure.entry.hash(&mut hasher);
+        procedure.blocks.len().hash(&mut hasher);
+        for block in &procedure.blocks {
+            block.fallthrough.hash(&mut hasher);
+            block.instructions.len().hash(&mut hasher);
+            for inst in &block.instructions {
+                // Destructured, so a new field cannot be left out.
+                let Instruction {
+                    opcode,
+                    dest,
+                    srcs,
+                    imm,
+                    mem,
+                    branch_target,
+                    call_target,
+                    iq_hint: _,
+                    low_energy: _,
+                } = inst;
+                (opcode, dest, srcs, imm, mem, branch_target, call_target).hash(&mut hasher);
+            }
+        }
+    }
+    hasher.finish()
+}
+
 /// `true` if `output` differs from `input` in nothing but the markers
 /// [`Instruction::low_energy`] and [`Instruction::iq_hint`]: the same
 /// procedures and blocks, the same instruction counts, and instructions
@@ -668,6 +735,9 @@ struct PlanBuilder<'p> {
     bpred: BranchPredictor,
     l1i: Cache,
     line_bytes: u64,
+    /// `log2(line_bytes)` when the line size is a power of two: the line
+    /// of an address is then a shift, not a division.
+    line_shift: Option<u32>,
     last_fetched_line: Option<u64>,
     // Consecutive records overwhelmingly share a basic block, so the
     // block's instruction slice is looked up only on block changes.
@@ -706,6 +776,11 @@ impl<'p> PlanBuilder<'p> {
             bpred: BranchPredictor::new(config.branch),
             l1i: Cache::new(config.l1i),
             line_bytes: config.l1i.line_bytes as u64,
+            line_shift: config
+                .l1i
+                .line_bytes
+                .is_power_of_two()
+                .then(|| config.l1i.line_bytes.trailing_zeros()),
             last_fetched_line: None,
             cached_block: None,
             block_insts: &[],
@@ -736,7 +811,10 @@ impl<'p> PlanBuilder<'p> {
         let mut flags: u8 = 0;
 
         // --- I-cache: one access per new cache line touched ----------------
-        let line = addr / self.line_bytes;
+        let line = match self.line_shift {
+            Some(shift) => addr >> shift,
+            None => addr / self.line_bytes,
+        };
         if self.last_fetched_line != Some(line) {
             self.last_fetched_line = Some(line);
             flags |= fetch::NEW_LINE;
@@ -798,9 +876,9 @@ impl<'p> PlanBuilder<'p> {
             self.resolve_target(idx, from, from + 4);
         }
         let mut stream = self.stream;
-        // A streamed lowering grew the arrays without knowing the length;
-        // a cached stream lives until the last plan that shares it is
-        // dropped, so drop the slack.
+        // A streamed lowering reserved the arrays for the cap; a cached
+        // stream lives until the last plan that shares it is dropped, so
+        // drop the slack.
         stream.slots.shrink_to_fit();
         stream.flags.shrink_to_fit();
         stream.mem_addrs.shrink_to_fit();
@@ -832,23 +910,19 @@ fn set_bit(ring: &mut [u64], index: usize) {
     ring[index / 64] |= 1 << (index % 64);
 }
 
-/// The first offset at or after `offset` whose bit is set in a bitmask
-/// over a ring of `len` positions (a power of two; bit `i` in word
-/// `i / 64`), counting positions from `start` and wrapping at the ring's
-/// end. Offsets ascend in ring order, so from the oldest in-flight id's
-/// position they ascend in age.
-fn next_set(ring: &[u64], len: usize, start: usize, mut offset: usize) -> Option<usize> {
-    while offset < len {
-        let index = (start + offset) & (len - 1);
-        let bits = ring[index / 64] >> (index % 64);
-        if bits != 0 {
-            // Past the ring's end these are the positions before `start`.
-            let found = offset + bits.trailing_zeros() as usize;
-            return (found < len).then_some(found);
-        }
-        offset += (64 - index % 64).min(len - index);
-    }
-    None
+/// The words of a bitmask over a ring (bit `i` in word `i / 64`, `words`
+/// a power of two), each with the mask of its positions, in ring order
+/// from position `start`: the start word's bits from `start` up, every
+/// other word whole, wrapping at the ring's end, and last the start
+/// word's bits below `start`. Set bits read in this order, lowest bit
+/// first within a word, ascend in ring order from `start`, so from the
+/// oldest in-flight id's position they ascend in age. A ring of 32
+/// positions is one word whose upper half is never set.
+fn age_ordered_words(words: usize, start: usize) -> impl Iterator<Item = (usize, u64)> {
+    let (first, shift) = (start / 64, start % 64);
+    std::iter::once((first, !0u64 << shift))
+        .chain((1..words).map(move |step| ((first + step) & (words - 1), !0)))
+        .chain((shift != 0).then_some((first, !(!0u64 << shift))))
 }
 
 /// In-flight (ROB-resident) instruction. Sources are not kept (read-port
@@ -875,6 +949,9 @@ struct InFlight {
     /// (Between dispatch and writeback no stage distinguishes queued from
     /// executing, so a single bit suffices.)
     completed: bool,
+    /// Ring position of the next instruction in this one's completion
+    /// list ([`EventWheel`]), once it has issued.
+    next_event: u32,
 }
 
 /// Filler for unoccupied ROB ring slots.
@@ -888,6 +965,7 @@ const INFLIGHT_EMPTY: InFlight = InFlight {
     flags: 0,
     mispredicted: false,
     completed: false,
+    next_event: NO_EVENT,
 };
 
 /// The cycle-level simulator: replays an [`ExecPlan`] through the cycle
@@ -904,8 +982,9 @@ pub struct PlanSimulator<'p> {
 
     caches: CacheHierarchy,
     iq: PlanQueue,
-    int_rf: RenamedRegFile,
-    fp_rf: RenamedRegFile,
+    /// The integer and FP register files, indexed by the class bit of the
+    /// dense register encoding (Int = 0, Fp = 1).
+    rf: [RenamedRegFile; 2],
     adaptive: Option<AdaptiveController>,
 
     /// Fetch queue as a ring of decode-ready cycles: the queued trace
@@ -990,8 +1069,10 @@ impl<'p> PlanSimulator<'p> {
                 dense_regs,
                 track_age,
             ),
-            int_rf: RenamedRegFile::new(config.int_rf),
-            fp_rf: RenamedRegFile::new(config.fp_rf),
+            rf: [
+                RenamedRegFile::new(config.int_rf),
+                RenamedRegFile::new(config.fp_rf),
+            ],
             adaptive,
             fq_ready: vec![0; fq_len],
             next_dispatch: 0,
@@ -1041,11 +1122,12 @@ impl<'p> PlanSimulator<'p> {
 
         while committed_total < total {
             // --- 1. writeback ------------------------------------------------
-            let due = self.completions.take_due(cycle);
-            for &id in &due {
-                self.writeback(id, cycle);
+            let mut pos = self.completions.take_due(cycle);
+            while pos != NO_EVENT {
+                let next = self.rob[pos as usize].next_event;
+                self.writeback(pos as usize, cycle);
+                pos = next;
             }
-            self.completions.recycle(due);
 
             // --- 2. commit ----------------------------------------------------
             committed_total += self.commit();
@@ -1101,8 +1183,8 @@ impl<'p> PlanSimulator<'p> {
         })
     }
 
-    fn writeback(&mut self, id: u64, cycle: u64) {
-        let index = self.inflight_index(id);
+    /// Writes back the instruction at ROB ring position `index`.
+    fn writeback(&mut self, index: usize, cycle: u64) {
         let inst = &mut self.rob[index];
         inst.completed = true;
         let (dest, mispredicted, trace_idx) =
@@ -1112,12 +1194,7 @@ impl<'p> PlanSimulator<'p> {
             // (port, broadcast and full-comparison totals are baked; the
             // non-empty/gated counts depend on the queue's dynamic
             // contents).
-            let rf = if dest & 1 == 0 {
-                &mut self.int_rf
-            } else {
-                &mut self.fp_rf
-            };
-            rf.write_value_index((dest >> 1) as usize);
+            self.rf[usize::from(dest & 1)].write_value_index(usize::from(dest >> 1));
             let (ready, rob_mask) = (&mut self.ready, self.rob.len() - 1);
             let (non_empty, gated) = self
                 .iq
@@ -1143,12 +1220,8 @@ impl<'p> PlanSimulator<'p> {
             }
             self.inflight_base += 1;
             if inst.prev_dest != NO_REG {
-                let rf = if inst.prev_dest & 1 == 0 {
-                    &mut self.int_rf
-                } else {
-                    &mut self.fp_rf
-                };
-                rf.release_index((inst.prev_dest >> 1) as usize);
+                self.rf[usize::from(inst.prev_dest & 1)]
+                    .release_index(usize::from(inst.prev_dest >> 1));
             }
             committed += 1;
         }
@@ -1165,52 +1238,56 @@ impl<'p> PlanSimulator<'p> {
         let mut observation = AdaptiveObservation::default();
 
         let start = self.inflight_index(self.inflight_base);
-        let mut offset = 0;
-        while issued < issue_width {
-            let Some(found) = next_set(&self.ready, self.rob.len(), start, offset) else {
-                break;
-            };
-            offset = found + 1;
-            let id = self.inflight_base + found as u64;
-            let index = self.inflight_index(id);
-            let inst = self.rob[index];
-            let class = inst.fu.index();
-            if fu_used[class] >= self.fu_limits[class] {
-                continue;
-            }
-            fu_used[class] += 1;
-            observation.issued += 1;
-            if track_youngest {
-                let rank = self.iq.age_rank(inst.iq_slot as usize) + issued;
-                if rank + bank_size >= limit {
-                    observation.issued_from_youngest_bank += 1;
+        'walk: for (word, mask) in age_ordered_words(self.ready.len(), start) {
+            // Issue clears only bits the walk has passed and sets none, so
+            // one read of the word serves the whole word.
+            let mut bits = self.ready[word] & mask;
+            while bits != 0 {
+                if issued == issue_width {
+                    break 'walk;
                 }
-            }
-            issued += 1;
-
-            self.ready[index / 64] &= !(1 << (index % 64));
-            self.iq.remove(inst.iq_slot as usize);
-
-            // Execution latency (register read-port totals are baked; the
-            // reads have no other observable effect).
-            let latency = if inst.flags & (flag::IS_LOAD | flag::IS_STORE) != 0 {
-                let access = self
-                    .caches
-                    .access_data(self.stream.mem_addrs[inst.trace_idx as usize]);
-                if access.l2_miss {
-                    self.stats.l2_misses += 1;
+                let index = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let inst = self.rob[index];
+                let class = inst.fu.index();
+                if fu_used[class] >= self.fu_limits[class] {
+                    continue;
                 }
-                // Stores update the cache but retire from the pipeline's
-                // point of view after address generation.
-                if inst.flags & flag::IS_LOAD != 0 {
-                    u64::from(1 + access.latency)
+                fu_used[class] += 1;
+                observation.issued += 1;
+                if track_youngest {
+                    let rank = self.iq.age_rank(inst.iq_slot as usize) + issued;
+                    if rank + bank_size >= limit {
+                        observation.issued_from_youngest_bank += 1;
+                    }
+                }
+                issued += 1;
+
+                self.ready[word] &= !(1 << (index % 64));
+                self.iq.remove(inst.iq_slot as usize);
+
+                // Execution latency (register read-port totals are baked;
+                // the reads have no other observable effect).
+                let latency = if inst.flags & (flag::IS_LOAD | flag::IS_STORE) != 0 {
+                    let access = self
+                        .caches
+                        .access_data(self.stream.mem_addrs[inst.trace_idx as usize]);
+                    if access.l2_miss {
+                        self.stats.l2_misses += 1;
+                    }
+                    // Stores update the cache but retire from the
+                    // pipeline's point of view after address generation.
+                    if inst.flags & flag::IS_LOAD != 0 {
+                        u64::from(1 + access.latency)
+                    } else {
+                        1
+                    }
                 } else {
-                    1
-                }
-            } else {
-                u64::from(inst.latency)
-            };
-            self.completions.schedule(cycle, cycle + latency, id);
+                    u64::from(inst.latency)
+                };
+                self.completions
+                    .schedule(&mut self.rob, cycle, cycle + latency, index as u32);
+            }
         }
         observation
     }
@@ -1259,16 +1336,9 @@ impl<'p> PlanSimulator<'p> {
                 break;
             }
             let dest_arch = rec.dest;
-            if dest_arch != NO_REG {
-                let has_free = if dest_arch & 1 == 0 {
-                    self.int_rf.has_free()
-                } else {
-                    self.fp_rf.has_free()
-                };
-                if !has_free {
-                    self.stats.rename_stall_cycles += 1;
-                    break;
-                }
+            if dest_arch != NO_REG && !self.rf[usize::from(dest_arch & 1)].has_free() {
+                self.stats.rename_stall_cycles += 1;
+                break;
             }
 
             // Rename (class travels as bit 0 of the dense encoding).
@@ -1277,24 +1347,15 @@ impl<'p> PlanSimulator<'p> {
             let mut wait = 0u8;
             for (operand, (slot, &src)) in ops.iter_mut().zip(srcs.iter()).enumerate() {
                 if src != NO_REG {
-                    let rf = if src & 1 == 0 {
-                        &self.int_rf
-                    } else {
-                        &self.fp_rf
-                    };
-                    let phys = rf.rename_source_index((src >> 1) as usize);
+                    let rf = &self.rf[usize::from(src & 1)];
+                    let phys = rf.rename_source_index(usize::from(src >> 1));
                     *slot = ((phys as u16) << 1) | (src & 1);
                     wait |= u8::from(!rf.is_ready_index(phys)) << operand;
                 }
             }
             let (dest, prev_dest) = if dest_arch != NO_REG {
-                let rf = if dest_arch & 1 == 0 {
-                    &mut self.int_rf
-                } else {
-                    &mut self.fp_rf
-                };
-                let (new, old) = rf
-                    .allocate_dest_index((dest_arch >> 1) as usize)
+                let (new, old) = self.rf[usize::from(dest_arch & 1)]
+                    .allocate_dest_index(usize::from(dest_arch >> 1))
                     .expect("free register checked above");
                 (
                     ((new as u16) << 1) | (dest_arch & 1),
@@ -1321,6 +1382,7 @@ impl<'p> PlanSimulator<'p> {
                 flags,
                 mispredicted: self.stream.flags[trace_idx] & fetch::MISPREDICTED != 0,
                 completed: false,
+                next_event: NO_EVENT,
             };
             self.next_dispatch += 1;
             dispatched += 1;
@@ -1391,10 +1453,11 @@ impl<'p> PlanSimulator<'p> {
         };
         self.stats.iq_banks_on_sum += banks_on as u64;
         self.stats.rob_occupancy_sum += self.inflight_len() as u64;
-        self.stats.int_rf_occupancy_sum += self.int_rf.occupancy() as u64;
-        self.stats.int_rf_banks_on_sum += self.int_rf.banks_on() as u64;
-        self.stats.fp_rf_occupancy_sum += self.fp_rf.occupancy() as u64;
-        self.stats.fp_rf_banks_on_sum += self.fp_rf.banks_on() as u64;
+        let [int_rf, fp_rf] = &self.rf;
+        self.stats.int_rf_occupancy_sum += int_rf.occupancy() as u64;
+        self.stats.int_rf_banks_on_sum += int_rf.banks_on() as u64;
+        self.stats.fp_rf_occupancy_sum += fp_rf.occupancy() as u64;
+        self.stats.fp_rf_banks_on_sum += fp_rf.banks_on() as u64;
     }
 }
 
@@ -1607,7 +1670,9 @@ mod tests {
         for program in [loop_program(300, 4), hinted_program()] {
             let tagged = remarked_copy(&program);
             let raw = ExecPlan::lower(config, &program, 200_000).unwrap();
-            let remarked = raw.remark(&tagged).expect("only the markers differ");
+            let remarked = raw
+                .remark(config, &tagged)
+                .expect("only the markers differ");
             assert!(remarked.shares_stream(&raw));
             let lowered = ExecPlan::lower(config, &tagged, 200_000).unwrap();
             assert!(
@@ -1625,15 +1690,73 @@ mod tests {
                 );
             }
             // Clearing the markers again gives back the raw plan.
-            assert!(remarked.remark(&program).expect("markers only") == raw);
+            assert!(remarked.remark(config, &program).expect("markers only") == raw);
         }
+    }
+
+    /// A plan re-marked onto another back end (a smaller queue, smaller
+    /// banks, a narrower machine with its own register files and data
+    /// caches, all behind Table 1's front end) equals the plan lowered on
+    /// that machine, and replays like it. Another front end is refused.
+    #[test]
+    fn a_remark_onto_another_back_end_equals_a_lowering_there() {
+        let base = SimConfig::hpca2005();
+        let mut small_queue = base;
+        small_queue.iq.entries = 32;
+        small_queue.widths.iq_capacity = 32;
+        let mut small_banks = base;
+        small_banks.iq.bank_size = 4;
+        let narrow = SimConfig {
+            branch: base.branch,
+            l1i: base.l1i,
+            ..SimConfig::small_for_tests()
+        };
+        for program in [loop_program(300, 4), hinted_program()] {
+            let tagged = remarked_copy(&program);
+            let raw = ExecPlan::lower(base, &program, 200_000).unwrap();
+            for config in [small_queue, small_banks, narrow] {
+                for target in [&program, &tagged] {
+                    let remarked = raw.remark(config, target).expect("same front end");
+                    assert!(remarked.shares_stream(&raw));
+                    let lowered = ExecPlan::lower(config, target, 200_000).unwrap();
+                    assert!(remarked == lowered, "{}: re-mark ≠ lowering", program.name);
+                    assert_eq!(
+                        PlanSimulator::new(&remarked, ResizePolicy::SoftwareHint).run(),
+                        PlanSimulator::new(&lowered, ResizePolicy::SoftwareHint).run()
+                    );
+                }
+            }
+            let other_front_end = SimConfig::small_for_tests();
+            assert!(!raw.can_remark(&other_front_end, &program));
+            assert!(raw.remark(other_front_end, &program).is_none());
+        }
+    }
+
+    /// The fingerprint ignores the markers and nothing else.
+    #[test]
+    fn the_unmarked_fingerprint_ignores_exactly_the_markers() {
+        let program = loop_program(300, 4);
+        let tagged = remarked_copy(&program);
+        assert_eq!(
+            unmarked_fingerprint(&program),
+            unmarked_fingerprint(&tagged)
+        );
+        let mut moved = program.clone();
+        let inst = moved.procedures[0].blocks[1]
+            .instructions
+            .iter_mut()
+            .find(|inst| inst.imm.is_some())
+            .expect("the body has an addi");
+        inst.imm = inst.imm.map(|imm| imm + 1);
+        assert_ne!(unmarked_fingerprint(&program), unmarked_fingerprint(&moved));
     }
 
     #[test]
     fn a_remark_refuses_a_program_that_differs_in_more_than_markers() {
         let program = loop_program(300, 4);
-        let raw = ExecPlan::lower(SimConfig::hpca2005(), &program, 200_000).unwrap();
-        assert!(raw.can_remark(&program));
+        let config = SimConfig::hpca2005();
+        let raw = ExecPlan::lower(config, &program, 200_000).unwrap();
+        assert!(raw.can_remark(&config, &program));
         let body = &program.procedures[0].blocks[1];
         // A hint NOOP inserted at the top of the loop body.
         let mut inserted = program.clone();
@@ -1659,8 +1782,8 @@ mod tests {
             ("another immediate", retargeted),
             ("another fall-through", rewired),
         ] {
-            assert!(!raw.can_remark(&other), "{what}");
-            assert!(raw.remark(&other).is_none(), "{what}");
+            assert!(!raw.can_remark(&config, &other), "{what}");
+            assert!(raw.remark(config, &other).is_none(), "{what}");
         }
     }
 
@@ -1692,19 +1815,22 @@ mod tests {
             + size_of_val(raw.commit_counts());
         let per_record = bytes as f64 / raw.len() as f64;
         assert!(per_record <= 14.0, "{per_record:.2} bytes per record");
-        let remarked = raw.remark(&remarked_copy(&program)).unwrap();
+        let remarked = raw.remark(*raw.config(), &remarked_copy(&program)).unwrap();
         assert!(remarked.shares_stream(&raw), "the re-mark adds no stream");
     }
 
-    /// The ids `next_set` walks to over a ROB ring of `len` positions whose
-    /// oldest in-flight id is `base`.
+    /// The ids issue's walk reads, in order, from a ROB ring of `len`
+    /// positions whose oldest in-flight id is `base`.
     fn walk_ready(ring: &[u64], len: usize, base: u64) -> Vec<u64> {
         let start = base as usize & (len - 1);
         let mut ids = Vec::new();
-        let mut offset = 0;
-        while let Some(found) = next_set(ring, len, start, offset) {
-            ids.push(base + found as u64);
-            offset = found + 1;
+        for (word, mask) in age_ordered_words(ring.len(), start) {
+            let mut bits = ring[word] & mask;
+            while bits != 0 {
+                let index = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                ids.push(base + ((index + len - start) & (len - 1)) as u64);
+            }
         }
         ids
     }

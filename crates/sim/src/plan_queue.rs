@@ -33,8 +33,10 @@
 //!   list, and the incremental `waiting_total` is its gated-comparison
 //!   count. Operand readiness is a two-bit mask per slot, zero when the
 //!   entry is ready; only ready entries are removed, so nothing unlinks.
-//! * **Incremental counts.** Per-bank resident counts make `banks_on` O(1),
-//!   and the current-region resident count makes `can_dispatch` O(1).
+//! * **Incremental counts.** Per-bank resident counts, updated without a
+//!   branch, make `banks_on` O(1), and the current-region resident count
+//!   makes `can_dispatch` O(1): two compares against limits precomputed
+//!   when a hint or the adaptive controller sets them.
 //! * **Pay-for-what-the-policy-observes.** Age ranks come straight off the
 //!   occupancy bitmask (a popcount over `[head, slot)`), and `head` — their
 //!   only consumer — is only maintained when `track_age` is set, because
@@ -74,6 +76,11 @@ pub(crate) struct PlanQueue {
     max_new_range: Option<usize>,
     /// Hardware resident limit (adaptive policy); `None` = full capacity.
     hard_limit: Option<usize>,
+    /// What [`PlanQueue::can_dispatch`] compares against: the resident
+    /// limit (the hardware limit, or the capacity) and the region limit
+    /// (`max_new_range`, or no limit before the first hint).
+    resident_limit: usize,
+    region_limit: usize,
     bank_occupancy: Vec<u32>,
     banks_nonempty: usize,
     /// Filled slots in the circular window `[new_head, tail)`.
@@ -116,6 +123,8 @@ impl PlanQueue {
             count: 0,
             max_new_range: None,
             hard_limit: None,
+            resident_limit: capacity,
+            region_limit: usize::MAX,
             bank_occupancy: vec![0; capacity.div_ceil(bank_size)],
             banks_nonempty: 0,
             region_count: 0,
@@ -154,6 +163,7 @@ impl PlanQueue {
     /// Sets (or clears) the hardware resident-entry limit.
     pub(crate) fn set_hard_limit(&mut self, limit: Option<usize>) {
         self.hard_limit = limit.map(|l| l.clamp(1, self.capacity));
+        self.resident_limit = self.hard_limit.unwrap_or(self.capacity);
     }
 
     /// Applies a compiler hint: a new region starts at the current tail.
@@ -161,6 +171,7 @@ impl PlanQueue {
         self.new_head = self.tail;
         self.region_count = 0;
         self.max_new_range = Some(max_new_range.max(1));
+        self.region_limit = max_new_range.max(1);
     }
 
     #[inline]
@@ -249,22 +260,12 @@ impl PlanQueue {
     }
 
     /// `true` if another instruction may dispatch right now (physical
-    /// capacity, software region limit, hardware limit). O(1).
+    /// capacity and hardware limit, software region limit, a free tail
+    /// slot). O(1).
     pub(crate) fn can_dispatch(&self) -> bool {
-        if self.count >= self.capacity || self.is_occupied(self.tail) {
-            return false;
-        }
-        if let Some(limit) = self.hard_limit {
-            if self.count >= limit {
-                return false;
-            }
-        }
-        if let Some(range) = self.max_new_range {
-            if self.region_count >= range {
-                return false;
-            }
-        }
-        true
+        self.count < self.resident_limit
+            && self.region_count < self.region_limit
+            && !self.is_occupied(self.tail)
     }
 
     /// Dispatches at the tail. `ops` holds the dense source registers and
@@ -288,10 +289,8 @@ impl PlanQueue {
         self.ids[slot] = id;
         self.occ[slot / 64] |= 1 << (slot % 64);
         let bank = self.bank_of[slot] as usize;
+        self.banks_nonempty += usize::from(self.bank_occupancy[bank] == 0);
         self.bank_occupancy[bank] += 1;
-        if self.bank_occupancy[bank] == 1 {
-            self.banks_nonempty += 1;
-        }
         self.tail = self.next_slot(self.tail);
         self.count += 1;
         if self.max_new_range.is_some() {
@@ -318,9 +317,7 @@ impl PlanQueue {
         self.occ[slot / 64] &= !(1 << (slot % 64));
         let bank = self.bank_of[slot] as usize;
         self.bank_occupancy[bank] -= 1;
-        if self.bank_occupancy[bank] == 0 {
-            self.banks_nonempty -= 1;
-        }
+        self.banks_nonempty -= usize::from(self.bank_occupancy[bank] == 0);
         self.count -= 1;
         if self.count == 0 {
             self.head = self.tail;

@@ -107,10 +107,8 @@ impl RenamedRegFile {
         self.free_count -= 1;
         self.live_count += 1;
         let bank = self.bank_of[index] as usize;
+        self.banks_nonempty += usize::from(self.bank_occupancy[bank] == 0);
         self.bank_occupancy[bank] += 1;
-        if self.bank_occupancy[bank] == 1 {
-            self.banks_nonempty += 1;
-        }
     }
 
     fn mark_free(&mut self, index: usize) {
@@ -119,9 +117,7 @@ impl RenamedRegFile {
         self.live_count -= 1;
         let bank = self.bank_of[index] as usize;
         self.bank_occupancy[bank] -= 1;
-        if self.bank_occupancy[bank] == 0 {
-            self.banks_nonempty -= 1;
-        }
+        self.banks_nonempty -= usize::from(self.bank_occupancy[bank] == 0);
     }
 
     /// Allocates the lowest free physical register for a write to

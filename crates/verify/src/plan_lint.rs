@@ -21,10 +21,12 @@
 //! * the baked activity counters satisfy their defining identities, and
 //!   the per-instruction commit counts sum to the baked commits and equal
 //!   a recount from the committed stream (`PLAN005`),
-//! * a re-marked plan shares its source plan's stream and totals, over a
-//!   program that differs from the source in nothing but markers, and a
-//!   re-mark equals the plan lowered from the program's own trace
-//!   (`PLAN006`).
+//! * a re-marked plan shares its source plan's stream and stream-derived
+//!   totals, over a program that differs from the source in nothing but
+//!   markers, on a machine with the source's front end; its
+//!   machine-derived totals follow its own configuration; and a re-mark
+//!   equals the plan lowered from the program's own trace on its own
+//!   machine (`PLAN006`).
 //!
 //! Front-end bits that depend on predictor or cache *state* (mispredicts,
 //! BTB stalls, L1i hit/miss placement) are not recomputed here — the
@@ -36,8 +38,10 @@
 //! second execution streamed straight into it ([`lint_lowered_plan`], what
 //! the artifact cache runs on plans lowered from the executor). A
 //! re-marked plan needs no execution at all ([`lint_remarked_plan`]): its
-//! stream is its source plan's, linted when that plan was. A finding's
-//! location is formatted only when the finding is reported.
+//! stream is its source plan's, linted when that plan was, on whichever
+//! back end the source was lowered for, so a stream is checked against a
+//! second execution exactly once. A finding's location is formatted only
+//! when the finding is reported.
 
 use crate::diag::{codes, Diagnostic};
 use sdiq_isa::exec::DATA_BASE;
@@ -82,10 +86,14 @@ pub fn lint_lowered_plan(
 /// Cross-checks `plan`, re-marked with `ExecPlan::remark` for `program`
 /// from `source`, without executing anything: its static table against
 /// `program` (`PLAN001`/`PLAN002`), its low-energy commits against the
-/// shared counts (`PLAN005`), and its stream, configuration and
-/// stream-derived totals against `source`'s, which must accept `program`
-/// as a re-mark (`PLAN006`). The stream itself was checked when `source`
-/// was linted.
+/// shared counts (`PLAN005`), and against `source` (`PLAN006`): `source`
+/// may be lowered for another back end, but it must accept `program` on
+/// `plan`'s machine as a re-mark (the same front end, and only markers
+/// differ), share `plan`'s stream (so the instruction cap is the same
+/// too) and have the same stream-derived totals, while the totals a
+/// machine fixes (queue and register-file geometry, full-queue wakeup
+/// comparisons) must follow `plan`'s own configuration. The stream
+/// itself was checked when `source` was linted.
 pub fn lint_remarked_plan(
     plan: &ExecPlan,
     program: &Program,
@@ -109,20 +117,37 @@ pub fn lint_remarked_plan(
         "a re-marked plan does not share its source plan's stream",
     );
     remark_finding(
-        source.can_remark(program),
-        "the program differs from the source plan's in more than markers",
+        plan.config().front_end() == source.config().front_end(),
+        "the front end differs from the source plan's",
     );
     remark_finding(
-        plan.config() == source.config(),
-        "the configuration differs from the source plan's",
+        // On the source's own machine, so only the program is compared.
+        source.can_remark(source.config(), program),
+        "the program differs from the source plan's in more than markers",
     );
     let stream_totals = |stats: &ActivityStats| ActivityStats {
         committed_low_energy: 0,
+        iq_total_banks: 0,
+        iq_total_entries: 0,
+        int_rf_total_banks: 0,
+        fp_rf_total_banks: 0,
+        wakeup_comparisons_full: 0,
         ..stats.clone()
     };
     remark_finding(
         stream_totals(plan.baked_stats()) == stream_totals(source.baked_stats()),
-        "baked totals other than the low-energy commits differ from the source plan's",
+        "baked totals the stream determines differ from the source plan's",
+    );
+    let config = plan.config();
+    let baked = plan.baked_stats();
+    remark_finding(
+        baked.iq_total_banks == config.iq.banks() as u64
+            && baked.iq_total_entries == config.iq.entries as u64
+            && baked.int_rf_total_banks == config.int_rf.banks() as u64
+            && baked.fp_rf_total_banks == config.fp_rf.banks() as u64
+            && baked.wakeup_comparisons_full
+                == baked.wakeup_broadcasts * 2 * config.iq.entries as u64,
+        "baked totals the machine determines disagree with the plan's configuration",
     );
     // The counts are indexed by the program's slots only if the shapes
     // agree; a mismatch is already reported above.
@@ -140,18 +165,21 @@ pub fn lint_remarked_plan(
     diags
 }
 
-/// Checks that re-marking `raw` for `program`, which a compile produced
-/// from `raw`'s program by changing only markers, gives exactly `lowered`,
-/// the plan built from `program`'s own trace (`PLAN006`). This is the
-/// independent oracle for `ExecPlan::remark`: `lowered` executed `program`
-/// and never saw `raw`.
+/// Checks that re-marking `raw` for `program` on `lowered`'s machine
+/// gives exactly `lowered`, the plan built from `program`'s own trace on
+/// that machine (`PLAN006`). `program` differs from `raw`'s program only
+/// in markers (a compile that changed only markers, or the same pass
+/// retargeted at another back end), and the machine has `raw`'s front end
+/// (the same machine, or another sweep point). This is the independent
+/// oracle for `ExecPlan::remark`: `lowered` executed `program` and never
+/// saw `raw`.
 pub fn lint_remark_oracle(
     raw: &ExecPlan,
     program: &Program,
     lowered: &ExecPlan,
 ) -> Vec<Diagnostic> {
-    let problem = match raw.remark(program) {
-        None => Some("the raw plan refuses to re-mark a markers-only compile".to_string()),
+    let problem = match raw.remark(*lowered.config(), program) {
+        None => Some("the source plan refuses a re-mark that only changes markers".to_string()),
         Some(remarked) => {
             if let Some(slot) = (0..remarked.statics().len().max(lowered.statics().len()))
                 .find(|&slot| remarked.statics().get(slot) != lowered.statics().get(slot))

@@ -487,7 +487,9 @@ fn raw_and_tagged() -> (ExecPlan, Program) {
 #[test]
 fn remarked_plan_lints_clean_and_equals_the_lowered_plan() {
     let (raw, tagged) = raw_and_tagged();
-    let remarked = raw.remark(&tagged).expect("tagging changes only markers");
+    let remarked = raw
+        .remark(SimConfig::hpca2005(), &tagged)
+        .expect("tagging changes only markers");
     let diags = lint_remarked_plan(&remarked, &tagged, &raw);
     assert!(
         diags.is_empty(),
@@ -498,10 +500,39 @@ fn remarked_plan_lints_clean_and_equals_the_lowered_plan() {
     assert!(oracle.is_empty(), "re-mark must equal lowering: {oracle:?}");
 }
 
+/// A sweep point's plan is re-marked from the first point's: another
+/// back end (a 32-entry queue), the same front end. It lints clean against
+/// a source on the other machine and equals the plan lowered on its own;
+/// a plan of the same program on another front end does not pass for a
+/// re-mark of the source.
+#[test]
+fn a_plan_remarked_onto_another_back_end_lints_clean() {
+    let (raw, tagged) = raw_and_tagged();
+    let mut iq32 = SimConfig::hpca2005();
+    iq32.iq.entries = 32;
+    iq32.widths.iq_capacity = 32;
+    let remarked = raw.remark(iq32, &tagged).expect("same front end");
+    let diags = lint_remarked_plan(&remarked, &tagged, &raw);
+    assert!(diags.is_empty(), "cross-machine re-mark: {diags:?}");
+    assert_eq!(remarked.baked_stats().iq_total_entries, 32);
+    let lowered = ExecPlan::lower(iq32, &tagged, 4_000).expect("gzip executes");
+    let oracle = lint_remark_oracle(&raw, &tagged, &lowered);
+    assert!(oracle.is_empty(), "re-mark must equal lowering: {oracle:?}");
+    let other_front_end =
+        ExecPlan::lower(SimConfig::small_for_tests(), &tagged, 4_000).expect("gzip executes");
+    assert!(raw.remark(SimConfig::small_for_tests(), &tagged).is_none());
+    assert_code(
+        &lint_remarked_plan(&other_front_end, &tagged, &raw),
+        codes::PLAN006,
+    );
+}
+
 #[test]
 fn a_static_hint_that_disagrees_with_its_program_is_plan002() {
     let (raw, tagged) = raw_and_tagged();
-    let mut remarked = raw.remark(&tagged).expect("tagging changes only markers");
+    let mut remarked = raw
+        .remark(SimConfig::hpca2005(), &tagged)
+        .expect("tagging changes only markers");
     let slot = remarked
         .statics()
         .iter()
@@ -528,7 +559,9 @@ fn a_remarked_plan_over_another_plans_stream_is_plan006() {
     // Lowered again: equal content, but a stream of its own.
     let twin = ExecPlan::lower(SimConfig::hpca2005(), &program(), 4_000).expect("gzip executes");
     assert!(twin == raw && !twin.shares_stream(&raw));
-    let remarked = twin.remark(&tagged).expect("tagging changes only markers");
+    let remarked = twin
+        .remark(SimConfig::hpca2005(), &tagged)
+        .expect("tagging changes only markers");
     assert_code(
         &lint_remarked_plan(&remarked, &tagged, &raw),
         codes::PLAN006,
@@ -566,10 +599,12 @@ fn a_remark_of_a_program_that_differs_in_more_than_markers_is_refused() {
         ("inserted hint NOOPs", &inserted),
         ("a moved immediate", &retimed),
     ] {
-        assert!(raw.remark(other).is_none(), "{what}");
+        assert!(raw.remark(SimConfig::hpca2005(), other).is_none(), "{what}");
         // A plan re-marked for the tagged program does not pass for one of
         // these either.
-        let remarked = raw.remark(&tagged).expect("tagging changes only markers");
+        let remarked = raw
+            .remark(SimConfig::hpca2005(), &tagged)
+            .expect("tagging changes only markers");
         assert_code(&lint_remarked_plan(&remarked, other, &raw), codes::PLAN006);
     }
 }

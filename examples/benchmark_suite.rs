@@ -52,7 +52,8 @@ fn main() {
     println!();
     println!("suite averages:");
     for technique in Technique::evaluated() {
-        let summary = experiments::summarise(&suite, technique);
+        let summary =
+            experiments::summarise(&suite, technique).expect("the suite runs the baseline");
         println!(
             "  {:10} IPC loss {:>5.1}%   IQ dyn {:>5.1}%   IQ stat {:>5.1}%   RF dyn {:>5.1}%   RF stat {:>5.1}%",
             technique.name(),

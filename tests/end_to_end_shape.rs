@@ -113,7 +113,7 @@ fn figure_data_is_complete_and_consistent() {
     }
     let f10 = experiments::figure10(&suite);
     assert_eq!(f10.len(), 4);
-    let summary = experiments::summarise(&suite, Technique::Noop);
+    let summary = experiments::summarise(&suite, Technique::Noop).expect("noop has a baseline");
     assert!(summary.iq_dynamic_pct > summary.rf_dynamic_pct.min(100.0) - 100.0);
     let overall = experiments::overall_processor_savings(&suite, Technique::Noop, 0.22, 0.11);
     assert!(overall > 0.0 && overall < 40.0);

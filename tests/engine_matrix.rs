@@ -91,9 +91,11 @@ fn artifacts_are_built_exactly_once_per_unique_key() {
         "one compile per (program, pass-config)"
     );
 
-    // Per variant and benchmark, the raw program and the Noop output
-    // (which inserts hint NOOPs) are lowered; Extension's tagging output
-    // changes only markers, so its plan is the raw plan re-marked.
+    // Per benchmark, the raw program and the Noop output (which inserts
+    // hint NOOPs) are lowered once, on the first machine. Extension's
+    // tagging output changes only markers, so its plan is the raw plan
+    // re-marked; the iq48 machine has the same front end, so its three
+    // plans are the base machine's re-marked onto it.
     let work = |cache: &ArtifactCache| {
         (
             cache.plan_builds(),
@@ -104,10 +106,7 @@ fn artifacts_are_built_exactly_once_per_unique_key() {
     let (plans, remarks, replays) = work(&cache);
     assert_eq!(
         (plans, remarks),
-        (
-            (2 * 2 * BENCHMARKS.len()) as u64,
-            (2 * BENCHMARKS.len()) as u64
-        ),
+        ((2 * BENCHMARKS.len()) as u64, (4 * BENCHMARKS.len()) as u64),
         "lowered and re-marked plans"
     );
 
@@ -542,7 +541,8 @@ fn sweep_sensitivity_reports_every_variant() {
     assert_eq!(rows[1].iq_entries, 48);
     assert_eq!(rows[2].iq_entries, 32);
     for row in &rows {
-        assert!(row.summary.iq_dynamic_pct.is_finite());
+        let summary = row.summary.expect("noop ran beside the baseline");
+        assert!(summary.iq_dynamic_pct.is_finite());
     }
     let rendered = sdiq::core::render_sweep_sensitivity(&rows);
     assert!(rendered.contains("variant base"));

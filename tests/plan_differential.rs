@@ -235,14 +235,16 @@ proptest! {
     }
 
     /// A program whose markers differ from a raw or NOOP-annotated loop's
-    /// commits the same stream: the loop's plan re-marked for it equals
-    /// the plan lowered from its own execution, shares the loop's stream,
-    /// lints clean, and replays identically under any policy.
+    /// commits the same stream on any machine with the same front end:
+    /// the loop's plan re-marked for it onto another drawn back end equals
+    /// the plan lowered from its own execution there, shares the loop's
+    /// stream, lints clean, and replays identically under any policy.
     #[test]
     fn a_remarked_plan_equals_the_lowered_plan(
         program in arb_loop_program(),
         annotate in 0usize..2,
         config in arb_config(),
+        target in arb_config(),
         policy in arb_policy(),
         markers in arb_markers(),
         cap in arb_cap(),
@@ -255,9 +257,13 @@ proptest! {
         let cap = choose_cap(&program, cap);
         let remarked_program = marked(&program, &markers);
         let source = ExecPlan::lower(config, &program, cap).unwrap();
-        let remarked = source.remark(&remarked_program).expect("only the markers differ");
+        // `arb_config` varies the back end only.
+        prop_assert_eq!(target.front_end(), config.front_end());
+        let remarked = source
+            .remark(target, &remarked_program)
+            .expect("only the markers and the back end differ");
         prop_assert!(remarked.shares_stream(&source));
-        let lowered = ExecPlan::lower(config, &remarked_program, cap).unwrap();
+        let lowered = ExecPlan::lower(target, &remarked_program, cap).unwrap();
         prop_assert!(
             remarked == lowered,
             "the re-marked plan differs from the lowered one (cap {})",
