@@ -115,8 +115,10 @@
 //! * `repro lint` runs the full checker suite — structural program
 //!   verification, annotation legality, the soundness envelope and the
 //!   execution-plan lint — over every artifact of the selected
-//!   (variant × benchmark × technique) space, *collecting* structured
-//!   diagnostics instead of aborting. Exit 0 = clean, 1 = findings,
+//!   (variant × benchmark × technique) space, and requires every plan the
+//!   artifact cache makes for it to equal the plan built from the
+//!   program's own trace, *collecting* structured diagnostics instead of
+//!   aborting. Exit 0 = clean, 1 = findings,
 //!   2 = flag error. A purely local, read-only checker: it refuses
 //!   `--workers`/`--shard`.
 
@@ -126,8 +128,7 @@ use sdiq_core::{
     ProgramKey, Suite, Technique,
 };
 use sdiq_isa::{Executor, Program};
-use sdiq_sim::plan::only_markers_differ;
-use sdiq_sim::{ExecPlan, FrontEnd, SimConfig};
+use sdiq_sim::{ExecPlan, SimConfig};
 use sdiq_verify::StandardVerifier;
 use sdiq_workloads::Benchmark;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -533,11 +534,11 @@ fn print_diags(
 /// checker suite — structural program verification, annotation legality,
 /// the soundness envelope and the execution-plan lint — over every
 /// artifact of the selected (variant × benchmark × technique) space, plus
-/// the re-mark oracle for every compile that changed only markers and for
-/// every later variant with the first one's front end and scale.
-/// Artifacts are deduplicated by their cache keys, so the work matches
-/// what an equivalent run would build. Exits 0 when no error-severity
-/// diagnostics were found, 1 otherwise, 2 on flag errors.
+/// the oracle that the plan the artifact cache makes for each plan key,
+/// lowered or re-marked, equals the plan built from the program's own
+/// trace. Artifacts are deduplicated by their cache keys, so the work
+/// matches what an equivalent run would build. Exits 0 when no
+/// error-severity diagnostics were found, 1 otherwise, 2 on flag errors.
 fn lint_main(args: impl Iterator<Item = String>) -> ! {
     let mut scale: Option<f64> = None;
     let mut sweeps: Vec<(String, Vec<f64>)> = Vec::new();
@@ -603,44 +604,32 @@ fn lint_main(args: impl Iterator<Item = String>) -> ! {
         std::process::exit(2);
     });
     let variants = matrix.config_variants();
-
-    // The cache shares built programs across variants; its own
-    // panic-on-first-finding verification hook stays off — lint collects
-    // and prints every diagnostic instead of aborting.
-    let cache = ArtifactCache::new();
-    cache.set_verify(false);
+    let cap = experiment.max_dynamic_instructions;
 
     let mut errors = 0usize;
     let mut warnings = 0usize;
     let mut programs_checked = 0usize;
     let mut compiles_checked = 0usize;
     let mut plans_checked = 0usize;
-    let mut remarks_checked = 0usize;
-    let mut seen_programs: HashSet<ProgramKey> = HashSet::new();
-    // `None` marks a compile whose pipeline verification failed — the
-    // plan stage has nothing sound to lint against for those.
-    let mut compiled: HashMap<CompileKey, Option<sdiq_compiler::CompiledProgram>> = HashMap::new();
-    let mut seen_plans: HashSet<PlanKey> = HashSet::new();
-    // The first variant's plan of each technique's program per built
-    // program and front end, with that program: every later back-end
-    // variant's plan of the technique is re-marked from it.
-    let mut first_plans: HashMap<(ProgramKey, FrontEnd, Technique), (ExecPlan, Program)> =
-        HashMap::new();
+    let mut remarks_checked = 0u64;
 
-    for (index, variant) in variants.iter().enumerate() {
-        // Keep this variant's plans for the cross-machine oracle only if a
-        // later variant re-marks from them.
-        let remarked_later = variants[index + 1..].iter().any(|later| {
-            later.scale == variant.scale
-                && later.sim_config.front_end() == variant.sim_config.front_end()
-        });
-        for &benchmark in &benchmarks {
+    // One benchmark at a time, each on a fresh cache, which makes every
+    // plan of the benchmark exactly as a run does: lowered for the first
+    // plan of each stream, re-marked for the rest. Its
+    // panic-on-first-finding verification stays off — lint collects and
+    // prints every diagnostic instead of aborting.
+    for &benchmark in &benchmarks {
+        let cache = ArtifactCache::new();
+        cache.set_verify(false);
+        let mut seen_programs: HashSet<ProgramKey> = HashSet::new();
+        // `None` marks a compile whose pipeline verification failed — the
+        // plan stage has nothing sound to lint against for those.
+        let mut compiled: HashMap<CompileKey, Option<sdiq_compiler::CompiledProgram>> =
+            HashMap::new();
+        let mut seen_plans: HashSet<PlanKey> = HashSet::new();
+        for variant in &variants {
             let program_key = ProgramKey::new(benchmark, variant.scale);
             let program = cache.program(program_key);
-            let cap = experiment.max_dynamic_instructions;
-            // The raw program's plan on this machine, kept for the re-mark
-            // oracle of the markers-only compiles.
-            let mut raw_plan: Option<ExecPlan> = None;
             if seen_programs.insert(program_key) {
                 programs_checked += 1;
                 let context = format!("{}/{}", variant.label, benchmark.name());
@@ -656,62 +645,56 @@ fn lint_main(args: impl Iterator<Item = String>) -> ! {
                 );
                 let pass = technique
                     .pass_config_for(variant.sim_config.widths, variant.sim_config.fu_counts);
-                let (plan_source, source_program, markers_only): (PlanSource, &Program, bool) =
-                    match pass {
-                        Some(pass) => {
-                            let compile_key = CompileKey {
-                                program: program_key,
-                                pass,
-                            };
-                            if let std::collections::hash_map::Entry::Vacant(entry) =
-                                compiled.entry(compile_key)
+                let (plan_source, source_program): (PlanSource, &Program) = match pass {
+                    Some(pass) => {
+                        let compile_key = CompileKey {
+                            program: program_key,
+                            pass,
+                        };
+                        let result = compiled.entry(compile_key).or_insert_with(|| {
+                            compiles_checked += 1;
+                            match CompilerPass::new(pass)
+                                .run_verified(&program, Box::new(StandardVerifier))
                             {
-                                compiles_checked += 1;
-                                let slot = match CompilerPass::new(pass)
-                                    .run_verified(&program, Box::new(StandardVerifier))
-                                {
-                                    Ok(result) => {
-                                        let diags = sdiq_verify::verify_compiled(&result);
-                                        print_diags(&context, &diags, &mut errors, &mut warnings);
-                                        Some(result)
+                                Ok(result) => {
+                                    let diags = sdiq_verify::verify_compiled(&result);
+                                    print_diags(&context, &diags, &mut errors, &mut warnings);
+                                    Some(result)
+                                }
+                                Err(err) => {
+                                    for d in &err.diagnostics {
+                                        errors += 1;
+                                        println!(
+                                            "{context}: error[{}] after pass `{}`: {}",
+                                            d.code, err.pass, d.message
+                                        );
                                     }
-                                    Err(err) => {
-                                        for d in &err.diagnostics {
-                                            errors += 1;
-                                            println!(
-                                                "{context}: error[{}] after pass `{}`: {}",
-                                                d.code, err.pass, d.message
-                                            );
-                                        }
-                                        None
-                                    }
-                                };
-                                entry.insert(slot);
+                                    None
+                                }
                             }
-                            match compiled.get(&compile_key).and_then(Option::as_ref) {
-                                Some(result) => (
-                                    PlanSource::Compiled(compile_key),
-                                    &result.program,
-                                    only_markers_differ(&program, &result.program),
-                                ),
-                                None => continue,
-                            }
+                        });
+                        match result {
+                            Some(result) => (PlanSource::Compiled(compile_key), &result.program),
+                            None => continue,
                         }
-                        None => (PlanSource::Program(program_key), &program, false),
-                    };
+                    }
+                    None => (PlanSource::Program(program_key), &program),
+                };
                 let plan_key = PlanKey {
                     source: plan_source,
                     sim_config: variant.sim_config,
-                    max_dynamic_instructions: experiment.max_dynamic_instructions,
+                    max_dynamic_instructions: cap,
                 };
                 if !seen_plans.insert(plan_key) {
                     continue;
                 }
                 plans_checked += 1;
-                match Executor::new(source_program).run(cap) {
+                // The trace is dropped at the end of this arm, before the
+                // cache may execute the program again to lower its plan.
+                let (built, mut diags) = match Executor::new(source_program).run(cap) {
                     Ok(trace) => {
-                        let plan = ExecPlan::build(variant.sim_config, source_program, &trace);
-                        let mut diags = sdiq_verify::lint_plan(&plan, source_program, &trace);
+                        let built = ExecPlan::build(variant.sim_config, source_program, &trace);
+                        let mut diags = sdiq_verify::lint_plan(&built, source_program, &trace);
                         if trace.hit_cap {
                             diags.push(sdiq_verify::Diagnostic::warning(
                                 sdiq_verify::codes::PLAN007,
@@ -724,65 +707,25 @@ fn lint_main(args: impl Iterator<Item = String>) -> ! {
                                 ),
                             ));
                         }
-                        print_diags(&context, &diags, &mut errors, &mut warnings);
-                        // The cross-machine oracle: on a later variant
-                        // with the same front end, the first variant's
-                        // plan re-marked onto this machine must equal the
-                        // plan built from this program's own trace.
-                        let first_key = (program_key, variant.sim_config.front_end(), technique);
-                        match first_plans.get(&first_key) {
-                            Some((first, first_program))
-                                if only_markers_differ(first_program, source_program) =>
-                            {
-                                remarks_checked += 1;
-                                let diags =
-                                    sdiq_verify::lint_remark_oracle(first, source_program, &plan);
-                                print_diags(&context, &diags, &mut errors, &mut warnings);
-                            }
-                            Some(_) => {}
-                            None if remarked_later => {
-                                first_plans
-                                    .insert(first_key, (plan.clone(), source_program.clone()));
-                            }
-                            None => {}
-                        }
-                        if markers_only {
-                            // The oracle: the raw plan re-marked for this
-                            // compile must equal the plan built from the
-                            // compile's own trace.
-                            remarks_checked += 1;
-                            let raw = match raw_plan.take() {
-                                Some(raw) => Ok(raw),
-                                None => ExecPlan::lower(variant.sim_config, &program, cap),
-                            };
-                            match raw {
-                                Ok(raw) => {
-                                    let diags = sdiq_verify::lint_remark_oracle(
-                                        &raw,
-                                        source_program,
-                                        &plan,
-                                    );
-                                    print_diags(&context, &diags, &mut errors, &mut warnings);
-                                    raw_plan = Some(raw);
-                                }
-                                Err(fault) => {
-                                    errors += 1;
-                                    println!(
-                                        "{context}: error[EXEC] raw workload faulted: {fault:?}"
-                                    );
-                                }
-                            }
-                        } else if pass.is_none() {
-                            raw_plan = Some(plan);
-                        }
+                        (built, diags)
                     }
                     Err(fault) => {
                         errors += 1;
                         println!("{context}: error[EXEC] workload faulted: {fault:?}");
+                        continue;
                     }
-                }
+                };
+                // The oracle: the plan a run gets for this key, lowered or
+                // re-marked by the cache, must equal the plan built from
+                // this program's own trace on this machine.
+                diags.extend(sdiq_verify::lint_remark_oracle(
+                    &cache.planned(plan_key),
+                    &built,
+                ));
+                print_diags(&context, &diags, &mut errors, &mut warnings);
             }
         }
+        remarks_checked += cache.plan_remarks();
     }
 
     println!(

@@ -1,7 +1,7 @@
 //! End-to-end tests of `repro lint` and the `--verify`/`--no-verify`
 //! flags: exit-code contract (0 clean, 1 findings, 2 usage error), the
-//! distributed-flag refusals, the summary line's shape, and the warning
-//! for a plan cut short by the instruction cap.
+//! distributed-flag refusals, the summary line's shape, the plans lint
+//! checks, and the warning for a plan cut short by the instruction cap.
 
 use std::process::Command;
 
@@ -100,6 +100,39 @@ fn lint_sweep_covers_every_config_variant() {
         run.stdout.contains("3 variant(s)"),
         "stdout:\n{}",
         run.stdout
+    );
+}
+
+/// Lint checks the plans the artifact cache makes for a run: on
+/// `gzip` under every technique at the paper point and `iq=48`, the 10
+/// plan keys are the raw program's and the four pass outputs' on each
+/// machine. The cache lowers the two streams a run lowers (the raw
+/// program's and the `noop` output's) and re-marks the other 8, each
+/// checked against the plan built from its program's own trace.
+#[test]
+fn lint_checks_the_plans_a_run_makes() {
+    let matrix = [
+        "--scale",
+        "0.02",
+        "--benchmarks",
+        "gzip",
+        "--sweep",
+        "iq=48",
+    ];
+    let lint = repro(&[&["lint"][..], &matrix].concat());
+    assert_eq!(lint.code, 0, "stderr:\n{}", lint.stderr);
+    assert!(
+        lint.stdout
+            .contains("10 plan(s), 8 re-mark(s) checked - 0 error(s)"),
+        "stdout:\n{}",
+        lint.stdout
+    );
+    let run = repro(&[&matrix[..], &["--summary", "--jobs", "1"]].concat());
+    assert_eq!(run.code, 0, "stderr:\n{}", run.stderr);
+    assert!(
+        run.stderr.contains("2 plans lowered"),
+        "stderr:\n{}",
+        run.stderr
     );
 }
 

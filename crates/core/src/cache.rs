@@ -39,12 +39,12 @@
 //! raw program's stream this way, and every `iq=` or `bank=` sweep point
 //! takes the first point's streams; the `noop` pass retargeted at another
 //! queue size changes only its hint values, so it shares the `noop`
-//! stream too. `lowen-isa`, whose policy ignores hints, needs no plan at
-//! all: the engine prices its cell from the raw program's replay, with
-//! its low-energy commits summed from the raw plan's per-instruction
-//! commit counts over the instructions its pass marked
-//! ([`CompiledArtifact::markers_only`]). A pass that inserts a hint NOOP
-//! commits another stream, which is lowered once per group.
+//! stream too. `lowen-isa`, whose policy ignores hints, needs no replay of
+//! its own: its replay slot holds the raw program's replay, with its
+//! low-energy commits summed from the raw plan's per-instruction commit
+//! counts over the instructions its pass marked
+//! ([`ArtifactCache::replayed`]). A pass that inserts a hint NOOP commits
+//! another stream, which is lowered once per group.
 //!
 //! The cache keys artifacts by exactly those inputs and hands out
 //! `Arc`-shared handles. The eight built-in techniques over 11 benchmarks
@@ -57,7 +57,10 @@
 //! `improved` plans) and 55 replays: `--sweep iq=32,48,64,80,96` lowers 22
 //! plans and re-marks 198, as `iq=80` is the base machine under another
 //! label. A machine with another front end is another group, and lowers
-//! its own 22.
+//! its own 22. This cache is the only code that decides what a cell
+//! shares: the engine asks it for each cell's own replay, and `repro
+//! lint` checks each plan it makes against the plan built from the
+//! program's own trace.
 //!
 //! # Plan lifetime
 //!
@@ -65,27 +68,21 @@
 //! 13 bytes per committed instruction (its static slot, fetch flags and
 //! memory address) plus its I-miss addresses; its static table, and the
 //! whole of a re-marked plan, is one 10-byte record per instruction
-//! address. A plan is needed only until the last replay of it has run,
-//! and a group's streams until the group's last plan is made. Before a
-//! matrix run ([`crate::Matrix::run_with`]) or a `repro serve` batch
-//! ([`crate::Matrix::run_cells_by_key`]) starts its workers, it holds, for
-//! every cell it will compute, each plan that cell may use: its own and,
-//! for a software technique, the raw program's, whose replay and commit
-//! counts may price it. Each hold on a plan is a hold on its group's
-//! streams too. Each finished cell releases its holds: a plan whose last
-//! hold is released is dropped, and a group's streams go with the last
-//! hold on any plan of the group. A stream lives as long as the last plan
-//! that shares it, or its group, whichever is later. Replays and commit
-//! counts stay cached, so a later cell or a re-run on the same cache that
-//! needs only those lowers nothing.
+//! address: a few KB, against the MB of the streams it rides on. A plan
+//! group's plans and streams are needed until the group's last cell has
+//! run. Before a matrix run ([`crate::Matrix::run_with`]) or a `repro
+//! serve` batch ([`crate::Matrix::run_cells_by_key`]) starts its workers,
+//! every cell it will compute holds its plan group, and each finished cell
+//! releases its hold: the group's last release drops its plans together
+//! with its streams. Replays stay cached, so a later cell or a re-run on
+//! the same cache that needs only those lowers nothing.
 //!
-//! The cells that use a plan all belong to one plan group, and the engine
-//! runs the matrix group by group, so a run holds the plans and streams
-//! of the groups its workers are in: a serial run of the paper's matrix
-//! holds at most one plan after any cell, a serial swept run one plan per
-//! distinct machine, and either holds one group's two streams. The remote
-//! scheduler sends a daemon whole groups, so a batch lowers each of its
-//! streams once and leaves none behind.
+//! The engine runs the matrix group by group, so a run holds the plans
+//! and streams of the groups its workers are in: a serial run holds one
+//! group's plans (four per machine for the built-in techniques) and its
+//! two streams at a time. The remote scheduler sends a daemon whole
+//! groups, so a batch lowers each of its streams once and leaves none
+//! behind.
 //!
 //! # Determinism
 //!
@@ -111,7 +108,7 @@
 
 use sdiq_compiler::{CompileStats, CompilerPass, PassConfig};
 use sdiq_isa::Program;
-use sdiq_sim::plan::{only_markers_differ, unmarked_fingerprint};
+use sdiq_sim::plan::{low_energy_commits, only_markers_differ, unmarked_fingerprint};
 use sdiq_sim::{
     AdaptiveConfig, ExecPlan, FrontEnd, PlanSimulator, ResizePolicy, SimConfig, SimResult,
 };
@@ -309,12 +306,9 @@ pub struct ArtifactCache {
     /// lowered over each, which every later plan of the stream is
     /// re-marked from.
     streams: Slots<(PlanGroup, u64), (PlanKey, Arc<ExecPlan>)>,
-    /// Each plan's [`ExecPlan::commit_counts`], kept after the plan itself
-    /// is dropped.
-    commit_counts: Mutex<HashMap<PlanKey, Arc<[u32]>>>,
-    /// Holds of the running matrices' cells on plans and plan groups (see
-    /// [`ArtifactCache::hold_plans`]).
-    pending: Mutex<Holds>,
+    /// Holds of the running matrices' cells on plan groups (see
+    /// [`ArtifactCache::hold_group`]).
+    pending: Mutex<HashMap<PlanGroup, usize>>,
     replays: Slots<(PlanKey, PolicyBits), Arc<SimResult>>,
     program_builds: AtomicU64,
     compile_runs: AtomicU64,
@@ -331,7 +325,6 @@ impl Default for ArtifactCache {
             compiles: Mutex::default(),
             plans: Mutex::default(),
             streams: Mutex::default(),
-            commit_counts: Mutex::default(),
             pending: Mutex::default(),
             replays: Mutex::default(),
             program_builds: AtomicU64::new(0),
@@ -355,26 +348,6 @@ fn fail_on_errors(diags: &[Diagnostic]) {
 
 /// One artifact kind's map: a once-initialisable slot per key.
 type Slots<K, V> = Mutex<HashMap<K, Arc<OnceLock<V>>>>;
-
-/// The cells that may still use each plan, and each plan group's streams.
-#[derive(Debug, Default)]
-struct Holds {
-    plans: HashMap<PlanKey, usize>,
-    groups: HashMap<PlanGroup, usize>,
-}
-
-/// Releases one hold on `key`; `true` if it was the last.
-fn release<K: Eq + Hash>(holds: &mut HashMap<K, usize>, key: &K) -> bool {
-    let Some(count) = holds.get_mut(key) else {
-        unreachable!("a plan is released only after it was held");
-    };
-    *count -= 1;
-    let last = *count == 0;
-    if last {
-        holds.remove(key);
-    }
-    last
-}
 
 /// Fetches (or inserts) the once-initialisable slot for `key`. The map
 /// lock is held only for the slot lookup, never across a build.
@@ -499,9 +472,9 @@ impl ArtifactCache {
     /// program and the plan it was re-marked from, without executing
     /// anything.
     ///
-    /// A matrix run drops each plan once the last cell that can use it has
-    /// finished, and each group's streams once the group's last cell has
-    /// (see the module docs); asking for a dropped plan makes it again.
+    /// A matrix run drops a group's plans and streams once the group's
+    /// last cell has finished (see the module docs); asking for a dropped
+    /// plan makes it again.
     pub fn planned(&self, key: PlanKey) -> Arc<ExecPlan> {
         let program = match key.source {
             PlanSource::Program(program) => self.program(program),
@@ -512,11 +485,8 @@ impl ArtifactCache {
             sdiq_obs::metrics().cache_plan_hits.inc();
         }
         slot.get_or_init(|| {
-            let metrics = sdiq_obs::metrics();
-            metrics.cache_plan_misses.inc();
-            let plan = self.over_group_stream(key, &program);
-            lock(&self.commit_counts).insert(key, plan.commit_counts().into());
-            plan
+            sdiq_obs::metrics().cache_plan_misses.inc();
+            self.over_group_stream(key, &program)
         })
         .clone()
     }
@@ -570,12 +540,20 @@ impl ArtifactCache {
         plan
     }
 
-    /// The replay of the plan for `key` under `policy`, run exactly once
+    /// The replay of the plan for `key` under `policy`, made exactly once
     /// per (plan key, policy). The plan is fetched through
     /// [`ArtifactCache::planned`] only when the replay is not cached yet.
     /// Techniques that differ only in how the power model prices the same
     /// counters (`baseline`, `nonEmpty` and `way-memo` all replay the raw
     /// program under [`ResizePolicy::Fixed`]) share one result.
+    ///
+    /// A plan whose compile changed only markers commits the raw program's
+    /// stream, and under a policy that ignores hints it replays exactly as
+    /// the raw plan does, low-energy commits aside. Its slot therefore
+    /// holds the raw plan's replay under `policy`, with
+    /// `committed_low_energy` summed from the raw plan's commit counts
+    /// over the instructions the pass marked: no replay runs, and
+    /// [`ArtifactCache::replay_runs`] does not count it.
     ///
     /// Deliberately not counted in the `sdiq-obs` cache hit/miss metrics,
     /// which count artifact fetches; the plan fetch of a replay that runs
@@ -583,6 +561,9 @@ impl ArtifactCache {
     pub fn replayed(&self, key: PlanKey, policy: ResizePolicy) -> Arc<SimResult> {
         slot(&self.replays, (key, PolicyBits::of(policy)))
             .get_or_init(|| {
+                if let Some(result) = self.raw_replay_of(key, policy) {
+                    return Arc::new(result);
+                }
                 let plan = self.planned(key);
                 let _span = sdiq_obs::span("replay", "cache");
                 self.replay_runs.fetch_add(1, Ordering::Relaxed);
@@ -594,47 +575,52 @@ impl ArtifactCache {
             .clone()
     }
 
-    /// The [`ExecPlan::commit_counts`] of the plan for `key`, lowering it
-    /// only if it never was: the counts outlive the plan.
-    pub(crate) fn commit_counts(&self, key: PlanKey) -> Arc<[u32]> {
-        if let Some(counts) = lock(&self.commit_counts).get(&key).cloned() {
-            return counts;
+    /// The raw plan's replay under `policy`, priced for `key`'s program,
+    /// if `key` is a compile that changed only markers and `policy`
+    /// ignores hints (see [`ArtifactCache::replayed`]).
+    fn raw_replay_of(&self, key: PlanKey, policy: ResizePolicy) -> Option<SimResult> {
+        let PlanSource::Compiled(compile) = key.source else {
+            return None;
+        };
+        if policy.uses_hints() {
+            return None;
         }
-        self.planned(key);
-        lock(&self.commit_counts)
-            .get(&key)
-            .cloned()
-            .unwrap_or_else(|| unreachable!("lowering records the plan's commit counts"))
+        let artifact = self.compiled(compile);
+        if !artifact.markers_only {
+            return None;
+        }
+        let raw = PlanKey {
+            source: PlanSource::Program(compile.program),
+            ..key
+        };
+        let mut result = (*self.replayed(raw, policy)).clone();
+        result.stats.committed_low_energy =
+            low_energy_commits(&artifact.program, self.planned(raw).commit_counts());
+        Some(result)
     }
 
-    /// Registers one more cell that may use the plan of each of `keys`,
-    /// and the streams of its plan group. The plan stays cached until
-    /// [`ArtifactCache::release_plans`] has released it as often as it was
-    /// held, and the group's streams until every plan of the group held
-    /// was. A matrix run holds the plans of every cell it computes before
-    /// its workers start.
-    pub(crate) fn hold_plans(&self, keys: impl IntoIterator<Item = PlanKey>) {
-        let mut pending = lock(&self.pending);
-        for key in keys {
-            *pending.plans.entry(key).or_default() += 1;
-            *pending.groups.entry(key.group()).or_default() += 1;
-        }
+    /// Registers one more cell that may use the plans of `group`. The
+    /// group's plans and streams stay cached until
+    /// [`ArtifactCache::release_group`] has released it as often as it
+    /// was held. A matrix run holds the group of every cell it computes
+    /// before its workers start.
+    pub(crate) fn hold_group(&self, group: PlanGroup) {
+        *lock(&self.pending).entry(group).or_default() += 1;
     }
 
-    /// Releases one hold on the plan of each of `keys`. A plan whose last
-    /// hold this was is dropped, and so are a group's streams with its
-    /// last hold; replays and commit counts stay cached, so a later cell
-    /// that needs only those lowers nothing.
-    pub(crate) fn release_plans(&self, keys: impl IntoIterator<Item = PlanKey>) {
+    /// Releases one hold on `group`. Its last release drops the group's
+    /// plans together with its streams; replays stay cached, so a later
+    /// cell that needs only those lowers nothing.
+    pub(crate) fn release_group(&self, group: PlanGroup) {
         let mut pending = lock(&self.pending);
-        for key in keys {
-            if release(&mut pending.plans, &key) {
-                lock(&self.plans).remove(&key);
-            }
-            let group = key.group();
-            if release(&mut pending.groups, &group) {
-                lock(&self.streams).retain(|&(held, _), _| held != group);
-            }
+        let Some(count) = pending.get_mut(&group) else {
+            unreachable!("a group is released only after it was held");
+        };
+        *count -= 1;
+        if *count == 0 {
+            pending.remove(&group);
+            lock(&self.plans).retain(|key, _| key.group() != group);
+            lock(&self.streams).retain(|&(held, _), _| held != group);
         }
     }
 
@@ -905,8 +891,8 @@ mod tests {
         report
     }
 
-    /// `lowen-isa`'s pass only sets markers, so the engine prices its
-    /// cells from the raw program's replay and lowers nothing of their
+    /// `lowen-isa`'s pass only sets markers, so the cache derives its
+    /// cells' replays from the raw program's and lowers nothing of their
     /// own. `Experiment::run` lowers the compiled program itself: the
     /// cells agree on every benchmark and on both machines.
     #[test]
@@ -1064,10 +1050,9 @@ mod tests {
     }
 
     /// Computes `cells` of `matrix` in one batch on a fresh cache that
-    /// holds, before the batch starts, every plan a cell of the matrix
-    /// could use (the raw plan and every pass output's plan, on every
-    /// variant's machine), so the batch drops no plan. Returns how many
-    /// plans that lowered and re-marked: the distinct plans the cells
+    /// holds, before the batch starts, the plan group of every benchmark
+    /// on every variant's machine, so the batch drops no plan. Returns how
+    /// many plans that lowered and re-marked: the distinct plans the cells
     /// need.
     fn distinct_plans(
         experiment: &Experiment,
@@ -1076,24 +1061,13 @@ mod tests {
     ) -> (u64, u64) {
         let cache = ArtifactCache::new();
         for variant in matrix.config_variants() {
-            let config = variant.sim_config;
             for benchmark in Benchmark::ALL {
-                let program = ProgramKey::new(benchmark, variant.scale);
                 let raw = PlanKey {
-                    source: PlanSource::Program(program),
-                    sim_config: config,
+                    source: PlanSource::Program(ProgramKey::new(benchmark, variant.scale)),
+                    sim_config: variant.sim_config,
                     max_dynamic_instructions: experiment.max_dynamic_instructions,
                 };
-                let compiled = BUILTIN_TECHNIQUES
-                    .iter()
-                    .filter_map(|technique| {
-                        technique.pass_config_for(config.widths, config.fu_counts)
-                    })
-                    .map(|pass| PlanKey {
-                        source: PlanSource::Compiled(CompileKey { program, pass }),
-                        ..raw
-                    });
-                cache.hold_plans(std::iter::once(raw).chain(compiled));
+                cache.hold_group(raw.group());
             }
         }
         let requested = cells.iter().cloned().collect();
@@ -1103,13 +1077,13 @@ mod tests {
         (cache.plan_builds(), cache.plan_remarks())
     }
 
-    /// A run drops every plan after its last cell, and never makes one
-    /// twice: it lowers and re-marks as many plans as a cache that keeps
-    /// them all, with a sweep point that aliases the base machine, partial
-    /// seeds and a shard. A raw plan dropped before its last re-mark would
-    /// be lowered again, and one that no computed cell holds would never
-    /// be dropped. A second run on the same cache lowers, re-marks and
-    /// replays nothing.
+    /// A run drops every plan with its group's last cell, and never makes
+    /// one twice: it lowers and re-marks as many plans as a cache that
+    /// keeps them all, with a sweep point that aliases the base machine,
+    /// partial seeds and a shard. A raw plan dropped before its last
+    /// re-mark would be lowered again, and a group that no computed cell
+    /// holds would never be dropped. A second run on the same cache
+    /// lowers, re-marks and replays nothing.
     #[test]
     fn each_plan_is_lowered_once_and_dropped_after_its_last_cell() {
         let experiment = tiny_experiment();
@@ -1128,10 +1102,11 @@ mod tests {
         };
         // Without `abella` and `lowen-isa`, the run computes only cells
         // that use the raw plan and not its fixed-policy replay, which
-        // `lowen-isa` then needs: the raw plan must outlive the `abella`
-        // cells. Without `extension` and `improved`, it computes only
-        // cells whose plans are the raw plan re-marked, so only their own
-        // holds keep the raw plan until its last re-mark.
+        // `lowen-isa`'s replay slot then derives its result from: the raw
+        // plan must outlive the `abella` cells. Without `extension` and
+        // `improved`, it computes only cells whose plans are the raw plan
+        // re-marked, so only their own group holds keep the raw plan until
+        // its last re-mark.
         let partial = all_but([Technique::Abella, Technique::LowenIsa]);
         let tagging = all_but([Technique::Extension, Technique::Improved]);
         let sharded = paper.clone().shard(0, 2);
@@ -1160,7 +1135,7 @@ mod tests {
 
     /// Records the most plans and plan-group streams `cache` held after
     /// any cell. The engine calls a sink after the cell has released its
-    /// plans.
+    /// plan group.
     struct MostPlansHeld<'c> {
         cache: &'c ArtifactCache,
         plans: std::sync::atomic::AtomicUsize,
@@ -1177,15 +1152,15 @@ mod tests {
     }
 
     /// A run takes the matrix plan group by plan group, so a serial run of
-    /// all 11 benchmarks holds at most one plan after any cell: taking it
-    /// technique by technique kept every raw plan until the last
-    /// `lowen-isa` cell. An `iq=80` point joins the base groups, and its
-    /// cells hold their group's `noop` and re-marked plans until they
-    /// finish, so the bound is four. An `iq=48` point joins them too: its
-    /// raw plan lives from its first cell to its last, beside the base
-    /// machine's, so the bound is two. Every run holds one group's two
-    /// streams at a time (the raw program's and the `noop` output's) and
-    /// drops them with the group's last cell.
+    /// all 11 benchmarks holds one group's plans after any cell: the four
+    /// the built-in techniques make on each distinct machine (the raw
+    /// program's, and the `noop`, `extension` and `improved` outputs';
+    /// `lowen-isa`'s replay is derived from the raw plan's). An `iq=80`
+    /// point is the base machine under another label and adds no plan;
+    /// an `iq=48` point joins the base groups with four plans of its own,
+    /// so the bound is eight. Every run holds one group's two streams at a
+    /// time (the raw program's and the `noop` output's) and drops them
+    /// with the group's plans at the group's last cell.
     #[test]
     fn a_serial_run_holds_one_plan_group_at_a_time() {
         let experiment = tiny_experiment();
@@ -1194,7 +1169,7 @@ mod tests {
             .jobs(1);
         let aliased = paper.clone().sweep_iq_entries(&[80]);
         let swept = paper.clone().sweep_iq_entries(&[48]);
-        for (matrix, bound) in [(&paper, 1), (&aliased, 4), (&swept, 2)] {
+        for (matrix, bound) in [(&paper, 4), (&aliased, 4), (&swept, 8)] {
             let cache = ArtifactCache::new();
             let sink = MostPlansHeld {
                 cache: &cache,
@@ -1209,10 +1184,12 @@ mod tests {
         }
     }
 
-    /// A daemon batch ([`Matrix::run_cells_by_key`]) holds and drops plans
-    /// as a matrix run does: it makes each plan of its groups once and
-    /// leaves none cached, whether it gets every group at once or, as a
-    /// capacity-1 daemon does, one group per batch.
+    /// A daemon batch ([`Matrix::run_cells_by_key`]) holds and drops plan
+    /// groups as a matrix run does: it makes each plan of its groups once
+    /// and leaves none cached, whether it gets every group at once or, as a
+    /// capacity-1 daemon does, one group per batch. The same batches run
+    /// again on a warm cache make nothing: every replay is cached,
+    /// `lowen-isa`'s derived one included, so no plan is asked for.
     #[test]
     fn a_batch_makes_each_plan_once_and_leaves_none_cached() {
         let experiment = tiny_experiment();
@@ -1229,14 +1206,16 @@ mod tests {
         assert_eq!(whole.plans_held(), 0, "the batch dropped its plans");
         assert_eq!(work(&whole), (6, 6, 15));
         let per_group = ArtifactCache::new();
-        for group in &groups {
-            let requested = group.iter().cloned().collect();
-            matrix
-                .run_cells_by_key(&per_group, &requested, None)
-                .expect("own keys");
-            assert_eq!(per_group.plans_held(), 0, "the batch dropped its plans");
+        for _ in 0..2 {
+            for group in &groups {
+                let requested = group.iter().cloned().collect();
+                matrix
+                    .run_cells_by_key(&per_group, &requested, None)
+                    .expect("own keys");
+                assert_eq!(per_group.plans_held(), 0, "the batch dropped its plans");
+            }
+            assert_eq!(work(&per_group), (6, 6, 15));
         }
-        assert_eq!(work(&per_group), (6, 6, 15));
     }
 
     #[test]

@@ -10,13 +10,15 @@
 //! lets idle workers pull the next unclaimed cell from a shared atomic
 //! cursor — so an 11 × 6 × K sweep saturates every core no matter how the
 //! axes are shaped, and a long cell never strands the rest of its row.
-//! The list comes in plan groups, the cells of one benchmark on one
-//! machine, which share every execution plan they use, so each plan is
-//! dropped as soon as its group is done.
+//! The list comes in plan groups, the cells of one benchmark on every
+//! machine with one front end, which share every execution plan they use,
+//! so a group's plans are dropped together as soon as the group is done.
 //!
 //! Expensive per-cell work that is shared between cells (program
-//! generation, compiler passes) goes through the [`ArtifactCache`], and
-//! every cell's result is a pure function of its cell key, which yields the
+//! generation, compiler passes, plans and replays) goes through the
+//! [`ArtifactCache`], which alone decides what a cell shares: a cell asks
+//! it for the replay of its own plan under its resize policy. Every cell's
+//! result is a pure function of its cell key, which yields the
 //! engine's hard guarantee: **the assembled [`Sweep`] is bit-identical for
 //! any worker count**, `jobs = 1` included. The integration suite asserts
 //! this.
@@ -45,13 +47,12 @@ use crate::cache::{
 use crate::runner::{Experiment, RunReport, Suite};
 use crate::technique::Technique;
 use sdiq_compiler::PassConfig;
-use sdiq_sim::plan::low_energy_commits;
 use sdiq_sim::{ResizePolicy, SimConfig};
 use sdiq_workloads::Benchmark;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// One point on the configuration sweep axis: a simulator configuration
 /// plus the workload scale to run it at.
@@ -696,8 +697,8 @@ impl<'a> Matrix<'a> {
     /// results. A requested key this matrix does not own is an error —
     /// it means the requester built a different matrix (the remote worker
     /// daemon's defence against version skew). Plans live as in
-    /// [`Matrix::run_with`]: each is dropped after the last requested
-    /// cell that can use it, so a call leaves no plan cached. The remote
+    /// [`Matrix::run_with`]: a plan group's plans are dropped after its
+    /// last requested cell, so a call leaves no plan cached. The remote
     /// scheduler requests whole plan groups, so a daemon makes each plan
     /// of a group once.
     pub fn run_cells_by_key(
@@ -741,8 +742,8 @@ impl<'a> Matrix<'a> {
     /// Runs the matrix: cells whose key appears in `seed` are taken from
     /// it verbatim (the `--load` path re-runs only missing cells), the
     /// rest are computed on the worker pool through `cache`, which drops
-    /// each plan once the last computed cell that can use it has finished
-    /// (its replays stay cached).
+    /// each plan group's plans and streams once its last computed cell has
+    /// finished (its replays stay cached).
     pub fn run_with(&self, cache: &ArtifactCache, seed: &HashMap<String, RunReport>) -> Sweep {
         self.run_with_sink(cache, seed, None)
     }
@@ -798,9 +799,9 @@ impl<'a> Matrix<'a> {
 
     /// Computes `todo` on the worker pool, streaming each report into
     /// `sink` as it lands, and returns the reports in `todo` order. Every
-    /// cell holds the plans it may use from before the workers start
-    /// until it finishes, so each plan is dropped after its last cell in
-    /// `todo`; its replays and commit counts stay cached.
+    /// cell holds its plan group from before the workers start until it
+    /// finishes, so a group's plans are dropped after its last cell in
+    /// `todo`; their replays stay cached.
     fn compute(
         &self,
         cache: &ArtifactCache,
@@ -813,7 +814,7 @@ impl<'a> Matrix<'a> {
             .map(|(_, cell)| self.plans(variants, cell))
             .collect();
         for cell_plans in &plans {
-            cache.hold_plans(cell_plans.keys());
+            cache.hold_group(cell_plans.raw.group());
         }
         let results: Vec<OnceLock<RunReport>> = todo.iter().map(|_| OnceLock::new()).collect();
         let cursor = AtomicUsize::new(0);
@@ -829,7 +830,7 @@ impl<'a> Matrix<'a> {
                         };
                         let report =
                             observed_cell(self.experiment, cache, plans, key, cell.technique);
-                        cache.release_plans(plans.keys());
+                        cache.release_group(plans.raw.group());
                         if let Some(sink) = sink {
                             let _span = sdiq_obs::span("persist-cell", "persist");
                             sink.cell_complete(key, &report);
@@ -979,7 +980,7 @@ impl CellPlans {
 
     /// The plan of `benchmark`'s built program on `variant`'s machine,
     /// whose [`PlanKey::group`] is the plan group of every cell of that
-    /// benchmark and front end.
+    /// benchmark and front end: the group the cell holds.
     fn raw(experiment: &Experiment, variant: &ConfigVariant, benchmark: Benchmark) -> PlanKey {
         PlanKey {
             source: PlanSource::Program(ProgramKey::new(benchmark, variant.scale)),
@@ -991,13 +992,6 @@ impl CellPlans {
     /// The plan of the program the cell runs.
     fn own(&self) -> PlanKey {
         self.pass.map_or(self.raw, |(_, plan)| plan)
-    }
-
-    /// The plans the cell may use: its own and, for a software technique,
-    /// the raw plan, whose replay and commit counts price the cell when
-    /// its pass changed only markers and its policy ignores hints.
-    fn keys(&self) -> impl Iterator<Item = PlanKey> {
-        std::iter::once(self.own()).chain(self.pass.map(|_| self.raw))
     }
 
     /// What `technique` replays on `variant`'s machine, named `machine`:
@@ -1013,45 +1007,32 @@ impl CellPlans {
         )
     }
 
-    /// The replay the cell's keys name: its own plan under its resize
-    /// policy. (A markers-only cell whose policy ignores hints prices the
-    /// raw plan's replay instead, which only its compile reveals.)
+    /// The replay the cell asks the cache for: its own plan under its
+    /// resize policy.
     #[cfg(test)]
     fn replay(&self) -> (PlanKey, PolicyBits) {
         (self.own(), PolicyBits::of(self.policy))
     }
 }
 
-/// Runs one cell through the artifact cache: software techniques reuse the
-/// cached compiler-pass output, hardware techniques run the shared built
-/// program directly — no per-cell `Program` clone in either path. A plan
-/// is made once per (source, SimConfig) shape and the replay runs once
-/// per (plan, resize policy). A software cell whose pass changed only
-/// markers executes nothing of its own: under a policy that ignores hints
-/// it takes the raw program's replay, with its low-energy commits summed
-/// from the raw plan's commit counts over the instructions its pass
-/// marked; under one that reads them it replays its own plan, re-marked
-/// over the raw program's stream. Only the power pricing runs per cell.
+/// Runs one cell through the artifact cache: the replay of its own plan
+/// under its resize policy, which the cache makes, shares or derives
+/// ([`ArtifactCache::replayed`]), priced by the power model. Software
+/// techniques reuse the cached compiler-pass output, hardware techniques
+/// run the shared built program directly — no per-cell `Program` clone in
+/// either path. Only the power pricing runs per cell.
 fn run_cell(
     experiment: &Experiment,
     cache: &ArtifactCache,
     plans: &CellPlans,
     technique: Technique,
 ) -> RunReport {
-    let Some((compile, plan)) = plans.pass else {
+    let result = cache.replayed(plans.own(), plans.policy);
+    let Some((compile, _)) = plans.pass else {
         let program = cache.program(plans.program);
-        let result = cache.replayed(plans.raw, plans.policy);
         return experiment.report(&program.name, &result, technique, None, 0);
     };
     let artifact = cache.compiled(compile);
-    let result = if artifact.markers_only && !plans.policy.uses_hints() {
-        let mut result = (*cache.replayed(plans.raw, plans.policy)).clone();
-        result.stats.committed_low_energy =
-            low_energy_commits(&artifact.program, &cache.commit_counts(plans.raw));
-        Arc::new(result)
-    } else {
-        cache.replayed(plan, plans.policy)
-    };
     experiment.report(
         &artifact.program.name,
         &result,

@@ -7,6 +7,7 @@
 
 use crate::runner::Suite;
 use crate::technique::Technique;
+use sdiq_power::PowerSavings;
 use sdiq_sim::SimConfig;
 use sdiq_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
@@ -95,52 +96,50 @@ pub fn figure7(suite: &Suite) -> FigureSeries {
     })
 }
 
+/// A two-panel power figure over `techniques`: each technique's
+/// `dynamic` and `static_` saving against the baseline.
+fn power_figure(
+    suite: &Suite,
+    techniques: &[Technique],
+    dynamic: fn(&PowerSavings) -> f64,
+    static_: fn(&PowerSavings) -> f64,
+) -> PowerFigure {
+    let panel = |saving: fn(&PowerSavings) -> f64| {
+        techniques
+            .iter()
+            .map(|&t| {
+                series_over(suite, t, |b| {
+                    suite.comparison(b, t).map(|c| saving(&c.savings))
+                })
+            })
+            .collect()
+    };
+    PowerFigure {
+        dynamic: panel(dynamic),
+        static_: panel(static_),
+    }
+}
+
 /// Figure 8: issue-queue dynamic and static power savings for the NOOP
 /// technique, with the `nonEmpty` and `abella` comparators.
 pub fn figure8(suite: &Suite) -> PowerFigure {
-    let techniques = [Technique::NonEmpty, Technique::Noop, Technique::Abella];
-    PowerFigure {
-        dynamic: techniques
-            .iter()
-            .map(|&t| {
-                series_over(suite, t, |b| {
-                    suite.comparison(b, t).map(|c| c.savings.iq_dynamic_pct)
-                })
-            })
-            .collect(),
-        static_: techniques
-            .iter()
-            .map(|&t| {
-                series_over(suite, t, |b| {
-                    suite.comparison(b, t).map(|c| c.savings.iq_static_pct)
-                })
-            })
-            .collect(),
-    }
+    power_figure(
+        suite,
+        &[Technique::NonEmpty, Technique::Noop, Technique::Abella],
+        |s| s.iq_dynamic_pct,
+        |s| s.iq_static_pct,
+    )
 }
 
 /// Figure 9: integer register-file dynamic and static power savings for the
 /// NOOP technique and the `abella` comparator.
 pub fn figure9(suite: &Suite) -> PowerFigure {
-    let techniques = [Technique::Noop, Technique::Abella];
-    PowerFigure {
-        dynamic: techniques
-            .iter()
-            .map(|&t| {
-                series_over(suite, t, |b| {
-                    suite.comparison(b, t).map(|c| c.savings.rf_dynamic_pct)
-                })
-            })
-            .collect(),
-        static_: techniques
-            .iter()
-            .map(|&t| {
-                series_over(suite, t, |b| {
-                    suite.comparison(b, t).map(|c| c.savings.rf_static_pct)
-                })
-            })
-            .collect(),
-    }
+    power_figure(
+        suite,
+        &[Technique::Noop, Technique::Abella],
+        |s| s.rf_dynamic_pct,
+        |s| s.rf_static_pct,
+    )
 }
 
 /// Figure 10: normalised IPC loss for the Extension and Improved techniques
@@ -164,49 +163,23 @@ pub fn figure10(suite: &Suite) -> Vec<FigureSeries> {
 
 /// Figure 11: issue-queue power savings for Extension and Improved.
 pub fn figure11(suite: &Suite) -> PowerFigure {
-    let techniques = [Technique::Extension, Technique::Improved];
-    PowerFigure {
-        dynamic: techniques
-            .iter()
-            .map(|&t| {
-                series_over(suite, t, |b| {
-                    suite.comparison(b, t).map(|c| c.savings.iq_dynamic_pct)
-                })
-            })
-            .collect(),
-        static_: techniques
-            .iter()
-            .map(|&t| {
-                series_over(suite, t, |b| {
-                    suite.comparison(b, t).map(|c| c.savings.iq_static_pct)
-                })
-            })
-            .collect(),
-    }
+    power_figure(
+        suite,
+        &[Technique::Extension, Technique::Improved],
+        |s| s.iq_dynamic_pct,
+        |s| s.iq_static_pct,
+    )
 }
 
 /// Figure 12: integer register-file power savings for Extension and
 /// Improved.
 pub fn figure12(suite: &Suite) -> PowerFigure {
-    let techniques = [Technique::Extension, Technique::Improved];
-    PowerFigure {
-        dynamic: techniques
-            .iter()
-            .map(|&t| {
-                series_over(suite, t, |b| {
-                    suite.comparison(b, t).map(|c| c.savings.rf_dynamic_pct)
-                })
-            })
-            .collect(),
-        static_: techniques
-            .iter()
-            .map(|&t| {
-                series_over(suite, t, |b| {
-                    suite.comparison(b, t).map(|c| c.savings.rf_static_pct)
-                })
-            })
-            .collect(),
-    }
+    power_figure(
+        suite,
+        &[Technique::Extension, Technique::Improved],
+        |s| s.rf_dynamic_pct,
+        |s| s.rf_static_pct,
+    )
 }
 
 /// §6's overall-processor estimate: dynamic power saving of the whole chip

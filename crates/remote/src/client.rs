@@ -141,6 +141,13 @@ pub fn dial(
     // The deadline already applies: a daemon that accepts and then hangs
     // cannot stall the handshake either.
     let mut first = frame::read_message(&mut reader).map_err(|e| deadline_error(remote, e))?;
+    if let Message::Error { message } = &first {
+        // Refused before any handshake (a daemon at its connection cap).
+        return Err(io::Error::new(
+            io::ErrorKind::ConnectionRefused,
+            format!("worker {addr} refused the connection: {message}"),
+        ));
+    }
     if let Message::AuthChallenge { nonce } = &first {
         // The worker demands authentication.
         let Some(key) = &remote.auth_key else {

@@ -3,11 +3,14 @@
 //! each one back the moment it finishes.
 //!
 //! Each connection is served on its own thread, so a peer that connects
-//! and stays silent holds only its own thread. Batches still run one at a
-//! time, whichever connection sent them: each sizes the engine's pool to
-//! the whole capacity, and span recording is daemon-global. A batch that
-//! waits for its turn sends heartbeats, so its coordinator's deadline
-//! holds while another coordinator's batch computes.
+//! and stays silent holds only its own thread, and at most
+//! [`MAX_CONNECTIONS`] are served at once: a connection past the cap gets
+//! one `Error` frame naming it and is closed, so silent peers cannot pile
+//! up threads. Batches still run one at a time, whichever connection sent
+//! them: each sizes the engine's pool to the whole capacity, and span
+//! recording is daemon-global. A batch that waits for its turn sends
+//! heartbeats, so its coordinator's deadline holds while another
+//! coordinator's batch computes.
 //!
 //! The daemon is stateless between connections on purpose: everything a
 //! batch needs arrives in its `RunCells` frame (the [`MatrixSpec`] plus
@@ -83,6 +86,13 @@ const HEARTBEAT_INTERVAL: Duration = Duration::from_secs(1);
 /// never completes it must not keep its connection's thread for good.
 const AUTH_HANDSHAKE_DEADLINE: Duration = crate::DEFAULT_HEARTBEAT_DEADLINE;
 
+/// Most connections a daemon serves at once. A run opens one connection
+/// per daemon and batches run one at a time, so this is ample; it bounds
+/// the threads that peers which connect and stay silent can hold. (A read
+/// deadline cannot: a coordinator parks its link while other workers
+/// finish.)
+const MAX_CONNECTIONS: usize = 8;
+
 /// What every connection of one daemon shares.
 struct Daemon<'a> {
     capacity: usize,
@@ -92,12 +102,14 @@ struct Daemon<'a> {
     delivered: AtomicUsize,
     /// Held by the batch that is computing; batches run one at a time.
     batch_turn: Mutex<()>,
+    /// Connections being served, each on its own thread.
+    connections: AtomicUsize,
     options: &'a ServeOptions,
 }
 
 /// Runs the worker daemon forever (until the process is killed):
 /// bind, print the bound address, then serve each coordinator on its own
-/// thread.
+/// thread, at most [`MAX_CONNECTIONS`] at once.
 ///
 /// The first stdout line is machine-readable — `LISTENING <addr>` — so
 /// scripts that start daemons on port 0 can discover the real port;
@@ -115,10 +127,20 @@ pub fn serve(options: &ServeOptions) -> io::Result<()> {
         cache: ArtifactCache::new(),
         delivered: AtomicUsize::new(0),
         batch_turn: Mutex::new(()),
+        connections: AtomicUsize::new(0),
         options,
     };
+    accept_loop(listener.incoming(), &daemon, MAX_CONNECTIONS);
+    unreachable!("TcpListener::incoming never returns None");
+}
+
+/// Serves each of `incoming` on its own thread, at most `cap` at once. A
+/// connection past the cap gets one `Error` frame naming the cap, before
+/// any auth challenge, and is closed from this loop: no thread is spawned
+/// for it. Returns once `incoming` ends and every connection has.
+fn accept_loop(incoming: impl Iterator<Item = io::Result<TcpStream>>, daemon: &Daemon, cap: usize) {
     std::thread::scope(|scope| {
-        for stream in listener.incoming() {
+        for stream in incoming {
             let stream = match stream {
                 Ok(stream) => stream,
                 Err(error) => {
@@ -132,7 +154,13 @@ pub fn serve(options: &ServeOptions) -> io::Result<()> {
                     continue;
                 }
             };
-            let daemon = &daemon;
+            // Only this loop adds connections, so the count cannot pass
+            // the cap between the check and the add.
+            if daemon.connections.load(Ordering::Relaxed) >= cap {
+                refuse(stream, cap);
+                continue;
+            }
+            daemon.connections.fetch_add(1, Ordering::Relaxed);
             scope.spawn(move || {
                 let served = panic::catch_unwind(AssertUnwindSafe(|| serve_peer(stream, daemon)));
                 if served.is_err() {
@@ -141,10 +169,25 @@ pub fn serve(options: &ServeOptions) -> io::Result<()> {
                     // another batch.
                     std::process::exit(101);
                 }
+                daemon.connections.fetch_sub(1, Ordering::Relaxed);
             });
         }
     });
-    unreachable!("TcpListener::incoming never returns None");
+}
+
+/// Tells a connection past the cap why it is closed. A coordinator reads
+/// the frame as a dial failure; a peer that never reads it loses nothing.
+fn refuse(mut stream: TcpStream, cap: usize) {
+    let peer = stream
+        .peer_addr()
+        .map(|peer| peer.to_string())
+        .unwrap_or_else(|_| "<unknown>".to_string());
+    eprintln!("sdiq-remote worker: refused {peer}: already serving {cap} connections");
+    let refusal = Message::Error {
+        message: format!("worker is already serving its limit of {cap} connections"),
+    };
+    // Best effort: the connection closes either way.
+    let _ = frame::write_message(&mut stream, &refusal);
 }
 
 /// Serves one coordinator on the current thread and logs how it ended.
@@ -618,6 +661,91 @@ mod tests {
                 .recv_timeout(Duration::from_secs(10))
                 .expect("the queued batch takes the released turn");
         });
+    }
+
+    /// A daemon with a cap of 2 and two silent peers refuses a third with
+    /// an `Error` frame naming the cap, before any auth challenge, and
+    /// closes it; a coordinator dialing it then reports a refused dial.
+    /// Once a silent peer closes, a new peer is challenged. The accept
+    /// loop takes exactly the five connections the test opens.
+    #[test]
+    fn a_connection_past_the_cap_is_refused_until_one_closes() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let options: &'static ServeOptions = Box::leak(Box::new(ServeOptions {
+            listen: addr.to_string(),
+            jobs: 1,
+            fail_after: None,
+            stall_after: None,
+            auth_key: Some("sesame".to_string()),
+            advertise_binary: false,
+        }));
+        let daemon: &'static Daemon = Box::leak(Box::new(Daemon {
+            capacity: 1,
+            cache: ArtifactCache::new(),
+            delivered: AtomicUsize::new(0),
+            batch_turn: Mutex::new(()),
+            connections: AtomicUsize::new(0),
+            options,
+        }));
+        // Not scoped: a failed assertion must fail the test, not leave it
+        // waiting on an accept loop still owed a connection.
+        let accepting = std::thread::spawn(move || {
+            accept_loop(listener.incoming().take(5), daemon, 2);
+        });
+        let connect = || {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let first = frame::read_message(&mut reader).unwrap();
+            (stream, reader, first)
+        };
+        let mut silent: Vec<TcpStream> = (0..2)
+            .map(|_| {
+                let (stream, _, first) = connect();
+                assert!(matches!(first, Message::AuthChallenge { .. }), "{first:?}");
+                stream
+            })
+            .collect();
+        let (_, mut refused, first) = connect();
+        match first {
+            Message::Error { message } => assert!(message.contains("2 connections"), "{message}"),
+            other => panic!("expected the refusal, got {other:?}"),
+        }
+        assert!(
+            frame::read_message_opt(&mut refused).unwrap().is_none(),
+            "the refused connection is closed"
+        );
+        let mut remote = crate::RemoteOptions::new(MatrixSpec {
+            scale: 0.05,
+            sweeps: Vec::new(),
+            benchmarks: vec!["gzip".to_string()],
+            techniques: vec!["baseline".to_string()],
+        });
+        remote.auth_key = options.auth_key.clone();
+        match crate::client::dial(&addr.to_string(), &remote, 0) {
+            Err(error) => assert!(
+                error.to_string().contains("refused the connection"),
+                "{error}"
+            ),
+            Ok(_) => panic!("a daemon at its cap refuses the dial"),
+        }
+        drop(silent.remove(0));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while daemon.connections.load(Ordering::Relaxed) >= 2 {
+            assert!(Instant::now() < deadline, "the closed peer's thread ended");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let (fresh, _, first) = connect();
+        assert!(matches!(first, Message::AuthChallenge { .. }), "{first:?}");
+        drop((silent, fresh));
+        while !accepting.is_finished() {
+            assert!(Instant::now() < deadline, "every connection ended");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        accepting.join().unwrap();
     }
 
     /// A batch of cached cells can finish before its heartbeat thread

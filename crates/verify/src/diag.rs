@@ -150,7 +150,8 @@ pub mod codes {
     pub const PLAN005: &str = "PLAN005";
     /// A re-marked plan does not share its source plan's stream, totals or
     /// configuration, or its program differs from the source's in more
-    /// than markers; or re-marking differs from lowering the program.
+    /// than markers; or a plan the artifact cache made differs from the
+    /// plan built from its program's own trace.
     pub const PLAN006: &str = "PLAN006";
     /// (Warning) the workload's execution stopped at the dynamic
     /// instruction cap, so the plan covers a prefix of the workload.

@@ -22,8 +22,8 @@
 //!    — a compiled [`sdiq_sim::ExecPlan`] cross-checked field-by-field
 //!    against its source program and trace, collected or re-executed, or
 //!    a re-marked plan against its program and its source plan; and
-//!    [`plan_lint::lint_remark_oracle`], a re-mark against the plan
-//!    lowered from the program's own trace (`PLAN*`).
+//!    [`plan_lint::lint_remark_oracle`], a plan the artifact cache made
+//!    against the plan built from the program's own trace (`PLAN*`).
 //!
 //! [`StandardVerifier`] wires layers 1–2 between the compiler's registered
 //! passes (see `sdiq_compiler::PassManager`); [`verify_compiled`] and the

@@ -24,9 +24,9 @@
 //! * a re-marked plan shares its source plan's stream and stream-derived
 //!   totals, over a program that differs from the source in nothing but
 //!   markers, on a machine with the source's front end; its
-//!   machine-derived totals follow its own configuration; and a re-mark
-//!   equals the plan lowered from the program's own trace on its own
-//!   machine (`PLAN006`).
+//!   machine-derived totals follow its own configuration; and a plan the
+//!   artifact cache lowered or re-marked equals the plan built from the
+//!   program's own trace on its own machine (`PLAN006`).
 //!
 //! Front-end bits that depend on predictor or cache *state* (mispredicts,
 //! BTB stalls, L1i hit/miss placement) are not recomputed here — the
@@ -165,47 +165,29 @@ pub fn lint_remarked_plan(
     diags
 }
 
-/// Checks that re-marking `raw` for `program` on `lowered`'s machine
-/// gives exactly `lowered`, the plan built from `program`'s own trace on
-/// that machine (`PLAN006`). `program` differs from `raw`'s program only
-/// in markers (a compile that changed only markers, or the same pass
-/// retargeted at another back end), and the machine has `raw`'s front end
-/// (the same machine, or another sweep point). This is the independent
-/// oracle for `ExecPlan::remark`: `lowered` executed `program` and never
-/// saw `raw`.
-pub fn lint_remark_oracle(
-    raw: &ExecPlan,
-    program: &Program,
-    lowered: &ExecPlan,
-) -> Vec<Diagnostic> {
-    let problem = match raw.remark(*lowered.config(), program) {
-        None => Some("the source plan refuses a re-mark that only changes markers".to_string()),
-        Some(remarked) => {
-            if let Some(slot) = (0..remarked.statics().len().max(lowered.statics().len()))
-                .find(|&slot| remarked.statics().get(slot) != lowered.statics().get(slot))
-            {
-                Some(format!(
-                    "the re-marked static table differs from the lowered one at slot {slot}"
-                ))
-            } else if remarked.baked_stats() != lowered.baked_stats() {
-                Some("the re-marked baked totals differ from the lowered ones".to_string())
-            } else if remarked != *lowered {
-                Some("the re-marked stream differs from the lowered one".to_string())
-            } else {
-                None
-            }
-        }
+/// Checks that `plan`, lowered or re-marked by the artifact cache, equals
+/// `built`, the plan `ExecPlan::build` made from its program's own trace
+/// on its own machine (`PLAN006`). The finding names the first static slot
+/// that differs, else the baked totals, else the stream. This is the
+/// independent oracle for the cache's sharing: `built` executed its
+/// program and never saw another plan.
+pub fn lint_remark_oracle(plan: &ExecPlan, built: &ExecPlan) -> Vec<Diagnostic> {
+    let problem = if let Some(slot) = (0..plan.statics().len().max(built.statics().len()))
+        .find(|&slot| plan.statics().get(slot) != built.statics().get(slot))
+    {
+        format!("the static table differs from the trace-built plan's at slot {slot}")
+    } else if plan.baked_stats() != built.baked_stats() {
+        "the baked totals differ from the trace-built plan's".to_string()
+    } else if plan != built {
+        "the stream differs from the trace-built plan's".to_string()
+    } else {
+        return Vec::new();
     };
-    problem
-        .map(|problem| {
-            Diagnostic::error(
-                codes::PLAN006,
-                format!("plan `{}`", lowered.workload()),
-                problem,
-            )
-        })
-        .into_iter()
-        .collect()
+    vec![Diagnostic::error(
+        codes::PLAN006,
+        format!("plan `{}`", built.workload()),
+        problem,
+    )]
 }
 
 /// The number of instruction addresses of `program`: the length of a

@@ -496,8 +496,17 @@ fn remarked_plan_lints_clean_and_equals_the_lowered_plan() {
         "re-marked plan must lint clean: {diags:?}"
     );
     let lowered = ExecPlan::lower(SimConfig::hpca2005(), &tagged, 4_000).expect("gzip executes");
-    let oracle = lint_remark_oracle(&raw, &tagged, &lowered);
+    let oracle = lint_remark_oracle(&remarked, &lowered);
     assert!(oracle.is_empty(), "re-mark must equal lowering: {oracle:?}");
+}
+
+/// The issue-queue sweep's 32-entry machine: another back end, the base
+/// machine's front end.
+fn iq32() -> SimConfig {
+    let mut iq32 = SimConfig::hpca2005();
+    iq32.iq.entries = 32;
+    iq32.widths.iq_capacity = 32;
+    iq32
 }
 
 /// A sweep point's plan is re-marked from the first point's: another
@@ -508,15 +517,12 @@ fn remarked_plan_lints_clean_and_equals_the_lowered_plan() {
 #[test]
 fn a_plan_remarked_onto_another_back_end_lints_clean() {
     let (raw, tagged) = raw_and_tagged();
-    let mut iq32 = SimConfig::hpca2005();
-    iq32.iq.entries = 32;
-    iq32.widths.iq_capacity = 32;
-    let remarked = raw.remark(iq32, &tagged).expect("same front end");
+    let remarked = raw.remark(iq32(), &tagged).expect("same front end");
     let diags = lint_remarked_plan(&remarked, &tagged, &raw);
     assert!(diags.is_empty(), "cross-machine re-mark: {diags:?}");
     assert_eq!(remarked.baked_stats().iq_total_entries, 32);
-    let lowered = ExecPlan::lower(iq32, &tagged, 4_000).expect("gzip executes");
-    let oracle = lint_remark_oracle(&raw, &tagged, &lowered);
+    let lowered = ExecPlan::lower(iq32(), &tagged, 4_000).expect("gzip executes");
+    let oracle = lint_remark_oracle(&remarked, &lowered);
     assert!(oracle.is_empty(), "re-mark must equal lowering: {oracle:?}");
     let other_front_end =
         ExecPlan::lower(SimConfig::small_for_tests(), &tagged, 4_000).expect("gzip executes");
@@ -527,12 +533,35 @@ fn a_plan_remarked_onto_another_back_end_lints_clean() {
     );
 }
 
+/// A sweep point's plan re-marked onto the source's machine instead of
+/// its own: the iq32 key would carry the base machine's totals. It is a
+/// sound re-mark of the source, and its static table and stream are
+/// right, so only the comparison with the plan built from the program's
+/// own trace on the iq32 machine sees it, at the baked totals.
+#[test]
+fn a_plan_remarked_onto_the_source_machine_instead_of_its_own_is_plan006() {
+    let (raw, tagged) = raw_and_tagged();
+    let wrong = raw
+        .remark(SimConfig::hpca2005(), &tagged)
+        .expect("tagging changes only markers");
+    assert!(lint_remarked_plan(&wrong, &tagged, &raw).is_empty());
+    let trace = Executor::new(&tagged).run(4_000).expect("gzip executes");
+    let built = ExecPlan::build(iq32(), &tagged, &trace);
+    let diags = lint_remark_oracle(&wrong, &built);
+    assert_code(&diags, codes::PLAN006);
+    assert!(
+        diags.iter().any(|d| d.message.contains("baked totals")),
+        "{diags:?}"
+    );
+}
+
 #[test]
 fn a_static_hint_that_disagrees_with_its_program_is_plan002() {
     let (raw, tagged) = raw_and_tagged();
-    let mut remarked = raw
+    let clean = raw
         .remark(SimConfig::hpca2005(), &tagged)
         .expect("tagging changes only markers");
+    let mut remarked = clean.clone();
     let slot = remarked
         .statics()
         .iter()
@@ -544,13 +573,20 @@ fn a_static_hint_that_disagrees_with_its_program_is_plan002() {
         codes::PLAN002,
         slot,
     );
-    // The oracle sees the same defect in a lowered plan.
+    // The oracle sees the same defect on either side of the comparison.
     let mut lowered =
         ExecPlan::lower(SimConfig::hpca2005(), &tagged, 4_000).expect("gzip executes");
-    lowered.statics_mut()[slot].hint += 1;
     let trace = Executor::new(&tagged).run(4_000).expect("gzip executes");
+    assert!(lint_remark_oracle(&clean, &lowered).is_empty());
+    let at_slot = format!("at slot {slot}");
+    let oracle = lint_remark_oracle(&remarked, &lowered);
+    assert_code(&oracle, codes::PLAN006);
+    assert!(oracle[0].message.ends_with(&at_slot), "{oracle:?}");
+    lowered.statics_mut()[slot].hint += 1;
     assert_code_at_slot(&lint_plan(&lowered, &tagged, &trace), codes::PLAN002, slot);
-    assert_code(&lint_remark_oracle(&raw, &tagged, &lowered), codes::PLAN006);
+    let oracle = lint_remark_oracle(&clean, &lowered);
+    assert_code(&oracle, codes::PLAN006);
+    assert!(oracle[0].message.ends_with(&at_slot), "{oracle:?}");
 }
 
 #[test]
