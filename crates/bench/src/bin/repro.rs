@@ -66,9 +66,8 @@
 //!   missing cells over those daemons instead of computing locally, in
 //!   whole plan groups (one benchmark on every machine with one front
 //!   end, so a daemon lowers each stream once, makes each plan once and
-//!   drops them after the batch), each cell to exactly
-//!   one worker at a time, up to twice a worker's capacity in cells
-//!   outstanding so daemons never idle a round trip between batches.
+//!   drops them after the batch), each cell to exactly one worker and
+//!   each worker one batch at a time.
 //!   A worker that dies — or goes silent past `--heartbeat-deadline`
 //!   (default 30 s) — has its cells re-queued onto the survivors under
 //!   `--retry-budget` (default 3), and the assembled suite is still
@@ -776,9 +775,9 @@ impl sdiq_core::CellSink for ProgressSink<'_> {
     }
 }
 
-fn print_table2(experiment: &Experiment) {
+fn print_table2(experiment: &Experiment, benchmarks: &[Benchmark]) {
     println!("== Table 2: compilation time (baseline vs with analysis pass) ==");
-    for (benchmark, baseline, limited) in experiment.compile_times(&Benchmark::ALL) {
+    for (benchmark, baseline, limited) in experiment.compile_times(benchmarks) {
         println!(
             "  {:10} baseline {:>10.3?}   with pass {:>10.3?}   growth {:>5.2}x",
             benchmark.name(),
@@ -874,13 +873,13 @@ fn main() {
         || options.shard.is_some()
         || options.workers.is_some();
 
-    // Table 2 builds and compiles every benchmark outside the artifact
-    // cache. With a matrix to run it waits until the matrix is done, so
-    // the first cell (and, in fleet mode, every daemon) does not wait for
-    // it; stdout keeps its section order either way.
+    // Table 2 builds and compiles the run's benchmarks outside the
+    // artifact cache. With a matrix to run it waits until the matrix is
+    // done, so the first cell (and, in fleet mode, every daemon) does not
+    // wait for it; stdout keeps its section order either way.
     let table2 = tables && wants(&options, "table2");
     if table2 && !needs_suite {
-        print_table2(&experiment);
+        print_table2(&experiment, &benchmarks);
     }
 
     let sweep = if needs_suite {
@@ -1070,7 +1069,7 @@ fn main() {
         return;
     }
     if table2 && needs_suite {
-        print_table2(&experiment);
+        print_table2(&experiment, &benchmarks);
     }
     let suite: Option<&Suite> = sweep.as_ref().map(|s| s.suite(0));
 
@@ -1084,7 +1083,9 @@ fn main() {
         }
         if wants(&options, "figure7") {
             println!("== Figure 7: issue-queue occupancy reduction, NOOP technique (%) ==");
-            print!("{}", experiments::figure7(suite).render());
+            if let Some(series) = experiments::figure7(suite) {
+                print!("{}", series.render());
+            }
             println!();
         }
         if wants(&options, "figure8") {
@@ -1124,10 +1125,20 @@ fn main() {
         }
         if wants(&options, "overall") {
             println!("== §6: overall processor dynamic power savings ==");
+            // As in the figures: the suite's own techniques only, `n/a`
+            // where no baseline ran.
+            let ran = suite.techniques();
             for technique in [Technique::Noop, Technique::Extension, Technique::Improved] {
-                let overall = experiments::overall_processor_savings(suite, technique, 0.22, 0.11);
+                if !ran.contains(&technique) {
+                    continue;
+                }
+                let overall =
+                    match experiments::overall_processor_savings(suite, technique, 0.22, 0.11) {
+                        Some(overall) => format!("{overall:5.1}%"),
+                        None => format!("{:>6}", "n/a"),
+                    };
                 println!(
-                    "  {:10} {overall:5.1}% (IQ at 22%, int RF at 11% of processor power)",
+                    "  {:10} {overall} (IQ at 22%, int RF at 11% of processor power)",
                     technique.name()
                 );
             }

@@ -4,9 +4,10 @@
 //! `repro serve` or `repro lint` does not know is an error rather than an
 //! empty run, and a matrix no run can hold (a bad scale, an axis entry
 //! listed twice) exits 2 before any cell runs, in process and on a fleet,
-//! `--summary` reads `n/a` for a technique with no baseline to compare
-//! against, and a cell whose workload stopped at the instruction cap is
-//! reported.
+//! `--summary`, the figures and §6 list the suite's own techniques and
+//! read `n/a` for one with no baseline to compare against, Table 2 times
+//! the run's benchmarks, and a cell whose workload stopped at the
+//! instruction cap is reported.
 
 use sdiq_core::{persist, Experiment};
 use std::process::Command;
@@ -31,6 +32,15 @@ fn all_prints_table1_table2_and_figure6_in_order() {
     assert!(
         table1 < table2 && table2 < figure6,
         "sections out of order:\n{stdout}"
+    );
+    // Table 2 times the run's benchmarks, not all eleven.
+    let table2_rows: Vec<&str> = stdout[table2..figure6]
+        .lines()
+        .filter(|line| line.contains("with pass"))
+        .collect();
+    assert!(
+        table2_rows.len() == 1 && table2_rows[0].trim_start().starts_with("gzip "),
+        "Table 2 should have one gzip row:\n{stdout}"
     );
     // One benchmark under the eight built-in techniques: the raw program
     // and the noop pass output lowered, the extension and improved pass
@@ -179,6 +189,56 @@ fn the_summary_lists_the_suites_techniques_and_n_a_without_a_baseline() {
         "{compared:?}"
     );
     assert!(compared[0].ends_with('%'), "{compared:?}");
+}
+
+/// Figures 6–12 and §6 list only the suite's own techniques, and a
+/// technique with no baseline to compare against reads `n/a`, never an
+/// average of 0.
+#[test]
+fn figures_and_overall_list_the_suites_techniques_and_n_a_without_a_baseline() {
+    let sections = |techniques: &str| {
+        let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--figure6", "--figure7", "--figure8", "--figure9"])
+            .args(["--figure10", "--figure11", "--figure12", "--overall"])
+            .args(["--scale", "0.05", "--benchmarks", "gzip"])
+            .args(["--techniques", techniques])
+            .output()
+            .expect("spawn repro");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "repro failed:\n{stderr}");
+        String::from_utf8_lossy(&output.stdout).into_owned()
+    };
+    // A series header (`  noop:`) or a §6 row (`  noop  12.3% ...`) is
+    // the one kind of line indented by exactly two spaces.
+    let labels = |stdout: &str| -> Vec<String> {
+        stdout
+            .lines()
+            .filter(|line| line.starts_with("  ") && !line.starts_with("   "))
+            .map(|line| {
+                line.split_whitespace()
+                    .next()
+                    .unwrap_or("")
+                    .replace(':', "")
+            })
+            .collect()
+    };
+    // A noop series in each panel (one each in Figures 6, 7 and 10, two
+    // each in 8 and 9) and a §6 row; Figures 11 and 12 plot none of the
+    // suite's techniques.
+    let compared = sections("baseline,noop");
+    assert_eq!(labels(&compared), vec!["noop"; 8], "{compared}");
+    assert!(!compared.contains("n/a"), "{compared}");
+
+    let alone = sections("noop");
+    assert_eq!(labels(&alone), vec!["noop"; 8], "{alone}");
+    let averages: Vec<&str> = alone.lines().filter(|l| l.contains("AVERAGE")).collect();
+    assert_eq!(averages.len(), 7, "{alone}");
+    assert!(averages.iter().all(|line| line.ends_with("n/a")), "{alone}");
+    let overall = alone.lines().skip_while(|l| !l.starts_with("== §6")).nth(1);
+    assert!(
+        overall.is_some_and(|row| row.starts_with("  noop") && row.contains("n/a")),
+        "{alone}"
+    );
 }
 
 /// A workload that reaches `Experiment::max_dynamic_instructions` is cut

@@ -5,7 +5,8 @@
 //!    a serial `--save`,
 //! 2. a checkpoint torn mid-line (the artifact of a killed run) resumes
 //!    via the same `--checkpoint` flag, recomputing only the missing
-//!    cells, and ends with the same bytes again.
+//!    cells, and ends with the same bytes again,
+//! 3. a save file passed as `--checkpoint` is refused, not appended to.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -138,6 +139,43 @@ fn torn_checkpoint_resumes_and_recomputes_only_missing_cells() {
     let third = repro(&["--summary", "--checkpoint", checkpoint.to_str().unwrap()]);
     assert!(third.contains("loaded 6 cells"), "healed file:\n{third}");
     assert!(third.contains("running 0 of 6"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_save_file_passed_as_a_checkpoint_is_refused_and_left_untouched() {
+    // A `--save` file seeds a run like a checkpoint does, but appending
+    // checkpoint lines to it would leave a file neither loader reads. The
+    // run must stop before any cell runs, name the file, and leave it
+    // byte-identical.
+    let dir = scratch_dir("save-as-checkpoint");
+    let save = dir.join("partial.json");
+    let path = save.to_str().unwrap();
+    // Two of the three techniques: the checkpoint run below owes two cells.
+    repro(&["--techniques", "baseline,noop", "--save", path]);
+    let before = std::fs::read(&save).unwrap();
+
+    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(AXES)
+        .args(["--summary", "--checkpoint", path])
+        .output()
+        .expect("spawn repro");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains(path) && stderr.contains("not a checkpoint"),
+        "the error names the file:\n{stderr}"
+    );
+    assert!(!stderr.contains("running"), "no cell ran:\n{stderr}");
+    assert_eq!(
+        std::fs::read(&save).unwrap(),
+        before,
+        "the save is untouched"
+    );
+
+    // It still loads as the save it was.
+    let reload = repro(&["--techniques", "baseline,noop", "--summary", "--load", path]);
+    assert!(reload.contains("running 0 of 4"), "{reload}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

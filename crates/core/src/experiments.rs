@@ -5,11 +5,10 @@
 //! output, and `EXPERIMENTS.md` records the measured values next to the
 //! paper's.
 
-use crate::runner::Suite;
+use crate::runner::{Comparison, Suite};
 use crate::technique::Technique;
 use sdiq_power::PowerSavings;
 use sdiq_sim::SimConfig;
-use sdiq_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -21,32 +20,39 @@ pub struct FigureSeries {
     pub label: String,
     /// `(benchmark, value)` pairs in figure order.
     pub points: Vec<(String, f64)>,
-    /// Arithmetic mean over the benchmarks (the paper's `SPECINT` bar).
-    pub average: f64,
+    /// Arithmetic mean over the benchmarks (the paper's `SPECINT` bar);
+    /// `None` when there are no points, so an empty series never reads
+    /// as 0.
+    pub average: Option<f64>,
+}
+
+/// The arithmetic mean of `values`, or `None` when there are none.
+fn mean(values: impl ExactSizeIterator<Item = f64>) -> Option<f64> {
+    let count = values.len();
+    (count > 0).then(|| values.sum::<f64>() / count as f64)
 }
 
 impl FigureSeries {
     fn from_values(label: &str, points: Vec<(String, f64)>) -> Self {
-        let average = if points.is_empty() {
-            0.0
-        } else {
-            points.iter().map(|(_, v)| v).sum::<f64>() / points.len() as f64
-        };
         FigureSeries {
             label: label.to_string(),
+            average: mean(points.iter().map(|&(_, value)| value)),
             points,
-            average,
         }
     }
 
-    /// Renders the series as an aligned text table row block.
+    /// Renders the series as an aligned text table row block (`n/a` for
+    /// a missing average).
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "  {}:", self.label);
         for (name, value) in &self.points {
             let _ = writeln!(out, "    {name:10} {value:8.2}");
         }
-        let _ = writeln!(out, "    {:10} {:8.2}", "AVERAGE", self.average);
+        let _ = match self.average {
+            Some(average) => writeln!(out, "    {:10} {average:8.2}", "AVERAGE"),
+            None => writeln!(out, "    {:10} {:>8}", "AVERAGE", "n/a"),
+        };
         out
     }
 }
@@ -61,39 +67,46 @@ pub struct PowerFigure {
     pub static_: Vec<FigureSeries>,
 }
 
-fn series_over<F>(suite: &Suite, technique: Technique, f: F) -> FigureSeries
+/// One series per technique in `techniques` that the suite ran (in that
+/// order): `metric` of its comparison against the baseline, per benchmark
+/// that ran both.
+fn series<F>(suite: &Suite, techniques: &[Technique], metric: F) -> Vec<FigureSeries>
 where
-    F: Fn(Benchmark) -> Option<f64>,
+    F: Fn(&Comparison) -> f64,
 {
-    let points: Vec<(String, f64)> = suite
-        .benchmarks()
-        .into_iter()
-        .filter_map(|b| f(b).map(|v| (b.name().to_string(), v)))
-        .collect();
-    FigureSeries::from_values(technique.name(), points)
+    let ran = suite.techniques();
+    techniques
+        .iter()
+        .filter(|technique| ran.contains(technique))
+        .map(|&technique| {
+            let points = suite
+                .benchmarks()
+                .into_iter()
+                .filter_map(|b| {
+                    let comparison = suite.comparison(b, technique)?;
+                    Some((b.name().to_string(), metric(&comparison)))
+                })
+                .collect();
+            FigureSeries::from_values(technique.name(), points)
+        })
+        .collect()
 }
 
 /// Figure 6: normalised IPC loss for the NOOP technique, with the `abella`
 /// comparator.
 pub fn figure6(suite: &Suite) -> Vec<FigureSeries> {
-    [Technique::Noop, Technique::Abella]
-        .iter()
-        .map(|&t| {
-            series_over(suite, t, |b| {
-                suite.comparison(b, t).map(|c| c.ipc_loss_percent)
-            })
-        })
-        .collect()
+    series(suite, &[Technique::Noop, Technique::Abella], |c| {
+        c.ipc_loss_percent
+    })
 }
 
 /// Figure 7: normalised issue-queue occupancy reduction for the NOOP
-/// technique.
-pub fn figure7(suite: &Suite) -> FigureSeries {
-    series_over(suite, Technique::Noop, |b| {
-        suite
-            .comparison(b, Technique::Noop)
-            .map(|c| c.iq_occupancy_reduction_percent)
+/// technique; `None` when the suite did not run it.
+pub fn figure7(suite: &Suite) -> Option<FigureSeries> {
+    series(suite, &[Technique::Noop], |c| {
+        c.iq_occupancy_reduction_percent
     })
+    .pop()
 }
 
 /// A two-panel power figure over `techniques`: each technique's
@@ -104,19 +117,9 @@ fn power_figure(
     dynamic: fn(&PowerSavings) -> f64,
     static_: fn(&PowerSavings) -> f64,
 ) -> PowerFigure {
-    let panel = |saving: fn(&PowerSavings) -> f64| {
-        techniques
-            .iter()
-            .map(|&t| {
-                series_over(suite, t, |b| {
-                    suite.comparison(b, t).map(|c| saving(&c.savings))
-                })
-            })
-            .collect()
-    };
     PowerFigure {
-        dynamic: panel(dynamic),
-        static_: panel(static_),
+        dynamic: series(suite, techniques, |c| dynamic(&c.savings)),
+        static_: series(suite, techniques, |c| static_(&c.savings)),
     }
 }
 
@@ -146,19 +149,16 @@ pub fn figure9(suite: &Suite) -> PowerFigure {
 /// (with the NOOP scheme and `abella` shown for comparison, as in the
 /// paper).
 pub fn figure10(suite: &Suite) -> Vec<FigureSeries> {
-    [
-        Technique::Extension,
-        Technique::Improved,
-        Technique::Noop,
-        Technique::Abella,
-    ]
-    .iter()
-    .map(|&t| {
-        series_over(suite, t, |b| {
-            suite.comparison(b, t).map(|c| c.ipc_loss_percent)
-        })
-    })
-    .collect()
+    series(
+        suite,
+        &[
+            Technique::Extension,
+            Technique::Improved,
+            Technique::Noop,
+            Technique::Abella,
+        ],
+        |c| c.ipc_loss_percent,
+    )
 }
 
 /// Figure 11: issue-queue power savings for Extension and Improved.
@@ -184,30 +184,22 @@ pub fn figure12(suite: &Suite) -> PowerFigure {
 
 /// §6's overall-processor estimate: dynamic power saving of the whole chip
 /// assuming the issue queue consumes `iq_share` (22%) and the integer
-/// register file `rf_share` (11%) of total processor power.
+/// register file `rf_share` (11%) of total processor power, averaged over
+/// the benchmarks that ran `technique` beside the baseline; `None` if
+/// there are none.
 pub fn overall_processor_savings(
     suite: &Suite,
     technique: Technique,
     iq_share: f64,
     rf_share: f64,
-) -> f64 {
-    let benchmarks = suite.benchmarks();
-    if benchmarks.is_empty() {
-        return 0.0;
-    }
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for b in benchmarks {
-        if let Some(c) = suite.comparison(b, technique) {
-            total += sdiq_power::overall_processor_dynamic_savings(&c.savings, iq_share, rf_share);
-            count += 1;
-        }
-    }
-    if count == 0 {
-        0.0
-    } else {
-        total / count as f64
-    }
+) -> Option<f64> {
+    let savings: Vec<f64> = suite
+        .benchmarks()
+        .into_iter()
+        .filter_map(|b| suite.comparison(b, technique))
+        .map(|c| sdiq_power::overall_processor_dynamic_savings(&c.savings, iq_share, rf_share))
+        .collect();
+    mean(savings.into_iter())
 }
 
 /// Table 1: the processor configuration, rendered as a text table.
@@ -464,6 +456,7 @@ pub fn summarise(suite: &Suite, technique: Technique) -> Option<TechniqueSummary
 mod tests {
     use super::*;
     use crate::runner::Experiment;
+    use sdiq_workloads::Benchmark;
 
     fn small_suite() -> Suite {
         let exp = Experiment {
@@ -487,8 +480,11 @@ mod tests {
             "x",
             vec![("a".into(), 2.0), ("b".into(), 4.0), ("c".into(), 6.0)],
         );
-        assert!((s.average - 4.0).abs() < 1e-9);
+        assert!((s.average.unwrap() - 4.0).abs() < 1e-9);
         assert!(s.render().contains("AVERAGE"));
+        let empty = FigureSeries::from_values("x", Vec::new());
+        assert_eq!(empty.average, None, "no points is no average, not 0");
+        assert!(empty.render().contains("n/a"));
     }
 
     #[test]
@@ -497,7 +493,7 @@ mod tests {
         let f6 = figure6(&suite);
         assert_eq!(f6.len(), 2);
         assert_eq!(f6[0].points.len(), 2);
-        let f7 = figure7(&suite);
+        let f7 = figure7(&suite).expect("the suite ran noop");
         assert_eq!(f7.points.len(), 2);
         let f8 = figure8(&suite);
         assert_eq!(f8.dynamic.len(), 3);
@@ -512,11 +508,10 @@ mod tests {
         let f8 = figure8(&suite);
         let nonempty = f8.dynamic.iter().find(|s| s.label == "nonEmpty").unwrap();
         let noop = f8.dynamic.iter().find(|s| s.label == "noop").unwrap();
+        let (noop, nonempty) = (noop.average.unwrap(), nonempty.average.unwrap());
         assert!(
-            noop.average > nonempty.average,
-            "noop {} should beat nonEmpty {}",
-            noop.average,
-            nonempty.average
+            noop > nonempty,
+            "noop {noop} should beat nonEmpty {nonempty}"
         );
     }
 
@@ -537,6 +532,23 @@ mod tests {
         assert!(s.iq_dynamic_pct > 0.0);
         assert!(s.iq_occupancy_reduction_pct > 0.0);
         let overall = overall_processor_savings(&suite, Technique::Noop, 0.22, 0.11);
-        assert!(overall > 0.0);
+        assert!(overall.unwrap() > 0.0);
+    }
+
+    #[test]
+    fn figures_leave_out_techniques_the_suite_did_not_run() {
+        // Figure 10 plots extension, improved, noop and abella; this suite
+        // ran the last two, and only those are plotted. Figure 11's
+        // techniques did not run at all, and §6 has nothing to average
+        // for them.
+        let suite = small_suite();
+        let labels: Vec<String> = figure10(&suite).into_iter().map(|s| s.label).collect();
+        assert_eq!(labels, ["noop", "abella"]);
+        let f11 = figure11(&suite);
+        assert!(f11.dynamic.is_empty() && f11.static_.is_empty());
+        assert_eq!(
+            overall_processor_savings(&suite, Technique::Improved, 0.22, 0.11),
+            None
+        );
     }
 }

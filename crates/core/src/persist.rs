@@ -850,6 +850,11 @@ impl CheckpointWriter {
     /// Opens (or creates) the checkpoint file at `path` for appending,
     /// writing the header line if the file is empty.
     ///
+    /// A non-empty file whose first line is not a checkpoint header — a
+    /// `--save` file, say — is refused with an `InvalidData` error before
+    /// anything is trimmed or written: appending to it would leave a file
+    /// that neither loader reads.
+    ///
     /// A file that does not end in a newline carries the torn final line
     /// of a killed append. That fragment is incomplete JSON and can never
     /// be recovered, so it is **trimmed here** before appending resumes —
@@ -857,15 +862,35 @@ impl CheckpointWriter {
     /// fragment, fusing both into one malformed *interior* line that
     /// poisons every later load of the file.
     pub fn append_to(path: impl AsRef<Path>) -> std::io::Result<Self> {
+        use std::io::Read;
         let path = path.as_ref().to_path_buf();
         let created = !path.exists();
-        let file = std::fs::OpenOptions::new()
+        let mut file = std::fs::OpenOptions::new()
             .create(true)
             .read(true)
             .write(true)
             .truncate(false) // existing cells are the whole point
             .open(&path)?;
-        let mut file = Self::trim_torn_tail(file)?;
+        let mut contents = Vec::new();
+        file.read_to_end(&mut contents)?;
+        if !starts_as_checkpoint(&contents) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "{} is not a checkpoint file (its first line is not a checkpoint \
+                     header); refusing to append to it",
+                    path.display()
+                ),
+            ));
+        }
+        if contents.last().is_some_and(|&byte| byte != b'\n') {
+            // Keep only whole newline-terminated lines.
+            let keep = contents
+                .iter()
+                .rposition(|&byte| byte == b'\n')
+                .map_or(0, |pos| pos + 1);
+            file.set_len(keep as u64)?;
+        }
         file.seek(std::io::SeekFrom::End(0))?;
         if file.metadata()?.len() == 0 {
             writeln!(file, "{}", checkpoint_header())?;
@@ -892,27 +917,6 @@ impl CheckpointWriter {
             path,
             synced_appends: std::sync::atomic::AtomicU64::new(0),
         })
-    }
-
-    /// Truncates an unterminated (torn) final line, leaving only whole
-    /// newline-terminated lines behind.
-    fn trim_torn_tail(mut file: std::fs::File) -> std::io::Result<std::fs::File> {
-        use std::io::Read;
-        let len = file.metadata()?.len();
-        if len == 0 {
-            return Ok(file);
-        }
-        let mut contents = Vec::with_capacity(len as usize);
-        file.read_to_end(&mut contents)?;
-        if contents.last() != Some(&b'\n') {
-            let keep = contents
-                .iter()
-                .rposition(|&b| b == b'\n')
-                .map_or(0, |pos| pos + 1);
-            file.set_len(keep as u64)?;
-            file.flush()?;
-        }
-        Ok(file)
     }
 
     /// Appends one completed cell and **fsyncs** it (`File::sync_data`), so
@@ -1010,6 +1014,28 @@ pub fn load_checkpoint(text: &str) -> Result<HashMap<String, RunReport>, Persist
     Ok(cells)
 }
 
+/// Whether a parsed first line is a checkpoint header.
+fn is_checkpoint_header(first: &Json) -> bool {
+    first
+        .get("kind")
+        .and_then(|kind| kind.str())
+        .is_ok_and(|kind| kind == "checkpoint")
+}
+
+/// Whether [`CheckpointWriter::append_to`] may extend a file holding
+/// `contents`: it is empty, its first line is a checkpoint header, or it
+/// is one unterminated line that starts the header this writer writes (a
+/// run killed while writing it).
+fn starts_as_checkpoint(contents: &[u8]) -> bool {
+    match contents.iter().position(|&byte| byte == b'\n') {
+        Some(end) => std::str::from_utf8(&contents[..end])
+            .ok()
+            .and_then(|line| parse(line).ok())
+            .is_some_and(|first| is_checkpoint_header(&first)),
+        None => checkpoint_header().as_bytes().starts_with(contents),
+    }
+}
+
 /// Loads either persistence format: a whole-document save file
 /// ([`save_cells`]) or a JSONL checkpoint ([`CheckpointWriter`]), detected
 /// by the checkpoint header on the first line. A save is written as one
@@ -1017,11 +1043,7 @@ pub fn load_checkpoint(text: &str) -> Result<HashMap<String, RunReport>, Persist
 pub fn load_cells_any(text: &str) -> Result<HashMap<String, RunReport>, PersistError> {
     let first_line = text.lines().next().unwrap_or("");
     let first = parse(first_line);
-    let is_checkpoint = first
-        .as_ref()
-        .ok()
-        .and_then(|header| Some(header.get("kind").ok()?.str().ok()? == "checkpoint"))
-        .unwrap_or(false);
+    let is_checkpoint = first.as_ref().is_ok_and(is_checkpoint_header);
     match first {
         _ if is_checkpoint => load_checkpoint(text),
         Ok(document) if first_line.len() == text.trim_end().len() => cells_of(&document),

@@ -38,8 +38,7 @@ pub const TAG_HELLO: u8 = 0x01;
 pub const TAG_RUN_CELLS: u8 = 0x03;
 /// `CellDone{key, report}`.
 pub const TAG_CELL_DONE: u8 = 0x04;
-/// `Heartbeat` — the whole payload is this one byte (the zero-allocation
-/// fast path in [`crate::frame`] depends on that).
+/// `Heartbeat` — the whole payload is this one byte.
 pub const TAG_HEARTBEAT: u8 = 0x05;
 /// `Done{computed}`.
 pub const TAG_DONE: u8 = 0x06;

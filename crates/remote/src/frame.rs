@@ -11,15 +11,9 @@
 //! cannot, so [`read_message_opt`] detects the codec of every frame from
 //! its first byte. That keeps the reader stateless across the `SetCodec`
 //! switch and makes mixed-codec streams (during negotiation) safe by
-//! construction.
-//!
-//! `Heartbeat` frames are the highest-frequency message on a healthy
-//! fleet, so both directions special-case them: the encoded frame is a
-//! compile-time constant in either codec (no rendering, no allocation),
-//! and the decoder recognises both constant payloads byte-wise before
-//! any codec machinery runs. Small frames are staged through a stack
-//! buffer, so a heartbeat round-trip allocates nothing at all (pinned by
-//! the `heartbeat_alloc` integration test).
+//! construction. Every message, `Heartbeat` included, goes through the
+//! codecs: a daemon sends one heartbeat to ack each batch and one per
+//! second while it computes, against one `CellDone` per cell.
 
 use crate::binary;
 use crate::protocol::Message;
@@ -40,51 +34,14 @@ pub enum Codec {
     Binary,
 }
 
-/// The JSON heartbeat payload (exactly what `Message::Heartbeat.render()`
-/// produces — asserted by test, since the fast path must stay
-/// byte-identical to the slow one).
-const HEARTBEAT_JSON: &[u8] = b"{\"type\":\"heartbeat\"}";
-
-/// The complete JSON heartbeat frame, prefix included.
-const HEARTBEAT_JSON_FRAME: &[u8] = &{
-    let mut frame = [0u8; 4 + HEARTBEAT_JSON.len()];
-    let len = (HEARTBEAT_JSON.len() as u32).to_be_bytes();
-    let mut i = 0;
-    while i < 4 {
-        frame[i] = len[i];
-        i += 1;
-    }
-    while i < frame.len() {
-        frame[i] = HEARTBEAT_JSON[i - 4];
-        i += 1;
-    }
-    frame
-};
-
-/// The complete `bin1` heartbeat frame: length 1, one tag byte.
-const HEARTBEAT_BINARY_FRAME: &[u8] = &[0, 0, 0, 1, binary::TAG_HEARTBEAT];
-
-/// Frames at most this long are staged through a stack buffer on read —
-/// covers both heartbeat payloads (and most control frames) without
-/// touching the heap.
-const STACK_FRAME_BYTES: usize = 64;
-
 /// Writes one message as a frame in `codec` and flushes it, so the peer
 /// sees it immediately (cell streaming is the whole point of the
-/// protocol). Heartbeats take a zero-allocation constant path in either
-/// codec.
+/// protocol).
 pub fn write_message_codec(
     writer: &mut impl Write,
     message: &Message,
     codec: Codec,
 ) -> io::Result<()> {
-    if matches!(message, Message::Heartbeat) {
-        writer.write_all(match codec {
-            Codec::Json => HEARTBEAT_JSON_FRAME,
-            Codec::Binary => HEARTBEAT_BINARY_FRAME,
-        })?;
-        return writer.flush();
-    }
     let payload = match codec {
         Codec::Json => message.render().into_bytes(),
         Codec::Binary => binary::encode_message(message),
@@ -116,11 +73,6 @@ pub fn write_message(writer: &mut impl Write, message: &Message) -> io::Result<(
 /// Decodes one frame payload, auto-detecting its codec from the first
 /// byte (see the module docs).
 fn decode_payload(payload: &[u8]) -> io::Result<Message> {
-    // Zero-allocation heartbeat fast path, both codecs: exact payload
-    // compare, no parser.
-    if payload == &HEARTBEAT_BINARY_FRAME[4..] || payload == HEARTBEAT_JSON {
-        return Ok(Message::Heartbeat);
-    }
     match payload.first() {
         None => Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -168,14 +120,7 @@ pub fn read_message_opt(reader: &mut impl Read) -> io::Result<Option<Message>> {
             format!("frame length {len} exceeds the protocol limit"),
         ));
     }
-    let len = len as usize;
-    if len <= STACK_FRAME_BYTES {
-        // Small frames — heartbeats above all — stay on the stack.
-        let mut payload = [0u8; STACK_FRAME_BYTES];
-        reader.read_exact(&mut payload[..len])?;
-        return decode_payload(&payload[..len]).map(Some);
-    }
-    let mut payload = vec![0u8; len];
+    let mut payload = vec![0u8; len as usize];
     reader.read_exact(&mut payload)?;
     decode_payload(&payload).map(Some)
 }
@@ -237,6 +182,12 @@ mod tests {
 
     #[test]
     fn binary_frames_round_trip_and_interleave_with_json() {
+        // The binary heartbeat is the smallest possible frame: length 1,
+        // one tag byte.
+        let mut heartbeat = Vec::new();
+        write_message_codec(&mut heartbeat, &Message::Heartbeat, Codec::Binary).unwrap();
+        assert_eq!(heartbeat, [0, 0, 0, 1, binary::TAG_HEARTBEAT]);
+
         // A mixed stream — as seen across a SetCodec switch — decodes
         // frame by frame with no reader-side state.
         let mut buffer = Vec::new();
@@ -264,19 +215,6 @@ mod tests {
             Message::Done { computed: 9 }
         );
         assert!(read_message_opt(&mut reader).unwrap().is_none());
-    }
-
-    #[test]
-    fn heartbeat_fast_paths_stay_byte_identical_to_the_codecs() {
-        // The constant frames must be exactly what the codecs produce —
-        // otherwise the fast path would silently fork the protocol.
-        assert_eq!(Message::Heartbeat.render().as_bytes(), HEARTBEAT_JSON);
-        assert_eq!(
-            binary::encode_message(&Message::Heartbeat),
-            HEARTBEAT_BINARY_FRAME[4..].to_vec()
-        );
-        // And the binary heartbeat is the smallest possible frame.
-        assert_eq!(HEARTBEAT_BINARY_FRAME.len(), 5);
     }
 
     #[test]

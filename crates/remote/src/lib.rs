@@ -14,8 +14,7 @@
 //! ## The pieces
 //!
 //! * [`frame`] — the wire framing: 4-byte big-endian length prefix +
-//!   a payload in one of two codecs, auto-detected on read; heartbeats
-//!   take a zero-allocation constant path in both.
+//!   a payload in one of two codecs, auto-detected on read.
 //! * [`protocol`] — the message grammar (`Hello`, `RunCells`, `CellDone`,
 //!   `Heartbeat`, `Done`, `Error`, plus codec negotiation and the auth
 //!   handshake) and its JSON codec over the same model save files use,
@@ -33,11 +32,11 @@
 //!   `Hello`, submit batches, receive events.
 //! * [`scheduler`] — the fault-tolerant coordinator loop: a shared work
 //!   queue of missing cell keys in plan groups, one driver thread per
-//!   worker, batches sized by each worker's advertised capacity, exactly
-//!   one copy of each cell in flight, re-queueing of a dead worker's
-//!   in-flight cells onto survivors under a retry budget, and a clear
-//!   [`BackendError`] when the pool drains. Liveness is
-//!   heartbeat-deadline based: a worker silent past
+//!   worker holding one batch at a time, batches sized by each worker's
+//!   advertised capacity, exactly one copy of each cell in flight,
+//!   re-queueing of a dead worker's in-flight cells onto survivors under
+//!   a retry budget, and a clear [`BackendError`] when the pool drains.
+//!   Liveness is heartbeat-deadline based: a worker silent past
 //!   [`RemoteOptions::heartbeat_deadline`] counts as dead even if its
 //!   socket never closes (hung OS, blackholed network).
 //!

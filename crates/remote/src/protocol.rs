@@ -161,7 +161,7 @@ fn trace_event_from_json(json: &Json) -> Result<TraceEvent, PersistError> {
 pub enum Message {
     /// Worker → coordinator greeting: how many cells the daemon runs in
     /// parallel (its `--jobs`). The scheduler uses this to size the
-    /// worker's pipelining window.
+    /// worker's batches.
     Hello {
         /// Advertised parallel capacity (≥ 1).
         capacity: usize,

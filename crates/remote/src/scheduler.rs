@@ -3,17 +3,21 @@
 //! One driver thread per worker pulls batches of cell keys from a
 //! shared queue of **plan groups** ([`Matrix::missing_cell_groups`]: the
 //! cells of one benchmark on every machine with one front end, whose
-//! plans share a few streams). A claim takes whole groups, in canonical order, until it holds
-//! at least the worker's advertised capacity in cells, so a 16-way
-//! daemon claims a few groups while a laptop claims one. That is the
-//! capacity-weighted partition of the key space (and, unlike a static
-//! split, it keeps every worker busy until the queue is empty no matter
-//! how wrong the capacities are about real speed). A group never splits
-//! across workers, so each daemon lowers each of a group's streams once,
-//! makes each plan and replay once and drops the plans and streams when
-//! the batch is done. Each cell
-//! has exactly one copy in flight, so the fleet does exactly the
-//! in-process engine's plan work.
+//! plans share a few streams). A claim takes whole groups, in canonical
+//! order, until it holds at least the worker's advertised capacity in
+//! cells, so a 16-way daemon claims a few groups while a laptop claims
+//! one. That is the capacity-weighted partition of the key space (and,
+//! unlike a static split, it keeps every worker busy until the queue is
+//! empty no matter how wrong the capacities are about real speed). A
+//! group never splits across workers, so each daemon lowers each of a
+//! group's streams once, makes each plan and replay once and drops the
+//! plans and streams when the batch is done. Each cell has exactly one
+//! copy in flight, so the fleet does exactly the in-process engine's
+//! plan work.
+//!
+//! Each worker's thread holds one batch at a time: it issues the batch
+//! and reads it to its `Done` before it claims the next, so the cells a
+//! worker owes are always the undelivered cells of that one batch.
 //!
 //! Fault model: a worker may die at any point — refuse the dial, drop
 //! mid-batch, go **silent past the heartbeat deadline** (the link
@@ -146,23 +150,6 @@ struct State {
     liveness: Mutex<Vec<LivenessEvent>>,
 }
 
-impl WorkState {
-    /// Takes whole groups off the front of the queue until the batch
-    /// holds at least `capacity` cells (or the queue is empty), counting
-    /// its cells in flight.
-    fn take_groups(&mut self, capacity: usize) -> Vec<String> {
-        let mut batch: Vec<String> = Vec::new();
-        while batch.len() < capacity.max(1) {
-            match self.queue.pop_front() {
-                Some(group) => batch.extend(group),
-                None => break,
-            }
-        }
-        self.in_flight += batch.len();
-        batch
-    }
-}
-
 impl State {
     fn new(pending: Vec<Vec<String>>) -> State {
         State {
@@ -205,12 +192,13 @@ impl State {
         self.work_changed.notify_all();
     }
 
-    /// Claims whole plan groups until the batch holds at least
-    /// `capacity` cells ([`WorkState::take_groups`]). While the queue is
-    /// empty but other drivers still have cells in flight, **parks** (a
-    /// death could hand cells back at any moment). Returns an empty
-    /// batch only when the run is over for this driver: nothing pending,
-    /// nothing in flight anywhere — or the run turned fatal.
+    /// Claims whole plan groups off the front of the queue until the
+    /// batch holds at least `capacity` cells (or the queue is empty),
+    /// counting its cells in flight. While the queue is empty but other
+    /// workers still have cells in flight, **parks** (a death could hand
+    /// cells back at any moment). Returns an empty batch only when the
+    /// run is over for this worker: nothing pending, nothing in flight
+    /// anywhere — or the run turned fatal.
     fn claim(&self, capacity: usize) -> Vec<String> {
         let mut work = lock_or_recover(&self.work);
         loop {
@@ -218,7 +206,15 @@ impl State {
                 return Vec::new();
             }
             if !work.queue.is_empty() {
-                return work.take_groups(capacity);
+                let mut batch: Vec<String> = Vec::new();
+                while batch.len() < capacity.max(1) {
+                    match work.queue.pop_front() {
+                        Some(group) => batch.extend(group),
+                        None => break,
+                    }
+                }
+                work.in_flight += batch.len();
+                return batch;
             }
             if work.in_flight == 0 {
                 return Vec::new();
@@ -228,19 +224,6 @@ impl State {
                 .wait(work)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-    }
-
-    /// Non-blocking claim for the pipelining top-up: takes whole queued
-    /// groups as [`State::claim`] does, if any are waiting — never
-    /// parks. Keeping the blocking path exclusively in [`State::claim`]
-    /// (entered only with an empty pipeline) is what preserves the
-    /// park/termination semantics of one batch at a time.
-    fn try_claim(&self, capacity: usize) -> Vec<String> {
-        let mut work = lock_or_recover(&self.work);
-        if work.fatal {
-            return Vec::new();
-        }
-        work.take_groups(capacity)
     }
 
     /// Records the one result of an in-flight cell, waking parked
@@ -391,24 +374,16 @@ pub fn run(
     Ok(matrix.run_with(&ArtifactCache::new(), &merged))
 }
 
-/// One worker's driver loop: dial, then claim/submit/receive until the
-/// queue is empty, the worker dies or goes silent past the heartbeat
-/// deadline, or the run turns fatal. A worker released because the run
-/// needs nothing more is first read until every batch submitted to it is
-/// acknowledged.
+/// One worker's loop: dial, then claim a batch, issue it and read
+/// it to its `Done`, until the queue is empty, the worker dies or goes
+/// silent past the heartbeat deadline, or the run turns fatal.
 ///
-/// Batches are **pipelined**: instead of draining one batch to `Done`
-/// before claiming the next (one idle round-trip per batch, per worker),
-/// the driver keeps up to twice the worker's advertised capacity in
-/// cells outstanding, topping the queue up with non-blocking claims as
-/// results stream back. The window counts cells and a claim takes whole
-/// plan groups, so a capacity-1 daemon holds one group and is sent the
-/// next while it computes the group's last cell. The daemon processes
-/// queued `RunCells` frames back-to-back from its socket buffer, so it
-/// never idles on a round trip between batches. The *blocking* claim
-/// (the one that parks) still happens exactly when this worker has
-/// nothing outstanding — which keeps the park/termination semantics of
-/// a scheduler that sends one batch at a time.
+/// The loop holds **one batch at a time**. A batch is whole plan groups
+/// and a daemon computes a connection's batches one after another, so a
+/// second batch queued behind the first would save at most one round
+/// trip per batch. Reading every batch to its `Done` is also what
+/// delivers the batch's `TraceEvents` and final `HeartbeatMetrics`
+/// frames, which a daemon sends right before it.
 fn drive_worker(
     addr: &str,
     spec: &RemoteOptions,
@@ -431,134 +406,88 @@ fn drive_worker(
         }
     };
     let capacity = link.capacity().max(1);
-    let window = capacity.saturating_mul(2);
-    // Batches in submit order; each holds its not-yet-delivered keys.
-    // `Done` frames ack batches in the same order (the daemon serves
-    // `RunCells` sequentially), so the front batch must be empty when
-    // its `Done` arrives.
-    let mut batches: VecDeque<HashSet<String>> = VecDeque::new();
-    let mut outstanding = 0usize;
-    // Set once the run needs nothing more from this worker. The driver
-    // then reads on until every submitted batch's `Done` has arrived: a
-    // daemon sends a batch's spans and final metrics right before its
-    // `Done`, and dropping the link earlier would lose them.
-    let mut finishing = false;
     loop {
-        if state.fatal_is_set() {
+        // Parks while other workers still hold cells; empty once nothing
+        // is pending or in flight anywhere (or the run turned fatal),
+        // which releases the worker (drop closes the link).
+        let batch = state.claim(capacity);
+        if batch.is_empty() {
             return;
         }
-        if outstanding == 0 && !finishing {
-            // Empty pipeline: the blocking claim, which parks while other
-            // workers still hold cells. Empty: nothing pending and nothing
-            // in flight anywhere (or the run turned fatal).
-            let batch = state.claim(capacity);
-            finishing = batch.is_empty();
-            if !finishing {
-                if let Err(error) = issue(&mut *link, addr, &batch) {
-                    state.requeue(
-                        addr,
-                        batch,
-                        retry_budget,
-                        &format!("submit failed: {error}"),
-                    );
-                    return;
-                }
-                outstanding += batch.len();
-                batches.push_back(batch.into_iter().collect());
-            }
-        }
-        if finishing && batches.is_empty() {
-            // Every batch is acknowledged: release the worker (drop
-            // closes the link).
+        if let Err(error) = issue(&mut *link, addr, &batch) {
+            state.requeue(
+                addr,
+                batch,
+                retry_budget,
+                &format!("submit failed: {error}"),
+            );
             return;
         }
-        // Top the pipeline up to the window (hysteresis: a claim takes
-        // whole plan groups of at least `capacity` cells, so the
-        // per-frame spec encoding amortises over them instead of
-        // re-paying per cell).
-        while !finishing && outstanding + capacity <= window {
-            let extra = state.try_claim(capacity);
-            if extra.is_empty() {
-                break;
-            }
-            if let Err(error) = issue(&mut *link, addr, &extra) {
-                let mut owed: Vec<String> = batches.drain(..).flatten().collect();
-                owed.extend(extra);
-                state.requeue(addr, owed, retry_budget, &format!("submit failed: {error}"));
+        // The batch's keys not yet delivered.
+        let mut owed: HashSet<String> = batch.into_iter().collect();
+        loop {
+            if state.fatal_is_set() {
                 return;
             }
-            outstanding += extra.len();
-            batches.push_back(extra.into_iter().collect());
-        }
-        match link.recv() {
-            Ok(WorkerEvent::Cell(key, report)) => {
-                if !batches.iter_mut().any(|batch| batch.remove(&key)) {
-                    // A key this worker does not owe: a foreign key, a
-                    // duplicate, or another worker's cell. Each cell has
-                    // one copy in flight, so accepting it could only mask
-                    // a real fault — abort.
-                    state.set_fatal(if expected.contains(&key) {
-                        format!("worker {addr} delivered a cell it was not asked for (`{key}`)")
-                    } else {
-                        format!(
-                            "worker {addr} delivered a foreign cell key (`{key}`) — \
-                             worker and coordinator configurations disagree"
-                        )
-                    });
-                    return;
+            match link.recv() {
+                Ok(WorkerEvent::Cell(key, report)) => {
+                    if !owed.remove(&key) {
+                        // A key this worker does not owe: a foreign key, a
+                        // duplicate, or another worker's cell. Each cell has
+                        // one copy in flight, so accepting it could only mask
+                        // a real fault — abort.
+                        state.set_fatal(if expected.contains(&key) {
+                            format!("worker {addr} delivered a cell it was not asked for (`{key}`)")
+                        } else {
+                            format!(
+                                "worker {addr} delivered a foreign cell key (`{key}`) — \
+                                 worker and coordinator configurations disagree"
+                            )
+                        });
+                        return;
+                    }
+                    if let Some(sink) = sink {
+                        sink.cell_complete(&key, &report);
+                    }
+                    state.complete(key, *report);
                 }
-                outstanding -= 1;
-                if let Some(sink) = sink {
-                    sink.cell_complete(&key, &report);
-                }
-                state.complete(key, *report);
-            }
-            Ok(WorkerEvent::Done) => match batches.front() {
-                Some(front) if front.is_empty() => {
-                    batches.pop_front();
-                }
-                Some(_) => {
-                    let owed: Vec<String> = batches.drain(..).flatten().collect();
+                Ok(WorkerEvent::Done) if owed.is_empty() => break,
+                Ok(WorkerEvent::Done) => {
                     state.requeue(
                         addr,
-                        owed,
+                        owed.into_iter().collect(),
                         retry_budget,
                         "batch reported done with cells still owed",
                     );
                     return;
                 }
-                None => {
-                    // More Dones than submitted batches: protocol noise we
-                    // cannot account for — abandon the worker (it owes
-                    // nothing, so nothing re-queues).
+                Err(error) if owed.is_empty() => {
+                    // Every cell has arrived; only the batch's closing
+                    // frames are lost, and the worker owes nothing. The
+                    // record names it if the pool drains without it.
                     lock_or_recover(&state.failures)
-                        .push(format!("worker {addr}: unsolicited Done frame"));
-                    eprintln!("remote: worker {addr} sent an unsolicited Done; abandoning it");
+                        .push(format!("worker {addr}: {error} after its last cell"));
+                    eprintln!(
+                        "remote: worker {addr}: {error} after its last cell; it owes nothing"
+                    );
                     return;
                 }
-            },
-            Err(error) if finishing => {
-                // Every cell has arrived; only a batch's closing frames
-                // are lost, and the worker owes nothing.
-                eprintln!("remote: worker {addr}: {error} after its last cell; it owes nothing");
-                return;
-            }
-            Err(error) => {
-                // A timed-out read is the heartbeat deadline tripping:
-                // record the verdict before the re-queue that follows
-                // from it.
-                if error.kind() == io::ErrorKind::TimedOut {
-                    sdiq_obs::metrics().deadline_verdicts.inc();
-                    state.note(addr, "presumed-hung", error.to_string());
+                Err(error) => {
+                    // A timed-out read is the heartbeat deadline tripping:
+                    // record the verdict before the re-queue that follows
+                    // from it.
+                    if error.kind() == io::ErrorKind::TimedOut {
+                        sdiq_obs::metrics().deadline_verdicts.inc();
+                        state.note(addr, "presumed-hung", error.to_string());
+                    }
+                    state.requeue(
+                        addr,
+                        owed.into_iter().collect(),
+                        retry_budget,
+                        &format!("died mid-batch: {error}"),
+                    );
+                    return;
                 }
-                let owed: Vec<String> = batches.drain(..).flatten().collect();
-                state.requeue(
-                    addr,
-                    owed,
-                    retry_budget,
-                    &format!("died mid-batch: {error}"),
-                );
-                return;
             }
         }
     }
@@ -617,8 +546,7 @@ mod tests {
         /// signature of a hung worker under the liveness layer.
         hang_after: Option<usize>,
         /// `Done` frames owed after the last pending cell — one per
-        /// `submit`, like the real daemon (pipelining queues several
-        /// batches before the first `Done` drains).
+        /// `submit`, like the real daemon.
         done_owed: usize,
         /// Delivers this key instead of the first requested one.
         alias_first_to: Option<String>,
@@ -629,7 +557,7 @@ mod tests {
         delay: Option<Duration>,
         delivered: &'static AtomicUsize,
         /// When set, records the high-water mark of queued-but-undelivered
-        /// cells — the wire-visible signature of pipelining.
+        /// cells — how many cells the scheduler keeps outstanding.
         high_water: Option<&'static AtomicUsize>,
         /// When set, records what the link saw in [`SEEN`] under this
         /// address.
@@ -816,21 +744,19 @@ mod tests {
     }
 
     #[test]
-    fn batches_pipeline_up_to_the_window_and_stay_bit_identical() {
-        // A capacity-1 worker's window is 2× its capacity: it claims one
-        // plan group (two cells here) and must be sent the next group
-        // while the first group's last cell is still outstanding — the
-        // wire-visible signature of pipelining. A scheduler that queued
-        // one batch at a time would peak at the group's two cells, and a
-        // wider window would send both groups before the first delivery.
+    fn a_worker_holds_one_batch_at_a_time() {
+        // A capacity-1 worker claims one plan group (two cells here) and
+        // is sent the next group only after the first one's `Done`, so at
+        // most one group's cells are ever outstanding. A scheduler that
+        // queued the next group behind the current one's last cell would
+        // peak at three.
         HIGH_WATER.store(0, Ordering::Relaxed);
         let sweep = run_fake(&["a-cap1-watermark"], 0).unwrap();
-        assert_eq!(sweep, serial(), "pipelined run is bit-identical");
+        assert_eq!(sweep, serial(), "the run is bit-identical");
         assert_eq!(
             HIGH_WATER.load(Ordering::Relaxed),
-            3,
-            "pipelining keeps the next group queued behind the last cell \
-             of the current one"
+            2,
+            "a worker holds one group's cells at a time"
         );
     }
 
@@ -871,16 +797,16 @@ mod tests {
 
     #[test]
     fn a_dead_workers_owed_cells_are_claimed_together_by_the_survivor() {
-        // `a` claims the first group, delivers its first cell, is sent the
-        // second group and dies. The survivor, which dials late, claims
-        // the three owed cells of both groups in one batch.
-        let (a, b) = ("owed-a-cap1-die1-log", "owed-b-cap1-late200-log");
+        // `a` claims both groups in one batch, delivers its first cell
+        // and dies. The survivor, which dials late, claims the three owed
+        // cells of both groups in one batch.
+        let (a, b) = ("owed-a-cap3-die1-log", "owed-b-cap1-late200-log");
         let sweep = run_fake(&[a, b], 1).unwrap();
         assert_eq!(sweep, serial(), "failover keeps the result bit-identical");
         let groups = groups();
         assert_eq!(
             seen(a).batches,
-            groups,
+            vec![groups.concat()],
             "the dead worker claimed whole groups"
         );
         let mut owed: Vec<String> = groups.concat().into_iter().skip(1).collect();

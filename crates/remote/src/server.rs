@@ -472,11 +472,10 @@ fn wait_for_turn(
 /// Runs `body` while a scoped thread calls `beat` once per `interval`
 /// (see [`heartbeat_loop`]).
 ///
-/// Teardown latency is on the per-batch hot path: with pipelined batches
-/// a capacity-1 daemon sees one `RunCells` per cell, so the heartbeat
-/// thread must stop the instant the batch finishes — a polled sleep here
-/// once cost a tick per batch, which dominated the whole suite's wall
-/// clock on small cells. Hence a condvar the finishing batch can
+/// Teardown latency is on the per-batch hot path: the heartbeat thread
+/// must stop the instant the batch finishes — a polled sleep here once
+/// cost a tick per batch, which dominated the whole suite's wall clock
+/// when a batch was one cell. Hence a condvar the finishing batch can
 /// interrupt mid-wait. The stop is sent from a guard's `Drop`, so a
 /// `body` that panics stops the beats too: otherwise the scope would
 /// wait forever on a thread that keeps beating, and every beat would

@@ -64,7 +64,8 @@ fn main() {
             summary.rf_static_pct,
         );
     }
-    let overall = experiments::overall_processor_savings(&suite, Technique::Improved, 0.22, 0.11);
+    let overall = experiments::overall_processor_savings(&suite, Technique::Improved, 0.22, 0.11)
+        .expect("the suite runs the baseline");
     println!();
     println!(
         "overall processor dynamic power saving (Improved, IQ=22%, RF=11% of total): {overall:.1}%"

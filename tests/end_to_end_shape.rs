@@ -109,12 +109,13 @@ fn figure_data_is_complete_and_consistent() {
     assert_eq!(f8.dynamic.len(), 3);
     for series in &f8.dynamic {
         assert_eq!(series.points.len(), 3, "one point per benchmark");
-        assert!(series.average.is_finite());
+        assert!(series.average.unwrap().is_finite());
     }
     let f10 = experiments::figure10(&suite);
     assert_eq!(f10.len(), 4);
     let summary = experiments::summarise(&suite, Technique::Noop).expect("noop has a baseline");
     assert!(summary.iq_dynamic_pct > summary.rf_dynamic_pct.min(100.0) - 100.0);
-    let overall = experiments::overall_processor_savings(&suite, Technique::Noop, 0.22, 0.11);
+    let overall = experiments::overall_processor_savings(&suite, Technique::Noop, 0.22, 0.11)
+        .expect("noop has a baseline");
     assert!(overall > 0.0 && overall < 40.0);
 }
