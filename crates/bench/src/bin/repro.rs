@@ -6,15 +6,13 @@
 //!       [--save <path>] [--load <path>]... [--checkpoint <path>]
 //!       [--shard <k>/<n>] [--workers <host:port,...>] [--retry-budget <n>]
 //!       [--connect-timeout <secs>] [--heartbeat-deadline <secs>]
-//!       [--wire binary|json] [--auth-key <key>]
-//!       [--trace <path>] [--progress] [--stats]
+//!       [--auth-key <key>] [--trace <path>] [--progress] [--stats]
 //!       [--table1] [--table2] [--figure6] [--figure7] [--figure8]
 //!       [--figure9] [--figure10] [--figure11] [--figure12]
 //!       [--overall] [--summary] [--sweep-summary] [--all]
 //!       [--verify | --no-verify]
 //! repro serve [--listen <host:port>] [--jobs <n>]
-//!             [--fail-after <n>] [--stall-after <n>]
-//!             [--wire binary|json] [--auth-key <key>]
+//!             [--fail-after <n>] [--stall-after <n>] [--auth-key <key>]
 //! repro lint [--scale <f64>] [--sweep <axis>=<v1,v2,...>]
 //!            [--benchmarks <b1,b2,...>] [--techniques <t1,t2,...>]
 //! ```
@@ -75,10 +73,11 @@
 //!   `--connect-timeout` (default 10 s). Composes with `--checkpoint` (a
 //!   killed coordinator resumes by re-running the identical command) and
 //!   `--save`.
-//! * Wire tuning (both sides must only agree on `--auth-key`; the rest
-//!   negotiates): `--wire binary` (default) lets peers negotiate the
-//!   compact `bin1` frame codec, `--wire json` pins JSON frames (for
-//!   debugging, old peers interoperate either way); `--auth-key <key>`
+//!   Every fleet run ends with one `remote: worker <addr>: <n> cell(s)
+//!   done, … sim-inst/s` line per worker, counted from the cells this
+//!   run received from it.
+//! * Every frame in both directions is `bin1`: a coordinator and its
+//!   daemons run the same build. `--auth-key <key>` (on both sides)
 //!   requires the HMAC handshake on every connection — a peer with a
 //!   wrong or missing key gets a clean protocol error, never a hang.
 //!
@@ -92,14 +91,14 @@
 //!   `chrome://tracing`. In remote mode the workers' spans are shipped
 //!   back and merged, one `pid` lane per worker.
 //! * `--progress` streams a rate-limited `progress:` line to **stderr**
-//!   (cells done/total, throughput, ETA; in remote mode also per-worker
-//!   rates from the heartbeat metrics).
+//!   (cells done/total, throughput, ETA; in remote mode also each
+//!   worker's cells and instruction rate in this run).
 //! * `--stats` prints the process metrics registry after the figures
 //!   and, with `--trace`, the count and summed seconds of the spans of
 //!   each name.
 //! * Both `--trace` and `--progress` are coordinator-side flags:
 //!   `repro serve` refuses them (exit 2) — daemons are observed *by*
-//!   their coordinator, which negotiates the `obs1` capability.
+//!   their coordinator, which asks each batch for its spans.
 //!
 //! Static verification (`sdiq-verify`, see EXPERIMENTS.md for the
 //! diagnostic-code table):
@@ -153,9 +152,6 @@ struct Options {
     /// Silence-means-dead threshold for remote workers, seconds
     /// (0 disables — the pre-liveness behaviour).
     heartbeat_deadline: Option<f64>,
-    /// `--wire json` pins JSON frames (false); default/`--wire binary`
-    /// negotiates the compact codec (true).
-    binary_wire: Option<bool>,
     /// Shared secret for the HMAC connection handshake.
     auth_key: Option<String>,
     /// Per-artifact static verification override (`--verify` /
@@ -268,10 +264,6 @@ fn parse_args() -> Options {
                 let value = required_value(&mut args, "--heartbeat-deadline");
                 options.heartbeat_deadline = Some(parse_seconds("--heartbeat-deadline", &value));
             }
-            "--wire" => {
-                let value = required_value(&mut args, "--wire");
-                options.binary_wire = Some(parse_wire(&value));
-            }
             "--auth-key" => options.auth_key = Some(required_value(&mut args, "--auth-key")),
             "--trace" => options.trace = Some(required_value(&mut args, "--trace")),
             "--progress" => options.progress = true,
@@ -291,14 +283,12 @@ fn parse_args() -> Options {
                      [--save <path>] [--load <path>]... [--checkpoint <path>] \
                      [--shard <k>/<n>] [--workers <host:port,..>] [--retry-budget <n>] \
                      [--connect-timeout <secs>] [--heartbeat-deadline <secs>] \
-                     [--wire binary|json] [--auth-key <key>] \
-                     [--trace <path>] [--progress] [--stats] \
+                     [--auth-key <key>] [--trace <path>] [--progress] [--stats] \
                      [--verify | --no-verify] \
                      [--table1] [--table2] [--figure6..12] \
                      [--overall] [--summary] [--sweep-summary] [--all]\n\
                      repro serve [--listen <host:port>] [--jobs <n>] \
-                     [--fail-after <n>] [--stall-after <n>] \
-                     [--wire binary|json] [--auth-key <key>]\n\
+                     [--fail-after <n>] [--stall-after <n>] [--auth-key <key>]\n\
                      repro lint [--scale <f>] [--sweep iq|bank|scale=<v,..>] \
                      [--benchmarks <b,..>] [--techniques <t,..>]"
                 );
@@ -417,19 +407,6 @@ fn parse_seconds(flag: &str, value: &str) -> f64 {
     }
 }
 
-/// Parses a `--wire` value into "negotiate the binary codec?" — shared
-/// by coordinator and serve modes so the two cannot drift.
-fn parse_wire(value: &str) -> bool {
-    match value {
-        "binary" => true,
-        "json" => false,
-        _ => {
-            eprintln!("error: --wire wants `binary` or `json`, got `{value}`");
-            std::process::exit(2);
-        }
-    }
-}
-
 /// Parses a `--jobs` value. Zero is rejected here rather than silently
 /// meaning "auto": a pool of zero workers is never what the user asked
 /// for, and in worker-budget arithmetic it would divide away to nothing.
@@ -456,7 +433,6 @@ fn serve_main(args: impl Iterator<Item = String>) -> ! {
         fail_after: None,
         stall_after: None,
         auth_key: None,
-        advertise_binary: true,
     };
     let mut args = args;
     while let Some(arg) = args.next() {
@@ -480,10 +456,6 @@ fn serve_main(args: impl Iterator<Item = String>) -> ! {
                     std::process::exit(2);
                 }));
             }
-            "--wire" => {
-                let value = required_value(&mut args, "--wire");
-                options.advertise_binary = parse_wire(&value);
-            }
             "--auth-key" => options.auth_key = Some(required_value(&mut args, "--auth-key")),
             "--trace" | "--progress" => {
                 eprintln!(
@@ -495,8 +467,7 @@ fn serve_main(args: impl Iterator<Item = String>) -> ! {
             "--help" | "-h" => {
                 println!(
                     "repro serve [--listen <host:port>] [--jobs <n>] \
-                     [--fail-after <n>] [--stall-after <n>] \
-                     [--wire binary|json] [--auth-key <key>]"
+                     [--fail-after <n>] [--stall-after <n>] [--auth-key <key>]"
                 );
                 std::process::exit(0);
             }
@@ -747,8 +718,7 @@ fn wants(options: &Options, what: &str) -> bool {
 /// wrapped sink (the checkpoint writer, when one is open), then prints
 /// the rate-limited progress line — to **stderr**, so piped stdout
 /// (figures, saves) stays clean. In remote mode each line also carries
-/// the per-worker rates the fleet registry aggregated from heartbeat
-/// metrics.
+/// each worker's share of this run from the fleet registry.
 struct ProgressSink<'a> {
     inner: Option<&'a dyn sdiq_core::CellSink>,
     progress: sdiq_obs::Progress,
@@ -762,11 +732,12 @@ impl sdiq_core::CellSink for ProgressSink<'_> {
         }
         if let Some(mut line) = self.progress.record() {
             if self.fleet {
-                for (addr, delta) in sdiq_remote::fleet::snapshot() {
+                let (elapsed, workers) = sdiq_remote::fleet::snapshot();
+                for (addr, tally) in workers {
                     line.push_str(&format!(
                         " | {addr}: {} done, {:.0} inst/s",
-                        delta.cells_done,
-                        delta.instructions_per_second()
+                        tally.cells,
+                        tally.instructions_per_second(elapsed)
                     ));
                 }
             }
@@ -883,18 +854,12 @@ fn main() {
     }
 
     let sweep = if needs_suite {
-        // Seed from every --load file plus (for crash resume) the
-        // checkpoint file itself, if a previous run left one. Later
-        // sources win on key collisions; `load_cells_any` accepts save
-        // and checkpoint formats interchangeably.
+        // Seed from every --load file, then (for crash resume) from the
+        // cells the checkpoint file already holds. Later sources win on
+        // key collisions; `load_cells_any` accepts save and checkpoint
+        // formats interchangeably.
         let mut seed: HashMap<String, sdiq_core::RunReport> = HashMap::new();
-        let mut seed_paths: Vec<&String> = options.loads.iter().collect();
-        if let Some(path) = &options.checkpoint {
-            if std::path::Path::new(path).exists() {
-                seed_paths.push(path);
-            }
-        }
-        for path in seed_paths {
+        for path in &options.loads {
             let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
                 eprintln!("error: reading {path}: {e}");
                 std::process::exit(2);
@@ -909,11 +874,17 @@ fn main() {
 
         // --checkpoint receives every newly computed cell the moment it
         // exists, computed in-process or streamed back by a worker daemon.
+        // Opening it heals a torn tail and returns the cells it holds.
         let checkpoint = options.checkpoint.as_ref().map(|path| {
-            persist::CheckpointWriter::append_to(path).unwrap_or_else(|e| {
+            let (writer, cells) = persist::CheckpointWriter::append_to(path).unwrap_or_else(|e| {
                 eprintln!("error: opening checkpoint {path}: {e}");
                 std::process::exit(2);
-            })
+            });
+            if !cells.is_empty() {
+                eprintln!("loaded {} cells from {path}", cells.len());
+            }
+            seed.extend(cells);
+            writer
         });
         let checkpoint_sink = checkpoint.as_ref().map(|w| w as &dyn sdiq_core::CellSink);
 
@@ -946,16 +917,9 @@ fn main() {
                     .heartbeat_deadline
                     .map(std::time::Duration::from_secs_f64)
                     .unwrap_or(defaults.heartbeat_deadline),
-                binary_wire: options.binary_wire.unwrap_or(defaults.binary_wire),
                 auth_key: options.auth_key.clone(),
-                // Metrics ride the heartbeats whenever anything displays
-                // them (--progress per-worker rates, --stats, or a trace
-                // whose summary wants per-worker totals); span shipping
-                // only when a trace will actually be written.
+                // Workers ship spans only when a trace will be written.
                 observe: sdiq_remote::ObserveSpec {
-                    metrics: options.progress
-                        || options.trace.is_some()
-                        || options.selections.contains("stats"),
                     trace: options.trace.is_some(),
                 },
                 ..defaults

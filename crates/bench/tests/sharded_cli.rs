@@ -3,9 +3,10 @@
 //!
 //! 1. shard workers + merge produce a save file **byte-for-byte** equal to
 //!    a serial `--save`,
-//! 2. a checkpoint torn mid-line (the artifact of a killed run) resumes
-//!    via the same `--checkpoint` flag, recomputing only the missing
-//!    cells, and ends with the same bytes again,
+//! 2. a checkpoint torn mid-line (the artifact of a killed run), even
+//!    inside its header, resumes via the same `--checkpoint` flag,
+//!    recomputing only the missing cells, and ends with the same bytes
+//!    again,
 //! 3. a save file passed as `--checkpoint` is refused, not appended to.
 
 use std::path::{Path, PathBuf};
@@ -139,6 +140,20 @@ fn torn_checkpoint_resumes_and_recomputes_only_missing_cells() {
     let third = repro(&["--summary", "--checkpoint", checkpoint.to_str().unwrap()]);
     assert!(third.contains("loaded 6 cells"), "healed file:\n{third}");
     assert!(third.contains("running 0 of 6"));
+
+    // A run killed while writing the header leaves a torn first line.
+    // Rerunning the same command resumes that too: nothing survived, so
+    // every cell is computed, and the bytes match serial.
+    std::fs::write(&checkpoint, "{\"format\":1,\"ki").unwrap();
+    let fourth = repro(&[
+        "--summary",
+        "--checkpoint",
+        checkpoint.to_str().unwrap(),
+        "--save",
+        resumed.to_str().unwrap(),
+    ]);
+    assert!(fourth.contains("running 6 of 6"), "torn header:\n{fourth}");
+    assert_eq!(read(&serial), read(&resumed), "{fourth}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

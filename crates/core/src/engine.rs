@@ -821,28 +821,20 @@ impl<'a> Matrix<'a> {
         let jobs = self.effective_jobs(todo.len());
         std::thread::scope(|scope| {
             for _ in 0..jobs {
-                scope.spawn(|| {
-                    loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(((key, cell), plans)) = todo.get(index).zip(plans.get(index))
-                        else {
-                            break;
-                        };
-                        let report =
-                            observed_cell(self.experiment, cache, plans, key, cell.technique);
-                        cache.release_group(plans.raw.group());
-                        if let Some(sink) = sink {
-                            let _span = sdiq_obs::span("persist-cell", "persist");
-                            sink.cell_complete(key, &report);
-                        }
-                        results[index].set(report).unwrap_or_else(|_| {
-                            unreachable!("each cell is claimed by exactly one worker")
-                        });
+                scope.spawn(|| loop {
+                    let index = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(((key, cell), plans)) = todo.get(index).zip(plans.get(index)) else {
+                        break;
+                    };
+                    let report = observed_cell(self.experiment, cache, plans, key, cell.technique);
+                    cache.release_group(plans.raw.group());
+                    if let Some(sink) = sink {
+                        let _span = sdiq_obs::span("persist-cell", "persist");
+                        sink.cell_complete(key, &report);
                     }
-                    // Last act, not left to TLS teardown: the scope owner
-                    // unblocks the moment this closure returns and may
-                    // drain immediately.
-                    sdiq_obs::flush();
+                    results[index].set(report).unwrap_or_else(|_| {
+                        unreachable!("each cell is claimed by exactly one worker")
+                    });
                 });
             }
         });

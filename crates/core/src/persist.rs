@@ -26,8 +26,10 @@
 //! can lose at most the in-flight cells plus one torn final line, which
 //! [`load_checkpoint`] tolerates (and *only* that: a malformed line with
 //! more lines after it is corruption, not a crash artifact, and is
-//! rejected). [`load_cells_any`] sniffs the header so `--load` accepts
-//! either format interchangeably.
+//! rejected). [`CheckpointWriter::append_to`] trims that line before a
+//! run resumes the file and hands back the cells the file holds;
+//! [`load_cells_any`] sniffs the header so `--load` accepts either format
+//! interchangeably.
 
 use crate::engine::{CellSink, MatrixSpec};
 use crate::runner::RunReport;
@@ -46,7 +48,9 @@ use std::time::Duration;
 /// rejects unknown versions instead of misreading them).
 pub const FORMAT_VERSION: u64 = 1;
 
-/// An error while parsing or interpreting a save file.
+/// An error while parsing or interpreting persisted data: a save file,
+/// a checkpoint, or a wire frame built on the same model. The message
+/// names no file; callers add their context.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PersistError {
     message: String,
@@ -65,7 +69,7 @@ impl PersistError {
 
 impl fmt::Display for PersistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "suite save file: {}", self.message)
+        f.write_str(&self.message)
     }
 }
 
@@ -848,20 +852,28 @@ pub struct CheckpointWriter {
 
 impl CheckpointWriter {
     /// Opens (or creates) the checkpoint file at `path` for appending,
-    /// writing the header line if the file is empty.
+    /// writing the header line if the file is empty, and returns the
+    /// writer with the cells the file already holds (a resumed run seeds
+    /// itself from them). This is the one reader of a checkpoint that
+    /// will be extended: it reads the file once, heals it, and parses
+    /// what it keeps.
     ///
     /// A non-empty file whose first line is not a checkpoint header — a
     /// `--save` file, say — is refused with an `InvalidData` error before
     /// anything is trimmed or written: appending to it would leave a file
-    /// that neither loader reads.
+    /// that neither loader reads. So is a file whose cells do not parse
+    /// (see [`load_checkpoint`]).
     ///
     /// A file that does not end in a newline carries the torn final line
-    /// of a killed append. That fragment is incomplete JSON and can never
-    /// be recovered, so it is **trimmed here** before appending resumes —
-    /// otherwise the first new cell would be written onto the end of the
-    /// fragment, fusing both into one malformed *interior* line that
-    /// poisons every later load of the file.
-    pub fn append_to(path: impl AsRef<Path>) -> std::io::Result<Self> {
+    /// of a killed append, or a header torn before its first sync. That
+    /// fragment is incomplete JSON and can never be recovered, so it is
+    /// **trimmed here** before appending resumes — otherwise the first new
+    /// cell would be written onto the end of the fragment, fusing both
+    /// into one malformed *interior* line that poisons every later load
+    /// of the file.
+    pub fn append_to(
+        path: impl AsRef<Path>,
+    ) -> std::io::Result<(Self, HashMap<String, RunReport>)> {
         use std::io::Read;
         let path = path.as_ref().to_path_buf();
         let created = !path.exists();
@@ -873,22 +885,25 @@ impl CheckpointWriter {
             .open(&path)?;
         let mut contents = Vec::new();
         file.read_to_end(&mut contents)?;
+        let invalid = |reason: String| std::io::Error::new(std::io::ErrorKind::InvalidData, reason);
         if !starts_as_checkpoint(&contents) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!(
-                    "{} is not a checkpoint file (its first line is not a checkpoint \
-                     header); refusing to append to it",
-                    path.display()
-                ),
+            return Err(invalid(
+                "not a checkpoint file (its first line is not a checkpoint header); \
+                 refusing to append to it"
+                    .to_string(),
             ));
         }
-        if contents.last().is_some_and(|&byte| byte != b'\n') {
-            // Keep only whole newline-terminated lines.
-            let keep = contents
-                .iter()
-                .rposition(|&byte| byte == b'\n')
-                .map_or(0, |pos| pos + 1);
+        // Keep only whole newline-terminated lines.
+        let keep = contents
+            .iter()
+            .rposition(|&byte| byte == b'\n')
+            .map_or(0, |pos| pos + 1);
+        let text = std::str::from_utf8(&contents[..keep]).map_err(|e| invalid(e.to_string()))?;
+        let cells = match text {
+            "" => HashMap::new(),
+            text => load_checkpoint(text).map_err(|e| invalid(e.to_string()))?,
+        };
+        if keep < contents.len() {
             file.set_len(keep as u64)?;
         }
         file.seek(std::io::SeekFrom::End(0))?;
@@ -912,11 +927,12 @@ impl CheckpointWriter {
         }
         #[cfg(not(unix))]
         let _ = created;
-        Ok(CheckpointWriter {
+        let writer = CheckpointWriter {
             file: Mutex::new(file),
             path,
             synced_appends: std::sync::atomic::AtomicU64::new(0),
-        })
+        };
+        Ok((writer, cells))
     }
 
     /// Appends one completed cell and **fsyncs** it (`File::sync_data`), so
@@ -1156,7 +1172,7 @@ mod tests {
         let path = dir.join("suite.ckpt");
         let _ = std::fs::remove_file(&path);
 
-        let writer = CheckpointWriter::append_to(&path).unwrap();
+        let (writer, _) = CheckpointWriter::append_to(&path).unwrap();
         writer.append("k1", &a).unwrap();
         writer.append("k2", &b).unwrap();
         drop(writer);
@@ -1179,7 +1195,7 @@ mod tests {
 
         // Re-opening the same path appends (no second header), and a newer
         // line for an existing key wins.
-        let writer = CheckpointWriter::append_to(&path).unwrap();
+        let (writer, _) = CheckpointWriter::append_to(&path).unwrap();
         writer.append("k1", &b).unwrap();
         drop(writer);
         let text = std::fs::read_to_string(&path).unwrap();
@@ -1207,15 +1223,18 @@ mod tests {
         let path = dir.join("suite.ckpt");
         let _ = std::fs::remove_file(&path);
 
-        let writer = CheckpointWriter::append_to(&path).unwrap();
+        let (writer, _) = CheckpointWriter::append_to(&path).unwrap();
         writer.append("k1", &a).unwrap();
         writer.append("k2", &b).unwrap();
         drop(writer);
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &text[..text.len() - 10]).unwrap(); // tear k2
 
-        // Resume and append two cells past the torn fragment.
-        let writer = CheckpointWriter::append_to(&path).unwrap();
+        // Resume and append two cells past the torn fragment; the writer
+        // hands back the one cell that survived the tear.
+        let (writer, held) = CheckpointWriter::append_to(&path).unwrap();
+        assert_eq!(held.len(), 1);
+        assert_eq!(held.get("k1"), Some(&a));
         writer.append("k2", &b).unwrap();
         writer.append("k3", &a).unwrap();
         drop(writer);
@@ -1225,7 +1244,7 @@ mod tests {
         assert_eq!(cells.get("k2"), Some(&b), "torn cell rewritten cleanly");
 
         // And a second resume keeps working (the file stays healthy).
-        let writer = CheckpointWriter::append_to(&path).unwrap();
+        let (writer, _) = CheckpointWriter::append_to(&path).unwrap();
         writer.append("k4", &b).unwrap();
         drop(writer);
         let again = std::fs::read_to_string(&path).unwrap();
@@ -1233,7 +1252,8 @@ mod tests {
 
         // A file torn *inside the header* heals to a fresh checkpoint.
         std::fs::write(&path, "{\"format\":1,\"ki").unwrap();
-        let writer = CheckpointWriter::append_to(&path).unwrap();
+        let (writer, held) = CheckpointWriter::append_to(&path).unwrap();
+        assert!(held.is_empty());
         writer.append("k1", &a).unwrap();
         drop(writer);
         let fresh = std::fs::read_to_string(&path).unwrap();
@@ -1259,7 +1279,7 @@ mod tests {
         let path = dir.join("suite.ckpt");
         let _ = std::fs::remove_file(&path);
 
-        let writer = CheckpointWriter::append_to(&path).unwrap();
+        let (writer, _) = CheckpointWriter::append_to(&path).unwrap();
         assert_eq!(writer.synced_appends(), 0, "no cells yet");
         writer.append("k1", &report).unwrap();
         writer.append("k2", &report).unwrap();
@@ -1268,7 +1288,7 @@ mod tests {
 
         // Re-opening an existing file (the resume path, no directory-entry
         // creation to sync) keeps the same per-append guarantee.
-        let writer = CheckpointWriter::append_to(&path).unwrap();
+        let (writer, _) = CheckpointWriter::append_to(&path).unwrap();
         writer.append("k3", &report).unwrap();
         assert_eq!(writer.synced_appends(), 1);
         drop(writer);

@@ -6,7 +6,7 @@
 //! a ~2 KB `RunReport` on every completed cell, and on a hot fleet the
 //! JSON string machinery (field names, decimal rendering, escaping,
 //! recursive-descent parsing) dominates the frame cost. This module is
-//! the compact encoding those frames negotiate up to:
+//! the compact encoding every frame travels in:
 //!
 //! * **varints** — `u64`/`usize` as LEB128 (7 value bits per byte,
 //!   continuation high bit), so the typical small counter is one byte,
@@ -18,9 +18,8 @@
 //! * **sequences** — varint element count, then the elements.
 //!
 //! Field order is fixed by the encode functions below; there are no field
-//! names on the wire. Versioning rides on the codec *name* exchanged at
-//! `Hello` time (`"bin1"` pins this layout; a breaking change becomes
-//! `"bin2"`), so decoders never sniff versions out of payload bytes.
+//! names on the wire and no version inside the payload: a coordinator and
+//! its daemons run one build, so one layout (`bin1`).
 //!
 //! Decoding is hardened for untrusted input: [`ByteReader`] bounds-checks
 //! every read against the slice it was given (truncated or hostile

@@ -137,7 +137,11 @@ impl Experiment {
     /// techniques simulate the borrowed program directly — the experiment
     /// layer never clones a `Program` just to run it. The pass is
     /// retargeted at this experiment's machine (not the hard-coded paper
-    /// machine), matching what the matrix engine does per variant.
+    /// machine), matching what the matrix engine does per variant. The
+    /// program's execution is lowered into an [`ExecPlan`] as it runs
+    /// ([`ExecPlan::lower`]), the plan is replayed under the technique's
+    /// resize policy, and [`Experiment::report`] prices the replay. This is
+    /// the serial reference path the engine's cells are compared against.
     pub fn run_program(&self, program: &Program, technique: Technique) -> RunReport {
         let compiled = technique
             .pass_config_for(self.sim_config.widths, self.sim_config.fu_counts)
@@ -150,58 +154,19 @@ impl Experiment {
             ),
             None => (program, None, 0),
         };
-        self.run_prepared(
-            program_to_run,
-            technique,
+        let plan = match ExecPlan::lower(
             self.sim_config,
-            compile,
-            hint_noops,
-        )
-    }
-
-    /// Runs a program whose compiler pass (if any) has already happened.
-    /// `sim_config` is taken explicitly so a caller can override the
-    /// experiment's machine; the program's execution is lowered into an
-    /// [`ExecPlan`] as it runs ([`ExecPlan::lower`]), and the plan replayed
-    /// by [`Experiment::run_planned`].
-    pub fn run_prepared(
-        &self,
-        program_to_run: &Program,
-        technique: Technique,
-        sim_config: SimConfig,
-        compile: Option<CompileStats>,
-        hint_noops_inserted: usize,
-    ) -> RunReport {
-        let plan = match ExecPlan::lower(sim_config, program_to_run, self.max_dynamic_instructions)
-        {
+            program_to_run,
+            self.max_dynamic_instructions,
+        ) {
             Ok(plan) => plan,
             Err(fault) => panic!("workload must execute cleanly, faulted with {fault:?}"),
         };
-        self.run_planned(&plan, technique, compile, hint_noops_inserted)
-    }
-
-    /// Runs a cell whose static side is already fully lowered into an
-    /// [`ExecPlan`]: the cycle replay under the technique's resize policy,
-    /// then [`Experiment::report`]. One plan serves every technique/policy
-    /// of its (program, SimConfig) shape.
-    pub fn run_planned(
-        &self,
-        plan: &ExecPlan,
-        technique: Technique,
-        compile: Option<CompileStats>,
-        hint_noops_inserted: usize,
-    ) -> RunReport {
-        let result = match PlanSimulator::new(plan, technique.resize_policy()).run() {
+        let result = match PlanSimulator::new(&plan, technique.resize_policy()).run() {
             Ok(result) => result,
             Err(err) => panic!("simulation must complete over a committed trace: {err:?}"),
         };
-        self.report(
-            plan.workload(),
-            &result,
-            technique,
-            compile,
-            hint_noops_inserted,
-        )
+        self.report(plan.workload(), &result, technique, compile, hint_noops)
     }
 
     /// Prices a replay's counters for `technique` and assembles its report.

@@ -8,21 +8,20 @@
 //! all record into:
 //!
 //! * **Tracing spans** ([`span`], [`instant`]) — RAII guards over a
-//!   monotonic [`Instant`] clock, buffered per thread and drained to a
-//!   global collector ([`drain`]). Off by default: when tracing is
-//!   disabled ([`set_tracing`]), `span()` is one relaxed atomic load
-//!   and returns `None` — no allocation, no lock, no clock read. The
-//!   drained [`TraceEvent`]s are exported as Chrome trace-event JSON by
-//!   `sdiq_core::trace` (kept there because the JSON builder lives in
-//!   `sdiq-core`; this crate stays dependency-free either way).
+//!   monotonic [`Instant`] clock, each recorded into one global
+//!   collector ([`drain`]) under its lock when it closes. Spans are per
+//!   cell and per artifact, so the lock is taken a few times per cell.
+//!   Off by default: when tracing is disabled ([`set_tracing`]),
+//!   `span()` is one relaxed atomic load and returns `None` — no
+//!   allocation, no lock, no clock read. The drained [`TraceEvent`]s are
+//!   exported as Chrome trace-event JSON by `sdiq_core::trace` (kept
+//!   there because the JSON builder lives in `sdiq-core`; this crate
+//!   stays dependency-free either way).
 //! * **Metrics** ([`metrics`]) — an always-on registry of atomic
 //!   counters, gauges and log2-bucketed histograms. "Always-on" is
 //!   affordable because every operation is one relaxed atomic RMW per
 //!   *cell-grained* event (cells run for milliseconds; nothing in the
-//!   per-cycle simulator loop touches this crate). [`MetricsDelta`] is
-//!   the compact wire snapshot `repro serve` daemons piggyback on their
-//!   heartbeat frames so a coordinator can aggregate per-worker cache
-//!   hit rates and simulated-instruction throughput live.
+//!   per-cycle simulator loop touches this crate).
 //! * **Progress** ([`Progress`]) — a rate-limited cells-done/total/ETA
 //!   line for `--progress`, written by callers to **stderr only** so
 //!   piped stdout (figures, `--sweep-summary`) stays machine-parseable.
@@ -38,7 +37,7 @@
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -71,8 +70,7 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// Nanoseconds since the trace epoch (also the daemon-lifetime wall used
-/// by [`MetricsDelta::capture`]).
+/// Nanoseconds since the trace epoch.
 pub fn now_nanos() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
@@ -112,16 +110,18 @@ pub struct TraceEvent {
 /// matrix run.
 const MAX_GLOBAL_EVENTS: usize = 1 << 20;
 
-/// Thread buffers flush to the global collector at this size so the
-/// global lock is touched once per ~kilobatch, not per span.
-const FLUSH_THRESHOLD: usize = 1024;
-
 fn global() -> &'static Mutex<Vec<TraceEvent>> {
     static GLOBAL: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
     &GLOBAL
 }
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// This thread's lane, assigned when it records its first event
+    /// (0 = none yet).
+    static TID: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Locks recovering from poisoning: collectors hold no invariants a
 /// panicking recorder could have broken mid-update (the vectors are
@@ -132,63 +132,19 @@ fn lock_or_recover<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-struct LocalBuffer {
-    tid: u64,
-    events: Vec<TraceEvent>,
-}
-
-impl LocalBuffer {
-    fn flush(&mut self) {
-        if self.events.is_empty() {
-            return;
-        }
-        let mut global = lock_or_recover(global());
-        let room = MAX_GLOBAL_EVENTS.saturating_sub(global.len());
-        if self.events.len() > room {
-            metrics()
-                .trace_events_dropped
-                .add((self.events.len() - room) as u64);
-            self.events.truncate(room);
-        }
-        global.append(&mut self.events);
-    }
-}
-
-impl Drop for LocalBuffer {
-    // Thread exit flushes whatever the thread still holds — a backstop
-    // only: `std::thread::scope` unblocks its owner when the spawned
-    // closure returns, and TLS destructors run *after* that during
-    // thread teardown, so a drain racing the teardown would miss these
-    // events. Worker closures therefore call [`flush`] explicitly as
-    // their last act.
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-thread_local! {
-    static LOCAL: RefCell<LocalBuffer> = const {
-        RefCell::new(LocalBuffer { tid: 0, events: Vec::new() })
-    };
-}
-
 fn record(mut event: TraceEvent) {
-    LOCAL.with(|buffer| {
-        let mut buffer = buffer.borrow_mut();
-        if buffer.tid == 0 {
-            buffer.tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+    event.tid = TID.with(|tid| {
+        if tid.get() == 0 {
+            tid.set(NEXT_TID.fetch_add(1, Ordering::Relaxed));
         }
-        event.tid = buffer.tid;
-        buffer.events.push(event);
-        if buffer.events.len() >= FLUSH_THRESHOLD {
-            buffer.flush();
-        }
+        tid.get()
     });
+    inject(vec![event]);
 }
 
 /// An open duration span: created by [`span`], recorded when dropped.
 /// Annotate with [`Span::arg`]. The guard is cheap — one clock read at
-/// open, one at drop, a thread-local push in between.
+/// open, and one clock read and one push into the collector at drop.
 #[must_use = "a span records its duration when dropped"]
 #[derive(Debug)]
 pub struct Span {
@@ -256,32 +212,16 @@ pub fn instant(name: &'static str, cat: &'static str, args: &[(&str, &str)]) {
     });
 }
 
-/// Flushes the calling thread's buffer and takes every collected event.
-///
-/// Only the calling thread's buffer can be flushed from here; other
-/// threads deliver their events when they exit (scoped pools join
-/// before their spawner continues, so by the time a run returns and the
-/// runner drains, every worker's events are in). A long-lived thread
-/// recording concurrently with `drain` keeps its unflushed tail for the
-/// next drain — nothing is lost, only deferred.
+/// Takes every collected event. Each span is in the collector once its
+/// guard has dropped, so a run that has joined its threads drains all
+/// of their events.
 pub fn drain() -> Vec<TraceEvent> {
-    flush();
     std::mem::take(&mut *lock_or_recover(global()))
 }
 
-/// Flushes the calling thread's buffer to the global collector.
-///
-/// Pool and driver threads must call this as the last statement of
-/// their spawned closure: `std::thread::scope` unblocks the spawner the
-/// moment the closure returns, while the TLS-destructor flush only
-/// happens later during thread teardown — an unsynchronised window in
-/// which a [`drain`] would miss the thread's events entirely.
-pub fn flush() {
-    LOCAL.with(|buffer| buffer.borrow_mut().flush());
-}
-
-/// Injects externally produced events (a remote worker's drained trace,
-/// re-laned to that worker's pid) into the collector.
+/// Adds events to the collector, up to its cap: each recorded span or
+/// instant, and externally produced events (a remote worker's drained
+/// trace, re-laned to that worker's pid).
 pub fn inject(events: Vec<TraceEvent>) {
     let mut global = lock_or_recover(global());
     let room = MAX_GLOBAL_EVENTS.saturating_sub(global.len());
@@ -568,65 +508,6 @@ pub fn metrics() -> &'static Metrics {
 }
 
 // ---------------------------------------------------------------------------
-// The wire snapshot
-// ---------------------------------------------------------------------------
-
-/// The compact per-worker metrics snapshot a `repro serve` daemon
-/// piggybacks on its heartbeat frames. Every field is a **cumulative
-/// total since the daemon's epoch** (not an increment): snapshots are
-/// idempotent, so a lost or reordered heartbeat never corrupts the
-/// coordinator's aggregate — the next one simply supersedes it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MetricsDelta {
-    /// Cells computed to completion.
-    pub cells_done: u64,
-    /// Cells in flight at snapshot time (the one gauge).
-    pub cells_in_flight: u64,
-    /// Committed instructions simulated.
-    pub sim_instructions: u64,
-    /// Artifact-cache hits (programs + compiles + plans).
-    pub cache_hits: u64,
-    /// Artifact-cache misses.
-    pub cache_misses: u64,
-    /// Nanoseconds since the daemon's trace epoch, for rate math.
-    pub wall_nanos: u64,
-}
-
-impl MetricsDelta {
-    /// Snapshots the process registry.
-    pub fn capture() -> MetricsDelta {
-        let m = metrics();
-        MetricsDelta {
-            cells_done: m.cells_done.get(),
-            cells_in_flight: m.cells_in_flight.get(),
-            sim_instructions: m.sim_instructions.get(),
-            cache_hits: m.cache_hits(),
-            cache_misses: m.cache_misses(),
-            wall_nanos: now_nanos(),
-        }
-    }
-
-    /// Cache hit fraction in `[0, 1]` (0 when no lookups happened).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Lifetime average simulated instructions per second.
-    pub fn instructions_per_second(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            0.0
-        } else {
-            self.sim_instructions as f64 / (self.wall_nanos as f64 / 1e9)
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Progress
 // ---------------------------------------------------------------------------
 
@@ -810,17 +691,6 @@ mod tests {
         g.add(2);
         g.sub(5);
         assert_eq!(g.get(), 0);
-    }
-
-    #[test]
-    fn metrics_delta_capture_is_monotonic_against_the_registry() {
-        let before = MetricsDelta::capture();
-        metrics().cells_done.inc();
-        metrics().sim_instructions.add(100);
-        let after = MetricsDelta::capture();
-        assert!(after.cells_done > before.cells_done);
-        assert!(after.sim_instructions >= before.sim_instructions + 100);
-        assert!(after.wall_nanos >= before.wall_nanos);
     }
 
     #[test]

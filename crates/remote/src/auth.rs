@@ -9,7 +9,7 @@
 //! standard test vectors) and RFC-2104 HMAC over it.
 //!
 //! The handshake is three frames before the ordinary greeting, mutual,
-//! and always JSON-framed (it precedes codec negotiation):
+//! and framed like every other message:
 //!
 //! ```text
 //! acceptor → dialer   AuthChallenge{nonce_a}

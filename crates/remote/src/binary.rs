@@ -1,20 +1,14 @@
-//! The `bin1` frame codec: compact binary payloads for [`Message`].
+//! The `bin1` frame codec: the one layout every frame travels in.
 //!
-//! JSON frames re-render field names, decimal numbers and escaped
-//! strings on every message; on a hot fleet connection the `CellDone`
-//! stream is the bulk of the traffic and almost all of that is codec
-//! overhead. This layout strips it: one tag byte selects the message,
-//! then the fields in fixed order using `sdiq_core::persist_bin`'s
-//! primitives (LEB128 varints, length-prefixed UTF-8, `f64::to_bits`).
-//! A `bin1` `CellDone` is ~4× smaller than its JSON twin and decodes
-//! without a parser.
+//! One tag byte selects the message, then the fields follow in fixed
+//! order using `sdiq_core::persist_bin`'s primitives (LEB128 varints,
+//! length-prefixed UTF-8, `f64::to_bits`). A `bin1` `CellDone` is ~4×
+//! smaller than its JSON twin ([`Message::render`]) and decodes without
+//! a parser; the JSON codec stays the tests' differential oracle.
 //!
-//! Every tag byte is `< 0x20`, which no JSON document can start with —
-//! that is what lets [`crate::frame`] auto-detect the codec of each
-//! incoming frame instead of tracking reader-side negotiation state.
-//! The layout is versioned by its negotiated name (`"bin1"`, see
-//! [`crate::protocol::CODEC_BIN1`]): breaking changes get a new name,
-//! and peers that never advertised it never see these bytes.
+//! Every tag byte is `< 0x20`, and a JSON document as any build renders
+//! it starts with `{` (0x7b), so a JSON frame from another build is an
+//! unknown tag here: a clean error, never some other message.
 //!
 //! Decoding is total on untrusted input: the bounds-checked
 //! [`ByteReader`] errors on truncation and hostile lengths (never
@@ -28,13 +22,14 @@ use sdiq_core::persist_bin::{
     decode_matrix_spec, decode_report, encode_matrix_spec, encode_report, put_str, put_u64_fixed,
     put_usize, put_varint, ByteReader,
 };
-use sdiq_obs::{MetricsDelta, TraceEvent};
+use sdiq_obs::TraceEvent;
 
-/// `Hello{capacity, codecs}`.
+/// `Hello{capacity}`.
 pub const TAG_HELLO: u8 = 0x01;
-// 0x02 stays unassigned, so a `Register` frame from an older peer is an
-// unknown tag and never decodes as another message.
-/// `RunCells{fingerprint, spec, keys}`.
+// 0x02, 0x08, 0x0c and 0x0d stay unassigned: older builds sent messages
+// under them that this one does not speak, so such a frame is an unknown
+// tag, never another message.
+/// `RunCells{fingerprint, spec, keys, trace}`.
 pub const TAG_RUN_CELLS: u8 = 0x03;
 /// `CellDone{key, report}`.
 pub const TAG_CELL_DONE: u8 = 0x04;
@@ -44,62 +39,37 @@ pub const TAG_HEARTBEAT: u8 = 0x05;
 pub const TAG_DONE: u8 = 0x06;
 /// `Error{message}`.
 pub const TAG_ERROR: u8 = 0x07;
-/// `SetCodec{codec}`.
-pub const TAG_SET_CODEC: u8 = 0x08;
 /// `AuthChallenge{nonce}`.
 pub const TAG_AUTH_CHALLENGE: u8 = 0x09;
 /// `AuthResponse{nonce, mac}`.
 pub const TAG_AUTH_RESPONSE: u8 = 0x0a;
 /// `AuthOk{mac}`.
 pub const TAG_AUTH_OK: u8 = 0x0b;
-/// `RunCells` with at least one observability flag set: a flags byte
-/// (bit 0 = observe, bit 1 = trace) then the [`TAG_RUN_CELLS`] fields.
-/// A batch with both flags off still encodes as plain [`TAG_RUN_CELLS`],
-/// so pre-observability byte streams are reproduced exactly and old
-/// peers — which are never sent the flags — never see this tag.
-pub const TAG_RUN_CELLS_OBS: u8 = 0x0c;
-/// `HeartbeatMetrics{metrics}`: the six cumulative counters as varints.
-pub const TAG_HEARTBEAT_METRICS: u8 = 0x0d;
 /// `TraceEvents{events}`.
 pub const TAG_TRACE_EVENTS: u8 = 0x0e;
-
-/// First payload byte below this is a `bin1` tag; at or above it, the
-/// payload is JSON text (JSON documents start at `{` = 0x7b, or at worst
-/// whitespace = 0x20). This is the codec auto-detection boundary.
-pub const MAX_TAG: u8 = 0x20;
 
 /// Encodes one message as a `bin1` frame payload.
 pub fn encode_message(message: &Message) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     match message {
-        Message::Hello { capacity, codecs } => {
+        Message::Hello { capacity } => {
             out.push(TAG_HELLO);
             put_usize(&mut out, *capacity);
-            put_usize(&mut out, codecs.len());
-            for codec in codecs {
-                put_str(&mut out, codec);
-            }
         }
         Message::RunCells {
             fingerprint,
             spec,
             keys,
-            observe,
             trace,
         } => {
-            // Flags off → the pre-observability layout, byte for byte.
-            if *observe || *trace {
-                out.push(TAG_RUN_CELLS_OBS);
-                out.push(u8::from(*observe) | (u8::from(*trace) << 1));
-            } else {
-                out.push(TAG_RUN_CELLS);
-            }
+            out.push(TAG_RUN_CELLS);
             put_u64_fixed(&mut out, *fingerprint);
             encode_matrix_spec(&mut out, spec);
             put_usize(&mut out, keys.len());
             for key in keys {
                 put_str(&mut out, key);
             }
+            out.push(u8::from(*trace));
         }
         Message::CellDone { key, report } => {
             out.push(TAG_CELL_DONE);
@@ -115,10 +85,6 @@ pub fn encode_message(message: &Message) -> Vec<u8> {
             out.push(TAG_ERROR);
             put_str(&mut out, message);
         }
-        Message::SetCodec { codec } => {
-            out.push(TAG_SET_CODEC);
-            put_str(&mut out, codec);
-        }
         Message::AuthChallenge { nonce } => {
             out.push(TAG_AUTH_CHALLENGE);
             put_str(&mut out, nonce);
@@ -131,15 +97,6 @@ pub fn encode_message(message: &Message) -> Vec<u8> {
         Message::AuthOk { mac } => {
             out.push(TAG_AUTH_OK);
             put_str(&mut out, mac);
-        }
-        Message::HeartbeatMetrics { metrics } => {
-            out.push(TAG_HEARTBEAT_METRICS);
-            put_varint(&mut out, metrics.cells_done);
-            put_varint(&mut out, metrics.cells_in_flight);
-            put_varint(&mut out, metrics.sim_instructions);
-            put_varint(&mut out, metrics.cache_hits);
-            put_varint(&mut out, metrics.cache_misses);
-            put_varint(&mut out, metrics.wall_nanos);
         }
         Message::TraceEvents { events } => {
             out.push(TAG_TRACE_EVENTS);
@@ -201,15 +158,6 @@ fn decode_trace_event(reader: &mut ByteReader<'_>) -> Result<TraceEvent, Persist
     })
 }
 
-fn decode_codecs(reader: &mut ByteReader<'_>) -> Result<Vec<String>, PersistError> {
-    let count = reader.seq_len(1)?;
-    let mut codecs = Vec::with_capacity(count);
-    for _ in 0..count {
-        codecs.push(reader.str()?.to_string());
-    }
-    Ok(codecs)
-}
-
 /// Decodes one `bin1` frame payload. Errors on unknown tags, truncated
 /// or hostile field lengths, and trailing bytes; never panics.
 pub fn decode_message(payload: &[u8]) -> Result<Message, PersistError> {
@@ -218,20 +166,8 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, PersistError> {
     let message = match tag {
         TAG_HELLO => Message::Hello {
             capacity: reader.usize()?,
-            codecs: decode_codecs(&mut reader)?,
         },
-        TAG_RUN_CELLS | TAG_RUN_CELLS_OBS => {
-            let (observe, trace) = if tag == TAG_RUN_CELLS_OBS {
-                let flags = reader.u8()?;
-                if flags >= 4 {
-                    return Err(PersistError::new(format!(
-                        "unknown RunCells observability flags {flags:#04x}"
-                    )));
-                }
-                (flags & 1 != 0, flags & 2 != 0)
-            } else {
-                (false, false)
-            };
+        TAG_RUN_CELLS => {
             let fingerprint = reader.u64_fixed()?;
             let spec = decode_matrix_spec(&mut reader)?;
             let count = reader.seq_len(1)?;
@@ -239,11 +175,19 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, PersistError> {
             for _ in 0..count {
                 keys.push(reader.str()?.to_string());
             }
+            let trace = match reader.u8()? {
+                0 => false,
+                1 => true,
+                other => {
+                    return Err(PersistError::new(format!(
+                        "RunCells trace flag must be 0 or 1, got {other:#04x}"
+                    )))
+                }
+            };
             Message::RunCells {
                 fingerprint,
                 spec,
                 keys,
-                observe,
                 trace,
             }
         }
@@ -258,9 +202,6 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, PersistError> {
         TAG_ERROR => Message::Error {
             message: reader.str()?.to_string(),
         },
-        TAG_SET_CODEC => Message::SetCodec {
-            codec: reader.str()?.to_string(),
-        },
         TAG_AUTH_CHALLENGE => Message::AuthChallenge {
             nonce: reader.str()?.to_string(),
         },
@@ -270,16 +211,6 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, PersistError> {
         },
         TAG_AUTH_OK => Message::AuthOk {
             mac: reader.str()?.to_string(),
-        },
-        TAG_HEARTBEAT_METRICS => Message::HeartbeatMetrics {
-            metrics: MetricsDelta {
-                cells_done: reader.varint()?,
-                cells_in_flight: reader.varint()?,
-                sim_instructions: reader.varint()?,
-                cache_hits: reader.varint()?,
-                cache_misses: reader.varint()?,
-                wall_nanos: reader.varint()?,
-            },
         },
         TAG_TRACE_EVENTS => {
             // Minimum event: two empty strings, three zero varints, the
@@ -304,7 +235,6 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, PersistError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::CODEC_BIN1;
     use sdiq_core::{Experiment, MatrixSpec, Technique};
     use sdiq_workloads::Benchmark;
 
@@ -321,33 +251,18 @@ mod tests {
             techniques: vec!["baseline".to_string(), "noop".to_string()],
         };
         vec![
-            Message::Hello {
-                capacity: 4,
-                codecs: vec![CODEC_BIN1.to_string()],
-            },
+            Message::Hello { capacity: 4 },
             Message::RunCells {
                 fingerprint: 0xdead_beef_0123_4567,
                 spec: spec.clone(),
                 keys: vec!["a|b|c|00".to_string(), "d|e|f|01".to_string()],
-                observe: false,
                 trace: false,
             },
             Message::RunCells {
                 fingerprint: 0xdead_beef_0123_4567,
                 spec,
                 keys: vec!["a|b|c|00".to_string()],
-                observe: true,
                 trace: true,
-            },
-            Message::HeartbeatMetrics {
-                metrics: MetricsDelta {
-                    cells_done: 12,
-                    cells_in_flight: 2,
-                    sim_instructions: 123_456_789,
-                    cache_hits: 30,
-                    cache_misses: 6,
-                    wall_nanos: 9_876_543_210,
-                },
             },
             Message::TraceEvents {
                 events: vec![
@@ -381,9 +296,6 @@ mod tests {
             Message::Error {
                 message: "matrix fingerprint mismatch".to_string(),
             },
-            Message::SetCodec {
-                codec: CODEC_BIN1.to_string(),
-            },
             Message::AuthChallenge {
                 nonce: "00ff".to_string(),
             },
@@ -397,13 +309,17 @@ mod tests {
         ]
     }
 
+    /// Every tag stays below the first byte of any JSON text a build
+    /// renders, so a JSON frame can never decode as a `bin1` message.
+    const MAX_TAG: u8 = 0x20;
+
     #[test]
     fn every_message_round_trips_and_stays_below_the_tag_boundary() {
         for message in sample_messages() {
             let payload = encode_message(&message);
             assert!(
                 payload[0] < MAX_TAG,
-                "tag {:#04x} must stay in the auto-detect range",
+                "tag {:#04x} must stay below the JSON range",
                 payload[0]
             );
             assert_eq!(
@@ -440,31 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn plain_batches_keep_the_pre_observability_tag() {
-        let mut plain = None;
-        let mut flagged = None;
-        for message in sample_messages() {
-            if let Message::RunCells { observe, trace, .. } = &message {
-                let payload = encode_message(&message);
-                if *observe || *trace {
-                    flagged = Some(payload);
-                } else {
-                    plain = Some(payload);
-                }
-            }
-        }
-        let plain = plain.unwrap();
-        let flagged = flagged.unwrap();
-        assert_eq!(plain[0], TAG_RUN_CELLS, "flags off keep the old layout");
-        assert_eq!(flagged[0], TAG_RUN_CELLS_OBS);
-        // Unknown flag bits must error, not decode to something silently
-        // different from what the sender meant.
-        let mut hostile = flagged;
-        hostile[1] = 0x04;
-        assert!(decode_message(&hostile).is_err(), "unknown flag bits");
-    }
-
-    #[test]
     fn truncation_and_trailing_bytes_error_cleanly() {
         for message in sample_messages() {
             let payload = encode_message(&message);
@@ -483,9 +374,21 @@ mod tests {
                 "{message:?} with a trailing byte must error"
             );
         }
-        // 0x02 with a well-formed `Register{capacity: 4, codecs: []}` body.
-        for unknown in [&[0x1f][..], &[0x02, 0x04, 0x00]] {
-            assert!(decode_message(unknown).is_err(), "unknown tag {unknown:?}");
+        // Frames older builds sent, each well formed in its own build: a
+        // greeting with an empty codec list, `Register{capacity: 4,
+        // codecs: []}` under 0x02, a codec switch to "bin1" under 0x08,
+        // and a JSON greeting.
+        for unknown in [
+            &[0x1f][..],
+            &[0x01, 0x04, 0x00],
+            &[0x02, 0x04, 0x00],
+            &[0x08, 0x04, b'b', b'i', b'n', b'1'],
+            br#"{"type":"hello","capacity":4}"#,
+        ] {
+            assert!(
+                decode_message(unknown).is_err(),
+                "unknown frame {unknown:?}"
+            );
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The coordinator's side of one worker connection: dial the daemon,
-//! authenticate when `--auth-key` is set, read its `Hello`, negotiate
-//! the frame codec, then expose the connection as a
-//! [`WorkerLink`](crate::scheduler::WorkerLink) for the scheduler.
+//! authenticate when `--auth-key` is set, read its `Hello`, then expose
+//! the connection as a [`WorkerLink`](crate::scheduler::WorkerLink) for
+//! the scheduler.
 //!
 //! Liveness lives here: every worker socket carries a read deadline of
 //! [`RemoteOptions::heartbeat_deadline`]. Healthy daemons emit a
@@ -11,17 +11,11 @@
 //! link surfaces it as an error so the scheduler re-queues the worker's
 //! in-flight cells. Before this deadline existed, a hung worker stalled
 //! the whole run forever: `recv` blocked in `read` with no way out.
-//!
-//! Codec negotiation is one-sided and cheap: a worker whose greeting
-//! advertises `bin1` gets a `SetCodec` frame back and both directions
-//! switch to the compact binary codec; any other worker — an old build,
-//! `serve --wire json` — keeps JSON and never sees a frame it cannot
-//! parse. Reads auto-detect per frame, so the switch needs no ack.
 
 use crate::auth;
 use crate::fleet;
-use crate::frame::{self, Codec};
-use crate::protocol::{Message, CAP_OBS1, CODEC_BIN1};
+use crate::frame;
+use crate::protocol::Message;
 use crate::scheduler::{WorkerEvent, WorkerLink};
 use crate::RemoteOptions;
 use std::io::{self, BufReader};
@@ -35,27 +29,8 @@ struct TcpWorkerLink {
     capacity: usize,
     remote: RemoteOptions,
     fingerprint: u64,
-    /// Negotiated codec for frames *we* send (reads auto-detect).
-    codec: Codec,
-    /// The address this link reports fleet metrics and traces under.
+    /// The address this link reports traces under.
     addr: String,
-    /// Ask for metrics heartbeats / span shipping on every batch. Only
-    /// set when the run wants it *and* this worker advertised
-    /// [`CAP_OBS1`] — an old daemon is never sent the request.
-    observe: bool,
-    /// Ask for span recording on every batch (same gating as `observe`).
-    trace: bool,
-}
-
-/// The observability flags for one worker link: what the run asked for
-/// ([`RemoteOptions::observe`]), masked by whether this worker's greeting
-/// advertised the [`CAP_OBS1`] capability.
-fn observe_flags(remote: &RemoteOptions, codecs: &[String]) -> (bool, bool) {
-    let capable = codecs.iter().any(|codec| codec == CAP_OBS1);
-    (
-        capable && remote.observe.metrics,
-        capable && remote.observe.trace,
-    )
 }
 
 /// Connects to `addr` within `remote.connect_timeout` (a blackholed
@@ -104,28 +79,6 @@ fn connect_bounded(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
     }))
 }
 
-/// Picks the frame codec for a worker that advertised `codecs` and, when
-/// the pick is not the implicit JSON, tells the worker with `SetCodec`
-/// (the worker switches its own frames on receipt; TCP ordering makes an
-/// ack unnecessary).
-fn negotiate(
-    writer: &mut TcpStream,
-    remote: &RemoteOptions,
-    codecs: &[String],
-) -> io::Result<Codec> {
-    if remote.binary_wire && codecs.iter().any(|codec| codec == CODEC_BIN1) {
-        frame::write_message(
-            writer,
-            &Message::SetCodec {
-                codec: CODEC_BIN1.to_string(),
-            },
-        )?;
-        Ok(Codec::Binary)
-    } else {
-        Ok(Codec::Json)
-    }
-}
-
 /// Dials a worker daemon at `addr` (`host:port`), runs the auth
 /// handshake when configured, performs the `Hello` handshake, and
 /// returns the connected link. This is the production
@@ -171,21 +124,14 @@ pub fn dial(
         ));
     }
     match first {
-        Message::Hello { capacity, codecs } => {
-            let codec = negotiate(&mut writer, remote, &codecs)?;
-            let (observe, trace) = observe_flags(remote, &codecs);
-            Ok(Box::new(TcpWorkerLink {
-                reader,
-                writer,
-                capacity,
-                remote: remote.clone(),
-                fingerprint,
-                codec,
-                addr: addr.to_string(),
-                observe,
-                trace,
-            }))
-        }
+        Message::Hello { capacity } => Ok(Box::new(TcpWorkerLink {
+            reader,
+            writer,
+            capacity,
+            remote: remote.clone(),
+            fingerprint,
+            addr: addr.to_string(),
+        })),
         other => Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("worker {addr} opened with {other:?} instead of Hello"),
@@ -216,16 +162,14 @@ impl WorkerLink for TcpWorkerLink {
     }
 
     fn submit(&mut self, keys: &[String]) -> io::Result<()> {
-        frame::write_message_codec(
+        frame::write_message(
             &mut self.writer,
             &Message::RunCells {
                 fingerprint: self.fingerprint,
                 spec: self.remote.spec.clone(),
                 keys: keys.to_vec(),
-                observe: self.observe,
-                trace: self.trace,
+                trace: self.remote.observe.trace,
             },
-            self.codec,
         )
     }
 
@@ -237,13 +181,6 @@ impl WorkerLink for TcpWorkerLink {
                 Message::CellDone { key, report } => return Ok(WorkerEvent::Cell(key, report)),
                 Message::Done { .. } => return Ok(WorkerEvent::Done),
                 Message::Heartbeat => continue, // keep-alive: the read itself reset the deadline
-                Message::HeartbeatMetrics { metrics } => {
-                    // A keep-alive like any other (the read reset the
-                    // deadline), plus the worker's latest totals for the
-                    // fleet view.
-                    fleet::record(&self.addr, metrics);
-                    continue;
-                }
                 Message::TraceEvents { events } => {
                     // The worker's spans for this batch, re-laned onto
                     // its fleet pid and merged for the trace export.
@@ -274,6 +211,7 @@ impl WorkerLink for TcpWorkerLink {
 mod tests {
     use super::*;
     use sdiq_core::MatrixSpec;
+    use std::io::Write;
     use std::net::TcpListener;
 
     fn test_spec(heartbeat_deadline: Duration) -> RemoteOptions {
@@ -290,10 +228,7 @@ mod tests {
     }
 
     fn hello(capacity: usize) -> Message {
-        Message::Hello {
-            capacity,
-            codecs: Vec::new(),
-        }
+        Message::Hello { capacity }
     }
 
     /// The liveness bugfix, pinned at the socket level: a worker that
@@ -379,60 +314,40 @@ mod tests {
         );
     }
 
-    /// A worker that advertises `bin1` gets `SetCodec` and subsequent
-    /// batches arrive binary-framed; one that advertises nothing keeps
-    /// receiving JSON. Both observed from the worker's side of the wire.
+    /// A peer from another build greets in JSON. The greeting is a bad
+    /// frame, so the dial ends with an error at once, while the peer
+    /// still holds the socket open — never a wait on the heartbeat
+    /// deadline, and never a hang.
     #[test]
-    fn codec_negotiation_switches_exactly_the_advertising_worker() {
-        for advertise in [true, false] {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap().to_string();
-            let server = std::thread::spawn(move || {
-                let (stream, _) = listener.accept().unwrap();
-                let mut writer = stream.try_clone().unwrap();
-                let codecs = if advertise {
-                    vec![CODEC_BIN1.to_string()]
-                } else {
-                    Vec::new()
-                };
-                frame::write_message(
-                    &mut writer,
-                    &Message::Hello {
-                        capacity: 1,
-                        codecs,
-                    },
-                )
+    fn a_json_greeting_ends_the_dial_with_an_error() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let greeting = r#"{"type":"hello","capacity":1,"codecs":["bin1"]}"#;
+            stream
+                .write_all(&(greeting.len() as u32).to_be_bytes())
                 .unwrap();
-                let mut reader = BufReader::new(stream);
-                let mut saw_set_codec = false;
-                // Read raw frames: length prefix + payload, so the test
-                // sees the actual encoding, not just the decoded message.
-                while let Ok(Some(message)) = frame::read_message_opt(&mut reader) {
-                    match message {
-                        Message::SetCodec { codec } => {
-                            assert_eq!(codec, CODEC_BIN1);
-                            saw_set_codec = true;
-                        }
-                        Message::RunCells { keys, .. } => {
-                            assert_eq!(keys, vec!["k".to_string()]);
-                            frame::write_message(&mut writer, &Message::Done { computed: 0 })
-                                .unwrap();
-                        }
-                        other => panic!("unexpected {other:?}"),
-                    }
-                }
-                assert_eq!(saw_set_codec, advertise, "SetCodec iff advertised");
-            });
-            let spec = test_spec(Duration::from_secs(2));
-            let mut link = dial(&addr, &spec, 0).unwrap();
-            link.submit(&["k".to_string()]).unwrap();
-            match link.recv().unwrap() {
-                WorkerEvent::Done => {}
-                other => panic!("expected Done, got {other:?}"),
-            }
-            drop(link);
-            server.join().unwrap();
-        }
+            stream.write_all(greeting.as_bytes()).unwrap();
+            // Hold the socket open until the dial has returned.
+            let _ = released.recv_timeout(Duration::from_secs(30));
+        });
+        let spec = test_spec(Duration::from_secs(10));
+        let started = std::time::Instant::now();
+        let error = match dial(&addr, &spec, 0) {
+            Err(error) => error,
+            Ok(_) => panic!("a JSON greeting must not dial"),
+        };
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "the dial waited {:?}",
+            started.elapsed()
+        );
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData, "{error}");
+        assert!(error.to_string().contains("bad frame"), "{error}");
+        release.send(()).unwrap();
+        server.join().unwrap();
     }
 
     /// Auth, both failure shapes: a keyless coordinator dialing a keyed

@@ -1,72 +1,126 @@
-//! Coordinator-side fleet observability: the per-worker registry behind
-//! `--progress` and the merged Chrome trace.
+//! Coordinator-side fleet observability: the per-run worker registry
+//! behind the end-of-run per-worker lines, `--progress`'s per-worker
+//! suffix and the merged Chrome trace.
 //!
-//! Worker daemons report cumulative [`MetricsDelta`] totals piggybacked
-//! on their heartbeats (see [`crate::protocol::Message::HeartbeatMetrics`])
-//! and, when tracing, ship their recorded spans back right before `Done`.
-//! Both arrive on the scheduler's per-worker driver threads, so the
-//! registry is a mutex over a small vector — entries are keyed by worker
-//! address and the insertion order doubles as the worker's stable 1-based
-//! fleet index, which is the `pid` lane its events occupy in the exported
-//! trace (`pid` 0 is the coordinator itself).
+//! The scheduler tallies every cell it accepts from a worker here: one
+//! more cell, and that cell's committed instructions. Rates divide by the
+//! run's own clock, started by `reset`, so a warm daemon that served
+//! earlier runs shows only this run's work. Traced workers ship their
+//! spans back right before each batch's `Done`; they are re-laned onto
+//! the worker's stable 1-based fleet index, its place in the registry,
+//! which is the `pid` lane its events occupy in the exported trace (`pid`
+//! 0 is the coordinator itself).
 //!
-//! The registry is process-global because the scheduler reaches it from
-//! plain function-pointer dialers with no room for a context handle;
-//! [`reset`] at the start of a run scopes it to one run at a time,
-//! matching how a coordinator process actually behaves.
+//! The registry is process-global because the `--progress` sink and the
+//! TCP links reach it from outside the scheduler's state; `reset` at
+//! the start of a run scopes it to one run at a time, matching how a
+//! coordinator process actually behaves.
 
-use sdiq_obs::{MetricsDelta, TraceEvent};
+use sdiq_obs::TraceEvent;
 use std::sync::{Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
-static REGISTRY: Mutex<Vec<(String, MetricsDelta)>> = Mutex::new(Vec::new());
+/// One worker's share of the current run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkerTally {
+    /// Cells the coordinator accepted from the worker.
+    pub cells: u64,
+    /// Committed instructions of those cells.
+    pub instructions: u64,
+}
 
-fn registry() -> std::sync::MutexGuard<'static, Vec<(String, MetricsDelta)>> {
-    // Entries are plain value swaps; a panic mid-update cannot leave a
+impl WorkerTally {
+    /// Committed instructions per second of `elapsed` run time (0 before
+    /// any time has passed).
+    pub fn instructions_per_second(&self, elapsed: Duration) -> f64 {
+        let seconds = elapsed.as_secs_f64();
+        if seconds > 0.0 {
+            self.instructions as f64 / seconds
+        } else {
+            0.0
+        }
+    }
+}
+
+struct Registry {
+    /// When the current run started.
+    started: Option<Instant>,
+    /// Workers in fleet-index order, with their tallies.
+    workers: Vec<(String, WorkerTally)>,
+}
+
+static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
+    started: None,
+    workers: Vec::new(),
+});
+
+fn registry() -> std::sync::MutexGuard<'static, Registry> {
+    // Entries are plain value updates; a panic mid-update cannot leave a
     // torn entry, so recovering from poison is safe.
     REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Clears the registry. Called once at the start of every remote run
-/// so a second run in the same process (tests, library use) starts from
-/// an empty fleet view.
-pub fn reset() {
-    registry().clear();
+/// `addr`'s entry, registered at the next fleet index if it is new.
+fn entry<'a>(registry: &'a mut Registry, addr: &str) -> (usize, &'a mut WorkerTally) {
+    let index = match registry
+        .workers
+        .iter()
+        .position(|(worker, _)| worker == addr)
+    {
+        Some(index) => index,
+        None => {
+            registry
+                .workers
+                .push((addr.to_string(), WorkerTally::default()));
+            registry.workers.len() - 1
+        }
+    };
+    (index, &mut registry.workers[index].1)
 }
 
-/// Records `addr`'s latest cumulative totals, replacing any previous
-/// report (the deltas are monotonic totals, not increments, so the last
-/// report is the whole story).
-pub fn record(addr: &str, delta: MetricsDelta) {
-    let mut entries = registry();
-    match entries.iter_mut().find(|(worker, _)| worker == addr) {
-        Some((_, existing)) => *existing = delta,
-        None => entries.push((addr.to_string(), delta)),
+/// Starts a run: clears the registry, starts the run's clock and
+/// registers `workers` in order, so worker *N* of `--workers` is trace
+/// lane *N*. Called once at the start of every remote run, so a second
+/// run in the same process (tests, library use) starts from an empty
+/// fleet view.
+pub(crate) fn reset(workers: &[String]) {
+    let mut registry = registry();
+    registry.started = Some(Instant::now());
+    registry.workers.clear();
+    for addr in workers {
+        entry(&mut registry, addr);
     }
 }
 
-/// The current fleet view: every worker that has reported, with its
-/// latest totals, in fleet-index order.
-pub fn snapshot() -> Vec<(String, MetricsDelta)> {
-    registry().clone()
+/// Tallies one cell the coordinator accepted from `addr`.
+pub(crate) fn record_cell(addr: &str, instructions: u64) {
+    let mut registry = registry();
+    let (_, tally) = entry(&mut registry, addr);
+    tally.cells += 1;
+    tally.instructions += instructions;
+}
+
+/// The current run's elapsed time and every worker's tally, in
+/// fleet-index order.
+pub fn snapshot() -> (Duration, Vec<(String, WorkerTally)>) {
+    let registry = registry();
+    let elapsed = registry
+        .started
+        .map_or(Duration::ZERO, |started| started.elapsed());
+    (elapsed, registry.workers.clone())
 }
 
 /// `addr`'s stable 1-based fleet index (`pid` lane in the exported
-/// trace). A worker that has not reported metrics yet is registered with
-/// zeroed totals so trace-only runs still get stable lanes.
-pub fn worker_id(addr: &str) -> u64 {
-    let mut entries = registry();
-    if let Some(index) = entries.iter().position(|(worker, _)| worker == addr) {
-        return index as u64 + 1;
-    }
-    entries.push((addr.to_string(), MetricsDelta::default()));
-    entries.len() as u64
+/// trace).
+fn worker_id(addr: &str) -> u64 {
+    entry(&mut registry(), addr).0 as u64 + 1
 }
 
 /// Merges `addr`'s shipped trace events into this process's collector,
 /// re-laned onto the worker's `pid` so the export shows one process
 /// track per fleet member (workers record everything as their own
 /// `pid` 0 — they have no idea which fleet slot they are).
-pub fn inject_trace(addr: &str, mut events: Vec<TraceEvent>) {
+pub(crate) fn inject_trace(addr: &str, mut events: Vec<TraceEvent>) {
     let pid = worker_id(addr);
     for event in &mut events {
         event.pid = pid;
@@ -78,35 +132,63 @@ pub fn inject_trace(addr: &str, mut events: Vec<TraceEvent>) {
 mod tests {
     use super::*;
 
-    fn delta(cells_done: u64) -> MetricsDelta {
-        MetricsDelta {
-            cells_done,
-            ..MetricsDelta::default()
-        }
+    /// The registry is process-global: tests that reset it take turns.
+    /// (Scheduler tests record cells under their own addresses
+    /// concurrently; these tests read only theirs.)
+    fn resetting() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn tally_of(addr: &str) -> Option<WorkerTally> {
+        snapshot()
+            .1
+            .into_iter()
+            .find(|(worker, _)| worker == addr)
+            .map(|(_, tally)| tally)
     }
 
     #[test]
-    fn records_replace_and_ids_are_stable() {
-        reset();
-        record("a:1", delta(1));
-        record("b:2", delta(2));
-        record("a:1", delta(5));
-        assert_eq!(
-            snapshot(),
-            vec![("a:1".to_string(), delta(5)), ("b:2".to_string(), delta(2))]
-        );
-        assert_eq!(worker_id("a:1"), 1);
+    fn tallies_add_up_per_run_and_ids_are_stable() {
+        let _turn = resetting();
+        reset(&["a:1".to_string(), "b:2".to_string()]);
+        assert_eq!(worker_id("a:1"), 1, "lanes follow --workers order");
         assert_eq!(worker_id("b:2"), 2);
-        assert_eq!(worker_id("c:3"), 3, "unknown workers get the next lane");
+        assert_eq!(tally_of("b:2"), Some(WorkerTally::default()));
+        record_cell("b:2", 100);
+        record_cell("a:1", 7);
+        record_cell("b:2", 50);
+        assert_eq!(
+            tally_of("b:2"),
+            Some(WorkerTally {
+                cells: 2,
+                instructions: 150
+            })
+        );
+        assert_eq!(
+            tally_of("a:1"),
+            Some(WorkerTally {
+                cells: 1,
+                instructions: 7
+            })
+        );
         assert_eq!(worker_id("a:1"), 1, "ids never move");
-        reset();
-        assert!(snapshot().is_empty());
+        assert!(worker_id("c:3") > 2, "unknown workers get a later lane");
+        let b = tally_of("b:2").unwrap();
+        assert_eq!(b.instructions_per_second(Duration::from_secs(2)), 75.0);
+        assert_eq!(b.instructions_per_second(Duration::ZERO), 0.0);
+
+        // The next run counts only its own cells.
+        reset(&["b:2".to_string()]);
+        assert_eq!(tally_of("b:2"), Some(WorkerTally::default()));
+        assert_eq!(tally_of("a:1"), None);
+        assert_eq!(worker_id("b:2"), 1);
     }
 
     #[test]
     fn injected_traces_are_relaned_to_the_worker_pid() {
-        reset();
-        record("w:9", delta(0));
+        let _turn = resetting();
+        reset(&["w:9".to_string()]);
         let drained = sdiq_obs::drain(); // discard whatever other tests left
         drop(drained);
         inject_trace(

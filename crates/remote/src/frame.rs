@@ -4,16 +4,11 @@
 //! keeps the bytes architecture-independent, like the engine's cell-key
 //! fingerprints.
 //!
-//! The payload is one of two codecs, chosen per *writer* by negotiation
-//! (see [`crate::protocol`]): UTF-8 JSON, or the compact `bin1` layout in
-//! [`crate::binary`]. Readers never need to know what was negotiated —
-//! binary payloads start with a tag byte `< 0x20` and JSON documents
-//! cannot, so [`read_message_opt`] detects the codec of every frame from
-//! its first byte. That keeps the reader stateless across the `SetCodec`
-//! switch and makes mixed-codec streams (during negotiation) safe by
-//! construction. Every message, `Heartbeat` included, goes through the
-//! codecs: a daemon sends one heartbeat to ack each batch and one per
-//! second while it computes, against one `CellDone` per cell.
+//! The payload is the message in the `bin1` layout of [`crate::binary`],
+//! in both directions and from the first frame on: a build speaks one
+//! dialect, so neither side keeps codec state. A payload in any other
+//! layout — a JSON frame from another build, say — is a clean
+//! `InvalidData` error.
 
 use crate::binary;
 use crate::protocol::Message;
@@ -25,27 +20,10 @@ use std::io::{self, Read, Write};
 /// prefix, and rejecting it beats a multi-gigabyte allocation.
 pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 
-/// Which codec a writer uses for its frames (readers auto-detect).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Codec {
-    /// UTF-8 JSON payloads (the implicit default every peer speaks).
-    Json,
-    /// The `bin1` binary layout ([`crate::binary`]), after negotiation.
-    Binary,
-}
-
-/// Writes one message as a frame in `codec` and flushes it, so the peer
-/// sees it immediately (cell streaming is the whole point of the
-/// protocol).
-pub fn write_message_codec(
-    writer: &mut impl Write,
-    message: &Message,
-    codec: Codec,
-) -> io::Result<()> {
-    let payload = match codec {
-        Codec::Json => message.render().into_bytes(),
-        Codec::Binary => binary::encode_message(message),
-    };
+/// Writes one message as a frame and flushes it, so the peer sees it
+/// immediately (cell streaming is the whole point of the protocol).
+pub fn write_message(writer: &mut impl Write, message: &Message) -> io::Result<()> {
+    let payload = binary::encode_message(message);
     let len = u32::try_from(payload.len())
         .ok()
         .filter(|&len| len <= MAX_FRAME_BYTES)
@@ -61,36 +39,6 @@ pub fn write_message_codec(
     writer.write_all(&len.to_be_bytes())?;
     writer.write_all(&payload)?;
     writer.flush()
-}
-
-/// [`write_message_codec`] with the JSON codec (greetings and the auth
-/// handshake, which precede negotiation, plus every un-negotiated
-/// connection).
-pub fn write_message(writer: &mut impl Write, message: &Message) -> io::Result<()> {
-    write_message_codec(writer, message, Codec::Json)
-}
-
-/// Decodes one frame payload, auto-detecting its codec from the first
-/// byte (see the module docs).
-fn decode_payload(payload: &[u8]) -> io::Result<Message> {
-    match payload.first() {
-        None => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "bad frame: empty payload",
-        )),
-        Some(&tag) if tag < binary::MAX_TAG => binary::decode_message(payload)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad frame: {e}"))),
-        Some(_) => {
-            let text = std::str::from_utf8(payload).map_err(|e| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("frame is not UTF-8: {e}"),
-                )
-            })?;
-            Message::parse(text)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad frame: {e}")))
-        }
-    }
 }
 
 /// Reads one message, or `Ok(None)` on a clean end-of-stream (the peer
@@ -122,7 +70,9 @@ pub fn read_message_opt(reader: &mut impl Read) -> io::Result<Option<Message>> {
     }
     let mut payload = vec![0u8; len as usize];
     reader.read_exact(&mut payload)?;
-    decode_payload(&payload).map(Some)
+    binary::decode_message(&payload)
+        .map(Some)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad frame: {e}")))
 }
 
 /// [`read_message_opt`] for callers to whom *any* end-of-stream is a
@@ -138,10 +88,7 @@ mod tests {
     use super::*;
 
     fn hello(capacity: usize) -> Message {
-        Message::Hello {
-            capacity,
-            codecs: Vec::new(),
-        }
+        Message::Hello { capacity }
     }
 
     #[test]
@@ -172,9 +119,9 @@ mod tests {
                 result = read_message_opt(&mut torn);
             }
             match cut {
-                // First frame (heartbeat) is 4 + 20 bytes; any cut before a
+                // First frame (heartbeat) is 4 + 1 bytes; any cut before a
                 // boundary must error, a cut exactly on one must not.
-                c if c == 4 + 20 => assert!(matches!(result, Ok(None))),
+                c if c == 4 + 1 => assert!(matches!(result, Ok(None))),
                 _ => assert!(result.is_err(), "cut at {cut} should tear a frame"),
             }
         }
@@ -182,34 +129,28 @@ mod tests {
 
     #[test]
     fn binary_frames_round_trip_and_interleave_with_json() {
-        // The binary heartbeat is the smallest possible frame: length 1,
-        // one tag byte.
+        // The heartbeat is the smallest possible frame: length 1, one
+        // tag byte.
         let mut heartbeat = Vec::new();
-        write_message_codec(&mut heartbeat, &Message::Heartbeat, Codec::Binary).unwrap();
+        write_message(&mut heartbeat, &Message::Heartbeat).unwrap();
         assert_eq!(heartbeat, [0, 0, 0, 1, binary::TAG_HEARTBEAT]);
 
-        // A mixed stream — as seen across a SetCodec switch — decodes
-        // frame by frame with no reader-side state.
+        // A JSON frame between two `bin1` frames — what a peer from
+        // another build sends — is a clean error where it lands; the
+        // frames before it decode, and the stream stays in step, so the
+        // frame after it decodes too.
         let mut buffer = Vec::new();
-        write_message_codec(&mut buffer, &hello(3), Codec::Json).unwrap();
-        write_message_codec(
-            &mut buffer,
-            &Message::SetCodec {
-                codec: crate::protocol::CODEC_BIN1.to_string(),
-            },
-            Codec::Json,
-        )
-        .unwrap();
-        write_message_codec(&mut buffer, &Message::Heartbeat, Codec::Binary).unwrap();
-        write_message_codec(&mut buffer, &Message::Done { computed: 9 }, Codec::Binary).unwrap();
+        write_message(&mut buffer, &hello(3)).unwrap();
+        let json = hello(3).render();
+        buffer.extend_from_slice(&(json.len() as u32).to_be_bytes());
+        buffer.extend_from_slice(json.as_bytes());
+        write_message(&mut buffer, &Message::Done { computed: 9 }).unwrap();
 
         let mut reader = &buffer[..];
         assert_eq!(read_message(&mut reader).unwrap(), hello(3));
-        assert!(matches!(
-            read_message(&mut reader).unwrap(),
-            Message::SetCodec { .. }
-        ));
-        assert_eq!(read_message(&mut reader).unwrap(), Message::Heartbeat);
+        let error = read_message(&mut reader).unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        assert!(error.to_string().contains("bad frame"), "{error}");
         assert_eq!(
             read_message(&mut reader).unwrap(),
             Message::Done { computed: 9 }

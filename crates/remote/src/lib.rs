@@ -14,14 +14,14 @@
 //! ## The pieces
 //!
 //! * [`frame`] — the wire framing: 4-byte big-endian length prefix +
-//!   a payload in one of two codecs, auto-detected on read.
+//!   a `bin1` payload, in both directions from the first frame on.
 //! * [`protocol`] — the message grammar (`Hello`, `RunCells`, `CellDone`,
-//!   `Heartbeat`, `Done`, `Error`, plus codec negotiation and the auth
+//!   `Heartbeat`, `TraceEvents`, `Done`, `Error`, plus the auth
 //!   handshake) and its JSON codec over the same model save files use,
-//!   so a report's numbers round-trip bit-identically over the network.
-//! * [`binary`] — the negotiated `bin1` frame codec: tag bytes, varints,
-//!   length-prefixed strings over `sdiq_core::persist_bin` (the persist
-//!   JSON codec stays the on-disk format and the differential oracle).
+//!   the tests' differential oracle for `bin1`.
+//! * [`binary`] — the `bin1` frame codec: tag bytes, varints,
+//!   length-prefixed strings over `sdiq_core::persist_bin`, so a
+//!   report's numbers round-trip bit-identically over the network.
 //! * [`auth`] — std-only HMAC-SHA-256 mutual handshake for `--auth-key`
 //!   fleets on untrusted networks (wrong or missing key is a clean
 //!   protocol error on both sides, never a hang).
@@ -30,6 +30,8 @@
 //!   in-process engine, stream each one back.
 //! * [`client`] — the coordinator side of one connection: dial, read the
 //!   `Hello`, submit batches, receive events.
+//! * [`fleet`] — the coordinator's per-run view of its workers: the
+//!   cells each delivered and the trace lane its spans go on.
 //! * [`scheduler`] — the fault-tolerant coordinator loop: a shared work
 //!   queue of missing cell keys in plan groups, one driver thread per
 //!   worker holding one batch at a time, batches sized by each worker's
@@ -127,20 +129,13 @@ pub struct RemoteOptions {
     /// cells must re-queue. `Duration::ZERO` disables the deadline (reads
     /// block forever — only sensible for debugging).
     pub heartbeat_deadline: Duration,
-    /// Negotiate the compact `bin1` frame codec with workers that
-    /// advertise it (default on; workers that don't keep speaking JSON).
-    /// Off forces JSON everywhere, for debugging and for pricing the
-    /// codecs against each other.
-    pub binary_wire: bool,
     /// Shared secret for the HMAC handshake (`--auth-key`). When set,
     /// every connection must prove knowledge of the key before any
     /// protocol frame; `None` leaves connections unauthenticated (trusted
     /// networks only). Both sides must agree.
     pub auth_key: Option<String>,
-    /// Fleet observability: metrics piggybacked on heartbeats and/or span
-    /// tracing shipped back per batch (default: neither). Strictly
-    /// out-of-band — never affects the assembled suite, and workers that
-    /// predate the `obs1` capability never see the request.
+    /// Fleet observability: span tracing shipped back per batch (default
+    /// off). Strictly out-of-band — never affects the assembled suite.
     pub observe: ObserveSpec,
 }
 
@@ -154,21 +149,17 @@ impl RemoteOptions {
             retry_budget: DEFAULT_RETRY_BUDGET,
             connect_timeout: DEFAULT_CONNECT_TIMEOUT,
             heartbeat_deadline: DEFAULT_HEARTBEAT_DEADLINE,
-            binary_wire: true,
             auth_key: None,
             observe: ObserveSpec::default(),
         }
     }
 }
 
-/// What a run observes about itself (see `sdiq-obs`): live fleet metrics,
-/// span tracing, or neither. Never affects results — only what gets
-/// reported on stderr and what `--trace` writes.
+/// What a run asks its workers to observe (see `sdiq-obs`). Never
+/// affects results — only what `--trace` writes. Per-worker progress
+/// needs no request: the coordinator counts the cells it receives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ObserveSpec {
-    /// Workers report a compact metrics delta with every heartbeat and
-    /// the coordinator aggregates per-worker rates.
-    pub metrics: bool,
     /// Workers record spans and ship them back before `Done`, for the
     /// coordinator's Chrome-trace export.
     pub trace: bool,
@@ -209,8 +200,8 @@ pub fn run(
     seed: &HashMap<String, RunReport>,
     sink: Option<&dyn CellSink>,
 ) -> Result<Sweep, BackendError> {
-    // A fresh fleet view per run: worker ids (= trace pid lanes) and
-    // reported totals are scoped to one run.
-    fleet::reset();
+    // A fresh fleet view per run: trace lanes in `--workers` order, and
+    // per-worker tallies and clock scoped to this run.
+    fleet::reset(&remote.workers);
     scheduler::run(matrix, remote, seed, sink, client::dial)
 }

@@ -301,18 +301,14 @@ pub fn run(
             let state = &state;
             let expected = &expected;
             scope.spawn(move || {
-                drive_worker(addr, spec, fingerprint, state, expected, sink, dialer);
-                // Deliver this driver's spans/instants before the scope
-                // owner can observe the thread as finished — the TLS
-                // teardown flush races the coordinator's drain.
-                sdiq_obs::flush();
+                drive_worker(addr, spec, fingerprint, state, expected, sink, dialer)
             });
         }
     });
 
     // The coordinator's closing summaries: liveness verdicts (printed
-    // even on a failed run — that is when they matter most) and, when
-    // the run observed the fleet, each worker's final reported totals.
+    // even on a failed run — that is when they matter most) and each
+    // worker's share of this run.
     {
         let liveness = lock_or_recover(&state.liveness);
         if !liveness.is_empty() {
@@ -328,17 +324,13 @@ pub fn run(
             }
         }
     }
-    if spec.observe.metrics {
-        for (addr, delta) in crate::fleet::snapshot() {
-            eprintln!(
-                "remote: worker {addr}: {} cell(s) done, {} in flight, \
-                 cache hit rate {:.1}%, {:.0} sim-inst/s",
-                delta.cells_done,
-                delta.cells_in_flight,
-                delta.cache_hit_rate() * 100.0,
-                delta.instructions_per_second()
-            );
-        }
+    let (elapsed, workers) = crate::fleet::snapshot();
+    for (addr, tally) in workers {
+        eprintln!(
+            "remote: worker {addr}: {} cell(s) done, {:.0} sim-inst/s",
+            tally.cells,
+            tally.instructions_per_second(elapsed)
+        );
     }
 
     if let Some(fatal) = state
@@ -382,8 +374,8 @@ pub fn run(
 /// and a daemon computes a connection's batches one after another, so a
 /// second batch queued behind the first would save at most one round
 /// trip per batch. Reading every batch to its `Done` is also what
-/// delivers the batch's `TraceEvents` and final `HeartbeatMetrics`
-/// frames, which a daemon sends right before it.
+/// delivers the batch's `TraceEvents` frame, which a daemon sends right
+/// before it.
 fn drive_worker(
     addr: &str,
     spec: &RemoteOptions,
@@ -446,6 +438,9 @@ fn drive_worker(
                         });
                         return;
                     }
+                    // Tallied before the sink sees the cell, so a
+                    // progress line counts it.
+                    crate::fleet::record_cell(addr, report.stats.committed);
                     if let Some(sink) = sink {
                         sink.cell_complete(&key, &report);
                     }
@@ -778,8 +773,8 @@ mod tests {
         // A capacity-1 worker gets one group per batch, in canonical
         // order; a capacity-3 worker takes groups until it holds three
         // cells, i.e. both. Each driver reads every batch's `Done` before
-        // it drops the link: a daemon sends the batch's spans and final
-        // metrics right before that frame.
+        // it drops the link: a daemon sends the batch's spans right
+        // before that frame.
         for (addr, batches) in [
             ("claims-cap1-log", groups()),
             ("claims-cap3-log", vec![groups().concat()]),

@@ -30,9 +30,9 @@
 //! and greets it with `Hello`.
 
 use crate::auth;
-use crate::frame::{self, Codec};
+use crate::frame;
 use crate::lock_or_recover;
-use crate::protocol::{Message, CAP_OBS1, CODEC_BIN1};
+use crate::protocol::Message;
 use sdiq_core::{matrix_fingerprint, ArtifactCache, CellSink, MatrixSpec, RunReport};
 use std::io::{self, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -66,10 +66,6 @@ pub struct ServeOptions {
     /// set, the daemon challenges every coordinator before greeting it.
     /// `None` skips the handshake.
     pub auth_key: Option<String>,
-    /// Advertise the compact `bin1` frame codec in the greeting
-    /// (default; `--wire json` turns it off, pinning the connection to
-    /// JSON frames for debugging and codec-vs-codec benchmarking).
-    pub advertise_binary: bool,
 }
 
 /// Seconds of silence after which the daemon interleaves a `Heartbeat`
@@ -214,14 +210,6 @@ fn effective_capacity(jobs: usize) -> usize {
     }
 }
 
-/// One coordinator connection's write half: the stream plus the codec
-/// its frames use. JSON until the coordinator's `SetCodec` switches it —
-/// the lock keeps the switch atomic with respect to in-flight frames.
-struct Conn {
-    stream: TcpStream,
-    codec: Codec,
-}
-
 /// Serves one coordinator until it disconnects.
 fn handle_connection(stream: TcpStream, daemon: &Daemon) -> io::Result<()> {
     let options = daemon.options;
@@ -235,25 +223,11 @@ fn handle_connection(stream: TcpStream, daemon: &Daemon) -> io::Result<()> {
         // holds only this connection's thread.
         writer_stream.set_read_timeout(None)?;
     }
-    let writer = Mutex::new(Conn {
-        stream: writer_stream,
-        codec: Codec::Json,
-    });
-    let mut codecs = if options.advertise_binary {
-        vec![CODEC_BIN1.to_string()]
-    } else {
-        Vec::new()
-    };
-    // Not a codec but a capability: this daemon understands the
-    // observability extension (RunCells flags, HeartbeatMetrics,
-    // TraceEvents). Riding the codecs list keeps old coordinators safe —
-    // they select codecs by equality and ignore unknown entries.
-    codecs.push(CAP_OBS1.to_string());
+    let writer = Mutex::new(writer_stream);
     write_locked(
         &writer,
         &Message::Hello {
             capacity: daemon.capacity,
-            codecs,
         },
     )?;
 
@@ -266,32 +240,9 @@ fn handle_connection(stream: TcpStream, daemon: &Daemon) -> io::Result<()> {
                 fingerprint,
                 spec,
                 keys,
-                observe,
                 trace,
-            } => run_batch(
-                &writer,
-                fingerprint,
-                &spec,
-                keys,
-                daemon,
-                BatchObserve { observe, trace },
-            )?,
+            } => run_batch(&writer, fingerprint, &spec, keys, daemon, trace)?,
             Message::Heartbeat => continue,
-            Message::SetCodec { codec } if codec == CODEC_BIN1 && options.advertise_binary => {
-                // From here on our frames are bin1; the coordinator's
-                // reads auto-detect, so no ack is needed and TCP
-                // ordering guarantees it sees the switch after its own
-                // request.
-                lock_or_recover(&writer).codec = Codec::Binary;
-            }
-            Message::SetCodec { codec } => {
-                write_locked(
-                    &writer,
-                    &Message::Error {
-                        message: format!("worker does not speak codec `{codec}`"),
-                    },
-                )?;
-            }
             Message::Error { message } => {
                 // The coordinator refused us (auth mismatch, version
                 // skew): surface its reason instead of a generic frame
@@ -315,25 +266,16 @@ fn handle_connection(stream: TcpStream, daemon: &Daemon) -> io::Result<()> {
     }
 }
 
-/// What the coordinator asked this batch to observe about itself (the
-/// `RunCells` flags; both false from pre-observability coordinators).
-#[derive(Clone, Copy)]
-struct BatchObserve {
-    /// Piggyback cumulative metrics on the periodic heartbeats.
-    observe: bool,
-    /// Record spans and ship them back before `Done`.
-    trace: bool,
-}
-
 /// Computes one `RunCells` batch once no other batch is computing,
-/// streaming each cell as it finishes.
+/// streaming each cell as it finishes. With `trace`, the batch's spans
+/// are recorded and shipped back right before its `Done`.
 fn run_batch(
-    writer: &Mutex<Conn>,
+    writer: &Mutex<TcpStream>,
     fingerprint: u64,
     spec: &MatrixSpec,
     keys: Vec<String>,
     daemon: &Daemon,
-    batch_observe: BatchObserve,
+    trace: bool,
 ) -> io::Result<()> {
     let capacity = daemon.capacity;
     // The spec is wire input: resolve it fully (names, sweep ranges) and
@@ -379,8 +321,8 @@ fn run_batch(
     };
     // Span recording is daemon-global, which is exactly the scope it
     // should have here: the daemon computes one batch at a time, and the
-    // drain below both ships and clears the buffer.
-    if batch_observe.trace {
+    // drain below both ships and clears the collector.
+    if trace {
         sdiq_obs::set_tracing(true);
     }
     let beat = || {
@@ -390,26 +332,16 @@ fn run_batch(
             // deadline could never trip.
             return false;
         }
-        // An observed batch's keep-alives carry the daemon's cumulative
-        // totals; receivers treat them as heartbeats either way, so
-        // liveness is unaffected.
-        let beat = if batch_observe.observe {
-            Message::HeartbeatMetrics {
-                metrics: sdiq_obs::MetricsDelta::capture(),
-            }
-        } else {
-            Message::Heartbeat
-        };
         // A failed write is recorded by the sink.
-        sink.write(&beat).is_ok()
+        sink.write(&Message::Heartbeat).is_ok()
     };
     let computed = with_heartbeats(HEARTBEAT_INTERVAL, beat, || {
         let _span = sdiq_obs::span("run-batch", "server");
         matrix.run_cells_by_key(&daemon.cache, &requested, Some(&sink))
     });
-    // Drain even on a failed batch: the buffer must not leak this
+    // Drain even on a failed batch: the collector must not leak this
     // batch's spans into the next coordinator's trace.
-    let trace_events = if batch_observe.trace {
+    let trace_events = if trace {
         sdiq_obs::set_tracing(false);
         sdiq_obs::drain()
     } else {
@@ -430,17 +362,6 @@ fn run_batch(
             writer,
             &Message::TraceEvents {
                 events: trace_events,
-            },
-        )?;
-    }
-    if batch_observe.observe {
-        // A final cumulative snapshot per batch: the periodic heartbeat
-        // only fires once a second, so a fast batch would otherwise end
-        // with the coordinator never having seen this worker's totals.
-        write_locked(
-            writer,
-            &Message::HeartbeatMetrics {
-                metrics: sdiq_obs::MetricsDelta::capture(),
             },
         )?;
     }
@@ -524,10 +445,8 @@ fn heartbeat_loop(
     }
 }
 
-fn write_locked(writer: &Mutex<Conn>, message: &Message) -> io::Result<()> {
-    let mut conn = lock_or_recover(writer);
-    let codec = conn.codec;
-    frame::write_message_codec(&mut conn.stream, message, codec)
+fn write_locked(writer: &Mutex<TcpStream>, message: &Message) -> io::Result<()> {
+    frame::write_message(&mut *lock_or_recover(writer), message)
 }
 
 /// A [`CellSink`] that streams every finished cell to the coordinator.
@@ -537,7 +456,7 @@ fn write_locked(writer: &Mutex<Conn>, message: &Message) -> io::Result<()> {
 /// cells are computed but not sent — they stay in the artifact cache,
 /// warming the inevitable retry.
 struct StreamSink<'a> {
-    writer: &'a Mutex<Conn>,
+    writer: &'a Mutex<TcpStream>,
     failed: Mutex<Option<io::Error>>,
     delivered: &'a AtomicUsize,
     fail_after: Option<usize>,
@@ -677,7 +596,6 @@ mod tests {
             fail_after: None,
             stall_after: None,
             auth_key: Some("sesame".to_string()),
-            advertise_binary: false,
         }));
         let daemon: &'static Daemon = Box::leak(Box::new(Daemon {
             capacity: 1,

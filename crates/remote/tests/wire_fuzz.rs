@@ -12,48 +12,22 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use proptest::prelude::*;
-use sdiq_obs::{MetricsDelta, TraceEvent};
+use sdiq_obs::TraceEvent;
 use sdiq_remote::binary::{decode_message, encode_message};
 use sdiq_remote::protocol::Message;
 
-/// Printable-ASCII strings (cell keys, codec names, error text, MACs are
+/// Printable-ASCII strings (cell keys, error text, nonces and MACs are
 /// all ASCII in practice; UTF-8 handling is pinned by the unit tests).
 fn arb_string() -> impl Strategy<Value = String> {
     prop::collection::vec(32u16..127u16, 0..24)
         .prop_map(|chars| chars.into_iter().map(|c| c as u8 as char).collect())
 }
 
-fn arb_strings() -> impl Strategy<Value = Vec<String>> {
-    prop::collection::vec(arb_string(), 0..4)
-}
-
 /// Full-range `u64` (the range strategy excludes its end, which is fine —
 /// the codec has no special case at `u64::MAX`): the varint path and the
-/// JSON number path must both carry any value a worker's counters reach.
+/// JSON number path must both carry any value a trace timestamp reaches.
 fn arb_u64() -> impl Strategy<Value = u64> {
     0u64..u64::MAX
-}
-
-fn arb_metrics_delta() -> impl Strategy<Value = MetricsDelta> {
-    (
-        (arb_u64(), arb_u64(), arb_u64()),
-        (arb_u64(), arb_u64(), arb_u64()),
-    )
-        .prop_map(
-            |(
-                (cells_done, cells_in_flight, sim_instructions),
-                (cache_hits, cache_misses, wall_nanos),
-            )| {
-                MetricsDelta {
-                    cells_done,
-                    cells_in_flight,
-                    sim_instructions,
-                    cache_hits,
-                    cache_misses,
-                    wall_nanos,
-                }
-            },
-        )
 }
 
 fn arb_trace_event() -> impl Strategy<Value = TraceEvent> {
@@ -82,16 +56,13 @@ fn arb_trace_event() -> impl Strategy<Value = TraceEvent> {
 /// valid reports here would mostly re-test the generator.)
 fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![
-        (0usize..1024, arb_strings())
-            .prop_map(|(capacity, codecs)| Message::Hello { capacity, codecs }),
+        (0usize..1024).prop_map(|capacity| Message::Hello { capacity }),
         (0u8..1u8).prop_map(|_| Message::Heartbeat),
         (0usize..1 << 20).prop_map(|computed| Message::Done { computed }),
         arb_string().prop_map(|message| Message::Error { message }),
-        arb_string().prop_map(|codec| Message::SetCodec { codec }),
         arb_string().prop_map(|nonce| Message::AuthChallenge { nonce }),
         (arb_string(), arb_string()).prop_map(|(nonce, mac)| Message::AuthResponse { nonce, mac }),
         arb_string().prop_map(|mac| Message::AuthOk { mac }),
-        arb_metrics_delta().prop_map(|metrics| Message::HeartbeatMetrics { metrics }),
         prop::collection::vec(arb_trace_event(), 0..4)
             .prop_map(|events| Message::TraceEvents { events }),
     ]
@@ -160,12 +131,11 @@ proptest! {
 
     #[test]
     fn hostile_length_fields_error_before_allocating(
-        which in 0usize..6,
+        which in 0usize..5,
         length in (1u64 << 32)..(1u64 << 62),
     ) {
         use sdiq_remote::binary::{
             TAG_AUTH_CHALLENGE, TAG_AUTH_OK, TAG_AUTH_RESPONSE, TAG_CELL_DONE, TAG_ERROR,
-            TAG_SET_CODEC,
         };
         // A tiny payload whose leading string claims a multi-gigabyte
         // length must be rejected by the bounds check (length > bytes
@@ -173,7 +143,6 @@ proptest! {
         let tags = [
             TAG_CELL_DONE,
             TAG_ERROR,
-            TAG_SET_CODEC,
             TAG_AUTH_CHALLENGE,
             TAG_AUTH_RESPONSE,
             TAG_AUTH_OK,
@@ -189,15 +158,11 @@ proptest! {
     }
 
     #[test]
-    fn heartbeat_metrics_round_trip_both_codecs(metrics in arb_metrics_delta()) {
-        // The obs piggyback must survive whichever codec the connection
-        // negotiated — bin1 varints and the JSON number path alike.
-        let message = Message::HeartbeatMetrics { metrics };
-        prop_assert_eq!(decode_message(&encode_message(&message)).unwrap(), message.clone());
-        let mut rendered = String::new();
-        message.to_json().render(&mut rendered);
-        let parsed = sdiq_core::persist::parse(&rendered).unwrap();
-        prop_assert_eq!(Message::from_json(&parsed).unwrap(), message);
+    fn generated_messages_round_trip_through_the_json_oracle(message in arb_message()) {
+        // The JSON codec is the differential oracle for `bin1`
+        // (`generated_messages_round_trip`): it too must reproduce every
+        // generated message, full-range numbers included.
+        prop_assert_eq!(Message::parse(&message.render()).unwrap(), message);
     }
 
     #[test]
@@ -206,9 +171,6 @@ proptest! {
     ) {
         let message = Message::TraceEvents { events };
         prop_assert_eq!(decode_message(&encode_message(&message)).unwrap(), message.clone());
-        let mut rendered = String::new();
-        message.to_json().render(&mut rendered);
-        let parsed = sdiq_core::persist::parse(&rendered).unwrap();
-        prop_assert_eq!(Message::from_json(&parsed).unwrap(), message);
+        prop_assert_eq!(Message::parse(&message.render()).unwrap(), message);
     }
 }

@@ -328,7 +328,7 @@ fn checkpoint_resume_recomputes_only_the_lost_cells() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("engine.ckpt");
     let _ = std::fs::remove_file(&path);
-    let writer = persist::CheckpointWriter::append_to(&path).unwrap();
+    let (writer, _) = persist::CheckpointWriter::append_to(&path).unwrap();
     let first = matrix.run_with_sink(&ArtifactCache::new(), &HashMap::new(), Some(&writer));
     drop(writer);
     assert_eq!(first, reference);
